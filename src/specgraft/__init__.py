@@ -41,7 +41,6 @@ from .models import (
     VocabSpec,
     build_markov,
     derive_draft,
-    next_distribution,
     sample,
     train_ngram,
 )

@@ -37,9 +37,10 @@ class DraftNode:
 class DraftTree:
     """Breadth-first draft tree rooted at the last committed token.
 
-    ``context`` is the full committed token sequence; its final element is
-    the root token. ``layer_offsets[d]`` is the (start, end) slice of the
-    depth-d nodes inside the node arrays.
+    ``context`` holds the committed tokens the draft can read, ending with
+    the root token; callers pass only the last ``max(order, 1)``, so its
+    length does not grow with the session. ``layer_offsets[d]`` is the
+    (start, end) slice of the depth-d nodes inside the node arrays.
     """
 
     context: tuple[int, ...]
@@ -102,6 +103,16 @@ def new_tree(context) -> DraftTree:
     )
 
 
+def _context_at(context: tuple[int, ...], tokens: list, parents: list, i: int, order: int) -> tuple[int, ...]:
+    """Last ``order`` tokens of the committed context followed by node i's branch."""
+    path = []
+    while i and len(path) < order:
+        path.append(tokens[i])
+        i = parents[i]
+    need = order - len(path)
+    return (context[-need:] if need else ()) + tuple(reversed(path))
+
+
 def expand_layer(tree: DraftTree, draft: MarkovTableModel, top_k: int, beam_width: int | None = None) -> DraftTree:
     """Append one layer: top-``top_k`` children per frontier node, then keep
     the ``beam_width`` highest-score nodes of the new layer.
@@ -117,9 +128,9 @@ def expand_layer(tree: DraftTree, draft: MarkovTableModel, top_k: int, beam_widt
     if frontier.size == 0:
         raise StructureError("cannot expand an empty frontier")
 
-    rows = np.empty((frontier.size, draft.vocab.size))
-    for r, i in enumerate(frontier):
-        rows[r] = draft.next_distribution(tree.context + tuple(tree.branch_tokens(int(i))))
+    tokens, parents = tree.tokens.tolist(), tree.parents.tolist()
+    contexts = [_context_at(tree.context, tokens, parents, i, draft.order) for i in frontier.tolist()]
+    rows = draft.rows[draft.row_ids(contexts)]
 
     # stable argsort on -p resolves probability ties to ascending token id
     order = np.argsort(-rows, axis=1, kind="stable")[:, :top_k]
@@ -248,8 +259,9 @@ def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tupl
     A checkpoint d is evaluated right after layer d+1 is drafted, on that
     layer's confidence; the first failed gate stops expansion. With no
     failed gate the tree reaches ``max_depth`` and the stage is ``None``.
+    Only the last ``max(draft.order, 1)`` tokens of ``context`` are read.
     """
-    tree = new_tree(context)
+    tree = new_tree(context[-max(draft.order, 1):])
     checkpoints = set(config.checkpoints)
     trace: dict[int, float] = {}
     layer_conf: list[float] = []

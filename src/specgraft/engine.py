@@ -180,8 +180,11 @@ def _template_for_size(templates: dict[str, StageTemplate], size: int) -> StageT
 
 
 def expand_full(draft: MarkovTableModel, context, prune: PruneConfig) -> DraftTree:
-    """The static envelope: ``max_depth`` gated-free layers under the beam."""
-    tree = new_tree(context)
+    """The static envelope: ``max_depth`` gated-free layers under the beam.
+
+    Only the last ``max(draft.order, 1)`` tokens of ``context`` are read.
+    """
+    tree = new_tree(context[-max(draft.order, 1):])
     for _ in range(prune.max_depth):
         tree = expand_layer(tree, draft, prune.top_k, prune.beam_width)
     return tree
@@ -364,11 +367,11 @@ def decode_session(
             if tree_observer is not None:
                 tree_observer(len(steps), hy)
             package = flatten(hy, len(committed) - 1)
-            dists = node_distributions(target, committed, package)
+            ids, dists = node_distributions(target, committed, package)
             if config.acceptance == "greedy":
-                outcome = verify_greedy(target, committed, package, dists=dists)
+                outcome = verify_greedy(target, committed, package, rows=(ids, dists))
             else:
-                outcome = verify_stochastic(target, committed, package, rng, dists=dists)
+                outcome = verify_stochastic(target, committed, package, rng, rows=(ids, dists))
             n_draft, n_retrieved = hy.counts_by_origin()
             record = {
                 "stage": info["stage"],
@@ -389,7 +392,7 @@ def decode_session(
             if config.dense_replay and config.acceptance == "greedy":
                 record["replay_accepted_len"] = _dense_union_replay(config, target, draft, committed, hy)
             if config.updates_enabled:
-                update_from_verification(matrix, outcome.node_dists)
+                update_from_verification(matrix, outcome.node_rows, target)
             emitted = outcome.emitted_tokens
 
         emitted = emitted[:remaining]
@@ -451,11 +454,6 @@ def compute_metrics(steps: list[dict], cost: CostModel, dense_report: DecodeRepo
     )
     if dense_report is not None:
         report.tradeoff_ratio = report.speedup_proxy / dense_report.speedup_proxy
-    return report
-
-
-def attach_tradeoff(report: DecodeReport, dense_report: DecodeReport) -> DecodeReport:
-    report.tradeoff_ratio = report.speedup_proxy / dense_report.speedup_proxy
     return report
 
 

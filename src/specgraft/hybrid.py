@@ -250,17 +250,12 @@ class VerificationPackage:
     @cached_property
     def children(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR-style (ptr, idx): children of node i are idx[ptr[i]:ptr[i+1]]."""
+        parents = self.tree.parents[1:]
         n = self.tree.n_nodes
-        counts = np.zeros(n + 1, dtype=np.int32)
-        for p in self.tree.parents[1:]:
-            counts[p + 1] += 1
-        ptr = np.cumsum(counts).astype(np.int32)
-        idx = np.empty(max(n - 1, 0), dtype=np.int32)
-        fill = ptr[:-1].copy()
-        for i in range(1, n):
-            p = self.tree.parents[i]
-            idx[fill[p]] = i
-            fill[p] += 1
+        ptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(parents, minlength=n), out=ptr[1:])
+        # a stable sort keeps each parent's children in ascending index order
+        idx = (np.argsort(parents, kind="stable") + 1).astype(np.int32)
         return ptr, idx
 
     @cached_property

@@ -2,13 +2,18 @@
 
 Models are tables from context tuples to probability rows, built either
 from a seeded pseudo-random construction or from n-gram counts over a
-corpus. Every row is a plain float64 numpy array over the full vocabulary,
-so verification claims can be checked analytically.
+corpus. All rows of a model live in one read-only ``(n_ctx + 1, vocab)``
+float64 array with the fallback row last, and ``index`` maps each known
+context to its row id; unseen contexts read the fallback row. A context is
+at most the last ``order`` tokens, so a caller needs to carry only that
+many committed tokens, and tree nodes map to row ids that gather their rows
+in one fancy index. Verification claims can be checked analytically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -41,18 +46,33 @@ class VocabSpec:
         return str(token)
 
 
+def _check_rows(rows: np.ndarray, what: str) -> None:
+    """Raise unless every row is non-negative and sums to 1 within DIST_ATOL."""
+    if rows.size and rows.min() < 0:
+        raise InputError(f"{what} has negative entries")
+    sums = rows.sum(axis=-1).reshape(-1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > DIST_ATOL)
+    if bad.size:
+        raise InputError(f"{what} sums to {float(sums[bad[0]])!r}, not 1")
+
+
 def check_distribution(probs: np.ndarray, size: int) -> np.ndarray:
     """Validate and freeze a probability row (non-negative, sums to 1)."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (size,):
         raise InputError(f"distribution shape {probs.shape} != ({size},)")
-    if np.any(probs < 0):
-        raise InputError("distribution has negative entries")
-    total = float(probs.sum())
-    if abs(total - 1.0) > DIST_ATOL:
-        raise InputError(f"distribution sums to {total!r}, not 1")
+    _check_rows(probs, "distribution")
     probs.setflags(write=False)
     return probs
+
+
+def argtopk(dist: np.ndarray, k: int) -> np.ndarray:
+    """Top-k token ids by probability, descending, ties to the lower id.
+
+    ``dist`` is one row or a stack of rows; the ids run along the last axis.
+    """
+    order = np.argsort(-dist, axis=-1, kind="stable")
+    return order[..., :k].astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -71,39 +91,89 @@ class DraftDerivation:
 
 @dataclass(frozen=True)
 class MarkovTableModel:
-    """Order-``order`` table model; unseen contexts fall back to one row."""
+    """Order-``order`` table model; unseen contexts fall back to one row.
+
+    ``rows`` is the stacked ``(len(index) + 1, vocab)`` row table, validated
+    and frozen at construction: row ``index[ctx]`` for each known context,
+    the fallback row last. ``table`` presents the same rows as a dict of
+    read-only views.
+    """
 
     vocab: VocabSpec
     order: int
-    table: dict[tuple[int, ...], np.ndarray]
-    fallback: np.ndarray
+    index: dict[tuple[int, ...], int]
+    rows: np.ndarray
     seed: int = 0
-    _frozen: bool = field(default=False, repr=False, compare=False)
+    # argtop-k of each row, filled lazily per k: {k: (ids, filled mask)}
+    _topk: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.float64)
+        shape = (len(self.index) + 1, self.vocab.size)
+        if rows.shape != shape:
+            raise InputError(f"row table shape {rows.shape} != {shape}")
+        _check_rows(rows, "distribution")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_table(cls, vocab: VocabSpec, order: int, table: dict, fallback, seed: int = 0) -> "MarkovTableModel":
+        """Stack a ``{context: row}`` dict and a fallback row into one model."""
+        rows = np.empty((len(table) + 1, vocab.size))
+        index = {}
+        for i, (ctx, row) in enumerate(table.items()):
+            index[tuple(int(t) for t in ctx)] = i
+            rows[i] = row
+        rows[-1] = fallback
+        return cls(vocab=vocab, order=order, index=index, rows=rows, seed=seed)
+
+    @property
+    def fallback(self) -> np.ndarray:
+        return self.rows[-1]
+
+    @cached_property
+    def table(self) -> dict[tuple[int, ...], np.ndarray]:
+        return {ctx: self.rows[i] for ctx, i in self.index.items()}
 
     def context_of(self, prefix) -> tuple[int, ...]:
         if self.order == 0:
             return ()
         return tuple(int(t) for t in prefix[-self.order:])
 
+    def row_ids(self, contexts) -> np.ndarray:
+        """Row id of each context tuple (the fallback row for unseen ones)."""
+        fallback = self.rows.shape[0] - 1
+        get = self.index.get
+        return np.fromiter((get(c, fallback) for c in contexts), dtype=np.intp, count=len(contexts))
+
     def next_distribution(self, prefix) -> np.ndarray:
         """Row for the last ``order`` tokens of ``prefix`` (fallback if unseen)."""
         for t in prefix[-self.order:] if self.order else ():
             if not 0 <= t < self.vocab.size:
                 raise InputError(f"token {t} out of range for vocab {self.vocab.size}")
-        return self.table.get(self.context_of(prefix), self.fallback)
+        return self.row_for_context(self.context_of(prefix))
 
     def row_for_context(self, context: tuple[int, ...]) -> np.ndarray:
-        return self.table.get(context, self.fallback)
+        return self.rows[self.index.get(context, -1)]
 
+    def argtopk(self, ids: np.ndarray, k: int) -> np.ndarray:
+        """``argtopk(self.rows[ids], k)``, each row sorted once per model.
 
-def next_distribution(model: MarkovTableModel, prefix) -> np.ndarray:
-    return model.next_distribution(prefix)
-
-
-def _freeze_model(vocab, order, table, fallback, seed) -> MarkovTableModel:
-    fallback = check_distribution(fallback, vocab.size)
-    table = {ctx: check_distribution(row, vocab.size) for ctx, row in table.items()}
-    return MarkovTableModel(vocab=vocab, order=order, table=table, fallback=fallback, seed=seed)
+        Rows never change, so filling the cache twice writes the same ids;
+        concurrent callers need no lock.
+        """
+        cache = self._topk.get(k)
+        if cache is None:
+            n = self.rows.shape[0]
+            cache = self._topk.setdefault(k, (np.empty((n, k), dtype=np.int32), np.zeros(n, dtype=bool)))
+        top, filled = cache
+        todo = ids[~filled[ids]]
+        if todo.size:
+            top[todo] = argtopk(self.rows[todo], k)
+            filled[todo] = True
+        return top[ids]
 
 
 def _all_contexts(size: int, order: int):
@@ -136,8 +206,9 @@ def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0)
             "train an n-gram model from a corpus instead"
         )
     rng = np.random.default_rng(seed)
-    table: dict[tuple[int, ...], np.ndarray] = {}
-    for ctx in _all_contexts(vocab.size, order):
+    rows = np.empty((vocab.size**order + 1, vocab.size))
+    index: dict[tuple[int, ...], int] = {}
+    for i, ctx in enumerate(_all_contexts(vocab.size, order)):
         w = rng.gamma(1.0, 1.0, size=vocab.size)
         if sparsity > 0.0:
             drop = rng.random(vocab.size) < sparsity
@@ -145,13 +216,11 @@ def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0)
             w[drop] = 0.0
             if w.sum() == 0.0:
                 w[keep_best] = 1.0
-        table[ctx] = w / w.sum()
-    fallback = np.full(vocab.size, 1.0 / vocab.size)
-    model = _freeze_model(vocab, order, table, fallback, seed)
-    if order == 0:
-        # a single-row model: the row IS the fallback
-        return _freeze_model(vocab, 0, table, table[()], seed)
-    return model
+        rows[i] = w / w.sum()
+        index[ctx] = i
+    # a single-row model: the row IS the fallback
+    rows[-1] = rows[0] if order == 0 else 1.0 / vocab.size
+    return MarkovTableModel(vocab=vocab, order=order, index=index, rows=rows, seed=seed)
 
 
 def train_ngram(vocab: VocabSpec, corpus, order: int, smoothing: float = 0.0) -> MarkovTableModel:
@@ -167,27 +236,16 @@ def train_ngram(vocab: VocabSpec, corpus, order: int, smoothing: float = 0.0) ->
         if not 0 <= t < vocab.size:
             raise InputError(f"corpus token {t} out of range for vocab {vocab.size}")
 
-    size = vocab.size
-    counts: dict[tuple[int, ...], np.ndarray] = {}
-    for i in range(order, len(corpus)):
-        ctx = tuple(corpus[i - order:i])
-        row = counts.get(ctx)
-        if row is None:
-            row = np.zeros(size)
-            counts[ctx] = row
-        row[corpus[i]] += 1.0
-
-    unigram = np.zeros(size)
-    for t in corpus:
-        unigram[t] += 1.0
-    fallback = (unigram + smoothing) / (unigram.sum() + smoothing * size)
-
-    table = {}
-    for ctx, row in counts.items():
-        table[ctx] = (row + smoothing) / (row.sum() + smoothing * size)
-    if order == 0:
-        table = {(): fallback}
-    return _freeze_model(vocab, order, table, fallback, seed=0)
+    index: dict[tuple[int, ...], int] = {}
+    ids = [index.setdefault(tuple(corpus[i - order:i]), len(index)) for i in range(order, len(corpus))]
+    counts = np.zeros((len(index) + 1, vocab.size))
+    np.add.at(counts, (ids, corpus[order:]), 1.0)
+    np.add.at(counts[-1], corpus, 1.0)  # the unigram, smoothed into the fallback
+    # counts are whole numbers, so row sums are exact in any summation order
+    denominators = counts.sum(axis=1, keepdims=True) + smoothing * vocab.size
+    counts += smoothing
+    counts /= denominators
+    return MarkovTableModel(vocab=vocab, order=order, index=index, rows=counts, seed=0)
 
 
 def derive_draft(target: MarkovTableModel, derivation: DraftDerivation) -> MarkovTableModel:
@@ -196,36 +254,30 @@ def derive_draft(target: MarkovTableModel, derivation: DraftDerivation) -> Marko
     s = derivation.strength
 
     if derivation.mode == "temperature-smooth":
-        expo = 1.0 / (1.0 + s * TEMPERATURE_SCALE)
-
-        def transform(row):
-            w = np.power(row, expo)
-            return w / w.sum()
-
-        table = {ctx: transform(row) for ctx, row in target.table.items()}
-        fallback = transform(target.fallback)
-        return _freeze_model(target.vocab, target.order, table, fallback, target.seed)
+        rows = np.power(target.rows, 1.0 / (1.0 + s * TEMPERATURE_SCALE))
+        rows /= rows.sum(axis=1, keepdims=True)
+        return replace(target, rows=rows)
 
     if derivation.mode == "uniform-mix":
-        u = np.full(size, 1.0 / size)
-
-        def transform(row):
-            return (1.0 - s) * row + s * u
-
-        table = {ctx: transform(row) for ctx, row in target.table.items()}
-        fallback = transform(target.fallback)
-        return _freeze_model(target.vocab, target.order, table, fallback, target.seed)
+        rows = target.rows * (1.0 - s)
+        rows += s * np.full(size, 1.0 / size)
+        return replace(target, rows=rows)
 
     # context-truncate: shrink the order, averaging rows that share a suffix
     new_order = target.order - int(round(s * target.order))
     if new_order == target.order:
         return target
-    groups: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for ctx, row in target.table.items():
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for ctx, i in target.index.items():
         suffix = ctx[len(ctx) - new_order:] if new_order else ()
-        groups.setdefault(suffix, []).append(row)
-    table = {suffix: np.mean(rows, axis=0) for suffix, rows in groups.items()}
-    return _freeze_model(target.vocab, new_order, table, target.fallback, target.seed)
+        groups.setdefault(suffix, []).append(i)
+    rows = np.empty((len(groups) + 1, size))
+    index = {}
+    for j, (suffix, ids) in enumerate(groups.items()):
+        rows[j] = np.mean(target.rows[ids], axis=0)
+        index[suffix] = j
+    rows[-1] = target.fallback
+    return replace(target, order=new_order, index=index, rows=rows)
 
 
 def sample(dist: np.ndarray, rng: np.random.Generator) -> int:

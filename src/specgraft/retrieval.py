@@ -2,12 +2,13 @@
 
 The matrix holds, per vocabulary token, the k most likely successor ids
 seen so far. Rows are refreshed wholesale from verified target rows
-(argtop-k with ties to the lower id). Cold entries are tracked with an
-explicit validity bitmap so every token id stays usable.
+(argtop-k with ties to the lower id, cached per target row). Cold entries
+are tracked with an explicit validity bitmap so every token id stays usable.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -15,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InputError, StructureError
-from .models import MarkovTableModel
+from .models import MarkovTableModel, argtopk
 
 COLD = -1
 
@@ -70,12 +71,6 @@ def lookup(matrix: TransitionMatrix, token: int, rank: int):
     return int(matrix.rows[token, rank])
 
 
-def argtopk(dist: np.ndarray, k: int) -> np.ndarray:
-    """Top-k token ids by probability, descending, ties to the lower id."""
-    order = np.argsort(-dist, kind="stable")
-    return order[:k].astype(np.int32)
-
-
 def update_row(matrix: TransitionMatrix, token: int, dist: np.ndarray) -> TransitionMatrix:
     """Replace the row wholesale with argtop-k of ``dist``; all slots valid."""
     if not 0 <= token < matrix.vocab_size:
@@ -85,22 +80,22 @@ def update_row(matrix: TransitionMatrix, token: int, dist: np.ndarray) -> Transi
     return matrix
 
 
-def update_from_verification(matrix: TransitionMatrix, pairs) -> TransitionMatrix:
-    """Apply ``update_row`` for each (token, dist) in order; last writer wins.
+def update_from_verification(matrix: TransitionMatrix, pairs, target: MarkovTableModel) -> TransitionMatrix:
+    """Refresh rows from verified nodes; last writer wins.
 
-    Equivalent to sequential update_row calls, with the argtop-k sorts batched.
+    Each ``(token, row_id)`` pair stands for ``update_row(matrix, token,
+    target.rows[row_id])``, applied in order. Only each token's last pair is
+    written, from the target's cached argtop-k.
     """
-    pairs = list(pairs)
     if not pairs:
         return matrix
-    tokens = np.fromiter((int(t) for t, _ in pairs), dtype=np.int64, count=len(pairs))
+    tokens = np.fromiter((t for t, _ in pairs), dtype=np.int64, count=len(pairs))
+    ids = np.fromiter((r for _, r in pairs), dtype=np.intp, count=len(pairs))
     if tokens.min() < 0 or tokens.max() >= matrix.vocab_size:
         raise InputError("verified token out of range")
-    stacked = np.stack([d for _, d in pairs])
-    order = np.argsort(-stacked, axis=1, kind="stable")[:, : matrix.k].astype(np.int32)
-    for i in range(len(pairs)):
-        matrix.rows[tokens[i]] = order[i]
-        matrix.valid[tokens[i]] = True
+    written, last_rev = np.unique(tokens[::-1], return_index=True)
+    matrix.rows[written] = target.argtopk(ids[len(ids) - 1 - last_rev], matrix.k)
+    matrix.valid[written] = True
     return matrix
 
 
@@ -386,16 +381,29 @@ def save_matrix(path, matrix: TransitionMatrix) -> None:
 
 
 def load_matrix(path) -> TransitionMatrix:
+    """Read a snapshot, checking its header against the file size first, so a
+    corrupt header can neither trigger an unbounded read nor a reshape error."""
+    header = len(MAGIC) + 8
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
+        head = fh.read(header)
+        if head[: len(MAGIC)] != MAGIC:
             raise StructureError(f"{path}: not a matrix snapshot (bad magic)")
-        vocab_size, k = struct.unpack("<II", fh.read(8))
+        if len(head) < header:
+            raise StructureError(f"{path}: truncated snapshot header")
+        vocab_size, k = struct.unpack("<II", head[len(MAGIC):])
+        if vocab_size < 2 or k > vocab_size:
+            raise StructureError(f"{path}: bad snapshot shape vocab={vocab_size} k={k}")
         cells = vocab_size * k
+        expected = header + cells * 4 + (cells + 7) // 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise StructureError(
+                f"{path}: {size} bytes, but a vocab={vocab_size} k={k} snapshot takes {expected}"
+            )
         rows = np.frombuffer(fh.read(cells * 4), dtype="<i4").reshape(vocab_size, k).astype(np.int32)
         bitmap = np.frombuffer(fh.read((cells + 7) // 8), dtype=np.uint8)
         valid = np.unpackbits(bitmap)[:cells].reshape(vocab_size, k).astype(bool)
-    m = TransitionMatrix(rows=rows.copy(), valid=valid, k=int(k))
+    m = TransitionMatrix(rows=rows, valid=valid, k=int(k))
     bad = m.valid & ((m.rows < 0) | (m.rows >= vocab_size))
     if bad.any():
         raise StructureError(f"{path}: snapshot holds out-of-range successor ids")

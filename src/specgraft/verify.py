@@ -7,8 +7,9 @@ child is accepted with the current residual mass of its token; a rejection
 zeroes that token and renormalizes, and the final correction/bonus token
 is drawn from what remains.
 
-Every node's target distribution is returned regardless of acceptance, so
-the caller can refresh the transition matrix from the whole verified tree.
+Every node's (token, target row id) pair is returned regardless of
+acceptance, so the caller can refresh the transition matrix from the whole
+verified tree.
 """
 
 from __future__ import annotations
@@ -27,47 +28,51 @@ from .models import MarkovTableModel, greedy_token
 class VerifyOutcome:
     accepted_path: list[int]  # node indices, root excluded
     emitted_tokens: list[int]  # accepted tokens + one bonus/correction token
-    node_dists: list[tuple[int, np.ndarray]]  # (token, target row) for every node
+    node_rows: list[tuple[int, int]]  # (token, target row id) for every node
     accepted_len: int
 
 
-def node_distributions(target: MarkovTableModel, prefix, package: VerificationPackage) -> np.ndarray:
-    """(n, vocab) target rows; row i predicts the successor of node i's token."""
-    prefix = tuple(int(t) for t in prefix)
-    if not prefix or prefix[-1] != package.tree.root_token:
+def node_distributions(target: MarkovTableModel, prefix, package: VerificationPackage) -> tuple[np.ndarray, np.ndarray]:
+    """Target row ids and rows of every node; row i predicts the successor of
+    node i's token.
+
+    Returns ``(ids, dists)``: ``ids[i]`` indexes ``target.rows`` and
+    ``dists`` is the ``(n, vocab)`` gather ``target.rows[ids]``. Only the
+    last ``max(target.order, 1)`` tokens of ``prefix`` are read.
+    """
+    order = target.order
+    tail = [int(t) for t in prefix[-max(order, 1):]]
+    if not tail or tail[-1] != package.tree.root_token:
         raise StructureError("package root must be the last committed token")
     n = package.n_nodes
-    order = target.order
     contexts: list[tuple[int, ...]] = [()] * n
-    contexts[0] = target.context_of(prefix)
-    parents = package.parents
-    tokens = package.tokens
+    contexts[0] = target.context_of(tail)
+    parents = package.parents.tolist()
+    tokens = package.tokens.tolist()
     for i in range(1, n):
-        ctx = contexts[parents[i]] + (int(tokens[i]),)
+        ctx = contexts[parents[i]] + (tokens[i],)
         contexts[i] = ctx[-order:] if order else ()
-    dists = np.empty((n, target.vocab.size))
-    for i in range(n):
-        dists[i] = target.row_for_context(contexts[i])
-    return dists
+    ids = target.row_ids(contexts)
+    return ids, target.rows[ids]
 
 
-def _pairs(tokens: np.ndarray, dists: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    return [(int(tokens[i]), dists[i]) for i in range(tokens.shape[0])]
+def _node_rows(tokens: np.ndarray, ids: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(tokens.tolist(), ids.tolist()))
 
 
 def verify_greedy(
     target: MarkovTableModel,
     prefix,
     package: VerificationPackage,
-    dists: np.ndarray | None = None,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> VerifyOutcome:
     """Accept the longest root chain matching the target argmax walk.
 
     Argmax ties go to the lowest token id, so the emitted step is
-    bit-identical to pure target greedy decoding.
+    bit-identical to pure target greedy decoding. ``rows`` is the result of
+    :func:`node_distributions`, computed here when not given.
     """
-    if dists is None:
-        dists = node_distributions(target, prefix, package)
+    ids, dists = node_distributions(target, prefix, package) if rows is None else rows
     ptr, idx = package.children
     tokens = package.tokens
     path: list[int] = []
@@ -85,7 +90,7 @@ def verify_greedy(
             return VerifyOutcome(
                 accepted_path=path,
                 emitted_tokens=emitted,
-                node_dists=_pairs(tokens, dists),
+                node_rows=_node_rows(tokens, ids),
                 accepted_len=len(path),
             )
         path.append(nxt)
@@ -97,12 +102,11 @@ def verify_stochastic(
     prefix,
     package: VerificationPackage,
     rng: np.random.Generator,
-    dists: np.ndarray | None = None,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> VerifyOutcome:
     """Residual acceptance walk; the emitted next-token marginal equals the
     target distribution exactly, for any fixed tree."""
-    if dists is None:
-        dists = node_distributions(target, prefix, package)
+    ids, dists = node_distributions(target, prefix, package) if rows is None else rows
     ptr, idx = package.children
     tokens = np.ascontiguousarray(package.tokens, dtype=np.int32)
     n = package.n_nodes
@@ -122,7 +126,7 @@ def verify_stochastic(
     return VerifyOutcome(
         accepted_path=path,
         emitted_tokens=[int(tokens[i]) for i in path] + [int(emitted)],
-        node_dists=_pairs(tokens, dists),
+        node_rows=_node_rows(tokens, ids),
         accepted_len=len(path),
     )
 
@@ -138,7 +142,7 @@ def first_token_frequencies(
 
     Runs the same walk kernel as :func:`verify_stochastic`, batched.
     """
-    dists = node_distributions(target, prefix, package)
+    _, dists = node_distributions(target, prefix, package)
     ptr, idx = package.children
     n = package.n_nodes
     rng = np.random.default_rng(seed)

@@ -13,11 +13,11 @@ def table_model(vocab_size, order, table, fallback=None, seed=0):
         tuple(ctx): check_distribution(np.asarray(row, dtype=float), vocab_size)
         for ctx, row in table.items()
     }
-    return MarkovTableModel(
-        vocab=vocab,
-        order=order,
-        table=frozen,
-        fallback=check_distribution(np.asarray(fallback, dtype=float), vocab_size),
+    return MarkovTableModel.from_table(
+        vocab,
+        order,
+        frozen,
+        check_distribution(np.asarray(fallback, dtype=float), vocab_size),
         seed=seed,
     )
 

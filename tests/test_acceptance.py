@@ -105,7 +105,7 @@ def test_criterion_2_stochastic_exactness():
     for i in range(20):
         target, prefix, pkg = tiny_instance(i)
         assert pkg.n_nodes <= 10
-        dists = node_distributions(target, prefix, pkg)
+        _, dists = node_distributions(target, prefix, pkg)
         kids = [j for j in range(1, pkg.n_nodes) if pkg.parents[j] == 0]
         marginal = enumerate_first_token_marginal(pkg.tokens.tolist(), pkg.parents.tolist(), dists[0], kids)
         worst_enum = max(worst_enum, float(np.abs(marginal - dists[0]).max()))

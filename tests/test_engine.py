@@ -17,8 +17,10 @@ from specgraft.engine import (
     theory_checks,
 )
 from specgraft.errors import ConfigError
+from specgraft.hybrid import flatten
 from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft
 from specgraft.retrieval import builtin_templates, new_matrix, warmup
+from specgraft.verify import node_distributions
 
 from .conftest import table_model
 from .oracles import ar_greedy
@@ -152,6 +154,40 @@ class TestBuildNextTree:
         assert n_draft <= 24
         assert info["stage"] == "none"
         assert info["declared"] == 36
+
+
+class TestBoundedContext:
+    """The models read at most ``order`` tokens, so a step must not depend on
+    anything earlier: a 20 000-token prefix and its last-``order`` suffix
+    build the same tree and read the same target rows."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("method", ["dense", "prune_only", "fixed_split", "graft", "graft_root", "graft_tail"])
+    def test_long_prefix_equals_suffix(self, order, method):
+        target = build_markov(VocabSpec(12), order, seed=4, sparsity=0.3)
+        draft = derive_draft(target, DraftDerivation("uniform-mix", 0.5))
+        prune = PruneConfig(thresholds={0: 0.3, 1: 0.2, 5: 0.51})
+        cfg = DecodeConfig(method=method, prune=prune)
+        matrix = full_matrix(12, 10, shift=5)
+        long = [int(t) for t in np.random.default_rng(order).integers(0, 12, size=20_000)]
+        short = long[-order:]
+        templates = builtin_templates(10)
+        hy_long, info_long = build_next_tree(cfg, draft, matrix, long, templates)
+        hy_short, info_short = build_next_tree(cfg, draft, matrix, short, templates)
+        assert info_long == info_short
+        for name in ("tokens", "parents", "depths", "origin", "logqs"):
+            assert np.array_equal(getattr(hy_long, name), getattr(hy_short, name), equal_nan=True), name
+        ids_long, dists_long = node_distributions(target, long, flatten(hy_long, len(long) - 1))
+        ids_short, dists_short = node_distributions(target, short, flatten(hy_short, len(short) - 1))
+        assert np.array_equal(ids_long, ids_short)
+        assert np.array_equal(dists_long, dists_short)
+        for i, row in enumerate(dists_long):
+            path = []
+            j = i
+            while j:
+                path.append(int(hy_long.tokens[j]))
+                j = int(hy_long.parents[j])
+            assert np.array_equal(row, target.next_distribution(long + path[::-1]))
 
 
 class TestMetrics:

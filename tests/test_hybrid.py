@@ -273,7 +273,9 @@ class TestFlattenProperties:
         m = pkg.ancestor_mask
         assert np.array_equal(m, m @ m)  # closed under ancestry
         assert np.array_equal(m, reachability_mask(hy.parents.tolist()))
+        ptr, idx = pkg.children
         for i in range(hy.n_nodes):
+            assert idx[ptr[i]:ptr[i + 1]].tolist() == hy.children_of(i).tolist()
             for j in hy.children_of(i):
                 for k in hy.children_of(i):
                     if j != k:

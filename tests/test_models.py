@@ -11,7 +11,6 @@ from specgraft.models import (
     build_markov,
     derive_draft,
     load_corpus,
-    next_distribution,
     sample,
     tokenize_bytes,
     tokenize_whitespace,
@@ -34,11 +33,11 @@ class TestVocabSpec:
 
 class TestNextDistribution:
     def test_det4_cycle(self, det4):
-        assert np.array_equal(next_distribution(det4, [2]), delta(4, 3))
+        assert np.array_equal(det4.next_distribution([2]), delta(4, 3))
 
     def test_uni4_fallback(self, uni4):
         for prefix in ([0], [3, 2], [1, 1, 1]):
-            assert np.array_equal(next_distribution(uni4, prefix), np.full(4, 0.25))
+            assert np.array_equal(uni4.next_distribution(prefix), np.full(4, 0.25))
 
     def test_seeded_row_matches_rebuild(self):
         vocab = VocabSpec(8)

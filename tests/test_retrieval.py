@@ -1,3 +1,8 @@
+import struct
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +11,11 @@ from hypothesis import strategies as st
 from specgraft.engine import DecodeConfig
 from specgraft.errors import ConfigError, InputError, StructureError
 from specgraft.models import VocabSpec, build_markov, train_ngram
+from specgraft.cli import main
 from specgraft.retrieval import (
+    MAGIC,
     TEMPLATE_DEPTH_COUNTS,
+    argtopk,
     builtin_templates,
     filter_template,
     instantiate,
@@ -23,6 +31,7 @@ from specgraft.retrieval import (
     warmup,
 )
 
+from .conftest import table_model
 from .oracles import template_walk_realized
 
 
@@ -126,24 +135,64 @@ class TestLookupAndUpdate:
         expect = sorted(range(16), key=lambda t: (-row[t], t))[:3]
         assert list(m.rows[2]) == expect
 
-    def test_batch_update_empty(self):
+    def test_batch_update_empty(self, det4):
         m = new_matrix(4, 2)
         before = m.rows.copy()
-        update_from_verification(m, [])
+        update_from_verification(m, [], det4)
         assert np.array_equal(m.rows, before)
 
     def test_last_writer_wins(self):
+        # pairs name target rows by id: row 0 is [0.9, 0.1, 0, 0], row 1 is [0, 0, 0.1, 0.9]
+        target = table_model(4, 1, {(0,): [0.9, 0.1, 0.0, 0.0], (1,): [0.0, 0.0, 0.1, 0.9]})
         m = new_matrix(4, 2)
-        update_from_verification(
-            m,
-            [(1, np.array([0.9, 0.1, 0.0, 0.0])), (1, np.array([0.0, 0.0, 0.1, 0.9]))],
-        )
+        update_from_verification(m, [(1, 0), (1, 1)], target)
         assert list(m.rows[1]) == [3, 2]
+        update_from_verification(m, [(1, 1), (1, 0)], target)
+        assert list(m.rows[1]) == [0, 1]
+
+    @pytest.mark.parametrize("model", [
+        build_markov(VocabSpec(12), 1, seed=8, sparsity=0.5),
+        train_ngram(VocabSpec(6), [0, 1, 2, 1, 0, 1, 3, 3, 0, 1, 2], order=2, smoothing=0.5),
+    ])
+    def test_cached_argtopk_matches_argtopk(self, model):
+        ids = np.arange(model.rows.shape[0])
+        # zeroed (markov) and smoothed-unseen (ngram) entries tie inside rows
+        assert any(len(set(row.tolist())) < model.vocab.size for row in model.rows)
+        for k in (1, 3, model.vocab.size):
+            for batch in (ids[::-1], ids[::2], ids):  # fill part, then hit and fill the rest
+                cached = model.argtopk(batch, k)
+                assert cached.dtype == np.int32
+                assert [r.tolist() for r in cached] == [argtopk(model.rows[i], k).tolist() for i in batch]
+
+    def test_argtopk_cache_fill_is_thread_safe(self):
+        model = build_markov(VocabSpec(16), 2, seed=3, sparsity=0.3)
+        expect = argtopk(model.rows, 4)
+        rng = np.random.default_rng(0)
+        batches = [rng.integers(0, model.rows.shape[0], size=40) for _ in range(400)]
+        wrong = []
+
+        def worker(start):
+            for ids in batches[start::8]:
+                if not np.array_equal(model.argtopk(ids, 4), expect[ids]):
+                    wrong.append(ids)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
 
     def test_det4_verified_tree_rows(self, det4):
         m = new_matrix(4, 2)
-        pairs = [(t, det4.table[(t,)]) for t in [0, 1, 2, 1, 3]]
-        update_from_verification(m, pairs)
+        pairs = [(t, det4.index[(t,)]) for t in [0, 1, 2, 1, 3]]
+        update_from_verification(m, pairs, det4)
         for t in {0, 1, 2, 3}:
             assert m.rows[t][0] == (t + 1) % 4
 
@@ -296,3 +345,44 @@ class TestSnapshot:
         path.write_bytes(b"NOTAMATRIX")
         with pytest.raises(StructureError):
             load_matrix(path)
+
+    @staticmethod
+    def snapshot_bytes(tmp_path):
+        path = tmp_path / "m.bin"
+        save_matrix(path, full_matrix(256, 10))
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("damage", ["short_header", "truncated", "trailing", "k_over_vocab"])
+    def test_damaged_snapshot_rejected(self, tmp_path, damage):
+        data = self.snapshot_bytes(tmp_path)
+        data = {
+            "short_header": data[: len(MAGIC) + 3],
+            "truncated": data[:-1],
+            "trailing": data + b"\0",
+            "k_over_vocab": MAGIC + struct.pack("<II", 2, 3) + data[len(MAGIC) + 8:],
+        }[damage]
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        with pytest.raises(StructureError):
+            load_matrix(path)
+
+    def test_oversized_header_never_allocates_its_claim(self, tmp_path):
+        # claims 200000 x 200000 ids (160 GB); the file holds 21 bytes of payload
+        path = tmp_path / "huge.bin"
+        path.write_bytes(MAGIC + struct.pack("<II", 200_000, 200_000) + bytes(21))
+        tracemalloc.start()
+        try:
+            with pytest.raises(StructureError, match="snapshot takes"):
+                load_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_cli_reports_damaged_snapshot_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(self.snapshot_bytes(tmp_path)[:40])
+        for action in ("load", "stats"):
+            assert main(["matrix", action, "--path", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
