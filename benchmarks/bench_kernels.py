@@ -34,20 +34,6 @@ def bench_ancestor_mask(rows):
     return "ancestor_mask (n=61)", a, b
 
 
-def bench_select(rows):
-    rng = np.random.default_rng(1)
-    n = 80
-    parents = np.full(n, -1, dtype=np.int32)
-    scores = np.zeros(n)
-    for i in range(1, n):
-        parents[i] = rng.integers(0, i)
-        scores[i] = scores[parents[i]] + np.log(rng.uniform(0.05, 1.0))
-    order = np.argsort(-scores, kind="stable")
-    a = timeit(lambda: K.select_topk_closure_nb(order, parents, 60), rows)
-    b = timeit(lambda: K.select_topk_closure_np(order, parents, 60), rows)
-    return "select_topk_closure (n=80)", a, b
-
-
 def bench_trials(n_trials):
     tokens = np.array([0, 1, 3, 2, 1], dtype=np.int32)
     ptr = np.array([0, 2, 3, 3, 4, 4], dtype=np.int32)
@@ -68,7 +54,7 @@ def main():
     ap.add_argument("--trials", type=int, default=200_000, help="walks for the stochastic batch")
     args = ap.parse_args()
 
-    results = [bench_ancestor_mask(2000), bench_select(2000), bench_trials(args.trials)]
+    results = [bench_ancestor_mask(2000), bench_trials(args.trials)]
     print(f"{'kernel':<36} {'numba':>12} {'numpy':>12} {'speedup':>9}")
     for name, a, b in results:
         print(f"{name:<36} {a * 1e6:>10.1f}us {b * 1e6:>10.1f}us {b / a:>8.1f}x")

@@ -70,59 +70,6 @@ def ancestor_mask_nb(parents: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closure-respecting top-k selection
-
-
-def select_topk_closure_np(order: np.ndarray, parents: np.ndarray, limit: int) -> np.ndarray:
-    """Greedy selection mask over candidates ranked by ``order``.
-
-    ``order`` lists node indices best-first (node 0 = root, always kept,
-    never counted against ``limit``). A node is kept only if its parent is
-    kept; because cumulative scores are non-increasing along paths, parents
-    always precede children in ``order``.
-    """
-    n = parents.shape[0]
-    keep = np.zeros(n, dtype=np.bool_)
-    keep[0] = True
-    taken = 0
-    for idx in order:
-        if idx == 0:
-            continue
-        if taken >= limit:
-            break
-        if keep[parents[idx]]:
-            keep[idx] = True
-            taken += 1
-    return keep
-
-
-@njit(cache=True)
-def _select_topk_closure_nb(order, parents, limit):  # pragma: no cover - jitted
-    n = parents.shape[0]
-    keep = np.zeros(n, dtype=np.bool_)
-    keep[0] = True
-    taken = 0
-    for k in range(order.shape[0]):
-        idx = order[k]
-        if idx == 0:
-            continue
-        if taken >= limit:
-            break
-        if keep[parents[idx]]:
-            keep[idx] = True
-            taken += 1
-    return keep
-
-
-def select_topk_closure_nb(order: np.ndarray, parents: np.ndarray, limit: int) -> np.ndarray:
-    return _select_topk_closure_nb(
-        np.ascontiguousarray(order, dtype=np.int64),
-        np.ascontiguousarray(parents, dtype=np.int32),
-        int(limit),
-    )
-
-
-# ---------------------------------------------------------------------------
 # stochastic verification walk (point-mass residual scheme)
 #
 # State per accepted node: residual starts as the node's target distribution;
@@ -268,11 +215,9 @@ def stochastic_trials_nb(tokens, child_ptr, child_idx, dists, uniforms):
 
 if NUMBA_ENABLED:
     ancestor_mask = ancestor_mask_nb
-    select_topk_closure = select_topk_closure_nb
     stochastic_walk = stochastic_walk_nb
     stochastic_trials = stochastic_trials_nb
 else:
     ancestor_mask = ancestor_mask_np
-    select_topk_closure = select_topk_closure_np
     stochastic_walk = stochastic_walk_np
     stochastic_trials = stochastic_trials_np

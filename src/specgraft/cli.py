@@ -27,7 +27,7 @@ from .engine import (
     run_ablation,
     theory_checks,
 )
-from .errors import SpecGraftError
+from .errors import SpecGraftError, StructureError
 from .hybrid import render_tree
 from .retrieval import (
     TEMPLATE_DEPTH_COUNTS,
@@ -70,13 +70,24 @@ def _schema() -> dict:
         return json.load(fh)
 
 
-def _out_path(args, configured: str | None, default_name: str) -> str:
-    path = configured or default_name
+def _out_path(args, path: str) -> str:
     if os.path.isabs(path):
         return path
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV, "runs")
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, path)
+
+
+def _command_name(configured: str | None, default_name: str) -> str:
+    """Report name for a command other than ``decode``.
+
+    The configured ``output.json``/``output.csv`` names the ``decode``
+    report; other commands insert their default name before its extension,
+    so ``quickstart.json`` becomes ``quickstart.ablation_component.json``.
+    """
+    if not configured:
+        return default_name
+    return f"{os.path.splitext(configured)[0]}.{default_name}"
 
 
 def _write_report(args, path: str, document: dict) -> None:
@@ -152,6 +163,14 @@ def _load(args) -> RunConfig:
 def _prepared_matrix(run: RunConfig):
     if run.matrix_load:
         matrix = load_matrix(run.matrix_load)
+        if matrix.vocab_size != run.vocab.size:
+            raise StructureError(
+                f"{run.matrix_load}: snapshot vocab={matrix.vocab_size}, but the config's vocab is {run.vocab.size}"
+            )
+        if matrix.k != min(run.matrix_k, run.vocab.size):  # new_matrix clamps k to the vocab
+            raise StructureError(
+                f"{run.matrix_load}: snapshot k={matrix.k}, but the config's matrix.k is {run.matrix_k}"
+            )
     else:
         matrix = new_matrix(run.vocab.size, run.matrix_k)
         if run.warmup_rounds > 0:
@@ -173,14 +192,14 @@ def cmd_decode(args) -> int:
         tokens, report = decode_session(
             run.decode, run.target, run.draft, matrix, run.prompt, tree_observer=observer
         )
-        with open(_out_path(args, dump_path, "trees.txt"), "w", encoding="utf-8") as fh:
+        with open(_out_path(args, dump_path), "w", encoding="utf-8") as fh:
             for i, text in enumerate(rendered):
                 fh.write(f"# step {i}\n{text}\n\n")
     else:
         tokens, report = decode_session(run.decode, run.target, run.draft, matrix, run.prompt)
 
     if args.matrix_out or run.matrix_save:
-        save_matrix(_out_path(args, args.matrix_out or run.matrix_save, "matrix.bin"), matrix)
+        save_matrix(_out_path(args, args.matrix_out or run.matrix_save), matrix)
 
     row = _run_row(report, run.decode.method, run.decode.seed, run.decode.acceptance, run.warmup_rounds)
     document = {
@@ -190,8 +209,8 @@ def cmd_decode(args) -> int:
         "overrides": _overrides(args),
         "runs": [row],
     }
-    _write_report(args, _out_path(args, run.output_json, "decode.json"), document)
-    _write_csv(_out_path(args, run.output_csv, "decode.csv"), [row])
+    _write_report(args, _out_path(args, run.output_json or "decode.json"), document)
+    _write_csv(_out_path(args, run.output_csv or "decode.csv"), [row])
     print(f"method={run.decode.method} mat={report.mat:.3f} proxy={report.speedup_proxy:.3f}")
     return 0
 
@@ -247,8 +266,9 @@ def cmd_ablation(args) -> int:
         "overrides": _overrides(args),
         "runs": rows_out,
     }
-    _write_report(args, _out_path(args, run.output_json, f"ablation_{args.suite}.json"), document)
-    _write_csv(_out_path(args, run.output_csv, f"ablation_{args.suite}.csv"), rows_out)
+    name = f"ablation_{args.suite}"
+    _write_report(args, _out_path(args, _command_name(run.output_json, f"{name}.json")), document)
+    _write_csv(_out_path(args, _command_name(run.output_csv, f"{name}.csv")), rows_out)
     print(f"suite={args.suite} runs={len(rows_out)}")
     return 0
 
@@ -271,7 +291,7 @@ def cmd_calibrate(args) -> int:
             ],
         },
     }
-    _write_report(args, _out_path(args, run.output_json, "calibrate.json"), document)
+    _write_report(args, _out_path(args, _command_name(run.output_json, "calibrate.json")), document)
     print(" ".join(f"d{d}={v:.3f}" for d, v in sorted(result.thresholds.items())))
     return 0
 
@@ -291,7 +311,7 @@ def cmd_theory(args) -> int:
         "runs": [],
         "theory": report,
     }
-    _write_report(args, _out_path(args, args.out, "theory.json"), document)
+    _write_report(args, _out_path(args, args.out or "theory.json"), document)
     ok = (
         report["subset_monotonicity"]["violations"] == 0
         and report["graft_monotonicity"]["violations"] == 0
@@ -320,7 +340,7 @@ def cmd_matrix(args) -> int:
     if args.action == "save":
         run = _load(args)
         matrix = _prepared_matrix(run)
-        path = _out_path(args, args.path or run.matrix_save, "matrix.bin")
+        path = _out_path(args, args.path or run.matrix_save or "matrix.bin")
         save_matrix(path, matrix)
         print(f"saved {path} rows_touched={matrix.touched_rows()}")
         return 0

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError, InputError, StructureError
 from .models import MarkovTableModel
 
@@ -41,6 +40,11 @@ class DraftTree:
     the root token; callers pass only the last ``max(order, 1)``, so its
     length does not grow with the session. ``layer_offsets[d]`` is the
     (start, end) slice of the depth-d nodes inside the node arrays.
+    ``frontier_contexts`` holds one context tuple per node of the deepest
+    layer: ``[context]`` for a new tree, and after ``expand_layer`` the last
+    ``order`` tokens of each node's committed context plus branch, for the
+    draft that expanded it. A hand-built tree carries none and cannot be
+    expanded.
     """
 
     context: tuple[int, ...]
@@ -50,6 +54,7 @@ class DraftTree:
     logqs: np.ndarray
     scores: np.ndarray
     layer_offsets: list[tuple[int, int]]
+    frontier_contexts: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def root_token(self) -> int:
@@ -100,17 +105,8 @@ def new_tree(context) -> DraftTree:
         logqs=np.array([0.0]),
         scores=np.array([0.0]),
         layer_offsets=[(0, 1)],
+        frontier_contexts=[context],
     )
-
-
-def _context_at(context: tuple[int, ...], tokens: list, parents: list, i: int, order: int) -> tuple[int, ...]:
-    """Last ``order`` tokens of the committed context followed by node i's branch."""
-    path = []
-    while i and len(path) < order:
-        path.append(tokens[i])
-        i = parents[i]
-    need = order - len(path)
-    return (context[-need:] if need else ()) + tuple(reversed(path))
 
 
 def expand_layer(tree: DraftTree, draft: MarkovTableModel, top_k: int, beam_width: int | None = None) -> DraftTree:
@@ -124,45 +120,54 @@ def expand_layer(tree: DraftTree, draft: MarkovTableModel, top_k: int, beam_widt
         raise InputError(f"top_k must be >= 1, got {top_k}")
     if beam_width is None:
         beam_width = top_k
-    frontier = tree.layer(tree.max_layer)
-    if frontier.size == 0:
+    lo, hi = tree.layer_offsets[-1]
+    if lo == hi:
         raise StructureError("cannot expand an empty frontier")
+    if len(tree.frontier_contexts) != hi - lo:
+        raise StructureError("tree carries no context for each frontier node")
 
-    tokens, parents = tree.tokens.tolist(), tree.parents.tolist()
-    contexts = [_context_at(tree.context, tokens, parents, i, draft.order) for i in frontier.tolist()]
-    rows = draft.rows[draft.row_ids(contexts)]
+    # a context is the last ``order`` tokens; slice(0, 0) reads none
+    tail = slice(-draft.order, None) if draft.order else slice(0, 0)
+    contexts = [c[tail] for c in tree.frontier_contexts]
+    ids = draft.row_ids(contexts)
+    # cached per-row argtop-k: probability ties go to the lower token id
+    top = draft.argtopk(ids, min(top_k, draft.vocab.size))
+    k = top.shape[1]
 
-    # stable argsort on -p resolves probability ties to ascending token id
-    order = np.argsort(-rows, axis=1, kind="stable")[:, :top_k]
-    picked = np.take_along_axis(rows, order, axis=1)
-
-    cand_parent = np.repeat(frontier, order.shape[1]).astype(np.int32)
-    cand_token = order.reshape(-1).astype(np.int32)
-    cand_p = picked.reshape(-1)
+    # candidate j is token top[j // k, j % k] under frontier node lo + j // k
+    cand = None  # positions of the surviving candidates; None while all survive
+    cand_token = top.reshape(-1)
+    cand_p = draft.rows[ids[:, None], top].reshape(-1)
+    cand_score = np.repeat(tree.scores[lo:hi], k)
     keep = cand_p > 0.0
-    cand_parent, cand_token, cand_p = cand_parent[keep], cand_token[keep], cand_p[keep]
-    if cand_token.size == 0:
-        raise StructureError("no positive-probability candidates in the new layer")
+    if not keep.all():
+        cand = np.flatnonzero(keep)
+        if cand.size == 0:
+            raise StructureError("no positive-probability candidates in the new layer")
+        cand_token, cand_p, cand_score = cand_token[cand], cand_p[cand], cand_score[cand]
     cand_logq = np.log(cand_p)
-    cand_score = tree.scores[cand_parent] + cand_logq
+    cand_score += cand_logq
 
     if cand_score.size > beam_width:
         best = np.argsort(-cand_score, kind="stable")[:beam_width]
         best.sort()  # keep the (parent, token-rank) generation order
-        cand_parent, cand_token = cand_parent[best], cand_token[best]
-        cand_logq, cand_score = cand_logq[best], cand_score[best]
+        cand = best if cand is None else cand[best]
+        cand_token, cand_logq, cand_score = cand_token[best], cand_logq[best], cand_score[best]
+    cand_slot = (np.arange(cand_token.size) if cand is None else cand) // k
 
-    lo = tree.n_nodes
-    hi = lo + cand_token.size
+    end = hi + cand_token.size
     depth = tree.max_layer + 1
     return DraftTree(
         context=tree.context,
         tokens=np.concatenate([tree.tokens, cand_token]),
-        parents=np.concatenate([tree.parents, cand_parent]),
+        parents=np.concatenate([tree.parents, (lo + cand_slot).astype(np.int32)]),
         depths=np.concatenate([tree.depths, np.full(cand_token.size, depth, dtype=np.int16)]),
         logqs=np.concatenate([tree.logqs, cand_logq]),
         scores=np.concatenate([tree.scores, cand_score]),
-        layer_offsets=tree.layer_offsets + [(lo, hi)],
+        layer_offsets=tree.layer_offsets + [(hi, end)],
+        frontier_contexts=[
+            (contexts[s] + (t,))[tail] for s, t in zip(cand_slot.tolist(), cand_token.tolist())
+        ],
     )
 
 
@@ -242,15 +247,16 @@ class PruneDecision:
 
 
 def select_retained(tree: DraftTree, limit: int) -> np.ndarray:
-    """Top-``limit`` candidates by score, parent-closed, root always kept.
+    """Root plus the top-``limit`` candidates by score, in index order.
 
-    Candidates are ranked by score with ties broken toward shallower,
-    earlier nodes; a node may be kept only if its parent is kept. Since
-    scores never increase along a path, one best-first pass suffices.
+    Candidates are ranked by score with ties to the lower (shallower,
+    earlier) index. Scores never increase along a path and a parent's index
+    is below its children's, so every parent ranks before its children:
+    the rank cut is parent-closed.
     """
-    order = np.argsort(-tree.scores, kind="stable")
-    keep = _kernels.select_topk_closure(order, tree.parents, limit)
-    return np.flatnonzero(keep)
+    ranked = np.argsort(-tree.scores[1:], kind="stable")[: max(limit, 0)] + 1
+    ranked.sort()
+    return np.concatenate(([0], ranked))
 
 
 def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tuple[DraftTree, PruneDecision]:

@@ -290,20 +290,15 @@ def _dense_union_replay(
     prune = config.prune
     tree = expand_full(draft, committed, prune)
     retained = select_retained(tree, prune.total_budget)
-    builder = _Builder(tree.root_token, prune.total_budget + method_tree.n_candidates)
-    mapping = {0: 0}
-    for i in retained.tolist():
-        if i == 0:
-            continue
-        mapping[i] = builder.add(mapping[int(tree.parents[i])], int(tree.tokens[i]), ORIGIN_DRAFT, float(tree.logqs[i]))
-    mmap = {0: 0}
-    for i in range(1, method_tree.n_nodes):
-        mmap[i] = builder.add(
-            mmap[int(method_tree.parents[i])],
-            int(method_tree.tokens[i]),
-            int(method_tree.origin[i]),
-            float(method_tree.logqs[i]),
-        )
+    builder = _Builder(tree, retained, prune.total_budget + method_tree.n_candidates)
+    mmap = [0]
+    for parent, token, origin, logq in zip(
+        method_tree.parents[1:].tolist(),
+        method_tree.tokens[1:].tolist(),
+        method_tree.origin[1:].tolist(),
+        method_tree.logqs[1:].tolist(),
+    ):
+        mmap.append(builder.add(mmap[parent], token, origin, logq))
     union = builder.finish()
     package = flatten(union, len(committed) - 1)
     outcome = verify_greedy(target, committed, package)
@@ -336,9 +331,11 @@ def decode_session(
     rng = np.random.default_rng(config.seed)
     cost = config.cost
 
+    # no model reads more than the last ``width`` tokens
+    width = max(target.order, 1)
     if config.updates_enabled and config.prefill_update:
-        for i in range(len(committed)):
-            update_row(matrix, committed[i], target.next_distribution(committed[: i + 1]))
+        for i, token in enumerate(committed):
+            update_row(matrix, token, target.next_distribution(committed[max(i + 1 - width, 0): i + 1]))
 
     steps: list[dict] = []
     remaining = config.max_new_tokens
@@ -347,7 +344,7 @@ def decode_session(
 
     while remaining > 0 and not stop:
         if config.method == "autoregressive":
-            dist = target.next_distribution(committed)
+            dist = target.next_distribution(committed[-width:])
             token = greedy_token(dist) if config.acceptance == "greedy" else sample(dist, rng)
             if config.updates_enabled:
                 update_row(matrix, committed[-1], dist)
@@ -519,12 +516,7 @@ def _random_subset_tree(hy: HybridTree, rng: np.random.Generator, keep_prob: flo
     keep[0] = True
     for i in range(1, hy.n_nodes):
         keep[i] = keep[hy.parents[i]] and rng.random() < keep_prob
-    builder = _Builder(hy.root_token, hy.budget)
-    mapping = {0: 0}
-    for i in range(1, hy.n_nodes):
-        if keep[i]:
-            mapping[i] = builder.add(mapping[int(hy.parents[i])], int(hy.tokens[i]), int(hy.origin[i]), float(hy.logqs[i]))
-    return builder.finish()
+    return _Builder(hy, np.flatnonzero(keep), hy.budget).finish()
 
 
 def _random_instance(rng: np.random.Generator, with_matrix: bool = False):

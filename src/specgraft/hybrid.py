@@ -61,99 +61,116 @@ class HybridTree:
         return out
 
 
-class _Builder:
-    """Accumulates nodes, dedupes (parent, token) pairs, emits BFS order."""
+def _canonical_order(tokens: np.ndarray, up: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    """Permutation into BFS order with siblings by ascending token.
 
-    def __init__(self, root_token: int, budget: int):
-        self.tokens = [int(root_token)]
-        self.parents = [-1]
-        self.depths = [0]
-        self.origin = [ORIGIN_DRAFT]
-        self.logqs = [0.0]
-        self.child_map: dict[tuple[int, int], int] = {}
+    That order is a lexsort on (depth, root-exclusive token path). ``up``
+    is the parent array with the root as its own parent. Column s of
+    ``anc`` holds each node's s-th ancestor, found by pointer doubling.
+    Two nodes of one depth d share the root in every column from d on, so
+    sorting on the columns' tokens, farthest first, compares their paths.
+    """
+    max_depth = int(depths.max())
+    anc = np.empty((tokens.shape[0], max(max_depth, 1)), dtype=np.intp)
+    anc[:, 0] = np.arange(tokens.shape[0])
+    width = 1  # columns filled so far; ``up`` maps to the width-th ancestor
+    while width < max_depth:
+        step = min(width, max_depth - width)
+        anc[:, width:width + step] = up[anc[:, :step]]
+        up = up[up]
+        width += step
+    # np.lexsort sorts by its last key first
+    return np.lexsort(np.vstack([tokens[anc].T, depths]))
+
+
+class _Builder:
+    """A hybrid tree under construction, emitted in canonical order.
+
+    It starts from a parent-closed subset of a draft or hybrid tree, copied
+    in bulk: those nodes are distinct (parent, token) pairs already.
+    ``add`` then inserts single nodes, deduping (parent, token) pairs
+    against every node present and holding the budget.
+    """
+
+    def __init__(self, tree: DraftTree | HybridTree, kept, budget: int):
+        kept = np.sort(np.asarray(kept, dtype=np.intp))
+        if not kept.size or kept[0] != 0:
+            kept = np.concatenate(([0], kept))  # the root is free and always kept
+        if kept.size - 1 > budget:
+            raise StructureError("draft nodes exceed the hybrid budget")
+        # builder index of each node of ``tree``; -1 marks a node left out
+        self.slot = np.full(tree.n_nodes, -1, dtype=np.int32)
+        self.slot[kept] = np.arange(kept.size)
+        parents = self.slot[tree.parents[kept]]
+        parents[0] = 0  # the root as its own parent, until finish()
+        if (parents < 0).any():
+            raise StructureError("retained draft set is not parent-closed")
+        if isinstance(tree, HybridTree):
+            origin = tree.origin[kept]
+        else:
+            origin = np.full(kept.size, ORIGIN_DRAFT, dtype=np.int8)
         self.budget = budget
+        self.nodes = (tree.tokens[kept], parents, tree.depths[kept], origin, tree.logqs[kept])
+        self.child_map: dict[tuple[int, int], int] | None = None
 
     def n_candidates(self) -> int:
-        return len(self.tokens) - 1
+        return len(self.nodes[0]) - 1
 
     def add(self, parent: int, token: int, origin: int, logq: float) -> int | None:
         """Insert or dedup; returns the node index, or None if out of budget."""
+        if self.child_map is None:
+            # from the first insertion on, the nodes are kept as lists
+            self.nodes = tuple(a.tolist() for a in self.nodes)
+            tokens, parents = self.nodes[:2]
+            self.child_map = dict(zip(zip(parents[1:], tokens[1:]), range(1, len(tokens))))
         key = (parent, int(token))
         existing = self.child_map.get(key)
         if existing is not None:
             return existing
         if self.n_candidates() >= self.budget:
             return None
-        self.tokens.append(int(token))
-        self.parents.append(parent)
-        self.depths.append(self.depths[parent] + 1)
-        self.origin.append(origin)
-        self.logqs.append(logq)
-        idx = len(self.tokens) - 1
+        tokens, parents, depths, origins, logqs = self.nodes
+        idx = len(tokens)
+        tokens.append(key[1])
+        parents.append(parent)
+        depths.append(depths[parent] + 1)
+        origins.append(origin)
+        logqs.append(logq)
         self.child_map[key] = idx
         return idx
 
     def finish(self) -> HybridTree:
-        # canonical order: BFS, siblings ascending by token id; each depth is
-        # placed using the (already final) positions of its parents
-        n = len(self.tokens)
-        by_depth: dict[int, list[int]] = {}
-        for i in range(1, n):
-            by_depth.setdefault(self.depths[i], []).append(i)
-        remap = {0: 0}
-        order: list[int] = []
-        for depth in sorted(by_depth):
-            layer = sorted(by_depth[depth], key=lambda i: (remap[self.parents[i]], self.tokens[i]))
-            for i in layer:
-                order.append(i)
-                remap[i] = len(order)
-        tokens = np.empty(n, dtype=np.int32)
-        parents = np.empty(n, dtype=np.int32)
-        depths = np.empty(n, dtype=np.int32)
-        origin = np.empty(n, dtype=np.int8)
-        logqs = np.empty(n)
-        tokens[0] = self.tokens[0]
+        tokens, parents, depths, origin, logqs = (
+            np.asarray(a, dtype=t) for a, t in zip(self.nodes, (np.int32, np.int32, np.int32, np.int8, np.float64))
+        )
+        order = _canonical_order(tokens, parents, depths)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        parents = rank[parents[order]].astype(np.int32)
         parents[0] = -1
-        depths[0] = 0
-        origin[0] = ORIGIN_DRAFT
-        logqs[0] = 0.0
-        for old, new in remap.items():
-            if old == 0:
-                continue
-            tokens[new] = self.tokens[old]
-            parents[new] = remap[self.parents[old]]
-            depths[new] = self.depths[old]
-            origin[new] = self.origin[old]
-            logqs[new] = self.logqs[old]
-        return HybridTree(tokens=tokens, parents=parents, depths=depths, origin=origin, logqs=logqs, budget=self.budget)
-
-
-def _add_draft_nodes(builder: _Builder, tree: DraftTree, retained: np.ndarray) -> dict[int, int]:
-    mapping = {0: 0}
-    for i in np.sort(np.asarray(retained)):  # BFS indexing puts parents first
-        i = int(i)
-        if i == 0:
-            continue
-        parent = mapping.get(int(tree.parents[i]))
-        if parent is None:
-            raise StructureError("retained draft set is not parent-closed")
-        idx = builder.add(parent, int(tree.tokens[i]), ORIGIN_DRAFT, float(tree.logqs[i]))
-        if idx is None:
-            raise StructureError("draft nodes exceed the hybrid budget")
-        mapping[i] = idx
-    return mapping
+        return HybridTree(
+            tokens=tokens[order],
+            parents=parents,
+            depths=depths[order],
+            origin=origin[order],
+            logqs=logqs[order],
+            budget=self.budget,
+        )
 
 
 def _graft_branch(builder: _Builder, branch: RetrievedBranch) -> None:
     mapping = {-1: 0}
     t = branch.template
-    for i in range(t.declared_size):
-        if not branch.realized[i]:
+    realized = branch.realized.tolist()
+    tokens = branch.tokens.tolist()
+    nan = float("nan")
+    for i, parent in enumerate(t.parents[: t.declared_size].tolist()):
+        if not realized[i]:
             continue
-        parent = mapping.get(int(t.parents[i]))
+        parent = mapping.get(parent)
         if parent is None:
             continue  # ancestor fell out of budget
-        idx = builder.add(parent, int(branch.tokens[i]), ORIGIN_RETRIEVED, float("nan"))
+        idx = builder.add(parent, tokens[i], ORIGIN_RETRIEVED, nan)
         if idx is not None:
             mapping[i] = idx
 
@@ -168,16 +185,13 @@ def merge(decision: PruneDecision, tree: DraftTree, branch: RetrievedBranch, bud
         raise StructureError(
             f"branch rooted at {branch.root_token} cannot graft onto root {tree.root_token}"
         )
-    builder = _Builder(tree.root_token, budget)
-    _add_draft_nodes(builder, tree, decision.retained)
+    builder = _Builder(tree, decision.retained, budget)
     _graft_branch(builder, branch)
     return builder.finish()
 
 
 def draft_only(tree: DraftTree, retained: np.ndarray, budget: int) -> HybridTree:
-    builder = _Builder(tree.root_token, budget)
-    _add_draft_nodes(builder, tree, retained)
-    return builder.finish()
+    return _Builder(tree, retained, budget).finish()
 
 
 def insert_root_variant(tree: DraftTree, branch: RetrievedBranch, budget: int) -> HybridTree:
@@ -187,9 +201,7 @@ def insert_root_variant(tree: DraftTree, branch: RetrievedBranch, budget: int) -
     make room for the whole realized branch inside one budget.
     """
     keep = max(budget - branch.realized_count, 0)
-    retained = select_retained(tree, keep)
-    builder = _Builder(tree.root_token, budget)
-    _add_draft_nodes(builder, tree, retained)
+    builder = _Builder(tree, select_retained(tree, keep), budget)
     _graft_branch(builder, branch)
     return builder.finish()
 
@@ -200,19 +212,16 @@ def insert_tail_variant(tree: DraftTree, matrix: TransitionMatrix, budget: int, 
     """
     keep = max(budget - chain_len, 0)
     retained = select_retained(tree, keep)
-    builder = _Builder(tree.root_token, budget)
-    mapping = _add_draft_nodes(builder, tree, retained)
+    builder = _Builder(tree, retained, budget)
 
-    kept = retained.tolist()
-    has_child = {int(tree.parents[j]) for j in kept if j != 0}
-    leaves = [i for i in kept if i not in has_child]
-    if not leaves:
-        leaves = [0]
-    # deepest first, then best score, then stable index
-    anchor = min(leaves, key=lambda i: (-int(tree.depths[i]), -float(tree.scores[i]), i))
+    has_child = np.zeros(tree.n_nodes, dtype=bool)
+    has_child[tree.parents[retained[1:]]] = True
+    leaves = retained[~has_child[retained]]
+    # deepest first, then best score, then lowest index
+    anchor = int(leaves[np.lexsort((leaves, -tree.scores[leaves], -tree.depths[leaves]))[0]])
 
     cur_token = int(tree.tokens[anchor])
-    cur_idx = mapping[anchor]
+    cur_idx = int(builder.slot[anchor])
     for _ in range(chain_len):
         if matrix.k == 0 or not matrix.valid[cur_token, 0]:
             break

@@ -169,8 +169,9 @@ class MarkovTableModel:
             n = self.rows.shape[0]
             cache = self._topk.setdefault(k, (np.empty((n, k), dtype=np.int32), np.zeros(n, dtype=bool)))
         top, filled = cache
-        todo = ids[~filled[ids]]
-        if todo.size:
+        hit = filled[ids]
+        if not hit.all():
+            todo = ids[~hit]
             top[todo] = argtopk(self.rows[todo], k)
             filled[todo] = True
         return top[ids]

@@ -141,3 +141,71 @@ def exhaustive_path_confidence(draft, context, depth, top_k, beam_width):
         cands.sort(key=lambda ps: -ps[1])
         frontier = cands[:beam_width]
     return float(np.exp(max(s for _, s in frontier)))
+
+
+class ReferenceBuilder:
+    """Node-at-a-time hybrid builder: per-node (parent, token) dedupe, then a
+    per-depth Python sort into BFS order with siblings by ascending token."""
+
+    def __init__(self, root_token, budget):
+        self.tokens = [int(root_token)]
+        self.parents = [-1]
+        self.depths = [0]
+        self.origin = [0]
+        self.logqs = [0.0]
+        self.child_map = {}
+        self.budget = budget
+
+    def add(self, parent, token, origin, logq):
+        key = (parent, int(token))
+        if key in self.child_map:
+            return self.child_map[key]
+        if len(self.tokens) - 1 >= self.budget:
+            return None
+        self.tokens.append(int(token))
+        self.parents.append(parent)
+        self.depths.append(self.depths[parent] + 1)
+        self.origin.append(origin)
+        self.logqs.append(logq)
+        self.child_map[key] = len(self.tokens) - 1
+        return len(self.tokens) - 1
+
+    def finish(self):
+        """(tokens, parents, depths, origin, logqs) lists in canonical order."""
+        by_depth = {}
+        for i in range(1, len(self.tokens)):
+            by_depth.setdefault(self.depths[i], []).append(i)
+        remap = {0: 0}
+        order = [0]
+        for depth in sorted(by_depth):
+            for i in sorted(by_depth[depth], key=lambda i: (remap[self.parents[i]], self.tokens[i])):
+                remap[i] = len(order)
+                order.append(i)
+        parents = [-1] + [remap[self.parents[i]] for i in order[1:]]
+        return (
+            [self.tokens[i] for i in order],
+            parents,
+            [self.depths[i] for i in order],
+            [self.origin[i] for i in order],
+            [self.logqs[i] for i in order],
+        )
+
+
+def reference_hybrid(tree, retained, budget, branch=None):
+    """Retained draft nodes added one by one, then the branch's realized
+    nodes grafted at the root (origin 1, logq NaN)."""
+    builder = ReferenceBuilder(int(tree.tokens[0]), budget)
+    mapping = {0: 0}
+    for i in sorted(int(i) for i in retained):
+        if i:
+            mapping[i] = builder.add(mapping[int(tree.parents[i])], int(tree.tokens[i]), 0, float(tree.logqs[i]))
+    if branch is not None:
+        mapping = {-1: 0}
+        template = branch.template
+        for i in range(template.declared_size):
+            parent = mapping.get(int(template.parents[i]))
+            if branch.realized[i] and parent is not None:
+                idx = builder.add(parent, int(branch.tokens[i]), 1, float("nan"))
+                if idx is not None:
+                    mapping[i] = idx
+    return builder.finish()

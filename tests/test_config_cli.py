@@ -190,3 +190,57 @@ class TestOtherCommands:
         assert len(doc["runs"]) == 8
         csv_text = (out / "ablation_component.csv").read_text()
         assert csv_text.count("\n") == 9  # header + 8 rows
+
+
+def _write_doc(tmp_path, doc, name="run.yaml"):
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestSnapshotMatchesConfig:
+    """A ``matrix.load`` snapshot must match the config's vocab and k."""
+
+    def _run(self, tmp_path, snapshot_vocab, snapshot_k, config_k):
+        from specgraft.retrieval import new_matrix, save_matrix
+
+        snap = tmp_path / "snap.bin"
+        save_matrix(snap, new_matrix(snapshot_vocab, snapshot_k))
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["matrix"] = {"k": config_k, "load": str(snap)}
+        out = tmp_path / "out"
+        return run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(out), "decode"), out, str(snap)
+
+    def test_k_mismatch_exits_2(self, tmp_path, capsys):
+        rc, out, snap = self._run(tmp_path, 24, 10, 12)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and snap in err and "k=10" in err and "12" in err
+        assert not (out / "run.json").exists()
+
+    def test_vocab_mismatch_exits_2(self, tmp_path, capsys):
+        rc, out, snap = self._run(tmp_path, 16, 10, 10)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and snap in err and "vocab=16" in err and "24" in err
+        assert not (out / "run.json").exists()
+
+    def test_matching_snapshot_decodes(self, tmp_path):
+        rc, out, _ = self._run(tmp_path, 24, 10, 10)
+        assert rc == 0
+        assert (out / "run.json").exists()
+
+
+class TestReportNames:
+    def test_decode_then_ablation_keep_both_reports(self, tmp_path):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["decode"]["max_new_tokens"] = 16
+        doc["ablation"] = {"n_seeds": 2, "prompt_length": 4}
+        path = _write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run_cli("--config", path, "--out-dir", str(out), "decode") == 0
+        assert run_cli("--config", path, "--out-dir", str(out), "ablation", "--suite", "component") == 0
+        assert json.loads((out / "run.json").read_text())["command"] == "decode"
+        assert (out / "run.csv").read_text().count("\n") == 2
+        assert json.loads((out / "run.ablation_component.json").read_text())["command"] == "ablation"
+        assert (out / "run.ablation_component.csv").read_text().count("\n") == 9

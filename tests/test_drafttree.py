@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from specgraft.drafttree import (
     select_retained,
 )
 from specgraft.errors import ConfigError, InputError, StructureError
-from specgraft.models import VocabSpec, build_markov
+from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft
+
+from .conftest import table_model
 
 from .oracles import closure_topk_iterative, enumerate_candidates, exhaustive_path_confidence
 
@@ -196,3 +199,61 @@ class TestSelectRetained:
             got = select_retained(tree, limit)
             expect = closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), limit)
             assert list(got) == expect
+
+
+def dyadic_model(vocab, order, seed):
+    """Rows in multiples of 1/8: many tied probabilities, and rows with all
+    mass on one token, whose children keep their parent's score."""
+    rng = np.random.default_rng(seed)
+    table = {}
+    for ctx in itertools.product(range(vocab), repeat=order):
+        row = np.bincount(rng.integers(0, vocab, size=8) if rng.random() < 0.7 else np.full(8, rng.integers(vocab)), minlength=vocab)
+        table[ctx] = row / 8.0
+    return table_model(vocab, order, table)
+
+
+class TestRankCutRetention:
+    """The stable score ranking cut at ``limit`` equals the best-first
+    closure oracle, with tied scores and out-of-range limits."""
+
+    @pytest.mark.parametrize("limit", [-3, 0, 1, 7, 19, 10_000])
+    def test_uniform_rows_tie_everywhere(self, limit):
+        draft = derive_draft(build_markov(VocabSpec(6), 1, seed=3), DraftDerivation("uniform-mix", 1.0))
+        tree = grow(draft, [0], depth=4, top_k=3, beam=7)
+        assert np.unique(tree.scores[tree.layer(2)]).size == 1
+        got = select_retained(tree, limit)
+        assert list(got) == closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), limit)
+
+    @pytest.mark.parametrize("limit", [-1, 0, 3, 8, 100])
+    def test_zero_logq_chain(self, det4, limit):
+        tree = grow(det4, [0], depth=6, top_k=2, beam=2)
+        assert not tree.scores.any()
+        got = select_retained(tree, limit)
+        assert list(got) == closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), limit)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dyadic_ties_match_oracle(self, seed):
+        draft = dyadic_model(5, 1 + seed % 2, seed)
+        rng = np.random.default_rng(seed)
+        tree = grow(draft, [int(t) for t in rng.integers(0, 5, size=2)], depth=5, top_k=4, beam=9)
+        assert np.unique(tree.scores).size < tree.n_nodes  # scores tie
+        for limit in (-2, 0, 1, 4, tree.n_nodes // 2, tree.n_nodes - 1, tree.n_nodes + 5):
+            got = select_retained(tree, limit)
+            assert list(got) == closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), limit)
+
+
+class TestTopKBeyondVocab:
+    """``top_k`` above the vocab proposes every positive token, ties to
+    the lower id, in the brute-force enumeration's order."""
+
+    @pytest.mark.parametrize("order,context", [(1, [2]), (2, [3]), (2, [1, 3])])
+    def test_matches_enumeration(self, order, context):
+        draft = dyadic_model(5, order, seed=order)
+        tree = new_tree(context)
+        frontier = [([], 0.0)]
+        for depth in (1, 2, 3):
+            tree = expand_layer(tree, draft, top_k=9, beam_width=10_000)
+            expect = enumerate_candidates(draft, context, frontier, top_k=9)
+            got = [(tree.branch_tokens(int(i)), float(tree.scores[i])) for i in tree.layer(depth)]
+            assert got == expect
+            frontier = expect

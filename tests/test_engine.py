@@ -19,7 +19,7 @@ from specgraft.engine import (
 from specgraft.errors import ConfigError
 from specgraft.hybrid import flatten
 from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft
-from specgraft.retrieval import builtin_templates, new_matrix, warmup
+from specgraft.retrieval import builtin_templates, new_matrix, update_row, warmup
 from specgraft.verify import node_distributions
 
 from .conftest import table_model
@@ -188,6 +188,44 @@ class TestBoundedContext:
                 path.append(int(hy_long.tokens[j]))
                 j = int(hy_long.parents[j])
             assert np.array_equal(row, target.next_distribution(long + path[::-1]))
+
+
+class _RecordingTarget:
+    """Target wrapper that records the prefix length of every row lookup."""
+
+    def __init__(self, model):
+        self.model = model
+        self.lengths = []
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def next_distribution(self, prefix):
+        self.lengths.append(len(prefix))
+        return self.model.next_distribution(prefix)
+
+
+class TestPrefill:
+    """Prefill reads a bounded window per prompt token (linear in the
+    prompt) and leaves the matrix a per-token full-prefix update leaves."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_matches_full_prefix_reference(self, order):
+        target = build_markov(VocabSpec(7), order, seed=order, sparsity=0.3)
+        prompt = [int(t) for t in np.random.default_rng(order).integers(0, 7, size=400)]
+        recording = _RecordingTarget(target)
+        matrix = new_matrix(7, 4)
+        # one autoregressive step rewrites the last prompt token's row with
+        # the same distribution, so the matrix is the prefill's
+        cfg = DecodeConfig(method="autoregressive", max_new_tokens=1)
+        decode_session(cfg, recording, target, matrix, prompt)
+        reference = new_matrix(7, 4)
+        for i in range(len(prompt)):
+            update_row(reference, prompt[i], target.next_distribution(prompt[: i + 1]))
+        assert np.array_equal(matrix.rows, reference.rows)
+        assert np.array_equal(matrix.valid, reference.valid)
+        assert len(recording.lengths) == len(prompt) + 1
+        assert max(recording.lengths) <= max(order, 1)
 
 
 class TestMetrics:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgraft.drafttree import PruneConfig, new_tree, resolve_stage, select_retained
+from specgraft.drafttree import PruneConfig, PruneDecision, expand_layer, new_tree, resolve_stage, select_retained
 from specgraft.engine import expand_full
 from specgraft.errors import StructureError
 from specgraft.hybrid import (
@@ -16,11 +16,11 @@ from specgraft.hybrid import (
     merge,
     render_tree,
 )
-from specgraft.models import VocabSpec, build_markov
-from specgraft.retrieval import builtin_templates, empty_branch, instantiate, new_matrix
+from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft
+from specgraft.retrieval import builtin_templates, empty_branch, instantiate, new_matrix, template_prefix
 
 from .conftest import table_model
-from .oracles import closure_topk_iterative, path_token_sets, reachability_mask
+from .oracles import closure_topk_iterative, path_token_sets, reachability_mask, reference_hybrid
 from .test_retrieval import full_matrix
 
 
@@ -261,7 +261,7 @@ class TestFlattenProperties:
         rng = np.random.default_rng(seed)
         from specgraft.hybrid import _Builder
 
-        builder = _Builder(root_token=0, budget=n + 1)
+        builder = _Builder(new_tree([0]), [], budget=n + 1)
         nodes = [0]
         for _ in range(n):
             parent = int(nodes[rng.integers(len(nodes))])
@@ -280,6 +280,56 @@ class TestFlattenProperties:
                 for k in hy.children_of(i):
                     if j != k:
                         assert not m[j, k]  # siblings never attend each other
+
+
+def _assert_matches_reference(hy, expect):
+    for name, want in zip(("tokens", "parents", "depths", "origin", "logqs"), expect):
+        got = getattr(hy, name)
+        assert np.array_equal(got, np.array(want, dtype=got.dtype), equal_nan=True), name
+
+
+class TestBulkAssembly:
+    """Draft nodes seeded in bulk give the tree the node-at-a-time
+    reference builder gives, retrieved-node dedupe and budget included."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_draft_only_and_merge_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab = int(rng.integers(3, 14))
+        target = build_markov(VocabSpec(vocab), int(rng.integers(0, 3)), int(rng.integers(1000)), float(rng.uniform(0, 0.6)))
+        draft = derive_draft(target, DraftDerivation("uniform-mix", float(rng.uniform(0, 1))))
+        tree = new_tree([int(t) for t in rng.integers(0, vocab, size=2)])
+        for _ in range(int(rng.integers(1, 7))):
+            tree = expand_layer(tree, draft, int(rng.integers(1, 6)), int(rng.integers(1, 12)))
+        keep = np.zeros(tree.n_nodes, dtype=bool)
+        keep[0] = True
+        for i in range(1, tree.n_nodes):
+            keep[i] = keep[tree.parents[i]] and rng.random() < 0.75
+        retained = np.flatnonzero(keep)
+        budget = retained.size - 1 + int(rng.integers(0, 30))
+        _assert_matches_reference(draft_only(tree, retained, budget), reference_hybrid(tree, retained, budget))
+
+        # a small vocab makes retrieved tokens collide with drafted ones
+        matrix = new_matrix(vocab, int(rng.integers(1, 6)))
+        matrix.rows[:] = rng.integers(0, vocab, size=matrix.rows.shape)
+        matrix.valid[:] = rng.random(matrix.valid.shape) < 0.8
+        name = ("full", "d0", "d1", "d5")[int(rng.integers(4))]
+        template = builtin_templates(10)[name]
+        template = template_prefix(template, int(rng.integers(0, template.declared_size + 1)), stage="rand")
+        branch = instantiate(matrix, template, tree.root_token)
+        decision = PruneDecision(None, {}, [], retained, tree.max_layer)
+        _assert_matches_reference(
+            merge(decision, tree, branch, budget), reference_hybrid(tree, retained, budget, branch)
+        )
+
+    def test_rejects_open_and_oversized_sets(self):
+        _, tree, _ = seeded_setup()
+        deep = int(np.flatnonzero(tree.depths == 2)[0])
+        with pytest.raises(StructureError, match="parent-closed"):
+            draft_only(tree, [0, deep], 60)
+        with pytest.raises(StructureError, match="budget"):
+            draft_only(tree, select_retained(tree, 10), 5)
 
 
 class TestRender:

@@ -25,21 +25,6 @@ def test_ancestor_mask_paths_agree(n):
     assert np.array_equal(a, reachability_mask(parents))
 
 
-def test_select_topk_closure_paths_agree():
-    rng = np.random.default_rng(5)
-    for trial in range(30):
-        n = int(rng.integers(2, 50))
-        parents = random_parents(rng, n)
-        scores = np.zeros(n)
-        for i in range(1, n):
-            scores[i] = scores[parents[i]] + np.log(rng.uniform(0.05, 1.0))
-        order = np.argsort(-scores, kind="stable")
-        limit = int(rng.integers(0, n))
-        a = K.select_topk_closure_np(order, parents, limit)
-        b = K.select_topk_closure_nb(order, parents, limit)
-        assert np.array_equal(a, b)
-
-
 def _chain_case():
     tokens = np.array([0, 1, 2], dtype=np.int32)
     child_ptr = np.array([0, 1, 2, 2], dtype=np.int32)
