@@ -1,7 +1,6 @@
 """Speculative decoding with prune-then-graft hybrid draft trees, desk scale."""
 
 from .drafttree import (
-    DraftNode,
     DraftTree,
     PruneConfig,
     PruneDecision,

@@ -246,7 +246,7 @@ def cmd_ablation(args) -> int:
     run = _load(args)
     fixture = _ablation_fixture(run)
     rows_out = []
-    for raw in run_ablation(args.suite, fixture, jobs=args.jobs):
+    for raw in run_ablation(args.suite, fixture):
         rows_out.append(
             _run_row(
                 raw["report"],
@@ -365,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="specgraft", description=__doc__)
     parser.add_argument("--config", help="run configuration file (YAML)")
     parser.add_argument("--seed", type=int, default=None, help="override decode seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sessions for ablation")
     parser.add_argument("--out-dir", default=None, help=f"output directory (default ${OUT_DIR_ENV} or ./runs)")
     parser.add_argument("--method", default=None, help="override the decode method")
     parser.add_argument("--timestamps", action="store_true", help="stamp reports with generation time")

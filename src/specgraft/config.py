@@ -1,12 +1,14 @@
-"""Run-configuration file loading with strict key validation.
+"""Run-configuration file loading with strict key and value validation.
 
-Configs are YAML documents with fixed sections; unknown keys are rejected
-and every referenced file must exist at load time. The raw document is
-echoed verbatim into every report for auditability.
+Configs are YAML documents with fixed sections. Unknown keys are rejected,
+every value must pass its key's rule (a null value counts as absent), and
+every referenced file must exist at load time. The raw document is echoed
+verbatim into every report for auditability.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -27,32 +29,93 @@ from .models import (
     train_ngram,
 )
 
-_SECTION_KEYS = {
-    "vocab": {"size"},
-    "target": {"kind", "seed", "order", "sparsity", "corpus", "tokenizer", "smoothing"},
-    "draft": {"mode", "strength"},
-    "prune": {"checkpoints", "thresholds", "stage_budgets", "total_budget", "top_k", "max_depth", "beam_width"},
-    "cost": {"t_ar", "draft_layer_cost", "verify_base", "verify_per_node", "retrieval_cost", "overhead_cost"},
-    "decode": {
-        "max_new_tokens",
-        "acceptance",
-        "seed",
-        "prompt_text",
-        "prompt_tokens",
-        "end_token",
-        "updates_enabled",
-        "prefill_update",
-        "fixed_split",
-        "root_branch_size",
-        "tail_chain_len",
-    },
-    "warmup": {"rounds", "prompts_text", "prompts_tokens", "derive", "max_new_tokens"},
-    "matrix": {"k", "load", "save"},
-    "calibration": {"grid"},
-    "ablation": {"seeds", "n_seeds", "prompt_length"},
-    "output": {"json", "csv", "dump_trees"},
+# Value rules. A rule takes the value's name (``section.key``) and the value,
+# and returns the value as the program uses it or raises ConfigError naming it.
+
+
+def _bad(where: str, what: str, value) -> ConfigError:
+    return ConfigError(f"{where} must be {what}, got {value!r}")
+
+
+def _int(minimum: int | None = None):
+    def rule(where, value):
+        if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
+            raise _bad(where, "an integer" if minimum is None else f"an integer >= {minimum}", value)
+        return value
+
+    return rule
+
+
+def _number(where, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise _bad(where, "a finite number", value)
+    return float(value)
+
+
+def _of_type(kind, what: str):
+    def rule(where, value):
+        if not isinstance(value, kind):
+            raise _bad(where, what, value)
+        return value
+
+    return rule
+
+
+def _list(item, length: int | None = None, convert=list):
+    def rule(where, value):
+        if not isinstance(value, list) or (length is not None and len(value) != length):
+            raise _bad(where, "a list" if length is None else f"a list of {length}", value)
+        return convert(item(f"{where}[{i}]", v) for i, v in enumerate(value))
+
+    return rule
+
+
+def _by_depth(item):
+    depth = _int(0)
+
+    def rule(where, value):
+        if not isinstance(value, dict):
+            raise _bad(where, "a mapping from depth to value", value)
+        return {depth(f"{where} key", d): item(f"{where}[{d}]", v) for d, v in value.items()}
+
+    return rule
+
+
+def _fields(**rules):
+    def rule(where, value):
+        if not isinstance(value, dict) or not set(value) <= set(rules):
+            raise _bad(where, f"a mapping with keys {', '.join(rules)}", value)
+        return {k: rules[k](f"{where}.{k}", v) for k, v in value.items() if v is not None}
+
+    return rule
+
+
+_text = _of_type(str, "a string")
+_flag = _of_type(bool, "true or false")
+_tokens = _list(_int(0))
+_pair = _list(_int(0), 2, tuple)
+
+_RULES = {
+    "vocab": {"size": _int()},
+    "target": {"kind": _text, "seed": _int(0), "order": _int(0), "sparsity": _number, "corpus": _text,
+               "tokenizer": _text, "smoothing": _number},
+    "draft": {"mode": _text, "strength": _number},
+    "prune": {"checkpoints": _list(_int(), convert=tuple), "thresholds": _by_depth(_number),
+              "stage_budgets": _by_depth(_pair), "total_budget": _int(), "top_k": _int(), "max_depth": _int(),
+              "beam_width": _int()},
+    "cost": dict.fromkeys(("t_ar", "draft_layer_cost", "verify_base", "verify_per_node", "retrieval_cost",
+                           "overhead_cost"), _number),
+    "decode": {"max_new_tokens": _int(), "acceptance": _text, "seed": _int(0), "prompt_text": _text,
+               "prompt_tokens": _tokens, "end_token": _int(0), "updates_enabled": _flag, "prefill_update": _flag,
+               "fixed_split": _pair, "root_branch_size": _int(), "tail_chain_len": _int()},
+    "warmup": {"rounds": _int(0), "prompts_text": _list(_text), "prompts_tokens": _list(_tokens),
+               "derive": _fields(count=_int(1), length=_int(1)), "max_new_tokens": _int(1)},
+    "matrix": {"k": _int(0), "load": _text, "save": _text},
+    "calibration": {"grid": _by_depth(_list(_number))},
+    "ablation": {"seeds": _list(_int(0)), "n_seeds": _int(0), "prompt_length": _int(1)},
+    "output": {"json": _text, "csv": _text, "dump_trees": _text},
 }
-_TOP_KEYS = set(_SECTION_KEYS) | {"method"}
+_TOP_KEYS = set(_RULES) | {"method"}
 
 DEFAULT_CALIBRATION_GRID = [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
 
@@ -80,12 +143,25 @@ class RunConfig:
     dump_trees: str | None
 
 
-def _check_keys(section: str, value: dict) -> None:
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {section!r} must be a mapping")
-    unknown = set(value) - _SECTION_KEYS[section]
-    if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+def _checked_sections(doc: dict) -> dict[str, dict]:
+    """Each section's non-null values, every one passed through its key's rule."""
+    sections = {}
+    for section, rules in _RULES.items():
+        values = doc.get(section, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"section {section!r} must be a mapping")
+        unknown = set(values) - set(rules)
+        if unknown:
+            raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown, key=str)}")
+        sections[section] = {k: rules[k](f"{section}.{k}", v) for k, v in values.items() if v is not None}
+    return sections
+
+
+def _in_vocab(where: str, tokens: list[int], vocab: VocabSpec) -> list[int]:
+    for t in tokens:
+        if t >= vocab.size:
+            raise ConfigError(f"{where} token {t} is out of range for vocab {vocab.size}")
+    return tokens
 
 
 def _require_file(path: str, what: str) -> str:
@@ -94,49 +170,37 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _build_models(doc: dict) -> tuple[VocabSpec, MarkovTableModel, list[int] | None, str]:
-    target_cfg = doc.get("target", {})
-    kind = target_cfg.get("kind", "markov")
-    tokenizer = target_cfg.get("tokenizer", "bytes")
+def _build_models(sections: dict) -> tuple[VocabSpec, MarkovTableModel, list[int] | None, str]:
+    cfg = sections["target"]
+    kind = cfg.get("kind", "markov")
+    tokenizer = cfg.get("tokenizer", "bytes")
+    size = sections["vocab"].get("size")
     if kind == "markov":
-        size = doc.get("vocab", {}).get("size")
         if size is None:
             raise ConfigError("markov targets need vocab.size")
-        vocab = VocabSpec(int(size))
-        target = build_markov(
-            vocab,
-            int(target_cfg.get("order", 1)),
-            int(target_cfg.get("seed", 0)),
-            float(target_cfg.get("sparsity", 0.0)),
-        )
+        vocab = VocabSpec(size)
+        target = build_markov(vocab, cfg.get("order", 1), cfg.get("seed", 0), cfg.get("sparsity", 0.0))
         return vocab, target, None, tokenizer
     if kind == "ngram":
-        corpus_path = target_cfg.get("corpus")
+        corpus_path = cfg.get("corpus")
         if corpus_path is None:
             raise ConfigError("ngram targets need target.corpus")
         _require_file(corpus_path, "corpus")
         tokens, vocab = load_corpus(corpus_path, tokenizer)
-        cfg_size = doc.get("vocab", {}).get("size")
-        if cfg_size is not None and int(cfg_size) != vocab.size:
-            raise ConfigError(f"vocab.size {cfg_size} != corpus-derived vocab {vocab.size}")
-        target = train_ngram(
-            vocab,
-            tokens,
-            int(target_cfg.get("order", 2)),
-            float(target_cfg.get("smoothing", 0.1)),
-        )
+        if size is not None and size != vocab.size:
+            raise ConfigError(f"vocab.size {size} != corpus-derived vocab {vocab.size}")
+        target = train_ngram(vocab, tokens, cfg.get("order", 2), cfg.get("smoothing", 0.1))
         return vocab, target, tokens, tokenizer
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
-def _prompt_tokens(doc: dict, tokenizer: str, vocab: VocabSpec, corpus: list[int] | None) -> list[int]:
-    decode_cfg = doc.get("decode", {})
+def _prompt_tokens(decode_cfg: dict, tokenizer: str, vocab: VocabSpec, corpus: list[int] | None) -> list[int]:
     if "prompt_tokens" in decode_cfg:
-        return [int(t) for t in decode_cfg["prompt_tokens"]]
+        return _in_vocab("decode.prompt_tokens", decode_cfg["prompt_tokens"], vocab)
     if "prompt_text" in decode_cfg:
         if tokenizer != "bytes":
             raise ConfigError("prompt_text needs the byte tokenizer; use prompt_tokens")
-        return tokenize_bytes(decode_cfg["prompt_text"])
+        return _in_vocab("decode.prompt_text", tokenize_bytes(decode_cfg["prompt_text"]), vocab)
     if corpus:
         return corpus[: min(32, len(corpus) - 1)]
     return [0]
@@ -161,93 +225,73 @@ def derive_prompts(
     return prompts
 
 
-def _warmup_prompts(doc: dict, tokenizer: str, vocab: VocabSpec, corpus: list[int] | None, seed: int) -> list[list[int]]:
-    warm = doc.get("warmup", {})
+def _warmup_prompts(warm: dict, tokenizer: str, vocab: VocabSpec, corpus: list[int] | None, seed: int) -> list[list[int]]:
     if "prompts_tokens" in warm:
-        return [[int(t) for t in p] for p in warm["prompts_tokens"]]
+        return [_in_vocab("warmup.prompts_tokens", p, vocab) for p in warm["prompts_tokens"]]
     if "prompts_text" in warm:
         if tokenizer != "bytes":
             raise ConfigError("warmup.prompts_text needs the byte tokenizer")
-        return [tokenize_bytes(p) for p in warm["prompts_text"]]
-    derive = warm.get("derive", {}) or {}
-    rounds = int(warm.get("rounds", 0))
-    count = int(derive.get("count", max(3, rounds)))  # one fresh prompt per round
-    length = int(derive.get("length", 64))
+        return [_in_vocab("warmup.prompts_text", tokenize_bytes(p), vocab) for p in warm["prompts_text"]]
+    derive = warm.get("derive", {})
+    count = derive.get("count", max(3, warm.get("rounds", 0)))  # one fresh prompt per round
+    length = derive.get("length", 64)
     return derive_prompts(corpus, vocab, count, length, seed=seed ^ 0x5EED)
 
 
 def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Parse + validate a config file; ``overrides`` (CLI) win over the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
+        try:
+            doc = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    for section in _SECTION_KEYS:
-        if section in doc:
-            _check_keys(section, doc[section])
+        raise ConfigError(f"unknown top-level keys: {sorted(unknown, key=str)}")
+    sections = _checked_sections(doc)
+    method = _text("method", doc["method"]) if doc.get("method") is not None else "graft"
 
     overrides = overrides or {}
-    vocab, target, corpus, tokenizer = _build_models(doc)
-    draft_cfg = doc.get("draft", {"mode": "uniform-mix", "strength": 0.4})
-    draft = derive_draft(target, DraftDerivation(draft_cfg.get("mode", "uniform-mix"), float(draft_cfg.get("strength", 0.4))))
+    vocab, target, corpus, tokenizer = _build_models(sections)
+    draft_cfg = sections["draft"]
+    draft = derive_draft(target, DraftDerivation(draft_cfg.get("mode", "uniform-mix"), draft_cfg.get("strength", 0.4)))
+    prune = PruneConfig(**sections["prune"])
+    cost = CostModel(**sections["cost"])
 
-    prune_cfg = doc.get("prune", {})
-    prune_kwargs = {}
-    if "checkpoints" in prune_cfg:
-        prune_kwargs["checkpoints"] = tuple(int(d) for d in prune_cfg["checkpoints"])
-    if "thresholds" in prune_cfg:
-        prune_kwargs["thresholds"] = {int(d): float(v) for d, v in prune_cfg["thresholds"].items()}
-    if "stage_budgets" in prune_cfg:
-        prune_kwargs["stage_budgets"] = {int(d): (int(v[0]), int(v[1])) for d, v in prune_cfg["stage_budgets"].items()}
-    for key in ("total_budget", "top_k", "max_depth", "beam_width"):
-        if key in prune_cfg:
-            prune_kwargs[key] = int(prune_cfg[key])
-    prune = PruneConfig(**prune_kwargs)
-
-    cost = CostModel(**{k: float(v) for k, v in doc.get("cost", {}).items()})
-
-    decode_cfg = doc.get("decode", {})
-    matrix_cfg = doc.get("matrix", {})
-    method = overrides.get("method", doc.get("method", "graft"))
-    seed = int(overrides.get("seed", decode_cfg.get("seed", 0)))
-    warm = doc.get("warmup", {})
+    decode_cfg, warm, matrix_cfg, ablation_cfg = (sections[s] for s in ("decode", "warmup", "matrix", "ablation"))
+    seed = overrides.get("seed", decode_cfg.get("seed", 0))
+    end_token = decode_cfg.get("end_token")
+    if end_token is not None:
+        _in_vocab("decode.end_token", [end_token], vocab)
     decode = DecodeConfig(
-        method=method,
+        method=overrides.get("method", method),
         prune=prune,
-        k=int(matrix_cfg.get("k", 10)),
-        max_new_tokens=int(decode_cfg.get("max_new_tokens", 128)),
+        k=matrix_cfg.get("k", 10),
+        max_new_tokens=decode_cfg.get("max_new_tokens", 128),
         acceptance=decode_cfg.get("acceptance", "greedy"),
         seed=seed,
-        warmup_rounds=int(warm.get("rounds", 0)),
-        updates_enabled=bool(decode_cfg.get("updates_enabled", True)),
-        prefill_update=bool(decode_cfg.get("prefill_update", True)),
-        fixed_split=tuple(decode_cfg.get("fixed_split", (24, 36))),
-        root_branch_size=int(decode_cfg.get("root_branch_size", 20)),
-        tail_chain_len=int(decode_cfg.get("tail_chain_len", 8)),
+        warmup_rounds=warm.get("rounds", 0),
+        updates_enabled=decode_cfg.get("updates_enabled", True),
+        prefill_update=decode_cfg.get("prefill_update", True),
+        fixed_split=decode_cfg.get("fixed_split", (24, 36)),
+        root_branch_size=decode_cfg.get("root_branch_size", 20),
+        tail_chain_len=decode_cfg.get("tail_chain_len", 8),
         cost=cost,
-        end_token=decode_cfg.get("end_token"),
+        end_token=end_token,
     )
 
-    grid_cfg = (doc.get("calibration", {}) or {}).get("grid")
-    if grid_cfg:
-        grid = {int(d): [float(v) for v in taus] for d, taus in grid_cfg.items()}
-    else:
-        grid = {d: list(DEFAULT_CALIBRATION_GRID) for d in prune.checkpoints}
-
-    ablation_cfg = doc.get("ablation", {})
-    if "seeds" in ablation_cfg:
-        seeds = [int(s) for s in ablation_cfg["seeds"]]
-    else:
-        seeds = list(range(int(ablation_cfg.get("n_seeds", 8))))
+    grid = sections["calibration"].get("grid") or {d: list(DEFAULT_CALIBRATION_GRID) for d in prune.checkpoints}
+    seeds = ablation_cfg.get("seeds")
+    if seeds is None:
+        seeds = list(range(ablation_cfg.get("n_seeds", 8)))
 
     matrix_load = matrix_cfg.get("load")
     if matrix_load:
         _require_file(matrix_load, "matrix snapshot")
 
-    output_cfg = doc.get("output", {})
+    output_cfg = sections["output"]
     return RunConfig(
         raw=doc,
         path=path,
@@ -256,13 +300,13 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
         draft=draft,
         decode=decode,
         corpus_tokens=corpus,
-        prompt=_prompt_tokens(doc, tokenizer, vocab, corpus),
-        warmup_rounds=int(warm.get("rounds", 0)),
-        warmup_prompts=_warmup_prompts(doc, tokenizer, vocab, corpus, seed),
+        prompt=_prompt_tokens(decode_cfg, tokenizer, vocab, corpus),
+        warmup_rounds=warm.get("rounds", 0),
+        warmup_prompts=_warmup_prompts(warm, tokenizer, vocab, corpus, seed),
         calibration_grid=grid,
         ablation_seeds=seeds,
-        ablation_prompt_length=int(ablation_cfg.get("prompt_length", 48)),
-        matrix_k=int(matrix_cfg.get("k", 10)),
+        ablation_prompt_length=ablation_cfg.get("prompt_length", 48),
+        matrix_k=matrix_cfg.get("k", 10),
         matrix_load=matrix_load,
         matrix_save=matrix_cfg.get("save"),
         output_json=output_cfg.get("json"),

@@ -23,31 +23,20 @@ def stage_label(checkpoint) -> str:
     return STAGE_NONE if checkpoint is None else f"d{checkpoint}"
 
 
-@dataclass(frozen=True)
-class DraftNode:
-    token: int
-    parent: int
-    depth: int
-    logq: float
-    score: float
-
-
 @dataclass
 class DraftTree:
     """Breadth-first draft tree rooted at the last committed token.
 
-    ``context`` holds the committed tokens the draft can read, ending with
-    the root token; callers pass only the last ``max(order, 1)``, so its
-    length does not grow with the session. ``layer_offsets[d]`` is the
-    (start, end) slice of the depth-d nodes inside the node arrays.
-    ``frontier_contexts`` holds one context tuple per node of the deepest
-    layer: ``[context]`` for a new tree, and after ``expand_layer`` the last
-    ``order`` tokens of each node's committed context plus branch, for the
-    draft that expanded it. A hand-built tree carries none and cannot be
-    expanded.
+    ``layer_offsets[d]`` is the (start, end) slice of the depth-d nodes
+    inside the node arrays. ``frontier_contexts`` holds one context tuple
+    per node of the deepest layer: for a new tree, the committed tokens the
+    draft can read, ending with the root token (callers pass only the last
+    ``max(order, 1)``, so its length does not grow with the session); after
+    ``expand_layer``, the last ``order`` tokens of each node's committed
+    context plus branch, for the draft that expanded it. A hand-built tree
+    carries none and cannot be expanded.
     """
 
-    context: tuple[int, ...]
     tokens: np.ndarray
     parents: np.ndarray
     depths: np.ndarray
@@ -67,15 +56,6 @@ class DraftTree:
     @property
     def max_layer(self) -> int:
         return len(self.layer_offsets) - 1
-
-    def node(self, i: int) -> DraftNode:
-        return DraftNode(
-            token=int(self.tokens[i]),
-            parent=int(self.parents[i]),
-            depth=int(self.depths[i]),
-            logq=float(self.logqs[i]),
-            score=float(self.scores[i]),
-        )
 
     def layer(self, depth: int) -> np.ndarray:
         if not 0 <= depth < len(self.layer_offsets):
@@ -98,7 +78,6 @@ def new_tree(context) -> DraftTree:
     if not context:
         raise InputError("context must contain at least the root token")
     return DraftTree(
-        context=context,
         tokens=np.array([context[-1]], dtype=np.int32),
         parents=np.array([ROOT_PARENT], dtype=np.int32),
         depths=np.array([0], dtype=np.int16),
@@ -120,6 +99,8 @@ def expand_layer(tree: DraftTree, draft: MarkovTableModel, top_k: int, beam_widt
         raise InputError(f"top_k must be >= 1, got {top_k}")
     if beam_width is None:
         beam_width = top_k
+    if beam_width < 1:
+        raise InputError(f"beam_width must be >= 1, got {beam_width}")
     lo, hi = tree.layer_offsets[-1]
     if lo == hi:
         raise StructureError("cannot expand an empty frontier")
@@ -158,7 +139,6 @@ def expand_layer(tree: DraftTree, draft: MarkovTableModel, top_k: int, beam_widt
     end = hi + cand_token.size
     depth = tree.max_layer + 1
     return DraftTree(
-        context=tree.context,
         tokens=np.concatenate([tree.tokens, cand_token]),
         parents=np.concatenate([tree.parents, (lo + cand_slot).astype(np.int32)]),
         depths=np.concatenate([tree.depths, np.full(cand_token.size, depth, dtype=np.int16)]),
@@ -201,8 +181,9 @@ class PruneConfig:
     beam_width: int = 10
 
     def __post_init__(self):
-        if self.total_budget < 1 or self.top_k < 1 or self.max_depth < 1:
-            raise ConfigError("budget, top_k and max_depth must be positive")
+        for name in ("total_budget", "top_k", "max_depth", "beam_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"prune.{name} must be >= 1, got {getattr(self, name)}")
         if tuple(sorted(self.checkpoints)) != self.checkpoints:
             raise ConfigError("checkpoints must be ascending")
         for d in self.checkpoints:
@@ -225,11 +206,6 @@ class PruneConfig:
             return self.total_budget
         return self.stage_budgets[checkpoint][0]
 
-    def retrieval_budget(self, checkpoint) -> int:
-        if checkpoint is None:
-            return 0
-        return self.stage_budgets[checkpoint][1]
-
 
 @dataclass
 class PruneDecision:
@@ -237,7 +213,6 @@ class PruneDecision:
 
     stage: int | None
     confidence_trace: dict[int, float]
-    layer_confidences: list[float]
     retained: np.ndarray  # node indices in the expanded tree, root included
     layers_drafted: int
 
@@ -270,14 +245,12 @@ def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tupl
     tree = new_tree(context[-max(draft.order, 1):])
     checkpoints = set(config.checkpoints)
     trace: dict[int, float] = {}
-    layer_conf: list[float] = []
     stage: int | None = None
     for depth in range(1, config.max_depth + 1):
         tree = expand_layer(tree, draft, config.top_k, config.beam_width)
-        conf = layer_confidence(tree, depth)
-        layer_conf.append(conf)
         checkpoint = depth - 1
         if checkpoint in checkpoints:
+            conf = layer_confidence(tree, depth)
             trace[checkpoint] = conf
             if not evaluate_gate(conf, config.thresholds[checkpoint]):
                 stage = checkpoint
@@ -286,7 +259,6 @@ def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tupl
     return tree, PruneDecision(
         stage=stage,
         confidence_trace=trace,
-        layer_confidences=layer_conf,
         retained=retained,
         layers_drafted=tree.max_layer,
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,7 +72,11 @@ class CostModel:
     def __post_init__(self):
         for name in ("t_ar", "draft_layer_cost", "verify_base", "verify_per_node", "retrieval_cost", "overhead_cost"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"cost {name} must be >= 0")
+                raise ConfigError(f"cost.{name} must be >= 0, got {getattr(self, name)}")
+        # every step runs the target once, so the proxy's denominators stay positive
+        for name in ("t_ar", "verify_base"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"cost.{name} must be > 0, got {getattr(self, name)}")
 
     def step_cost(self, layers_drafted: int, tree_candidates: int) -> float:
         return (
@@ -110,7 +113,10 @@ class DecodeConfig:
         if self.acceptance not in ACCEPTANCE_MODES:
             raise ConfigError(f"unknown acceptance mode {self.acceptance!r}")
         if self.max_new_tokens < 1:
-            raise ConfigError("max_new_tokens must be >= 1")
+            raise ConfigError(f"decode.max_new_tokens must be >= 1, got {self.max_new_tokens}")
+        for name in ("root_branch_size", "tail_chain_len"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"decode.{name} must be >= 0, got {getattr(self, name)}")
         kd, kr = self.fixed_split
         if kd + kr != self.prune.total_budget:
             raise ConfigError(
@@ -128,7 +134,6 @@ class DecodeReport:
     speedup_proxy: float
     tradeoff_ratio: float | None
     regret_estimate: float | None
-    coverage_gain_samples: list[float]
     coverage_gain_mean: float | None
     realized_retrieval_fill: float | None
     overpruning_rate_estimates: dict[str, float]
@@ -248,7 +253,6 @@ def _fixed_decision(tree: DraftTree, k_draft: int, layers: int) -> PruneDecision
     return PruneDecision(
         stage=None,
         confidence_trace={},
-        layer_confidences=[],
         retained=select_retained(tree, k_draft),
         layers_drafted=layers,
     )
@@ -442,7 +446,6 @@ def compute_metrics(steps: list[dict], cost: CostModel, dense_report: DecodeRepo
         speedup_proxy=proxy,
         tradeoff_ratio=None,
         regret_estimate=regret,
-        coverage_gain_samples=gains,
         coverage_gain_mean=float(np.mean(gains)) if gains else None,
         realized_retrieval_fill=float(np.mean(fills)) if fills else None,
         overpruning_rate_estimates=eps_hat,
@@ -649,7 +652,7 @@ def _run_variant(fixture: AblationFixture, variant: str, cfg: DecodeConfig, seed
     }
 
 
-def run_ablation(suite: str, fixture: AblationFixture, jobs: int = 1) -> list[dict]:
+def run_ablation(suite: str, fixture: AblationFixture) -> list[dict]:
     """Matched sessions across a named variant grid; identical seeds/prompts."""
     if suite not in ABLATION_SUITES:
         raise ConfigError(f"unknown ablation suite {suite!r}; pick one of {ABLATION_SUITES}")
@@ -693,12 +696,7 @@ def run_ablation(suite: str, fixture: AblationFixture, jobs: int = 1) -> list[di
             for seed in fixture.prompts:
                 tasks.append((name, cfg, seed, fixture.warmed_matrix.copy()))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda t: _run_variant(fixture, t[0], t[1], t[2], t[3]), tasks))
-    else:
-        rows = [_run_variant(fixture, *t) for t in tasks]
-    return rows
+    return [_run_variant(fixture, *t) for t in tasks]
 
 
 def _with_template_filter(cfg: DecodeConfig, max_depth: int | None = None, max_rank: int | None = None) -> DecodeConfig:

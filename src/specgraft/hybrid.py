@@ -12,7 +12,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .drafttree import DraftTree, PruneDecision, select_retained
 from .errors import StructureError
 from .models import VocabSpec
@@ -239,7 +238,8 @@ def insert_tail_variant(tree: DraftTree, matrix: TransitionMatrix, budget: int, 
 
 @dataclass
 class VerificationPackage:
-    """Flattened hybrid tree: everything the verifier and masks need."""
+    """Flattened hybrid tree: the child index the verifier walks and each
+    node's position after the committed prefix."""
 
     tree: HybridTree
     prefix_len: int
@@ -268,29 +268,8 @@ class VerificationPackage:
         return ptr, idx
 
     @cached_property
-    def ancestor_mask(self) -> np.ndarray:
-        return _kernels.ancestor_mask(self.tree.parents)
-
-    @cached_property
     def position_ids(self) -> np.ndarray:
         return self.prefix_len + self.tree.depths.astype(np.int64)
-
-    @cached_property
-    def paths(self) -> list[np.ndarray]:
-        """Every root-to-leaf node index sequence, in leaf order."""
-        ptr, _ = self.children
-        n = self.tree.n_nodes
-        out = []
-        for i in range(n):
-            if ptr[i] != ptr[i + 1]:
-                continue
-            chain = []
-            j = i
-            while j >= 0:
-                chain.append(j)
-                j = int(self.tree.parents[j])
-            out.append(np.array(chain[::-1], dtype=np.int32))
-        return out
 
 
 def flatten(tree: HybridTree, prefix_len: int) -> VerificationPackage:

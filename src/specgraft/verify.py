@@ -108,18 +108,11 @@ def verify_stochastic(
     target distribution exactly, for any fixed tree."""
     ids, dists = node_distributions(target, prefix, package) if rows is None else rows
     ptr, idx = package.children
-    tokens = np.ascontiguousarray(package.tokens, dtype=np.int32)
+    tokens = package.tokens
     n = package.n_nodes
     uniforms = rng.random(n + 1)
     path_buf = np.empty(n, dtype=np.int32)
-    n_acc, emitted = _kernels.stochastic_walk(
-        tokens,
-        np.ascontiguousarray(ptr, dtype=np.int32),
-        np.ascontiguousarray(idx, dtype=np.int32),
-        np.ascontiguousarray(dists),
-        uniforms,
-        path_buf,
-    )
+    n_acc, emitted = _kernels.stochastic_walk(tokens, ptr, idx, dists, uniforms, path_buf)
     if emitted < 0:
         raise StructureError("residual exhausted; node distributions are inconsistent")
     path = [int(i) for i in path_buf[:n_acc]]
@@ -147,10 +140,4 @@ def first_token_frequencies(
     n = package.n_nodes
     rng = np.random.default_rng(seed)
     uniforms = rng.random((n_trials, n + 1))
-    return _kernels.stochastic_trials(
-        np.ascontiguousarray(package.tokens, dtype=np.int32),
-        np.ascontiguousarray(ptr, dtype=np.int32),
-        np.ascontiguousarray(idx, dtype=np.int32),
-        np.ascontiguousarray(dists),
-        uniforms,
-    )
+    return _kernels.stochastic_trials(package.tokens, ptr, idx, dists, uniforms)

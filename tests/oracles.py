@@ -43,19 +43,46 @@ def closure_topk_iterative(scores, parents, limit):
     return sorted(kept)
 
 
-def reachability_mask(parents):
-    """Ancestor closure via boolean matrix powers (graph oracle)."""
-    n = len(parents)
-    adj = np.eye(n, dtype=bool)
-    for i in range(n):
-        if parents[i] >= 0:
-            adj[i, parents[i]] = True
-    closure = adj.copy()
+def reference_walk(tokens, parents, dists, uniforms):
+    """One residual-acceptance walk over plain lists (bit-identity oracle).
+
+    Children are tried in index order, each taking the next uniform; an
+    accepted child becomes the current node; otherwise the next uniform
+    draws the emitted token from the residual by inverse CDF. Returns the
+    accepted node path and the emitted token.
+    """
+    children = {}
+    for i in range(1, len(tokens)):
+        children.setdefault(int(parents[i]), []).append(i)
+    draws = iter(float(u) for u in uniforms)
+    path = []
+    cur = 0
     while True:
-        nxt = closure | (closure @ adj)
-        if np.array_equal(nxt, closure):
-            return closure
-        closure = nxt
+        residual = [float(p) for p in dists[cur]]
+        for c in children.get(cur, []):
+            t = int(tokens[c])
+            a = residual[t]
+            if next(draws) < a:
+                path.append(c)
+                cur = c
+                break
+            rest = 1.0 - a
+            if rest <= 0.0:
+                rest = 1.0
+            residual[t] = 0.0
+            residual = [r / rest for r in residual]
+        else:
+            u = next(draws)
+            acc = 0.0
+            emitted = -1
+            for t, r in enumerate(residual):
+                if r <= 0.0:
+                    continue
+                emitted = t
+                acc += r
+                if u < acc:
+                    break
+            return path, emitted
 
 
 def greedy_chain_walk(target, prefix, tokens, parents):

@@ -3,9 +3,11 @@ import json
 import jsonschema
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specgraft.cli import main
-from specgraft.config import load_run_config
+from specgraft.config import _RULES, load_run_config
 from specgraft.errors import ConfigError
 
 BASE_DOC = {
@@ -185,7 +187,7 @@ class TestOtherCommands:
         doc["ablation"] = {"n_seeds": 2, "prompt_length": 4}
         path = tmp_path / "abl.yaml"
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        assert run_cli("--config", str(path), "--out-dir", str(out), "--jobs", "2", "ablation", "--suite", "component") == 0
+        assert run_cli("--config", str(path), "--out-dir", str(out), "ablation", "--suite", "component") == 0
         doc = json.loads((out / "ablation_component.json").read_text())
         assert len(doc["runs"]) == 8
         csv_text = (out / "ablation_component.csv").read_text()
@@ -244,3 +246,106 @@ class TestReportNames:
         assert (out / "run.csv").read_text().count("\n") == 2
         assert json.loads((out / "run.ablation_component.json").read_text())["command"] == "ablation"
         assert (out / "run.ablation_component.csv").read_text().count("\n") == 9
+
+
+# (section, key, value): each must exit 2 with one "error:" line naming section.key
+BAD_VALUES = [
+    ("decode", "fixed_split", 5),
+    ("decode", "max_new_tokens", [1]),
+    ("decode", "prompt_tokens", 3),
+    ("prune", "thresholds", [0.1]),
+    ("prune", "stage_budgets", {0: 5}),
+    ("ablation", "seeds", 3),
+    ("calibration", "grid", [0.1]),
+    ("warmup", "derive", [1]),
+    ("prune", "beam_width", -3),
+    ("prune", "beam_width", 0),
+    ("cost", "t_ar", 0),
+    ("decode", "root_branch_size", -5),
+    ("decode", "tail_chain_len", -5),
+    ("warmup", "rounds", -2),
+]
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("section,key,value", BAD_VALUES, ids=[f"{s}.{k}={v!r}" for s, k, v in BAD_VALUES])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, section, key, value):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc.setdefault(section, {})[key] = value
+        out = tmp_path / "out"
+        assert run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(out), "decode") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{section}.{key}" in err
+        assert not (out / "run.json").exists()
+
+    # values a run does not read, which the report could not echo (keys sorted)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "target: {smoothing: {0: 0, '': 0}}",  # a markov target reads no smoothing
+            "decode: {prompt_text: 2020-01-01}",  # prompt_tokens wins over prompt_text
+            "decode: {1: 2, typo: 3}",  # unknown keys of mixed types
+            "method: {0: 1, a: 2}",  # --method wins over the file
+        ],
+    )
+    def test_unreportable_document_exits_2(self, tmp_path, capsys, text):
+        base = json.loads(json.dumps(BASE_DOC))
+        for section, values in yaml.safe_load(text).items():
+            base[section] = {**base[section], **values} if isinstance(base[section], dict) else values
+        path = tmp_path / "odd.yaml"
+        path.write_text(yaml.safe_dump(base), encoding="utf-8")
+        rc = run_cli("--config", str(path), "--out-dir", str(tmp_path / "out"), "--method", "graft", "decode")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("decode: [1\n", encoding="utf-8")
+        assert run_cli("--config", str(path), "decode") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not valid YAML" in err
+
+    def test_expand_layer_rejects_beam_width_below_1(self):
+        from specgraft.drafttree import expand_layer, new_tree
+        from specgraft.errors import InputError
+        from specgraft.models import VocabSpec, build_markov
+
+        draft = build_markov(VocabSpec(8), 1, seed=0)
+        for beam in (0, -3):
+            with pytest.raises(InputError, match="beam_width"):
+                expand_layer(new_tree([0]), draft, top_k=3, beam_width=beam)
+
+
+_CONFIG_KEYS = sorted((s, k) for s, rules in _RULES.items() for k in rules) + [(None, "method")]
+_WORDS = st.text(alphabet="abxyz", max_size=4)
+# small values only: max_new_tokens and warmup.rounds have no upper bound by design
+_SMALL = st.integers(-2, 5) | _WORDS
+
+
+class TestConfigFuzz:
+    """Any one malformed value exits 0 or 2 with one error line, never a traceback."""
+
+    @given(
+        st.sampled_from(_CONFIG_KEYS),
+        st.none()
+        | _WORDS
+        | st.lists(_SMALL, max_size=3)
+        | st.dictionaries(st.integers(0, 5) | _WORDS, _SMALL, max_size=2),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_replaced_value(self, tmp_path, capsys, place, value):
+        section, key = place
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["decode"]["max_new_tokens"] = 4
+        if section is None:
+            doc[key] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+        capsys.readouterr()
+        rc = run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(tmp_path / "out"), "decode")
+        err = capsys.readouterr().err
+        assert rc in (0, 2)
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1

@@ -32,8 +32,7 @@ class TestExpandLayer:
     def test_det4_single_child(self, det4):
         tree = expand_layer(new_tree([0]), det4, top_k=1)
         assert tree.n_nodes == 2
-        node = tree.node(1)
-        assert (node.token, node.logq, node.score, node.depth) == (1, 0.0, 0.0, 1)
+        assert (tree.tokens[1], tree.logqs[1], tree.scores[1], tree.depths[1]) == (1, 0.0, 0.0, 1)
 
     def test_uni4_tie_break(self, uni4):
         tree = expand_layer(new_tree([0]), uni4, top_k=2)

@@ -383,13 +383,6 @@ class TestAblation:
         rows = run_ablation("temperature", mini_fixture(max_new_tokens=16, seeds=(0,)))
         assert {r["variant"] for r in rows} == {"greedy", "T=1"}
 
-    def test_jobs_parallel_equals_serial(self):
-        a = run_ablation("component", mini_fixture(), jobs=1)
-        b = run_ablation("component", mini_fixture(), jobs=4)
-        key = lambda r: (r["variant"], r["seed"])  # noqa: E731
-        for ra, rb in zip(sorted(a, key=key), sorted(b, key=key)):
-            assert ra["report"].to_dict() == rb["report"].to_dict()
-
     def test_unknown_suite(self):
         with pytest.raises(ConfigError):
             run_ablation("nope", mini_fixture())

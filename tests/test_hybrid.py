@@ -20,7 +20,7 @@ from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_dr
 from specgraft.retrieval import builtin_templates, empty_branch, instantiate, new_matrix, template_prefix
 
 from .conftest import table_model
-from .oracles import closure_topk_iterative, path_token_sets, reachability_mask, reference_hybrid
+from .oracles import closure_topk_iterative, path_token_sets, reference_hybrid
 from .test_retrieval import full_matrix
 
 
@@ -69,7 +69,6 @@ class TestMerge:
         from specgraft.drafttree import DraftTree
 
         tree = DraftTree(
-            context=(0,),
             tokens=np.array([0, 7], dtype=np.int32),
             parents=np.array([-1, 0], dtype=np.int32),
             depths=np.array([0, 1], dtype=np.int16),
@@ -88,7 +87,7 @@ class TestMerge:
         branch = instantiate(matrix, template_prefix(template, 5), 0)
         from specgraft.drafttree import PruneDecision
 
-        decision = PruneDecision(0, {}, [], np.array([0, 1]), 1)
+        decision = PruneDecision(0, {}, np.array([0, 1]), 1)
         merged = merge(decision, tree, branch, 60)
         # exactly one child with token 7 under the root, tagged draft
         root_kids = merged.children_of(0)
@@ -112,7 +111,7 @@ class TestMerge:
         decision_retained = select_retained(tree, 10)
         from specgraft.drafttree import PruneDecision
 
-        decision = PruneDecision(5, {}, [], decision_retained, 6)
+        decision = PruneDecision(5, {}, decision_retained, 6)
         with pytest.raises(StructureError):
             merge(decision, tree, branch, prune.total_budget)
 
@@ -132,7 +131,7 @@ def _branch_parents(branch):
 
 
 class TestFlatten:
-    def test_chain_mask_and_positions(self, det4):
+    def test_chain_positions(self, det4):
         tree = new_tree([0])
         from specgraft.drafttree import expand_layer
 
@@ -141,40 +140,7 @@ class TestFlatten:
         hy = draft_only(tree, select_retained(tree, 60), 60)
         pkg = flatten(hy, prefix_len=5)
         assert hy.n_nodes == 4
-        assert np.array_equal(pkg.ancestor_mask, np.tril(np.ones((4, 4), dtype=bool)))
         assert list(pkg.position_ids) == [5, 6, 7, 8]
-        assert len(pkg.paths) == 1 and list(pkg.paths[0]) == [0, 1, 2, 3]
-
-    def test_siblings_do_not_attend_each_other(self, uni4):
-        from specgraft.drafttree import expand_layer
-
-        tree = expand_layer(new_tree([0]), uni4, 2)
-        hy = draft_only(tree, select_retained(tree, 60), 60)
-        pkg = flatten(hy, 0)
-        assert not pkg.ancestor_mask[1, 2] and not pkg.ancestor_mask[2, 1]
-
-    def test_mask_matches_reachability_oracle(self):
-        target, tree, prune = seeded_setup()
-        matrix = full_matrix(64, 10, shift=17)
-        _, decision = resolve_stage(build_markov(VocabSpec(64), 1, seed=42), [3], prune)
-        branch = instantiate(matrix, builtin_templates(10)["d1"], tree.root_token)
-        merged = merge(decision, tree, branch, prune.total_budget)
-        pkg = flatten(merged, 0)
-        assert np.array_equal(pkg.ancestor_mask, reachability_mask(merged.parents.tolist()))
-
-    def test_mask_transitive_and_positions_increase(self):
-        _, tree, prune = seeded_setup(seed=9)
-        hy = draft_only(tree, select_retained(tree, prune.total_budget), prune.total_budget)
-        pkg = flatten(hy, 3)
-        m = pkg.ancestor_mask
-        assert np.array_equal(m, m @ m)  # boolean transitivity
-        for path in pkg.paths:
-            pos = pkg.position_ids[path]
-            assert np.all(np.diff(pos) == 1)
-        covered = set()
-        for path in pkg.paths:
-            covered.update(int(i) for i in path)
-        assert covered == set(range(hy.n_nodes))
 
     def test_sibling_order_canonical(self):
         # same node set inserted in different orders flattens identically
@@ -257,7 +223,7 @@ def _origin_of_path(hy, path):
 class TestFlattenProperties:
     @given(st.integers(0, 10**6), st.integers(2, 40))
     @settings(max_examples=50, deadline=None)
-    def test_mask_invariants_on_random_trees(self, seed, n):
+    def test_children_csr_on_random_trees(self, seed, n):
         rng = np.random.default_rng(seed)
         from specgraft.hybrid import _Builder
 
@@ -269,17 +235,9 @@ class TestFlattenProperties:
             if idx is not None:
                 nodes.append(idx)
         hy = builder.finish()
-        pkg = flatten(hy, 0)
-        m = pkg.ancestor_mask
-        assert np.array_equal(m, m @ m)  # closed under ancestry
-        assert np.array_equal(m, reachability_mask(hy.parents.tolist()))
-        ptr, idx = pkg.children
+        ptr, idx = flatten(hy, 0).children
         for i in range(hy.n_nodes):
             assert idx[ptr[i]:ptr[i + 1]].tolist() == hy.children_of(i).tolist()
-            for j in hy.children_of(i):
-                for k in hy.children_of(i):
-                    if j != k:
-                        assert not m[j, k]  # siblings never attend each other
 
 
 def _assert_matches_reference(hy, expect):
@@ -318,7 +276,7 @@ class TestBulkAssembly:
         template = builtin_templates(10)[name]
         template = template_prefix(template, int(rng.integers(0, template.declared_size + 1)), stage="rand")
         branch = instantiate(matrix, template, tree.root_token)
-        decision = PruneDecision(None, {}, [], retained, tree.max_layer)
+        decision = PruneDecision(None, {}, retained, tree.max_layer)
         _assert_matches_reference(
             merge(decision, tree, branch, budget), reference_hybrid(tree, retained, budget, branch)
         )

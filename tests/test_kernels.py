@@ -1,34 +1,21 @@
-"""Numba and numpy kernel paths must agree bit-for-bit."""
+"""The walk kernel against a list-based reference walk, and the batched
+trials against single walks drawing the same uniforms."""
 
 import numpy as np
-import pytest
 
 from specgraft import _kernels as K
+from specgraft.models import VocabSpec, build_markov
+from specgraft.verify import node_distributions
 
-from .oracles import reachability_mask
-
-
-def random_parents(rng, n):
-    parents = np.full(n, -1, dtype=np.int32)
-    for i in range(1, n):
-        parents[i] = rng.integers(0, i)
-    return parents
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 40, 61])
-def test_ancestor_mask_paths_agree(n):
-    rng = np.random.default_rng(n)
-    parents = random_parents(rng, n)
-    a = K.ancestor_mask_np(parents)
-    b = K.ancestor_mask_nb(parents)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, reachability_mask(parents))
+from .oracles import reference_walk
+from .test_verify import random_package
 
 
 def _chain_case():
     tokens = np.array([0, 1, 2], dtype=np.int32)
     child_ptr = np.array([0, 1, 2, 2], dtype=np.int32)
     child_idx = np.array([1, 2], dtype=np.int32)
+    parents = np.array([-1, 0, 1], dtype=np.int32)
     dists = np.array(
         [
             [0.1, 0.6, 0.2, 0.1],
@@ -36,26 +23,37 @@ def _chain_case():
             [0.25, 0.25, 0.25, 0.25],
         ]
     )
-    return tokens, child_ptr, child_idx, dists
+    return tokens, parents, child_ptr, child_idx, dists
+
+
+def _tree_case(seed, sparsity):
+    vocab = 6 + seed % 5
+    target = build_markov(VocabSpec(vocab), 1, seed=seed, sparsity=sparsity)
+    pkg = random_package(seed=seed + 50, vocab=vocab, depth=3, top_k=3, beam=6, keep=16)
+    _, dists = node_distributions(target, [0], pkg)
+    ptr, idx = pkg.children
+    return pkg.tokens, pkg.parents, ptr, idx, dists
+
+
+CASES = [_chain_case()] + [_tree_case(seed, sparsity) for seed in range(4) for sparsity in (0.0, 0.5)]
 
 
 def test_stochastic_walk_paths_agree():
-    tokens, ptr, idx, dists = _chain_case()
     rng = np.random.default_rng(17)
-    for _ in range(500):
-        u = rng.random(tokens.shape[0] + 1)
-        p1 = np.empty(3, dtype=np.int32)
-        p2 = np.empty(3, dtype=np.int32)
-        r1 = K.stochastic_walk_np(tokens, ptr, idx, dists, u, p1)
-        r2 = K.stochastic_walk_nb(tokens, ptr, idx, dists, u, p2)
-        assert r1 == tuple(r2)
-        assert np.array_equal(p1[: r1[0]], p2[: r1[0]])
+    for tokens, parents, ptr, idx, dists in CASES:
+        path = np.empty(tokens.shape[0], dtype=np.int32)
+        for _ in range(300):
+            u = rng.random(tokens.shape[0] + 1)
+            n_acc, emitted = K.stochastic_walk(tokens, ptr, idx, dists, u, path)
+            assert (path[:n_acc].tolist(), emitted) == reference_walk(tokens, parents, dists, u)
 
 
 def test_stochastic_trials_paths_agree():
-    tokens, ptr, idx, dists = _chain_case()
-    uniforms = np.random.default_rng(3).random((4000, tokens.shape[0] + 1))
-    c1 = K.stochastic_trials_np(tokens, ptr, idx, dists, uniforms)
-    c2 = K.stochastic_trials_nb(tokens, ptr, idx, dists, uniforms)
-    assert np.array_equal(c1, c2)
-    assert c1.sum() == 4000
+    for tokens, _, ptr, idx, dists in CASES:
+        uniforms = np.random.default_rng(3).random((2000, tokens.shape[0] + 1))
+        expect = np.zeros(dists.shape[1], dtype=np.int64)
+        path = np.empty(tokens.shape[0], dtype=np.int32)
+        for u in uniforms:
+            n_acc, emitted = K.stochastic_walk(tokens, ptr, idx, dists, u, path)
+            expect[tokens[path[0]] if n_acc else emitted] += 1
+        assert np.array_equal(K.stochastic_trials(tokens, ptr, idx, dists, uniforms), expect)
