@@ -27,7 +27,7 @@ from .engine import (
     run_ablation,
     theory_checks,
 )
-from .errors import SpecGraftError, StructureError
+from .errors import InputError, SpecGraftError, StructureError
 from .hybrid import render_tree
 from .retrieval import (
     TEMPLATE_DEPTH_COUNTS,
@@ -297,6 +297,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_theory(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
     report = theory_checks(
         seed=args.seed if args.seed is not None else 0,
         n_monotonic=args.trials,
@@ -404,6 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (SpecGraftError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,7 +109,7 @@ _RULES = {
                "prompt_tokens": _tokens, "end_token": _int(0), "updates_enabled": _flag, "prefill_update": _flag,
                "fixed_split": _pair, "root_branch_size": _int(), "tail_chain_len": _int()},
     "warmup": {"rounds": _int(0), "prompts_text": _list(_text), "prompts_tokens": _list(_tokens),
-               "derive": _fields(count=_int(1), length=_int(1)), "max_new_tokens": _int(1)},
+               "derive": _fields(count=_int(1), length=_int(1))},
     "matrix": {"k": _int(0), "load": _text, "save": _text},
     "calibration": {"grid": _by_depth(_list(_number))},
     "ablation": {"seeds": _list(_int(0)), "n_seeds": _int(0), "prompt_length": _int(1)},

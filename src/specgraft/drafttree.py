@@ -31,8 +31,8 @@ class DraftTree:
     inside the node arrays. ``frontier_contexts`` holds one context tuple
     per node of the deepest layer: for a new tree, the committed tokens the
     draft can read, ending with the root token (callers pass only the last
-    ``max(order, 1)``, so its length does not grow with the session); after
-    ``expand_layer``, the last ``order`` tokens of each node's committed
+    ``max(order, 1)``, so its length does not grow with the session); once
+    a layer is drafted, the last ``order`` tokens of each node's committed
     context plus branch, for the draft that expanded it. A hand-built tree
     carries none and cannot be expanded.
     """
@@ -63,15 +63,6 @@ class DraftTree:
         lo, hi = self.layer_offsets[depth]
         return np.arange(lo, hi)
 
-    def branch_tokens(self, i: int) -> list[int]:
-        """Tokens below the root along the path to node i (i's token last)."""
-        out = []
-        while i != 0:
-            out.append(int(self.tokens[i]))
-            i = int(self.parents[i])
-        out.reverse()
-        return out
-
 
 def new_tree(context) -> DraftTree:
     context = tuple(int(t) for t in context)
@@ -86,6 +77,34 @@ def new_tree(context) -> DraftTree:
         layer_offsets=[(0, 1)],
         frontier_contexts=[context],
     )
+
+
+def _context_tail(draft: MarkovTableModel) -> slice:
+    """The slice of a context the draft reads: its last ``order`` tokens."""
+    return slice(-draft.order, None) if draft.order else slice(0, 0)
+
+
+def _layer(draft: MarkovTableModel, contexts: list, scores: np.ndarray, top_k: int, beam_width: int):
+    """The layer kernel: each frontier node's top-``top_k`` children, cut to
+    the ``beam_width`` best path scores. ``contexts`` are already cut to the
+    draft's order. Returns the kept children's frontier slots, tokens, log
+    probabilities, scores and contexts, in (parent, token-rank) order.
+    """
+    top, logq = draft.topk(draft.row_ids(contexts), min(top_k, draft.vocab.size))
+    k = top.shape[1]
+    # candidate j is token top[j // k, j % k]; zero-probability ones score -inf
+    cand = (scores[:, None] + logq).ravel()
+    best = (-cand).argsort(kind="stable")[:beam_width]
+    if cand[best[-1]] == -np.inf:  # -inf ranks last: drop it after the beam cut
+        best = best[cand[best] > -np.inf]
+        if best.size == 0:
+            raise StructureError("no positive-probability candidates in the new layer")
+    best.sort()  # keep the (parent, token-rank) generation order
+    slot = best // k
+    tokens = top.take(best)
+    tail = _context_tail(draft)
+    children = [(contexts[s] + (t,))[tail] for s, t in zip(slot.tolist(), tokens.tolist())]
+    return slot, tokens, logq.take(best), cand.take(best), children
 
 
 def expand_layer(tree: DraftTree, draft: MarkovTableModel, top_k: int, beam_width: int | None = None) -> DraftTree:
@@ -107,47 +126,18 @@ def expand_layer(tree: DraftTree, draft: MarkovTableModel, top_k: int, beam_widt
     if len(tree.frontier_contexts) != hi - lo:
         raise StructureError("tree carries no context for each frontier node")
 
-    # a context is the last ``order`` tokens; slice(0, 0) reads none
-    tail = slice(-draft.order, None) if draft.order else slice(0, 0)
-    contexts = [c[tail] for c in tree.frontier_contexts]
-    ids = draft.row_ids(contexts)
-    # cached per-row argtop-k: probability ties go to the lower token id
-    top = draft.argtopk(ids, min(top_k, draft.vocab.size))
-    k = top.shape[1]
-
-    # candidate j is token top[j // k, j % k] under frontier node lo + j // k
-    cand = None  # positions of the surviving candidates; None while all survive
-    cand_token = top.reshape(-1)
-    cand_p = draft.rows[ids[:, None], top].reshape(-1)
-    cand_score = np.repeat(tree.scores[lo:hi], k)
-    keep = cand_p > 0.0
-    if not keep.all():
-        cand = np.flatnonzero(keep)
-        if cand.size == 0:
-            raise StructureError("no positive-probability candidates in the new layer")
-        cand_token, cand_p, cand_score = cand_token[cand], cand_p[cand], cand_score[cand]
-    cand_logq = np.log(cand_p)
-    cand_score += cand_logq
-
-    if cand_score.size > beam_width:
-        best = np.argsort(-cand_score, kind="stable")[:beam_width]
-        best.sort()  # keep the (parent, token-rank) generation order
-        cand = best if cand is None else cand[best]
-        cand_token, cand_logq, cand_score = cand_token[best], cand_logq[best], cand_score[best]
-    cand_slot = (np.arange(cand_token.size) if cand is None else cand) // k
-
-    end = hi + cand_token.size
-    depth = tree.max_layer + 1
+    tail = _context_tail(draft)
+    slot, tokens, logqs, scores, contexts = _layer(
+        draft, [c[tail] for c in tree.frontier_contexts], tree.scores[lo:hi], top_k, beam_width
+    )
     return DraftTree(
-        tokens=np.concatenate([tree.tokens, cand_token]),
-        parents=np.concatenate([tree.parents, (lo + cand_slot).astype(np.int32)]),
-        depths=np.concatenate([tree.depths, np.full(cand_token.size, depth, dtype=np.int16)]),
-        logqs=np.concatenate([tree.logqs, cand_logq]),
-        scores=np.concatenate([tree.scores, cand_score]),
-        layer_offsets=tree.layer_offsets + [(hi, end)],
-        frontier_contexts=[
-            (contexts[s] + (t,))[tail] for s, t in zip(cand_slot.tolist(), cand_token.tolist())
-        ],
+        tokens=np.concatenate([tree.tokens, tokens]),
+        parents=np.concatenate([tree.parents, (lo + slot).astype(np.int32)]),
+        depths=np.concatenate([tree.depths, np.full(tokens.size, tree.max_layer + 1, dtype=np.int16)]),
+        logqs=np.concatenate([tree.logqs, logqs]),
+        scores=np.concatenate([tree.scores, scores]),
+        layer_offsets=tree.layer_offsets + [(hi, hi + tokens.size)],
+        frontier_contexts=contexts,
     )
 
 
@@ -234,6 +224,43 @@ def select_retained(tree: DraftTree, limit: int) -> np.ndarray:
     return np.concatenate(([0], ranked))
 
 
+def _envelope(draft: MarkovTableModel, context, config: PruneConfig, checkpoints) -> tuple[DraftTree, int | None, dict]:
+    """``resolve_stage``'s expansion, gated at ``checkpoints`` only, in one
+    pass over node arrays allocated once; returns the tree, the stage and
+    the gate confidences.
+    """
+    root = new_tree(context[-max(draft.order, 1):])
+    size = 1 + config.max_depth * config.beam_width  # a layer keeps at most beam_width nodes
+    arrays = tuple(np.zeros(size, a.dtype) for a in (root.tokens, root.parents, root.depths, root.logqs, root.scores))
+    arrays[0][0], arrays[1][0] = root.root_token, ROOT_PARENT  # zero is the root's depth, logq and score
+    scores = arrays[-1]
+    offsets = [(0, 1)]
+    contexts = [root.frontier_contexts[0][_context_tail(draft)]]
+    trace: dict[int, float] = {}
+    stage: int | None = None
+    lo, hi = 0, 1
+    for depth in range(1, config.max_depth + 1):
+        slot, token, logq, score, contexts = _layer(draft, contexts, scores[lo:hi], config.top_k, config.beam_width)
+        end = hi + slot.size
+        for array, layer in zip(arrays, (token, lo + slot, depth, logq, score)):
+            array[hi:end] = layer
+        offsets.append((hi, end))
+        lo, hi = hi, end
+        checkpoint = depth - 1
+        if checkpoint in checkpoints:
+            trace[checkpoint] = conf = float(np.exp(score.max()))
+            if not evaluate_gate(conf, config.thresholds[checkpoint]):
+                stage = checkpoint
+                break
+    return DraftTree(*(a[:hi] for a in arrays), offsets, contexts), stage, trace
+
+
+def expand_full(draft: MarkovTableModel, context, config: PruneConfig) -> DraftTree:
+    """The static envelope: ``max_depth`` ungated layers under the beam,
+    reading only the last ``max(draft.order, 1)`` tokens of ``context``."""
+    return _envelope(draft, context, config, ())[0]
+
+
 def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tuple[DraftTree, PruneDecision]:
     """Expand with gates per the pruning policy and pick the stage.
 
@@ -242,23 +269,10 @@ def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tupl
     failed gate the tree reaches ``max_depth`` and the stage is ``None``.
     Only the last ``max(draft.order, 1)`` tokens of ``context`` are read.
     """
-    tree = new_tree(context[-max(draft.order, 1):])
-    checkpoints = set(config.checkpoints)
-    trace: dict[int, float] = {}
-    stage: int | None = None
-    for depth in range(1, config.max_depth + 1):
-        tree = expand_layer(tree, draft, config.top_k, config.beam_width)
-        checkpoint = depth - 1
-        if checkpoint in checkpoints:
-            conf = layer_confidence(tree, depth)
-            trace[checkpoint] = conf
-            if not evaluate_gate(conf, config.thresholds[checkpoint]):
-                stage = checkpoint
-                break
-    retained = select_retained(tree, config.draft_budget(stage))
+    tree, stage, trace = _envelope(draft, context, config, config.checkpoints)
     return tree, PruneDecision(
         stage=stage,
         confidence_trace=trace,
-        retained=retained,
+        retained=select_retained(tree, config.draft_budget(stage)),
         layers_drafted=tree.max_layer,
     )

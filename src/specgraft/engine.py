@@ -18,6 +18,7 @@ from .drafttree import (
     DraftTree,
     PruneConfig,
     PruneDecision,
+    expand_full,
     expand_layer,
     new_tree,
     resolve_stage,
@@ -182,17 +183,6 @@ def _template_for_size(templates: dict[str, StageTemplate], size: int) -> StageT
         if t.declared_size == size:
             return t
     return template_prefix(templates["full"], size, stage=f"prefix{size}")
-
-
-def expand_full(draft: MarkovTableModel, context, prune: PruneConfig) -> DraftTree:
-    """The static envelope: ``max_depth`` gated-free layers under the beam.
-
-    Only the last ``max(draft.order, 1)`` tokens of ``context`` are read.
-    """
-    tree = new_tree(context[-max(draft.order, 1):])
-    for _ in range(prune.max_depth):
-        tree = expand_layer(tree, draft, prune.top_k, prune.beam_width)
-    return tree
 
 
 def build_next_tree(

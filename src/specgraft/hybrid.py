@@ -50,15 +50,6 @@ class HybridTree:
     def children_of(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.parents == i)
 
-    def path_token_sets(self) -> set[tuple[int, ...]]:
-        """Root-exclusive token path of every node, as a set (tree identity)."""
-        paths: list[tuple[int, ...]] = [()] * self.n_nodes
-        out = set()
-        for i in range(1, self.n_nodes):
-            paths[i] = paths[self.parents[i]] + (int(self.tokens[i]),)
-            out.add(paths[i])
-        return out
-
 
 def _canonical_order(tokens: np.ndarray, up: np.ndarray, depths: np.ndarray) -> np.ndarray:
     """Permutation into BFS order with siblings by ascending token.

@@ -104,8 +104,8 @@ class MarkovTableModel:
     index: dict[tuple[int, ...], int]
     rows: np.ndarray
     seed: int = 0
-    # argtop-k of each row, filled lazily per k: {k: (ids, filled mask)}
-    _topk: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+    # top-k of each row, filled lazily per k: {k: (ids, log-probabilities, filled mask)}
+    _topk: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -146,7 +146,7 @@ class MarkovTableModel:
         """Row id of each context tuple (the fallback row for unseen ones)."""
         fallback = self.rows.shape[0] - 1
         get = self.index.get
-        return np.fromiter((get(c, fallback) for c in contexts), dtype=np.intp, count=len(contexts))
+        return np.array([get(c, fallback) for c in contexts], dtype=np.intp)
 
     def next_distribution(self, prefix) -> np.ndarray:
         """Row for the last ``order`` tokens of ``prefix`` (fallback if unseen)."""
@@ -158,23 +158,26 @@ class MarkovTableModel:
     def row_for_context(self, context: tuple[int, ...]) -> np.ndarray:
         return self.rows[self.index.get(context, -1)]
 
-    def argtopk(self, ids: np.ndarray, k: int) -> np.ndarray:
-        """``argtopk(self.rows[ids], k)``, each row sorted once per model.
+    def topk(self, ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``argtopk(self.rows[ids], k)`` and those tokens' log-probabilities
+        (``-inf`` where zero), each row sorted once per model.
 
-        Rows never change, so filling the cache twice writes the same ids;
+        Rows never change, so filling the cache twice writes the same values;
         concurrent callers need no lock.
         """
         cache = self._topk.get(k)
         if cache is None:
             n = self.rows.shape[0]
-            cache = self._topk.setdefault(k, (np.empty((n, k), dtype=np.int32), np.zeros(n, dtype=bool)))
-        top, filled = cache
-        hit = filled[ids]
-        if not hit.all():
+            cache = self._topk.setdefault(k, (np.empty((n, k), np.int32), np.empty((n, k)), np.zeros(n, bool)))
+        top, logq, filled = cache
+        hit = filled.take(ids)
+        if np.count_nonzero(hit) != hit.size:
             todo = ids[~hit]
             top[todo] = argtopk(self.rows[todo], k)
+            with np.errstate(divide="ignore"):
+                logq[todo] = np.log(np.take_along_axis(self.rows[todo], top[todo], axis=1))
             filled[todo] = True
-        return top[ids]
+        return top.take(ids, axis=0), logq.take(ids, axis=0)
 
 
 def _all_contexts(size: int, order: int):

@@ -94,7 +94,7 @@ def update_from_verification(matrix: TransitionMatrix, pairs, target: MarkovTabl
     if tokens.min() < 0 or tokens.max() >= matrix.vocab_size:
         raise InputError("verified token out of range")
     written, last_rev = np.unique(tokens[::-1], return_index=True)
-    matrix.rows[written] = target.argtopk(ids[len(ids) - 1 - last_rev], matrix.k)
+    matrix.rows[written] = target.topk(ids[len(ids) - 1 - last_rev], matrix.k)[0]
     matrix.valid[written] = True
     return matrix
 
@@ -130,9 +130,6 @@ class StageTemplate:
     ranks: np.ndarray  # (n,) int32
     depths: np.ndarray  # (n,) int32
     declared_size: int
-
-    def __len__(self) -> int:
-        return self.declared_size
 
     def node(self, i: int) -> TemplateNode:
         return TemplateNode(int(self.parents[i]), int(self.ranks[i]), int(self.depths[i]))
@@ -324,14 +321,14 @@ def warmup(
     prompts,
     rounds: int,
     config=None,
-    max_new_tokens: int = 128,
 ):
     """Enrich the matrix with ``rounds`` full decode sessions over held-out
     warm-up prompts, one prompt per round (cycling), discarding the text.
 
     Each round visits fresh held-out material, so touched-row storage grows
     with the round count. The transcript carries per-round statistics and
-    the observed checkpoint confidences for threshold calibration.
+    the observed checkpoint confidences for threshold calibration. The
+    sessions run with ``config``, by default a graft ``DecodeConfig``.
     """
     from .engine import DecodeConfig, decode_session  # cycle: engine drives sessions
 
@@ -341,7 +338,7 @@ def warmup(
     if rounds == 0:
         return matrix, transcript
     if config is None:
-        config = DecodeConfig(method="graft", max_new_tokens=max_new_tokens)
+        config = DecodeConfig(method="graft")
     prompts = list(prompts)
     if not prompts:
         raise InputError("warm-up needs at least one prompt")

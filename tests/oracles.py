@@ -150,6 +150,15 @@ def template_walk_realized(template, matrix_rows, matrix_valid, root):
     return realized
 
 
+def branch_tokens(tree, i):
+    """Tokens below the root along the path to node i (i's token last)."""
+    out = []
+    while i != 0:
+        out.append(int(tree.tokens[i]))
+        i = int(tree.parents[i])
+    return out[::-1]
+
+
 def path_token_sets(tokens, parents):
     """Set of root-exclusive token paths of every node."""
     paths = [()] * len(tokens)
@@ -236,3 +245,59 @@ def reference_hybrid(tree, retained, budget, branch=None):
                 if idx is not None:
                     mapping[i] = idx
     return builder.finish()
+
+
+def reference_expand_layer(tree, draft, top_k, beam_width):
+    """One beam layer by the filter-first loop: each frontier row sorted
+    afresh, zero-probability candidates removed, the ``beam_width`` best
+    of the rest kept by a stable sort on score, and the node arrays
+    concatenated onto copies of the tree's."""
+    from specgraft.drafttree import DraftTree
+
+    lo, hi = tree.layer_offsets[-1]
+    tail = slice(-draft.order, None) if draft.order else slice(0, 0)
+    contexts = [c[tail] for c in tree.frontier_contexts]
+    ids = np.array([draft.index.get(c, draft.rows.shape[0] - 1) for c in contexts])
+    top = np.argsort(-draft.rows[ids], axis=1, kind="stable")[:, : min(top_k, draft.vocab.size)].astype(np.int32)
+    k = top.shape[1]
+    cand = np.arange(top.size)
+    cand_p = draft.rows[ids[:, None], top].reshape(-1)
+    keep = np.flatnonzero(cand_p > 0.0)
+    cand, cand_p = cand[keep], cand_p[keep]
+    cand_logq = np.log(cand_p)
+    cand_score = np.repeat(tree.scores[lo:hi], k)[cand] + cand_logq
+    if cand.size > beam_width:
+        best = np.sort(np.argsort(-cand_score, kind="stable")[:beam_width])
+        cand, cand_logq, cand_score = cand[best], cand_logq[best], cand_score[best]
+    slot = cand // k
+    token = top.reshape(-1)[cand]
+    return DraftTree(
+        tokens=np.concatenate([tree.tokens, token]),
+        parents=np.concatenate([tree.parents, (lo + slot).astype(np.int32)]),
+        depths=np.concatenate([tree.depths, np.full(cand.size, len(tree.layer_offsets), dtype=np.int16)]),
+        logqs=np.concatenate([tree.logqs, cand_logq]),
+        scores=np.concatenate([tree.scores, cand_score]),
+        layer_offsets=tree.layer_offsets + [(hi, hi + cand.size)],
+        frontier_contexts=[(contexts[s] + (t,))[tail] for s, t in zip(slot.tolist(), token.tolist())],
+    )
+
+
+def reference_envelope(draft, context, config, gated=True):
+    """The layer-by-layer envelope: ``reference_expand_layer`` looped up to
+    ``max_depth``; when ``gated``, checkpoint d tests the best path
+    probability of layer d+1 against its threshold and the first failure
+    stops. Returns (tree, stage, confidence trace)."""
+    from specgraft.drafttree import new_tree
+
+    tree = new_tree(context[-max(draft.order, 1):])
+    trace, stage = {}, None
+    for depth in range(1, config.max_depth + 1):
+        tree = reference_expand_layer(tree, draft, config.top_k, config.beam_width)
+        checkpoint = depth - 1
+        if gated and checkpoint in config.checkpoints:
+            lo, hi = tree.layer_offsets[-1]
+            trace[checkpoint] = conf = float(np.exp(tree.scores[lo:hi].max()))
+            if not conf > config.thresholds[checkpoint]:
+                stage = checkpoint
+                break
+    return tree, stage, trace

@@ -349,3 +349,58 @@ class TestConfigFuzz:
         assert rc in (0, 2)
         if rc == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["theory", "--trials", "-5"], "--trials"),
+            (["theory", "--trials", "0"], "--trials"),
+            (["--seed", "-1", "theory", "--trials", "3"], "--seed"),
+            (["--seed", "-1", "dump-templates"], "--seed"),
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", str(out), *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+        assert not out.exists()
+
+    def test_negative_seed_override_of_a_config(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("--config", config_path, "--out-dir", str(out), "--seed", "-1", "decode") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--seed" in err
+        assert not out.exists()
+
+
+_ANY_INT = st.integers(-5, 40) | st.integers(-(2**63), 2**63)
+
+
+class TestFlagFuzz:
+    """Any value of ``theory --trials`` (small: trials set the work), ``dump-templates
+    --k`` or ``--seed`` exits 0 or 2 with one error line, never a traceback."""
+
+    @given(
+        st.one_of(
+            st.tuples(st.just("trials"), st.integers(-5, 12)),
+            st.tuples(st.just("k"), _ANY_INT),
+            st.tuples(st.just("seed"), _ANY_INT),
+        )
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_flag(self, tmp_path, capsys, case):
+        flag, value = case
+        argv = {
+            "trials": ["theory", "--trials", str(value)],
+            "k": ["dump-templates", "--k", str(value)],
+            "seed": ["--seed", str(value), "theory", "--trials", "2"],
+        }[flag]
+        capsys.readouterr()
+        rc = run_cli("--out-dir", str(tmp_path / "out"), *argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 2)
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from specgraft.drafttree import (
     PruneConfig,
     evaluate_gate,
+    expand_full,
     expand_layer,
     layer_confidence,
     new_tree,
@@ -14,11 +16,18 @@ from specgraft.drafttree import (
     select_retained,
 )
 from specgraft.errors import ConfigError, InputError, StructureError
-from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft
+from specgraft.models import BYTE_VOCAB, DraftDerivation, VocabSpec, build_markov, derive_draft, tokenize_bytes, train_ngram
 
 from .conftest import table_model
 
-from .oracles import closure_topk_iterative, enumerate_candidates, exhaustive_path_confidence
+from .oracles import (
+    branch_tokens,
+    closure_topk_iterative,
+    enumerate_candidates,
+    exhaustive_path_confidence,
+    reference_envelope,
+    reference_expand_layer,
+)
 
 
 def grow(model, context, depth, top_k, beam):
@@ -48,7 +57,7 @@ class TestExpandLayer:
         cands = enumerate_candidates(draft, context, layer1, top_k=3)
         expect = sorted(cands, key=lambda ps: -ps[1])[:6]
         got = sorted(
-            (tuple(tree.branch_tokens(int(i))), float(tree.scores[i])) for i in tree.layer(2)
+            (tuple(branch_tokens(tree, int(i))), float(tree.scores[i])) for i in tree.layer(2)
         )
         assert sorted((tuple(p), s) for p, s in expect) == pytest.approx(got)
 
@@ -253,6 +262,106 @@ class TestTopKBeyondVocab:
         for depth in (1, 2, 3):
             tree = expand_layer(tree, draft, top_k=9, beam_width=10_000)
             expect = enumerate_candidates(draft, context, frontier, top_k=9)
-            got = [(tree.branch_tokens(int(i)), float(tree.scores[i])) for i in tree.layer(depth)]
+            got = [(branch_tokens(tree, int(i)), float(tree.scores[i])) for i in tree.layer(depth)]
             assert got == expect
             frontier = expect
+
+
+def _envelope_drafts():
+    """Sparse Markov, smoothed and unsmoothed n-gram and dyadic (tied and
+    one-hot rows) drafts at orders 0-3."""
+    corpus = np.random.default_rng(5).integers(0, 6, size=300).tolist()
+    drafts = {}
+    for order in range(4):
+        drafts[f"markov-o{order}"] = build_markov(VocabSpec(7), order, seed=order, sparsity=0.6)
+        drafts[f"markov-dense-o{order}"] = derive_draft(
+            build_markov(VocabSpec(5), order, seed=10 + order), DraftDerivation("uniform-mix", 0.4)
+        )
+        drafts[f"ngram-o{order}"] = train_ngram(VocabSpec(6), corpus, order=order)
+        drafts[f"ngram-smooth-o{order}"] = train_ngram(VocabSpec(6), corpus, order=order, smoothing=0.5)
+        drafts[f"dyadic-o{order}"] = dyadic_model(5, order, seed=order)
+    return drafts
+
+
+def _same_tree(got, expect):
+    for name in ("tokens", "parents", "depths", "logqs", "scores"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.layer_offsets == expect.layer_offsets
+    assert got.frontier_contexts == expect.frontier_contexts
+
+
+def _random_prune(rng, vocab):
+    max_depth = int(rng.integers(1, 7))
+    checkpoints = tuple(sorted(int(d) for d in rng.choice(max_depth, size=rng.integers(0, max_depth + 1), replace=False)))
+    total = int(rng.integers(1, 40))
+    splits = {}
+    for d in checkpoints:
+        kd = int(rng.integers(0, total + 1))
+        splits[d] = (kd, total - kd)
+    return PruneConfig(
+        checkpoints=checkpoints,
+        thresholds={d: float(rng.uniform(0.02, 0.9)) for d in checkpoints},
+        stage_budgets=splits,
+        total_budget=total,
+        top_k=int(rng.choice([1, 2, 3, vocab, vocab + 4])),
+        max_depth=max_depth,
+        beam_width=int(rng.choice([1, 2, 4, 9, 60])),
+    )
+
+
+class TestOnePassEnvelope:
+    """``resolve_stage`` and ``expand_full`` build the tree the layer-by-layer
+    loop builds, array for array, with the same stage, gate confidences and
+    retained set; ``expand_layer`` looped matches it layer by layer."""
+
+    def test_matches_layer_loop(self):
+        rng = np.random.default_rng(2024)
+        stages, masked = set(), 0
+        for name, draft in _envelope_drafts().items():
+            vocab = draft.vocab.size
+            for _ in range(20):
+                config = _random_prune(rng, vocab)
+                context = [int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 5))]
+                tree, decision = resolve_stage(draft, context, config)
+                expect, stage, trace = reference_envelope(draft, context, config)
+                _same_tree(tree, expect)
+                assert (decision.stage, decision.confidence_trace) == (stage, trace), name
+                assert decision.layers_drafted == expect.max_layer
+                assert decision.retained.tolist() == closure_topk_iterative(
+                    expect.scores.tolist(), expect.parents.tolist(), config.draft_budget(stage)
+                )
+                stages.add("none" if stage is None else "first" if stage == config.checkpoints[0] else "later")
+                _same_tree(expand_full(draft, context, config), reference_envelope(draft, context, config, gated=False)[0])
+
+                looped, oracle = new_tree(context), new_tree(context)
+                for _ in range(config.max_depth):
+                    beam = int(rng.integers(1, 12))
+                    looped = expand_layer(looped, draft, config.top_k, beam)
+                    oracle = reference_expand_layer(oracle, draft, config.top_k, beam)
+                    _same_tree(looped, oracle)
+                    k = min(config.top_k, vocab)
+                    lo, hi = oracle.layer_offsets[-2]
+                    # fewer kept than min(beam, candidates): the cut reached -inf candidates
+                    masked += (hi - lo) * k > oracle.n_nodes - hi and oracle.n_nodes - hi < beam
+        assert stages == {"none", "first", "later"}
+        assert masked > 0
+
+    @pytest.mark.parametrize("kind", ["markov64", "bytes-smoothed", "bytes-unsmoothed"])
+    def test_default_config_on_benchmark_sized_drafts(self, kind):
+        if kind == "markov64":
+            target = build_markov(VocabSpec(64), 2, seed=11, sparsity=0.3)
+            contexts = np.random.default_rng(1).integers(0, 64, size=(60, 3)).tolist()
+        else:
+            text = tokenize_bytes((Path(__file__).parent.parent / "configs" / "sample_corpus.txt").read_text())
+            smoothing, order = (0.05, 2) if kind == "bytes-smoothed" else (0.0, 3)
+            target = train_ngram(BYTE_VOCAB, text, order=order, smoothing=smoothing)
+            contexts = [text[i : i + 4] for i in range(0, len(text) - 4, len(text) // 60)]
+        draft = derive_draft(target, DraftDerivation("uniform-mix", 0.4)) if kind != "bytes-unsmoothed" else target
+        config = PruneConfig()
+        for context in contexts:
+            tree, decision = resolve_stage(draft, context, config)
+            expect, stage, trace = reference_envelope(draft, context, config)
+            _same_tree(tree, expect)
+            assert (decision.stage, decision.confidence_trace) == (stage, trace)
+            _same_tree(expand_full(draft, context, config), reference_envelope(draft, context, config, gated=False)[0])

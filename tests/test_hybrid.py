@@ -102,7 +102,7 @@ class TestMerge:
             [0] + [int(t) for t in branch.tokens[branch.realized]],
             _branch_parents(branch),
         )
-        assert merged.path_token_sets() == expect
+        assert path_token_sets(merged.tokens, merged.parents) == expect
 
     def test_root_mismatch_rejected(self):
         _, tree, prune = seeded_setup()
@@ -183,7 +183,7 @@ class TestStaticVariants:
             [kept_oracle.index(int(tree.parents[i])) if i else -1 for i in kept_oracle],
         )
         draft_paths = {
-            p for p in hy.path_token_sets() if _origin_of_path(hy, p) == ORIGIN_DRAFT
+            p for p in path_token_sets(hy.tokens, hy.parents) if _origin_of_path(hy, p) == ORIGIN_DRAFT
         }
         assert draft_paths == expect_paths
 
@@ -195,7 +195,7 @@ class TestStaticVariants:
         branch = instantiate(matrix, builtin_templates(10)["d0"], tree.root_token)
         merged = merge(decision, tree, branch, prune.total_budget)
         dense_paths = path_token_sets(dense.tokens, dense.parents)
-        merged_paths = merged.path_token_sets()
+        merged_paths = path_token_sets(merged.tokens, merged.parents)
         assert merged_paths - dense_paths  # hybrid is not confined to the dense tree
 
     def test_budget_never_exceeded(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from specgraft.engine import DecodeConfig
 from specgraft.errors import ConfigError, InputError, StructureError
-from specgraft.models import VocabSpec, build_markov, train_ngram
+from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft, train_ngram
 from specgraft.cli import main
 from specgraft.retrieval import (
     MAGIC,
@@ -160,20 +160,43 @@ class TestLookupAndUpdate:
         assert any(len(set(row.tolist())) < model.vocab.size for row in model.rows)
         for k in (1, 3, model.vocab.size):
             for batch in (ids[::-1], ids[::2], ids):  # fill part, then hit and fill the rest
-                cached = model.argtopk(batch, k)
+                cached, logq = model.topk(batch, k)
                 assert cached.dtype == np.int32
                 assert [r.tolist() for r in cached] == [argtopk(model.rows[i], k).tolist() for i in batch]
+                with np.errstate(divide="ignore"):
+                    assert np.array_equal(logq, np.log(model.rows[batch[:, None], cached]))
+
+    def test_topk_cache_is_per_model_instance(self):
+        ids = np.arange(9)
+        for seed in range(30):
+            # built in a row, the second model may reuse the first one's id()
+            first = build_markov(VocabSpec(8), 1, seed=seed, sparsity=0.5)
+            first.topk(ids, 3)
+            del first
+            model = build_markov(VocabSpec(8), 1, seed=seed + 1000, sparsity=0.5)
+            top, logq = model.topk(ids, 3)
+            assert np.array_equal(top, argtopk(model.rows, 3))
+            with np.errstate(divide="ignore"):
+                assert np.array_equal(logq, np.log(np.take_along_axis(model.rows, top, axis=1)))
+            # a derived draft is a new instance with its own cache
+            draft = derive_draft(model, DraftDerivation("uniform-mix", 0.5))
+            top, logq = draft.topk(ids, 3)
+            assert np.array_equal(top, argtopk(draft.rows, 3))
+            assert np.array_equal(logq, np.log(np.take_along_axis(draft.rows, top, axis=1)))
 
     def test_argtopk_cache_fill_is_thread_safe(self):
         model = build_markov(VocabSpec(16), 2, seed=3, sparsity=0.3)
         expect = argtopk(model.rows, 4)
+        with np.errstate(divide="ignore"):
+            expect_logq = np.log(np.take_along_axis(model.rows, expect, axis=1))
         rng = np.random.default_rng(0)
         batches = [rng.integers(0, model.rows.shape[0], size=40) for _ in range(400)]
         wrong = []
 
         def worker(start):
             for ids in batches[start::8]:
-                if not np.array_equal(model.argtopk(ids, 4), expect[ids]):
+                top, logq = model.topk(ids, 4)
+                if not (np.array_equal(top, expect[ids]) and np.array_equal(logq, expect_logq[ids])):
                     wrong.append(ids)
 
         interval = sys.getswitchinterval()
