@@ -29,7 +29,6 @@ from .hybrid import (
     HybridTree,
     VerificationPackage,
     flatten,
-    insert_root_variant,
     insert_tail_variant,
     merge,
     render_tree,

@@ -332,9 +332,8 @@ def cmd_dump_templates(args) -> int:
         print(f"{name}: nodes={t.declared_size} depths={counts}")
         assert tuple(t.depth_counts()) == TEMPLATE_DEPTH_COUNTS[name]
         if args.full:
-            for i in range(t.declared_size):
-                node = t.node(i)
-                print(f"  {i:3d} parent={node.parent:3d} depth={node.depth} rank={node.rank} path={t.rank_path(i)}")
+            for i, (parent, depth, rank) in enumerate(zip(t.parents.tolist(), t.depths.tolist(), t.ranks.tolist())):
+                print(f"  {i:3d} parent={parent:3d} depth={depth} rank={rank} path={t.rank_path(i)}")
     return 0
 
 
@@ -347,6 +346,8 @@ def cmd_matrix(args) -> int:
         print(f"saved {path} rows_touched={matrix.touched_rows()}")
         return 0
     if args.action == "load":
+        if not args.path:
+            raise InputError("matrix load needs --path")
         matrix = load_matrix(args.path)
         print(f"loaded vocab={matrix.vocab_size} k={matrix.k} rows_touched={matrix.touched_rows()}")
         return 0

@@ -261,12 +261,16 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     cost = CostModel(**sections["cost"])
 
     decode_cfg, warm, matrix_cfg, ablation_cfg = (sections[s] for s in ("decode", "warmup", "matrix", "ablation"))
-    seed = overrides.get("seed", decode_cfg.get("seed", 0))
+    seed = decode_cfg.get("seed", 0)
+    if "seed" in overrides:
+        seed = _RULES["decode"]["seed"]("decode.seed", overrides["seed"])
+    if "method" in overrides:
+        method = _text("method", overrides["method"])
     end_token = decode_cfg.get("end_token")
     if end_token is not None:
         _in_vocab("decode.end_token", [end_token], vocab)
     decode = DecodeConfig(
-        method=overrides.get("method", method),
+        method=method,
         prune=prune,
         k=matrix_cfg.get("k", 10),
         max_new_tokens=decode_cfg.get("max_new_tokens", 128),
@@ -286,6 +290,8 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     seeds = ablation_cfg.get("seeds")
     if seeds is None:
         seeds = list(range(ablation_cfg.get("n_seeds", 8)))
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"ablation.seeds must not repeat a seed, got {seeds}")
 
     matrix_load = matrix_cfg.get("load")
     if matrix_load:

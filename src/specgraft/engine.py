@@ -15,9 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .drafttree import (
-    DraftTree,
     PruneConfig,
-    PruneDecision,
     expand_full,
     expand_layer,
     new_tree,
@@ -33,7 +31,6 @@ from .hybrid import (
     _Builder,
     draft_only,
     flatten,
-    insert_root_variant,
     insert_tail_variant,
     merge,
 )
@@ -43,7 +40,6 @@ from .retrieval import (
     StageTemplate,
     TransitionMatrix,
     builtin_templates,
-    empty_branch,
     filter_template,
     instantiate,
     new_matrix,
@@ -195,30 +191,8 @@ def build_next_tree(
     """Next candidate tree for the configured method, plus build metadata."""
     prune = config.prune
     method = config.method
-    root = int(committed[-1])
-
-    if method in ("dense", "graft_root", "graft_tail", "fixed_split"):
-        tree = expand_full(draft, committed, prune)
-        info = {"stage": stage_label(None), "layers_drafted": prune.max_depth, "confidence_trace": {}}
-        if method == "dense":
-            hy = draft_only(tree, select_retained(tree, prune.total_budget), prune.total_budget)
-        elif method == "graft_root":
-            template = _template_for_size(templates, config.root_branch_size)
-            branch = instantiate(matrix, template, root)
-            hy = insert_root_variant(tree, branch, prune.total_budget)
-            info["declared"] = template.declared_size
-            info["realized"] = branch.realized_count
-        elif method == "graft_tail":
-            hy = insert_tail_variant(tree, matrix, prune.total_budget, config.tail_chain_len)
-        else:  # fixed_split
-            kd, kr = config.fixed_split
-            template = _template_for_size(templates, kr)
-            branch = instantiate(matrix, template, root)
-            hy = merge(_fixed_decision(tree, kd, prune.max_depth), tree, branch, prune.total_budget)
-            info["declared"] = template.declared_size
-            info["realized"] = branch.realized_count
-        return hy, info
-
+    budget = prune.total_budget
+    template = None
     if method in ("prune_only", "graft"):
         tree, decision = resolve_stage(draft, committed, prune)
         info = {
@@ -226,26 +200,33 @@ def build_next_tree(
             "layers_drafted": decision.layers_drafted,
             "confidence_trace": {str(d): c for d, c in decision.confidence_trace.items()},
         }
-        if method == "prune_only" or decision.stage is None:
-            hy = draft_only(tree, decision.retained, prune.total_budget)
-        else:
+        retained = decision.retained
+        if method == "graft" and decision.stage is not None:
             template = templates[stage_label(decision.stage)]
-            branch = instantiate(matrix, template, root)
-            hy = merge(decision, tree, branch, prune.total_budget)
-            info["declared"] = template.declared_size
-            info["realized"] = branch.realized_count
-        return hy, info
+    elif method in TREE_METHODS:
+        tree = expand_full(draft, committed, prune)
+        info = {"stage": stage_label(None), "layers_drafted": prune.max_depth, "confidence_trace": {}}
+        if method == "graft_tail":
+            return insert_tail_variant(tree, matrix, budget, config.tail_chain_len), info
+        if method == "dense":
+            retained = select_retained(tree, budget)
+        elif method == "fixed_split":
+            retained = select_retained(tree, config.fixed_split[0])
+            template = _template_for_size(templates, config.fixed_split[1])
+        else:  # graft_root: the realized branch evicts draft nodes, below
+            retained = None
+            template = _template_for_size(templates, config.root_branch_size)
+    else:
+        raise ConfigError(f"method {method!r} does not build trees")
 
-    raise ConfigError(f"method {method!r} does not build trees")
-
-
-def _fixed_decision(tree: DraftTree, k_draft: int, layers: int) -> PruneDecision:
-    return PruneDecision(
-        stage=None,
-        confidence_trace={},
-        retained=select_retained(tree, k_draft),
-        layers_drafted=layers,
-    )
+    if template is None:
+        return draft_only(tree, retained, budget), info
+    branch = instantiate(matrix, template, int(committed[-1]))
+    if retained is None:
+        retained = select_retained(tree, max(budget - branch.realized_count, 0))
+    info["declared"] = template.declared_size
+    info["realized"] = branch.realized_count
+    return merge(tree, retained, branch, budget), info
 
 
 def coverage_gain(root_dist: np.ndarray, draft_tokens, retrieved_tokens) -> float:
@@ -279,24 +260,14 @@ def _dense_union_replay(
 
     The union keeps the method tree a subset of the replay tree, so replay
     acceptance is a per-step upper bound (subset monotonicity); nothing
-    from the replay is ever committed.
+    from the replay is ever committed. Method-tree nodes enter as retrieved
+    nodes: greedy verification reads no origin label.
     """
     prune = config.prune
     tree = expand_full(draft, committed, prune)
-    retained = select_retained(tree, prune.total_budget)
-    builder = _Builder(tree, retained, prune.total_budget + method_tree.n_candidates)
-    mmap = [0]
-    for parent, token, origin, logq in zip(
-        method_tree.parents[1:].tolist(),
-        method_tree.tokens[1:].tolist(),
-        method_tree.origin[1:].tolist(),
-        method_tree.logqs[1:].tolist(),
-    ):
-        mmap.append(builder.add(mmap[parent], token, origin, logq))
-    union = builder.finish()
-    package = flatten(union, len(committed) - 1)
-    outcome = verify_greedy(target, committed, package)
-    return outcome.accepted_len
+    builder = _Builder(tree, select_retained(tree, prune.total_budget), prune.total_budget + method_tree.n_candidates)
+    builder.graft(0, method_tree.parents[1:] - 1, method_tree.tokens[1:])
+    return verify_greedy(target, committed, flatten(builder.finish(), len(committed) - 1)).accepted_len
 
 
 def decode_session(
@@ -560,11 +531,11 @@ def theory_checks(
     for _ in range(n_graft):
         target, _, prefix, tree, matrix = _random_instance(rng, with_matrix=True)
         limit = int(rng.integers(1, max(tree.n_nodes - 1, 2)))
-        decision = _fixed_decision(tree, limit, tree.max_layer)
-        pruned = draft_only(tree, decision.retained, tree.n_nodes + 32)
+        retained = select_retained(tree, limit)
+        pruned = draft_only(tree, retained, tree.n_nodes + 32)
         tmpl = template_prefix(_SMALL_TEMPLATE, int(rng.integers(0, 12)), stage="rand")
-        branch = instantiate(matrix, tmpl, tree.root_token) if tmpl.declared_size else empty_branch(tree.root_token)
-        grafted = merge(decision, tree, branch, tree.n_nodes + 32)
+        branch = instantiate(matrix, tmpl, tree.root_token)
+        grafted = merge(tree, retained, branch, tree.n_nodes + 32)
         l_pruned = verify_greedy(target, prefix, flatten(pruned, len(prefix) - 1)).accepted_len
         l_grafted = verify_greedy(target, prefix, flatten(grafted, len(prefix) - 1)).accepted_len
         if l_grafted < l_pruned:

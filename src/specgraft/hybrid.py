@@ -7,15 +7,16 @@ the root (last committed token) is index 0 and free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .drafttree import DraftTree, PruneDecision, select_retained
+from .drafttree import DraftTree, select_retained
 from .errors import StructureError
 from .models import VocabSpec
-from .retrieval import RetrievedBranch, TransitionMatrix
+from .retrieval import COLD, RetrievedBranch, StageTemplate, TransitionMatrix, instantiate
 
 ORIGIN_DRAFT = 0
 ORIGIN_RETRIEVED = 1
@@ -78,7 +79,7 @@ class _Builder:
 
     It starts from a parent-closed subset of a draft or hybrid tree, copied
     in bulk: those nodes are distinct (parent, token) pairs already.
-    ``add`` then inserts single nodes, deduping (parent, token) pairs
+    ``graft`` then adds retrieved nodes, deduping (parent, token) pairs
     against every node present and holding the budget.
     """
 
@@ -101,33 +102,34 @@ class _Builder:
             origin = np.full(kept.size, ORIGIN_DRAFT, dtype=np.int8)
         self.budget = budget
         self.nodes = (tree.tokens[kept], parents, tree.depths[kept], origin, tree.logqs[kept])
-        self.child_map: dict[tuple[int, int], int] | None = None
 
-    def n_candidates(self) -> int:
-        return len(self.nodes[0]) - 1
+    def graft(self, at: int, parents: np.ndarray, tokens: np.ndarray) -> None:
+        """Add a parent-before-child node list below builder node ``at``.
 
-    def add(self, parent: int, token: int, origin: int, logq: float) -> int | None:
-        """Insert or dedup; returns the node index, or None if out of budget."""
-        if self.child_map is None:
-            # from the first insertion on, the nodes are kept as lists
-            self.nodes = tuple(a.tolist() for a in self.nodes)
-            tokens, parents = self.nodes[:2]
-            self.child_map = dict(zip(zip(parents[1:], tokens[1:]), range(1, len(tokens))))
-        key = (parent, int(token))
-        existing = self.child_map.get(key)
-        if existing is not None:
-            return existing
-        if self.n_candidates() >= self.budget:
-            return None
-        tokens, parents, depths, origins, logqs = self.nodes
-        idx = len(tokens)
-        tokens.append(key[1])
-        parents.append(parent)
-        depths.append(depths[parent] + 1)
-        origins.append(origin)
-        logqs.append(logq)
-        self.child_map[key] = idx
-        return idx
+        ``parents[i]`` indexes an earlier entry of the list, -1 meaning
+        ``at``. A node whose (parent, token) pair is present already is
+        merged into that node, so its children attach there. A ``COLD``
+        token, a new pair once the budget is full, or a dropped parent
+        drops the node, and with it its subtree.
+        """
+        node_tokens, node_parents, depths, origin, logqs = self.nodes = tuple(
+            np.asarray(a).tolist() for a in self.nodes
+        )
+        present = dict(zip(zip(node_parents[1:], node_tokens[1:]), range(1, len(node_tokens))))
+        slots: list[int | None] = []  # builder index of each list entry; None when dropped
+        for parent, token in zip(parents.tolist(), tokens.tolist()):
+            parent = at if parent < 0 else slots[parent]
+            slot = None
+            if token != COLD and parent is not None:
+                slot = present.get((parent, token))
+                if slot is None and len(node_tokens) - 1 < self.budget:
+                    slot = present[parent, token] = len(node_tokens)
+                    node_tokens.append(token)
+                    node_parents.append(parent)
+                    depths.append(depths[parent] + 1)
+                    origin.append(ORIGIN_RETRIEVED)
+                    logqs.append(math.nan)
+            slots.append(slot)
 
     def finish(self) -> HybridTree:
         tokens, parents, depths, origin, logqs = (
@@ -148,24 +150,7 @@ class _Builder:
         )
 
 
-def _graft_branch(builder: _Builder, branch: RetrievedBranch) -> None:
-    mapping = {-1: 0}
-    t = branch.template
-    realized = branch.realized.tolist()
-    tokens = branch.tokens.tolist()
-    nan = float("nan")
-    for i, parent in enumerate(t.parents[: t.declared_size].tolist()):
-        if not realized[i]:
-            continue
-        parent = mapping.get(parent)
-        if parent is None:
-            continue  # ancestor fell out of budget
-        idx = builder.add(parent, tokens[i], ORIGIN_RETRIEVED, nan)
-        if idx is not None:
-            mapping[i] = idx
-
-
-def merge(decision: PruneDecision, tree: DraftTree, branch: RetrievedBranch, budget: int) -> HybridTree:
+def merge(tree: DraftTree, retained: np.ndarray, branch: RetrievedBranch, budget: int) -> HybridTree:
     """Retained draft nodes plus the branch grafted at the root.
 
     Duplicate (parent, token) pairs keep the draft node; the retrieved
@@ -175,8 +160,8 @@ def merge(decision: PruneDecision, tree: DraftTree, branch: RetrievedBranch, bud
         raise StructureError(
             f"branch rooted at {branch.root_token} cannot graft onto root {tree.root_token}"
         )
-    builder = _Builder(tree, decision.retained, budget)
-    _graft_branch(builder, branch)
+    builder = _Builder(tree, retained, budget)
+    builder.graft(0, branch.template.parents, branch.tokens)
     return builder.finish()
 
 
@@ -184,24 +169,11 @@ def draft_only(tree: DraftTree, retained: np.ndarray, budget: int) -> HybridTree
     return _Builder(tree, retained, budget).finish()
 
 
-def insert_root_variant(tree: DraftTree, branch: RetrievedBranch, budget: int) -> HybridTree:
-    """Static-tree baseline: branch competes with draft candidates at the root.
-
-    Draft nodes are evicted lowest-cumulative-score-first (closure kept) to
-    make room for the whole realized branch inside one budget.
-    """
-    keep = max(budget - branch.realized_count, 0)
-    builder = _Builder(tree, select_retained(tree, keep), budget)
-    _graft_branch(builder, branch)
-    return builder.finish()
-
-
 def insert_tail_variant(tree: DraftTree, matrix: TransitionMatrix, budget: int, chain_len: int) -> HybridTree:
     """Static-tree baseline: a rank-0 chain appended after the deepest
     highest-score retained leaf, evicting lowest-score draft nodes to fit.
     """
-    keep = max(budget - chain_len, 0)
-    retained = select_retained(tree, keep)
+    retained = select_retained(tree, max(budget - chain_len, 0))
     builder = _Builder(tree, retained, budget)
 
     has_child = np.zeros(tree.n_nodes, dtype=bool)
@@ -210,16 +182,15 @@ def insert_tail_variant(tree: DraftTree, matrix: TransitionMatrix, budget: int, 
     # deepest first, then best score, then lowest index
     anchor = int(leaves[np.lexsort((leaves, -tree.scores[leaves], -tree.depths[leaves]))[0]])
 
-    cur_token = int(tree.tokens[anchor])
-    cur_idx = int(builder.slot[anchor])
-    for _ in range(chain_len):
-        if matrix.k == 0 or not matrix.valid[cur_token, 0]:
-            break
-        nxt = int(matrix.rows[cur_token, 0])
-        idx = builder.add(cur_idx, nxt, ORIGIN_RETRIEVED, float("nan"))
-        if idx is None:
-            break
-        cur_idx, cur_token = idx, nxt
+    chain = StageTemplate(
+        stage="chain",
+        parents=np.arange(-1, chain_len - 1, dtype=np.int32),
+        ranks=np.zeros(chain_len, dtype=np.int32),
+        depths=np.arange(1, chain_len + 1, dtype=np.int32),
+        declared_size=chain_len,
+    )
+    branch = instantiate(matrix, chain, int(tree.tokens[anchor]))
+    builder.graft(int(builder.slot[anchor]), chain.parents, branch.tokens)
     return builder.finish()
 
 

@@ -114,13 +114,6 @@ def touched_bytes(matrix: TransitionMatrix) -> int:
 # templates
 
 
-@dataclass(frozen=True)
-class TemplateNode:
-    parent: int  # template index, -1 for the root
-    rank: int
-    depth: int
-
-
 @dataclass
 class StageTemplate:
     """Static rank-path topology, breadth-first, root excluded."""
@@ -130,9 +123,6 @@ class StageTemplate:
     ranks: np.ndarray  # (n,) int32
     depths: np.ndarray  # (n,) int32
     declared_size: int
-
-    def node(self, i: int) -> TemplateNode:
-        return TemplateNode(int(self.parents[i]), int(self.ranks[i]), int(self.depths[i]))
 
     def depth_counts(self) -> list[int]:
         n_depths = int(self.depths.max()) if self.declared_size else 0
@@ -260,19 +250,22 @@ def template_prefix(template: StageTemplate, size: int, stage: str | None = None
 class RetrievedBranch:
     """Template instantiated against the matrix from a root token.
 
-    ``tokens[i]`` is valid only where ``realized[i]``; a node is realized
-    iff its parent is realized and the parent row has a valid entry at the
-    node's rank.
+    ``tokens[i]`` is ``COLD`` where node i is not realized; a node is
+    realized iff its parent is realized and the parent row has a valid
+    entry at the node's rank.
     """
 
     template: StageTemplate
     root_token: int
     tokens: np.ndarray
-    realized: np.ndarray
+
+    @property
+    def realized(self) -> np.ndarray:
+        return self.tokens != COLD
 
     @property
     def realized_count(self) -> int:
-        return int(self.realized.sum())
+        return int(np.count_nonzero(self.tokens != COLD))
 
 
 def instantiate(matrix: TransitionMatrix, template: StageTemplate, root: int) -> RetrievedBranch:
@@ -280,34 +273,12 @@ def instantiate(matrix: TransitionMatrix, template: StageTemplate, root: int) ->
     if not 0 <= root < matrix.vocab_size:
         raise InputError(f"root token {root} out of range")
     n = template.declared_size
-    tokens = np.full(n, COLD, dtype=np.int32)
-    realized = np.zeros(n, dtype=bool)
-    for i in range(n):
-        p = int(template.parents[i])
-        rank = int(template.ranks[i])
-        if rank >= matrix.k:
-            continue
-        if p < 0:
-            parent_token = root
-        elif realized[p]:
-            parent_token = int(tokens[p])
-        else:
-            continue
-        if matrix.valid[parent_token, rank]:
-            tokens[i] = matrix.rows[parent_token, rank]
-            realized[i] = True
-    return RetrievedBranch(template=template, root_token=int(root), tokens=tokens, realized=realized)
-
-
-def empty_branch(root: int) -> RetrievedBranch:
-    t = StageTemplate(
-        stage="empty",
-        parents=np.empty(0, dtype=np.int32),
-        ranks=np.empty(0, dtype=np.int32),
-        depths=np.empty(0, dtype=np.int32),
-        declared_size=0,
-    )
-    return RetrievedBranch(template=t, root_token=int(root), tokens=np.empty(0, dtype=np.int32), realized=np.zeros(0, dtype=bool))
+    tokens = [COLD] * n
+    for i, (p, rank) in enumerate(zip(template.parents[:n].tolist(), template.ranks[:n].tolist())):
+        parent_token = root if p < 0 else tokens[p]
+        if parent_token != COLD and rank < matrix.k and matrix.valid[parent_token, rank]:
+            tokens[i] = int(matrix.rows[parent_token, rank])
+    return RetrievedBranch(template=template, root_token=int(root), tokens=np.array(tokens, dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------

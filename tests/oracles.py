@@ -227,14 +227,21 @@ class ReferenceBuilder:
         )
 
 
-def reference_hybrid(tree, retained, budget, branch=None):
-    """Retained draft nodes added one by one, then the branch's realized
-    nodes grafted at the root (origin 1, logq NaN)."""
+def reference_draft_builder(tree, retained, budget):
+    """A ReferenceBuilder holding the retained draft nodes, and the builder
+    index of each."""
     builder = ReferenceBuilder(int(tree.tokens[0]), budget)
     mapping = {0: 0}
     for i in sorted(int(i) for i in retained):
         if i:
             mapping[i] = builder.add(mapping[int(tree.parents[i])], int(tree.tokens[i]), 0, float(tree.logqs[i]))
+    return builder, mapping
+
+
+def reference_hybrid(tree, retained, budget, branch=None):
+    """Retained draft nodes added one by one, then the branch's realized
+    nodes grafted at the root (origin 1, logq NaN)."""
+    builder, _ = reference_draft_builder(tree, retained, budget)
     if branch is not None:
         mapping = {-1: 0}
         template = branch.template
@@ -244,6 +251,24 @@ def reference_hybrid(tree, retained, budget, branch=None):
                 idx = builder.add(parent, int(branch.tokens[i]), 1, float("nan"))
                 if idx is not None:
                     mapping[i] = idx
+    return builder.finish()
+
+
+def reference_tail(tree, retained, budget, matrix, chain_len):
+    """Retained draft nodes, then the rank-0 successor chain walked from the
+    deepest, best-scoring, lowest-index retained leaf until a cold slot,
+    the budget or ``chain_len`` stops it (origin 1, logq NaN)."""
+    builder, mapping = reference_draft_builder(tree, retained, budget)
+    inner = {int(tree.parents[i]) for i in mapping if i}
+    anchor = min((i for i in mapping if i not in inner), key=lambda i: (-int(tree.depths[i]), -float(tree.scores[i]), i))
+    node, token = mapping[anchor], int(tree.tokens[anchor])
+    for _ in range(chain_len):
+        if matrix.k == 0 or not matrix.valid[token, 0]:
+            break
+        token = int(matrix.rows[token, 0])
+        node = builder.add(node, token, 1, float("nan"))
+        if node is None:
+            break
     return builder.finish()
 
 

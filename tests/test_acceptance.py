@@ -89,9 +89,7 @@ def tiny_instance(i):
 
         template = template_prefix(template_from_depth_counts("tiny", (2, 1)), 3, stage="tiny")
         branch = instantiate(matrix, template, tree.root_token)
-        from specgraft.drafttree import PruneDecision
-
-        hy = merge(PruneDecision(0, {}, retained, 1), tree, branch, 9)
+        hy = merge(tree, retained, branch, 9)
     else:
         hy = draft_only(tree, retained, 9)
     return target, prefix, flatten(hy, len(prefix) - 1)

@@ -71,6 +71,14 @@ class TestConfigLoading:
         assert run.decode.method == "prune_only"
         assert run.decode.seed == 7
 
+    @pytest.mark.parametrize(
+        "overrides,name",
+        [({"seed": -1}, "decode.seed"), ({"seed": "7"}, "decode.seed"), ({"method": 3}, "method")],
+    )
+    def test_bad_override_names_its_key(self, config_path, overrides, name):
+        with pytest.raises(ConfigError, match=rf"^{name} must be"):
+            load_run_config(config_path, overrides=overrides)
+
 
 class TestDecodeCommand:
     def test_writes_reports_and_validates(self, config_path, tmp_path):
@@ -158,6 +166,13 @@ class TestOtherCommands:
         assert run_cli("matrix", "stats", "--path", snap) == 0
         stats = capsys.readouterr().out
         assert "dense_bytes=" in stats and "touched_bytes=" in stats
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_matrix_load_without_path_exits_2(self, config_path, capsys, with_config):
+        argv = ["--config", config_path] if with_config else []
+        assert run_cli(*argv, "matrix", "load") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--path" in err
 
     def test_matrix_stats_fresh_is_untouched(self, config_path, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_DOC))
@@ -256,6 +271,7 @@ BAD_VALUES = [
     ("prune", "thresholds", [0.1]),
     ("prune", "stage_budgets", {0: 5}),
     ("ablation", "seeds", 3),
+    ("ablation", "seeds", [1, 1, 2]),
     ("calibration", "grid", [0.1]),
     ("warmup", "derive", [1]),
     ("prune", "beam_width", -3),

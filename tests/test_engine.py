@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from specgraft.drafttree import PruneConfig, resolve_stage
+from specgraft.drafttree import PruneConfig, expand_full, resolve_stage
 from specgraft.engine import (
+    TREE_METHODS,
     AblationFixture,
     CostModel,
     DecodeConfig,
@@ -23,7 +24,7 @@ from specgraft.retrieval import builtin_templates, new_matrix, update_row, warmu
 from specgraft.verify import node_distributions
 
 from .conftest import table_model
-from .oracles import ar_greedy
+from .oracles import ar_greedy, closure_topk_iterative, greedy_chain_walk, reference_draft_builder
 from .test_retrieval import full_matrix
 
 
@@ -268,6 +269,29 @@ class TestMetrics:
             assert step["replay_accepted_len"] >= step["accepted_len"]
         for stage, eps in report.overpruning_rate_estimates.items():
             assert 0.0 <= eps <= 1.0
+
+
+    @pytest.mark.parametrize("method", TREE_METHODS)
+    def test_dense_replay_verifies_the_reference_union(self, method):
+        target, draft = seeded_pair(seed=37, strength=0.6)
+        cfg = DecodeConfig(method=method, max_new_tokens=60, dense_replay=True)
+        trees = []
+        prompt = [2, 9]
+        _, report = decode_session(cfg, target, draft, new_matrix(24, 10), prompt, lambda _, hy: trees.append(hy))
+        budget = cfg.prune.total_budget
+        committed = list(prompt)
+        for step, hy in zip(report.steps, trees):
+            dense = expand_full(draft, committed, cfg.prune)
+            retained = closure_topk_iterative(dense.scores.tolist(), dense.parents.tolist(), budget)
+            builder, _ = reference_draft_builder(dense, retained, budget + hy.n_candidates)
+            slots = [0]
+            for parent, token in zip(hy.parents[1:].tolist(), hy.tokens[1:].tolist()):
+                slots.append(builder.add(slots[parent], token, 1, float("nan")))
+            tokens, parents = builder.finish()[:2]
+            assert step["replay_accepted_len"] == greedy_chain_walk(target, committed, tokens, parents)
+            committed += step["emitted"]
+        if method not in ("dense", "prune_only"):
+            assert any(step["n_retrieved"] for step in report.steps)
 
 
 class TestCalibrate:

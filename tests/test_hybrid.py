@@ -3,24 +3,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgraft.drafttree import PruneConfig, PruneDecision, expand_layer, new_tree, resolve_stage, select_retained
+from specgraft.drafttree import PruneConfig, expand_layer, new_tree, resolve_stage, select_retained
 from specgraft.engine import expand_full
-from specgraft.errors import StructureError
+from specgraft.errors import ConfigError, StructureError
 from specgraft.hybrid import (
     ORIGIN_DRAFT,
     ORIGIN_RETRIEVED,
+    _Builder,
     draft_only,
     flatten,
-    insert_root_variant,
     insert_tail_variant,
     merge,
     render_tree,
 )
 from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft
-from specgraft.retrieval import builtin_templates, empty_branch, instantiate, new_matrix, template_prefix
+from specgraft.retrieval import (
+    COLD,
+    builtin_templates,
+    instantiate,
+    new_matrix,
+    template_from_depth_counts,
+    template_prefix,
+)
 
 from .conftest import table_model
-from .oracles import closure_topk_iterative, path_token_sets, reference_hybrid
+from .oracles import (
+    closure_topk_iterative,
+    path_token_sets,
+    reference_hybrid,
+    reference_tail,
+    template_walk_realized,
+)
 from .test_retrieval import full_matrix
 
 
@@ -31,12 +44,23 @@ def seeded_setup(vocab=64, seed=42, prefix=(3,), prune=None):
     return target, tree, prune
 
 
+def size_zero_branch(root):
+    """A branch instantiated from a size-0 template."""
+    return instantiate(new_matrix(64, 10), template_prefix(builtin_templates(10)["d5"], 0, stage="empty"), root)
+
+
+def root_variant(tree, branch, budget):
+    """The graft_root baseline: the realized branch evicts the lowest-score
+    draft nodes, then is grafted at the root."""
+    return merge(tree, select_retained(tree, max(budget - branch.realized_count, 0)), branch, budget)
+
+
 class TestMerge:
-    def test_empty_branch_is_identity(self):
+    def test_size_zero_branch_is_identity(self):
         _, tree, prune = seeded_setup()
         _, decision = resolve_stage(build_markov(VocabSpec(64), 1, seed=42), [3], prune)
         base = draft_only(tree, decision.retained, prune.total_budget)
-        merged = merge(decision, tree, empty_branch(tree.root_token), prune.total_budget)
+        merged = merge(tree, decision.retained, size_zero_branch(tree.root_token), prune.total_budget)
         assert np.array_equal(base.tokens, merged.tokens)
         assert np.array_equal(base.parents, merged.parents)
 
@@ -58,7 +82,7 @@ class TestMerge:
         assert decision.stage == 0 and len(decision.retained) == 9
         matrix = full_matrix(64, 10, shift=32)
         branch = instantiate(matrix, builtin_templates(10)["d0"], tree.root_token)
-        merged = merge(decision, tree, branch, prune.total_budget)
+        merged = merge(tree, decision.retained, branch, prune.total_budget)
         n_draft, n_retrieved = merged.counts_by_origin()
         assert (n_draft, n_retrieved) == (8, 52)
         assert merged.n_candidates == 60
@@ -85,10 +109,7 @@ class TestMerge:
         from specgraft.retrieval import template_prefix
 
         branch = instantiate(matrix, template_prefix(template, 5), 0)
-        from specgraft.drafttree import PruneDecision
-
-        decision = PruneDecision(0, {}, np.array([0, 1]), 1)
-        merged = merge(decision, tree, branch, 60)
+        merged = merge(tree, np.array([0, 1]), branch, 60)
         # exactly one child with token 7 under the root, tagged draft
         root_kids = merged.children_of(0)
         sevens = [i for i in root_kids if merged.tokens[i] == 7]
@@ -104,16 +125,24 @@ class TestMerge:
         )
         assert path_token_sets(merged.tokens, merged.parents) == expect
 
+    def test_graft_drops_the_subtree_of_a_dropped_node(self):
+        builder = _Builder(new_tree([0]), [], budget=3)
+        # a cold node and its child; a chain that runs past the budget; a
+        # repeat of the chain's head, merged, whose new child is dropped
+        parents = np.array([-1, 0, -1, 2, 3, 4, -1, 6, 7], dtype=np.int32)
+        tokens = np.array([COLD, 5, 1, 2, 3, 4, 1, 2, 9], dtype=np.int32)
+        builder.graft(0, parents, tokens)
+        hy = builder.finish()
+        assert hy.tokens.tolist() == [0, 1, 2, 3]
+        assert hy.parents.tolist() == [-1, 0, 1, 2]
+        assert hy.origin.tolist() == [ORIGIN_DRAFT] + [ORIGIN_RETRIEVED] * 3
+
     def test_root_mismatch_rejected(self):
         _, tree, prune = seeded_setup()
         matrix = full_matrix(64, 10)
         branch = instantiate(matrix, builtin_templates(10)["d5"], root=(tree.root_token + 1) % 64)
-        decision_retained = select_retained(tree, 10)
-        from specgraft.drafttree import PruneDecision
-
-        decision = PruneDecision(5, {}, decision_retained, 6)
         with pytest.raises(StructureError):
-            merge(decision, tree, branch, prune.total_budget)
+            merge(tree, select_retained(tree, 10), branch, prune.total_budget)
 
 
 def _branch_parents(branch):
@@ -153,10 +182,10 @@ class TestFlatten:
 
 
 class TestStaticVariants:
-    def test_root_with_empty_branch_unchanged(self):
+    def test_root_with_size_zero_branch_unchanged(self):
         _, tree, prune = seeded_setup(seed=21)
         dense = draft_only(tree, select_retained(tree, prune.total_budget), prune.total_budget)
-        rooted = insert_root_variant(tree, empty_branch(tree.root_token), prune.total_budget)
+        rooted = root_variant(tree, size_zero_branch(tree.root_token), prune.total_budget)
         assert np.array_equal(dense.tokens, rooted.tokens)
 
     def test_tail_arithmetic(self):
@@ -171,12 +200,26 @@ class TestStaticVariants:
         for i in chain[1:]:
             assert hy.parents[i] in chain or hy.origin[hy.parents[i]] == ORIGIN_DRAFT
 
+    def test_tail_chain_longer_than_templates(self):
+        _, tree, prune = seeded_setup(seed=23)
+        matrix = full_matrix(64, 10, shift=29)
+        with pytest.raises(ConfigError):  # no depth-count template is this deep
+            template_from_depth_counts("chain", [1] * 12)
+        hy = insert_tail_variant(tree, matrix, prune.total_budget, chain_len=12)
+        assert hy.counts_by_origin() == (48, 12)
+        chain = np.flatnonzero(hy.origin == ORIGIN_RETRIEVED)
+        assert hy.origin[hy.parents[chain[0]]] == ORIGIN_DRAFT
+        assert hy.parents[chain[1:]].tolist() == chain[:-1].tolist()
+        assert hy.tokens[chain[1:]].tolist() == [(t + 29) % 64 for t in hy.tokens[chain[:-1]].tolist()]
+        retained = select_retained(tree, prune.total_budget - 12)
+        _assert_matches_reference(hy, reference_tail(tree, retained, prune.total_budget, matrix, 12))
+
     def test_root_eviction_matches_closure_oracle(self):
         _, tree, prune = seeded_setup(seed=31)
         matrix = full_matrix(64, 10, shift=41)
         branch = instantiate(matrix, builtin_templates(10)["d5"], tree.root_token)
         assert branch.realized_count == 20
-        hy = insert_root_variant(tree, branch, prune.total_budget)
+        hy = root_variant(tree, branch, prune.total_budget)
         kept_oracle = closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), prune.total_budget - 20)
         expect_paths = path_token_sets(
             [int(tree.tokens[i]) for i in kept_oracle],
@@ -193,7 +236,7 @@ class TestStaticVariants:
         matrix = full_matrix(64, 10, shift=45)
         _, decision = resolve_stage(build_markov(VocabSpec(64), 1, seed=37), [3], prune)
         branch = instantiate(matrix, builtin_templates(10)["d0"], tree.root_token)
-        merged = merge(decision, tree, branch, prune.total_budget)
+        merged = merge(tree, decision.retained, branch, prune.total_budget)
         dense_paths = path_token_sets(dense.tokens, dense.parents)
         merged_paths = path_token_sets(merged.tokens, merged.parents)
         assert merged_paths - dense_paths  # hybrid is not confined to the dense tree
@@ -205,7 +248,7 @@ class TestStaticVariants:
             _, tree, prune = seeded_setup(vocab=vocab, seed=int(rng.integers(1000)))
             matrix = full_matrix(vocab, 10, shift=int(rng.integers(1, vocab)))
             for builder in (
-                lambda: insert_root_variant(tree, instantiate(matrix, builtin_templates(10)["d5"], tree.root_token), 60),
+                lambda: root_variant(tree, instantiate(matrix, builtin_templates(10)["d5"], tree.root_token), 60),
                 lambda: insert_tail_variant(tree, matrix, 60, 8),
             ):
                 assert builder().n_candidates <= 60
@@ -225,19 +268,41 @@ class TestFlattenProperties:
     @settings(max_examples=50, deadline=None)
     def test_children_csr_on_random_trees(self, seed, n):
         rng = np.random.default_rng(seed)
-        from specgraft.hybrid import _Builder
-
         builder = _Builder(new_tree([0]), [], budget=n + 1)
-        nodes = [0]
-        for _ in range(n):
-            parent = int(nodes[rng.integers(len(nodes))])
-            idx = builder.add(parent, int(rng.integers(0, 12)), ORIGIN_DRAFT, -0.5)
-            if idx is not None:
-                nodes.append(idx)
+        # each node hangs below the root (-1) or an earlier node; repeated
+        # (parent, token) pairs merge
+        parents = np.array([rng.integers(-1, i) for i in range(n)], dtype=np.int32)
+        builder.graft(0, parents, rng.integers(0, 12, size=n).astype(np.int32))
         hy = builder.finish()
         ptr, idx = flatten(hy, 0).children
         for i in range(hy.n_nodes):
             assert idx[ptr[i]:ptr[i + 1]].tolist() == hy.children_of(i).tolist()
+
+
+def _random_tree(rng):
+    """A small-vocabulary draft tree of 1-6 random beam layers."""
+    vocab = int(rng.integers(3, 14))
+    target = build_markov(VocabSpec(vocab), int(rng.integers(0, 3)), int(rng.integers(1000)), float(rng.uniform(0, 0.6)))
+    draft = derive_draft(target, DraftDerivation("uniform-mix", float(rng.uniform(0, 1))))
+    tree = new_tree([int(t) for t in rng.integers(0, vocab, size=2)])
+    for _ in range(int(rng.integers(1, 7))):
+        tree = expand_layer(tree, draft, int(rng.integers(1, 6)), int(rng.integers(1, 12)))
+    return vocab, tree
+
+
+def _random_matrix(rng, vocab):
+    """A matrix with about 20 % cold slots; the small vocab makes retrieved
+    tokens collide with drafted ones."""
+    matrix = new_matrix(vocab, int(rng.integers(1, 6)))
+    matrix.rows[:] = rng.integers(0, vocab, size=matrix.rows.shape)
+    matrix.valid[:] = rng.random(matrix.valid.shape) < 0.8
+    return matrix
+
+
+def _random_template(rng):
+    """A breadth-first prefix, possibly empty, of a builtin template."""
+    template = builtin_templates(10)[("full", "d0", "d1", "d5")[int(rng.integers(4))]]
+    return template_prefix(template, int(rng.integers(0, template.declared_size + 1)), stage="rand")
 
 
 def _assert_matches_reference(hy, expect):
@@ -254,12 +319,7 @@ class TestBulkAssembly:
     @settings(max_examples=80, deadline=None)
     def test_draft_only_and_merge_match_reference(self, seed):
         rng = np.random.default_rng(seed)
-        vocab = int(rng.integers(3, 14))
-        target = build_markov(VocabSpec(vocab), int(rng.integers(0, 3)), int(rng.integers(1000)), float(rng.uniform(0, 0.6)))
-        draft = derive_draft(target, DraftDerivation("uniform-mix", float(rng.uniform(0, 1))))
-        tree = new_tree([int(t) for t in rng.integers(0, vocab, size=2)])
-        for _ in range(int(rng.integers(1, 7))):
-            tree = expand_layer(tree, draft, int(rng.integers(1, 6)), int(rng.integers(1, 12)))
+        vocab, tree = _random_tree(rng)
         keep = np.zeros(tree.n_nodes, dtype=bool)
         keep[0] = True
         for i in range(1, tree.n_nodes):
@@ -268,17 +328,31 @@ class TestBulkAssembly:
         budget = retained.size - 1 + int(rng.integers(0, 30))
         _assert_matches_reference(draft_only(tree, retained, budget), reference_hybrid(tree, retained, budget))
 
-        # a small vocab makes retrieved tokens collide with drafted ones
-        matrix = new_matrix(vocab, int(rng.integers(1, 6)))
-        matrix.rows[:] = rng.integers(0, vocab, size=matrix.rows.shape)
-        matrix.valid[:] = rng.random(matrix.valid.shape) < 0.8
-        name = ("full", "d0", "d1", "d5")[int(rng.integers(4))]
-        template = builtin_templates(10)[name]
-        template = template_prefix(template, int(rng.integers(0, template.declared_size + 1)), stage="rand")
-        branch = instantiate(matrix, template, tree.root_token)
-        decision = PruneDecision(None, {}, retained, tree.max_layer)
+        matrix = _random_matrix(rng, vocab)
+        branch = instantiate(matrix, _random_template(rng), tree.root_token)
         _assert_matches_reference(
-            merge(decision, tree, branch, budget), reference_hybrid(tree, retained, budget, branch)
+            merge(tree, retained, branch, budget), reference_hybrid(tree, retained, budget, branch)
+        )
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_static_variants_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab, tree = _random_tree(rng)
+        matrix = _random_matrix(rng, vocab)
+        budget = int(rng.integers(0, tree.n_nodes + 20))
+        scores, parents = tree.scores.tolist(), tree.parents.tolist()
+
+        template = _random_template(rng)
+        branch = instantiate(matrix, template, tree.root_token)
+        realized = template_walk_realized(template, matrix.rows, matrix.valid, tree.root_token)
+        evicted = closure_topk_iterative(scores, parents, max(budget - realized, 0))
+        _assert_matches_reference(root_variant(tree, branch, budget), reference_hybrid(tree, evicted, budget, branch))
+
+        chain_len = int(rng.integers(0, 15))  # up to past the deepest template
+        evicted = closure_topk_iterative(scores, parents, max(budget - chain_len, 0))
+        _assert_matches_reference(
+            insert_tail_variant(tree, matrix, budget, chain_len), reference_tail(tree, evicted, budget, matrix, chain_len)
         )
 
     def test_rejects_open_and_oversized_sets(self):
