@@ -5,8 +5,6 @@ from .drafttree import (
     PruneConfig,
     PruneDecision,
     evaluate_gate,
-    expand_layer,
-    layer_confidence,
     new_tree,
     resolve_stage,
 )

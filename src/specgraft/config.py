@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,7 @@ class RunConfig:
     warmup_rounds: int
     warmup_prompts: list[list[int]]
     calibration_grid: dict[int, list[float]]
-    ablation_seeds: list[int]
+    ablation_seeds: Sequence[int]
     ablation_prompt_length: int
     matrix_k: int
     matrix_load: str | None
@@ -289,8 +290,8 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     grid = sections["calibration"].get("grid") or {d: list(DEFAULT_CALIBRATION_GRID) for d in prune.checkpoints}
     seeds = ablation_cfg.get("seeds")
     if seeds is None:
-        seeds = list(range(ablation_cfg.get("n_seeds", 8)))
-    if len(set(seeds)) < len(seeds):
+        seeds = range(ablation_cfg.get("n_seeds", 8))  # lazy: only ``ablation`` reads the seeds
+    elif len(set(seeds)) < len(seeds):
         raise ConfigError(f"ablation.seeds must not repeat a seed, got {seeds}")
 
     matrix_load = matrix_cfg.get("load")

@@ -17,6 +17,9 @@ from .models import MarkovTableModel
 
 ROOT_PARENT = -1
 STAGE_NONE = "none"
+# ceiling on max_depth x beam_width: the envelope allocates one node per
+# beam slot up front, 26 bytes each, so about 27 MB of node arrays
+MAX_ENVELOPE_NODES = 2**20
 
 
 def stage_label(checkpoint) -> str:
@@ -25,25 +28,14 @@ def stage_label(checkpoint) -> str:
 
 @dataclass
 class DraftTree:
-    """Breadth-first draft tree rooted at the last committed token.
-
-    ``layer_offsets[d]`` is the (start, end) slice of the depth-d nodes
-    inside the node arrays. ``frontier_contexts`` holds one context tuple
-    per node of the deepest layer: for a new tree, the committed tokens the
-    draft can read, ending with the root token (callers pass only the last
-    ``max(order, 1)``, so its length does not grow with the session); once
-    a layer is drafted, the last ``order`` tokens of each node's committed
-    context plus branch, for the draft that expanded it. A hand-built tree
-    carries none and cannot be expanded.
-    """
+    """Breadth-first draft tree rooted at the last committed token: node 0
+    is the root, and each layer's nodes follow the previous layer's."""
 
     tokens: np.ndarray
     parents: np.ndarray
     depths: np.ndarray
     logqs: np.ndarray
     scores: np.ndarray
-    layer_offsets: list[tuple[int, int]]
-    frontier_contexts: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def root_token(self) -> int:
@@ -55,16 +47,11 @@ class DraftTree:
 
     @property
     def max_layer(self) -> int:
-        return len(self.layer_offsets) - 1
-
-    def layer(self, depth: int) -> np.ndarray:
-        if not 0 <= depth < len(self.layer_offsets):
-            raise StructureError(f"no layer at depth {depth}")
-        lo, hi = self.layer_offsets[depth]
-        return np.arange(lo, hi)
+        return int(self.depths[-1])
 
 
 def new_tree(context) -> DraftTree:
+    """The root-only tree of ``context``'s last token."""
     context = tuple(int(t) for t in context)
     if not context:
         raise InputError("context must contain at least the root token")
@@ -74,8 +61,6 @@ def new_tree(context) -> DraftTree:
         depths=np.array([0], dtype=np.int16),
         logqs=np.array([0.0]),
         scores=np.array([0.0]),
-        layer_offsets=[(0, 1)],
-        frontier_contexts=[context],
     )
 
 
@@ -107,48 +92,6 @@ def _layer(draft: MarkovTableModel, contexts: list, scores: np.ndarray, top_k: i
     return slot, tokens, logq.take(best), cand.take(best), children
 
 
-def expand_layer(tree: DraftTree, draft: MarkovTableModel, top_k: int, beam_width: int | None = None) -> DraftTree:
-    """Append one layer: top-``top_k`` children per frontier node, then keep
-    the ``beam_width`` highest-score nodes of the new layer.
-
-    Ties in the per-node top-k go to the lower token id; zero-probability
-    tokens are never proposed. Returns a new tree, leaving the input intact.
-    """
-    if top_k < 1:
-        raise InputError(f"top_k must be >= 1, got {top_k}")
-    if beam_width is None:
-        beam_width = top_k
-    if beam_width < 1:
-        raise InputError(f"beam_width must be >= 1, got {beam_width}")
-    lo, hi = tree.layer_offsets[-1]
-    if lo == hi:
-        raise StructureError("cannot expand an empty frontier")
-    if len(tree.frontier_contexts) != hi - lo:
-        raise StructureError("tree carries no context for each frontier node")
-
-    tail = _context_tail(draft)
-    slot, tokens, logqs, scores, contexts = _layer(
-        draft, [c[tail] for c in tree.frontier_contexts], tree.scores[lo:hi], top_k, beam_width
-    )
-    return DraftTree(
-        tokens=np.concatenate([tree.tokens, tokens]),
-        parents=np.concatenate([tree.parents, (lo + slot).astype(np.int32)]),
-        depths=np.concatenate([tree.depths, np.full(tokens.size, tree.max_layer + 1, dtype=np.int16)]),
-        logqs=np.concatenate([tree.logqs, logqs]),
-        scores=np.concatenate([tree.scores, scores]),
-        layer_offsets=tree.layer_offsets + [(hi, hi + tokens.size)],
-        frontier_contexts=contexts,
-    )
-
-
-def layer_confidence(tree: DraftTree, depth: int) -> float:
-    """exp(best cumulative score at ``depth``); the root layer scores 1.0."""
-    idx = tree.layer(depth)
-    if idx.size == 0:
-        raise StructureError(f"empty layer at depth {depth}")
-    return float(np.exp(tree.scores[idx].max()))
-
-
 def evaluate_gate(confidence: float, threshold: float) -> bool:
     """True iff the gate passes (strictly above threshold); equality prunes."""
     if not (0.0 < threshold < 1.0):
@@ -174,6 +117,11 @@ class PruneConfig:
         for name in ("total_budget", "top_k", "max_depth", "beam_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"prune.{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_depth * self.beam_width > MAX_ENVELOPE_NODES:
+            raise ConfigError(
+                f"prune.max_depth x prune.beam_width must be <= {MAX_ENVELOPE_NODES} draft nodes, "
+                f"got {self.max_depth} x {self.beam_width}"
+            )
         if tuple(sorted(self.checkpoints)) != self.checkpoints:
             raise ConfigError("checkpoints must be ascending")
         for d in self.checkpoints:
@@ -224,41 +172,44 @@ def select_retained(tree: DraftTree, limit: int) -> np.ndarray:
     return np.concatenate(([0], ranked))
 
 
-def _envelope(draft: MarkovTableModel, context, config: PruneConfig, checkpoints) -> tuple[DraftTree, int | None, dict]:
-    """``resolve_stage``'s expansion, gated at ``checkpoints`` only, in one
-    pass over node arrays allocated once; returns the tree, the stage and
-    the gate confidences.
+def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[int, float]) -> tuple[DraftTree, int | None, dict]:
+    """Draft ``len(beams)`` layers in one pass over node arrays allocated
+    once: layer d keeps the ``beams[d - 1]`` best-scoring of its frontier's
+    top-``top_k`` children. Checkpoint d of ``gates`` tests layer d+1's
+    best path probability against ``gates[d]``; the first failed gate stops
+    drafting at that stage. Only the last ``max(draft.order, 1)`` tokens of
+    ``context`` are read. Returns the tree, the stage and the gate
+    confidences.
     """
-    root = new_tree(context[-max(draft.order, 1):])
-    size = 1 + config.max_depth * config.beam_width  # a layer keeps at most beam_width nodes
+    context = tuple(int(t) for t in context[-max(draft.order, 1):])
+    root = new_tree(context)
+    size = 1 + sum(beams)  # a layer keeps at most its beam width of nodes
     arrays = tuple(np.zeros(size, a.dtype) for a in (root.tokens, root.parents, root.depths, root.logqs, root.scores))
     arrays[0][0], arrays[1][0] = root.root_token, ROOT_PARENT  # zero is the root's depth, logq and score
     scores = arrays[-1]
-    offsets = [(0, 1)]
-    contexts = [root.frontier_contexts[0][_context_tail(draft)]]
+    contexts = [context[_context_tail(draft)]]
     trace: dict[int, float] = {}
     stage: int | None = None
     lo, hi = 0, 1
-    for depth in range(1, config.max_depth + 1):
-        slot, token, logq, score, contexts = _layer(draft, contexts, scores[lo:hi], config.top_k, config.beam_width)
+    for depth, beam_width in enumerate(beams, 1):
+        slot, token, logq, score, contexts = _layer(draft, contexts, scores[lo:hi], top_k, beam_width)
         end = hi + slot.size
         for array, layer in zip(arrays, (token, lo + slot, depth, logq, score)):
             array[hi:end] = layer
-        offsets.append((hi, end))
         lo, hi = hi, end
         checkpoint = depth - 1
-        if checkpoint in checkpoints:
+        if checkpoint in gates:
             trace[checkpoint] = conf = float(np.exp(score.max()))
-            if not evaluate_gate(conf, config.thresholds[checkpoint]):
+            if not evaluate_gate(conf, gates[checkpoint]):
                 stage = checkpoint
                 break
-    return DraftTree(*(a[:hi] for a in arrays), offsets, contexts), stage, trace
+    return DraftTree(*(a[:hi] for a in arrays)), stage, trace
 
 
 def expand_full(draft: MarkovTableModel, context, config: PruneConfig) -> DraftTree:
     """The static envelope: ``max_depth`` ungated layers under the beam,
     reading only the last ``max(draft.order, 1)`` tokens of ``context``."""
-    return _envelope(draft, context, config, ())[0]
+    return _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, {})[0]
 
 
 def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tuple[DraftTree, PruneDecision]:
@@ -269,7 +220,8 @@ def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tupl
     failed gate the tree reaches ``max_depth`` and the stage is ``None``.
     Only the last ``max(draft.order, 1)`` tokens of ``context`` are read.
     """
-    tree, stage, trace = _envelope(draft, context, config, config.checkpoints)
+    gates = {d: config.thresholds[d] for d in config.checkpoints}
+    tree, stage, trace = _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, gates)
     return tree, PruneDecision(
         stage=stage,
         confidence_trace=trace,

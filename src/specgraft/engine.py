@@ -16,9 +16,8 @@ import numpy as np
 
 from .drafttree import (
     PruneConfig,
+    _envelope,
     expand_full,
-    expand_layer,
-    new_tree,
     resolve_stage,
     select_retained,
     stage_label,
@@ -118,6 +117,13 @@ class DecodeConfig:
         if kd + kr != self.prune.total_budget:
             raise ConfigError(
                 f"fixed split {kd}+{kr} must equal the total budget {self.prune.total_budget}"
+            )
+        # graft fills the slots a failed gate at checkpoint d frees from the builtin template "d<d>"
+        missing = [d for d in self.prune.checkpoints if stage_label(d) not in TEMPLATE_DEPTH_COUNTS]
+        if self.method == "graft" and missing:
+            staged = ", ".join(name for name in TEMPLATE_DEPTH_COUNTS if name != "full")
+            raise ConfigError(
+                f"prune.checkpoints {missing} have no graft template; method graft needs stages among {staged}"
             )
 
 
@@ -490,11 +496,10 @@ def _random_instance(rng: np.random.Generator, with_matrix: bool = False):
     target = build_markov(vocab, 1, int(rng.integers(0, 2**31)))
     draft = derive_draft(target, DraftDerivation("uniform-mix", float(rng.uniform(0.1, 0.7))))
     prefix = [int(rng.integers(0, vocab.size)) for _ in range(int(rng.integers(1, 4)))]
-    tree = new_tree(prefix)
     depth = int(rng.integers(2, 5))
     top_k = int(rng.integers(2, 4))
-    for _ in range(depth):
-        tree = expand_layer(tree, draft, top_k, beam_width=int(rng.integers(3, 7)))
+    beams = [int(rng.integers(3, 7)) for _ in range(depth)]
+    tree = _envelope(draft, prefix, top_k, beams, {})[0]
     matrix = None
     if with_matrix:
         matrix = new_matrix(vocab.size, 4)

@@ -175,6 +175,7 @@ def insert_tail_variant(tree: DraftTree, matrix: TransitionMatrix, budget: int, 
     """
     retained = select_retained(tree, max(budget - chain_len, 0))
     builder = _Builder(tree, retained, budget)
+    chain_len = min(chain_len, budget)  # ``graft`` drops every node past the budget
 
     has_child = np.zeros(tree.n_nodes, dtype=bool)
     has_child[tree.parents[retained[1:]]] = True

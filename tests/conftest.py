@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from specgraft.drafttree import _envelope
 from specgraft.models import MarkovTableModel, VocabSpec, check_distribution
+
+
+def grow(draft, context, depth, top_k, beam=None):
+    """``depth`` ungated layers below ``context``'s last token, drafted by
+    the one-pass envelope with every layer under ``beam`` (default
+    ``top_k``)."""
+    return _envelope(draft, context, top_k, (top_k if beam is None else beam,) * depth, {})[0]
 
 
 def table_model(vocab_size, order, table, fallback=None, seed=0):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -272,16 +274,35 @@ def reference_tail(tree, retained, budget, matrix, chain_len):
     return builder.finish()
 
 
-def reference_expand_layer(tree, draft, top_k, beam_width):
+class LayeredTree(NamedTuple):
+    """The oracle's draft tree with the layer state it keeps itself: each
+    layer's (start, end) node slice and one context tuple per node of the
+    deepest layer (the last ``order`` tokens of its context plus branch)."""
+
+    tree: object
+    offsets: list
+    contexts: list
+
+
+def reference_root(context):
+    """The root-only layered tree; its frontier context is all of ``context``."""
+    from specgraft.drafttree import new_tree
+
+    context = tuple(int(t) for t in context)
+    return LayeredTree(new_tree(context), [(0, 1)], [context])
+
+
+def reference_expand_layer(layered, draft, top_k, beam_width):
     """One beam layer by the filter-first loop: each frontier row sorted
     afresh, zero-probability candidates removed, the ``beam_width`` best
     of the rest kept by a stable sort on score, and the node arrays
     concatenated onto copies of the tree's."""
     from specgraft.drafttree import DraftTree
 
-    lo, hi = tree.layer_offsets[-1]
+    tree = layered.tree
+    lo, hi = layered.offsets[-1]
     tail = slice(-draft.order, None) if draft.order else slice(0, 0)
-    contexts = [c[tail] for c in tree.frontier_contexts]
+    contexts = [c[tail] for c in layered.contexts]
     ids = np.array([draft.index.get(c, draft.rows.shape[0] - 1) for c in contexts])
     top = np.argsort(-draft.rows[ids], axis=1, kind="stable")[:, : min(top_k, draft.vocab.size)].astype(np.int32)
     k = top.shape[1]
@@ -296,33 +317,37 @@ def reference_expand_layer(tree, draft, top_k, beam_width):
         cand, cand_logq, cand_score = cand[best], cand_logq[best], cand_score[best]
     slot = cand // k
     token = top.reshape(-1)[cand]
-    return DraftTree(
+    grown = DraftTree(
         tokens=np.concatenate([tree.tokens, token]),
         parents=np.concatenate([tree.parents, (lo + slot).astype(np.int32)]),
-        depths=np.concatenate([tree.depths, np.full(cand.size, len(tree.layer_offsets), dtype=np.int16)]),
+        depths=np.concatenate([tree.depths, np.full(cand.size, len(layered.offsets), dtype=np.int16)]),
         logqs=np.concatenate([tree.logqs, cand_logq]),
         scores=np.concatenate([tree.scores, cand_score]),
-        layer_offsets=tree.layer_offsets + [(hi, hi + cand.size)],
-        frontier_contexts=[(contexts[s] + (t,))[tail] for s, t in zip(slot.tolist(), token.tolist())],
+    )
+    return LayeredTree(
+        grown,
+        layered.offsets + [(hi, hi + cand.size)],
+        [(contexts[s] + (t,))[tail] for s, t in zip(slot.tolist(), token.tolist())],
     )
 
 
-def reference_envelope(draft, context, config, gated=True):
-    """The layer-by-layer envelope: ``reference_expand_layer`` looped up to
-    ``max_depth``; when ``gated``, checkpoint d tests the best path
-    probability of layer d+1 against its threshold and the first failure
-    stops. Returns (tree, stage, confidence trace)."""
-    from specgraft.drafttree import new_tree
-
-    tree = new_tree(context[-max(draft.order, 1):])
+def reference_envelope(draft, context, config, gated=True, beams=None):
+    """The layer-by-layer envelope: ``reference_expand_layer`` looped, layer
+    d under ``beams[d - 1]`` (default ``config.beam_width`` for
+    ``config.max_depth`` layers); when ``gated``, checkpoint d tests the
+    best path probability of layer d+1 against its threshold and the first
+    failure stops. Returns (tree, stage, confidence trace)."""
+    if beams is None:
+        beams = (config.beam_width,) * config.max_depth
+    layered = reference_root(context[-max(draft.order, 1):])
     trace, stage = {}, None
-    for depth in range(1, config.max_depth + 1):
-        tree = reference_expand_layer(tree, draft, config.top_k, config.beam_width)
+    for depth, beam_width in enumerate(beams, 1):
+        layered = reference_expand_layer(layered, draft, config.top_k, beam_width)
         checkpoint = depth - 1
         if gated and checkpoint in config.checkpoints:
-            lo, hi = tree.layer_offsets[-1]
-            trace[checkpoint] = conf = float(np.exp(tree.scores[lo:hi].max()))
+            lo, hi = layered.offsets[-1]
+            trace[checkpoint] = conf = float(np.exp(layered.tree.scores[lo:hi].max()))
             if not conf > config.thresholds[checkpoint]:
                 stage = checkpoint
                 break
-    return tree, stage, trace
+    return layered.tree, stage, trace

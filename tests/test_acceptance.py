@@ -15,13 +15,14 @@ import pytest
 
 import specgraft as sg
 from specgraft.config import derive_prompts
-from specgraft.drafttree import PruneConfig, expand_layer, new_tree, select_retained
+from specgraft.drafttree import PruneConfig, select_retained
 from specgraft.engine import DecodeConfig, calibrate, decode_session, theory_checks
 from specgraft.hybrid import draft_only, flatten, merge
 from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft, tokenize_whitespace, train_ngram
 from specgraft.retrieval import TEMPLATE_DEPTH_COUNTS, builtin_templates, new_matrix, template_prefix, instantiate, update_row, warmup
 from specgraft.verify import first_token_frequencies, node_distributions
 
+from .conftest import grow
 from .oracles import ar_greedy, enumerate_first_token_marginal
 
 TREE_METHODS = ("dense", "prune_only", "fixed_split", "graft", "graft_root", "graft_tail")
@@ -76,9 +77,7 @@ def tiny_instance(i):
     target = build_markov(vocab, 1, seed=2000 + i)
     draft = derive_draft(target, DraftDerivation("uniform-mix", 0.2 + (i % 5) * 0.15))
     prefix = [i % vocab.size]
-    tree = new_tree(prefix)
-    for _ in range(1 + i % 3):
-        tree = expand_layer(tree, draft, 2, 3)
+    tree = grow(draft, prefix, 1 + i % 3, top_k=2, beam=3)
     keep = min(5 + i % 5, tree.n_nodes - 1)
     retained = select_retained(tree, keep)
     if i % 2:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -158,6 +160,24 @@ class TestOtherCommands:
         b = (tmp_path / "b" / "theory.json").read_bytes()
         assert a == b
 
+    # recorded before the theory instances were drafted by the one-pass envelope
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["theory", "--trials", "300"], "864e46ed0c9d90b5a3791fc6c94e98ece8fb5542d7cf1d3598b613092ce9425c"),
+            (["--seed", "3", "theory", "--trials", "60"], "12b2f80b9bb7bb98846687815ecd1e0c55b8aefe21fb572e4055d0f67cebc398"),
+        ],
+    )
+    def test_theory_report_pinned(self, tmp_path, argv, digest):
+        assert run_cli("--out-dir", str(tmp_path), *argv) == 0
+        assert hashlib.sha256((tmp_path / "theory.json").read_bytes()).hexdigest() == digest
+
+    def test_derived_ablation_seeds_stay_lazy(self, tmp_path):
+        # 10**12 derived seeds: only ``ablation`` reads them, so ``decode`` never builds the list
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["ablation"] = {"n_seeds": 10**12}
+        assert run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(tmp_path / "out"), "decode") == 0
+
     def test_matrix_roundtrip_and_stats(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         snap = str(tmp_path / "m.bin")
@@ -280,6 +300,8 @@ BAD_VALUES = [
     ("decode", "root_branch_size", -5),
     ("decode", "tail_chain_len", -5),
     ("warmup", "rounds", -2),
+    ("prune", "max_depth", 1_000_000),
+    ("prune", "beam_width", 1_000_000),
 ]
 
 
@@ -323,15 +345,50 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "not valid YAML" in err
 
-    def test_expand_layer_rejects_beam_width_below_1(self):
-        from specgraft.drafttree import expand_layer, new_tree
-        from specgraft.errors import InputError
-        from specgraft.models import VocabSpec, build_markov
+    def test_envelope_ceiling_rejects_before_allocating(self, tmp_path, capsys):
+        # the envelope would preallocate 10**12 nodes (3.64 TiB of node arrays)
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["prune"] = {"max_depth": 1_000_000, "beam_width": 1_000_000}
+        path = _write_doc(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            assert run_cli("--config", path, "--out-dir", str(tmp_path / "out"), "decode") == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "prune.max_depth" in err and "prune.beam_width" in err
 
-        draft = build_markov(VocabSpec(8), 1, seed=0)
-        for beam in (0, -3):
-            with pytest.raises(InputError, match="beam_width"):
-                expand_layer(new_tree([0]), draft, top_k=3, beam_width=beam)
+
+class TestGraftCheckpoints:
+    """``graft`` grafts the builtin template of the stage a failed gate
+    picks, and only d0, d1 and d5 have one."""
+
+    def _path(self, tmp_path):
+        doc = json.loads(json.dumps(BASE_DOC))
+        del doc["output"]
+        doc["decode"]["max_new_tokens"] = 16
+        doc["prune"] = {"checkpoints": [2], "thresholds": {2: 0.9}, "stage_budgets": {2: [30, 30]}}
+        doc["calibration"] = {"grid": {2: [0.5, 0.9]}}
+        doc["ablation"] = {"n_seeds": 1, "prompt_length": 4}
+        return _write_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("command", [["decode"], ["calibrate"], ["ablation", "--suite", "component"]])
+    def test_untemplated_checkpoint_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run_cli("--config", self._path(tmp_path), "--out-dir", str(out), *command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "prune.checkpoints [2]" in err and "d0, d1, d5" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_prune_only_decodes(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("--config", self._path(tmp_path), "--out-dir", str(out), "--method", "prune_only", "decode") == 0
+        report = json.loads((out / "decode.json").read_text())
+        assert report["runs"][0]["method"] == "prune_only"
 
 
 _CONFIG_KEYS = sorted((s, k) for s, rules in _RULES.items() for k in rules) + [(None, "method")]

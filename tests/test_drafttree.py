@@ -7,18 +7,16 @@ import pytest
 
 from specgraft.drafttree import (
     PruneConfig,
+    _envelope,
     evaluate_gate,
     expand_full,
-    expand_layer,
-    layer_confidence,
-    new_tree,
     resolve_stage,
     select_retained,
 )
-from specgraft.errors import ConfigError, InputError, StructureError
+from specgraft.errors import ConfigError, InputError
 from specgraft.models import BYTE_VOCAB, DraftDerivation, VocabSpec, build_markov, derive_draft, tokenize_bytes, train_ngram
 
-from .conftest import table_model
+from .conftest import grow, table_model
 
 from .oracles import (
     branch_tokens,
@@ -26,25 +24,43 @@ from .oracles import (
     enumerate_candidates,
     exhaustive_path_confidence,
     reference_envelope,
-    reference_expand_layer,
 )
 
 
-def grow(model, context, depth, top_k, beam):
-    tree = new_tree(context)
-    for _ in range(depth):
-        tree = expand_layer(tree, model, top_k, beam)
-    return tree
+def layer(tree, depth):
+    """Indices of the depth-``depth`` nodes."""
+    return np.flatnonzero(tree.depths == depth)
+
+
+def all_pass_trace(draft, context, depth, top_k, beam):
+    """``resolve_stage``'s gate confidences at checkpoints 0..depth-1, each
+    the best path probability of the layer below it, under gates that all
+    pass."""
+    checkpoints = tuple(range(depth))
+    config = PruneConfig(
+        checkpoints=checkpoints,
+        thresholds=dict.fromkeys(checkpoints, 1e-300),
+        stage_budgets=dict.fromkeys(checkpoints, (1, 0)),
+        total_budget=1,
+        top_k=top_k,
+        max_depth=depth,
+        beam_width=beam,
+    )
+    _, decision = resolve_stage(draft, context, config)
+    assert decision.stage is None
+    return decision.confidence_trace
 
 
 class TestExpandLayer:
+    """Single layers drafted by the envelope pass."""
+
     def test_det4_single_child(self, det4):
-        tree = expand_layer(new_tree([0]), det4, top_k=1)
+        tree = grow(det4, [0], 1, top_k=1)
         assert tree.n_nodes == 2
         assert (tree.tokens[1], tree.logqs[1], tree.scores[1], tree.depths[1]) == (1, 0.0, 0.0, 1)
 
     def test_uni4_tie_break(self, uni4):
-        tree = expand_layer(new_tree([0]), uni4, top_k=2)
+        tree = grow(uni4, [0], 1, top_k=2)
         assert list(tree.tokens[1:]) == [0, 1]
         assert np.allclose(tree.logqs[1:], math.log(0.25))
 
@@ -53,17 +69,17 @@ class TestExpandLayer:
         context = [5]
         tree = grow(draft, context, depth=2, top_k=3, beam=6)
         # oracle: score all 9 depth-2 candidates, keep the best 6
-        layer1 = [([int(tree.tokens[i])], float(tree.scores[i])) for i in tree.layer(1)]
+        layer1 = [([int(tree.tokens[i])], float(tree.scores[i])) for i in layer(tree, 1)]
         cands = enumerate_candidates(draft, context, layer1, top_k=3)
         expect = sorted(cands, key=lambda ps: -ps[1])[:6]
         got = sorted(
-            (tuple(branch_tokens(tree, int(i))), float(tree.scores[i])) for i in tree.layer(2)
+            (tuple(branch_tokens(tree, int(i))), float(tree.scores[i])) for i in layer(tree, 2)
         )
         assert sorted((tuple(p), s) for p, s in expect) == pytest.approx(got)
 
     def test_zero_prob_children_dropped(self, det4):
-        tree = expand_layer(new_tree([0]), det4, top_k=4)
-        assert tree.layer(1).size == 1  # only the cycle successor has mass
+        tree = grow(det4, [0], 1, top_k=4)
+        assert layer(tree, 1).size == 1  # only the cycle successor has mass
 
     def test_score_additivity_exact(self):
         draft = build_markov(VocabSpec(6), 1, seed=3)
@@ -75,36 +91,38 @@ class TestExpandLayer:
         draft = build_markov(VocabSpec(6), 1, seed=4)
         tree = grow(draft, [1], depth=4, top_k=3, beam=5)
         assert all(tree.parents[i] < i for i in range(1, tree.n_nodes))
-        lo_hi = tree.layer_offsets
-        assert lo_hi[0] == (0, 1)
-        assert [hi for _, hi in lo_hi][-1] == tree.n_nodes
+        assert tree.depths[0] == 0 and (np.diff(tree.depths) >= 0).all()  # breadth-first layers
+        assert tree.max_layer == 4
 
 
 class TestLayerConfidence:
+    """Gate confidences, read from ``resolve_stage``'s trace: checkpoint d
+    holds layer d+1's best path probability."""
+
     def test_det4_always_one(self, det4):
-        tree = grow(det4, [0], depth=4, top_k=1, beam=1)
-        for d in range(5):
-            assert layer_confidence(tree, d) == 1.0
+        assert all_pass_trace(det4, [0], depth=4, top_k=1, beam=1) == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
     def test_uni4_depth3(self, uni4):
-        tree = grow(uni4, [0], depth=3, top_k=2, beam=4)
-        assert layer_confidence(tree, 3) == pytest.approx(0.25**3, abs=1e-15)
+        trace = all_pass_trace(uni4, [0], depth=3, top_k=2, beam=4)
+        assert trace[2] == pytest.approx(0.25**3, abs=1e-15)
 
     def test_matches_exhaustive_oracle(self):
         draft = build_markov(VocabSpec(8), 1, seed=42)
-        tree = grow(draft, [2], depth=2, top_k=3, beam=6)
+        trace = all_pass_trace(draft, [2], depth=2, top_k=3, beam=6)
         expect = exhaustive_path_confidence(draft, [2], depth=2, top_k=3, beam_width=6)
-        assert layer_confidence(tree, 2) == pytest.approx(expect, rel=1e-12)
+        assert trace[1] == pytest.approx(expect, rel=1e-12)
 
     def test_monotone_in_depth(self):
         draft = build_markov(VocabSpec(10), 1, seed=8, sparsity=0.3)
-        tree = grow(draft, [3], depth=5, top_k=3, beam=6)
-        confs = [layer_confidence(tree, d) for d in range(6)]
+        confs = [1.0] + list(all_pass_trace(draft, [3], depth=5, top_k=3, beam=6).values())
         assert all(confs[d + 1] <= confs[d] + 1e-15 for d in range(5))
 
-    def test_missing_layer(self, det4):
-        with pytest.raises(StructureError):
-            layer_confidence(new_tree([0]), 1)
+    def test_missing_layer(self, uni4):
+        # the failed gate at checkpoint 0 stops drafting: checkpoint 1 has no layer to read
+        config = PruneConfig(thresholds={0: 0.3, 1: 0.3, 5: 0.51})
+        _, decision = resolve_stage(uni4, [0], config)
+        assert decision.confidence_trace == {0: pytest.approx(0.25)}
+        assert decision.layers_drafted == 1
 
 
 class TestEvaluateGate:
@@ -228,7 +246,7 @@ class TestRankCutRetention:
     def test_uniform_rows_tie_everywhere(self, limit):
         draft = derive_draft(build_markov(VocabSpec(6), 1, seed=3), DraftDerivation("uniform-mix", 1.0))
         tree = grow(draft, [0], depth=4, top_k=3, beam=7)
-        assert np.unique(tree.scores[tree.layer(2)]).size == 1
+        assert np.unique(tree.scores[layer(tree, 2)]).size == 1
         got = select_retained(tree, limit)
         assert list(got) == closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), limit)
 
@@ -257,12 +275,11 @@ class TestTopKBeyondVocab:
     @pytest.mark.parametrize("order,context", [(1, [2]), (2, [3]), (2, [1, 3])])
     def test_matches_enumeration(self, order, context):
         draft = dyadic_model(5, order, seed=order)
-        tree = new_tree(context)
         frontier = [([], 0.0)]
         for depth in (1, 2, 3):
-            tree = expand_layer(tree, draft, top_k=9, beam_width=10_000)
+            tree = grow(draft, context, depth, top_k=9, beam=10_000)
             expect = enumerate_candidates(draft, context, frontier, top_k=9)
-            got = [(branch_tokens(tree, int(i)), float(tree.scores[i])) for i in tree.layer(depth)]
+            got = [(branch_tokens(tree, int(i)), float(tree.scores[i])) for i in layer(tree, depth)]
             assert got == expect
             frontier = expect
 
@@ -287,8 +304,6 @@ def _same_tree(got, expect):
     for name in ("tokens", "parents", "depths", "logqs", "scores"):
         a, b = getattr(got, name), getattr(expect, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert got.layer_offsets == expect.layer_offsets
-    assert got.frontier_contexts == expect.frontier_contexts
 
 
 def _random_prune(rng, vocab):
@@ -312,8 +327,8 @@ def _random_prune(rng, vocab):
 
 class TestOnePassEnvelope:
     """``resolve_stage`` and ``expand_full`` build the tree the layer-by-layer
-    loop builds, array for array, with the same stage, gate confidences and
-    retained set; ``expand_layer`` looped matches it layer by layer."""
+    oracle builds, array for array, with the same stage, gate confidences and
+    retained set; ``_envelope`` with a beam width per layer matches it too."""
 
     def test_matches_layer_loop(self):
         rng = np.random.default_rng(2024)
@@ -334,16 +349,16 @@ class TestOnePassEnvelope:
                 stages.add("none" if stage is None else "first" if stage == config.checkpoints[0] else "later")
                 _same_tree(expand_full(draft, context, config), reference_envelope(draft, context, config, gated=False)[0])
 
-                looped, oracle = new_tree(context), new_tree(context)
-                for _ in range(config.max_depth):
-                    beam = int(rng.integers(1, 12))
-                    looped = expand_layer(looped, draft, config.top_k, beam)
-                    oracle = reference_expand_layer(oracle, draft, config.top_k, beam)
-                    _same_tree(looped, oracle)
-                    k = min(config.top_k, vocab)
-                    lo, hi = oracle.layer_offsets[-2]
-                    # fewer kept than min(beam, candidates): the cut reached -inf candidates
-                    masked += (hi - lo) * k > oracle.n_nodes - hi and oracle.n_nodes - hi < beam
+                beams = [int(rng.integers(1, 12)) for _ in range(config.max_depth)]
+                gates = {d: config.thresholds[d] for d in config.checkpoints}
+                got = _envelope(draft, context, config.top_k, beams, gates)
+                expect, stage, trace = reference_envelope(draft, context, config, beams=beams)
+                _same_tree(got[0], expect)
+                assert got[1:] == (stage, trace), name
+                sizes = np.bincount(expect.depths)
+                k = min(config.top_k, vocab)
+                # fewer kept than min(beam, candidates): the cut reached -inf candidates
+                masked += sum(n < min(b, m * k) for m, n, b in zip(sizes, sizes[1:], beams))
         assert stages == {"none", "first", "later"}
         assert masked > 0
 

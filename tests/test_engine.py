@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from specgraft.engine import (
     decode_session,
     run_ablation,
     theory_checks,
+    _random_instance,
 )
 from specgraft.errors import ConfigError
 from specgraft.hybrid import flatten
@@ -155,6 +157,28 @@ class TestBuildNextTree:
         assert n_draft <= 24
         assert info["stage"] == "none"
         assert info["declared"] == 36
+
+    def test_tail_chain_past_the_budget_is_never_built(self):
+        # the graft drops every chain node past the budget, so a 10**12-node
+        # chain request decodes exactly like a budget-long one
+        target, draft = seeded_pair(seed=31)
+
+        def run(chain_len):
+            cfg = DecodeConfig(method="graft_tail", tail_chain_len=chain_len, max_new_tokens=60)
+            tokens, report = decode_session(cfg, target, draft, new_matrix(24, 10), [4, 2])
+            return tokens, report.to_dict()
+
+        long_chain = run(10**12)
+        assert long_chain == run(PruneConfig().total_budget)
+        assert max(s["n_retrieved"] for s in long_chain[1]["steps"]) > 8
+
+    def test_graft_needs_a_template_for_every_checkpoint(self):
+        prune = PruneConfig(checkpoints=(2,), thresholds={2: 0.9}, stage_budgets={2: (30, 30)})
+        with pytest.raises(ConfigError, match=r"prune\.checkpoints \[2\].*d0, d1, d5"):
+            DecodeConfig(method="graft", prune=prune)
+        for method in TREE_METHODS:
+            if method != "graft":
+                assert DecodeConfig(method=method, prune=prune).prune.checkpoints == (2,)
 
 
 class TestBoundedContext:
@@ -350,6 +374,18 @@ class TestCalibrate:
 
 
 class TestTheoryChecks:
+    def test_random_instances_pinned(self):
+        # the drafted trees of 400 theory instances, recorded when they were
+        # still grown one ``expand_layer`` call per layer
+        rng = np.random.default_rng(0)
+        digest = hashlib.sha256()
+        for i in range(400):
+            _, _, prefix, tree, _ = _random_instance(rng, with_matrix=bool(i % 2))
+            digest.update(np.asarray(prefix, dtype=np.int64).tobytes())
+            for array in (tree.tokens, tree.parents, tree.depths, tree.logqs, tree.scores):
+                digest.update(array.tobytes())
+        assert digest.hexdigest() == "dcdb96e52c2ed019ef9e8500f0f35bae5fb713c9e6dc684345d32be72e45f9bf"
+
     def test_small_run_has_zero_violations(self):
         report = theory_checks(seed=1, n_monotonic=300, n_graft=300, n_coverage=200, overprune_trials=100_000)
         assert report["subset_monotonicity"]["violations"] == 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgraft.drafttree import PruneConfig, expand_layer, new_tree, resolve_stage, select_retained
+from specgraft.drafttree import PruneConfig, new_tree, resolve_stage, select_retained
 from specgraft.engine import expand_full
 from specgraft.errors import ConfigError, StructureError
 from specgraft.hybrid import (
@@ -26,11 +26,13 @@ from specgraft.retrieval import (
     template_prefix,
 )
 
-from .conftest import table_model
+from .conftest import grow, table_model
 from .oracles import (
     closure_topk_iterative,
     path_token_sets,
+    reference_expand_layer,
     reference_hybrid,
+    reference_root,
     reference_tail,
     template_walk_realized,
 )
@@ -89,7 +91,6 @@ class TestMerge:
 
     def test_dedup_keeps_draft_and_reparents(self):
         # draft: root -> 7; retrieved depth-1 is also 7, with a child 9
-        tree = new_tree([0])
         from specgraft.drafttree import DraftTree
 
         tree = DraftTree(
@@ -98,7 +99,6 @@ class TestMerge:
             depths=np.array([0, 1], dtype=np.int16),
             logqs=np.array([0.0, -0.1]),
             scores=np.array([0.0, -0.1]),
-            layer_offsets=[(0, 1), (1, 2)],
         )
         matrix = new_matrix(16, 2)
         matrix.rows[0] = [7, 3]
@@ -161,11 +161,7 @@ def _branch_parents(branch):
 
 class TestFlatten:
     def test_chain_positions(self, det4):
-        tree = new_tree([0])
-        from specgraft.drafttree import expand_layer
-
-        for _ in range(3):
-            tree = expand_layer(tree, det4, 1)
+        tree = grow(det4, [0], 3, top_k=1)
         hy = draft_only(tree, select_retained(tree, 60), 60)
         pkg = flatten(hy, prefix_len=5)
         assert hy.n_nodes == 4
@@ -280,14 +276,15 @@ class TestFlattenProperties:
 
 
 def _random_tree(rng):
-    """A small-vocabulary draft tree of 1-6 random beam layers."""
+    """A small-vocabulary draft tree of 1-6 random beam layers, each with its
+    own top-k and beam width, so it is built by the layer-by-layer oracle."""
     vocab = int(rng.integers(3, 14))
     target = build_markov(VocabSpec(vocab), int(rng.integers(0, 3)), int(rng.integers(1000)), float(rng.uniform(0, 0.6)))
     draft = derive_draft(target, DraftDerivation("uniform-mix", float(rng.uniform(0, 1))))
-    tree = new_tree([int(t) for t in rng.integers(0, vocab, size=2)])
+    layered = reference_root([int(t) for t in rng.integers(0, vocab, size=2)])
     for _ in range(int(rng.integers(1, 7))):
-        tree = expand_layer(tree, draft, int(rng.integers(1, 6)), int(rng.integers(1, 12)))
-    return vocab, tree
+        layered = reference_expand_layer(layered, draft, int(rng.integers(1, 6)), int(rng.integers(1, 12)))
+    return vocab, layered.tree
 
 
 def _random_matrix(rng, vocab):
@@ -366,9 +363,7 @@ class TestBulkAssembly:
 
 class TestRender:
     def test_debug_dump_lines(self, det4):
-        from specgraft.drafttree import expand_layer
-
-        tree = expand_layer(new_tree([0]), det4, 1)
+        tree = grow(det4, [0], 1, top_k=1)
         hy = draft_only(tree, select_retained(tree, 4), 4)
         text = render_tree(hy, VocabSpec(4, ("a", "b", "c", "d")))
         lines = text.splitlines()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specgraft.drafttree import expand_layer, new_tree, select_retained
+from specgraft.drafttree import select_retained
 from specgraft.hybrid import draft_only, flatten
 from specgraft.models import VocabSpec, build_markov
 from specgraft.verify import (
@@ -11,23 +11,19 @@ from specgraft.verify import (
     verify_stochastic,
 )
 
-from .conftest import delta, table_model
+from .conftest import delta, grow, table_model
 from .oracles import enumerate_first_token_marginal, greedy_chain_walk
 
 
 def chain_package(model, prefix, length):
-    tree = new_tree(prefix)
-    for _ in range(length):
-        tree = expand_layer(tree, model, 1)
+    tree = grow(model, prefix, length, top_k=1)
     hy = draft_only(tree, select_retained(tree, 60), 60)
     return flatten(hy, len(prefix) - 1)
 
 
 def random_package(seed, vocab=16, depth=3, top_k=3, beam=6, keep=20, prefix=(0,)):
     draft = build_markov(VocabSpec(vocab), 1, seed=seed)
-    tree = new_tree(list(prefix))
-    for _ in range(depth):
-        tree = expand_layer(tree, draft, top_k, beam)
+    tree = grow(draft, list(prefix), depth, top_k, beam)
     hy = draft_only(tree, select_retained(tree, keep), 60)
     return flatten(hy, len(prefix) - 1)
 
