@@ -25,7 +25,6 @@ from .engine import (
 from .errors import AnalysisError, ConfigError, InputError, SpecGraftError, StructureError
 from .hybrid import (
     HybridTree,
-    VerificationPackage,
     flatten,
     insert_tail_variant,
     merge,

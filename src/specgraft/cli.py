@@ -17,7 +17,7 @@ from importlib import resources
 
 import jsonschema
 
-from .config import RunConfig, derive_prompts, load_run_config
+from .config import RunConfig, check_prompt_set, derive_prompts, load_run_config
 from .engine import (
     ABLATION_SUITES,
     AblationFixture,
@@ -216,14 +216,18 @@ def cmd_decode(args) -> int:
 
 
 def _ablation_fixture(run: RunConfig) -> AblationFixture:
+    seeds = run.ablation_seeds
+    # a range comes from ablation.n_seeds, and its stop is its length (len() overflows past 2**63)
+    key, count = ("ablation.n_seeds", seeds.stop) if isinstance(seeds, range) else ("ablation.seeds", len(seeds))
+    check_prompt_set(key, "ablation.prompt_length", count, run.ablation_prompt_length)
     prompts = {
         seed: prompt
         for seed, prompt in zip(
-            run.ablation_seeds,
+            seeds,
             derive_prompts(
                 run.corpus_tokens,
                 run.vocab,
-                count=len(run.ablation_seeds),
+                count=count,
                 length=run.ablation_prompt_length,
                 seed=run.decode.seed ^ 0xAB1A,
             ),

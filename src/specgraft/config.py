@@ -119,6 +119,8 @@ _RULES = {
 _TOP_KEYS = set(_RULES) | {"method"}
 
 DEFAULT_CALIBRATION_GRID = [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
+# ceiling on count x length of a derived prompt set, checked before it is built
+MAX_PROMPT_TOKENS = 2**20
 
 
 @dataclass
@@ -207,6 +209,14 @@ def _prompt_tokens(decode_cfg: dict, tokenizer: str, vocab: VocabSpec, corpus: l
     return [0]
 
 
+def check_prompt_set(count_key: str, length_key: str, count: int, length: int) -> None:
+    """Reject a derived prompt set of more than ``MAX_PROMPT_TOKENS`` tokens."""
+    if count * length > MAX_PROMPT_TOKENS:
+        raise ConfigError(
+            f"{count_key} x {length_key} must be <= {MAX_PROMPT_TOKENS} prompt tokens, got {count} x {length}"
+        )
+
+
 def derive_prompts(
     corpus: list[int] | None,
     vocab: VocabSpec,
@@ -236,6 +246,8 @@ def _warmup_prompts(warm: dict, tokenizer: str, vocab: VocabSpec, corpus: list[i
     derive = warm.get("derive", {})
     count = derive.get("count", max(3, warm.get("rounds", 0)))  # one fresh prompt per round
     length = derive.get("length", 64)
+    count_key = "warmup.derive.count" if "count" in derive else "warmup.rounds"
+    check_prompt_set(count_key, "warmup.derive.length", count, length)
     return derive_prompts(corpus, vocab, count, length, seed=seed ^ 0x5EED)
 
 

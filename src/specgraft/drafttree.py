@@ -18,7 +18,9 @@ from .models import MarkovTableModel
 ROOT_PARENT = -1
 STAGE_NONE = "none"
 # ceiling on max_depth x beam_width: the envelope allocates one node per
-# beam slot up front, 26 bytes each, so about 27 MB of node arrays
+# beam slot up front, 26 bytes each, so about 27 MB of node arrays. It also
+# bounds beam_width x top_k, the candidates a layer scores before its beam
+# cut, at about 37 bytes each.
 MAX_ENVELOPE_NODES = 2**20
 
 
@@ -121,6 +123,11 @@ class PruneConfig:
             raise ConfigError(
                 f"prune.max_depth x prune.beam_width must be <= {MAX_ENVELOPE_NODES} draft nodes, "
                 f"got {self.max_depth} x {self.beam_width}"
+            )
+        if self.beam_width * self.top_k > MAX_ENVELOPE_NODES:
+            raise ConfigError(
+                f"prune.beam_width x prune.top_k must be <= {MAX_ENVELOPE_NODES} layer candidates, "
+                f"got {self.beam_width} x {self.top_k}"
             )
         if tuple(sorted(self.checkpoints)) != self.checkpoints:
             raise ConfigError("checkpoints must be ascending")

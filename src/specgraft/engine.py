@@ -29,7 +29,6 @@ from .hybrid import (
     HybridTree,
     _Builder,
     draft_only,
-    flatten,
     insert_tail_variant,
     merge,
 )
@@ -47,7 +46,7 @@ from .retrieval import (
     update_from_verification,
     update_row,
 )
-from .verify import node_distributions, verify_greedy, verify_stochastic
+from .verify import verify_greedy, verify_stochastic
 
 METHODS = ("autoregressive", "dense", "prune_only", "fixed_split", "graft", "graft_root", "graft_tail")
 TREE_METHODS = METHODS[1:]
@@ -248,11 +247,11 @@ def coverage_gain(root_dist: np.ndarray, draft_tokens, retrieved_tokens) -> floa
     return gain
 
 
-def _root_frontier(hy: HybridTree) -> tuple[list[int], list[int]]:
-    kids = hy.children_of(0)
-    drafted = [int(hy.tokens[i]) for i in kids if hy.origin[i] == ORIGIN_DRAFT]
-    retrieved = [int(hy.tokens[i]) for i in kids if hy.origin[i] == ORIGIN_RETRIEVED]
-    return drafted, retrieved
+def _root_frontier(hy: HybridTree) -> tuple[np.ndarray, np.ndarray]:
+    ptr, idx = hy.children
+    kids = idx[ptr[0]:ptr[1]]
+    tokens, origin = hy.tokens[kids], hy.origin[kids]
+    return tokens[origin == ORIGIN_DRAFT], tokens[origin == ORIGIN_RETRIEVED]
 
 
 def _dense_union_replay(
@@ -273,7 +272,7 @@ def _dense_union_replay(
     tree = expand_full(draft, committed, prune)
     builder = _Builder(tree, select_retained(tree, prune.total_budget), prune.total_budget + method_tree.n_candidates)
     builder.graft(0, method_tree.parents[1:] - 1, method_tree.tokens[1:])
-    return verify_greedy(target, committed, flatten(builder.finish(), len(committed) - 1)).accepted_len
+    return verify_greedy(target, committed, builder.finish()).accepted_len
 
 
 def decode_session(
@@ -334,12 +333,10 @@ def decode_session(
             hy, info = build_next_tree(config, draft, matrix, committed, templates)
             if tree_observer is not None:
                 tree_observer(len(steps), hy)
-            package = flatten(hy, len(committed) - 1)
-            ids, dists = node_distributions(target, committed, package)
             if config.acceptance == "greedy":
-                outcome = verify_greedy(target, committed, package, rows=(ids, dists))
+                outcome = verify_greedy(target, committed, hy)
             else:
-                outcome = verify_stochastic(target, committed, package, rng, rows=(ids, dists))
+                outcome = verify_stochastic(target, committed, hy, rng)
             n_draft, n_retrieved = hy.counts_by_origin()
             record = {
                 "stage": info["stage"],
@@ -356,11 +353,12 @@ def decode_session(
                 record["realized"] = info["realized"]
             if n_retrieved > 0:
                 drafted_tokens, retrieved_tokens = _root_frontier(hy)
-                record["coverage_gain"] = coverage_gain(dists[0], drafted_tokens, retrieved_tokens)
+                root_row = target.rows[outcome.row_ids[0]]
+                record["coverage_gain"] = coverage_gain(root_row, drafted_tokens, retrieved_tokens)
             if config.dense_replay and config.acceptance == "greedy":
                 record["replay_accepted_len"] = _dense_union_replay(config, target, draft, committed, hy)
             if config.updates_enabled:
-                update_from_verification(matrix, outcome.node_rows, target)
+                update_from_verification(matrix, hy.tokens, outcome.row_ids, target)
             emitted = outcome.emitted_tokens
 
         emitted = emitted[:remaining]
@@ -526,8 +524,8 @@ def theory_checks(
         target, _, prefix, tree, _ = _random_instance(rng)
         big = draft_only(tree, select_retained(tree, tree.n_nodes), tree.n_nodes)
         small = _random_subset_tree(big, rng, keep_prob=float(rng.uniform(0.3, 0.9)))
-        l_small = verify_greedy(target, prefix, flatten(small, len(prefix) - 1)).accepted_len
-        l_big = verify_greedy(target, prefix, flatten(big, len(prefix) - 1)).accepted_len
+        l_small = verify_greedy(target, prefix, small).accepted_len
+        l_big = verify_greedy(target, prefix, big).accepted_len
         if l_small > l_big:
             violations += 1
     report["subset_monotonicity"] = {"instances": n_monotonic, "violations": violations}
@@ -541,8 +539,8 @@ def theory_checks(
         tmpl = template_prefix(_SMALL_TEMPLATE, int(rng.integers(0, 12)), stage="rand")
         branch = instantiate(matrix, tmpl, tree.root_token)
         grafted = merge(tree, retained, branch, tree.n_nodes + 32)
-        l_pruned = verify_greedy(target, prefix, flatten(pruned, len(prefix) - 1)).accepted_len
-        l_grafted = verify_greedy(target, prefix, flatten(grafted, len(prefix) - 1)).accepted_len
+        l_pruned = verify_greedy(target, prefix, pruned).accepted_len
+        l_grafted = verify_greedy(target, prefix, grafted).accepted_len
         if l_grafted < l_pruned:
             violations += 1
     report["graft_monotonicity"] = {"instances": n_graft, "violations": violations}

@@ -10,7 +10,7 @@ class InputError(SpecGraftError, ValueError):
 
 
 class StructureError(SpecGraftError):
-    """Malformed tree or package (empty frontier, mismatched roots, ...)."""
+    """Malformed tree (empty frontier, mismatched roots, ...)."""
 
 
 class ConfigError(SpecGraftError):

@@ -1,8 +1,8 @@
-"""Merge retained draft nodes with retrieved branches; flatten for verification.
+"""Merge retained draft nodes with retrieved branches into hybrid trees.
 
 Hybrid trees are stored breadth-first with siblings in ascending token
-order, so flattening is deterministic. Node budgets count candidates only;
-the root (last committed token) is index 0 and free.
+order, so the verifier walks them deterministically. Node budgets count
+candidates only; the root (last committed token) is index 0 and free.
 """
 
 from __future__ import annotations
@@ -48,8 +48,16 @@ class HybridTree:
         drafted = int((self.origin[1:] == ORIGIN_DRAFT).sum())
         return drafted, self.n_candidates - drafted
 
-    def children_of(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.parents == i)
+    @cached_property
+    def children(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR-style (ptr, idx): children of node i are idx[ptr[i]:ptr[i+1]]."""
+        parents = self.parents[1:]
+        n = self.n_nodes
+        ptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(parents, minlength=n), out=ptr[1:])
+        # a stable sort keeps each parent's children in ascending index order
+        idx = (np.argsort(parents, kind="stable") + 1).astype(np.int32)
+        return ptr, idx
 
 
 def _canonical_order(tokens: np.ndarray, up: np.ndarray, depths: np.ndarray) -> np.ndarray:
@@ -195,51 +203,12 @@ def insert_tail_variant(tree: DraftTree, matrix: TransitionMatrix, budget: int, 
     return builder.finish()
 
 
-# ---------------------------------------------------------------------------
-# flattening
-
-
-@dataclass
-class VerificationPackage:
-    """Flattened hybrid tree: the child index the verifier walks and each
-    node's position after the committed prefix."""
-
-    tree: HybridTree
-    prefix_len: int
-
-    @property
-    def tokens(self) -> np.ndarray:
-        return self.tree.tokens
-
-    @property
-    def parents(self) -> np.ndarray:
-        return self.tree.parents
-
-    @property
-    def n_nodes(self) -> int:
-        return self.tree.n_nodes
-
-    @cached_property
-    def children(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style (ptr, idx): children of node i are idx[ptr[i]:ptr[i+1]]."""
-        parents = self.tree.parents[1:]
-        n = self.tree.n_nodes
-        ptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(parents, minlength=n), out=ptr[1:])
-        # a stable sort keeps each parent's children in ascending index order
-        idx = (np.argsort(parents, kind="stable") + 1).astype(np.int32)
-        return ptr, idx
-
-    @cached_property
-    def position_ids(self) -> np.ndarray:
-        return self.prefix_len + self.tree.depths.astype(np.int64)
-
-
-def flatten(tree: HybridTree, prefix_len: int) -> VerificationPackage:
-    """Verification package for a well-formed hybrid tree."""
+def flatten(tree: HybridTree, prefix_len: int) -> HybridTree:
+    """``tree`` itself, once it is checked to start at its root: the verifier
+    reads the hybrid tree directly. ``prefix_len`` is not read."""
     if tree.n_nodes == 0 or tree.parents[0] != -1:
         raise StructureError("hybrid tree must start at its root")
-    return VerificationPackage(tree=tree, prefix_len=prefix_len)
+    return tree
 
 
 def render_tree(tree: HybridTree, vocab: VocabSpec | None = None) -> str:

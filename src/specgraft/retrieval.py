@@ -80,17 +80,18 @@ def update_row(matrix: TransitionMatrix, token: int, dist: np.ndarray) -> Transi
     return matrix
 
 
-def update_from_verification(matrix: TransitionMatrix, pairs, target: MarkovTableModel) -> TransitionMatrix:
+def update_from_verification(matrix: TransitionMatrix, tokens, row_ids, target: MarkovTableModel) -> TransitionMatrix:
     """Refresh rows from verified nodes; last writer wins.
 
-    Each ``(token, row_id)`` pair stands for ``update_row(matrix, token,
-    target.rows[row_id])``, applied in order. Only each token's last pair is
-    written, from the target's cached argtop-k.
+    Entry i stands for ``update_row(matrix, tokens[i],
+    target.rows[row_ids[i]])``, applied in order. Only each token's last
+    entry is written, from the target's cached argtop-k.
     """
-    if not pairs:
+    tokens, ids = np.asarray(tokens), np.asarray(row_ids)
+    if tokens.shape != ids.shape:
+        raise InputError(f"{tokens.size} verified tokens but {ids.size} row ids")
+    if not tokens.size:
         return matrix
-    tokens = np.fromiter((t for t, _ in pairs), dtype=np.int64, count=len(pairs))
-    ids = np.fromiter((r for _, r in pairs), dtype=np.intp, count=len(pairs))
     if tokens.min() < 0 or tokens.max() >= matrix.vocab_size:
         raise InputError("verified token out of range")
     written, last_rev = np.unique(tokens[::-1], return_index=True)

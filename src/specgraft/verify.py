@@ -7,9 +7,8 @@ child is accepted with the current residual mass of its token; a rejection
 zeroes that token and renormalizes, and the final correction/bonus token
 is drawn from what remains.
 
-Every node's (token, target row id) pair is returned regardless of
-acceptance, so the caller can refresh the transition matrix from the whole
-verified tree.
+Every node's target row id is returned regardless of acceptance, so the
+caller can refresh the transition matrix from the whole verified tree.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import StructureError
-from .hybrid import VerificationPackage
+from .hybrid import HybridTree
 from .models import MarkovTableModel, greedy_token
 
 
@@ -28,11 +27,11 @@ from .models import MarkovTableModel, greedy_token
 class VerifyOutcome:
     accepted_path: list[int]  # node indices, root excluded
     emitted_tokens: list[int]  # accepted tokens + one bonus/correction token
-    node_rows: list[tuple[int, int]]  # (token, target row id) for every node
+    row_ids: np.ndarray  # target row id of every node, indexing target.rows
     accepted_len: int
 
 
-def node_distributions(target: MarkovTableModel, prefix, package: VerificationPackage) -> tuple[np.ndarray, np.ndarray]:
+def node_distributions(target: MarkovTableModel, prefix, tree: HybridTree) -> tuple[np.ndarray, np.ndarray]:
     """Target row ids and rows of every node; row i predicts the successor of
     node i's token.
 
@@ -40,15 +39,17 @@ def node_distributions(target: MarkovTableModel, prefix, package: VerificationPa
     ``dists`` is the ``(n, vocab)`` gather ``target.rows[ids]``. Only the
     last ``max(target.order, 1)`` tokens of ``prefix`` are read.
     """
+    if tree.n_nodes == 0 or tree.parents[0] != -1:
+        raise StructureError("hybrid tree must start at its root")
     order = target.order
     tail = [int(t) for t in prefix[-max(order, 1):]]
-    if not tail or tail[-1] != package.tree.root_token:
-        raise StructureError("package root must be the last committed token")
-    n = package.n_nodes
+    if not tail or tail[-1] != tree.root_token:
+        raise StructureError("tree root must be the last committed token")
+    n = tree.n_nodes
     contexts: list[tuple[int, ...]] = [()] * n
     contexts[0] = target.context_of(tail)
-    parents = package.parents.tolist()
-    tokens = package.tokens.tolist()
+    parents = tree.parents.tolist()
+    tokens = tree.tokens.tolist()
     for i in range(1, n):
         ctx = contexts[parents[i]] + (tokens[i],)
         contexts[i] = ctx[-order:] if order else ()
@@ -56,25 +57,15 @@ def node_distributions(target: MarkovTableModel, prefix, package: VerificationPa
     return ids, target.rows[ids]
 
 
-def _node_rows(tokens: np.ndarray, ids: np.ndarray) -> list[tuple[int, int]]:
-    return list(zip(tokens.tolist(), ids.tolist()))
-
-
-def verify_greedy(
-    target: MarkovTableModel,
-    prefix,
-    package: VerificationPackage,
-    rows: tuple[np.ndarray, np.ndarray] | None = None,
-) -> VerifyOutcome:
+def verify_greedy(target: MarkovTableModel, prefix, tree: HybridTree) -> VerifyOutcome:
     """Accept the longest root chain matching the target argmax walk.
 
     Argmax ties go to the lowest token id, so the emitted step is
-    bit-identical to pure target greedy decoding. ``rows`` is the result of
-    :func:`node_distributions`, computed here when not given.
+    bit-identical to pure target greedy decoding.
     """
-    ids, dists = node_distributions(target, prefix, package) if rows is None else rows
-    ptr, idx = package.children
-    tokens = package.tokens
+    ids, dists = node_distributions(target, prefix, tree)
+    ptr, idx = tree.children
+    tokens = tree.tokens
     path: list[int] = []
     cur = 0
     while True:
@@ -90,26 +81,20 @@ def verify_greedy(
             return VerifyOutcome(
                 accepted_path=path,
                 emitted_tokens=emitted,
-                node_rows=_node_rows(tokens, ids),
+                row_ids=ids,
                 accepted_len=len(path),
             )
         path.append(nxt)
         cur = nxt
 
 
-def verify_stochastic(
-    target: MarkovTableModel,
-    prefix,
-    package: VerificationPackage,
-    rng: np.random.Generator,
-    rows: tuple[np.ndarray, np.ndarray] | None = None,
-) -> VerifyOutcome:
+def verify_stochastic(target: MarkovTableModel, prefix, tree: HybridTree, rng: np.random.Generator) -> VerifyOutcome:
     """Residual acceptance walk; the emitted next-token marginal equals the
     target distribution exactly, for any fixed tree."""
-    ids, dists = node_distributions(target, prefix, package) if rows is None else rows
-    ptr, idx = package.children
-    tokens = package.tokens
-    n = package.n_nodes
+    ids, dists = node_distributions(target, prefix, tree)
+    ptr, idx = tree.children
+    tokens = tree.tokens
+    n = tree.n_nodes
     uniforms = rng.random(n + 1)
     path_buf = np.empty(n, dtype=np.int32)
     n_acc, emitted = _kernels.stochastic_walk(tokens, ptr, idx, dists, uniforms, path_buf)
@@ -119,7 +104,7 @@ def verify_stochastic(
     return VerifyOutcome(
         accepted_path=path,
         emitted_tokens=[int(tokens[i]) for i in path] + [int(emitted)],
-        node_rows=_node_rows(tokens, ids),
+        row_ids=ids,
         accepted_len=len(path),
     )
 
@@ -127,7 +112,7 @@ def verify_stochastic(
 def first_token_frequencies(
     target: MarkovTableModel,
     prefix,
-    package: VerificationPackage,
+    tree: HybridTree,
     n_trials: int,
     seed: int,
 ) -> np.ndarray:
@@ -135,9 +120,8 @@ def first_token_frequencies(
 
     Runs the same walk kernel as :func:`verify_stochastic`, batched.
     """
-    _, dists = node_distributions(target, prefix, package)
-    ptr, idx = package.children
-    n = package.n_nodes
+    _, dists = node_distributions(target, prefix, tree)
+    ptr, idx = tree.children
     rng = np.random.default_rng(seed)
-    uniforms = rng.random((n_trials, n + 1))
-    return _kernels.stochastic_trials(package.tokens, ptr, idx, dists, uniforms)
+    uniforms = rng.random((n_trials, tree.n_nodes + 1))
+    return _kernels.stochastic_trials(tree.tokens, ptr, idx, dists, uniforms)

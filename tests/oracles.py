@@ -152,6 +152,12 @@ def template_walk_realized(template, matrix_rows, matrix_valid, root):
     return realized
 
 
+def children_of(tree, i):
+    """Indices of node i's children by a scan of the parent array (the
+    children CSR's reference)."""
+    return np.flatnonzero(np.asarray(tree.parents) == i)
+
+
 def branch_tokens(tree, i):
     """Tokens below the root along the path to node i (i's token last)."""
     out = []

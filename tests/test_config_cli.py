@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from specgraft.cli import main
-from specgraft.config import _RULES, load_run_config
+from specgraft.config import _RULES, check_prompt_set, load_run_config
 from specgraft.errors import ConfigError
 
 BASE_DOC = {
@@ -302,6 +302,7 @@ BAD_VALUES = [
     ("warmup", "rounds", -2),
     ("prune", "max_depth", 1_000_000),
     ("prune", "beam_width", 1_000_000),
+    ("prune", "top_k", 2**20),
 ]
 
 
@@ -347,19 +348,55 @@ class TestBadValues:
 
     def test_envelope_ceiling_rejects_before_allocating(self, tmp_path, capsys):
         # the envelope would preallocate 10**12 nodes (3.64 TiB of node arrays)
-        doc = json.loads(json.dumps(BASE_DOC))
-        doc["prune"] = {"max_depth": 1_000_000, "beam_width": 1_000_000}
-        path = _write_doc(tmp_path, doc)
-        tracemalloc.start()
-        try:
-            assert run_cli("--config", path, "--out-dir", str(tmp_path / "out"), "decode") == 2
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "prune.max_depth" in err and "prune.beam_width" in err
+        prune = {"max_depth": 1_000_000, "beam_width": 1_000_000}
+        _rejects_before_allocating(tmp_path, capsys, {"prune": prune}, ["decode"], ["prune.max_depth", "prune.beam_width"])
+
+    def test_layer_candidate_ceiling_rejects_before_allocating(self, tmp_path, capsys):
+        # 4 x 262144 nodes fit the envelope, but a full layer scores 262144 x 256 candidates (about 2.4 GB)
+        prune = {"max_depth": 4, "beam_width": 262144, "top_k": 256}
+        _rejects_before_allocating(tmp_path, capsys, {"prune": prune}, ["decode"], ["prune.beam_width", "prune.top_k"])
+
+
+_ABLATE = ["ablation", "--suite", "component"]
+# (sections replaced, command, keys the error names): derived prompt sets past 2**20 tokens
+PROMPT_CEILING = [
+    ({"warmup": {"rounds": 10**12}}, ["decode"], ["warmup.rounds", "warmup.derive.length"]),
+    ({"warmup": {"rounds": 1, "derive": {"length": 10**12}}}, ["decode"], ["warmup.rounds", "warmup.derive.length"]),
+    ({"warmup": {"rounds": 1, "derive": {"count": 2**10 + 1, "length": 2**10}}}, ["decode"],
+     ["warmup.derive.count", "warmup.derive.length"]),
+    ({"ablation": {"prompt_length": 10**12}}, _ABLATE, ["ablation.n_seeds", "ablation.prompt_length"]),
+    ({"ablation": {"n_seeds": 10**30}}, _ABLATE, ["ablation.n_seeds", "ablation.prompt_length"]),
+    ({"ablation": {"seeds": [4, 9], "prompt_length": 2**19 + 1}}, _ABLATE, ["ablation.seeds", "ablation.prompt_length"]),
+]
+
+
+class TestPromptCeiling:
+    @pytest.mark.parametrize("sections,command,keys", PROMPT_CEILING, ids=[str(c[0]) for c in PROMPT_CEILING])
+    def test_rejects_before_allocating(self, tmp_path, capsys, sections, command, keys):
+        _rejects_before_allocating(tmp_path, capsys, sections, command, keys)
+
+    def test_bound_is_inclusive(self):
+        check_prompt_set("a", "b", 2**10, 2**10)
+        with pytest.raises(ConfigError, match="a x b"):
+            check_prompt_set("a", "b", 2**10 + 1, 2**10)
+
+
+def _rejects_before_allocating(tmp_path, capsys, sections, command, keys):
+    """Exit 2 with one error line naming ``keys``, at a traced peak under 1 MB, writing no report."""
+    doc = {**json.loads(json.dumps(BASE_DOC)), **sections}
+    out = tmp_path / "out"
+    path = _write_doc(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        assert run_cli("--config", path, "--out-dir", str(out), *command) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(key in err for key in keys), err
+    assert not out.exists() or not any(out.iterdir())
 
 
 class TestGraftCheckpoints:

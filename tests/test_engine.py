@@ -6,6 +6,8 @@ import pytest
 
 from specgraft.drafttree import PruneConfig, expand_full, resolve_stage
 from specgraft.engine import (
+    ACCEPTANCE_MODES,
+    METHODS,
     TREE_METHODS,
     AblationFixture,
     CostModel,
@@ -251,6 +253,37 @@ class TestPrefill:
         assert np.array_equal(matrix.valid, reference.valid)
         assert len(recording.lengths) == len(prompt) + 1
         assert max(recording.lengths) <= max(order, 1)
+
+
+class TestUpdateGates:
+    """``decode.updates_enabled`` gates every matrix write, and
+    ``decode.prefill_update`` the prompt's."""
+
+    @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_disabled_updates_leave_the_matrix_unchanged(self, method, acceptance):
+        target, draft = seeded_pair(seed=5)
+        warm = new_matrix(24, 10)
+        for t in range(0, 24, 2):  # half the rows, so retrieval has something to graft
+            update_row(warm, t, target.next_distribution([t]))
+        for enabled in (False, True):
+            matrix = warm.copy()
+            cfg = DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=40, updates_enabled=enabled)
+            decode_session(cfg, target, draft, matrix, [3, 1])
+            unchanged = matrix.rows.tobytes() == warm.rows.tobytes() and matrix.valid.tobytes() == warm.valid.tobytes()
+            assert unchanged != enabled
+
+    @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
+    @pytest.mark.parametrize("method", TREE_METHODS)
+    def test_no_prefill_touches_only_tree_tokens(self, method, acceptance):
+        target, draft = seeded_pair(vocab=256, seed=21)
+        prompt = list(range(200, 256)) + [3]
+        seen: set[int] = set()
+        matrix = new_matrix(256, 10)
+        cfg = DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=16, prefill_update=False)
+        decode_session(cfg, target, draft, matrix, prompt, tree_observer=lambda _, hy: seen.update(hy.tokens.tolist()))
+        assert set(prompt) - seen  # a prefill would show in the matrix
+        assert set(np.flatnonzero(matrix.valid.any(axis=1)).tolist()) == seen
 
 
 class TestMetrics:

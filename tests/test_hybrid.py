@@ -28,6 +28,7 @@ from specgraft.retrieval import (
 
 from .conftest import grow, table_model
 from .oracles import (
+    children_of,
     closure_topk_iterative,
     path_token_sets,
     reference_expand_layer,
@@ -111,12 +112,12 @@ class TestMerge:
         branch = instantiate(matrix, template_prefix(template, 5), 0)
         merged = merge(tree, np.array([0, 1]), branch, 60)
         # exactly one child with token 7 under the root, tagged draft
-        root_kids = merged.children_of(0)
+        root_kids = children_of(merged, 0)
         sevens = [i for i in root_kids if merged.tokens[i] == 7]
         assert len(sevens) == 1
         assert merged.origin[sevens[0]] == ORIGIN_DRAFT
         # the retrieved child 9 re-parented onto the surviving draft node
-        kids = merged.children_of(sevens[0])
+        kids = children_of(merged, sevens[0])
         assert any(merged.tokens[i] == 9 and merged.origin[i] == ORIGIN_RETRIEVED for i in kids)
         # path-set union oracle
         expect = path_token_sets(tree.tokens, tree.parents) | path_token_sets(
@@ -163,9 +164,9 @@ class TestFlatten:
     def test_chain_positions(self, det4):
         tree = grow(det4, [0], 3, top_k=1)
         hy = draft_only(tree, select_retained(tree, 60), 60)
-        pkg = flatten(hy, prefix_len=5)
+        assert flatten(hy, prefix_len=5) is hy
         assert hy.n_nodes == 4
-        assert list(pkg.position_ids) == [5, 6, 7, 8]
+        assert hy.depths.tolist() == [0, 1, 2, 3]
 
     def test_sibling_order_canonical(self):
         # same node set inserted in different orders flattens identically
@@ -270,9 +271,9 @@ class TestFlattenProperties:
         parents = np.array([rng.integers(-1, i) for i in range(n)], dtype=np.int32)
         builder.graft(0, parents, rng.integers(0, 12, size=n).astype(np.int32))
         hy = builder.finish()
-        ptr, idx = flatten(hy, 0).children
+        ptr, idx = hy.children
         for i in range(hy.n_nodes):
-            assert idx[ptr[i]:ptr[i + 1]].tolist() == hy.children_of(i).tolist()
+            assert idx[ptr[i]:ptr[i + 1]].tolist() == children_of(hy, i).tolist()
 
 
 def _random_tree(rng):

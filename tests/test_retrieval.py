@@ -138,17 +138,23 @@ class TestLookupAndUpdate:
     def test_batch_update_empty(self, det4):
         m = new_matrix(4, 2)
         before = m.rows.copy()
-        update_from_verification(m, [], det4)
+        update_from_verification(m, [], [], det4)
         assert np.array_equal(m.rows, before)
 
     def test_last_writer_wins(self):
-        # pairs name target rows by id: row 0 is [0.9, 0.1, 0, 0], row 1 is [0, 0, 0.1, 0.9]
+        # entries name target rows by id: row 0 is [0.9, 0.1, 0, 0], row 1 is [0, 0, 0.1, 0.9]
         target = table_model(4, 1, {(0,): [0.9, 0.1, 0.0, 0.0], (1,): [0.0, 0.0, 0.1, 0.9]})
         m = new_matrix(4, 2)
-        update_from_verification(m, [(1, 0), (1, 1)], target)
+        update_from_verification(m, [1, 1], [0, 1], target)
         assert list(m.rows[1]) == [3, 2]
-        update_from_verification(m, [(1, 1), (1, 0)], target)
+        update_from_verification(m, [1, 1], [1, 0], target)
         assert list(m.rows[1]) == [0, 1]
+
+    def test_row_ids_must_match_tokens(self, det4):
+        m = new_matrix(4, 2)
+        with pytest.raises(InputError):
+            update_from_verification(m, [0, 1], [0], det4)
+        assert not m.valid.any()
 
     @pytest.mark.parametrize("model", [
         build_markov(VocabSpec(12), 1, seed=8, sparsity=0.5),
@@ -214,8 +220,8 @@ class TestLookupAndUpdate:
 
     def test_det4_verified_tree_rows(self, det4):
         m = new_matrix(4, 2)
-        pairs = [(t, det4.index[(t,)]) for t in [0, 1, 2, 1, 3]]
-        update_from_verification(m, pairs, det4)
+        tokens = [0, 1, 2, 1, 3]
+        update_from_verification(m, tokens, [det4.index[(t,)] for t in tokens], det4)
         for t in {0, 1, 2, 3}:
             assert m.rows[t][0] == (t + 1) % 4
 

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from specgraft.drafttree import select_retained
+from specgraft.errors import StructureError
 from specgraft.hybrid import draft_only, flatten
 from specgraft.models import VocabSpec, build_markov
 from specgraft.verify import (
@@ -12,7 +15,7 @@ from specgraft.verify import (
 )
 
 from .conftest import delta, grow, table_model
-from .oracles import enumerate_first_token_marginal, greedy_chain_walk
+from .oracles import children_of, enumerate_first_token_marginal, greedy_chain_walk
 
 
 def chain_package(model, prefix, length):
@@ -41,7 +44,7 @@ class TestNodeDistributions:
         model = build_markov(VocabSpec(6), 1, seed=1)
         pkg = random_package(seed=1, vocab=6, depth=1, top_k=3)
         _, dists = node_distributions(model, [0], pkg)
-        sib = pkg.tree.children_of(0)
+        sib = children_of(pkg, 0)
         assert len(sib) >= 2
         assert not np.array_equal(dists[sib[0]], dists[sib[1]])
 
@@ -60,13 +63,23 @@ class TestNodeDistributions:
             assert np.array_equal(dists[i], model.next_distribution(seq))
 
 
+    def test_rejects_a_tree_not_rooted_at_the_last_token(self, det4):
+        hy = chain_package(det4, [2], 2)
+        rootless = replace(hy, parents=np.array([0, 0, 1], dtype=np.int32))
+        for tree, prefix in ((rootless, [2]), (hy, [1])):
+            with pytest.raises(StructureError):
+                verify_greedy(det4, prefix, tree)
+        with pytest.raises(StructureError):
+            flatten(rootless, 0)
+
+
 class TestVerifyGreedy:
     def test_det4_chain(self, det4):
         pkg = chain_package(det4, [0], 3)
         out = verify_greedy(det4, [0], pkg)
         assert out.accepted_len == 3
         assert out.emitted_tokens == [1, 2, 3, 0]
-        assert len(out.node_rows) == pkg.n_nodes
+        assert len(out.row_ids) == pkg.n_nodes
 
     def test_immediate_miss_emits_bonus(self, det4):
         # depth-1 children all different from the target argmax
