@@ -267,6 +267,9 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     method = _text("method", doc["method"]) if doc.get("method") is not None else "graft"
 
     overrides = overrides or {}
+    unknown = set(overrides) - {"method", "seed"}
+    if unknown:
+        raise ConfigError(f"unknown override keys: {sorted(unknown, key=str)}; accepted: method, seed")
     vocab, target, corpus, tokenizer = _build_models(sections)
     draft_cfg = sections["draft"]
     draft = derive_draft(target, DraftDerivation(draft_cfg.get("mode", "uniform-mix"), draft_cfg.get("strength", 0.4)))

@@ -50,45 +50,28 @@ class HybridTree:
 
     @cached_property
     def children(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style (ptr, idx): children of node i are idx[ptr[i]:ptr[i+1]]."""
+        """CSR-style (ptr, idx): children of node i are idx[ptr[i]:ptr[i+1]].
+
+        Breadth-first storage puts each node's children together and keeps
+        ``parents[1:]`` nondecreasing, so no sort is needed: ``idx`` is
+        every non-root node in stored order.
+        """
         parents = self.parents[1:]
+        if (parents[1:] < parents[:-1]).any():
+            raise StructureError("hybrid tree is not stored breadth-first")
         n = self.n_nodes
-        ptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(parents, minlength=n), out=ptr[1:])
-        # a stable sort keeps each parent's children in ascending index order
-        idx = (np.argsort(parents, kind="stable") + 1).astype(np.int32)
-        return ptr, idx
-
-
-def _canonical_order(tokens: np.ndarray, up: np.ndarray, depths: np.ndarray) -> np.ndarray:
-    """Permutation into BFS order with siblings by ascending token.
-
-    That order is a lexsort on (depth, root-exclusive token path). ``up``
-    is the parent array with the root as its own parent. Column s of
-    ``anc`` holds each node's s-th ancestor, found by pointer doubling.
-    Two nodes of one depth d share the root in every column from d on, so
-    sorting on the columns' tokens, farthest first, compares their paths.
-    """
-    max_depth = int(depths.max())
-    anc = np.empty((tokens.shape[0], max(max_depth, 1)), dtype=np.intp)
-    anc[:, 0] = np.arange(tokens.shape[0])
-    width = 1  # columns filled so far; ``up`` maps to the width-th ancestor
-    while width < max_depth:
-        step = min(width, max_depth - width)
-        anc[:, width:width + step] = up[anc[:, :step]]
-        up = up[up]
-        width += step
-    # np.lexsort sorts by its last key first
-    return np.lexsort(np.vstack([tokens[anc].T, depths]))
+        ptr = np.searchsorted(parents, np.arange(n + 1)).astype(np.int32)
+        return ptr, np.arange(1, n, dtype=np.int32)
 
 
 class _Builder:
     """A hybrid tree under construction, emitted in canonical order.
 
-    It starts from a parent-closed subset of a draft or hybrid tree, copied
-    in bulk: those nodes are distinct (parent, token) pairs already.
-    ``graft`` then adds retrieved nodes, deduping (parent, token) pairs
-    against every node present and holding the budget.
+    It starts from a parent-closed subset of a draft or hybrid tree: those
+    nodes are distinct (parent, token) pairs already. Each node keeps a
+    ``{token: builder index}`` map of its children, so ``graft`` dedupes
+    retrieved (parent, token) pairs by one lookup while holding the budget,
+    and ``finish`` emits the tree breadth-first from those maps.
     """
 
     def __init__(self, tree: DraftTree | HybridTree, kept, budget: int):
@@ -100,16 +83,20 @@ class _Builder:
         # builder index of each node of ``tree``; -1 marks a node left out
         self.slot = np.full(tree.n_nodes, -1, dtype=np.int32)
         self.slot[kept] = np.arange(kept.size)
-        parents = self.slot[tree.parents[kept]]
-        parents[0] = 0  # the root as its own parent, until finish()
+        parents = self.slot[tree.parents[kept[1:]]]
         if (parents < 0).any():
             raise StructureError("retained draft set is not parent-closed")
+        tokens = tree.tokens[kept]
+        self.kids = kids = [{} for _ in range(kept.size)]  # kids[i]: {token: builder index}
+        for i, (parent, token) in enumerate(zip(parents.tolist(), tokens[1:].tolist()), 1):
+            kids[parent][token] = i
+        self.root_token = int(tokens[0])
         if isinstance(tree, HybridTree):
-            origin = tree.origin[kept]
+            self.origin = tree.origin[kept]
         else:
-            origin = np.full(kept.size, ORIGIN_DRAFT, dtype=np.int8)
+            self.origin = np.full(kept.size, ORIGIN_DRAFT, dtype=np.int8)
+        self.logqs = tree.logqs[kept]
         self.budget = budget
-        self.nodes = (tree.tokens[kept], parents, tree.depths[kept], origin, tree.logqs[kept])
 
     def graft(self, at: int, parents: np.ndarray, tokens: np.ndarray) -> None:
         """Add a parent-before-child node list below builder node ``at``.
@@ -120,38 +107,37 @@ class _Builder:
         token, a new pair once the budget is full, or a dropped parent
         drops the node, and with it its subtree.
         """
-        node_tokens, node_parents, depths, origin, logqs = self.nodes = tuple(
-            np.asarray(a).tolist() for a in self.nodes
-        )
-        present = dict(zip(zip(node_parents[1:], node_tokens[1:]), range(1, len(node_tokens))))
+        kids = self.kids
         slots: list[int | None] = []  # builder index of each list entry; None when dropped
         for parent, token in zip(parents.tolist(), tokens.tolist()):
             parent = at if parent < 0 else slots[parent]
             slot = None
             if token != COLD and parent is not None:
-                slot = present.get((parent, token))
-                if slot is None and len(node_tokens) - 1 < self.budget:
-                    slot = present[parent, token] = len(node_tokens)
-                    node_tokens.append(token)
-                    node_parents.append(parent)
-                    depths.append(depths[parent] + 1)
-                    origin.append(ORIGIN_RETRIEVED)
-                    logqs.append(math.nan)
+                slot = kids[parent].get(token)
+                if slot is None and len(kids) - 1 < self.budget:
+                    slot = kids[parent][token] = len(kids)
+                    kids.append({})
             slots.append(slot)
 
     def finish(self) -> HybridTree:
-        tokens, parents, depths, origin, logqs = (
-            np.asarray(a, dtype=t) for a, t in zip(self.nodes, (np.int32, np.int32, np.int32, np.int8, np.float64))
-        )
-        order = _canonical_order(tokens, parents, depths)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        parents = rank[parents[order]].astype(np.int32)
-        parents[0] = -1
+        """The tree breadth-first, each node's children by ascending token."""
+        order, tokens, parents, depths = [0], [self.root_token], [-1], [0]
+        for at, node in enumerate(order):  # ``order`` grows as it is read
+            kids = self.kids[node]
+            if kids:
+                depth = depths[at] + 1
+                for token in sorted(kids):
+                    order.append(kids[token])
+                    tokens.append(token)
+                    parents.append(at)
+                    depths.append(depth)
+        grafted = len(self.kids) - self.origin.size  # builder indices past the kept nodes
+        origin = np.concatenate((self.origin, np.full(grafted, ORIGIN_RETRIEVED, dtype=np.int8)))
+        logqs = np.concatenate((self.logqs, np.full(grafted, math.nan)))
         return HybridTree(
-            tokens=tokens[order],
-            parents=parents,
-            depths=depths[order],
+            tokens=np.array(tokens, dtype=np.int32),
+            parents=np.array(parents, dtype=np.int32),
+            depths=np.array(depths, dtype=np.int32),
             origin=origin[order],
             logqs=logqs[order],
             budget=self.budget,

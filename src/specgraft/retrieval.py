@@ -94,8 +94,9 @@ def update_from_verification(matrix: TransitionMatrix, tokens, row_ids, target: 
         return matrix
     if tokens.min() < 0 or tokens.max() >= matrix.vocab_size:
         raise InputError("verified token out of range")
-    written, last_rev = np.unique(tokens[::-1], return_index=True)
-    matrix.rows[written] = target.topk(ids[len(ids) - 1 - last_rev], matrix.k)[0]
+    last = dict(zip(tokens.tolist(), ids.tolist()))  # later entries overwrite earlier ones
+    written = list(last)
+    matrix.rows[written] = target.topk(np.array(list(last.values()), dtype=np.intp), matrix.k)[0]
     matrix.valid[written] = True
     return matrix
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .errors import StructureError
 from .hybrid import HybridTree
-from .models import MarkovTableModel, greedy_token
+from .models import MarkovTableModel
 
 
 @dataclass
@@ -31,13 +31,11 @@ class VerifyOutcome:
     accepted_len: int
 
 
-def node_distributions(target: MarkovTableModel, prefix, tree: HybridTree) -> tuple[np.ndarray, np.ndarray]:
-    """Target row ids and rows of every node; row i predicts the successor of
-    node i's token.
+def node_row_ids(target: MarkovTableModel, prefix, tree: HybridTree) -> np.ndarray:
+    """Target row id of every node; row ``ids[i]`` of ``target.rows`` predicts
+    the successor of node i's token.
 
-    Returns ``(ids, dists)``: ``ids[i]`` indexes ``target.rows`` and
-    ``dists`` is the ``(n, vocab)`` gather ``target.rows[ids]``. Only the
-    last ``max(target.order, 1)`` tokens of ``prefix`` are read.
+    Only the last ``max(target.order, 1)`` tokens of ``prefix`` are read.
     """
     if tree.n_nodes == 0 or tree.parents[0] != -1:
         raise StructureError("hybrid tree must start at its root")
@@ -53,39 +51,43 @@ def node_distributions(target: MarkovTableModel, prefix, tree: HybridTree) -> tu
     for i in range(1, n):
         ctx = contexts[parents[i]] + (tokens[i],)
         contexts[i] = ctx[-order:] if order else ()
-    ids = target.row_ids(contexts)
+    return target.row_ids(contexts)
+
+
+def node_distributions(target: MarkovTableModel, prefix, tree: HybridTree) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, dists)``: :func:`node_row_ids` and the ``(n, vocab)`` gather
+    ``target.rows[ids]``, row i predicting the successor of node i's token."""
+    ids = node_row_ids(target, prefix, tree)
     return ids, target.rows[ids]
 
 
 def verify_greedy(target: MarkovTableModel, prefix, tree: HybridTree) -> VerifyOutcome:
     """Accept the longest root chain matching the target argmax walk.
 
-    Argmax ties go to the lowest token id, so the emitted step is
-    bit-identical to pure target greedy decoding.
+    Each node's argmax comes from the target's cached top-1 ids, whose ties
+    go to the lowest token id as in :func:`models.greedy_token`, so the
+    emitted step is bit-identical to pure target greedy decoding. Children
+    of node c are nodes ``ptr[c] + 1 .. ptr[c + 1]`` (breadth-first storage).
     """
-    ids, dists = node_distributions(target, prefix, tree)
-    ptr, idx = tree.children
-    tokens = tree.tokens
+    ids = node_row_ids(target, prefix, tree)
+    want = target.topk(ids, 1)[0][:, 0].tolist()
+    ptr = tree.children[0].tolist()
+    tokens = tree.tokens.tolist()
     path: list[int] = []
     cur = 0
     while True:
-        want = greedy_token(dists[cur])
-        nxt = -1
-        for j in range(ptr[cur], ptr[cur + 1]):
-            c = int(idx[j])
-            if int(tokens[c]) == want:
-                nxt = c
+        for c in range(ptr[cur] + 1, ptr[cur + 1] + 1):
+            if tokens[c] == want[cur]:
                 break
-        if nxt < 0:
-            emitted = [int(tokens[i]) for i in path] + [want]
+        else:
             return VerifyOutcome(
                 accepted_path=path,
-                emitted_tokens=emitted,
+                emitted_tokens=[tokens[i] for i in path] + [want[cur]],
                 row_ids=ids,
                 accepted_len=len(path),
             )
-        path.append(nxt)
-        cur = nxt
+        path.append(c)
+        cur = c
 
 
 def verify_stochastic(target: MarkovTableModel, prefix, tree: HybridTree, rng: np.random.Generator) -> VerifyOutcome:

@@ -81,6 +81,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=rf"^{name} must be"):
             load_run_config(config_path, overrides=overrides)
 
+    @pytest.mark.parametrize("overrides", [{"acceptance": "stochastic"}, {"seed": 1, "max_new_tokens": 5}, {3: 1}])
+    def test_unknown_override_key_rejected(self, config_path, overrides):
+        bad = next(k for k in overrides if k not in ("method", "seed"))
+        with pytest.raises(ConfigError, match=rf"^unknown override keys: \[{bad!r}\]; accepted: method, seed$"):
+            load_run_config(config_path, overrides=overrides)
+
 
 class TestDecodeCommand:
     def test_writes_reports_and_validates(self, config_path, tmp_path):

@@ -1,14 +1,19 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specgraft import engine
 from specgraft.drafttree import PruneConfig, new_tree, resolve_stage, select_retained
 from specgraft.engine import expand_full
 from specgraft.errors import ConfigError, StructureError
 from specgraft.hybrid import (
     ORIGIN_DRAFT,
     ORIGIN_RETRIEVED,
+    HybridTree,
     _Builder,
     draft_only,
     flatten,
@@ -360,6 +365,71 @@ class TestBulkAssembly:
             draft_only(tree, [0, deep], 60)
         with pytest.raises(StructureError, match="budget"):
             draft_only(tree, select_retained(tree, 10), 5)
+
+
+def _assert_canonical(hy):
+    """Breadth-first with siblings by ascending token, and a CSR that
+    agrees with a scan of the parent array."""
+    parents, tokens, depths = hy.parents, hy.tokens, hy.depths
+    assert parents[0] == -1 and depths[0] == 0
+    assert (np.diff(parents[1:]) >= 0).all()
+    siblings = parents[2:] == parents[1:-1]
+    assert (tokens[2:][siblings] > tokens[1:-1][siblings]).all()
+    assert np.array_equal(depths[1:], depths[parents[1:]] + 1)
+    ptr, idx = hy.children
+    for i in range(hy.n_nodes):
+        assert idx[ptr[i]:ptr[i + 1]].tolist() == children_of(hy, i).tolist()
+
+
+class TestCanonicalOrder:
+    """Every builder emits the canonical order the verifier and the
+    children CSR rely on."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_builders_emit_canonical_order(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab, tree = _random_tree(rng)
+        keep = np.zeros(tree.n_nodes, dtype=bool)
+        keep[0] = True
+        for i in range(1, tree.n_nodes):
+            keep[i] = keep[tree.parents[i]] and rng.random() < 0.75
+        retained = np.flatnonzero(keep)
+        budget = retained.size - 1 + int(rng.integers(0, 30))
+        matrix = _random_matrix(rng, vocab)
+        merged = merge(tree, retained, instantiate(matrix, _random_template(rng), tree.root_token), budget)
+        for hy in (
+            draft_only(tree, retained, budget),
+            merged,
+            insert_tail_variant(tree, matrix, int(rng.integers(0, tree.n_nodes + 20)), int(rng.integers(0, 15))),
+        ):
+            _assert_canonical(hy)
+
+        # the dense-replay union, captured where it is verified
+        draft = build_markov(VocabSpec(vocab), 1, int(rng.integers(1000)))
+        total = int(rng.integers(2, 30))
+        prune = PruneConfig(
+            checkpoints=(0,), thresholds={0: 0.5}, stage_budgets={0: (1, total - 1)},
+            total_budget=total, top_k=3, max_depth=4, beam_width=5,
+        )
+        seen = []
+        with mock.patch.object(engine, "verify_greedy", lambda target, prefix, hy: seen.append(hy) or SimpleNamespace(accepted_len=0)):
+            engine._dense_union_replay(SimpleNamespace(prune=prune), draft, draft, [tree.root_token], merged)
+        assert seen[0].n_candidates >= merged.n_candidates
+        _assert_canonical(seen[0])
+
+    def test_out_of_order_tree_rejected(self):
+        # node 2 hangs below node 1 but node 3 below the root again
+        hy = HybridTree(
+            tokens=np.array([0, 1, 2, 3], dtype=np.int32),
+            parents=np.array([-1, 0, 1, 0], dtype=np.int32),
+            depths=np.array([0, 1, 2, 1], dtype=np.int32),
+            origin=np.zeros(4, dtype=np.int8),
+            logqs=np.zeros(4),
+            budget=3,
+        )
+        with pytest.raises(StructureError, match="breadth-first"):
+            hy.children
 
 
 class TestRender:

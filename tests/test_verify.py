@@ -6,7 +6,7 @@ import pytest
 from specgraft.drafttree import select_retained
 from specgraft.errors import StructureError
 from specgraft.hybrid import draft_only, flatten
-from specgraft.models import VocabSpec, build_markov
+from specgraft.models import VocabSpec, build_markov, greedy_token
 from specgraft.verify import (
     first_token_frequencies,
     node_distributions,
@@ -15,7 +15,8 @@ from specgraft.verify import (
 )
 
 from .conftest import delta, grow, table_model
-from .oracles import children_of, enumerate_first_token_marginal, greedy_chain_walk
+from .oracles import ar_greedy, children_of, enumerate_first_token_marginal, greedy_chain_walk
+from .test_drafttree import dyadic_model
 
 
 def chain_package(model, prefix, length):
@@ -106,6 +107,27 @@ class TestVerifyGreedy:
             assert int(pkg.parents[i]) == prev
             prev = i
         assert len(out.emitted_tokens) == out.accepted_len + 1
+
+    @pytest.mark.parametrize("order,seed", [(1, 0), (1, 1), (1, 2), (2, 3), (2, 4), (2, 5)])
+    def test_tied_maxima_go_to_the_lowest_id(self, order, seed):
+        # dyadic rows tie often; contexts left out of the table read the
+        # uniform fallback row, a tie across the whole vocabulary
+        dyadic = dyadic_model(5, order, seed)
+        rng = np.random.default_rng(seed)
+        table = {ctx: dyadic.rows[i] for ctx, i in dyadic.index.items() if rng.random() < 0.7}
+        target = table_model(5, order, table)
+        prefix = [int(t) for t in rng.integers(0, 5, size=order)]
+        tree = grow(target, prefix, depth=4, top_k=3, beam=20)
+        hy = draft_only(tree, np.arange(tree.n_nodes), tree.n_nodes)
+        assert 1 not in target._topk  # the top-1 cache starts cold
+        outs = [verify_greedy(target, prefix, hy) for _ in range(2)]  # cold, then warm
+        rows = target.rows[outs[0].row_ids]
+        assert ((rows == rows.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        for out in outs:
+            assert out.accepted_len == greedy_chain_walk(target, prefix, hy.tokens.tolist(), hy.parents.tolist())
+            last = out.accepted_path[-1] if out.accepted_path else 0
+            assert out.emitted_tokens[-1] == greedy_token(rows[last])
+            assert out.emitted_tokens == ar_greedy(target, prefix, out.accepted_len + 1)
 
 
 class TestVerifyStochastic:
