@@ -1,7 +1,7 @@
 """Speculative decoding with prune-then-graft hybrid draft trees, desk scale."""
 
 from .drafttree import (
-    DraftTree,
+    HybridTree,
     PruneConfig,
     PruneDecision,
     evaluate_gate,
@@ -24,7 +24,6 @@ from .engine import (
 )
 from .errors import AnalysisError, ConfigError, InputError, SpecGraftError, StructureError
 from .hybrid import (
-    HybridTree,
     flatten,
     insert_tail_variant,
     merge,

@@ -1,14 +1,15 @@
-"""Layered draft-tree construction, path scores, confidence gates, pruning.
+"""The tree class, layered draft-tree construction, gates and pruning.
 
-A tree is stored as parallel arrays in breadth-first order. Node 0 is the
-root (the last committed token); every other node carries the log draft
-probability of its token given its path and the cumulative path score,
-which is the sum of those log probabilities from the root.
+Every tree is a :class:`HybridTree` of parallel arrays in canonical order:
+breadth-first, each node's children by ascending token, drafted so from
+birth. Node 0 is the root (the last committed token). A drafted node's
+score is the sum of the log draft probabilities along its path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,9 +17,11 @@ from .errors import ConfigError, InputError, StructureError
 from .models import MarkovTableModel
 
 ROOT_PARENT = -1
+ORIGIN_DRAFT = 0
+ORIGIN_RETRIEVED = 1
 STAGE_NONE = "none"
 # ceiling on max_depth x beam_width: the envelope allocates one node per
-# beam slot up front, 26 bytes each, so about 27 MB of node arrays. It also
+# beam slot up front, 21 bytes each, so about 22 MB of node arrays. It also
 # bounds beam_width x top_k, the candidates a layer scores before its beam
 # cut, at about 37 bytes each.
 MAX_ENVELOPE_NODES = 2**20
@@ -29,39 +32,57 @@ def stage_label(checkpoint) -> str:
 
 
 @dataclass
-class DraftTree:
-    """Breadth-first draft tree rooted at the last committed token: node 0
-    is the root, and each layer's nodes follow the previous layer's."""
+class HybridTree:
+    """A tree in canonical order rooted at the last committed token."""
 
-    tokens: np.ndarray
-    parents: np.ndarray
-    depths: np.ndarray
-    logqs: np.ndarray
-    scores: np.ndarray
-
-    @property
-    def root_token(self) -> int:
-        return int(self.tokens[0])
+    tokens: np.ndarray  # (n,) int32, root first
+    parents: np.ndarray  # (n,) int32, root parent -1
+    depths: np.ndarray  # (n,) int32
+    origin: np.ndarray  # (n,) int8
+    scores: np.ndarray  # (n,) float64 path scores; NaN for retrieved nodes
 
     @property
     def n_nodes(self) -> int:
         return int(self.tokens.shape[0])
 
     @property
-    def max_layer(self) -> int:
-        return int(self.depths[-1])
+    def n_candidates(self) -> int:
+        return self.n_nodes - 1
+
+    @property
+    def root_token(self) -> int:
+        return int(self.tokens[0])
+
+    def counts_by_origin(self) -> tuple[int, int]:
+        drafted = int((self.origin[1:] == ORIGIN_DRAFT).sum())
+        return drafted, self.n_candidates - drafted
+
+    @cached_property
+    def children(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR-style (ptr, idx): children of node i are idx[ptr[i]:ptr[i+1]].
+
+        Breadth-first storage puts each node's children together and keeps
+        ``parents[1:]`` nondecreasing, so no sort is needed: ``idx`` is
+        every non-root node in stored order.
+        """
+        parents = self.parents[1:]
+        if (parents[1:] < parents[:-1]).any():
+            raise StructureError("tree is not stored breadth-first")
+        n = self.n_nodes
+        ptr = np.searchsorted(parents, np.arange(n + 1)).astype(np.int32)
+        return ptr, np.arange(1, n, dtype=np.int32)
 
 
-def new_tree(context) -> DraftTree:
+def new_tree(context) -> HybridTree:
     """The root-only tree of ``context``'s last token."""
     context = tuple(int(t) for t in context)
     if not context:
         raise InputError("context must contain at least the root token")
-    return DraftTree(
+    return HybridTree(
         tokens=np.array([context[-1]], dtype=np.int32),
         parents=np.array([ROOT_PARENT], dtype=np.int32),
-        depths=np.array([0], dtype=np.int16),
-        logqs=np.array([0.0]),
+        depths=np.array([0], dtype=np.int32),
+        origin=np.array([ORIGIN_DRAFT], dtype=np.int8),
         scores=np.array([0.0]),
     )
 
@@ -71,27 +92,17 @@ def _context_tail(draft: MarkovTableModel) -> slice:
     return slice(-draft.order, None) if draft.order else slice(0, 0)
 
 
-def _layer(draft: MarkovTableModel, contexts: list, scores: np.ndarray, top_k: int, beam_width: int):
-    """The layer kernel: each frontier node's top-``top_k`` children, cut to
-    the ``beam_width`` best path scores. ``contexts`` are already cut to the
-    draft's order. Returns the kept children's frontier slots, tokens, log
-    probabilities, scores and contexts, in (parent, token-rank) order.
-    """
-    top, logq = draft.topk(draft.row_ids(contexts), min(top_k, draft.vocab.size))
-    k = top.shape[1]
-    # candidate j is token top[j // k, j % k]; zero-probability ones score -inf
-    cand = (scores[:, None] + logq).ravel()
-    best = (-cand).argsort(kind="stable")[:beam_width]
-    if cand[best[-1]] == -np.inf:  # -inf ranks last: drop it after the beam cut
-        best = best[cand[best] > -np.inf]
-        if best.size == 0:
-            raise StructureError("no positive-probability candidates in the new layer")
-    best.sort()  # keep the (parent, token-rank) generation order
-    slot = best // k
-    tokens = top.take(best)
+def _rank_rows(draft: MarkovTableModel, context: tuple, tokens: np.ndarray, parents: np.ndarray, lo: int) -> np.ndarray:
+    """The slots of a draft tree's nodes ``lo`` on, less ``lo``, by path:
+    compared where the paths part, the higher draft probability first, then
+    the lower id."""
     tail = _context_tail(draft)
-    children = [(contexts[s] + (t,))[tail] for s, t in zip(slot.tolist(), tokens.tolist())]
-    return slot, tokens, logq.take(best), cand.take(best), children
+    contexts, paths = [context[tail]], [()]
+    for parent, token in zip(parents[1:].tolist(), tokens[1:].tolist()):
+        q = draft.rows[draft.row_ids(contexts[parent : parent + 1])[0], token]
+        paths.append(paths[parent] + (-q, token))
+        contexts.append((contexts[parent] + (token,))[tail])
+    return np.array(sorted(range(len(paths) - lo), key=lambda slot: paths[lo + slot]))
 
 
 def evaluate_gate(confidence: float, threshold: float) -> bool:
@@ -166,7 +177,7 @@ class PruneDecision:
         return stage_label(self.stage)
 
 
-def select_retained(tree: DraftTree, limit: int) -> np.ndarray:
+def select_retained(tree: HybridTree, limit: int) -> np.ndarray:
     """Root plus the top-``limit`` candidates by score, in index order.
 
     Candidates are ranked by score with ties to the lower (shallower,
@@ -179,7 +190,7 @@ def select_retained(tree: DraftTree, limit: int) -> np.ndarray:
     return np.concatenate(([0], ranked))
 
 
-def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[int, float]) -> tuple[DraftTree, int | None, dict]:
+def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[int, float]) -> tuple[HybridTree, int | None, dict]:
     """Draft ``len(beams)`` layers in one pass over node arrays allocated
     once: layer d keeps the ``beams[d - 1]`` best-scoring of its frontier's
     top-``top_k`` children. Checkpoint d of ``gates`` tests layer d+1's
@@ -187,22 +198,44 @@ def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[i
     drafting at that stage. Only the last ``max(draft.order, 1)`` tokens of
     ``context`` are read. Returns the tree, the stage and the gate
     confidences.
+
+    Candidates of equal score rank by their paths, compared where the paths
+    part: the higher draft probability first, then the lower id. Between
+    the candidates of one frontier row, that is token order.
     """
     context = tuple(int(t) for t in context[-max(draft.order, 1):])
     root = new_tree(context)
     size = 1 + sum(beams)  # a layer keeps at most its beam width of nodes
-    arrays = tuple(np.zeros(size, a.dtype) for a in (root.tokens, root.parents, root.depths, root.logqs, root.scores))
-    arrays[0][0], arrays[1][0] = root.root_token, ROOT_PARENT  # zero is the root's depth, logq and score
-    scores = arrays[-1]
-    contexts = [context[_context_tail(draft)]]
+    tokens, parents, depths, scores = (np.zeros(size, a.dtype) for a in (root.tokens, root.parents, root.depths, root.scores))
+    tokens[0], parents[0] = root.root_token, ROOT_PARENT  # zero is the root's depth and score
+    tail = _context_tail(draft)
+    contexts = [context[tail]]
+    k = min(top_k, draft.vocab.size)
     trace: dict[int, float] = {}
     stage: int | None = None
     lo, hi = 0, 1
     for depth, beam_width in enumerate(beams, 1):
-        slot, token, logq, score, contexts = _layer(draft, contexts, scores[lo:hi], top_k, beam_width)
-        end = hi + slot.size
-        for array, layer in zip(arrays, (token, lo + slot, depth, logq, score)):
-            array[hi:end] = layer
+        top, logq = draft.topk_by_token(draft.row_ids(contexts), k)
+        # candidate j is token top[j // k, j % k]; zero-probability ones score -inf
+        cand = (scores[lo:hi, None] + logq).ravel()
+        order = (-cand).argsort(kind="stable")
+        best = order[:beam_width]
+        cut = cand[best[-1]]
+        if cut == -np.inf:  # -inf ranks last: drop it after the beam cut
+            best = best[cand[best] > -np.inf]
+            if best.size == 0:
+                raise StructureError("no positive-probability candidates in the new layer")
+        elif best.size < order.size and cand[order[best.size]] == cut:
+            tied = np.flatnonzero(cand == cut) // k
+            if tied[0] != tied[-1]:  # the cut splits a tie across rows: cut again, rows by path
+                rows = _rank_rows(draft, context, tokens[:hi], parents[:hi], lo)
+                ranked = (-cand.reshape(-1, k)[rows].ravel()).argsort(kind="stable")[:beam_width]
+                best = rows[ranked // k] * k + ranked % k
+        best.sort()  # (parent, token) order: below a canonical frontier, the layer is canonical
+        slot, token, score = best // k, top.take(best), cand.take(best)
+        contexts = [(contexts[s] + (t,))[tail] for s, t in zip(slot.tolist(), token.tolist())]
+        end = hi + best.size
+        tokens[hi:end], parents[hi:end], depths[hi:end], scores[hi:end] = token, lo + slot, depth, score
         lo, hi = hi, end
         checkpoint = depth - 1
         if checkpoint in gates:
@@ -210,16 +243,17 @@ def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[i
             if not evaluate_gate(conf, gates[checkpoint]):
                 stage = checkpoint
                 break
-    return DraftTree(*(a[:hi] for a in arrays)), stage, trace
+    origin = np.full(hi, ORIGIN_DRAFT, dtype=np.int8)
+    return HybridTree(tokens[:hi], parents[:hi], depths[:hi], origin, scores[:hi]), stage, trace
 
 
-def expand_full(draft: MarkovTableModel, context, config: PruneConfig) -> DraftTree:
+def expand_full(draft: MarkovTableModel, context, config: PruneConfig) -> HybridTree:
     """The static envelope: ``max_depth`` ungated layers under the beam,
     reading only the last ``max(draft.order, 1)`` tokens of ``context``."""
     return _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, {})[0]
 
 
-def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tuple[DraftTree, PruneDecision]:
+def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tuple[HybridTree, PruneDecision]:
     """Expand with gates per the pruning policy and pick the stage.
 
     A checkpoint d is evaluated right after layer d+1 is drafted, on that
@@ -233,5 +267,5 @@ def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tupl
         stage=stage,
         confidence_trace=trace,
         retained=select_retained(tree, config.draft_budget(stage)),
-        layers_drafted=tree.max_layer,
+        layers_drafted=int(tree.depths[-1]),
     )

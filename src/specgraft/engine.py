@@ -15,6 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .drafttree import (
+    ORIGIN_DRAFT,
+    ORIGIN_RETRIEVED,
+    HybridTree,
     PruneConfig,
     _envelope,
     expand_full,
@@ -24,9 +27,6 @@ from .drafttree import (
 )
 from .errors import AnalysisError, ConfigError, InputError
 from .hybrid import (
-    ORIGIN_DRAFT,
-    ORIGIN_RETRIEVED,
-    HybridTree,
     _Builder,
     draft_only,
     insert_tail_variant,
@@ -270,7 +270,8 @@ def _dense_union_replay(
     """
     prune = config.prune
     tree = expand_full(draft, committed, prune)
-    builder = _Builder(tree, select_retained(tree, prune.total_budget), prune.total_budget + method_tree.n_candidates)
+    budget = prune.total_budget + method_tree.n_candidates
+    builder = _Builder(draft_only(tree, select_retained(tree, prune.total_budget), budget), budget)
     builder.graft(0, method_tree.parents[1:] - 1, method_tree.tokens[1:])
     return verify_greedy(target, committed, builder.finish()).accepted_len
 
@@ -484,7 +485,7 @@ def _random_subset_tree(hy: HybridTree, rng: np.random.Generator, keep_prob: flo
     keep[0] = True
     for i in range(1, hy.n_nodes):
         keep[i] = keep[hy.parents[i]] and rng.random() < keep_prob
-    return _Builder(hy, np.flatnonzero(keep), hy.budget).finish()
+    return draft_only(hy, np.flatnonzero(keep), hy.n_candidates)
 
 
 def _random_instance(rng: np.random.Generator, with_matrix: bool = False):

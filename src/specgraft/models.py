@@ -104,8 +104,8 @@ class MarkovTableModel:
     index: dict[tuple[int, ...], int]
     rows: np.ndarray
     seed: int = 0
-    # top-k of each row, filled lazily per k: {k: (ids, log-probabilities, filled mask)}
-    _topk: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+    # top-k of each row, filled lazily per k: {k: (ids by rank, ids by token, their log-probabilities, filled mask)}
+    _topk: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -158,9 +158,9 @@ class MarkovTableModel:
     def row_for_context(self, context: tuple[int, ...]) -> np.ndarray:
         return self.rows[self.index.get(context, -1)]
 
-    def topk(self, ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """``argtopk(self.rows[ids], k)`` and those tokens' log-probabilities
-        (``-inf`` where zero), each row sorted once per model.
+    def _topk_rows(self, ids: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+        """The top-``k`` cache, its rows ``ids`` filled: each row is sorted
+        once per model and stored in both orders.
 
         Rows never change, so filling the cache twice writes the same values;
         concurrent callers need no lock.
@@ -168,16 +168,29 @@ class MarkovTableModel:
         cache = self._topk.get(k)
         if cache is None:
             n = self.rows.shape[0]
-            cache = self._topk.setdefault(k, (np.empty((n, k), np.int32), np.empty((n, k)), np.zeros(n, bool)))
-        top, logq, filled = cache
+            arrays = (np.empty((n, k), np.int32), np.empty((n, k), np.int32), np.empty((n, k)), np.zeros(n, bool))
+            cache = self._topk.setdefault(k, arrays)
+        top, by_token, logq, filled = cache
         hit = filled.take(ids)
         if np.count_nonzero(hit) != hit.size:
             todo = ids[~hit]
-            top[todo] = argtopk(self.rows[todo], k)
+            rows = self.rows[todo]
+            top[todo] = ranked = argtopk(rows, k)
+            by_token[todo] = ordered = np.sort(ranked, axis=1)
             with np.errstate(divide="ignore"):
-                logq[todo] = np.log(np.take_along_axis(self.rows[todo], top[todo], axis=1))
+                logq[todo] = np.log(np.take_along_axis(rows, ordered, axis=1))
             filled[todo] = True
-        return top.take(ids, axis=0), logq.take(ids, axis=0)
+        return cache
+
+    def topk(self, ids: np.ndarray, k: int) -> np.ndarray:
+        """``argtopk(self.rows[ids], k)``: each row's top-``k`` ids by rank."""
+        return self._topk_rows(ids, k)[0].take(ids, axis=0)
+
+    def topk_by_token(self, ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of :meth:`topk` in ascending token order, and their
+        log-probabilities (``-inf`` where zero)."""
+        _, by_token, logq, _ = self._topk_rows(ids, k)
+        return by_token.take(ids, axis=0), logq.take(ids, axis=0)
 
 
 def _all_contexts(size: int, order: int):

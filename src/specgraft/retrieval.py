@@ -96,7 +96,7 @@ def update_from_verification(matrix: TransitionMatrix, tokens, row_ids, target: 
         raise InputError("verified token out of range")
     last = dict(zip(tokens.tolist(), ids.tolist()))  # later entries overwrite earlier ones
     written = list(last)
-    matrix.rows[written] = target.topk(np.array(list(last.values()), dtype=np.intp), matrix.k)[0]
+    matrix.rows[written] = target.topk(np.array(list(last.values()), dtype=np.intp), matrix.k)
     matrix.valid[written] = True
     return matrix
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .drafttree import HybridTree
 from .errors import StructureError
-from .hybrid import HybridTree
 from .models import MarkovTableModel
 
 
@@ -70,7 +70,7 @@ def verify_greedy(target: MarkovTableModel, prefix, tree: HybridTree) -> VerifyO
     of node c are nodes ``ptr[c] + 1 .. ptr[c + 1]`` (breadth-first storage).
     """
     ids = node_row_ids(target, prefix, tree)
-    want = target.topk(ids, 1)[0][:, 0].tolist()
+    want = target.topk(ids, 1)[:, 0].tolist()
     ptr = tree.children[0].tolist()
     tokens = tree.tokens.tolist()
     path: list[int] = []

@@ -196,11 +196,11 @@ class ReferenceBuilder:
         self.parents = [-1]
         self.depths = [0]
         self.origin = [0]
-        self.logqs = [0.0]
+        self.scores = [0.0]
         self.child_map = {}
         self.budget = budget
 
-    def add(self, parent, token, origin, logq):
+    def add(self, parent, token, origin, score):
         key = (parent, int(token))
         if key in self.child_map:
             return self.child_map[key]
@@ -210,12 +210,12 @@ class ReferenceBuilder:
         self.parents.append(parent)
         self.depths.append(self.depths[parent] + 1)
         self.origin.append(origin)
-        self.logqs.append(logq)
+        self.scores.append(score)
         self.child_map[key] = len(self.tokens) - 1
         return len(self.tokens) - 1
 
     def finish(self):
-        """(tokens, parents, depths, origin, logqs) lists in canonical order."""
+        """(tokens, parents, depths, origin, scores) lists in canonical order."""
         by_depth = {}
         for i in range(1, len(self.tokens)):
             by_depth.setdefault(self.depths[i], []).append(i)
@@ -231,7 +231,7 @@ class ReferenceBuilder:
             parents,
             [self.depths[i] for i in order],
             [self.origin[i] for i in order],
-            [self.logqs[i] for i in order],
+            [self.scores[i] for i in order],
         )
 
 
@@ -242,13 +242,13 @@ def reference_draft_builder(tree, retained, budget):
     mapping = {0: 0}
     for i in sorted(int(i) for i in retained):
         if i:
-            mapping[i] = builder.add(mapping[int(tree.parents[i])], int(tree.tokens[i]), 0, float(tree.logqs[i]))
+            mapping[i] = builder.add(mapping[int(tree.parents[i])], int(tree.tokens[i]), 0, float(tree.scores[i]))
     return builder, mapping
 
 
 def reference_hybrid(tree, retained, budget, branch=None):
     """Retained draft nodes added one by one, then the branch's realized
-    nodes grafted at the root (origin 1, logq NaN)."""
+    nodes grafted at the root (origin 1, score NaN)."""
     builder, _ = reference_draft_builder(tree, retained, budget)
     if branch is not None:
         mapping = {-1: 0}
@@ -262,10 +262,16 @@ def reference_hybrid(tree, retained, budget, branch=None):
     return builder.finish()
 
 
+def canonical_form(tree):
+    """``tree``'s (tokens, parents, depths, origin, scores) lists in canonical
+    order, whatever order its siblings are stored in."""
+    return reference_hybrid(tree, range(tree.n_nodes), tree.n_nodes)
+
+
 def reference_tail(tree, retained, budget, matrix, chain_len):
     """Retained draft nodes, then the rank-0 successor chain walked from the
     deepest, best-scoring, lowest-index retained leaf until a cold slot,
-    the budget or ``chain_len`` stops it (origin 1, logq NaN)."""
+    the budget or ``chain_len`` stops it (origin 1, score NaN)."""
     builder, mapping = reference_draft_builder(tree, retained, budget)
     inner = {int(tree.parents[i]) for i in mapping if i}
     anchor = min((i for i in mapping if i not in inner), key=lambda i: (-int(tree.depths[i]), -float(tree.scores[i]), i))
@@ -302,8 +308,8 @@ def reference_expand_layer(layered, draft, top_k, beam_width):
     """One beam layer by the filter-first loop: each frontier row sorted
     afresh, zero-probability candidates removed, the ``beam_width`` best
     of the rest kept by a stable sort on score, and the node arrays
-    concatenated onto copies of the tree's."""
-    from specgraft.drafttree import DraftTree
+    concatenated onto copies of the tree's. Siblings stay in rank order."""
+    from specgraft.drafttree import HybridTree
 
     tree = layered.tree
     lo, hi = layered.offsets[-1]
@@ -316,18 +322,17 @@ def reference_expand_layer(layered, draft, top_k, beam_width):
     cand_p = draft.rows[ids[:, None], top].reshape(-1)
     keep = np.flatnonzero(cand_p > 0.0)
     cand, cand_p = cand[keep], cand_p[keep]
-    cand_logq = np.log(cand_p)
-    cand_score = np.repeat(tree.scores[lo:hi], k)[cand] + cand_logq
+    cand_score = np.repeat(tree.scores[lo:hi], k)[cand] + np.log(cand_p)
     if cand.size > beam_width:
         best = np.sort(np.argsort(-cand_score, kind="stable")[:beam_width])
-        cand, cand_logq, cand_score = cand[best], cand_logq[best], cand_score[best]
+        cand, cand_score = cand[best], cand_score[best]
     slot = cand // k
     token = top.reshape(-1)[cand]
-    grown = DraftTree(
+    grown = HybridTree(
         tokens=np.concatenate([tree.tokens, token]),
         parents=np.concatenate([tree.parents, (lo + slot).astype(np.int32)]),
-        depths=np.concatenate([tree.depths, np.full(cand.size, len(layered.offsets), dtype=np.int16)]),
-        logqs=np.concatenate([tree.logqs, cand_logq]),
+        depths=np.concatenate([tree.depths, np.full(cand.size, len(layered.offsets), dtype=np.int32)]),
+        origin=np.zeros(tree.n_nodes + cand.size, dtype=np.int8),
         scores=np.concatenate([tree.scores, cand_score]),
     )
     return LayeredTree(

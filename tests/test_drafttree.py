@@ -20,6 +20,7 @@ from .conftest import grow, table_model
 
 from .oracles import (
     branch_tokens,
+    canonical_form,
     closure_topk_iterative,
     enumerate_candidates,
     exhaustive_path_confidence,
@@ -57,12 +58,15 @@ class TestExpandLayer:
     def test_det4_single_child(self, det4):
         tree = grow(det4, [0], 1, top_k=1)
         assert tree.n_nodes == 2
-        assert (tree.tokens[1], tree.logqs[1], tree.scores[1], tree.depths[1]) == (1, 0.0, 0.0, 1)
+        assert np.log(det4.rows[det4.index[(0,)], tree.tokens[1]]) == 0.0
+        assert (tree.tokens[1], tree.scores[1], tree.depths[1]) == (1, 0.0, 1)
 
     def test_uni4_tie_break(self, uni4):
         tree = grow(uni4, [0], 1, top_k=2)
         assert list(tree.tokens[1:]) == [0, 1]
-        assert np.allclose(tree.logqs[1:], math.log(0.25))
+        row_id = uni4.row_ids([(0,)])[0]  # the fallback row
+        assert np.allclose(np.log(uni4.rows[row_id, tree.tokens[1:]]), math.log(0.25))
+        assert np.allclose(tree.scores[1:], math.log(0.25))
 
     def test_matches_bruteforce_beam(self):
         draft = build_markov(VocabSpec(8), 1, seed=42)
@@ -85,14 +89,17 @@ class TestExpandLayer:
         draft = build_markov(VocabSpec(6), 1, seed=3)
         tree = grow(draft, [0], depth=3, top_k=2, beam=4)
         for i in range(1, tree.n_nodes):
-            assert tree.scores[i] == tree.scores[tree.parents[i]] + tree.logqs[i]
+            parent = tree.parents[i]
+            # order 1: the parent's token is the whole context
+            logq = np.log(draft.rows[draft.index[(int(tree.tokens[parent]),)], tree.tokens[i]])
+            assert tree.scores[i] == tree.scores[parent] + logq
 
     def test_parents_precede_children(self):
         draft = build_markov(VocabSpec(6), 1, seed=4)
         tree = grow(draft, [1], depth=4, top_k=3, beam=5)
         assert all(tree.parents[i] < i for i in range(1, tree.n_nodes))
         assert tree.depths[0] == 0 and (np.diff(tree.depths) >= 0).all()  # breadth-first layers
-        assert tree.max_layer == 4
+        assert tree.depths[-1] == 4
 
 
 class TestLayerConfidence:
@@ -280,7 +287,7 @@ class TestTopKBeyondVocab:
             tree = grow(draft, context, depth, top_k=9, beam=10_000)
             expect = enumerate_candidates(draft, context, frontier, top_k=9)
             got = [(branch_tokens(tree, int(i)), float(tree.scores[i])) for i in layer(tree, depth)]
-            assert got == expect
+            assert got == sorted(expect)  # canonical: the layer's paths in token order
             frontier = expect
 
 
@@ -301,9 +308,11 @@ def _envelope_drafts():
 
 
 def _same_tree(got, expect):
-    for name in ("tokens", "parents", "depths", "logqs", "scores"):
+    """``got`` is stored in canonical order and holds the nodes of
+    ``expect``, whatever order ``expect`` stores siblings in, bit for bit."""
+    for name, values in zip(("tokens", "parents", "depths", "origin", "scores"), canonical_form(expect)):
         a, b = getattr(got, name), getattr(expect, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert a.dtype == b.dtype and a.tobytes() == np.array(values, dtype=b.dtype).tobytes(), name
 
 
 def _random_prune(rng, vocab):
@@ -327,8 +336,9 @@ def _random_prune(rng, vocab):
 
 class TestOnePassEnvelope:
     """``resolve_stage`` and ``expand_full`` build the tree the layer-by-layer
-    oracle builds, array for array, with the same stage, gate confidences and
-    retained set; ``_envelope`` with a beam width per layer matches it too."""
+    oracle builds, in canonical order, with the same stage and gate
+    confidences, and retain the closure oracle's set; ``_envelope`` with a
+    beam width per layer matches it too."""
 
     def test_matches_layer_loop(self):
         rng = np.random.default_rng(2024)
@@ -342,9 +352,9 @@ class TestOnePassEnvelope:
                 expect, stage, trace = reference_envelope(draft, context, config)
                 _same_tree(tree, expect)
                 assert (decision.stage, decision.confidence_trace) == (stage, trace), name
-                assert decision.layers_drafted == expect.max_layer
+                assert decision.layers_drafted == expect.depths[-1]
                 assert decision.retained.tolist() == closure_topk_iterative(
-                    expect.scores.tolist(), expect.parents.tolist(), config.draft_budget(stage)
+                    tree.scores.tolist(), tree.parents.tolist(), config.draft_budget(stage)
                 )
                 stages.add("none" if stage is None else "first" if stage == config.checkpoints[0] else "later")
                 _same_tree(expand_full(draft, context, config), reference_envelope(draft, context, config, gated=False)[0])

@@ -28,7 +28,7 @@ from specgraft.retrieval import builtin_templates, new_matrix, update_row, warmu
 from specgraft.verify import node_distributions
 
 from .conftest import table_model
-from .oracles import ar_greedy, closure_topk_iterative, greedy_chain_walk, reference_draft_builder
+from .oracles import ar_greedy, canonical_form, closure_topk_iterative, greedy_chain_walk, reference_draft_builder
 from .test_retrieval import full_matrix
 
 
@@ -202,7 +202,7 @@ class TestBoundedContext:
         hy_long, info_long = build_next_tree(cfg, draft, matrix, long, templates)
         hy_short, info_short = build_next_tree(cfg, draft, matrix, short, templates)
         assert info_long == info_short
-        for name in ("tokens", "parents", "depths", "origin", "logqs"):
+        for name in ("tokens", "parents", "depths", "origin", "scores"):
             assert np.array_equal(getattr(hy_long, name), getattr(hy_short, name), equal_nan=True), name
         ids_long, dists_long = node_distributions(target, long, flatten(hy_long, len(long) - 1))
         ids_short, dists_short = node_distributions(target, short, flatten(hy_short, len(short) - 1))
@@ -408,16 +408,19 @@ class TestCalibrate:
 
 class TestTheoryChecks:
     def test_random_instances_pinned(self):
-        # the drafted trees of 400 theory instances, recorded when they were
-        # still grown one ``expand_layer`` call per layer
+        # the drafted trees of 400 theory instances, each put in canonical
+        # order by the reference builder, so the pin holds whatever order the
+        # envelope stores siblings in; recorded while the envelope still
+        # stored them by rank
         rng = np.random.default_rng(0)
         digest = hashlib.sha256()
         for i in range(400):
             _, _, prefix, tree, _ = _random_instance(rng, with_matrix=bool(i % 2))
+            tokens, parents, depths, _, scores = canonical_form(tree)
             digest.update(np.asarray(prefix, dtype=np.int64).tobytes())
-            for array in (tree.tokens, tree.parents, tree.depths, tree.logqs, tree.scores):
-                digest.update(array.tobytes())
-        assert digest.hexdigest() == "dcdb96e52c2ed019ef9e8500f0f35bae5fb713c9e6dc684345d32be72e45f9bf"
+            for values, dtype in zip((tokens, parents, depths, scores), (np.int32, np.int32, np.int32, np.float64)):
+                digest.update(np.asarray(values, dtype=dtype).tobytes())
+        assert digest.hexdigest() == "56b546c516d41a3aa574cc89059c35c077617d452034fd377571f00460d15732"
 
     def test_small_run_has_zero_violations(self):
         report = theory_checks(seed=1, n_monotonic=300, n_graft=300, n_coverage=200, overprune_trials=100_000)

@@ -7,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specgraft import engine
-from specgraft.drafttree import PruneConfig, new_tree, resolve_stage, select_retained
-from specgraft.engine import expand_full
-from specgraft.errors import ConfigError, StructureError
-from specgraft.hybrid import (
+from specgraft.drafttree import (
     ORIGIN_DRAFT,
     ORIGIN_RETRIEVED,
     HybridTree,
+    PruneConfig,
+    _envelope,
+    new_tree,
+    resolve_stage,
+    select_retained,
+)
+from specgraft.engine import expand_full
+from specgraft.errors import ConfigError, StructureError
+from specgraft.hybrid import (
     _Builder,
     draft_only,
     flatten,
@@ -33,6 +39,7 @@ from specgraft.retrieval import (
 
 from .conftest import grow, table_model
 from .oracles import (
+    canonical_form,
     children_of,
     closure_topk_iterative,
     path_token_sets,
@@ -97,13 +104,11 @@ class TestMerge:
 
     def test_dedup_keeps_draft_and_reparents(self):
         # draft: root -> 7; retrieved depth-1 is also 7, with a child 9
-        from specgraft.drafttree import DraftTree
-
-        tree = DraftTree(
+        tree = HybridTree(
             tokens=np.array([0, 7], dtype=np.int32),
             parents=np.array([-1, 0], dtype=np.int32),
-            depths=np.array([0, 1], dtype=np.int16),
-            logqs=np.array([0.0, -0.1]),
+            depths=np.array([0, 1], dtype=np.int32),
+            origin=np.array([ORIGIN_DRAFT] * 2, dtype=np.int8),
             scores=np.array([0.0, -0.1]),
         )
         matrix = new_matrix(16, 2)
@@ -132,7 +137,7 @@ class TestMerge:
         assert path_token_sets(merged.tokens, merged.parents) == expect
 
     def test_graft_drops_the_subtree_of_a_dropped_node(self):
-        builder = _Builder(new_tree([0]), [], budget=3)
+        builder = _Builder(new_tree([0]), budget=3)
         # a cold node and its child; a chain that runs past the budget; a
         # repeat of the chain's head, merged, whose new child is dropped
         parents = np.array([-1, 0, -1, 2, 3, 4, -1, 6, 7], dtype=np.int32)
@@ -270,7 +275,7 @@ class TestFlattenProperties:
     @settings(max_examples=50, deadline=None)
     def test_children_csr_on_random_trees(self, seed, n):
         rng = np.random.default_rng(seed)
-        builder = _Builder(new_tree([0]), [], budget=n + 1)
+        builder = _Builder(new_tree([0]), budget=n + 1)
         # each node hangs below the root (-1) or an earlier node; repeated
         # (parent, token) pairs merge
         parents = np.array([rng.integers(-1, i) for i in range(n)], dtype=np.int32)
@@ -281,16 +286,37 @@ class TestFlattenProperties:
             assert idx[ptr[i]:ptr[i + 1]].tolist() == children_of(hy, i).tolist()
 
 
-def _random_tree(rng):
-    """A small-vocabulary draft tree of 1-6 random beam layers, each with its
-    own top-k and beam width, so it is built by the layer-by-layer oracle."""
+def _as_tree(lists):
+    """A tree from the oracle's (tokens, parents, depths, origin, scores) lists."""
+    dtypes = (np.int32, np.int32, np.int32, np.int8, np.float64)
+    return HybridTree(*(np.array(values, dtype=dtype) for values, dtype in zip(lists, dtypes)))
+
+
+def _random_draft(rng):
     vocab = int(rng.integers(3, 14))
     target = build_markov(VocabSpec(vocab), int(rng.integers(0, 3)), int(rng.integers(1000)), float(rng.uniform(0, 0.6)))
-    draft = derive_draft(target, DraftDerivation("uniform-mix", float(rng.uniform(0, 1))))
+    return derive_draft(target, DraftDerivation("uniform-mix", float(rng.uniform(0, 1))))
+
+
+def _random_tree(rng):
+    """A small-vocabulary draft tree of 1-6 random beam layers, each with its
+    own top-k and beam width, so it is built by the layer-by-layer oracle,
+    and put in canonical order by the reference builder."""
+    draft = _random_draft(rng)
+    vocab = draft.vocab.size
     layered = reference_root([int(t) for t in rng.integers(0, vocab, size=2)])
     for _ in range(int(rng.integers(1, 7))):
         layered = reference_expand_layer(layered, draft, int(rng.integers(1, 6)), int(rng.integers(1, 12)))
-    return vocab, layered.tree
+    return vocab, _as_tree(canonical_form(layered.tree))
+
+
+def _random_subset(rng, tree, keep_prob=0.75):
+    """A random parent-closed node set of ``tree``, the root included."""
+    keep = np.zeros(tree.n_nodes, dtype=bool)
+    keep[0] = True
+    for i in range(1, tree.n_nodes):
+        keep[i] = keep[tree.parents[i]] and rng.random() < keep_prob
+    return np.flatnonzero(keep)
 
 
 def _random_matrix(rng, vocab):
@@ -309,7 +335,7 @@ def _random_template(rng):
 
 
 def _assert_matches_reference(hy, expect):
-    for name, want in zip(("tokens", "parents", "depths", "origin", "logqs"), expect):
+    for name, want in zip(("tokens", "parents", "depths", "origin", "scores"), expect):
         got = getattr(hy, name)
         assert np.array_equal(got, np.array(want, dtype=got.dtype), equal_nan=True), name
 
@@ -323,11 +349,7 @@ class TestBulkAssembly:
     def test_draft_only_and_merge_match_reference(self, seed):
         rng = np.random.default_rng(seed)
         vocab, tree = _random_tree(rng)
-        keep = np.zeros(tree.n_nodes, dtype=bool)
-        keep[0] = True
-        for i in range(1, tree.n_nodes):
-            keep[i] = keep[tree.parents[i]] and rng.random() < 0.75
-        retained = np.flatnonzero(keep)
+        retained = _random_subset(rng, tree)
         budget = retained.size - 1 + int(rng.integers(0, 30))
         _assert_matches_reference(draft_only(tree, retained, budget), reference_hybrid(tree, retained, budget))
 
@@ -383,18 +405,14 @@ def _assert_canonical(hy):
 
 class TestCanonicalOrder:
     """Every builder emits the canonical order the verifier and the
-    children CSR rely on."""
+    children CSR rely on, the draft trees from birth."""
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_builders_emit_canonical_order(self, seed):
         rng = np.random.default_rng(seed)
         vocab, tree = _random_tree(rng)
-        keep = np.zeros(tree.n_nodes, dtype=bool)
-        keep[0] = True
-        for i in range(1, tree.n_nodes):
-            keep[i] = keep[tree.parents[i]] and rng.random() < 0.75
-        retained = np.flatnonzero(keep)
+        retained = _random_subset(rng, tree)
         budget = retained.size - 1 + int(rng.integers(0, 30))
         matrix = _random_matrix(rng, vocab)
         merged = merge(tree, retained, instantiate(matrix, _random_template(rng), tree.root_token), budget)
@@ -404,6 +422,33 @@ class TestCanonicalOrder:
             insert_tail_variant(tree, matrix, int(rng.integers(0, tree.n_nodes + 20)), int(rng.integers(0, 15))),
         ):
             _assert_canonical(hy)
+
+        # the drafted trees, and reindexed subsets of them
+        draft = _random_draft(rng)
+        context = [int(t) for t in rng.integers(0, draft.vocab.size, size=2)]
+        depth = int(rng.integers(1, 7))
+        checkpoints = tuple(range(depth))
+        prune = PruneConfig(
+            checkpoints=checkpoints,
+            thresholds={d: float(rng.uniform(0.01, 0.6)) for d in checkpoints},
+            stage_budgets=dict.fromkeys(checkpoints, (1, 0)),
+            total_budget=1,
+            top_k=int(rng.integers(1, 6)),
+            max_depth=depth,
+            beam_width=int(rng.integers(1, 12)),
+        )
+        beams = [int(rng.integers(1, 12)) for _ in range(depth)]
+        gates = {d: prune.thresholds[d] for d in rng.permutation(depth)[: int(rng.integers(0, depth + 1))].tolist()}
+        for drafted in (
+            _envelope(draft, context, prune.top_k, beams, gates)[0],
+            resolve_stage(draft, context, prune)[0],
+            expand_full(draft, context, prune),
+        ):
+            _assert_canonical(drafted)
+            kept = _random_subset(rng, drafted, float(rng.uniform(0.2, 1.0)))
+            hy = draft_only(drafted, kept, kept.size - 1)
+            _assert_canonical(hy)
+            _assert_matches_reference(hy, reference_hybrid(drafted, kept, kept.size - 1))
 
         # the dense-replay union, captured where it is verified
         draft = build_markov(VocabSpec(vocab), 1, int(rng.integers(1000)))
@@ -425,8 +470,7 @@ class TestCanonicalOrder:
             parents=np.array([-1, 0, 1, 0], dtype=np.int32),
             depths=np.array([0, 1, 2, 1], dtype=np.int32),
             origin=np.zeros(4, dtype=np.int8),
-            logqs=np.zeros(4),
-            budget=3,
+            scores=np.zeros(4),
         )
         with pytest.raises(StructureError, match="breadth-first"):
             hy.children

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgraft.engine import DecodeConfig
+from specgraft.engine import DecodeConfig, decode_session
 from specgraft.errors import ConfigError, InputError, StructureError
 from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft, train_ngram
 from specgraft.cli import main
@@ -165,12 +165,21 @@ class TestLookupAndUpdate:
         # zeroed (markov) and smoothed-unseen (ngram) entries tie inside rows
         assert any(len(set(row.tolist())) < model.vocab.size for row in model.rows)
         for k in (1, 3, model.vocab.size):
-            for batch in (ids[::-1], ids[::2], ids):  # fill part, then hit and fill the rest
-                cached, logq = model.topk(batch, k)
-                assert cached.dtype == np.int32
-                assert [r.tolist() for r in cached] == [argtopk(model.rows[i], k).tolist() for i in batch]
+            # fill part, then hit and fill the rest, each fill by either accessor
+            for first, batch in enumerate((ids[::-1], ids[::2], ids)):
+                if first % 2:
+                    by_token, logq = model.topk_by_token(batch, k)
+                    ranked = model.topk(batch, k)
+                else:
+                    ranked = model.topk(batch, k)
+                    by_token, logq = model.topk_by_token(batch, k)
+                assert ranked.dtype == by_token.dtype == np.int32
+                assert [r.tolist() for r in ranked] == [argtopk(model.rows[i], k).tolist() for i in batch]
+                assert np.array_equal(by_token, np.sort(ranked, axis=1))
+                probs = model.rows[batch[:, None], by_token]
                 with np.errstate(divide="ignore"):
-                    assert np.array_equal(logq, np.log(model.rows[batch[:, None], cached]))
+                    assert np.array_equal(logq, np.log(probs))
+                assert np.array_equal(logq == -np.inf, probs == 0)
 
     def test_topk_cache_is_per_model_instance(self):
         ids = np.arange(9)
@@ -180,29 +189,40 @@ class TestLookupAndUpdate:
             first.topk(ids, 3)
             del first
             model = build_markov(VocabSpec(8), 1, seed=seed + 1000, sparsity=0.5)
-            top, logq = model.topk(ids, 3)
-            assert np.array_equal(top, argtopk(model.rows, 3))
+            assert np.array_equal(model.topk(ids, 3), argtopk(model.rows, 3))
+            by_token, logq = model.topk_by_token(ids, 3)
             with np.errstate(divide="ignore"):
-                assert np.array_equal(logq, np.log(np.take_along_axis(model.rows, top, axis=1)))
+                assert np.array_equal(logq, np.log(np.take_along_axis(model.rows, by_token, axis=1)))
             # a derived draft is a new instance with its own cache
             draft = derive_draft(model, DraftDerivation("uniform-mix", 0.5))
-            top, logq = draft.topk(ids, 3)
-            assert np.array_equal(top, argtopk(draft.rows, 3))
-            assert np.array_equal(logq, np.log(np.take_along_axis(draft.rows, top, axis=1)))
+            by_token, logq = draft.topk_by_token(ids, 3)
+            assert np.array_equal(by_token, np.sort(argtopk(draft.rows, 3), axis=1))
+            assert np.array_equal(logq, np.log(np.take_along_axis(draft.rows, by_token, axis=1)))
+            assert np.array_equal(draft.topk(ids, 3), argtopk(draft.rows, 3))
 
     def test_argtopk_cache_fill_is_thread_safe(self):
         model = build_markov(VocabSpec(16), 2, seed=3, sparsity=0.3)
         expect = argtopk(model.rows, 4)
+        expect_by_token = np.sort(expect, axis=1)
         with np.errstate(divide="ignore"):
-            expect_logq = np.log(np.take_along_axis(model.rows, expect, axis=1))
+            expect_logq = np.log(np.take_along_axis(model.rows, expect_by_token, axis=1))
         rng = np.random.default_rng(0)
         batches = [rng.integers(0, model.rows.shape[0], size=40) for _ in range(400)]
         wrong = []
 
         def worker(start):
-            for ids in batches[start::8]:
-                top, logq = model.topk(ids, 4)
-                if not (np.array_equal(top, expect[ids]) and np.array_equal(logq, expect_logq[ids])):
+            for i, ids in enumerate(batches[start::8]):
+                if (start + i) % 2:  # either accessor may fill a row first
+                    by_token, logq = model.topk_by_token(ids, 4)
+                    top = model.topk(ids, 4)
+                else:
+                    top = model.topk(ids, 4)
+                    by_token, logq = model.topk_by_token(ids, 4)
+                if not (
+                    np.array_equal(top, expect[ids])
+                    and np.array_equal(by_token, expect_by_token[ids])
+                    and np.array_equal(logq, expect_logq[ids])
+                ):
                     wrong.append(ids)
 
         interval = sys.getswitchinterval()
@@ -217,6 +237,19 @@ class TestLookupAndUpdate:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not wrong
+
+    def test_draft_that_is_the_target_writes_rank_order(self):
+        # one model drafts and verifies at the matrix's k: drafting reads the
+        # top-k cache by token, the update reads the same entries by rank
+        target = build_markov(VocabSpec(24), 1, seed=5, sparsity=0.3)
+        cfg = DecodeConfig(method="graft", max_new_tokens=80)
+        matrix = new_matrix(24, cfg.prune.top_k)
+        decode_session(cfg, target, target, matrix, [3])
+        written = np.flatnonzero(matrix.valid.all(axis=1))
+        assert written.size > 5
+        expect = [argtopk(target.row_for_context((int(t),)), matrix.k) for t in written]
+        assert [r.tolist() for r in matrix.rows[written]] == [r.tolist() for r in expect]
+        assert any((np.diff(r) < 0).any() for r in expect)  # some rank order is not token order
 
     def test_det4_verified_tree_rows(self, det4):
         m = new_matrix(4, 2)
