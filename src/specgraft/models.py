@@ -104,8 +104,13 @@ class MarkovTableModel:
     index: dict[tuple[int, ...], int]
     rows: np.ndarray
     seed: int = 0
-    # top-k of each row, filled lazily per k: {k: (ids by rank, ids by token, their log-probabilities, filled mask)}
-    _topk: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = field(
+    # top-k caches, filled lazily per k and per accessor:
+    # {k: (ids by rank, filled mask)} for topk and
+    # {k: (ids by token, their log-probabilities, filled mask)} for topk_by_token
+    _topk: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _topk_by_token: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -158,39 +163,46 @@ class MarkovTableModel:
     def row_for_context(self, context: tuple[int, ...]) -> np.ndarray:
         return self.rows[self.index.get(context, -1)]
 
-    def _topk_rows(self, ids: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-        """The top-``k`` cache, its rows ``ids`` filled: each row is sorted
-        once per model and stored in both orders.
+    def _cache(self, caches: dict, k: int, dtypes) -> tuple[np.ndarray, ...]:
+        """``caches[k]``: one ``(n_rows, k)`` array per dtype and the filled
+        mask, allocated on first use.
 
-        Rows never change, so filling the cache twice writes the same values;
+        Rows never change, so filling a row twice writes the same values;
         concurrent callers need no lock.
         """
-        cache = self._topk.get(k)
+        cache = caches.get(k)
         if cache is None:
             n = self.rows.shape[0]
-            arrays = (np.empty((n, k), np.int32), np.empty((n, k), np.int32), np.empty((n, k)), np.zeros(n, bool))
-            cache = self._topk.setdefault(k, arrays)
-        top, by_token, logq, filled = cache
-        hit = filled.take(ids)
-        if np.count_nonzero(hit) != hit.size:
-            todo = ids[~hit]
-            rows = self.rows[todo]
-            top[todo] = ranked = argtopk(rows, k)
-            by_token[todo] = ordered = np.sort(ranked, axis=1)
-            with np.errstate(divide="ignore"):
-                logq[todo] = np.log(np.take_along_axis(rows, ordered, axis=1))
-            filled[todo] = True
+            arrays = tuple(np.empty((n, k), dtype) for dtype in dtypes) + (np.zeros(n, bool),)
+            cache = caches.setdefault(k, arrays)
         return cache
 
     def topk(self, ids: np.ndarray, k: int) -> np.ndarray:
         """``argtopk(self.rows[ids], k)``: each row's top-``k`` ids by rank."""
-        return self._topk_rows(ids, k)[0].take(ids, axis=0)
+        top, filled = self._cache(self._topk, k, (np.int32,))
+        todo = _unfilled(filled, ids)
+        if todo.size:
+            top[todo] = argtopk(self.rows[todo], k)
+            filled[todo] = True
+        return top.take(ids, axis=0)
 
     def topk_by_token(self, ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The ids of :meth:`topk` in ascending token order, and their
         log-probabilities (``-inf`` where zero)."""
-        _, by_token, logq, _ = self._topk_rows(ids, k)
+        by_token, logq, filled = self._cache(self._topk_by_token, k, (np.int32, np.float64))
+        todo = _unfilled(filled, ids)
+        if todo.size:
+            rows = self.rows[todo]
+            by_token[todo] = ordered = np.sort(argtopk(rows, k), axis=1)
+            with np.errstate(divide="ignore"):
+                logq[todo] = np.log(np.take_along_axis(rows, ordered, axis=1))
+            filled[todo] = True
         return by_token.take(ids, axis=0), logq.take(ids, axis=0)
+
+
+def _unfilled(filled: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    hit = filled.take(ids)
+    return ids[:0] if np.count_nonzero(hit) == hit.size else ids[~hit]
 
 
 def _all_contexts(size: int, order: int):
@@ -298,11 +310,12 @@ def derive_draft(target: MarkovTableModel, derivation: DraftDerivation) -> Marko
 
 
 def sample(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw over ascending token ids."""
+    """Inverse-CDF draw over ascending token ids; a draw at or past the
+    total (a row summing just below 1) gives the last positive token."""
     u = rng.random()
     cdf = np.cumsum(dist)
     idx = int(np.searchsorted(cdf, u, side="right"))
-    return min(idx, dist.shape[0] - 1)
+    return idx if idx < dist.shape[0] else int(np.flatnonzero(dist)[-1])
 
 
 def greedy_token(dist: np.ndarray) -> int:

@@ -19,8 +19,10 @@ import numpy as np
 
 from . import _kernels
 from .drafttree import HybridTree
-from .errors import StructureError
+from .errors import InputError, StructureError
 from .models import MarkovTableModel
+
+TRIAL_CHUNK = 1024  # walk trials per draw of uniforms in first_token_frequencies
 
 
 @dataclass
@@ -120,10 +122,17 @@ def first_token_frequencies(
 ) -> np.ndarray:
     """Empirical first-emitted-token counts over ``n_trials`` stochastic walks.
 
-    Runs the same walk kernel as :func:`verify_stochastic`, batched.
+    Runs the same walk kernel as :func:`verify_stochastic`, batched. The
+    uniforms are drawn ``TRIAL_CHUNK`` trials at a time; successive draws
+    continue one stream, so the counts do not depend on the chunk size.
     """
+    if n_trials < 0:
+        raise InputError(f"n_trials must be >= 0, got {n_trials}")
     _, dists = node_distributions(target, prefix, tree)
     ptr, idx = tree.children
     rng = np.random.default_rng(seed)
-    uniforms = rng.random((n_trials, tree.n_nodes + 1))
-    return _kernels.stochastic_trials(tree.tokens, ptr, idx, dists, uniforms)
+    counts = np.zeros(dists.shape[1], dtype=np.int64)
+    for lo in range(0, n_trials, TRIAL_CHUNK):
+        uniforms = rng.random((min(TRIAL_CHUNK, n_trials - lo), tree.n_nodes + 1))
+        counts += _kernels.stochastic_trials(tree.tokens, ptr, idx, dists, uniforms)
+    return counts

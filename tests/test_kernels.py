@@ -2,28 +2,76 @@
 trials against single walks drawing the same uniforms."""
 
 import numpy as np
+import pytest
 
 from specgraft import _kernels as K
+from specgraft.errors import InputError, StructureError
+from specgraft.hybrid import draft_only
 from specgraft.models import VocabSpec, build_markov
-from specgraft.verify import node_distributions
+from specgraft.verify import TRIAL_CHUNK, first_token_frequencies, node_distributions, verify_stochastic
 
+from .conftest import delta, grow, table_model
 from .oracles import reference_walk
 from .test_verify import random_package
 
+# Edge values of a draw: 0 accepts every child with mass; 1, which a
+# generator never draws, rejects every child, so a threshold of exactly 1
+# reaches the rest <= 0 clamp; 1 - 5e-11 lies past the total of a residual
+# that sums to 1 - 1e-10.
+EDGE_DRAWS = (0.0, 1.0, 1.0 - 5e-11)
+
+
+def _case(parents, tokens, dists):
+    """(tokens, parents, child_ptr, child_idx, dists) of a breadth-first tree."""
+    parents = np.array(parents, dtype=np.int32)
+    ptr = np.searchsorted(parents[1:], np.arange(len(parents) + 1)).astype(np.int32)
+    idx = np.arange(1, len(parents), dtype=np.int32)
+    return np.array(tokens, dtype=np.int32), parents, ptr, idx, np.array(dists, dtype=float)
+
 
 def _chain_case():
-    tokens = np.array([0, 1, 2], dtype=np.int32)
-    child_ptr = np.array([0, 1, 2, 2], dtype=np.int32)
-    child_idx = np.array([1, 2], dtype=np.int32)
-    parents = np.array([-1, 0, 1], dtype=np.int32)
-    dists = np.array(
+    return _case(
+        [-1, 0, 1],
+        [0, 1, 2],
         [
             [0.1, 0.6, 0.2, 0.1],
             [0.3, 0.1, 0.5, 0.1],
             [0.25, 0.25, 0.25, 0.25],
-        ]
+        ],
     )
-    return tokens, parents, child_ptr, child_idx, dists
+
+
+def _delta_case():
+    # the root's first child takes the whole mass, so a = 1; rejecting it
+    # (draw 1.0) leaves rest = 0, clamped to 1.0, and an exhausted residual
+    return _case([-1, 0, 0, 1], [0, 1, 2, 3], [delta(4, 1), delta(4, 3), [0.5, 0.5, 0.0, 0.0], delta(4, 0)])
+
+
+def _sparse_case():
+    # rows that sum to 1 - 1e-10 and end in zeros: a draw past the residual's
+    # total must give the last positive token, never a trailing zero-mass one
+    short = 0.5 - 1e-10
+    return _case(
+        [-1, 0, 0, 1],
+        [0, 0, 3, 2],
+        [
+            [0.25, 0.25, short, 0.0, 0.0, 0.0],
+            [0.0, 0.5, short, 0.0, 0.0, 0.0],
+            [0.5, short, 0.0, 0.0, 0.0, 0.0],
+            [short, 0.0, 0.5, 0.0, 0.0, 0.0],
+        ],
+    )
+
+
+def _shared_token_case():
+    # siblings sharing a token: once the first is rejected, its token has no
+    # residual mass left for the second
+    return _case([-1, 0, 0, 0], [0, 1, 1, 2], [[0.2, 0.5, 0.3], [0.1, 0.1, 0.8], [0.6, 0.2, 0.2], [0.3, 0.3, 0.4]])
+
+
+def _exhausted_case():
+    # unnormalised rows: rejecting the root's only child leaves no mass
+    return _case([-1, 0], [0, 0], [[0.5, 0.0, 0.0], [0.2, 0.3, 0.5]])
 
 
 def _tree_case(seed, sparsity):
@@ -35,25 +83,97 @@ def _tree_case(seed, sparsity):
     return pkg.tokens, pkg.parents, ptr, idx, dists
 
 
-CASES = [_chain_case()] + [_tree_case(seed, sparsity) for seed in range(4) for sparsity in (0.0, 0.5)]
+CASES = [_chain_case(), _delta_case(), _sparse_case(), _shared_token_case(), _exhausted_case()] + [
+    _tree_case(seed, sparsity) for seed in range(4) for sparsity in (0.0, 0.5)
+]
+
+
+def _draws(n_rows, width, seed):
+    """Generator rows, then one row of each edge value."""
+    rows = np.random.default_rng(seed).random((n_rows, width))
+    return np.vstack([rows] + [np.full((1, width), u) for u in EDGE_DRAWS])
 
 
 def test_stochastic_walk_paths_agree():
-    rng = np.random.default_rng(17)
     for tokens, parents, ptr, idx, dists in CASES:
         path = np.empty(tokens.shape[0], dtype=np.int32)
-        for _ in range(300):
-            u = rng.random(tokens.shape[0] + 1)
+        for u in _draws(300, tokens.shape[0] + 1, 17):
             n_acc, emitted = K.stochastic_walk(tokens, ptr, idx, dists, u, path)
             assert (path[:n_acc].tolist(), emitted) == reference_walk(tokens, parents, dists, u)
 
 
+def test_edge_draws_reach_the_clamp_and_the_fallback():
+    tokens, _, ptr, idx, dists = _delta_case()
+    path = np.empty(4, dtype=np.int32)
+    assert K.stochastic_walk(tokens, ptr, idx, dists, np.full(5, 1.0), path) == (0, -1)
+    tokens, _, ptr, idx, dists = _sparse_case()
+    # root: child 1 (token 0) rejected, child 2 (token 3) has no mass; the
+    # residual [0, 1/3, short/0.75, 0, 0, 0] sums below the draw
+    assert K.stochastic_walk(tokens, ptr, idx, dists, np.full(5, 1.0 - 5e-11), path) == (0, 2)
+
+
 def test_stochastic_trials_paths_agree():
     for tokens, _, ptr, idx, dists in CASES:
-        uniforms = np.random.default_rng(3).random((2000, tokens.shape[0] + 1))
+        uniforms = _draws(2000, tokens.shape[0] + 1, 3)
         expect = np.zeros(dists.shape[1], dtype=np.int64)
         path = np.empty(tokens.shape[0], dtype=np.int32)
+        exhausted = False
         for u in uniforms:
             n_acc, emitted = K.stochastic_walk(tokens, ptr, idx, dists, u, path)
+            exhausted |= emitted < 0
             expect[tokens[path[0]] if n_acc else emitted] += 1
-        assert np.array_equal(K.stochastic_trials(tokens, ptr, idx, dists, uniforms), expect)
+        if exhausted:
+            with pytest.raises(StructureError):
+                K.stochastic_trials(tokens, ptr, idx, dists, uniforms)
+        else:
+            assert np.array_equal(K.stochastic_trials(tokens, ptr, idx, dists, uniforms), expect)
+
+
+def test_exhausted_residual_raises():
+    tokens, _, ptr, idx, dists = _exhausted_case()
+    path = np.empty(2, dtype=np.int32)
+    assert K.stochastic_walk(tokens, ptr, idx, dists, np.array([0.7, 0.1]), path) == (0, -1)
+    with pytest.raises(StructureError):
+        K.stochastic_trials(tokens, ptr, idx, dists, np.array([[0.1, 0.1], [0.7, 0.1]]))
+
+    # a normalised row whose last child's threshold rounds to 1 - 2^-53:
+    # the largest generator draw rejects all three children
+    target = table_model(4, 1, {(0,): [0.01, 0.3, 0.69, 0.0]})
+    tree = grow(target, [0], 1, top_k=3)
+    hy = draft_only(tree, np.arange(tree.n_nodes), tree.n_nodes)
+    assert hy.tokens.tolist() == [0, 0, 1, 2]
+
+    class LargestDraw:
+        def random(self, size):
+            return np.full(size, 1.0 - 2.0**-53)
+
+    with pytest.raises(StructureError):
+        verify_stochastic(target, [0], hy, LargestDraw())
+
+
+def test_walk_fills_only_its_path():
+    tokens, _, ptr, idx, dists = _tree_case(1, 0.0)
+    for u in _draws(50, tokens.shape[0] + 1, 5):
+        table = K._AcceptanceTable(tokens, ptr, idx, dists)
+        path: list[int] = []
+        table.walk(iter(u.tolist()), path)
+        filled = [c for c, entry in enumerate(table.accept) if entry is not None]
+        assert filled == [0] + path
+        assert [c for c, entry in enumerate(table.draw) if entry is not None] == [filled[-1]]
+
+
+def test_chunked_draws_match_single_walks():
+    target = build_markov(VocabSpec(8), 1, seed=4, sparsity=0.3)
+    pkg = random_package(seed=9, vocab=8, depth=3, keep=15)
+    n_trials = 2 * TRIAL_CHUNK + 7
+    _, dists = node_distributions(target, [0], pkg)
+    ptr, idx = pkg.children
+    expect = np.zeros(8, dtype=np.int64)
+    path = np.empty(pkg.n_nodes, dtype=np.int32)
+    for u in np.random.default_rng(21).random((n_trials, pkg.n_nodes + 1)):
+        n_acc, emitted = K.stochastic_walk(pkg.tokens, ptr, idx, dists, u, path)
+        expect[pkg.tokens[path[0]] if n_acc else emitted] += 1
+    assert np.array_equal(first_token_frequencies(target, [0], pkg, n_trials, seed=21), expect)
+    assert not first_token_frequencies(target, [0], pkg, 0, seed=21).any()
+    with pytest.raises(InputError):
+        first_token_frequencies(target, [0], pkg, -1, seed=21)

@@ -9,6 +9,7 @@ from specgraft.models import (
     DraftDerivation,
     VocabSpec,
     build_markov,
+    check_distribution,
     derive_draft,
     load_corpus,
     sample,
@@ -156,6 +157,15 @@ class TestSample:
         draws = np.searchsorted(cdf, np.random.default_rng(1).random(1_000_000), side="right")
         freqs = np.bincount(np.minimum(draws, 3), minlength=4) / 1_000_000
         assert np.all(np.abs(freqs - 0.25) <= 0.005)
+
+    def test_draw_past_the_total_gives_the_last_positive_token(self):
+        class Draw:
+            def random(self):
+                return 1.0 - 5e-11
+
+        row = check_distribution([0.5, 0.5 - 1e-10, 0.0], 3)
+        assert sample(row, Draw()) == 1
+        assert sample(check_distribution([0.25, 0.0, 0.75 - 1e-10, 0.0, 0.0], 5), Draw()) == 2
 
     def test_replay_determinism(self, uni4):
         row = uni4.fallback

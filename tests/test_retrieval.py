@@ -181,6 +181,16 @@ class TestLookupAndUpdate:
                     assert np.array_equal(logq, np.log(probs))
                 assert np.array_equal(logq == -np.inf, probs == 0)
 
+    def test_each_accessor_fills_only_its_own_arrays(self):
+        ids = np.arange(5)
+        target = build_markov(VocabSpec(8), 1, seed=2, sparsity=0.5)
+        target.topk(ids, 3)
+        assert list(target._topk) == [3] and not target._topk_by_token
+        draft = build_markov(VocabSpec(8), 1, seed=2, sparsity=0.5)
+        draft.topk_by_token(ids, 3)
+        assert list(draft._topk_by_token) == [3] and not draft._topk
+        assert target._topk[3][-1].tolist() == draft._topk_by_token[3][-1].tolist() == [True] * 5 + [False] * 4
+
     def test_topk_cache_is_per_model_instance(self):
         ids = np.arange(9)
         for seed in range(30):
