@@ -1,7 +1,8 @@
 """The stochastic-verification walk, plain Python over one acceptance table.
 
-``stochastic_walk`` runs one walk for :func:`verify.verify_stochastic`;
-``stochastic_trials`` runs a batch of them for the exactness audit in
+``stochastic_walk`` runs one walk for :func:`verify.verify_stochastic`,
+reading only the rows of the nodes it visits; ``stochastic_trials`` runs a
+batch of them for the exactness audit in
 :func:`verify.first_token_frequencies`. Both consume pre-drawn uniforms, so
 a walk is a pure function of its inputs.
 """
@@ -22,8 +23,7 @@ NUMBA_ENABLED = False  # there is no numba path; perfbench/run.py still records 
 # probability residual[token_c]; a rejection zeroes that token and
 # renormalizes. With no child accepted the emitted token is drawn from the
 # final residual by inverse CDF; an accepted leaf draws from its own
-# distribution. Returns the number of accepted nodes (path written into
-# ``path_out``) and the final emitted token.
+# distribution. A walk gives the accepted nodes and the emitted token.
 #
 # For a fixed tree only the uniforms vary between walks, so a node's
 # decisions are scalars fixed in advance, computed with the same IEEE
@@ -61,25 +61,26 @@ def _draw(cdf: list[float], residual: np.ndarray, u: float) -> int:
 
 
 def stochastic_walk(
-    tokens: np.ndarray,
-    child_ptr: np.ndarray,
-    child_idx: np.ndarray,
-    dists: np.ndarray,
-    uniforms: np.ndarray,
-    path_out: np.ndarray,
-) -> tuple[int, int]:
-    """One walk. It computes the table's entries only for the nodes on its
-    path, and a node's thresholds only up to the child it accepts; it keeps
-    none of them, since one walk never reads a node twice."""
-    n_acc = cur = at = 0
+    tokens: list[int],
+    child_ptr: list[int],
+    rows: np.ndarray,
+    row_ids: list[int],
+    uniforms: list[float],
+) -> tuple[list[int], int]:
+    """One walk; node c's children are nodes ``child_ptr[c] + 1 ..
+    child_ptr[c + 1]`` and its row is ``rows[row_ids[c]]``. It computes the
+    table's entries only for the nodes on its path, and a node's thresholds
+    only up to the child it accepts; it keeps none of them, since one walk
+    never reads a node twice. -1 is emitted when the residual is exhausted."""
+    path: list[int] = []
+    cur = at = 0
     while True:
-        row = dists[cur]
+        row = rows[row_ids[cur]]
         rejected: list[int] = []
         rests: list[float] = []
-        for j in range(child_ptr[cur], child_ptr[cur + 1]):
-            c = int(child_idx[j])
-            t = int(tokens[c])
-            a = 0.0 if t in rejected else float(row[t])
+        for c in range(child_ptr[cur] + 1, child_ptr[cur + 1] + 1):
+            t = tokens[c]
+            a = 0.0 if t in rejected else row.item(t)
             for rest in rests:
                 a /= rest
             at += 1
@@ -90,9 +91,8 @@ def stochastic_walk(
             rejected.append(t)
         else:
             residual = _residual(row, rejected, rests)
-            return n_acc, _draw(residual.cumsum().tolist(), residual, uniforms[at])
-        path_out[n_acc] = c
-        n_acc += 1
+            return path, _draw(residual.cumsum().tolist(), residual, uniforms[at])
+        path.append(c)
         cur = c
 
 

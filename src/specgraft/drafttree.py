@@ -20,10 +20,10 @@ ROOT_PARENT = -1
 ORIGIN_DRAFT = 0
 ORIGIN_RETRIEVED = 1
 STAGE_NONE = "none"
-# ceiling on max_depth x beam_width: the envelope allocates one node per
-# beam slot up front, 21 bytes each, so about 22 MB of node arrays. It also
-# bounds beam_width x top_k, the candidates a layer scores before its beam
-# cut, at about 37 bytes each.
+# ceiling on max_depth x beam_width: the envelope keeps at most one node per
+# beam slot, about 100 bytes each in the lists it drafts into, so about
+# 100 MB. It also bounds beam_width x top_k, the candidates a layer scores
+# before its beam cut, at about 37 bytes each.
 MAX_ENVELOPE_NODES = 2**20
 
 
@@ -87,21 +87,13 @@ def new_tree(context) -> HybridTree:
     )
 
 
-def _context_tail(draft: MarkovTableModel) -> slice:
-    """The slice of a context the draft reads: its last ``order`` tokens."""
-    return slice(-draft.order, None) if draft.order else slice(0, 0)
-
-
-def _rank_rows(draft: MarkovTableModel, context: tuple, tokens: np.ndarray, parents: np.ndarray, lo: int) -> np.ndarray:
+def _rank_rows(draft: MarkovTableModel, codes: list, tokens: list, parents: list, lo: int) -> np.ndarray:
     """The slots of a draft tree's nodes ``lo`` on, less ``lo``, by path:
     compared where the paths part, the higher draft probability first, then
-    the lower id."""
-    tail = _context_tail(draft)
-    contexts, paths = [context[tail]], [()]
-    for parent, token in zip(parents[1:].tolist(), tokens[1:].tolist()):
-        q = draft.rows[draft.row_ids(contexts[parent : parent + 1])[0], token]
-        paths.append(paths[parent] + (-q, token))
-        contexts.append((contexts[parent] + (token,))[tail])
+    the lower id. ``codes`` are the nodes' context codes."""
+    ids, paths = draft.row_ids(codes), [()]
+    for parent, token in zip(parents[1:], tokens[1:]):
+        paths.append(paths[parent] + (-draft.rows[ids[parent], token], token))
     return np.array(sorted(range(len(paths) - lo), key=lambda slot: paths[lo + slot]))
 
 
@@ -191,60 +183,66 @@ def select_retained(tree: HybridTree, limit: int) -> np.ndarray:
 
 
 def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[int, float]) -> tuple[HybridTree, int | None, dict]:
-    """Draft ``len(beams)`` layers in one pass over node arrays allocated
-    once: layer d keeps the ``beams[d - 1]`` best-scoring of its frontier's
-    top-``top_k`` children. Checkpoint d of ``gates`` tests layer d+1's
-    best path probability against ``gates[d]``; the first failed gate stops
-    drafting at that stage. Only the last ``max(draft.order, 1)`` tokens of
-    ``context`` are read. Returns the tree, the stage and the gate
-    confidences.
+    """Draft ``len(beams)`` layers: layer d keeps the ``beams[d - 1]``
+    best-scoring of its frontier's top-``top_k`` children. Checkpoint d of
+    ``gates`` tests layer d+1's best path probability against ``gates[d]``;
+    the first failed gate stops drafting at that stage. Only the last
+    ``max(draft.order, 1)`` tokens of ``context`` are read. Returns the
+    tree, the stage and the gate confidences.
 
     Candidates of equal score rank by their paths, compared where the paths
     part: the higher draft probability first, then the lower id. Between
     the candidates of one frontier row, that is token order.
+
+    Layers are scored on path costs (negated scores) and appended to lists
+    that become the tree's arrays once, after the last layer, beside each
+    node's context code (:func:`models.context_code`).
     """
     context = tuple(int(t) for t in context[-max(draft.order, 1):])
-    root = new_tree(context)
-    size = 1 + sum(beams)  # a layer keeps at most its beam width of nodes
-    tokens, parents, depths, scores = (np.zeros(size, a.dtype) for a in (root.tokens, root.parents, root.depths, root.scores))
-    tokens[0], parents[0] = root.root_token, ROOT_PARENT  # zero is the root's depth and score
-    tail = _context_tail(draft)
-    contexts = [context[tail]]
+    if not context:
+        raise InputError("context must contain at least the root token")
+    codes = [draft.code_of(context)]
     k = min(top_k, draft.vocab.size)
+    cost = np.array([-0.0])  # negated back, the root's score is +0.0
+    tokens, parents, depths, costs = [context[-1]], [ROOT_PARENT], [0], [cost]
     trace: dict[int, float] = {}
     stage: int | None = None
     lo, hi = 0, 1
     for depth, beam_width in enumerate(beams, 1):
-        top, logq = draft.topk_by_token(draft.row_ids(contexts), k)
-        # candidate j is token top[j // k, j % k]; zero-probability ones score -inf
-        cand = (scores[lo:hi, None] + logq).ravel()
-        order = (-cand).argsort(kind="stable")
+        top, logq = draft.topk_by_token(draft.row_ids(codes[lo:hi]), k)
+        # candidate j is token top[j // k, j % k]; zero-probability ones cost +inf
+        cand = (cost[:, None] - logq).ravel()
+        order = cand.argsort(kind="stable")
         best = order[:beam_width]
         cut = cand[best[-1]]
-        if cut == -np.inf:  # -inf ranks last: drop it after the beam cut
-            best = best[cand[best] > -np.inf]
+        if cut == np.inf:  # +inf ranks last: drop it after the beam cut
+            best = best[cand[best] < np.inf]
             if best.size == 0:
                 raise StructureError("no positive-probability candidates in the new layer")
         elif best.size < order.size and cand[order[best.size]] == cut:
             tied = np.flatnonzero(cand == cut) // k
             if tied[0] != tied[-1]:  # the cut splits a tie across rows: cut again, rows by path
-                rows = _rank_rows(draft, context, tokens[:hi], parents[:hi], lo)
-                ranked = (-cand.reshape(-1, k)[rows].ravel()).argsort(kind="stable")[:beam_width]
+                rows = _rank_rows(draft, codes, tokens, parents, lo)
+                ranked = cand.reshape(-1, k)[rows].ravel().argsort(kind="stable")[:beam_width]
                 best = rows[ranked // k] * k + ranked % k
         best.sort()  # (parent, token) order: below a canonical frontier, the layer is canonical
-        slot, token, score = best // k, top.take(best), cand.take(best)
-        contexts = [(contexts[s] + (t,))[tail] for s, t in zip(slot.tolist(), token.tolist())]
-        end = hi + best.size
-        tokens[hi:end], parents[hi:end], depths[hi:end], scores[hi:end] = token, lo + slot, depth, score
-        lo, hi = hi, end
+        layer, cost = top.take(best).tolist(), cand.take(best)
+        layer_parents = [lo + s for s in (best // k).tolist()]
+        draft.extend_codes(codes, layer_parents, layer)
+        tokens += layer
+        parents += layer_parents
+        depths += [depth] * len(layer)
+        costs.append(cost)
+        lo, hi = hi, hi + len(layer)
         checkpoint = depth - 1
         if checkpoint in gates:
-            trace[checkpoint] = conf = float(np.exp(score.max()))
+            trace[checkpoint] = conf = float(np.exp(-cost.min()))
             if not evaluate_gate(conf, gates[checkpoint]):
                 stage = checkpoint
                 break
-    origin = np.full(hi, ORIGIN_DRAFT, dtype=np.int8)
-    return HybridTree(tokens[:hi], parents[:hi], depths[:hi], origin, scores[:hi]), stage, trace
+    arrays = (np.array(a, dtype=np.int32) for a in (tokens, parents, depths))
+    tree = HybridTree(*arrays, np.full(hi, ORIGIN_DRAFT, dtype=np.int8), -np.concatenate(costs))
+    return tree, stage, trace
 
 
 def expand_full(draft: MarkovTableModel, context, config: PruneConfig) -> HybridTree:

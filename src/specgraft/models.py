@@ -1,19 +1,19 @@
 """Toy target/draft language models with exact, enumerable next-token rows.
 
-Models are tables from context tuples to probability rows, built either
-from a seeded pseudo-random construction or from n-gram counts over a
-corpus. All rows of a model live in one read-only ``(n_ctx + 1, vocab)``
-float64 array with the fallback row last, and ``index`` maps each known
-context to its row id; unseen contexts read the fallback row. A context is
-at most the last ``order`` tokens, so a caller needs to carry only that
-many committed tokens, and tree nodes map to row ids that gather their rows
-in one fancy index. Verification claims can be checked analytically.
+Models are tables from contexts to probability rows, built either from a
+seeded pseudo-random construction or from n-gram counts over a corpus. All
+rows of a model live in one read-only ``(n_ctx + 1, vocab)`` float64 array
+with the fallback row last, and ``index`` maps each known context's integer
+code to its row id; unseen contexts read the fallback row. A context is at
+most the last ``order`` tokens, so a caller needs to carry only that many
+committed tokens, and a tree node's code follows from its parent's by one
+multiply-add. Verification claims can be checked analytically.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +66,19 @@ def check_distribution(probs: np.ndarray, size: int) -> np.ndarray:
     return probs
 
 
+def context_code(context, size: int) -> int:
+    """A context's key in ``index``: the sum of ``(t + 1) * (size + 1) ** i``,
+    the last token at i = 0. No digit is zero, so a context shorter or longer
+    than the order misses. Appending t to code c gives ``c * (size + 1) + t
+    + 1``, and ``% (size + 1) ** order`` keeps the last ``order`` tokens."""
+    code = 0
+    for t in map(int, context):
+        if not 0 <= t < size:
+            raise InputError(f"token {t} out of range for vocab {size}")
+        code = code * (size + 1) + t + 1
+    return code
+
+
 def argtopk(dist: np.ndarray, k: int) -> np.ndarray:
     """Top-k token ids by probability, descending, ties to the lower id.
 
@@ -94,23 +107,22 @@ class MarkovTableModel:
     """Order-``order`` table model; unseen contexts fall back to one row.
 
     ``rows`` is the stacked ``(len(index) + 1, vocab)`` row table, validated
-    and frozen at construction: row ``index[ctx]`` for each known context,
-    the fallback row last. ``table`` presents the same rows as a dict of
-    read-only views.
+    and frozen at construction: row ``index[context_code(ctx, vocab.size)]``
+    for each known context, the fallback row last.
     """
 
     vocab: VocabSpec
     order: int
-    index: dict[tuple[int, ...], int]
+    index: dict[int, int]
     rows: np.ndarray
     seed: int = 0
     # top-k caches, filled lazily per k and per accessor:
-    # {k: (ids by rank, filled mask)} for topk and
-    # {k: (ids by token, their log-probabilities, filled mask)} for topk_by_token
-    _topk: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+    # {k: (ids by rank, filled row ids)} for topk and
+    # {k: (ids by token, their log-probabilities, filled row ids)} for topk_by_token
+    _topk: dict[int, tuple[np.ndarray, set]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _topk_by_token: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+    _topk_by_token: dict[int, tuple[np.ndarray, np.ndarray, set]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -129,7 +141,7 @@ class MarkovTableModel:
         rows = np.empty((len(table) + 1, vocab.size))
         index = {}
         for i, (ctx, row) in enumerate(table.items()):
-            index[tuple(int(t) for t in ctx)] = i
+            index[context_code(ctx, vocab.size)] = i
             rows[i] = row
         rows[-1] = fallback
         return cls(vocab=vocab, order=order, index=index, rows=rows, seed=seed)
@@ -138,89 +150,71 @@ class MarkovTableModel:
     def fallback(self) -> np.ndarray:
         return self.rows[-1]
 
-    @cached_property
-    def table(self) -> dict[tuple[int, ...], np.ndarray]:
-        return {ctx: self.rows[i] for ctx, i in self.index.items()}
-
-    def context_of(self, prefix) -> tuple[int, ...]:
-        if self.order == 0:
-            return ()
-        return tuple(int(t) for t in prefix[-self.order:])
-
-    def row_ids(self, contexts) -> np.ndarray:
-        """Row id of each context tuple (the fallback row for unseen ones)."""
+    def row_ids(self, codes) -> list[int]:
+        """Row id of each context code (the fallback row for unseen ones)."""
         fallback = self.rows.shape[0] - 1
         get = self.index.get
-        return np.array([get(c, fallback) for c in contexts], dtype=np.intp)
+        return [get(c, fallback) for c in codes]
+
+    def extend_codes(self, codes: list[int], parents, tokens) -> None:
+        """Append to ``codes`` the code of each node ``(parent, token)``, its
+        parent's context extended by its token; ``parents`` index ``codes``."""
+        base, span = self.vocab.size + 1, (self.vocab.size + 1) ** self.order
+        for parent, token in zip(parents, tokens):
+            codes.append((codes[parent] * base + token + 1) % span)
+
+    def code_of(self, prefix) -> int:
+        """The code of ``prefix``'s context: its last ``order`` tokens."""
+        return context_code(prefix[-self.order:] if self.order else (), self.vocab.size)
 
     def next_distribution(self, prefix) -> np.ndarray:
         """Row for the last ``order`` tokens of ``prefix`` (fallback if unseen)."""
-        for t in prefix[-self.order:] if self.order else ():
-            if not 0 <= t < self.vocab.size:
-                raise InputError(f"token {t} out of range for vocab {self.vocab.size}")
-        return self.row_for_context(self.context_of(prefix))
+        return self.rows[self.index.get(self.code_of(prefix), -1)]
 
-    def row_for_context(self, context: tuple[int, ...]) -> np.ndarray:
-        return self.rows[self.index.get(context, -1)]
+    def row_for_context(self, context) -> np.ndarray:
+        return self.rows[self.index.get(context_code(context, self.vocab.size), -1)]
 
-    def _cache(self, caches: dict, k: int, dtypes) -> tuple[np.ndarray, ...]:
-        """``caches[k]``: one ``(n_rows, k)`` array per dtype and the filled
-        mask, allocated on first use.
+    def _cache(self, caches: dict, k: int, dtypes) -> tuple:
+        """``caches[k]``: one ``(n_rows, k)`` array per dtype and the set of
+        filled row ids, allocated on first use.
 
         Rows never change, so filling a row twice writes the same values;
-        concurrent callers need no lock.
+        an id joins the set once its row is written. Callers need no lock.
         """
         cache = caches.get(k)
         if cache is None:
             n = self.rows.shape[0]
-            arrays = tuple(np.empty((n, k), dtype) for dtype in dtypes) + (np.zeros(n, bool),)
+            arrays = tuple(np.empty((n, k), dtype) for dtype in dtypes) + (set(),)
             cache = caches.setdefault(k, arrays)
         return cache
 
-    def topk(self, ids: np.ndarray, k: int) -> np.ndarray:
+    def topk(self, ids, k: int) -> np.ndarray:
         """``argtopk(self.rows[ids], k)``: each row's top-``k`` ids by rank."""
         top, filled = self._cache(self._topk, k, (np.int32,))
         todo = _unfilled(filled, ids)
-        if todo.size:
+        if todo:
             top[todo] = argtopk(self.rows[todo], k)
-            filled[todo] = True
-        return top.take(ids, axis=0)
+            filled.update(todo)
+        return top.take(np.asarray(ids, dtype=np.intp), axis=0)
 
-    def topk_by_token(self, ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def topk_by_token(self, ids, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The ids of :meth:`topk` in ascending token order, and their
         log-probabilities (``-inf`` where zero)."""
         by_token, logq, filled = self._cache(self._topk_by_token, k, (np.int32, np.float64))
         todo = _unfilled(filled, ids)
-        if todo.size:
+        if todo:
             rows = self.rows[todo]
             by_token[todo] = ordered = np.sort(argtopk(rows, k), axis=1)
             with np.errstate(divide="ignore"):
                 logq[todo] = np.log(np.take_along_axis(rows, ordered, axis=1))
-            filled[todo] = True
+            filled.update(todo)
+        ids = np.asarray(ids, dtype=np.intp)
         return by_token.take(ids, axis=0), logq.take(ids, axis=0)
 
 
-def _unfilled(filled: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    hit = filled.take(ids)
-    return ids[:0] if np.count_nonzero(hit) == hit.size else ids[~hit]
-
-
-def _all_contexts(size: int, order: int):
-    if order == 0:
-        yield ()
-        return
-    ctx = [0] * order
-    while True:
-        yield tuple(ctx)
-        i = order - 1
-        while i >= 0:
-            ctx[i] += 1
-            if ctx[i] < size:
-                break
-            ctx[i] = 0
-            i -= 1
-        if i < 0:
-            return
+def _unfilled(filled: set, ids) -> list[int]:
+    """The distinct row ids of ``ids`` that ``filled`` lacks."""
+    return [] if filled.issuperset(ids) else list(set(ids).difference(filled))
 
 
 def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0) -> MarkovTableModel:
@@ -236,8 +230,8 @@ def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0)
         )
     rng = np.random.default_rng(seed)
     rows = np.empty((vocab.size**order + 1, vocab.size))
-    index: dict[tuple[int, ...], int] = {}
-    for i, ctx in enumerate(_all_contexts(vocab.size, order)):
+    index: dict[int, int] = {}
+    for i, ctx in enumerate(itertools.product(range(vocab.size), repeat=order)):
         w = rng.gamma(1.0, 1.0, size=vocab.size)
         if sparsity > 0.0:
             drop = rng.random(vocab.size) < sparsity
@@ -246,7 +240,7 @@ def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0)
             if w.sum() == 0.0:
                 w[keep_best] = 1.0
         rows[i] = w / w.sum()
-        index[ctx] = i
+        index[context_code(ctx, vocab.size)] = i
     # a single-row model: the row IS the fallback
     rows[-1] = rows[0] if order == 0 else 1.0 / vocab.size
     return MarkovTableModel(vocab=vocab, order=order, index=index, rows=rows, seed=seed)
@@ -265,8 +259,8 @@ def train_ngram(vocab: VocabSpec, corpus, order: int, smoothing: float = 0.0) ->
         if not 0 <= t < vocab.size:
             raise InputError(f"corpus token {t} out of range for vocab {vocab.size}")
 
-    index: dict[tuple[int, ...], int] = {}
-    ids = [index.setdefault(tuple(corpus[i - order:i]), len(index)) for i in range(order, len(corpus))]
+    index: dict[int, int] = {}
+    ids = [index.setdefault(context_code(corpus[i - order:i], vocab.size), len(index)) for i in range(order, len(corpus))]
     counts = np.zeros((len(index) + 1, vocab.size))
     np.add.at(counts, (ids, corpus[order:]), 1.0)
     np.add.at(counts[-1], corpus, 1.0)  # the unigram, smoothed into the fallback
@@ -296,10 +290,10 @@ def derive_draft(target: MarkovTableModel, derivation: DraftDerivation) -> Marko
     new_order = target.order - int(round(s * target.order))
     if new_order == target.order:
         return target
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for ctx, i in target.index.items():
-        suffix = ctx[len(ctx) - new_order:] if new_order else ()
-        groups.setdefault(suffix, []).append(i)
+    span = (size + 1) ** new_order  # a code modulo span keeps its last new_order tokens
+    groups: dict[int, list[int]] = {}
+    for code, i in target.index.items():
+        groups.setdefault(code % span, []).append(i)
     rows = np.empty((len(groups) + 1, size))
     index = {}
     for j, (suffix, ids) in enumerate(groups.items()):

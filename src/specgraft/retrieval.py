@@ -92,11 +92,12 @@ def update_from_verification(matrix: TransitionMatrix, tokens, row_ids, target: 
         raise InputError(f"{tokens.size} verified tokens but {ids.size} row ids")
     if not tokens.size:
         return matrix
-    if tokens.min() < 0 or tokens.max() >= matrix.vocab_size:
+    tokens = tokens.tolist()
+    if min(tokens) < 0 or max(tokens) >= matrix.vocab_size:
         raise InputError("verified token out of range")
-    last = dict(zip(tokens.tolist(), ids.tolist()))  # later entries overwrite earlier ones
-    written = list(last)
-    matrix.rows[written] = target.topk(np.array(list(last.values()), dtype=np.intp), matrix.k)
+    last = dict(zip(tokens, ids.tolist()))  # later entries overwrite earlier ones
+    written = np.fromiter(last, np.intp, len(last))
+    matrix.rows[written] = target.topk(list(last.values()), matrix.k)
     matrix.valid[written] = True
     return matrix
 

@@ -29,11 +29,11 @@ TRIAL_CHUNK = 1024  # walk trials per draw of uniforms in first_token_frequencie
 class VerifyOutcome:
     accepted_path: list[int]  # node indices, root excluded
     emitted_tokens: list[int]  # accepted tokens + one bonus/correction token
-    row_ids: np.ndarray  # target row id of every node, indexing target.rows
+    row_ids: list[int]  # target row id of every node, indexing target.rows
     accepted_len: int
 
 
-def node_row_ids(target: MarkovTableModel, prefix, tree: HybridTree) -> np.ndarray:
+def node_row_ids(target: MarkovTableModel, prefix, tree: HybridTree) -> list[int]:
     """Target row id of every node; row ``ids[i]`` of ``target.rows`` predicts
     the successor of node i's token.
 
@@ -45,18 +45,12 @@ def node_row_ids(target: MarkovTableModel, prefix, tree: HybridTree) -> np.ndarr
     tail = [int(t) for t in prefix[-max(order, 1):]]
     if not tail or tail[-1] != tree.root_token:
         raise StructureError("tree root must be the last committed token")
-    n = tree.n_nodes
-    contexts: list[tuple[int, ...]] = [()] * n
-    contexts[0] = target.context_of(tail)
-    parents = tree.parents.tolist()
-    tokens = tree.tokens.tolist()
-    for i in range(1, n):
-        ctx = contexts[parents[i]] + (tokens[i],)
-        contexts[i] = ctx[-order:] if order else ()
-    return target.row_ids(contexts)
+    codes = [target.code_of(tail)]
+    target.extend_codes(codes, tree.parents[1:].tolist(), tree.tokens[1:].tolist())
+    return target.row_ids(codes)
 
 
-def node_distributions(target: MarkovTableModel, prefix, tree: HybridTree) -> tuple[np.ndarray, np.ndarray]:
+def node_distributions(target: MarkovTableModel, prefix, tree: HybridTree) -> tuple[list[int], np.ndarray]:
     """``(ids, dists)``: :func:`node_row_ids` and the ``(n, vocab)`` gather
     ``target.rows[ids]``, row i predicting the successor of node i's token."""
     ids = node_row_ids(target, prefix, tree)
@@ -94,20 +88,17 @@ def verify_greedy(target: MarkovTableModel, prefix, tree: HybridTree) -> VerifyO
 
 def verify_stochastic(target: MarkovTableModel, prefix, tree: HybridTree, rng: np.random.Generator) -> VerifyOutcome:
     """Residual acceptance walk; the emitted next-token marginal equals the
-    target distribution exactly, for any fixed tree."""
-    ids, dists = node_distributions(target, prefix, tree)
-    ptr, idx = tree.children
-    tokens = tree.tokens
-    n = tree.n_nodes
-    uniforms = rng.random(n + 1)
-    path_buf = np.empty(n, dtype=np.int32)
-    n_acc, emitted = _kernels.stochastic_walk(tokens, ptr, idx, dists, uniforms, path_buf)
+    target distribution exactly, for any fixed tree. Only the target rows
+    of the nodes the walk visits are read."""
+    ids = node_row_ids(target, prefix, tree)
+    tokens = tree.tokens.tolist()
+    uniforms = rng.random(tree.n_nodes + 1).tolist()
+    path, emitted = _kernels.stochastic_walk(tokens, tree.children[0].tolist(), target.rows, ids, uniforms)
     if emitted < 0:
         raise StructureError("residual exhausted; node distributions are inconsistent")
-    path = [int(i) for i in path_buf[:n_acc]]
     return VerifyOutcome(
         accepted_path=path,
-        emitted_tokens=[int(tokens[i]) for i in path] + [int(emitted)],
+        emitted_tokens=[tokens[i] for i in path] + [emitted],
         row_ids=ids,
         accepted_len=len(path),
     )

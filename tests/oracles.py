@@ -310,12 +310,13 @@ def reference_expand_layer(layered, draft, top_k, beam_width):
     of the rest kept by a stable sort on score, and the node arrays
     concatenated onto copies of the tree's. Siblings stay in rank order."""
     from specgraft.drafttree import HybridTree
+    from specgraft.models import context_code
 
     tree = layered.tree
     lo, hi = layered.offsets[-1]
     tail = slice(-draft.order, None) if draft.order else slice(0, 0)
     contexts = [c[tail] for c in layered.contexts]
-    ids = np.array([draft.index.get(c, draft.rows.shape[0] - 1) for c in contexts])
+    ids = np.array([draft.index.get(context_code(c, draft.vocab.size), draft.rows.shape[0] - 1) for c in contexts])
     top = np.argsort(-draft.rows[ids], axis=1, kind="stable")[:, : min(top_k, draft.vocab.size)].astype(np.int32)
     k = top.shape[1]
     cand = np.arange(top.size)

@@ -14,7 +14,16 @@ from specgraft.drafttree import (
     select_retained,
 )
 from specgraft.errors import ConfigError, InputError
-from specgraft.models import BYTE_VOCAB, DraftDerivation, VocabSpec, build_markov, derive_draft, tokenize_bytes, train_ngram
+from specgraft.models import (
+    BYTE_VOCAB,
+    DraftDerivation,
+    VocabSpec,
+    build_markov,
+    context_code,
+    derive_draft,
+    tokenize_bytes,
+    train_ngram,
+)
 
 from .conftest import grow, table_model
 
@@ -58,13 +67,13 @@ class TestExpandLayer:
     def test_det4_single_child(self, det4):
         tree = grow(det4, [0], 1, top_k=1)
         assert tree.n_nodes == 2
-        assert np.log(det4.rows[det4.index[(0,)], tree.tokens[1]]) == 0.0
+        assert np.log(det4.rows[det4.index[context_code((0,), 4)], tree.tokens[1]]) == 0.0
         assert (tree.tokens[1], tree.scores[1], tree.depths[1]) == (1, 0.0, 1)
 
     def test_uni4_tie_break(self, uni4):
         tree = grow(uni4, [0], 1, top_k=2)
         assert list(tree.tokens[1:]) == [0, 1]
-        row_id = uni4.row_ids([(0,)])[0]  # the fallback row
+        row_id = uni4.row_ids([context_code((0,), 4)])[0]  # the fallback row
         assert np.allclose(np.log(uni4.rows[row_id, tree.tokens[1:]]), math.log(0.25))
         assert np.allclose(tree.scores[1:], math.log(0.25))
 
@@ -91,7 +100,7 @@ class TestExpandLayer:
         for i in range(1, tree.n_nodes):
             parent = tree.parents[i]
             # order 1: the parent's token is the whole context
-            logq = np.log(draft.rows[draft.index[(int(tree.tokens[parent]),)], tree.tokens[i]])
+            logq = np.log(draft.rows[draft.index[context_code((tree.tokens[parent],), 6)], tree.tokens[i]])
             assert tree.scores[i] == tree.scores[parent] + logq
 
     def test_parents_precede_children(self):

@@ -299,7 +299,7 @@ class TestMetrics:
 
     def test_coverage_gain_matches_row_sum_oracle(self):
         target, _ = seeded_pair(seed=42)
-        p = target.table[(2,)]
+        p = target.row_for_context((2,))
         drafted = [0, 5, 7]
         retrieved = [5, 9, 11, 7, 9]
         expect = sum(p[t] for t in {9, 11})

@@ -88,6 +88,14 @@ CASES = [_chain_case(), _delta_case(), _sparse_case(), _shared_token_case(), _ex
 ]
 
 
+def _walk(tokens, ptr, dists, u, row_ids=None):
+    """``stochastic_walk`` on a case's arrays; node i reads row i of
+    ``dists`` unless ``row_ids`` says otherwise."""
+    if row_ids is None:
+        row_ids = list(range(dists.shape[0]))
+    return K.stochastic_walk(tokens.tolist(), ptr.tolist(), dists, row_ids, u.tolist())
+
+
 def _draws(n_rows, width, seed):
     """Generator rows, then one row of each edge value."""
     rows = np.random.default_rng(seed).random((n_rows, width))
@@ -96,32 +104,41 @@ def _draws(n_rows, width, seed):
 
 def test_stochastic_walk_paths_agree():
     for tokens, parents, ptr, idx, dists in CASES:
-        path = np.empty(tokens.shape[0], dtype=np.int32)
         for u in _draws(300, tokens.shape[0] + 1, 17):
-            n_acc, emitted = K.stochastic_walk(tokens, ptr, idx, dists, u, path)
-            assert (path[:n_acc].tolist(), emitted) == reference_walk(tokens, parents, dists, u)
+            assert _walk(tokens, ptr, dists, u) == reference_walk(tokens, parents, dists, u)
+
+
+def test_walk_reads_only_the_rows_it_visits():
+    # every row the walk does not visit is NaN, and the rows are stored in
+    # reverse, reached through row ids: the outcome is unchanged
+    for tokens, parents, ptr, idx, dists in CASES:
+        n = tokens.shape[0]
+        for u in _draws(100, n + 1, 29):
+            path, emitted = reference_walk(tokens, parents, dists, u)
+            visited = [0] + path
+            rows = np.full_like(dists, np.nan)
+            rows[visited] = dists[visited]
+            assert _walk(tokens, ptr, rows[::-1], u, [n - 1 - i for i in range(n)]) == (path, emitted)
 
 
 def test_edge_draws_reach_the_clamp_and_the_fallback():
     tokens, _, ptr, idx, dists = _delta_case()
-    path = np.empty(4, dtype=np.int32)
-    assert K.stochastic_walk(tokens, ptr, idx, dists, np.full(5, 1.0), path) == (0, -1)
+    assert _walk(tokens, ptr, dists, np.full(5, 1.0)) == ([], -1)
     tokens, _, ptr, idx, dists = _sparse_case()
     # root: child 1 (token 0) rejected, child 2 (token 3) has no mass; the
     # residual [0, 1/3, short/0.75, 0, 0, 0] sums below the draw
-    assert K.stochastic_walk(tokens, ptr, idx, dists, np.full(5, 1.0 - 5e-11), path) == (0, 2)
+    assert _walk(tokens, ptr, dists, np.full(5, 1.0 - 5e-11)) == ([], 2)
 
 
 def test_stochastic_trials_paths_agree():
     for tokens, _, ptr, idx, dists in CASES:
         uniforms = _draws(2000, tokens.shape[0] + 1, 3)
         expect = np.zeros(dists.shape[1], dtype=np.int64)
-        path = np.empty(tokens.shape[0], dtype=np.int32)
         exhausted = False
         for u in uniforms:
-            n_acc, emitted = K.stochastic_walk(tokens, ptr, idx, dists, u, path)
+            path, emitted = _walk(tokens, ptr, dists, u)
             exhausted |= emitted < 0
-            expect[tokens[path[0]] if n_acc else emitted] += 1
+            expect[tokens[path[0]] if path else emitted] += 1
         if exhausted:
             with pytest.raises(StructureError):
                 K.stochastic_trials(tokens, ptr, idx, dists, uniforms)
@@ -131,8 +148,7 @@ def test_stochastic_trials_paths_agree():
 
 def test_exhausted_residual_raises():
     tokens, _, ptr, idx, dists = _exhausted_case()
-    path = np.empty(2, dtype=np.int32)
-    assert K.stochastic_walk(tokens, ptr, idx, dists, np.array([0.7, 0.1]), path) == (0, -1)
+    assert _walk(tokens, ptr, dists, np.array([0.7, 0.1])) == ([], -1)
     with pytest.raises(StructureError):
         K.stochastic_trials(tokens, ptr, idx, dists, np.array([[0.1, 0.1], [0.7, 0.1]]))
 
@@ -169,10 +185,9 @@ def test_chunked_draws_match_single_walks():
     _, dists = node_distributions(target, [0], pkg)
     ptr, idx = pkg.children
     expect = np.zeros(8, dtype=np.int64)
-    path = np.empty(pkg.n_nodes, dtype=np.int32)
     for u in np.random.default_rng(21).random((n_trials, pkg.n_nodes + 1)):
-        n_acc, emitted = K.stochastic_walk(pkg.tokens, ptr, idx, dists, u, path)
-        expect[pkg.tokens[path[0]] if n_acc else emitted] += 1
+        path, emitted = _walk(pkg.tokens, ptr, dists, u)
+        expect[pkg.tokens[path[0]] if path else emitted] += 1
     assert np.array_equal(first_token_frequencies(target, [0], pkg, n_trials, seed=21), expect)
     assert not first_token_frequencies(target, [0], pkg, 0, seed=21).any()
     with pytest.raises(InputError):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from specgraft.models import (
     VocabSpec,
     build_markov,
     check_distribution,
+    context_code,
     derive_draft,
     load_corpus,
     sample,
@@ -18,7 +21,9 @@ from specgraft.models import (
     train_ngram,
 )
 
-from .conftest import delta
+from specgraft.verify import node_row_ids
+
+from .conftest import delta, grow
 
 
 class TestVocabSpec:
@@ -44,7 +49,7 @@ class TestNextDistribution:
         vocab = VocabSpec(8)
         model = build_markov(vocab, 1, seed=123)
         rebuilt = build_markov(vocab, 1, seed=123)
-        assert np.array_equal(model.next_distribution([0]), rebuilt.table[(0,)])
+        assert np.array_equal(model.next_distribution([0]), rebuilt.row_for_context((0,)))
 
     def test_out_of_range_token(self, det4):
         with pytest.raises(InputError):
@@ -55,35 +60,34 @@ class TestBuildMarkov:
     def test_deterministic(self):
         a = build_markov(VocabSpec(4), 1, seed=7)
         b = build_markov(VocabSpec(4), 1, seed=7)
-        assert a.table.keys() == b.table.keys()
-        for ctx in a.table:
-            assert np.array_equal(a.table[ctx], b.table[ctx])
+        assert a.index == b.index
+        assert np.array_equal(a.rows, b.rows)
 
     def test_sparsity_keeps_a_nonzero(self):
         model = build_markov(VocabSpec(8), 1, seed=11, sparsity=0.5)
-        for row in model.table.values():
+        for row in model.rows[:-1]:
             assert (row > 0).sum() >= 1
 
     def test_row_sums(self):
         model = build_markov(VocabSpec(16), 1, seed=42)
-        for row in model.table.values():
+        for row in model.rows[:-1]:
             assert abs(row.sum() - 1.0) <= 1e-9
 
 
 class TestTrainNgram:
     def test_abab_exact(self):
         model = train_ngram(VocabSpec(4), [0, 1, 0, 1], order=1, smoothing=0.0)
-        assert model.table[(0,)][1] == 1.0
-        assert model.table[(1,)][0] == 1.0
+        assert model.row_for_context((0,))[1] == 1.0
+        assert model.row_for_context((1,))[0] == 1.0
 
     def test_abab_addone(self):
         model = train_ngram(VocabSpec(4), [0, 1, 0, 1], order=1, smoothing=1.0)
         # two (0 -> 1) transitions: (2+1)/(2+4)
-        assert model.table[(0,)][1] == pytest.approx(0.5, abs=1e-12)
+        assert model.row_for_context((0,))[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_order0_unigram(self):
         model = train_ngram(VocabSpec(4), [0, 0, 1, 2], order=0, smoothing=0.0)
-        assert np.allclose(model.table[()], [0.5, 0.25, 0.25, 0.0])
+        assert np.allclose(model.row_for_context(()), [0.5, 0.25, 0.25, 0.0])
 
     def test_empty_corpus(self):
         with pytest.raises(InputError):
@@ -98,33 +102,33 @@ class TestDeriveDraft:
     def test_strength0_identity(self, det4):
         for mode in ("temperature-smooth", "uniform-mix"):
             out = derive_draft(det4, DraftDerivation(mode, 0.0))
-            for ctx, row in det4.table.items():
-                assert np.allclose(out.table[ctx], row, atol=1e-12)
+            for t in range(4):
+                assert np.allclose(out.row_for_context((t,)), det4.row_for_context((t,)), atol=1e-12)
 
     def test_full_uniform_mix(self, det4):
         out = derive_draft(det4, DraftDerivation("uniform-mix", 1.0))
-        for row in out.table.values():
+        for row in out.rows[:-1]:
             assert np.allclose(row, 0.25)
 
     def test_half_mix_on_det4(self, det4):
         out = derive_draft(det4, DraftDerivation("uniform-mix", 0.5))
-        assert np.allclose(out.table[(0,)], [0.125, 0.625, 0.125, 0.125], atol=1e-12)
+        assert np.allclose(out.row_for_context((0,)), [0.125, 0.625, 0.125, 0.125], atol=1e-12)
 
     def test_context_truncate_drops_order(self):
         model = build_markov(VocabSpec(4), 2, seed=5)
         out = derive_draft(model, DraftDerivation("context-truncate", 1.0))
         assert out.order == 0
         # reduced row is the uniform average over all length-2 contexts
-        expect = np.mean([model.table[c] for c in model.table], axis=0)
-        assert np.allclose(out.table[()], expect, atol=1e-12)
+        expect = np.mean(model.rows[:-1], axis=0)
+        assert np.allclose(out.row_for_context(()), expect, atol=1e-12)
 
     def test_context_truncate_partial(self):
         model = build_markov(VocabSpec(4), 2, seed=5)
         out = derive_draft(model, DraftDerivation("context-truncate", 0.5))
         assert out.order == 1  # 2 - round(0.5 * 2)
         for last in range(4):
-            group = [model.table[(first, last)] for first in range(4)]
-            assert np.allclose(out.table[(last,)], np.mean(group, axis=0), atol=1e-12)
+            group = [model.row_for_context((first, last)) for first in range(4)]
+            assert np.allclose(out.row_for_context((last,)), np.mean(group, axis=0), atol=1e-12)
 
     @given(
         st.sampled_from(["temperature-smooth", "uniform-mix"]),
@@ -134,9 +138,78 @@ class TestDeriveDraft:
     def test_rows_stay_normalized(self, mode, strength):
         model = build_markov(VocabSpec(6), 1, seed=9, sparsity=0.4)
         out = derive_draft(model, DraftDerivation(mode, strength))
-        for row in out.table.values():
+        for row in out.rows[:-1]:
             assert abs(row.sum() - 1.0) <= 1e-9
             assert (row >= 0).all()
+
+
+def _coded_models():
+    """``(model, tuple index)`` pairs: Markov and smoothed and unsmoothed
+    n-gram models at orders 0-3 and context-truncate drafts of them, each
+    with the context-tuple -> row id dict built the way models were keyed
+    before integer codes, independently of them."""
+    corpus = np.random.default_rng(5).integers(0, 6, size=300).tolist()
+    pairs = []
+    for order in range(4):
+        tuples = itertools.product(range(5), repeat=order)
+        pairs.append((build_markov(VocabSpec(5), order, seed=order, sparsity=0.3), {c: i for i, c in enumerate(tuples)}))
+        for smoothing in (0.0, 0.5):
+            index: dict = {}
+            for i in range(order, len(corpus)):
+                index.setdefault(tuple(corpus[i - order:i]), len(index))
+            pairs.append((train_ngram(VocabSpec(6), corpus, order, smoothing), index))
+    for target, index in list(pairs):
+        for strength in (0.3, 0.5, 1.0):
+            draft = derive_draft(target, DraftDerivation("context-truncate", strength))
+            if draft.order == target.order:
+                continue
+            groups: dict = {}
+            for ctx in index:  # suffixes numbered in the order they first occur
+                groups.setdefault(ctx[len(ctx) - draft.order:] if draft.order else (), len(groups))
+            pairs.append((draft, groups))
+    return pairs
+
+
+CODED_MODELS = _coded_models()
+
+
+class TestContextCodes:
+    """Row ids found by context code equal those of the tuple-keyed lookup,
+    for contexts shorter than the order, longer, seen and unseen."""
+
+    def test_every_order_and_kind_is_covered(self):
+        orders = {(m.order, len(m.index) < m.vocab.size ** m.order) for m, _ in CODED_MODELS}
+        assert {o for o, _ in orders} == {0, 1, 2, 3}
+        assert (3, True) in orders  # full-length contexts the corpus never shows
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_codes_match_tuple_lookup(self, data):
+        model, index = data.draw(st.sampled_from(CODED_MODELS))
+        size, order = model.vocab.size, model.order
+        fallback = model.rows.shape[0] - 1
+
+        def row_id(ctx):
+            return index.get(tuple(ctx), fallback)
+
+        def context_of(tokens):
+            return tuple(tokens[-order:]) if order else ()
+
+        tokens = st.integers(0, size - 1)
+        ctx = data.draw(st.lists(tokens, max_size=order + 2))
+        assert model.row_ids([context_code(ctx, size)]) == [row_id(ctx)]
+        assert np.array_equal(model.row_for_context(ctx), model.rows[row_id(ctx)])
+        assert np.array_equal(model.next_distribution(ctx), model.rows[row_id(context_of(ctx))])
+
+        prefix = data.draw(st.lists(tokens, min_size=1, max_size=order + 2))
+        tree = grow(model, prefix, depth=3, top_k=3, beam=5)
+        parents, branch = tree.parents.tolist(), [list(prefix)] + [None] * (tree.n_nodes - 1)
+        for i in range(1, tree.n_nodes):
+            branch[i] = branch[parents[i]] + [int(tree.tokens[i])]
+            # the envelope scored node i on its parent's row
+            q = model.rows[row_id(context_of(branch[parents[i]])), tree.tokens[i]]
+            assert tree.scores[i] == tree.scores[parents[i]] + np.log(q)
+        assert node_row_ids(model, prefix, tree) == [row_id(context_of(b)) for b in branch]
 
 
 class TestSample:

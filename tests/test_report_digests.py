@@ -21,6 +21,7 @@ import pytest
 
 from specgraft.config import load_run_config
 from specgraft.engine import METHODS, decode_session
+from specgraft.models import DraftDerivation, derive_draft
 from specgraft.retrieval import new_matrix, warmup
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,18 +60,36 @@ DIGESTS = {
 }
 
 
+# A draft whose order differs from its target's: repetitive.yaml's order-2
+# byte n-gram target under an order-1 context-truncate draft, built here
+# rather than from the config. Pinned before contexts were keyed by integer
+# codes, so row lookups where the two orders differ stay covered.
+TRUNCATE_METHODS = ("dense", "graft", "graft_tail")
+TRUNCATE_DIGESTS = {
+    ('dense', 'greedy'): '6354a4277a53bc0ae1cee9733bcbe1b5a7ac10c5cc7671aef33a235dc8fdffa8',
+    ('dense', 'stochastic'): '6267b7ebf7ba03e698ef915379a1bd8f87abb3f486aa105b1befe20ec9c304ae',
+    ('graft', 'greedy'): 'fdf4b000ad638535fb654c8c043e2a1f325dc883bd2680ed0e7da92110b195ea',
+    ('graft', 'stochastic'): 'c89c64d7271fa73dd51864449e92c8610c49f04e9fc39079dd6f91ae78e5de9d',
+    ('graft_tail', 'greedy'): '7b5478fe387a67d373c597e06448c9bfc8c1aee9b71e56554aa8812a28776882',
+    ('graft_tail', 'stochastic'): '8757c5dea1f02d6b0402c74c716e8202b4b7095265d36274a23d2f3fb79b1267',
+}
+
+
 @lru_cache(maxsize=None)
-def _warmed(config: str, method: str):
+def _warmed(config: str, method: str, truncate: bool = False):
     # configs name their corpus relative to the repository root
     with contextlib.chdir(ROOT):
         run = load_run_config(f"configs/{config}", overrides={"method": method})
+    if truncate:
+        run = replace(run, draft=derive_draft(run.target, DraftDerivation("context-truncate", 0.5)))
+        assert (run.target.order, run.draft.order) == (2, 1)
     matrix = new_matrix(run.vocab.size, run.matrix_k)
     warmup(matrix, run.target, run.draft, run.warmup_prompts, run.warmup_rounds, config=run.decode)
     return run, matrix
 
 
-def report_digest(config: str, method: str, acceptance: str) -> str:
-    run, warmed = _warmed(config, method)
+def report_digest(config: str, method: str, acceptance: str, truncate: bool = False) -> str:
+    run, warmed = _warmed(config, method, truncate)
     tokens, report = decode_session(
         replace(run.decode, acceptance=acceptance), run.target, run.draft, warmed.copy(), run.prompt
     )
@@ -83,3 +102,10 @@ def report_digest(config: str, method: str, acceptance: str) -> str:
 @pytest.mark.parametrize("config", CONFIGS)
 def test_report_digest(config, method, acceptance):
     assert report_digest(config, method, acceptance) == DIGESTS[(config, method, acceptance)]
+
+
+@pytest.mark.parametrize("acceptance", ACCEPTANCE)
+@pytest.mark.parametrize("method", TRUNCATE_METHODS)
+def test_report_digest_truncated_draft(method, acceptance):
+    digest = report_digest("repetitive.yaml", method, acceptance, truncate=True)
+    assert digest == TRUNCATE_DIGESTS[(method, acceptance)]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from specgraft.engine import DecodeConfig, decode_session
 from specgraft.errors import ConfigError, InputError, StructureError
-from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft, train_ngram
+from specgraft.models import DraftDerivation, VocabSpec, build_markov, context_code, derive_draft, train_ngram
 from specgraft.cli import main
 from specgraft.retrieval import (
     MAGIC,
@@ -129,7 +129,7 @@ class TestLookupAndUpdate:
 
     def test_topk_matches_sort_oracle(self):
         model = build_markov(VocabSpec(16), 1, seed=42)
-        row = model.table[(2,)]
+        row = model.row_for_context((2,))
         m = new_matrix(16, 3)
         update_row(m, 2, row)
         expect = sorted(range(16), key=lambda t: (-row[t], t))[:3]
@@ -189,7 +189,7 @@ class TestLookupAndUpdate:
         draft = build_markov(VocabSpec(8), 1, seed=2, sparsity=0.5)
         draft.topk_by_token(ids, 3)
         assert list(draft._topk_by_token) == [3] and not draft._topk
-        assert target._topk[3][-1].tolist() == draft._topk_by_token[3][-1].tolist() == [True] * 5 + [False] * 4
+        assert target._topk[3][-1] == draft._topk_by_token[3][-1] == set(range(5))
 
     def test_topk_cache_is_per_model_instance(self):
         ids = np.arange(9)
@@ -264,7 +264,7 @@ class TestLookupAndUpdate:
     def test_det4_verified_tree_rows(self, det4):
         m = new_matrix(4, 2)
         tokens = [0, 1, 2, 1, 3]
-        update_from_verification(m, tokens, [det4.index[(t,)] for t in tokens], det4)
+        update_from_verification(m, tokens, [det4.index[context_code((t,), 4)] for t in tokens], det4)
         for t in {0, 1, 2, 3}:
             assert m.rows[t][0] == (t + 1) % 4
 

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -114,7 +115,8 @@ class TestVerifyGreedy:
         # uniform fallback row, a tie across the whole vocabulary
         dyadic = dyadic_model(5, order, seed)
         rng = np.random.default_rng(seed)
-        table = {ctx: dyadic.rows[i] for ctx, i in dyadic.index.items() if rng.random() < 0.7}
+        contexts = itertools.product(range(5), repeat=order)  # the order dyadic_model fills its table in
+        table = {ctx: dyadic.row_for_context(ctx) for ctx in contexts if rng.random() < 0.7}
         target = table_model(5, order, table)
         prefix = [int(t) for t in rng.integers(0, 5, size=order)]
         tree = grow(target, prefix, depth=4, top_k=3, beam=20)
