@@ -54,8 +54,9 @@ class HybridTree:
         return int(self.tokens[0])
 
     def counts_by_origin(self) -> tuple[int, int]:
-        drafted = int((self.origin[1:] == ORIGIN_DRAFT).sum())
-        return drafted, self.n_candidates - drafted
+        """(drafted, retrieved) candidates; origin is 0 or 1 and the root is drafted."""
+        retrieved = int(np.count_nonzero(self.origin))
+        return self.n_candidates - retrieved, retrieved
 
     @cached_property
     def children(self) -> tuple[np.ndarray, np.ndarray]:
@@ -63,7 +64,8 @@ class HybridTree:
 
         Breadth-first storage puts each node's children together and keeps
         ``parents[1:]`` nondecreasing, so no sort is needed: ``idx`` is
-        every non-root node in stored order.
+        every non-root node in stored order. ``hybrid._Builder.finish``
+        fills this cache as it emits a tree.
         """
         parents = self.parents[1:]
         if (parents[1:] < parents[:-1]).any():

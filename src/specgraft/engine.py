@@ -16,7 +16,6 @@ import numpy as np
 
 from .drafttree import (
     ORIGIN_DRAFT,
-    ORIGIN_RETRIEVED,
     HybridTree,
     PruneConfig,
     _envelope,
@@ -113,6 +112,8 @@ class DecodeConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"decode.{name} must be >= 0, got {getattr(self, name)}")
         kd, kr = self.fixed_split
+        if kd < 0 or kr < 0:
+            raise ConfigError(f"decode.fixed_split halves must be >= 0, got {kd}+{kr}")
         if kd + kr != self.prune.total_budget:
             raise ConfigError(
                 f"fixed split {kd}+{kr} must equal the total budget {self.prune.total_budget}"
@@ -247,11 +248,14 @@ def coverage_gain(root_dist: np.ndarray, draft_tokens, retrieved_tokens) -> floa
     return gain
 
 
-def _root_frontier(hy: HybridTree) -> tuple[np.ndarray, np.ndarray]:
-    ptr, idx = hy.children
-    kids = idx[ptr[0]:ptr[1]]
-    tokens, origin = hy.tokens[kids], hy.origin[kids]
-    return tokens[origin == ORIGIN_DRAFT], tokens[origin == ORIGIN_RETRIEVED]
+def _root_frontier(hy: HybridTree) -> tuple[list[int], list[int]]:
+    """The drafted and the retrieved tokens of the root's children, nodes
+    1 .. ``ptr[1]`` in breadth-first storage."""
+    end = int(hy.children[0][1]) + 1
+    drafted, retrieved = [], []
+    for token, origin in zip(hy.tokens[1:end].tolist(), hy.origin[1:end].tolist()):
+        (drafted if origin == ORIGIN_DRAFT else retrieved).append(token)
+    return drafted, retrieved
 
 
 def _dense_union_replay(
@@ -271,7 +275,7 @@ def _dense_union_replay(
     prune = config.prune
     tree = expand_full(draft, committed, prune)
     budget = prune.total_budget + method_tree.n_candidates
-    builder = _Builder(draft_only(tree, select_retained(tree, prune.total_budget), budget), budget)
+    builder = _Builder(tree, select_retained(tree, prune.total_budget), budget)
     builder.graft(0, method_tree.parents[1:] - 1, method_tree.tokens[1:])
     return verify_greedy(target, committed, builder.finish()).accepted_len
 

@@ -1,8 +1,8 @@
 """Merge retained draft nodes with retrieved branches into hybrid trees.
 
-Retained draft nodes are a reindex of the draft tree; only a graft needs a
-builder. Node budgets count candidates only; the root (last committed
-token) is index 0 and free.
+Retained draft nodes alone are a reindex of the draft tree; a graft builds
+from the draft tree and the retained set directly. Node budgets count
+candidates only; the root (last committed token) is index 0 and free.
 """
 
 from __future__ import annotations
@@ -19,39 +19,52 @@ from .retrieval import COLD, RetrievedBranch, StageTemplate, TransitionMatrix, i
 _ORIGIN_NAMES = ("draft", "retrieved")
 
 
-def draft_only(tree: HybridTree, retained, budget: int) -> HybridTree:
-    """The nodes ``retained`` of ``tree``, and its root, as a tree: a
-    parent-closed subset of a canonical tree, kept in index order, is
-    canonical, so this is a reindex."""
+def _kept(tree: HybridTree, retained, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes ``retained`` of ``tree`` in index order, its root added, and
+    the parent of each as a position among them (-1 for the root). Raises
+    ``StructureError`` unless the candidates fit ``budget`` and every kept
+    node's parent is kept."""
     kept = np.sort(np.asarray(retained, dtype=np.intp))
     if not kept.size or kept[0] != 0:
         kept = np.concatenate(([0], kept))  # the root is free and always kept
     if kept.size - 1 > budget:
         raise StructureError("draft nodes exceed the hybrid budget")
-    # index of each node of ``tree`` in the result; -1 marks a node left out,
-    # and the extra last entry maps the root's parent -1 to itself
+    # position of each node of ``tree`` among the kept; -1 marks a node left
+    # out, and the extra last entry maps the root's parent -1 to itself
     slot = np.full(tree.n_nodes + 1, -1, dtype=np.int32)
     slot[kept] = np.arange(kept.size, dtype=np.int32)
     parents = slot[tree.parents[kept]]
     if (parents[1:] < 0).any():
         raise StructureError("retained draft set is not parent-closed")
+    return kept, parents
+
+
+def draft_only(tree: HybridTree, retained, budget: int) -> HybridTree:
+    """The nodes ``retained`` of ``tree``, and its root, as a tree: a
+    parent-closed subset of a canonical tree, kept in index order, is
+    canonical, so this is a reindex."""
+    kept, parents = _kept(tree, retained, budget)
     return HybridTree(tree.tokens[kept], parents, tree.depths[kept], tree.origin[kept], tree.scores[kept])
 
 
 class _Builder:
-    """A canonical tree with grafts under way, emitted in canonical order.
+    """The nodes ``retained`` of a canonical tree, with grafts under way,
+    emitted in canonical order.
 
-    Each node keeps a ``{token: builder index}`` map of its children, so
-    ``graft`` dedupes grafted (parent, token) pairs by one lookup while
-    holding the budget, and ``finish`` emits the tree breadth-first from
-    those maps.
+    Builder index i < ``kept.size`` is kept node ``kept[i]`` of the tree;
+    grafted nodes follow. Each node keeps a ``{token: builder index}`` map
+    of its children, so ``graft`` dedupes grafted (parent, token) pairs by
+    one lookup while holding the budget, and ``finish`` emits the tree
+    breadth-first from those maps.
     """
 
-    def __init__(self, tree: HybridTree, budget: int):
-        self.kids = kids = [{} for _ in range(tree.n_nodes)]  # kids[i]: {token: builder index}
-        for i, (parent, token) in enumerate(zip(tree.parents[1:].tolist(), tree.tokens[1:].tolist()), 1):
+    def __init__(self, tree: HybridTree, retained, budget: int):
+        kept, parents = _kept(tree, retained, budget)
+        self.kids = kids = [{} for _ in range(kept.size)]  # kids[i]: {token: builder index}
+        for i, (parent, token) in enumerate(zip(parents[1:].tolist(), tree.tokens[kept[1:]].tolist()), 1):
             kids[parent][token] = i
         self.tree = tree
+        self.kept = kept
         self.budget = budget
 
     def graft(self, at: int, parents: np.ndarray, tokens: np.ndarray) -> None:
@@ -76,10 +89,13 @@ class _Builder:
             slots.append(slot)
 
     def finish(self) -> HybridTree:
-        """The tree breadth-first, each node's children by ascending token."""
-        tree = self.tree
+        """The tree breadth-first, each node's children by ascending token,
+        with its children CSR filled in as it is emitted."""
+        tree, kept = self.tree, self.kept
         order, tokens, parents, depths = [0], [tree.root_token], [-1], [0]
+        ptr = []  # children of emitted node i are nodes ptr[i] + 1 .. ptr[i + 1]
         for at, node in enumerate(order):  # ``order`` grows as it is read
+            ptr.append(len(order) - 1)
             kids = self.kids[node]
             if kids:
                 depth = depths[at] + 1
@@ -88,16 +104,21 @@ class _Builder:
                     tokens.append(token)
                     parents.append(at)
                     depths.append(depth)
-        grafted = len(self.kids) - tree.n_nodes  # builder indices past the tree's nodes
-        origin = np.concatenate((tree.origin, np.full(grafted, ORIGIN_RETRIEVED, dtype=np.int8)))
-        scores = np.concatenate((tree.scores, np.full(grafted, math.nan)))
-        return HybridTree(
+        n = len(order)
+        ptr.append(n - 1)
+        grafted = n - kept.size  # builder indices past the kept nodes
+        origin = np.concatenate((tree.origin[kept], np.full(grafted, ORIGIN_RETRIEVED, dtype=np.int8)))
+        scores = np.concatenate((tree.scores[kept], np.full(grafted, math.nan)))
+        order = np.array(order, dtype=np.intp)
+        hy = HybridTree(
             tokens=np.array(tokens, dtype=np.int32),
             parents=np.array(parents, dtype=np.int32),
             depths=np.array(depths, dtype=np.int32),
             origin=origin[order],
             scores=scores[order],
         )
+        hy.children = (np.array(ptr, dtype=np.int32), np.arange(1, n, dtype=np.int32))  # the cached CSR
+        return hy
 
 
 def merge(tree: HybridTree, retained: np.ndarray, branch: RetrievedBranch, budget: int) -> HybridTree:
@@ -110,7 +131,7 @@ def merge(tree: HybridTree, retained: np.ndarray, branch: RetrievedBranch, budge
         raise StructureError(
             f"branch rooted at {branch.root_token} cannot graft onto root {tree.root_token}"
         )
-    builder = _Builder(draft_only(tree, retained, budget), budget)
+    builder = _Builder(tree, retained, budget)
     builder.graft(0, branch.template.parents, branch.tokens)
     return builder.finish()
 
@@ -119,12 +140,13 @@ def insert_tail_variant(tree: HybridTree, matrix: TransitionMatrix, budget: int,
     """Static-tree baseline: a rank-0 chain appended after the deepest
     highest-score retained leaf, evicting lowest-score draft nodes to fit.
     """
-    kept = draft_only(tree, select_retained(tree, max(budget - chain_len, 0)), budget)
+    builder = _Builder(tree, select_retained(tree, max(budget - chain_len, 0)), budget)
+    kept = builder.kept
     chain_len = min(chain_len, budget)  # ``graft`` drops every node past the budget
 
-    leaves = np.setdiff1d(np.arange(kept.n_nodes), kept.parents)
+    leaves = np.setdiff1d(kept, tree.parents[kept])
     # deepest first, then best score, then lowest index
-    anchor = int(leaves[np.lexsort((leaves, -kept.scores[leaves], -kept.depths[leaves]))[0]])
+    anchor = int(leaves[np.lexsort((leaves, -tree.scores[leaves], -tree.depths[leaves]))[0]])
 
     chain = StageTemplate(
         stage="chain",
@@ -133,9 +155,8 @@ def insert_tail_variant(tree: HybridTree, matrix: TransitionMatrix, budget: int,
         depths=np.arange(1, chain_len + 1, dtype=np.int32),
         declared_size=chain_len,
     )
-    branch = instantiate(matrix, chain, int(kept.tokens[anchor]))
-    builder = _Builder(kept, budget)
-    builder.graft(anchor, chain.parents, branch.tokens)
+    branch = instantiate(matrix, chain, int(tree.tokens[anchor]))
+    builder.graft(int(np.searchsorted(kept, anchor)), chain.parents, branch.tokens)
     return builder.finish()
 
 

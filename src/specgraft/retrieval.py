@@ -277,10 +277,11 @@ def instantiate(matrix: TransitionMatrix, template: StageTemplate, root: int) ->
         raise InputError(f"root token {root} out of range")
     n = template.declared_size
     tokens = [COLD] * n
+    k, valid, rows = matrix.k, matrix.valid.item, matrix.rows.item
     for i, (p, rank) in enumerate(zip(template.parents[:n].tolist(), template.ranks[:n].tolist())):
         parent_token = root if p < 0 else tokens[p]
-        if parent_token != COLD and rank < matrix.k and matrix.valid[parent_token, rank]:
-            tokens[i] = int(matrix.rows[parent_token, rank])
+        if parent_token != COLD and rank < k and valid(parent_token, rank):
+            tokens[i] = rows(parent_token, rank)
     return RetrievedBranch(template=template, root_token=int(root), tokens=np.array(tokens, dtype=np.int32))
 
 

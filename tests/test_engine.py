@@ -182,6 +182,13 @@ class TestBuildNextTree:
             if method != "graft":
                 assert DecodeConfig(method=method, prune=prune).prune.checkpoints == (2,)
 
+    @pytest.mark.parametrize("split", [(70, -10), (-10, 70)])
+    def test_negative_fixed_split_half_rejected(self, split):
+        # the halves sum to the budget, so only the sign check stands between
+        # a library caller and a negative template prefix
+        with pytest.raises(ConfigError, match=r"decode\.fixed_split"):
+            DecodeConfig(method="fixed_split", fixed_split=split)
+
 
 class TestBoundedContext:
     """The models read at most ``order`` tokens, so a step must not depend on

@@ -137,7 +137,7 @@ class TestMerge:
         assert path_token_sets(merged.tokens, merged.parents) == expect
 
     def test_graft_drops_the_subtree_of_a_dropped_node(self):
-        builder = _Builder(new_tree([0]), budget=3)
+        builder = _Builder(new_tree([0]), [0], budget=3)
         # a cold node and its child; a chain that runs past the budget; a
         # repeat of the chain's head, merged, whose new child is dropped
         parents = np.array([-1, 0, -1, 2, 3, 4, -1, 6, 7], dtype=np.int32)
@@ -275,7 +275,7 @@ class TestFlattenProperties:
     @settings(max_examples=50, deadline=None)
     def test_children_csr_on_random_trees(self, seed, n):
         rng = np.random.default_rng(seed)
-        builder = _Builder(new_tree([0]), budget=n + 1)
+        builder = _Builder(new_tree([0]), [0], budget=n + 1)
         # each node hangs below the root (-1) or an earlier node; repeated
         # (parent, token) pairs merge
         parents = np.array([rng.integers(-1, i) for i in range(n)], dtype=np.int32)
@@ -383,15 +383,18 @@ class TestBulkAssembly:
     def test_rejects_open_and_oversized_sets(self):
         _, tree, _ = seeded_setup()
         deep = int(np.flatnonzero(tree.depths == 2)[0])
-        with pytest.raises(StructureError, match="parent-closed"):
-            draft_only(tree, [0, deep], 60)
-        with pytest.raises(StructureError, match="budget"):
-            draft_only(tree, select_retained(tree, 10), 5)
+        branch = instantiate(full_matrix(64, 10), builtin_templates(10)["d5"], tree.root_token)
+        for build in (draft_only, lambda tree, retained, budget: merge(tree, retained, branch, budget)):
+            with pytest.raises(StructureError, match="parent-closed"):
+                build(tree, [0, deep], 60)
+            with pytest.raises(StructureError, match="budget"):
+                build(tree, select_retained(tree, 10), 5)
 
 
 def _assert_canonical(hy):
     """Breadth-first with siblings by ascending token, and a CSR that
-    agrees with a scan of the parent array."""
+    agrees with a scan of the parent array and with the CSR a fresh tree
+    computes, so a CSR a builder cached cannot hide a wrong ``ptr``."""
     parents, tokens, depths = hy.parents, hy.tokens, hy.depths
     assert parents[0] == -1 and depths[0] == 0
     assert (np.diff(parents[1:]) >= 0).all()
@@ -399,6 +402,8 @@ def _assert_canonical(hy):
     assert (tokens[2:][siblings] > tokens[1:-1][siblings]).all()
     assert np.array_equal(depths[1:], depths[parents[1:]] + 1)
     ptr, idx = hy.children
+    for got, want in zip((ptr, idx), HybridTree(tokens, parents, depths, hy.origin, hy.scores).children):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     for i in range(hy.n_nodes):
         assert idx[ptr[i]:ptr[i + 1]].tolist() == children_of(hy, i).tolist()
 
@@ -416,12 +421,11 @@ class TestCanonicalOrder:
         budget = retained.size - 1 + int(rng.integers(0, 30))
         matrix = _random_matrix(rng, vocab)
         merged = merge(tree, retained, instantiate(matrix, _random_template(rng), tree.root_token), budget)
-        for hy in (
-            draft_only(tree, retained, budget),
-            merged,
-            insert_tail_variant(tree, matrix, int(rng.integers(0, tree.n_nodes + 20)), int(rng.integers(0, 15))),
-        ):
+        tail = insert_tail_variant(tree, matrix, int(rng.integers(0, tree.n_nodes + 20)), int(rng.integers(0, 15)))
+        for hy in (draft_only(tree, retained, budget), merged, tail):
             _assert_canonical(hy)
+        # the builder hands its CSR over: the checks above read the cached one
+        assert "children" in vars(merged) and "children" in vars(tail)
 
         # the drafted trees, and reindexed subsets of them
         draft = _random_draft(rng)
@@ -461,6 +465,7 @@ class TestCanonicalOrder:
         with mock.patch.object(engine, "verify_greedy", lambda target, prefix, hy: seen.append(hy) or SimpleNamespace(accepted_len=0)):
             engine._dense_union_replay(SimpleNamespace(prune=prune), draft, draft, [tree.root_token], merged)
         assert seen[0].n_candidates >= merged.n_candidates
+        assert "children" in vars(seen[0])
         _assert_canonical(seen[0])
 
     def test_out_of_order_tree_rejected(self):
