@@ -53,6 +53,6 @@ from .retrieval import (
     update_row,
     warmup,
 )
-from .verify import VerifyOutcome, node_distributions, verify_greedy, verify_stochastic
+from .verify import VerifyOutcome, verify_greedy, verify_stochastic
 
 __version__ = "0.1.0"

@@ -1,15 +1,19 @@
-"""The stochastic-verification walk, plain Python over one acceptance table.
+"""The stochastic-verification walk, plain Python, one acceptance rule.
 
-``stochastic_walk`` runs one walk for :func:`verify.verify_stochastic`,
-reading only the rows of the nodes it visits; ``stochastic_trials`` runs a
-batch of them for the exactness audit in
-:func:`verify.first_token_frequencies`. Both consume pre-drawn uniforms, so
-a walk is a pure function of its inputs.
+``_try_children`` is the rule: both walks try a node's children through it.
+``stochastic_walk`` runs one walk for :func:`verify.verify_stochastic`;
+``stochastic_trials`` runs a batch of them for the exactness audit in
+:func:`verify.first_token_frequencies` over one acceptance table, which the
+same rule fills. Both read node c's target row as ``rows[row_ids[c]]``, and
+only for the nodes they visit, and both consume pre-drawn uniforms, so a
+walk is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from itertools import repeat
 
 import numpy as np
 
@@ -33,8 +37,28 @@ NUMBA_ENABLED = False  # there is no numba path; perfbench/run.py still records 
 # row with the children's tokens zeroed, divided by the rests in order. Its
 # left-to-right running sum (``np.cumsum``) is the inverse-CDF table, and a
 # uniform at or past its total falls back to the last positive token.
-# ``stochastic_trials`` keeps them in an acceptance table shared by all its
-# walks; ``stochastic_walk`` computes them as it goes, for its path only.
+# ``stochastic_walk`` computes them as it goes, for its path only, and keeps
+# none; ``stochastic_trials`` keeps every node's in a table all its walks share.
+
+
+def _try_children(row: np.ndarray, tokens: list[int], lo: int, hi: int, draws, thresholds: list[float],
+                  rests: list[float]) -> int:
+    """Try children ``lo .. hi - 1`` of the node whose target row is ``row``,
+    in stored order, each against the next of ``draws``; the first accepted
+    child, or -1. Each child tried appends its threshold to ``thresholds``,
+    and each one rejected its rest to ``rests``. Draws of ``math.inf`` reject
+    every child, which gives the node's full lists."""
+    for c in range(lo, hi):
+        t = tokens[c]
+        a = 0.0 if t in tokens[lo:c] else row.item(t)  # an earlier sibling's rejection zeroed this token
+        for rest in rests:
+            a /= rest
+        thresholds.append(a)
+        if next(draws) < a:
+            return c
+        rest = 1.0 - a
+        rests.append(1.0 if rest <= 0.0 else rest)
+    return -1
 
 
 def _residual(row: np.ndarray, toks: list[int], rests: list[float]) -> np.ndarray:
@@ -68,30 +92,19 @@ def stochastic_walk(
     uniforms: list[float],
 ) -> tuple[list[int], int]:
     """One walk; node c's children are nodes ``child_ptr[c] + 1 ..
-    child_ptr[c + 1]`` and its row is ``rows[row_ids[c]]``. It computes the
-    table's entries only for the nodes on its path, and a node's thresholds
-    only up to the child it accepts; it keeps none of them, since one walk
-    never reads a node twice. -1 is emitted when the residual is exhausted."""
+    child_ptr[c + 1]`` and its row is ``rows[row_ids[c]]``. -1 is emitted
+    when the residual is exhausted."""
     path: list[int] = []
-    cur = at = 0
+    draws = iter(uniforms)
+    cur = 0
     while True:
         row = rows[row_ids[cur]]
-        rejected: list[int] = []
+        lo, hi = child_ptr[cur] + 1, child_ptr[cur + 1] + 1
         rests: list[float] = []
-        for c in range(child_ptr[cur] + 1, child_ptr[cur + 1] + 1):
-            t = tokens[c]
-            a = 0.0 if t in rejected else row.item(t)
-            for rest in rests:
-                a /= rest
-            at += 1
-            if uniforms[at - 1] < a:
-                break
-            rest = 1.0 - a
-            rests.append(1.0 if rest <= 0.0 else rest)
-            rejected.append(t)
-        else:
-            residual = _residual(row, rejected, rests)
-            return path, _draw(residual.cumsum().tolist(), residual, uniforms[at])
+        c = _try_children(row, tokens, lo, hi, draws, [], rests)
+        if c < 0:
+            residual = _residual(row, tokens[lo:hi], rests)
+            return path, _draw(residual.cumsum().tolist(), residual, next(draws))
         path.append(c)
         cur = c
 
@@ -99,42 +112,30 @@ def stochastic_walk(
 class _AcceptanceTable:
     """The acceptance entries of one tree's nodes, each filled on first use.
 
-    ``accept[c]`` is ``(kids, thresholds, rests)``: node c's children in
-    stored order, their thresholds and the rest each rejection divides by.
-    ``draw[c]`` is ``(cdf, residual)``: the residual left once every child
-    is rejected and its running sum, as a list for ``bisect``.
+    ``accept[c]`` is ``(kids, thresholds, rests)``: node c's children, a
+    range in stored order, with the lists ``_try_children`` gives when it
+    rejects them all. ``draw[c]`` is ``(cdf, residual)``: the residual left
+    once every child is rejected and its running sum, as a list for
+    ``bisect``.
     """
 
-    __slots__ = ("tokens", "ptr", "idx", "dists", "accept", "draw")
+    __slots__ = ("tokens", "ptr", "rows", "row_ids", "accept", "draw")
 
-    def __init__(self, tokens, child_ptr, child_idx, dists):
-        n = len(child_ptr) - 1
-        self.tokens = tokens.tolist()
-        self.ptr = child_ptr.tolist()
-        self.idx = child_idx.tolist()
-        self.dists = dists
-        self.accept: list = [None] * n
-        self.draw: list = [None] * n
+    def __init__(self, tokens, child_ptr, rows, row_ids):
+        self.tokens, self.ptr, self.rows, self.row_ids = tokens, child_ptr, rows, row_ids
+        self.accept: list = [None] * (len(child_ptr) - 1)
+        self.draw: list = [None] * (len(child_ptr) - 1)
 
-    def fill_accept(self, c: int) -> tuple[list[int], list[float], list[float]]:
-        kids = self.idx[self.ptr[c]:self.ptr[c + 1]]
-        toks = [self.tokens[k] for k in kids]
-        thresholds: list[float] = []
-        rests: list[float] = []
-        for j, a in enumerate(self.dists[c].take(toks).tolist() if toks else ()):
-            if toks[j] in toks[:j]:  # an earlier sibling's rejection zeroed this token
-                a = 0.0
-            for rest in rests:
-                a /= rest
-            thresholds.append(a)
-            rest = 1.0 - a
-            rests.append(1.0 if rest <= 0.0 else rest)
-        entry = self.accept[c] = (kids, thresholds, rests)
+    def fill_accept(self, c: int) -> tuple[range, list[float], list[float]]:
+        lo, hi = self.ptr[c] + 1, self.ptr[c + 1] + 1
+        thresholds, rests = [], []
+        _try_children(self.rows[self.row_ids[c]], self.tokens, lo, hi, repeat(math.inf), thresholds, rests)
+        entry = self.accept[c] = (range(lo, hi), thresholds, rests)
         return entry
 
     def fill_draw(self, c: int) -> tuple[list[float], np.ndarray]:
         kids, _, rests = self.accept[c] or self.fill_accept(c)
-        residual = _residual(self.dists[c], [self.tokens[k] for k in kids], rests)
+        residual = _residual(self.rows[self.row_ids[c]], self.tokens[kids.start:kids.stop], rests)
         entry = self.draw[c] = (residual.cumsum().tolist(), residual)
         return entry
 
@@ -157,17 +158,17 @@ class _AcceptanceTable:
 
 
 def stochastic_trials(
-    tokens: np.ndarray,
-    child_ptr: np.ndarray,
-    child_idx: np.ndarray,
-    dists: np.ndarray,
+    tokens: list[int],
+    child_ptr: list[int],
+    rows: np.ndarray,
+    row_ids: list[int],
     uniforms: np.ndarray,
 ) -> np.ndarray:
     """First-emitted-token counts over ``uniforms.shape[0]`` walk trials,
-    all on one acceptance table."""
-    table = _AcceptanceTable(tokens, child_ptr, child_idx, dists)
-    firsts, walk = table.tokens, table.walk
-    counts = [0] * dists.shape[1]
+    all on one acceptance table; the arguments are those of
+    :func:`stochastic_walk`, with one row of uniforms per trial."""
+    walk = _AcceptanceTable(tokens, child_ptr, rows, row_ids).walk
+    counts = [0] * rows.shape[1]
     # a memoryview makes a float of each draw only when a walk reads it
     flat = np.ascontiguousarray(uniforms, dtype=np.float64).reshape(-1).data
     width = uniforms.shape[1]
@@ -176,5 +177,5 @@ def stochastic_trials(
         emitted = walk(iter(flat[lo:lo + width]), path)
         if emitted < 0:
             raise StructureError("residual exhausted; node distributions are inconsistent")
-        counts[firsts[path[0]] if path else emitted] += 1
+        counts[tokens[path[0]] if path else emitted] += 1
     return np.array(counts, dtype=np.int64)

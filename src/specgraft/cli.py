@@ -233,13 +233,10 @@ def _ablation_fixture(run: RunConfig) -> AblationFixture:
             ),
         )
     }
-    matrix = new_matrix(run.vocab.size, run.matrix_k)
-    if run.warmup_rounds > 0:
-        warmup(matrix, run.target, run.draft, run.warmup_prompts, run.warmup_rounds, config=run.decode)
     return AblationFixture(
         target=run.target,
         draft=run.draft,
-        warmed_matrix=matrix,
+        warmed_matrix=_prepared_matrix(run),
         prompts=prompts,
         config=run.decode,
         warmup_prompts=run.warmup_prompts,

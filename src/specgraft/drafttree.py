@@ -59,20 +59,19 @@ class HybridTree:
         return self.n_candidates - retrieved, retrieved
 
     @cached_property
-    def children(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style (ptr, idx): children of node i are idx[ptr[i]:ptr[i+1]].
+    def child_ptr(self) -> np.ndarray:
+        """(n + 1,) int32: the children of node i are nodes
+        ``child_ptr[i] + 1 .. child_ptr[i + 1]``.
 
         Breadth-first storage puts each node's children together and keeps
-        ``parents[1:]`` nondecreasing, so no sort is needed: ``idx`` is
-        every non-root node in stored order. ``hybrid._Builder.finish``
-        fills this cache as it emits a tree.
+        ``parents[1:]`` nondecreasing, so no sort is needed and no index
+        array either. ``hybrid._Builder.finish`` fills this cache as it
+        emits a tree.
         """
         parents = self.parents[1:]
         if (parents[1:] < parents[:-1]).any():
             raise StructureError("tree is not stored breadth-first")
-        n = self.n_nodes
-        ptr = np.searchsorted(parents, np.arange(n + 1)).astype(np.int32)
-        return ptr, np.arange(1, n, dtype=np.int32)
+        return np.searchsorted(parents, np.arange(self.n_nodes + 1)).astype(np.int32)
 
 
 def new_tree(context) -> HybridTree:

@@ -251,7 +251,7 @@ def coverage_gain(root_dist: np.ndarray, draft_tokens, retrieved_tokens) -> floa
 def _root_frontier(hy: HybridTree) -> tuple[list[int], list[int]]:
     """The drafted and the retrieved tokens of the root's children, nodes
     1 .. ``ptr[1]`` in breadth-first storage."""
-    end = int(hy.children[0][1]) + 1
+    end = int(hy.child_ptr[1]) + 1
     drafted, retrieved = [], []
     for token, origin in zip(hy.tokens[1:end].tolist(), hy.origin[1:end].tolist()):
         (drafted if origin == ORIGIN_DRAFT else retrieved).append(token)

@@ -90,7 +90,7 @@ class _Builder:
 
     def finish(self) -> HybridTree:
         """The tree breadth-first, each node's children by ascending token,
-        with its children CSR filled in as it is emitted."""
+        with its child pointers filled in as it is emitted."""
         tree, kept = self.tree, self.kept
         order, tokens, parents, depths = [0], [tree.root_token], [-1], [0]
         ptr = []  # children of emitted node i are nodes ptr[i] + 1 .. ptr[i + 1]
@@ -117,7 +117,7 @@ class _Builder:
             origin=origin[order],
             scores=scores[order],
         )
-        hy.children = (np.array(ptr, dtype=np.int32), np.arange(1, n, dtype=np.int32))  # the cached CSR
+        hy.child_ptr = np.array(ptr, dtype=np.int32)  # the cached child pointers
         return hy
 
 

@@ -21,6 +21,7 @@ from .errors import InputError
 
 DIST_ATOL = 1e-9
 TEMPERATURE_SCALE = 4.0
+MAX_TABLE_CELLS = 4_000_000  # ceiling on a built row table (32 MB of float64), checked before allocating
 
 DERIVATION_MODES = ("temperature-smooth", "uniform-mix", "context-truncate")
 
@@ -223,7 +224,7 @@ def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0)
         raise InputError(f"order must be >= 0, got {order}")
     if not 0.0 <= sparsity < 1.0:
         raise InputError(f"sparsity must be in [0, 1), got {sparsity}")
-    if vocab.size ** (order + 1) > 4_000_000:
+    if vocab.size ** (order + 1) > MAX_TABLE_CELLS:
         raise InputError(
             f"markov table vocab^(order+1) = {vocab.size ** (order + 1)} cells is too large; "
             "train an n-gram model from a corpus instead"
@@ -261,6 +262,9 @@ def train_ngram(vocab: VocabSpec, corpus, order: int, smoothing: float = 0.0) ->
 
     index: dict[int, int] = {}
     ids = [index.setdefault(context_code(corpus[i - order:i], vocab.size), len(index)) for i in range(order, len(corpus))]
+    if (len(index) + 1) * vocab.size > MAX_TABLE_CELLS:
+        raise InputError(f"n-gram table (contexts + 1) x vocab = {len(index) + 1} x {vocab.size} cells "
+                         f"exceeds the {MAX_TABLE_CELLS}-cell ceiling")
     counts = np.zeros((len(index) + 1, vocab.size))
     np.add.at(counts, (ids, corpus[order:]), 1.0)
     np.add.at(counts[-1], corpus, 1.0)  # the unigram, smoothed into the fallback

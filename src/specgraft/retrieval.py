@@ -156,30 +156,20 @@ def template_from_depth_counts(stage: str, counts) -> StageTemplate:
     parents: list[int] = []
     ranks: list[int] = []
     depths: list[int] = []
-    prev_layer: list[int] = []  # template indices of the previous depth, priority order
+    prev_layer = [-1]  # template indices of the previous depth, priority order; -1 is the root
 
     for depth, count in enumerate(counts, start=1):
-        if depth == 1:
-            layer = []
-            for r in range(count):
-                parents.append(-1)
+        per_parent = [0] * len(prev_layer)
+        for j in range(count):
+            per_parent[j % len(prev_layer)] += 1
+        layer = []
+        # emit children parent-major so BFS order matches priority order
+        for slot, parent in enumerate(prev_layer):
+            for r in range(per_parent[slot]):
+                parents.append(parent)
                 ranks.append(r)
-                depths.append(1)
+                depths.append(depth)
                 layer.append(len(parents) - 1)
-        else:
-            if count > 0 and not prev_layer:
-                raise ConfigError("template layer has no parents to attach to")
-            per_parent = [0] * len(prev_layer)
-            for j in range(count):
-                per_parent[j % len(prev_layer)] += 1
-            layer = []
-            # emit children parent-major so BFS order matches priority order
-            for slot, parent in enumerate(prev_layer):
-                for r in range(per_parent[slot]):
-                    parents.append(parent)
-                    ranks.append(r)
-                    depths.append(depth)
-                    layer.append(len(parents) - 1)
         prev_layer = layer
 
     return StageTemplate(

@@ -9,6 +9,9 @@ is drawn from what remains.
 
 Every node's target row id is returned regardless of acceptance, so the
 caller can refresh the transition matrix from the whole verified tree.
+Neither mode gathers the nodes' target rows: greedy reads the target's
+cached argmax ids, and the stochastic walks read ``target.rows[row_id]``
+only for the nodes they visit.
 """
 
 from __future__ import annotations
@@ -30,7 +33,10 @@ class VerifyOutcome:
     accepted_path: list[int]  # node indices, root excluded
     emitted_tokens: list[int]  # accepted tokens + one bonus/correction token
     row_ids: list[int]  # target row id of every node, indexing target.rows
-    accepted_len: int
+
+    @property
+    def accepted_len(self) -> int:
+        return len(self.accepted_path)
 
 
 def node_row_ids(target: MarkovTableModel, prefix, tree: HybridTree) -> list[int]:
@@ -50,13 +56,6 @@ def node_row_ids(target: MarkovTableModel, prefix, tree: HybridTree) -> list[int
     return target.row_ids(codes)
 
 
-def node_distributions(target: MarkovTableModel, prefix, tree: HybridTree) -> tuple[list[int], np.ndarray]:
-    """``(ids, dists)``: :func:`node_row_ids` and the ``(n, vocab)`` gather
-    ``target.rows[ids]``, row i predicting the successor of node i's token."""
-    ids = node_row_ids(target, prefix, tree)
-    return ids, target.rows[ids]
-
-
 def verify_greedy(target: MarkovTableModel, prefix, tree: HybridTree) -> VerifyOutcome:
     """Accept the longest root chain matching the target argmax walk.
 
@@ -67,7 +66,7 @@ def verify_greedy(target: MarkovTableModel, prefix, tree: HybridTree) -> VerifyO
     """
     ids = node_row_ids(target, prefix, tree)
     want = target.topk(ids, 1)[:, 0].tolist()
-    ptr = tree.children[0].tolist()
+    ptr = tree.child_ptr.tolist()
     tokens = tree.tokens.tolist()
     path: list[int] = []
     cur = 0
@@ -80,7 +79,6 @@ def verify_greedy(target: MarkovTableModel, prefix, tree: HybridTree) -> VerifyO
                 accepted_path=path,
                 emitted_tokens=[tokens[i] for i in path] + [want[cur]],
                 row_ids=ids,
-                accepted_len=len(path),
             )
         path.append(c)
         cur = c
@@ -93,14 +91,13 @@ def verify_stochastic(target: MarkovTableModel, prefix, tree: HybridTree, rng: n
     ids = node_row_ids(target, prefix, tree)
     tokens = tree.tokens.tolist()
     uniforms = rng.random(tree.n_nodes + 1).tolist()
-    path, emitted = _kernels.stochastic_walk(tokens, tree.children[0].tolist(), target.rows, ids, uniforms)
+    path, emitted = _kernels.stochastic_walk(tokens, tree.child_ptr.tolist(), target.rows, ids, uniforms)
     if emitted < 0:
         raise StructureError("residual exhausted; node distributions are inconsistent")
     return VerifyOutcome(
         accepted_path=path,
         emitted_tokens=[tokens[i] for i in path] + [emitted],
         row_ids=ids,
-        accepted_len=len(path),
     )
 
 
@@ -113,17 +110,18 @@ def first_token_frequencies(
 ) -> np.ndarray:
     """Empirical first-emitted-token counts over ``n_trials`` stochastic walks.
 
-    Runs the same walk kernel as :func:`verify_stochastic`, batched. The
-    uniforms are drawn ``TRIAL_CHUNK`` trials at a time; successive draws
-    continue one stream, so the counts do not depend on the chunk size.
+    Runs the acceptance rule of :func:`verify_stochastic`, batched over one
+    acceptance table per chunk. The uniforms are drawn ``TRIAL_CHUNK``
+    trials at a time; successive draws continue one stream, so the counts
+    do not depend on the chunk size.
     """
     if n_trials < 0:
         raise InputError(f"n_trials must be >= 0, got {n_trials}")
-    _, dists = node_distributions(target, prefix, tree)
-    ptr, idx = tree.children
+    ids = node_row_ids(target, prefix, tree)
+    tokens, ptr = tree.tokens.tolist(), tree.child_ptr.tolist()
     rng = np.random.default_rng(seed)
-    counts = np.zeros(dists.shape[1], dtype=np.int64)
+    counts = np.zeros(target.vocab.size, dtype=np.int64)
     for lo in range(0, n_trials, TRIAL_CHUNK):
         uniforms = rng.random((min(TRIAL_CHUNK, n_trials - lo), tree.n_nodes + 1))
-        counts += _kernels.stochastic_trials(tree.tokens, ptr, idx, dists, uniforms)
+        counts += _kernels.stochastic_trials(tokens, ptr, target.rows, ids, uniforms)
     return counts

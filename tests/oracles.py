@@ -154,7 +154,7 @@ def template_walk_realized(template, matrix_rows, matrix_valid, root):
 
 def children_of(tree, i):
     """Indices of node i's children by a scan of the parent array (the
-    children CSR's reference)."""
+    reference for ``HybridTree.child_ptr``)."""
     return np.flatnonzero(np.asarray(tree.parents) == i)
 
 

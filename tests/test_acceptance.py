@@ -20,7 +20,7 @@ from specgraft.engine import DecodeConfig, calibrate, decode_session, theory_che
 from specgraft.hybrid import draft_only, flatten, merge
 from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft, tokenize_whitespace, train_ngram
 from specgraft.retrieval import TEMPLATE_DEPTH_COUNTS, builtin_templates, new_matrix, template_prefix, instantiate, update_row, warmup
-from specgraft.verify import first_token_frequencies, node_distributions
+from specgraft.verify import first_token_frequencies, node_row_ids
 
 from .conftest import grow
 from .oracles import ar_greedy, enumerate_first_token_marginal
@@ -102,7 +102,7 @@ def test_criterion_2_stochastic_exactness():
     for i in range(20):
         target, prefix, pkg = tiny_instance(i)
         assert pkg.n_nodes <= 10
-        _, dists = node_distributions(target, prefix, pkg)
+        dists = target.rows[node_row_ids(target, prefix, pkg)]
         kids = [j for j in range(1, pkg.n_nodes) if pkg.parents[j] == 0]
         marginal = enumerate_first_token_marginal(pkg.tokens.tolist(), pkg.parents.tolist(), dists[0], kids)
         worst_enum = max(worst_enum, float(np.abs(marginal - dists[0]).max()))

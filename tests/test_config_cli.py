@@ -3,6 +3,7 @@ import json
 import tracemalloc
 
 import jsonschema
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -244,7 +245,7 @@ def _write_doc(tmp_path, doc, name="run.yaml"):
 class TestSnapshotMatchesConfig:
     """A ``matrix.load`` snapshot must match the config's vocab and k."""
 
-    def _run(self, tmp_path, snapshot_vocab, snapshot_k, config_k):
+    def _run(self, tmp_path, snapshot_vocab, snapshot_k, config_k, command=("decode",)):
         from specgraft.retrieval import new_matrix, save_matrix
 
         snap = tmp_path / "snap.bin"
@@ -252,7 +253,7 @@ class TestSnapshotMatchesConfig:
         doc = json.loads(json.dumps(BASE_DOC))
         doc["matrix"] = {"k": config_k, "load": str(snap)}
         out = tmp_path / "out"
-        return run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(out), "decode"), out, str(snap)
+        return run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(out), *command), out, str(snap)
 
     def test_k_mismatch_exits_2(self, tmp_path, capsys):
         rc, out, snap = self._run(tmp_path, 24, 10, 12)
@@ -272,6 +273,27 @@ class TestSnapshotMatchesConfig:
         rc, out, _ = self._run(tmp_path, 24, 10, 10)
         assert rc == 0
         assert (out / "run.json").exists()
+
+    def test_ablation_vocab_mismatch_exits_2(self, tmp_path, capsys):
+        rc, out, snap = self._run(tmp_path, 16, 10, 10, ("ablation", "--suite", "temperature"))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and snap in err and "vocab=16" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_ablation_starts_from_the_snapshot(self, tmp_path):
+        from specgraft.cli import _ablation_fixture
+        from specgraft.retrieval import load_matrix, new_matrix, save_matrix, update_row
+
+        snap = tmp_path / "snap.bin"
+        matrix = new_matrix(24, 10)
+        update_row(matrix, 5, np.linspace(1.0, 0.1, 24))
+        save_matrix(snap, matrix)
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["matrix"] = {"k": 10, "load": str(snap)}
+        warmed = _ablation_fixture(load_run_config(_write_doc(tmp_path, doc))).warmed_matrix
+        loaded = load_matrix(snap)
+        assert np.array_equal(warmed.rows, loaded.rows) and np.array_equal(warmed.valid, loaded.valid)
 
 
 class TestReportNames:
@@ -356,6 +378,15 @@ class TestBadValues:
         # the envelope would preallocate 10**12 nodes (3.64 TiB of node arrays)
         prune = {"max_depth": 1_000_000, "beam_width": 1_000_000}
         _rejects_before_allocating(tmp_path, capsys, {"prune": prune}, ["decode"], ["prune.max_depth", "prune.beam_width"])
+
+    def test_ngram_table_ceiling_rejects_before_allocating(self, tmp_path, capsys):
+        # one token id of 10**15 makes an ints corpus's vocab 10**15 + 1, so
+        # the order-1 table of its two contexts and the fallback would hold
+        # 3 x (10**15 + 1) float64 cells (about 21 PiB)
+        corpus = tmp_path / "ids.txt"
+        corpus.write_text("0\n1\n1000000000000000\n", encoding="utf-8")
+        target = {"kind": "ngram", "corpus": str(corpus), "tokenizer": "ints", "order": 1}
+        _rejects_before_allocating(tmp_path, capsys, {"vocab": {}, "target": target}, ["decode"], ["n-gram table"])
 
     def test_layer_candidate_ceiling_rejects_before_allocating(self, tmp_path, capsys):
         # 4 x 262144 nodes fit the envelope, but a full layer scores 262144 x 256 candidates (about 2.4 GB)

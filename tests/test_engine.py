@@ -25,7 +25,7 @@ from specgraft.errors import ConfigError
 from specgraft.hybrid import flatten
 from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft
 from specgraft.retrieval import builtin_templates, new_matrix, update_row, warmup
-from specgraft.verify import node_distributions
+from specgraft.verify import node_row_ids
 
 from .conftest import table_model
 from .oracles import ar_greedy, canonical_form, closure_topk_iterative, greedy_chain_walk, reference_draft_builder
@@ -211,8 +211,9 @@ class TestBoundedContext:
         assert info_long == info_short
         for name in ("tokens", "parents", "depths", "origin", "scores"):
             assert np.array_equal(getattr(hy_long, name), getattr(hy_short, name), equal_nan=True), name
-        ids_long, dists_long = node_distributions(target, long, flatten(hy_long, len(long) - 1))
-        ids_short, dists_short = node_distributions(target, short, flatten(hy_short, len(short) - 1))
+        ids_long = node_row_ids(target, long, flatten(hy_long, len(long) - 1))
+        ids_short = node_row_ids(target, short, flatten(hy_short, len(short) - 1))
+        dists_long, dists_short = target.rows[ids_long], target.rows[ids_short]
         assert np.array_equal(ids_long, ids_short)
         assert np.array_equal(dists_long, dists_short)
         for i, row in enumerate(dists_long):

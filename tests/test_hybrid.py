@@ -281,9 +281,9 @@ class TestFlattenProperties:
         parents = np.array([rng.integers(-1, i) for i in range(n)], dtype=np.int32)
         builder.graft(0, parents, rng.integers(0, 12, size=n).astype(np.int32))
         hy = builder.finish()
-        ptr, idx = hy.children
+        ptr = hy.child_ptr
         for i in range(hy.n_nodes):
-            assert idx[ptr[i]:ptr[i + 1]].tolist() == children_of(hy, i).tolist()
+            assert list(range(ptr[i] + 1, ptr[i + 1] + 1)) == children_of(hy, i).tolist()
 
 
 def _as_tree(lists):
@@ -392,25 +392,26 @@ class TestBulkAssembly:
 
 
 def _assert_canonical(hy):
-    """Breadth-first with siblings by ascending token, and a CSR that
-    agrees with a scan of the parent array and with the CSR a fresh tree
-    computes, so a CSR a builder cached cannot hide a wrong ``ptr``."""
+    """Breadth-first with siblings by ascending token, and child pointers
+    that agree with a scan of the parent array and with the pointers a
+    fresh tree computes, so pointers a builder cached cannot hide a wrong
+    one."""
     parents, tokens, depths = hy.parents, hy.tokens, hy.depths
     assert parents[0] == -1 and depths[0] == 0
     assert (np.diff(parents[1:]) >= 0).all()
     siblings = parents[2:] == parents[1:-1]
     assert (tokens[2:][siblings] > tokens[1:-1][siblings]).all()
     assert np.array_equal(depths[1:], depths[parents[1:]] + 1)
-    ptr, idx = hy.children
-    for got, want in zip((ptr, idx), HybridTree(tokens, parents, depths, hy.origin, hy.scores).children):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    ptr = hy.child_ptr
+    fresh = HybridTree(tokens, parents, depths, hy.origin, hy.scores).child_ptr
+    assert ptr.dtype == fresh.dtype and np.array_equal(ptr, fresh)
     for i in range(hy.n_nodes):
-        assert idx[ptr[i]:ptr[i + 1]].tolist() == children_of(hy, i).tolist()
+        assert list(range(ptr[i] + 1, ptr[i + 1] + 1)) == children_of(hy, i).tolist()
 
 
 class TestCanonicalOrder:
     """Every builder emits the canonical order the verifier and the
-    children CSR rely on, the draft trees from birth."""
+    child pointers rely on, the draft trees from birth."""
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -424,8 +425,8 @@ class TestCanonicalOrder:
         tail = insert_tail_variant(tree, matrix, int(rng.integers(0, tree.n_nodes + 20)), int(rng.integers(0, 15)))
         for hy in (draft_only(tree, retained, budget), merged, tail):
             _assert_canonical(hy)
-        # the builder hands its CSR over: the checks above read the cached one
-        assert "children" in vars(merged) and "children" in vars(tail)
+        # the builder hands its child pointers over: the checks above read the cached ones
+        assert "child_ptr" in vars(merged) and "child_ptr" in vars(tail)
 
         # the drafted trees, and reindexed subsets of them
         draft = _random_draft(rng)
@@ -465,7 +466,7 @@ class TestCanonicalOrder:
         with mock.patch.object(engine, "verify_greedy", lambda target, prefix, hy: seen.append(hy) or SimpleNamespace(accepted_len=0)):
             engine._dense_union_replay(SimpleNamespace(prune=prune), draft, draft, [tree.root_token], merged)
         assert seen[0].n_candidates >= merged.n_candidates
-        assert "children" in vars(seen[0])
+        assert "child_ptr" in vars(seen[0])
         _assert_canonical(seen[0])
 
     def test_out_of_order_tree_rejected(self):
@@ -478,7 +479,7 @@ class TestCanonicalOrder:
             scores=np.zeros(4),
         )
         with pytest.raises(StructureError, match="breadth-first"):
-            hy.children
+            hy.child_ptr
 
 
 class TestRender:

@@ -8,7 +8,7 @@ from specgraft import _kernels as K
 from specgraft.errors import InputError, StructureError
 from specgraft.hybrid import draft_only
 from specgraft.models import VocabSpec, build_markov
-from specgraft.verify import TRIAL_CHUNK, first_token_frequencies, node_distributions, verify_stochastic
+from specgraft.verify import TRIAL_CHUNK, first_token_frequencies, node_row_ids, verify_stochastic
 
 from .conftest import delta, grow, table_model
 from .oracles import reference_walk
@@ -22,11 +22,10 @@ EDGE_DRAWS = (0.0, 1.0, 1.0 - 5e-11)
 
 
 def _case(parents, tokens, dists):
-    """(tokens, parents, child_ptr, child_idx, dists) of a breadth-first tree."""
+    """(tokens, parents, child_ptr, dists) of a breadth-first tree."""
     parents = np.array(parents, dtype=np.int32)
     ptr = np.searchsorted(parents[1:], np.arange(len(parents) + 1)).astype(np.int32)
-    idx = np.arange(1, len(parents), dtype=np.int32)
-    return np.array(tokens, dtype=np.int32), parents, ptr, idx, np.array(dists, dtype=float)
+    return np.array(tokens, dtype=np.int32), parents, ptr, np.array(dists, dtype=float)
 
 
 def _chain_case():
@@ -78,9 +77,8 @@ def _tree_case(seed, sparsity):
     vocab = 6 + seed % 5
     target = build_markov(VocabSpec(vocab), 1, seed=seed, sparsity=sparsity)
     pkg = random_package(seed=seed + 50, vocab=vocab, depth=3, top_k=3, beam=6, keep=16)
-    _, dists = node_distributions(target, [0], pkg)
-    ptr, idx = pkg.children
-    return pkg.tokens, pkg.parents, ptr, idx, dists
+    dists = target.rows[node_row_ids(target, [0], pkg)]
+    return pkg.tokens, pkg.parents, pkg.child_ptr, dists
 
 
 CASES = [_chain_case(), _delta_case(), _sparse_case(), _shared_token_case(), _exhausted_case()] + [
@@ -96,6 +94,13 @@ def _walk(tokens, ptr, dists, u, row_ids=None):
     return K.stochastic_walk(tokens.tolist(), ptr.tolist(), dists, row_ids, u.tolist())
 
 
+def _trials(tokens, ptr, dists, uniforms, row_ids=None):
+    """``stochastic_trials`` on a case's arrays, rows read as in :func:`_walk`."""
+    if row_ids is None:
+        row_ids = list(range(dists.shape[0]))
+    return K.stochastic_trials(tokens.tolist(), ptr.tolist(), dists, row_ids, uniforms)
+
+
 def _draws(n_rows, width, seed):
     """Generator rows, then one row of each edge value."""
     rows = np.random.default_rng(seed).random((n_rows, width))
@@ -103,35 +108,49 @@ def _draws(n_rows, width, seed):
 
 
 def test_stochastic_walk_paths_agree():
-    for tokens, parents, ptr, idx, dists in CASES:
+    for tokens, parents, ptr, dists in CASES:
         for u in _draws(300, tokens.shape[0] + 1, 17):
             assert _walk(tokens, ptr, dists, u) == reference_walk(tokens, parents, dists, u)
 
 
+def _visited_rows(dists, visited):
+    """``dists`` in reverse, NaN on every row but those of the nodes ``visited``."""
+    rows = np.full_like(dists, np.nan)
+    rows[visited] = dists[visited]
+    return rows[::-1]
+
+
 def test_walk_reads_only_the_rows_it_visits():
-    # every row the walk does not visit is NaN, and the rows are stored in
-    # reverse, reached through row ids: the outcome is unchanged
-    for tokens, parents, ptr, idx, dists in CASES:
+    # every row the walks do not visit is NaN, and the rows are stored in
+    # reverse, reached through row ids: the outcomes are unchanged
+    for tokens, parents, ptr, dists in CASES:
         n = tokens.shape[0]
-        for u in _draws(100, n + 1, 29):
-            path, emitted = reference_walk(tokens, parents, dists, u)
-            visited = [0] + path
-            rows = np.full_like(dists, np.nan)
-            rows[visited] = dists[visited]
-            assert _walk(tokens, ptr, rows[::-1], u, [n - 1 - i for i in range(n)]) == (path, emitted)
+        reversed_ids = [n - 1 - i for i in range(n)]
+        uniforms = _draws(100, n + 1, 29)
+        walks = [reference_walk(tokens, parents, dists, u) for u in uniforms]
+        for u, (path, emitted) in zip(uniforms, walks):
+            assert _walk(tokens, ptr, _visited_rows(dists, [0] + path), u, reversed_ids) == (path, emitted)
+        # the trials share one table, so they read the rows of every walk's path
+        rows = _visited_rows(dists, [0] + [c for path, _ in walks for c in path])
+        if any(emitted < 0 for _, emitted in walks):
+            with pytest.raises(StructureError):
+                _trials(tokens, ptr, rows, uniforms, reversed_ids)
+        else:
+            firsts = [tokens[path[0]] if path else emitted for path, emitted in walks]
+            assert np.array_equal(_trials(tokens, ptr, rows, uniforms, reversed_ids), np.bincount(firsts, minlength=dists.shape[1]))
 
 
 def test_edge_draws_reach_the_clamp_and_the_fallback():
-    tokens, _, ptr, idx, dists = _delta_case()
+    tokens, _, ptr, dists = _delta_case()
     assert _walk(tokens, ptr, dists, np.full(5, 1.0)) == ([], -1)
-    tokens, _, ptr, idx, dists = _sparse_case()
+    tokens, _, ptr, dists = _sparse_case()
     # root: child 1 (token 0) rejected, child 2 (token 3) has no mass; the
     # residual [0, 1/3, short/0.75, 0, 0, 0] sums below the draw
     assert _walk(tokens, ptr, dists, np.full(5, 1.0 - 5e-11)) == ([], 2)
 
 
 def test_stochastic_trials_paths_agree():
-    for tokens, _, ptr, idx, dists in CASES:
+    for tokens, _, ptr, dists in CASES:
         uniforms = _draws(2000, tokens.shape[0] + 1, 3)
         expect = np.zeros(dists.shape[1], dtype=np.int64)
         exhausted = False
@@ -141,16 +160,16 @@ def test_stochastic_trials_paths_agree():
             expect[tokens[path[0]] if path else emitted] += 1
         if exhausted:
             with pytest.raises(StructureError):
-                K.stochastic_trials(tokens, ptr, idx, dists, uniforms)
+                _trials(tokens, ptr, dists, uniforms)
         else:
-            assert np.array_equal(K.stochastic_trials(tokens, ptr, idx, dists, uniforms), expect)
+            assert np.array_equal(_trials(tokens, ptr, dists, uniforms), expect)
 
 
 def test_exhausted_residual_raises():
-    tokens, _, ptr, idx, dists = _exhausted_case()
+    tokens, _, ptr, dists = _exhausted_case()
     assert _walk(tokens, ptr, dists, np.array([0.7, 0.1])) == ([], -1)
     with pytest.raises(StructureError):
-        K.stochastic_trials(tokens, ptr, idx, dists, np.array([[0.1, 0.1], [0.7, 0.1]]))
+        _trials(tokens, ptr, dists, np.array([[0.1, 0.1], [0.7, 0.1]]))
 
     # a normalised row whose last child's threshold rounds to 1 - 2^-53:
     # the largest generator draw rejects all three children
@@ -168,9 +187,9 @@ def test_exhausted_residual_raises():
 
 
 def test_walk_fills_only_its_path():
-    tokens, _, ptr, idx, dists = _tree_case(1, 0.0)
+    tokens, _, ptr, dists = _tree_case(1, 0.0)
     for u in _draws(50, tokens.shape[0] + 1, 5):
-        table = K._AcceptanceTable(tokens, ptr, idx, dists)
+        table = K._AcceptanceTable(tokens.tolist(), ptr.tolist(), dists, list(range(dists.shape[0])))
         path: list[int] = []
         table.walk(iter(u.tolist()), path)
         filled = [c for c, entry in enumerate(table.accept) if entry is not None]
@@ -182,8 +201,8 @@ def test_chunked_draws_match_single_walks():
     target = build_markov(VocabSpec(8), 1, seed=4, sparsity=0.3)
     pkg = random_package(seed=9, vocab=8, depth=3, keep=15)
     n_trials = 2 * TRIAL_CHUNK + 7
-    _, dists = node_distributions(target, [0], pkg)
-    ptr, idx = pkg.children
+    dists = target.rows[node_row_ids(target, [0], pkg)]
+    ptr = pkg.child_ptr
     expect = np.zeros(8, dtype=np.int64)
     for u in np.random.default_rng(21).random((n_trials, pkg.n_nodes + 1)):
         path, emitted = _walk(pkg.tokens, ptr, dists, u)

@@ -10,7 +10,7 @@ from specgraft.hybrid import draft_only, flatten
 from specgraft.models import VocabSpec, build_markov, greedy_token
 from specgraft.verify import (
     first_token_frequencies,
-    node_distributions,
+    node_row_ids,
     verify_greedy,
     verify_stochastic,
 )
@@ -36,7 +36,7 @@ def random_package(seed, vocab=16, depth=3, top_k=3, beam=6, keep=20, prefix=(0,
 class TestNodeDistributions:
     def test_det4_is_delta(self, det4):
         pkg = chain_package(det4, [2], 3)
-        _, dists = node_distributions(det4, [2], pkg)
+        dists = det4.rows[node_row_ids(det4, [2], pkg)]
         # node with token 2 predicts token 3 whatever the shape
         for i in range(pkg.n_nodes):
             if pkg.tokens[i] == 2:
@@ -45,7 +45,7 @@ class TestNodeDistributions:
     def test_sibling_conditioning_differs(self):
         model = build_markov(VocabSpec(6), 1, seed=1)
         pkg = random_package(seed=1, vocab=6, depth=1, top_k=3)
-        _, dists = node_distributions(model, [0], pkg)
+        dists = model.rows[node_row_ids(model, [0], pkg)]
         sib = children_of(pkg, 0)
         assert len(sib) >= 2
         assert not np.array_equal(dists[sib[0]], dists[sib[1]])
@@ -54,7 +54,7 @@ class TestNodeDistributions:
         model = build_markov(VocabSpec(16), 2, seed=42)
         pkg = random_package(seed=42, vocab=16, depth=3, keep=9, prefix=(4, 2))
         assert pkg.n_nodes == 10
-        _, dists = node_distributions(model, [4, 2], pkg)
+        dists = model.rows[node_row_ids(model, [4, 2], pkg)]
         for i in range(pkg.n_nodes):
             path = []
             j = i
@@ -150,7 +150,7 @@ class TestVerifyStochastic:
             vocab = 4 + seed % 3
             target = build_markov(VocabSpec(vocab), 1, seed=seed)
             pkg = random_package(seed=seed + 100, vocab=vocab, depth=2, top_k=2, keep=8)
-            _, dists = node_distributions(target, [0], pkg)
+            dists = target.rows[node_row_ids(target, [0], pkg)]
             kids = [i for i in range(1, pkg.n_nodes) if pkg.parents[i] == 0]
             marginal = enumerate_first_token_marginal(pkg.tokens.tolist(), pkg.parents.tolist(), dists[0], kids)
             assert np.abs(marginal - dists[0]).max() <= 1e-12
@@ -159,7 +159,7 @@ class TestVerifyStochastic:
         target = build_markov(VocabSpec(4), 1, seed=77)
         pkg = random_package(seed=77, vocab=4, depth=2, top_k=2, keep=2)
         assert pkg.n_nodes == 3
-        _, dists = node_distributions(target, [0], pkg)
+        dists = target.rows[node_row_ids(target, [0], pkg)]
         counts = first_token_frequencies(target, [0], pkg, 1_000_000, seed=5)
         freq = counts / counts.sum()
         assert 0.5 * np.abs(freq - dists[0]).sum() <= 0.003
