@@ -5,7 +5,6 @@ from .drafttree import (
     PruneConfig,
     PruneDecision,
     evaluate_gate,
-    new_tree,
     resolve_stage,
 )
 from .engine import (
@@ -35,7 +34,6 @@ from .models import (
     VocabSpec,
     build_markov,
     derive_draft,
-    sample,
     train_ngram,
 )
 from .retrieval import (
@@ -45,7 +43,6 @@ from .retrieval import (
     builtin_templates,
     instantiate,
     load_matrix,
-    lookup,
     new_matrix,
     save_matrix,
     storage_bytes,

@@ -6,7 +6,8 @@
 :func:`verify.first_token_frequencies` over one acceptance table, which the
 same rule fills. Both read node c's target row as ``rows[row_ids[c]]``, and
 only for the nodes they visit, and both consume pre-drawn uniforms, so a
-walk is a pure function of its inputs.
+walk is a pure function of its inputs. ``_draw`` is the one inverse-CDF
+draw; the autoregressive step draws its token with it too.
 """
 
 from __future__ import annotations

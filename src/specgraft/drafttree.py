@@ -23,7 +23,8 @@ STAGE_NONE = "none"
 # ceiling on max_depth x beam_width: the envelope keeps at most one node per
 # beam slot, about 100 bytes each in the lists it drafts into, so about
 # 100 MB. It also bounds beam_width x top_k, the candidates a layer scores
-# before its beam cut, at about 37 bytes each.
+# before its beam cut, at about 37 bytes each, and total_budget, the
+# candidates of one hybrid tree (about 65 bytes a graft_tail chain node).
 MAX_ENVELOPE_NODES = 2**20
 
 
@@ -74,20 +75,6 @@ class HybridTree:
         return np.searchsorted(parents, np.arange(self.n_nodes + 1)).astype(np.int32)
 
 
-def new_tree(context) -> HybridTree:
-    """The root-only tree of ``context``'s last token."""
-    context = tuple(int(t) for t in context)
-    if not context:
-        raise InputError("context must contain at least the root token")
-    return HybridTree(
-        tokens=np.array([context[-1]], dtype=np.int32),
-        parents=np.array([ROOT_PARENT], dtype=np.int32),
-        depths=np.array([0], dtype=np.int32),
-        origin=np.array([ORIGIN_DRAFT], dtype=np.int8),
-        scores=np.array([0.0]),
-    )
-
-
 def _rank_rows(draft: MarkovTableModel, codes: list, tokens: list, parents: list, lo: int) -> np.ndarray:
     """The slots of a draft tree's nodes ``lo`` on, less ``lo``, by path:
     compared where the paths part, the higher draft probability first, then
@@ -123,6 +110,10 @@ class PruneConfig:
         for name in ("total_budget", "top_k", "max_depth", "beam_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"prune.{name} must be >= 1, got {getattr(self, name)}")
+        if self.total_budget > MAX_ENVELOPE_NODES:
+            raise ConfigError(
+                f"prune.total_budget must be <= {MAX_ENVELOPE_NODES} candidates, got {self.total_budget}"
+            )
         if self.max_depth * self.beam_width > MAX_ENVELOPE_NODES:
             raise ConfigError(
                 f"prune.max_depth x prune.beam_width must be <= {MAX_ENVELOPE_NODES} draft nodes, "
@@ -164,10 +155,6 @@ class PruneDecision:
     confidence_trace: dict[int, float]
     retained: np.ndarray  # node indices in the expanded tree, root included
     layers_drafted: int
-
-    @property
-    def stage_name(self) -> str:
-        return stage_label(self.stage)
 
 
 def select_retained(tree: HybridTree, limit: int) -> np.ndarray:

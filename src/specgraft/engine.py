@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
 from .drafttree import (
     ORIGIN_DRAFT,
     HybridTree,
@@ -31,7 +32,7 @@ from .hybrid import (
     insert_tail_variant,
     merge,
 )
-from .models import MarkovTableModel, greedy_token, sample
+from .models import MarkovTableModel
 from .retrieval import (
     TEMPLATE_DEPTH_COUNTS,
     StageTemplate,
@@ -202,7 +203,7 @@ def build_next_tree(
     if method in ("prune_only", "graft"):
         tree, decision = resolve_stage(draft, committed, prune)
         info = {
-            "stage": decision.stage_name,
+            "stage": stage_label(decision.stage),
             "layers_drafted": decision.layers_drafted,
             "confidence_trace": {str(d): c for d, c in decision.confidence_trace.items()},
         }
@@ -291,7 +292,9 @@ def decode_session(
     """Run one decode session; returns (new tokens, report).
 
     The matrix is updated in place from every verified node (and from the
-    prompt prefill) when updates are enabled.
+    prompt prefill) when updates are enabled, always through
+    :func:`retrieval.update_from_verification`; an autoregressive step
+    verifies the root-only tree.
     """
     if target.vocab.size != draft.vocab.size or target.vocab.size != matrix.vocab_size:
         raise ConfigError("target, draft and matrix must share one vocabulary")
@@ -309,8 +312,11 @@ def decode_session(
     # no model reads more than the last ``width`` tokens
     width = max(target.order, 1)
     if config.updates_enabled and config.prefill_update:
-        for i, token in enumerate(committed):
-            update_row(matrix, token, target.next_distribution(committed[max(i + 1 - width, 0): i + 1]))
+        # prompt token i is a node whose parent is token i - 1, below the empty context
+        codes = [0]
+        target.extend_codes(codes, range(len(committed)), committed)
+        # tokens go in as an array, as a tree's do: perfbench's tracer reads a list there as pairs
+        update_from_verification(matrix, np.array(committed), target.row_ids(codes[1:]), target)
 
     steps: list[dict] = []
     remaining = config.max_new_tokens
@@ -319,10 +325,15 @@ def decode_session(
 
     while remaining > 0 and not stop:
         if config.method == "autoregressive":
-            dist = target.next_distribution(committed[-width:])
-            token = greedy_token(dist) if config.acceptance == "greedy" else sample(dist, rng)
+            # the root-only tree's verification: its argmax, or a draw from its row
+            ids = target.row_ids([target.code_of(committed[-width:])])
+            if config.acceptance == "greedy":
+                token = int(target.topk(ids, 1)[0, 0])
+            else:
+                row = target.rows[ids[0]]
+                token = _kernels._draw(row.cumsum().tolist(), row, rng.random())
             if config.updates_enabled:
-                update_row(matrix, committed[-1], dist)
+                update_from_verification(matrix, np.array(committed[-1:]), ids, target)
             emitted = [token]
             record = {
                 "stage": stage_label(None),
@@ -652,11 +663,11 @@ def run_ablation(suite: str, fixture: AblationFixture) -> list[dict]:
         for depth in TEMPLATE_DEPTH_SWEEP:
             cfg = replace(base, method="graft")
             for seed in fixture.prompts:
-                tasks.append((f"d={depth}", _with_template_filter(cfg, max_depth=depth), seed, fixture.warmed_matrix.copy()))
+                tasks.append((f"d={depth}", replace(cfg, template_filter=(depth, None)), seed, fixture.warmed_matrix.copy()))
         for width in TEMPLATE_WIDTH_SWEEP:
             cfg = replace(base, method="graft")
             for seed in fixture.prompts:
-                tasks.append((f"w={width}", _with_template_filter(cfg, max_rank=width), seed, fixture.warmed_matrix.copy()))
+                tasks.append((f"w={width}", replace(cfg, template_filter=(None, width)), seed, fixture.warmed_matrix.copy()))
     else:  # temperature
         for name, cfg in (
             ("greedy", replace(base, method="graft", acceptance="greedy")),
@@ -666,7 +677,3 @@ def run_ablation(suite: str, fixture: AblationFixture) -> list[dict]:
                 tasks.append((name, cfg, seed, fixture.warmed_matrix.copy()))
 
     return [_run_variant(fixture, *t) for t in tasks]
-
-
-def _with_template_filter(cfg: DecodeConfig, max_depth: int | None = None, max_rank: int | None = None) -> DecodeConfig:
-    return replace(cfg, template_filter=(max_depth, max_rank))

@@ -153,7 +153,6 @@ def insert_tail_variant(tree: HybridTree, matrix: TransitionMatrix, budget: int,
         parents=np.arange(-1, chain_len - 1, dtype=np.int32),
         ranks=np.zeros(chain_len, dtype=np.int32),
         depths=np.arange(1, chain_len + 1, dtype=np.int32),
-        declared_size=chain_len,
     )
     branch = instantiate(matrix, chain, int(tree.tokens[anchor]))
     builder.graft(int(np.searchsorted(kept, anchor)), chain.parents, branch.tokens)

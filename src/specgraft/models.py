@@ -57,16 +57,6 @@ def _check_rows(rows: np.ndarray, what: str) -> None:
         raise InputError(f"{what} sums to {float(sums[bad[0]])!r}, not 1")
 
 
-def check_distribution(probs: np.ndarray, size: int) -> np.ndarray:
-    """Validate and freeze a probability row (non-negative, sums to 1)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (size,):
-        raise InputError(f"distribution shape {probs.shape} != ({size},)")
-    _check_rows(probs, "distribution")
-    probs.setflags(write=False)
-    return probs
-
-
 def context_code(context, size: int) -> int:
     """A context's key in ``index``: the sum of ``(t + 1) * (size + 1) ** i``,
     the last token at i = 0. No digit is zero, so a context shorter or longer
@@ -116,7 +106,6 @@ class MarkovTableModel:
     order: int
     index: dict[int, int]
     rows: np.ndarray
-    seed: int = 0
     # top-k caches, filled lazily per k and per accessor:
     # {k: (ids by rank, filled row ids)} for topk and
     # {k: (ids by token, their log-probabilities, filled row ids)} for topk_by_token
@@ -135,17 +124,6 @@ class MarkovTableModel:
         _check_rows(rows, "distribution")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def from_table(cls, vocab: VocabSpec, order: int, table: dict, fallback, seed: int = 0) -> "MarkovTableModel":
-        """Stack a ``{context: row}`` dict and a fallback row into one model."""
-        rows = np.empty((len(table) + 1, vocab.size))
-        index = {}
-        for i, (ctx, row) in enumerate(table.items()):
-            index[context_code(ctx, vocab.size)] = i
-            rows[i] = row
-        rows[-1] = fallback
-        return cls(vocab=vocab, order=order, index=index, rows=rows, seed=seed)
 
     @property
     def fallback(self) -> np.ndarray:
@@ -244,7 +222,7 @@ def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0)
         index[context_code(ctx, vocab.size)] = i
     # a single-row model: the row IS the fallback
     rows[-1] = rows[0] if order == 0 else 1.0 / vocab.size
-    return MarkovTableModel(vocab=vocab, order=order, index=index, rows=rows, seed=seed)
+    return MarkovTableModel(vocab=vocab, order=order, index=index, rows=rows)
 
 
 def train_ngram(vocab: VocabSpec, corpus, order: int, smoothing: float = 0.0) -> MarkovTableModel:
@@ -272,7 +250,7 @@ def train_ngram(vocab: VocabSpec, corpus, order: int, smoothing: float = 0.0) ->
     denominators = counts.sum(axis=1, keepdims=True) + smoothing * vocab.size
     counts += smoothing
     counts /= denominators
-    return MarkovTableModel(vocab=vocab, order=order, index=index, rows=counts, seed=0)
+    return MarkovTableModel(vocab=vocab, order=order, index=index, rows=counts)
 
 
 def derive_draft(target: MarkovTableModel, derivation: DraftDerivation) -> MarkovTableModel:
@@ -305,20 +283,6 @@ def derive_draft(target: MarkovTableModel, derivation: DraftDerivation) -> Marko
         index[suffix] = j
     rows[-1] = target.fallback
     return replace(target, order=new_order, index=index, rows=rows)
-
-
-def sample(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw over ascending token ids; a draw at or past the
-    total (a row summing just below 1) gives the last positive token."""
-    u = rng.random()
-    cdf = np.cumsum(dist)
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    return idx if idx < dist.shape[0] else int(np.flatnonzero(dist)[-1])
-
-
-def greedy_token(dist: np.ndarray) -> int:
-    """Argmax with ties resolved to the lowest token id."""
-    return int(np.argmax(dist))
 
 
 # ---------------------------------------------------------------------------

@@ -60,17 +60,6 @@ def new_matrix(vocab_size: int, k: int) -> TransitionMatrix:
     )
 
 
-def lookup(matrix: TransitionMatrix, token: int, rank: int):
-    """Stored successor id, or None when the slot is cold."""
-    if not 0 <= token < matrix.vocab_size:
-        raise InputError(f"token {token} out of range")
-    if not 0 <= rank < matrix.k:
-        raise InputError(f"rank {rank} out of range for k={matrix.k}")
-    if not matrix.valid[token, rank]:
-        return None
-    return int(matrix.rows[token, rank])
-
-
 def update_row(matrix: TransitionMatrix, token: int, dist: np.ndarray) -> TransitionMatrix:
     """Replace the row wholesale with argtop-k of ``dist``; all slots valid."""
     if not 0 <= token < matrix.vocab_size:
@@ -125,7 +114,10 @@ class StageTemplate:
     parents: np.ndarray  # (n,) int32, -1 means the tree root
     ranks: np.ndarray  # (n,) int32
     depths: np.ndarray  # (n,) int32
-    declared_size: int
+
+    @property
+    def declared_size(self) -> int:
+        return int(self.parents.size)
 
     def depth_counts(self) -> list[int]:
         n_depths = int(self.depths.max()) if self.declared_size else 0
@@ -177,7 +169,6 @@ def template_from_depth_counts(stage: str, counts) -> StageTemplate:
         parents=np.array(parents, dtype=np.int32),
         ranks=np.array(ranks, dtype=np.int32),
         depths=np.array(depths, dtype=np.int32),
-        declared_size=len(parents),
     )
 
 
@@ -222,7 +213,6 @@ def filter_template(
         parents=np.array(parents, dtype=np.int32),
         ranks=np.array(ranks, dtype=np.int32),
         depths=np.array(depths, dtype=np.int32),
-        declared_size=len(parents),
     )
 
 
@@ -235,7 +225,6 @@ def template_prefix(template: StageTemplate, size: int, stage: str | None = None
         parents=template.parents[:size].copy(),
         ranks=template.ranks[:size].copy(),
         depths=template.depths[:size].copy(),
-        declared_size=size,
     )
 
 
@@ -253,10 +242,6 @@ class RetrievedBranch:
     tokens: np.ndarray
 
     @property
-    def realized(self) -> np.ndarray:
-        return self.tokens != COLD
-
-    @property
     def realized_count(self) -> int:
         return int(np.count_nonzero(self.tokens != COLD))
 
@@ -265,10 +250,9 @@ def instantiate(matrix: TransitionMatrix, template: StageTemplate, root: int) ->
     """Breadth-first fill; cold rows shrink the branch, never fail it."""
     if not 0 <= root < matrix.vocab_size:
         raise InputError(f"root token {root} out of range")
-    n = template.declared_size
-    tokens = [COLD] * n
+    tokens = [COLD] * template.declared_size
     k, valid, rows = matrix.k, matrix.valid.item, matrix.rows.item
-    for i, (p, rank) in enumerate(zip(template.parents[:n].tolist(), template.ranks[:n].tolist())):
+    for i, (p, rank) in enumerate(zip(template.parents.tolist(), template.ranks.tolist())):
         parent_token = root if p < 0 else tokens[p]
         if parent_token != COLD and rank < k and valid(parent_token, rank):
             tokens[i] = rows(parent_token, rank)

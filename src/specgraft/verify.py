@@ -59,8 +59,8 @@ def node_row_ids(target: MarkovTableModel, prefix, tree: HybridTree) -> list[int
 def verify_greedy(target: MarkovTableModel, prefix, tree: HybridTree) -> VerifyOutcome:
     """Accept the longest root chain matching the target argmax walk.
 
-    Each node's argmax comes from the target's cached top-1 ids, whose ties
-    go to the lowest token id as in :func:`models.greedy_token`, so the
+    Each node's argmax comes from the target's cached top-1 ids, ties to
+    the lowest token id. The autoregressive step reads the same ids, so the
     emitted step is bit-identical to pure target greedy decoding. Children
     of node c are nodes ``ptr[c] + 1 .. ptr[c + 1]`` (breadth-first storage).
     """

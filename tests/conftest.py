@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specgraft.drafttree import _envelope
-from specgraft.models import MarkovTableModel, VocabSpec, check_distribution
+from specgraft.models import MarkovTableModel, VocabSpec, context_code
 
 
 def grow(draft, context, depth, top_k, beam=None):
@@ -12,22 +12,14 @@ def grow(draft, context, depth, top_k, beam=None):
     return _envelope(draft, context, top_k, (top_k if beam is None else beam,) * depth, {})[0]
 
 
-def table_model(vocab_size, order, table, fallback=None, seed=0):
-    """Hand-built table model (rows validated/frozen)."""
-    vocab = VocabSpec(vocab_size)
+def table_model(vocab_size, order, table, fallback=None):
+    """Hand-built table model from a ``{context: row}`` dict and a fallback
+    row (uniform by default); the constructor validates and freezes the rows."""
     if fallback is None:
         fallback = np.full(vocab_size, 1.0 / vocab_size)
-    frozen = {
-        tuple(ctx): check_distribution(np.asarray(row, dtype=float), vocab_size)
-        for ctx, row in table.items()
-    }
-    return MarkovTableModel.from_table(
-        vocab,
-        order,
-        frozen,
-        check_distribution(np.asarray(fallback, dtype=float), vocab_size),
-        seed=seed,
-    )
+    index = {context_code(ctx, vocab_size): i for i, ctx in enumerate(table)}
+    rows = np.array([*table.values(), fallback], dtype=float)
+    return MarkovTableModel(VocabSpec(vocab_size), order, index, rows)
 
 
 def delta(size, token):

@@ -255,7 +255,7 @@ def reference_hybrid(tree, retained, budget, branch=None):
         template = branch.template
         for i in range(template.declared_size):
             parent = mapping.get(int(template.parents[i]))
-            if branch.realized[i] and parent is not None:
+            if branch.tokens[i] != -1 and parent is not None:  # -1: the slot is cold
                 idx = builder.add(parent, int(branch.tokens[i]), 1, float("nan"))
                 if idx is not None:
                     mapping[i] = idx
@@ -296,10 +296,22 @@ class LayeredTree(NamedTuple):
     contexts: list
 
 
+def new_tree(context):
+    """The root-only tree of ``context``'s last token."""
+    from specgraft.drafttree import HybridTree
+
+    context = tuple(int(t) for t in context)
+    return HybridTree(
+        tokens=np.array([context[-1]], dtype=np.int32),
+        parents=np.array([-1], dtype=np.int32),
+        depths=np.array([0], dtype=np.int32),
+        origin=np.array([0], dtype=np.int8),
+        scores=np.array([0.0]),
+    )
+
+
 def reference_root(context):
     """The root-only layered tree; its frontier context is all of ``context``."""
-    from specgraft.drafttree import new_tree
-
     context = tuple(int(t) for t in context)
     return LayeredTree(new_tree(context), [(0, 1)], [context])
 

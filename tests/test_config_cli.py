@@ -388,6 +388,12 @@ class TestBadValues:
         target = {"kind": "ngram", "corpus": str(corpus), "tokenizer": "ints", "order": 1}
         _rejects_before_allocating(tmp_path, capsys, {"vocab": {}, "target": target}, ["decode"], ["n-gram table"])
 
+    def test_budget_ceiling_rejects_before_allocating(self, tmp_path, capsys):
+        # a graft_tail chain of 3 * 10**6 nodes peaked at 237 MB in decode (about 65 B a node)
+        decode = {**BASE_DOC["decode"], "tail_chain_len": 3_000_000}
+        sections = {"method": "graft_tail", "decode": decode, "prune": {"total_budget": 3_000_000}}
+        _rejects_before_allocating(tmp_path, capsys, sections, ["decode"], ["prune.total_budget"])
+
     def test_layer_candidate_ceiling_rejects_before_allocating(self, tmp_path, capsys):
         # 4 x 262144 nodes fit the envelope, but a full layer scores 262144 x 256 candidates (about 2.4 GB)
         prune = {"max_depth": 4, "beam_width": 262144, "top_k": 256}

@@ -12,6 +12,7 @@ from specgraft.drafttree import (
     expand_full,
     resolve_stage,
     select_retained,
+    stage_label,
 )
 from specgraft.errors import ConfigError, InputError
 from specgraft.models import (
@@ -178,7 +179,7 @@ class TestResolveStage:
     def test_det4_never_prunes(self, det4):
         tree, decision = resolve_stage(det4, [0], PruneConfig())
         assert decision.stage is None
-        assert decision.stage_name == "none"
+        assert stage_label(decision.stage) == "none"
         # full chain retained (8 candidates, fewer than the budget)
         assert list(decision.retained) == list(range(9))
         assert decision.layers_drafted == 8

@@ -25,10 +25,17 @@ from specgraft.errors import ConfigError
 from specgraft.hybrid import flatten
 from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft
 from specgraft.retrieval import builtin_templates, new_matrix, update_row, warmup
-from specgraft.verify import node_row_ids
+from specgraft.verify import node_row_ids, verify_greedy, verify_stochastic
 
 from .conftest import table_model
-from .oracles import ar_greedy, canonical_form, closure_topk_iterative, greedy_chain_walk, reference_draft_builder
+from .oracles import (
+    ar_greedy,
+    canonical_form,
+    closure_topk_iterative,
+    greedy_chain_walk,
+    new_tree,
+    reference_draft_builder,
+)
 from .test_retrieval import full_matrix
 
 
@@ -226,18 +233,26 @@ class TestBoundedContext:
 
 
 class _RecordingTarget:
-    """Target wrapper that records the prefix length of every row lookup."""
+    """Target wrapper that records every context code it computes: the
+    prefix length of each ``code_of`` call, and the parents of each
+    ``extend_codes`` call, whose every code extends its parent's by one
+    token."""
 
     def __init__(self, model):
         self.model = model
         self.lengths = []
+        self.parents = []
 
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def next_distribution(self, prefix):
+    def code_of(self, prefix):
         self.lengths.append(len(prefix))
-        return self.model.next_distribution(prefix)
+        return self.model.code_of(prefix)
+
+    def extend_codes(self, codes, parents, tokens):
+        self.parents.append(list(parents))
+        return self.model.extend_codes(codes, parents, tokens)
 
 
 class TestPrefill:
@@ -259,8 +274,42 @@ class TestPrefill:
             update_row(reference, prompt[i], target.next_distribution(prompt[: i + 1]))
         assert np.array_equal(matrix.rows, reference.rows)
         assert np.array_equal(matrix.valid, reference.valid)
-        assert len(recording.lengths) == len(prompt) + 1
+        # one code per prompt token, each from the code just before it, and
+        # one for the autoregressive step from a window of at most the order
+        assert recording.parents == [list(range(len(prompt)))]
+        assert len(recording.lengths) == 1
         assert max(recording.lengths) <= max(order, 1)
+
+
+class TestOneDecodeRule:
+    """An autoregressive step emits what verifying the root-only tree emits:
+    the same argmax, ties included, and under stochastic acceptance the same
+    draw from the same seed (``rng.random()`` and ``rng.random(2)[0]`` are
+    one double)."""
+
+    @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
+    def test_first_token_matches_the_verifier(self, acceptance):
+        rng = np.random.default_rng(16)
+        ties = 0
+        for trial in range(300):
+            vocab, order = int(rng.integers(2, 7)), int(rng.integers(0, 3))
+            # small integer weights tie often; every row keeps a positive entry
+            weights = rng.integers(0, 3, size=(vocab**order + 1, vocab)).astype(float)
+            weights[:, rng.integers(0, vocab)] += 1.0
+            rows = weights / weights.sum(axis=1, keepdims=True)
+            contexts = [c for c in itertools.product(range(vocab), repeat=order) if rng.random() < 0.7]
+            target = table_model(vocab, order, dict(zip(contexts, rows)), fallback=rows[-1])
+            prompt = [int(t) for t in rng.integers(0, vocab, size=int(rng.integers(1, 5)))]
+            cfg = DecodeConfig(method="autoregressive", acceptance=acceptance, seed=trial, max_new_tokens=1)
+            tokens, _ = decode_session(cfg, target, target, new_matrix(vocab, 2), prompt)
+            if acceptance == "greedy":
+                outcome = verify_greedy(target, prompt, new_tree(prompt))
+            else:
+                outcome = verify_stochastic(target, prompt, new_tree(prompt), np.random.default_rng(trial))
+            assert tokens == outcome.emitted_tokens[:1]
+            row = target.rows[outcome.row_ids[0]]
+            ties += int((row == row.max()).sum() > 1)
+        assert ties > 30  # the tie rule is exercised
 
 
 class TestUpdateGates:

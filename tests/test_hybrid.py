@@ -13,7 +13,6 @@ from specgraft.drafttree import (
     HybridTree,
     PruneConfig,
     _envelope,
-    new_tree,
     resolve_stage,
     select_retained,
 )
@@ -42,6 +41,7 @@ from .oracles import (
     canonical_form,
     children_of,
     closure_topk_iterative,
+    new_tree,
     path_token_sets,
     reference_expand_layer,
     reference_hybrid,
@@ -131,7 +131,7 @@ class TestMerge:
         assert any(merged.tokens[i] == 9 and merged.origin[i] == ORIGIN_RETRIEVED for i in kids)
         # path-set union oracle
         expect = path_token_sets(tree.tokens, tree.parents) | path_token_sets(
-            [0] + [int(t) for t in branch.tokens[branch.realized]],
+            [0] + [int(t) for t in branch.tokens[branch.tokens != COLD]],
             _branch_parents(branch),
         )
         assert path_token_sets(merged.tokens, merged.parents) == expect
@@ -162,7 +162,7 @@ def _branch_parents(branch):
     parents = [(-1)]
     n = 1
     for i in range(branch.template.declared_size):
-        if not branch.realized[i]:
+        if branch.tokens[i] == COLD:
             continue
         remap[i] = n
         parents.append(remap[int(branch.template.parents[i])])

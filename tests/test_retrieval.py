@@ -13,6 +13,7 @@ from specgraft.errors import ConfigError, InputError, StructureError
 from specgraft.models import DraftDerivation, VocabSpec, build_markov, context_code, derive_draft, train_ngram
 from specgraft.cli import main
 from specgraft.retrieval import (
+    COLD,
     MAGIC,
     TEMPLATE_DEPTH_COUNTS,
     argtopk,
@@ -20,7 +21,6 @@ from specgraft.retrieval import (
     filter_template,
     instantiate,
     load_matrix,
-    lookup,
     new_matrix,
     save_matrix,
     storage_bytes,
@@ -103,18 +103,18 @@ class TestLookupAndUpdate:
     def test_update_then_lookup(self):
         m = new_matrix(8, 2)
         update_row(m, 3, np.array([0.0, 0.9, 0.1, 0, 0, 0, 0, 0]))
-        assert lookup(m, 3, 0) == 1
+        assert m.valid[3, 0] and m.rows[3, 0] == 1
 
     def test_fresh_is_cold(self):
         m = new_matrix(8, 2)
-        assert lookup(m, 5, 1) is None
+        assert not m.valid[5, 1]
 
     def test_rank_and_token_bounds(self):
         m = new_matrix(8, 2)
+        # slot (token, rank) is read as rows/valid[token, rank]: token 8 and rank 2 lie outside
+        assert m.rows.shape == m.valid.shape == (8, 2)
         with pytest.raises(InputError):
-            lookup(m, 8, 0)
-        with pytest.raises(InputError):
-            lookup(m, 0, 2)
+            update_row(m, 8, np.full(8, 0.125))
 
     def test_update_row_example(self):
         m = new_matrix(8, 2)
@@ -324,8 +324,8 @@ class TestInstantiate:
         branch = instantiate(m, template, root=1)
         for i in range(template.declared_size):
             p = int(template.parents[i])
-            if branch.realized[i] and p >= 0:
-                assert branch.realized[p]
+            if branch.tokens[i] != COLD and p >= 0:
+                assert branch.tokens[p] != COLD
         assert branch.realized_count == template_walk_realized(template, m.rows, m.valid, 1)
 
 
@@ -356,7 +356,7 @@ class TestWarmup:
         m = new_matrix(4, 2)
         cfg = DecodeConfig(method="graft", max_new_tokens=8, prune=_small_prune())
         warmup(m, target, target, [corpus[:6]], rounds=1, config=cfg)
-        assert lookup(m, 0, 0) == 1
+        assert m.valid[0, 0] and m.rows[0, 0] == 1
 
     def test_rounds_visit_fresh_prompts_and_grow_storage(self):
         target = build_markov(VocabSpec(32), 1, seed=15, sparsity=0.3)
