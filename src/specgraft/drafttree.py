@@ -183,13 +183,18 @@ def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[i
     the candidates of one frontier row, that is token order.
 
     Layers are scored on path costs (negated scores) and appended to lists
-    that become the tree's arrays once, after the last layer, beside each
-    node's context code (:func:`models.context_code`).
+    that become the tree's arrays once, after the last layer. One loop per
+    layer places its nodes: each node's parent slot, its context code
+    (:func:`models.context_code`, extended from its parent's) and its row
+    id, which the next layer reads.
     """
     context = tuple(int(t) for t in context[-max(draft.order, 1):])
     if not context:
         raise InputError("context must contain at least the root token")
     codes = [draft.code_of(context)]
+    frontier = draft.row_ids(codes)
+    base, span = draft.vocab.size + 1, (draft.vocab.size + 1) ** draft.order
+    row_of, fallback = draft.index.get, draft.rows.shape[0] - 1
     k = min(top_k, draft.vocab.size)
     cost = np.array([-0.0])  # negated back, the root's score is +0.0
     tokens, parents, depths, costs = [context[-1]], [ROOT_PARENT], [0], [cost]
@@ -197,17 +202,17 @@ def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[i
     stage: int | None = None
     lo, hi = 0, 1
     for depth, beam_width in enumerate(beams, 1):
-        top, logq = draft.topk_by_token(draft.row_ids(codes[lo:hi]), k)
+        top, logq = draft.topk_by_token(frontier, k)
         # candidate j is token top[j // k, j % k]; zero-probability ones cost +inf
         cand = (cost[:, None] - logq).ravel()
         order = cand.argsort(kind="stable")
         best = order[:beam_width]
-        cut = cand[best[-1]]
+        cut = cand.item(best.item(-1))
         if cut == np.inf:  # +inf ranks last: drop it after the beam cut
             best = best[cand[best] < np.inf]
             if best.size == 0:
                 raise StructureError("no positive-probability candidates in the new layer")
-        elif best.size < order.size and cand[order[best.size]] == cut:
+        elif best.size < order.size and cand.item(order.item(best.size)) == cut:
             tied = np.flatnonzero(cand == cut) // k
             if tied[0] != tied[-1]:  # the cut splits a tie across rows: cut again, rows by path
                 rows = _rank_rows(draft, codes, tokens, parents, lo)
@@ -215,10 +220,14 @@ def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[i
                 best = rows[ranked // k] * k + ranked % k
         best.sort()  # (parent, token) order: below a canonical frontier, the layer is canonical
         layer, cost = top.take(best).tolist(), cand.take(best)
-        layer_parents = [lo + s for s in (best // k).tolist()]
-        draft.extend_codes(codes, layer_parents, layer)
+        frontier = []
+        for j, token in zip(best.tolist(), layer):
+            parent = lo + j // k
+            code = (codes[parent] * base + token + 1) % span
+            parents.append(parent)
+            codes.append(code)
+            frontier.append(row_of(code, fallback))
         tokens += layer
-        parents += layer_parents
         depths += [depth] * len(layer)
         costs.append(cost)
         lo, hi = hi, hi + len(layer)

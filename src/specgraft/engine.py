@@ -43,8 +43,8 @@ from .retrieval import (
     new_matrix,
     template_from_depth_counts,
     template_prefix,
-    update_from_verification,
     update_row,
+    write_rows,
 )
 from .verify import verify_greedy, verify_stochastic
 
@@ -194,8 +194,14 @@ def build_next_tree(
     matrix: TransitionMatrix,
     committed,
     templates: dict[str, StageTemplate],
+    before_read=None,
 ) -> tuple[HybridTree, dict]:
-    """Next candidate tree for the configured method, plus build metadata."""
+    """Next candidate tree for the configured method, plus build metadata.
+
+    ``before_read``, when given, is called right before the matrix is
+    first read (the retrieval methods' ``instantiate``), so a caller that
+    defers its matrix writes can apply them there.
+    """
     prune = config.prune
     method = config.method
     budget = prune.total_budget
@@ -214,6 +220,8 @@ def build_next_tree(
         tree = expand_full(draft, committed, prune)
         info = {"stage": stage_label(None), "layers_drafted": prune.max_depth, "confidence_trace": {}}
         if method == "graft_tail":
+            if before_read is not None:
+                before_read()
             return insert_tail_variant(tree, matrix, budget, config.tail_chain_len), info
         if method == "dense":
             retained = select_retained(tree, budget)
@@ -228,6 +236,8 @@ def build_next_tree(
 
     if template is None:
         return draft_only(tree, retained, budget), info
+    if before_read is not None:
+        before_read()
     branch = instantiate(matrix, template, int(committed[-1]))
     if retained is None:
         retained = select_retained(tree, max(budget - branch.realized_count, 0))
@@ -291,10 +301,14 @@ def decode_session(
 ) -> tuple[list[int], DecodeReport]:
     """Run one decode session; returns (new tokens, report).
 
-    The matrix is updated in place from every verified node (and from the
-    prompt prefill) when updates are enabled, always through
-    :func:`retrieval.update_from_verification`; an autoregressive step
-    verifies the root-only tree.
+    When updates are enabled, the matrix is refreshed from every verified
+    node and from the prompt prefill; an autoregressive step verifies the
+    root-only tree. The writes are collected in one ``{token: target row
+    id}`` dict, the last writer winning, and applied by
+    :func:`retrieval.write_rows` right before the session reads the matrix
+    and when it ends, also by an exception. So the matrix is what per-step
+    writes would leave at every read and at return, but not between steps:
+    a ``tree_observer`` that inspects it mid-session sees it lag.
     """
     if target.vocab.size != draft.vocab.size or target.vocab.size != matrix.vocab_size:
         raise ConfigError("target, draft and matrix must share one vocabulary")
@@ -311,80 +325,88 @@ def decode_session(
 
     # no model reads more than the last ``width`` tokens
     width = max(target.order, 1)
-    if config.updates_enabled and config.prefill_update:
-        # prompt token i is a node whose parent is token i - 1, below the empty context
-        codes = [0]
-        target.extend_codes(codes, range(len(committed)), committed)
-        # tokens go in as an array, as a tree's do: perfbench's tracer reads a list there as pairs
-        update_from_verification(matrix, np.array(committed), target.row_ids(codes[1:]), target)
+    pending: dict[int, int] = {}  # writes not yet applied; at most one per vocab token
+
+    def flush():
+        if pending:
+            write_rows(matrix, pending, target)
+            pending.clear()
 
     steps: list[dict] = []
     remaining = config.max_new_tokens
     prompt_len = len(committed)
     stop = False
+    try:
+        if config.updates_enabled and config.prefill_update:
+            # prompt token i is a node whose parent is token i - 1, below the empty context
+            codes = [0]
+            target.extend_codes(codes, range(len(committed)), committed)
+            pending.update(zip(committed, target.row_ids(codes[1:])))
 
-    while remaining > 0 and not stop:
-        if config.method == "autoregressive":
-            # the root-only tree's verification: its argmax, or a draw from its row
-            ids = target.row_ids([target.code_of(committed[-width:])])
-            if config.acceptance == "greedy":
-                token = int(target.topk(ids, 1)[0, 0])
+        while remaining > 0 and not stop:
+            if config.method == "autoregressive":
+                # the root-only tree's verification: its argmax, or a draw from its row
+                ids = target.row_ids([target.code_of(committed[-width:])])
+                if config.acceptance == "greedy":
+                    token = int(target.topk(ids, 1)[0, 0])
+                else:
+                    row = target.rows[ids[0]]
+                    token = _kernels._draw(row.cumsum().tolist(), row, rng.random())
+                if config.updates_enabled:
+                    pending[committed[-1]] = ids[0]
+                emitted = [token]
+                record = {
+                    "stage": stage_label(None),
+                    "layers_drafted": 0,
+                    "tree_candidates": 0,
+                    "n_draft": 0,
+                    "n_retrieved": 0,
+                    "accepted_len": 0,
+                    "cost": cost.t_ar,
+                    "confidence_trace": {},
+                }
             else:
-                row = target.rows[ids[0]]
-                token = _kernels._draw(row.cumsum().tolist(), row, rng.random())
-            if config.updates_enabled:
-                update_from_verification(matrix, np.array(committed[-1:]), ids, target)
-            emitted = [token]
-            record = {
-                "stage": stage_label(None),
-                "layers_drafted": 0,
-                "tree_candidates": 0,
-                "n_draft": 0,
-                "n_retrieved": 0,
-                "accepted_len": 0,
-                "cost": cost.t_ar,
-                "confidence_trace": {},
-            }
-        else:
-            hy, info = build_next_tree(config, draft, matrix, committed, templates)
-            if tree_observer is not None:
-                tree_observer(len(steps), hy)
-            if config.acceptance == "greedy":
-                outcome = verify_greedy(target, committed, hy)
-            else:
-                outcome = verify_stochastic(target, committed, hy, rng)
-            n_draft, n_retrieved = hy.counts_by_origin()
-            record = {
-                "stage": info["stage"],
-                "layers_drafted": info["layers_drafted"],
-                "tree_candidates": hy.n_candidates,
-                "n_draft": n_draft,
-                "n_retrieved": n_retrieved,
-                "accepted_len": outcome.accepted_len,
-                "cost": cost.step_cost(info["layers_drafted"], hy.n_candidates),
-                "confidence_trace": info["confidence_trace"],
-            }
-            if "declared" in info:
-                record["declared"] = info["declared"]
-                record["realized"] = info["realized"]
-            if n_retrieved > 0:
-                drafted_tokens, retrieved_tokens = _root_frontier(hy)
-                root_row = target.rows[outcome.row_ids[0]]
-                record["coverage_gain"] = coverage_gain(root_row, drafted_tokens, retrieved_tokens)
-            if config.dense_replay and config.acceptance == "greedy":
-                record["replay_accepted_len"] = _dense_union_replay(config, target, draft, committed, hy)
-            if config.updates_enabled:
-                update_from_verification(matrix, hy.tokens, outcome.row_ids, target)
-            emitted = outcome.emitted_tokens
+                hy, info = build_next_tree(config, draft, matrix, committed, templates, flush)
+                if tree_observer is not None:
+                    tree_observer(len(steps), hy)
+                if config.acceptance == "greedy":
+                    outcome = verify_greedy(target, committed, hy)
+                else:
+                    outcome = verify_stochastic(target, committed, hy, rng)
+                n_draft, n_retrieved = hy.counts_by_origin()
+                record = {
+                    "stage": info["stage"],
+                    "layers_drafted": info["layers_drafted"],
+                    "tree_candidates": hy.n_candidates,
+                    "n_draft": n_draft,
+                    "n_retrieved": n_retrieved,
+                    "accepted_len": outcome.accepted_len,
+                    "cost": cost.step_cost(info["layers_drafted"], hy.n_candidates),
+                    "confidence_trace": info["confidence_trace"],
+                }
+                if "declared" in info:
+                    record["declared"] = info["declared"]
+                    record["realized"] = info["realized"]
+                if n_retrieved > 0:
+                    drafted_tokens, retrieved_tokens = _root_frontier(hy)
+                    root_row = target.rows[outcome.row_ids[0]]
+                    record["coverage_gain"] = coverage_gain(root_row, drafted_tokens, retrieved_tokens)
+                if config.dense_replay and config.acceptance == "greedy":
+                    record["replay_accepted_len"] = _dense_union_replay(config, target, draft, committed, hy)
+                if config.updates_enabled:
+                    pending.update(zip(hy.tokens.tolist(), outcome.row_ids))
+                emitted = outcome.emitted_tokens
 
-        emitted = emitted[:remaining]
-        if config.end_token is not None and config.end_token in emitted:
-            emitted = emitted[: emitted.index(config.end_token) + 1]
-            stop = True
-        committed.extend(emitted)
-        remaining -= len(emitted)
-        record["emitted"] = emitted
-        steps.append(record)
+            emitted = emitted[:remaining]
+            if config.end_token is not None and config.end_token in emitted:
+                emitted = emitted[: emitted.index(config.end_token) + 1]
+                stop = True
+            committed.extend(emitted)
+            remaining -= len(emitted)
+            record["emitted"] = emitted
+            steps.append(record)
+    finally:
+        flush()
 
     report = compute_metrics(steps, cost)
     return committed[prompt_len:], report

@@ -4,6 +4,13 @@ The matrix holds, per vocabulary token, the k most likely successor ids
 seen so far. Rows are refreshed wholesale from verified target rows
 (argtop-k with ties to the lower id, cached per target row). Cold entries
 are tracked with an explicit validity bitmap so every token id stays usable.
+
+One function writes verified rows, :func:`write_rows`, from a
+``{token: target row id}`` dict in which the last writer has already won.
+A decode session collects its verified nodes in such a dict and writes it
+only right before it reads the matrix (``instantiate``) and when it ends;
+:func:`update_from_verification` is the checking front end for callers
+that hold parallel token and row-id arrays.
 """
 
 from __future__ import annotations
@@ -73,22 +80,26 @@ def update_from_verification(matrix: TransitionMatrix, tokens, row_ids, target: 
     """Refresh rows from verified nodes; last writer wins.
 
     Entry i stands for ``update_row(matrix, tokens[i],
-    target.rows[row_ids[i]])``, applied in order. Only each token's last
-    entry is written, from the target's cached argtop-k.
+    target.rows[row_ids[i]])``, applied in order. Checks that the two
+    arrays match, then writes through :func:`write_rows`.
     """
     tokens, ids = np.asarray(tokens), np.asarray(row_ids)
     if tokens.shape != ids.shape:
         raise InputError(f"{tokens.size} verified tokens but {ids.size} row ids")
-    if not tokens.size:
-        return matrix
-    tokens = tokens.tolist()
-    if min(tokens) < 0 or max(tokens) >= matrix.vocab_size:
+    write_rows(matrix, dict(zip(tokens.tolist(), ids.tolist())), target)  # later entries overwrite earlier ones
+    return matrix
+
+
+def write_rows(matrix: TransitionMatrix, last: dict[int, int], target: MarkovTableModel) -> None:
+    """Write row ``token`` of the matrix for each ``{token: target row id}``
+    entry of ``last``, from the target's cached argtop-k; all slots valid."""
+    if not last:
+        return
+    if min(last) < 0 or max(last) >= matrix.vocab_size:
         raise InputError("verified token out of range")
-    last = dict(zip(tokens, ids.tolist()))  # later entries overwrite earlier ones
     written = np.fromiter(last, np.intp, len(last))
     matrix.rows[written] = target.topk(list(last.values()), matrix.k)
     matrix.valid[written] = True
-    return matrix
 
 
 def storage_bytes(matrix: TransitionMatrix) -> int:

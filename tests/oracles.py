@@ -310,6 +310,35 @@ def new_tree(context):
     )
 
 
+def replay_matrix_writes(matrix, target, prompt, emitted, trees=None, prefill=True):
+    """The matrix as per-step writes leave it, before each step and at the end.
+
+    Replays ``update_from_verification`` on a copy of ``matrix``: the prompt
+    prefill first, when ``prefill`` (prompt token i under the context
+    ``prompt[:i + 1]``), then step s's verified nodes: ``trees[s]`` under the
+    committed prefix ``prompt + emitted[0] + ... + emitted[s - 1]``, with
+    their ``node_row_ids``. ``trees=None`` stands for autoregressive steps,
+    which verify the root-only tree. Returns ``len(emitted) + 1`` copies of
+    ``(rows, valid)``: the matrix before each step, then after the last.
+    """
+    from specgraft.retrieval import update_from_verification
+    from specgraft.verify import node_row_ids
+
+    matrix = matrix.copy()
+    committed = [int(t) for t in prompt]
+    if prefill:
+        ids = [target.row_ids([target.code_of(committed[: i + 1])])[0] for i in range(len(committed))]
+        update_from_verification(matrix, np.array(committed), ids, target)
+    states = []
+    for s, tokens in enumerate(emitted):
+        states.append((matrix.rows.copy(), matrix.valid.copy()))
+        tree = new_tree(committed) if trees is None else trees[s]
+        update_from_verification(matrix, tree.tokens, node_row_ids(target, committed, tree), target)
+        committed += tokens
+    states.append((matrix.rows.copy(), matrix.valid.copy()))
+    return states
+
+
 def reference_root(context):
     """The root-only layered tree; its frontier context is all of ``context``."""
     context = tuple(int(t) for t in context)

@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from specgraft import engine, hybrid, retrieval
 from specgraft.drafttree import PruneConfig, expand_full, resolve_stage
 from specgraft.engine import (
     ACCEPTANCE_MODES,
@@ -35,6 +37,7 @@ from .oracles import (
     greedy_chain_walk,
     new_tree,
     reference_draft_builder,
+    replay_matrix_writes,
 )
 from .test_retrieval import full_matrix
 
@@ -341,6 +344,157 @@ class TestUpdateGates:
         decode_session(cfg, target, draft, matrix, prompt, tree_observer=lambda _, hy: seen.update(hy.tokens.tolist()))
         assert set(prompt) - seen  # a prefill would show in the matrix
         assert set(np.flatnonzero(matrix.valid.any(axis=1)).tolist()) == seen
+
+
+class _Stop(Exception):
+    pass
+
+
+def _traced_session(monkeypatch, cfg, target, draft, matrix, prompt, stop_at=None):
+    """Run one session, recording the trees it verifies, a snapshot of the
+    matrix at every ``instantiate`` (under its ``engine`` and ``hybrid``
+    names) with the step it serves, and every ``write_rows`` call, in order.
+    ``stop_at`` makes the tree observer raise at that step."""
+    trees, reads, events = [], [], []
+
+    def read(m, *args):
+        reads.append((len(trees), m.rows.copy(), m.valid.copy()))
+        events.append("read")
+        return retrieval.instantiate(m, *args)
+
+    def write(m, last, t):
+        events.append("write")
+        return retrieval.write_rows(m, last, t)
+
+    def observe(step, hy):
+        if step == stop_at:
+            raise _Stop
+        trees.append(hy)
+
+    monkeypatch.setattr(engine, "instantiate", read)
+    monkeypatch.setattr(hybrid, "instantiate", read)
+    monkeypatch.setattr(engine, "write_rows", write)
+    report = None
+    if stop_at is None:
+        _, report = decode_session(cfg, target, draft, matrix, prompt, tree_observer=observe)
+    else:
+        with pytest.raises(_Stop):
+            decode_session(cfg, target, draft, matrix, prompt, tree_observer=observe)
+    return report, trees, reads, events
+
+
+class TestDeferredWrites:
+    """A session applies its matrix writes only right before it reads the
+    matrix and when it ends; every read, and the matrix it leaves, see what
+    writing after every step would give (``oracles.replay_matrix_writes``)."""
+
+    PROMPT = [3, 1, 7, 7, 20, 3, 11, 0, 5]
+
+    def _inputs(self):
+        # peaked rows and a close draft, so graft's gates both pass and fail
+        target = build_markov(VocabSpec(24), 1, seed=7, sparsity=0.93)
+        draft = derive_draft(target, DraftDerivation("uniform-mix", 0.05))
+        warm = new_matrix(24, 10)
+        for t in range(0, 24, 2):  # half the rows, so retrieval has something to graft
+            update_row(warm, t, target.next_distribution([t]))
+        return target, draft, warm
+
+    def _check(self, monkeypatch, cfg, stop_at=None):
+        target, draft, warm = self._inputs()
+        matrix = warm.copy()
+        report, trees, reads, _ = _traced_session(monkeypatch, cfg, target, draft, matrix, self.PROMPT)
+        emitted = [s["emitted"] for s in report.steps]
+        if cfg.updates_enabled:
+            tree_list = None if cfg.method == "autoregressive" else trees
+            states = replay_matrix_writes(warm, target, self.PROMPT, emitted, tree_list, cfg.prefill_update)
+        else:
+            states = [(warm.rows, warm.valid)] * (len(emitted) + 1)
+        if stop_at is not None:
+            # the same session, cut by an exception at step ``stop_at``
+            assert report.steps_count > stop_at
+            matrix = warm.copy()
+            _, _, reads, _ = _traced_session(monkeypatch, cfg, target, draft, matrix, self.PROMPT, stop_at)
+            states = states[: stop_at + 1]
+        for step, rows, valid in reads:
+            assert np.array_equal(rows, states[step][0]) and np.array_equal(valid, states[step][1]), step
+        assert np.array_equal(matrix.rows, states[-1][0]) and np.array_equal(matrix.valid, states[-1][1])
+        return report, reads
+
+    @pytest.mark.parametrize("updates", [True, False])
+    @pytest.mark.parametrize("prefill", [True, False])
+    @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_reads_and_return_see_per_step_writes(self, monkeypatch, method, acceptance, prefill, updates):
+        cfg = DecodeConfig(
+            method=method, acceptance=acceptance, max_new_tokens=80, prefill_update=prefill, updates_enabled=updates
+        )
+        _, reads = self._check(monkeypatch, cfg)
+        assert bool(reads) == (method in ("fixed_split", "graft", "graft_root", "graft_tail"))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_end_token_stop(self, monkeypatch, method):
+        target, draft, warm = self._inputs()
+        cfg = DecodeConfig(method=method, max_new_tokens=80)
+        tokens, _ = decode_session(cfg, target, draft, warm.copy(), self.PROMPT)
+        end = tokens[len(tokens) // 2]
+        report, _ = self._check(monkeypatch, DecodeConfig(method=method, max_new_tokens=80, end_token=end))
+        assert report.tokens_emitted < 80 and report.steps[-1]["emitted"][-1] == end
+
+    @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
+    @pytest.mark.parametrize("method", TREE_METHODS)
+    def test_session_that_raises(self, monkeypatch, method, acceptance):
+        self._check(monkeypatch, DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=80), stop_at=4)
+
+    @pytest.mark.parametrize("prefill", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_write_counts(self, monkeypatch, method, prefill):
+        target, draft, warm = self._inputs()
+        cfg = DecodeConfig(method=method, max_new_tokens=80, prefill_update=prefill)
+        report, _, reads, events = _traced_session(monkeypatch, cfg, target, draft, warm.copy(), self.PROMPT)
+        writes = [i for i, e in enumerate(events) if e == "write"]
+        if method in ("autoregressive", "dense", "prune_only"):
+            assert len(writes) == len(events) == 1  # once per session, at its end
+            return
+        # each write but the session's last comes right before a read, and
+        # every read follows a write, except a first step's with nothing pending
+        read_at = [i for i, e in enumerate(events) if e == "read"]
+        nothing_pending = not prefill and reads[0][0] == 0
+        assert writes[-1] == len(events) - 1
+        assert all(events[i + 1] == "read" for i in writes[:-1])
+        assert all(events[i - 1] != "read" for i in read_at[nothing_pending:])
+        assert len(writes) == len(read_at) - nothing_pending + 1
+        if method == "graft":  # it reads only when a gate fails
+            failed = sum(s["stage"] != "none" for s in report.steps)
+            assert 0 < len(reads) == failed < report.steps_count
+        else:
+            assert len(reads) == report.steps_count
+
+    def test_pending_writes_bounded_by_the_vocab(self, monkeypatch):
+        # one dominant successor per row, so draft = target accepts all 20
+        # layers of a 3-wide beam: 953 steps verify 58 000 nodes. Holding them
+        # all peaked at 5.8 MB; the session's records take about 2.2 MB.
+        vocab = 24
+        rows = np.full((vocab + 1, vocab), 0.1 / (vocab - 1))
+        for t in range(vocab + 1):
+            rows[t, (7 * t + 5) % vocab] = 0.9
+        target = table_model(vocab, 1, {(t,): rows[t] for t in range(vocab)}, fallback=rows[-1])
+        sizes = []
+
+        def write(m, last, t):
+            sizes.append(len(last))
+            return retrieval.write_rows(m, last, t)
+
+        monkeypatch.setattr(engine, "write_rows", write)
+        cfg = DecodeConfig(method="prune_only", max_new_tokens=20_000, prune=PruneConfig(max_depth=20, beam_width=3))
+        tracemalloc.start()
+        try:
+            tokens, report = decode_session(cfg, target, target, new_matrix(vocab, 10), [0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tokens) == 20_000 and report.max_tree_candidates == 60
+        assert len(sizes) == 1 and sizes[0] <= vocab  # one write, at most a row per token
+        assert peak < 4_000_000
 
 
 class TestMetrics:
