@@ -46,8 +46,6 @@ from .retrieval import (
     new_matrix,
     save_matrix,
     storage_bytes,
-    update_from_verification,
-    update_row,
     warmup,
 )
 from .verify import VerifyOutcome, verify_greedy, verify_stochastic

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -34,8 +35,15 @@ from .models import (
 # and returns the value as the program uses it or raises ConfigError naming it.
 
 
+# YAML aliases nest without limit, so an offending value is shown two levels deep
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 2
+_REPR.maxlist = _REPR.maxtuple = _REPR.maxdict = _REPR.maxset = 6
+_REPR.maxstring = _REPR.maxlong = _REPR.maxother = 80
+
+
 def _bad(where: str, what: str, value) -> ConfigError:
-    return ConfigError(f"{where} must be {what}, got {value!r}")
+    return ConfigError(f"{where} must be {what}, got {_REPR.repr(value)}")
 
 
 def _int(minimum: int | None = None):

@@ -43,7 +43,6 @@ from .retrieval import (
     new_matrix,
     template_from_depth_counts,
     template_prefix,
-    update_row,
     write_rows,
 )
 from .verify import verify_greedy, verify_stochastic
@@ -539,9 +538,8 @@ def _random_instance(rng: np.random.Generator, with_matrix: bool = False):
     matrix = None
     if with_matrix:
         matrix = new_matrix(vocab.size, 4)
-        for t in range(vocab.size):
-            if rng.random() < 0.8:
-                update_row(matrix, t, target.row_for_context((t,)))
+        hot = [t for t in range(vocab.size) if rng.random() < 0.8]
+        write_rows(matrix, dict(zip(hot, target.row_ids([target.code_of([t]) for t in hot]))), target)
     return target, draft, prefix, tree, matrix
 
 

@@ -1,16 +1,14 @@
 """Top-k successor matrix, stage-adaptive retrieval templates, online updates.
 
-The matrix holds, per vocabulary token, the k most likely successor ids
-seen so far. Rows are refreshed wholesale from verified target rows
-(argtop-k with ties to the lower id, cached per target row). Cold entries
-are tracked with an explicit validity bitmap so every token id stays usable.
+The matrix is one ``(vocab, k)`` int32 array: row t holds the k most likely
+successor ids seen so far after token t, in rank order, and a cold slot
+holds ``COLD``. Rows are refreshed wholesale from verified target rows
+(argtop-k with ties to the lower id, cached per target row).
 
-One function writes verified rows, :func:`write_rows`, from a
+One function writes the matrix, :func:`write_rows`, from a
 ``{token: target row id}`` dict in which the last writer has already won.
 A decode session collects its verified nodes in such a dict and writes it
-only right before it reads the matrix (``instantiate``) and when it ends;
-:func:`update_from_verification` is the checking front end for callers
-that hold parallel token and row-id arrays.
+only right before it reads the matrix (``instantiate``) and when it ends.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InputError, StructureError
-from .models import MarkovTableModel, argtopk
+from .models import MarkovTableModel
 
 COLD = -1
 
@@ -39,71 +37,42 @@ MAX_TEMPLATE_DEPTH = 9
 
 @dataclass
 class TransitionMatrix:
-    rows: np.ndarray  # (vocab, k) int32 successor ids
-    valid: np.ndarray  # (vocab, k) bool
-    k: int
+    rows: np.ndarray  # (vocab, k) int32 successor ids, COLD where none is known
 
     @property
     def vocab_size(self) -> int:
         return int(self.rows.shape[0])
 
+    @property
+    def k(self) -> int:
+        return int(self.rows.shape[1])
+
     def copy(self) -> "TransitionMatrix":
-        return TransitionMatrix(self.rows.copy(), self.valid.copy(), self.k)
+        return TransitionMatrix(self.rows.copy())
 
     def touched_rows(self) -> int:
-        if self.k == 0:
-            return 0
-        return int(self.valid[:, 0].sum())
+        return int(np.count_nonzero(self.rows[:, :1] != COLD))
 
 
 def new_matrix(vocab_size: int, k: int) -> TransitionMatrix:
     if vocab_size < 2 or k < 0:
         raise InputError(f"bad matrix shape vocab={vocab_size} k={k}")
     k = min(k, vocab_size)  # a row cannot hold more distinct successors
-    return TransitionMatrix(
-        rows=np.full((vocab_size, k), COLD, dtype=np.int32),
-        valid=np.zeros((vocab_size, k), dtype=bool),
-        k=k,
-    )
-
-
-def update_row(matrix: TransitionMatrix, token: int, dist: np.ndarray) -> TransitionMatrix:
-    """Replace the row wholesale with argtop-k of ``dist``; all slots valid."""
-    if not 0 <= token < matrix.vocab_size:
-        raise InputError(f"token {token} out of range")
-    matrix.rows[token] = argtopk(np.asarray(dist, dtype=np.float64), matrix.k)
-    matrix.valid[token] = True
-    return matrix
-
-
-def update_from_verification(matrix: TransitionMatrix, tokens, row_ids, target: MarkovTableModel) -> TransitionMatrix:
-    """Refresh rows from verified nodes; last writer wins.
-
-    Entry i stands for ``update_row(matrix, tokens[i],
-    target.rows[row_ids[i]])``, applied in order. Checks that the two
-    arrays match, then writes through :func:`write_rows`.
-    """
-    tokens, ids = np.asarray(tokens), np.asarray(row_ids)
-    if tokens.shape != ids.shape:
-        raise InputError(f"{tokens.size} verified tokens but {ids.size} row ids")
-    write_rows(matrix, dict(zip(tokens.tolist(), ids.tolist())), target)  # later entries overwrite earlier ones
-    return matrix
+    return TransitionMatrix(np.full((vocab_size, k), COLD, dtype=np.int32))
 
 
 def write_rows(matrix: TransitionMatrix, last: dict[int, int], target: MarkovTableModel) -> None:
     """Write row ``token`` of the matrix for each ``{token: target row id}``
-    entry of ``last``, from the target's cached argtop-k; all slots valid."""
+    entry of ``last``, from the target's cached argtop-k."""
     if not last:
         return
     if min(last) < 0 or max(last) >= matrix.vocab_size:
         raise InputError("verified token out of range")
-    written = np.fromiter(last, np.intp, len(last))
-    matrix.rows[written] = target.topk(list(last.values()), matrix.k)
-    matrix.valid[written] = True
+    matrix.rows[np.fromiter(last, np.intp, len(last))] = target.topk(list(last.values()), matrix.k)
 
 
 def storage_bytes(matrix: TransitionMatrix) -> int:
-    """Dense capacity: 4 bytes per id slot plus the validity bitmap."""
+    """Snapshot payload: 4 bytes per id slot plus the bitmap of warm slots."""
     cells = matrix.vocab_size * matrix.k
     return cells * 4 + (cells + 7) // 8
 
@@ -244,8 +213,8 @@ class RetrievedBranch:
     """Template instantiated against the matrix from a root token.
 
     ``tokens[i]`` is ``COLD`` where node i is not realized; a node is
-    realized iff its parent is realized and the parent row has a valid
-    entry at the node's rank.
+    realized iff its parent is realized and the parent row holds a
+    successor at the node's rank.
     """
 
     template: StageTemplate
@@ -262,10 +231,10 @@ def instantiate(matrix: TransitionMatrix, template: StageTemplate, root: int) ->
     if not 0 <= root < matrix.vocab_size:
         raise InputError(f"root token {root} out of range")
     tokens = [COLD] * template.declared_size
-    k, valid, rows = matrix.k, matrix.valid.item, matrix.rows.item
+    k, rows = matrix.k, matrix.rows.item
     for i, (p, rank) in enumerate(zip(template.parents.tolist(), template.ranks.tolist())):
         parent_token = root if p < 0 else tokens[p]
-        if parent_token != COLD and rank < k and valid(parent_token, rank):
+        if parent_token != COLD and rank < k:
             tokens[i] = rows(parent_token, rank)
     return RetrievedBranch(template=template, root_token=int(root), tokens=np.array(tokens, dtype=np.int32))
 
@@ -334,12 +303,14 @@ def save_matrix(path, matrix: TransitionMatrix) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", matrix.vocab_size, matrix.k))
         fh.write(matrix.rows.astype("<i4").tobytes())
-        fh.write(np.packbits(matrix.valid.reshape(-1)).tobytes())
+        fh.write(np.packbits(matrix.rows.reshape(-1) != COLD).tobytes())
 
 
 def load_matrix(path) -> TransitionMatrix:
     """Read a snapshot, checking its header against the file size first, so a
-    corrupt header can neither trigger an unbounded read nor a reshape error."""
+    corrupt header can neither trigger an unbounded read nor a reshape error.
+    A slot whose bit is set must hold an id in range; one whose bit is
+    cleared loads as ``COLD``."""
     header = len(MAGIC) + 8
     with open(path, "rb") as fh:
         head = fh.read(header)
@@ -359,9 +330,8 @@ def load_matrix(path) -> TransitionMatrix:
             )
         rows = np.frombuffer(fh.read(cells * 4), dtype="<i4").reshape(vocab_size, k).astype(np.int32)
         bitmap = np.frombuffer(fh.read((cells + 7) // 8), dtype=np.uint8)
-        valid = np.unpackbits(bitmap)[:cells].reshape(vocab_size, k).astype(bool)
-    m = TransitionMatrix(rows=rows, valid=valid, k=int(k))
-    bad = m.valid & ((m.rows < 0) | (m.rows >= vocab_size))
-    if bad.any():
+        warm = np.unpackbits(bitmap)[:cells].reshape(vocab_size, k).astype(bool)
+    if (warm & ((rows < 0) | (rows >= vocab_size))).any():
         raise StructureError(f"{path}: snapshot holds out-of-range successor ids")
-    return m
+    rows[~warm] = COLD
+    return TransitionMatrix(rows)

@@ -137,14 +137,15 @@ def enumerate_first_token_marginal(tokens, parents, root_dist, child_order=None)
     return marginal
 
 
-def template_walk_realized(template, matrix_rows, matrix_valid, root):
-    """Count realizable template nodes by resolving each full rank path."""
+def template_walk_realized(template, matrix_rows, root):
+    """Count realizable template nodes by resolving each full rank path; a
+    cold slot holds -1."""
     realized = 0
     for i in range(template.declared_size):
         token = root
         ok = True
         for rank in template.rank_path(i):
-            if rank >= matrix_valid.shape[1] or not matrix_valid[token, rank]:
+            if rank >= matrix_rows.shape[1] or matrix_rows[token, rank] < 0:
                 ok = False
                 break
             token = int(matrix_rows[token, rank])
@@ -277,7 +278,7 @@ def reference_tail(tree, retained, budget, matrix, chain_len):
     anchor = min((i for i in mapping if i not in inner), key=lambda i: (-int(tree.depths[i]), -float(tree.scores[i]), i))
     node, token = mapping[anchor], int(tree.tokens[anchor])
     for _ in range(chain_len):
-        if matrix.k == 0 or not matrix.valid[token, 0]:
+        if matrix.k == 0 or matrix.rows[token, 0] < 0:  # a cold slot holds -1
             break
         token = int(matrix.rows[token, 0])
         node = builder.add(node, token, 1, float("nan"))
@@ -311,31 +312,37 @@ def new_tree(context):
 
 
 def replay_matrix_writes(matrix, target, prompt, emitted, trees=None, prefill=True):
-    """The matrix as per-step writes leave it, before each step and at the end.
+    """The matrix's rows as per-step writes leave them, before each step and
+    at the end.
 
-    Replays ``update_from_verification`` on a copy of ``matrix``: the prompt
-    prefill first, when ``prefill`` (prompt token i under the context
-    ``prompt[:i + 1]``), then step s's verified nodes: ``trees[s]`` under the
-    committed prefix ``prompt + emitted[0] + ... + emitted[s - 1]``, with
-    their ``node_row_ids``. ``trees=None`` stands for autoregressive steps,
-    which verify the root-only tree. Returns ``len(emitted) + 1`` copies of
-    ``(rows, valid)``: the matrix before each step, then after the last.
+    Replays each verified node in order on a copy of ``matrix.rows`` as
+    ``rows[t] = argtopk(target.rows[id], k)`` (stable sort, ties to the lower
+    id): the prompt prefill first, when ``prefill`` (prompt token i under the
+    context ``prompt[:i + 1]``), then step s's verified nodes: ``trees[s]``
+    under the committed prefix ``prompt + emitted[0] + ... + emitted[s - 1]``,
+    with their ``node_row_ids``. ``trees=None`` stands for autoregressive
+    steps, which verify the root-only tree. Returns ``len(emitted) + 1``
+    copies of ``rows``: before each step, then after the last.
     """
-    from specgraft.retrieval import update_from_verification
     from specgraft.verify import node_row_ids
 
-    matrix = matrix.copy()
+    rows = matrix.rows.copy()
+    k = rows.shape[1]
+
+    def write(tokens, ids):
+        for t, i in zip(tokens, ids):
+            rows[int(t)] = np.argsort(-target.rows[i], kind="stable")[:k]
+
     committed = [int(t) for t in prompt]
     if prefill:
-        ids = [target.row_ids([target.code_of(committed[: i + 1])])[0] for i in range(len(committed))]
-        update_from_verification(matrix, np.array(committed), ids, target)
+        write(committed, [target.row_ids([target.code_of(committed[: i + 1])])[0] for i in range(len(committed))])
     states = []
     for s, tokens in enumerate(emitted):
-        states.append((matrix.rows.copy(), matrix.valid.copy()))
+        states.append(rows.copy())
         tree = new_tree(committed) if trees is None else trees[s]
-        update_from_verification(matrix, tree.tokens, node_row_ids(target, committed, tree), target)
+        write(tree.tokens, node_row_ids(target, committed, tree))
         committed += tokens
-    states.append((matrix.rows.copy(), matrix.valid.copy()))
+    states.append(rows.copy())
     return states
 
 

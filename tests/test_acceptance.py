@@ -18,8 +18,8 @@ from specgraft.config import derive_prompts
 from specgraft.drafttree import PruneConfig, select_retained
 from specgraft.engine import DecodeConfig, calibrate, decode_session, theory_checks
 from specgraft.hybrid import draft_only, flatten, merge
-from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft, tokenize_whitespace, train_ngram
-from specgraft.retrieval import TEMPLATE_DEPTH_COUNTS, builtin_templates, new_matrix, template_prefix, instantiate, update_row, warmup
+from specgraft.models import DraftDerivation, VocabSpec, argtopk, build_markov, derive_draft, tokenize_whitespace, train_ngram
+from specgraft.retrieval import TEMPLATE_DEPTH_COUNTS, builtin_templates, new_matrix, template_prefix, instantiate, warmup
 from specgraft.verify import first_token_frequencies, node_row_ids
 
 from .conftest import grow
@@ -83,7 +83,7 @@ def tiny_instance(i):
     if i % 2:
         matrix = new_matrix(vocab.size, 3)
         for t in range(vocab.size):
-            update_row(matrix, t, target.row_for_context((t,)))
+            matrix.rows[t] = argtopk(target.row_for_context((t,)), matrix.k)
         from specgraft.retrieval import template_from_depth_counts
 
         template = template_prefix(template_from_depth_counts("tiny", (2, 1)), 3, stage="tiny")

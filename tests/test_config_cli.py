@@ -283,17 +283,18 @@ class TestSnapshotMatchesConfig:
 
     def test_ablation_starts_from_the_snapshot(self, tmp_path):
         from specgraft.cli import _ablation_fixture
-        from specgraft.retrieval import load_matrix, new_matrix, save_matrix, update_row
+        from specgraft.models import argtopk
+        from specgraft.retrieval import COLD, load_matrix, new_matrix, save_matrix
 
         snap = tmp_path / "snap.bin"
         matrix = new_matrix(24, 10)
-        update_row(matrix, 5, np.linspace(1.0, 0.1, 24))
+        matrix.rows[5] = argtopk(np.linspace(1.0, 0.1, 24), matrix.k)
         save_matrix(snap, matrix)
         doc = json.loads(json.dumps(BASE_DOC))
         doc["matrix"] = {"k": 10, "load": str(snap)}
         warmed = _ablation_fixture(load_run_config(_write_doc(tmp_path, doc))).warmed_matrix
         loaded = load_matrix(snap)
-        assert np.array_equal(warmed.rows, loaded.rows) and np.array_equal(warmed.valid, loaded.valid)
+        assert np.array_equal(warmed.rows, loaded.rows) and np.array_equal(warmed.rows != COLD, loaded.rows != COLD)
 
 
 class TestReportNames:
@@ -393,6 +394,16 @@ class TestBadValues:
         decode = {**BASE_DOC["decode"], "tail_chain_len": 3_000_000}
         sections = {"method": "graft_tail", "decode": decode, "prune": {"total_budget": 3_000_000}}
         _rejects_before_allocating(tmp_path, capsys, sections, ["decode"], ["prune.total_budget"])
+
+    def test_nested_alias_value_is_shown_bounded(self, tmp_path, capsys):
+        # safe_dump writes each repeated list once and then by alias, so a few
+        # hundred bytes of YAML hold 10**7 tokens; the full repr of the bad
+        # item decode.prompt_tokens[0] alone takes 3 MB
+        tokens = [0] * 10
+        for _ in range(6):
+            tokens = [tokens] * 10
+        decode = {**BASE_DOC["decode"], "prompt_tokens": tokens}
+        _rejects_before_allocating(tmp_path, capsys, {"decode": decode}, ["decode"], ["decode.prompt_tokens[0]"])
 
     def test_layer_candidate_ceiling_rejects_before_allocating(self, tmp_path, capsys):
         # 4 x 262144 nodes fit the envelope, but a full layer scores 262144 x 256 candidates (about 2.4 GB)

@@ -25,8 +25,8 @@ from specgraft.engine import (
 )
 from specgraft.errors import ConfigError
 from specgraft.hybrid import flatten
-from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft
-from specgraft.retrieval import builtin_templates, new_matrix, update_row, warmup
+from specgraft.models import DraftDerivation, VocabSpec, argtopk, build_markov, derive_draft
+from specgraft.retrieval import COLD, builtin_templates, new_matrix, warmup
 from specgraft.verify import node_row_ids, verify_greedy, verify_stochastic
 
 from .conftest import table_model
@@ -46,6 +46,24 @@ def seeded_pair(vocab=24, seed=42, strength=0.4):
     target = build_markov(VocabSpec(vocab), 1, seed=seed, sparsity=0.2)
     draft = derive_draft(target, DraftDerivation("uniform-mix", strength))
     return target, draft
+
+
+PEAKED_PROMPT = [3, 1, 7, 7, 20, 3, 11, 0, 5]
+
+
+def peaked_pair():
+    """Peaked rows and a close draft, so graft's gates both pass and fail
+    (from ``PEAKED_PROMPT``, over 80 tokens)."""
+    target = build_markov(VocabSpec(24), 1, seed=7, sparsity=0.93)
+    return target, derive_draft(target, DraftDerivation("uniform-mix", 0.05))
+
+
+def half_warm(target):
+    """A matrix with every other row written, so retrieval has something to graft."""
+    warm = new_matrix(24, 10)
+    for t in range(0, 24, 2):
+        warm.rows[t] = argtopk(target.next_distribution([t]), warm.k)
+    return warm
 
 
 class TestDecodeSession:
@@ -274,9 +292,9 @@ class TestPrefill:
         decode_session(cfg, recording, target, matrix, prompt)
         reference = new_matrix(7, 4)
         for i in range(len(prompt)):
-            update_row(reference, prompt[i], target.next_distribution(prompt[: i + 1]))
+            reference.rows[prompt[i]] = argtopk(target.next_distribution(prompt[: i + 1]), reference.k)
         assert np.array_equal(matrix.rows, reference.rows)
-        assert np.array_equal(matrix.valid, reference.valid)
+        assert np.array_equal(matrix.rows != COLD, reference.rows != COLD)
         # one code per prompt token, each from the code just before it, and
         # one for the autoregressive step from a window of at most the order
         assert recording.parents == [list(range(len(prompt)))]
@@ -319,19 +337,27 @@ class TestUpdateGates:
     """``decode.updates_enabled`` gates every matrix write, and
     ``decode.prefill_update`` the prompt's."""
 
+    @pytest.mark.parametrize("peaked", [False, True], ids=["attractor", "peaked"])
     @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
     @pytest.mark.parametrize("method", METHODS)
-    def test_disabled_updates_leave_the_matrix_unchanged(self, method, acceptance):
-        target, draft = seeded_pair(seed=5)
-        warm = new_matrix(24, 10)
-        for t in range(0, 24, 2):  # half the rows, so retrieval has something to graft
-            update_row(warm, t, target.next_distribution([t]))
+    def test_disabled_updates_leave_the_matrix_unchanged(self, method, acceptance, peaked):
+        # seeded_pair(seed=5) falls into a two-token attractor where graft's
+        # gate never passes; with updates on, the peaked pair passes and fails it
+        if peaked:
+            (target, draft), prompt, length = peaked_pair(), PEAKED_PROMPT, 80
+        else:
+            (target, draft), prompt, length = seeded_pair(seed=5), [3, 1], 40
+        warm = half_warm(target)
         for enabled in (False, True):
             matrix = warm.copy()
-            cfg = DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=40, updates_enabled=enabled)
-            decode_session(cfg, target, draft, matrix, [3, 1])
-            unchanged = matrix.rows.tobytes() == warm.rows.tobytes() and matrix.valid.tobytes() == warm.valid.tobytes()
+            cfg = DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=length, updates_enabled=enabled)
+            _, report = decode_session(cfg, target, draft, matrix, prompt)
+            same_ids = matrix.rows.tobytes() == warm.rows.tobytes()
+            unchanged = same_ids and np.array_equal(matrix.rows != COLD, warm.rows != COLD)
             assert unchanged != enabled
+            if peaked and method == "graft" and enabled:  # the session that writes has steps that read nothing
+                stages = set(report.stage_histogram)
+                assert "none" in stages and any(stage.startswith("d") for stage in stages), stages
 
     @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
     @pytest.mark.parametrize("method", TREE_METHODS)
@@ -343,7 +369,7 @@ class TestUpdateGates:
         cfg = DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=16, prefill_update=False)
         decode_session(cfg, target, draft, matrix, prompt, tree_observer=lambda _, hy: seen.update(hy.tokens.tolist()))
         assert set(prompt) - seen  # a prefill would show in the matrix
-        assert set(np.flatnonzero(matrix.valid.any(axis=1)).tolist()) == seen
+        assert set(np.flatnonzero((matrix.rows != COLD).any(axis=1)).tolist()) == seen
 
 
 class _Stop(Exception):
@@ -358,7 +384,7 @@ def _traced_session(monkeypatch, cfg, target, draft, matrix, prompt, stop_at=Non
     trees, reads, events = [], [], []
 
     def read(m, *args):
-        reads.append((len(trees), m.rows.copy(), m.valid.copy()))
+        reads.append((len(trees), m.rows.copy()))
         events.append("read")
         return retrieval.instantiate(m, *args)
 
@@ -388,16 +414,11 @@ class TestDeferredWrites:
     matrix and when it ends; every read, and the matrix it leaves, see what
     writing after every step would give (``oracles.replay_matrix_writes``)."""
 
-    PROMPT = [3, 1, 7, 7, 20, 3, 11, 0, 5]
+    PROMPT = PEAKED_PROMPT
 
     def _inputs(self):
-        # peaked rows and a close draft, so graft's gates both pass and fail
-        target = build_markov(VocabSpec(24), 1, seed=7, sparsity=0.93)
-        draft = derive_draft(target, DraftDerivation("uniform-mix", 0.05))
-        warm = new_matrix(24, 10)
-        for t in range(0, 24, 2):  # half the rows, so retrieval has something to graft
-            update_row(warm, t, target.next_distribution([t]))
-        return target, draft, warm
+        target, draft = peaked_pair()
+        return target, draft, half_warm(target)
 
     def _check(self, monkeypatch, cfg, stop_at=None):
         target, draft, warm = self._inputs()
@@ -408,16 +429,16 @@ class TestDeferredWrites:
             tree_list = None if cfg.method == "autoregressive" else trees
             states = replay_matrix_writes(warm, target, self.PROMPT, emitted, tree_list, cfg.prefill_update)
         else:
-            states = [(warm.rows, warm.valid)] * (len(emitted) + 1)
+            states = [warm.rows] * (len(emitted) + 1)
         if stop_at is not None:
             # the same session, cut by an exception at step ``stop_at``
             assert report.steps_count > stop_at
             matrix = warm.copy()
             _, _, reads, _ = _traced_session(monkeypatch, cfg, target, draft, matrix, self.PROMPT, stop_at)
             states = states[: stop_at + 1]
-        for step, rows, valid in reads:
-            assert np.array_equal(rows, states[step][0]) and np.array_equal(valid, states[step][1]), step
-        assert np.array_equal(matrix.rows, states[-1][0]) and np.array_equal(matrix.valid, states[-1][1])
+        for step, rows in reads:
+            assert np.array_equal(rows, states[step]) and np.array_equal(rows != COLD, states[step] != COLD), step
+        assert np.array_equal(matrix.rows, states[-1]) and np.array_equal(matrix.rows != COLD, states[-1] != COLD)
         return report, reads
 
     @pytest.mark.parametrize("updates", [True, False])

@@ -113,9 +113,7 @@ class TestMerge:
         )
         matrix = new_matrix(16, 2)
         matrix.rows[0] = [7, 3]
-        matrix.valid[0] = True
         matrix.rows[7] = [9, 4]
-        matrix.valid[7] = True
         template = builtin_templates(10)["d5"]
         from specgraft.retrieval import template_prefix
 
@@ -323,8 +321,8 @@ def _random_matrix(rng, vocab):
     """A matrix with about 20 % cold slots; the small vocab makes retrieved
     tokens collide with drafted ones."""
     matrix = new_matrix(vocab, int(rng.integers(1, 6)))
-    matrix.rows[:] = rng.integers(0, vocab, size=matrix.rows.shape)
-    matrix.valid[:] = rng.random(matrix.valid.shape) < 0.8
+    ids = rng.integers(0, vocab, size=matrix.rows.shape)
+    matrix.rows[:] = np.where(rng.random(ids.shape) < 0.8, ids, COLD)
     return matrix
 
 
@@ -370,7 +368,7 @@ class TestBulkAssembly:
 
         template = _random_template(rng)
         branch = instantiate(matrix, template, tree.root_token)
-        realized = template_walk_realized(template, matrix.rows, matrix.valid, tree.root_token)
+        realized = template_walk_realized(template, matrix.rows, tree.root_token)
         evicted = closure_topk_iterative(scores, parents, max(budget - realized, 0))
         _assert_matches_reference(root_variant(tree, branch, budget), reference_hybrid(tree, evicted, budget, branch))
 

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from specgraft.engine import DecodeConfig, decode_session
 from specgraft.errors import ConfigError, InputError, StructureError
-from specgraft.models import DraftDerivation, VocabSpec, build_markov, context_code, derive_draft, train_ngram
+from specgraft.models import DraftDerivation, VocabSpec, argtopk, build_markov, context_code, derive_draft, train_ngram
 from specgraft.cli import main
 from specgraft.retrieval import (
     COLD,
     MAGIC,
     TEMPLATE_DEPTH_COUNTS,
-    argtopk,
     builtin_templates,
     filter_template,
     instantiate,
@@ -26,22 +25,27 @@ from specgraft.retrieval import (
     storage_bytes,
     template_prefix,
     touched_bytes,
-    update_from_verification,
-    update_row,
     warmup,
+    write_rows,
 )
 
 from .conftest import table_model
 from .oracles import template_walk_realized
+from .test_report_digests import CONFIGS, _warmed
 
 
 def full_matrix(vocab_size, k, shift=1):
-    """Every row valid: successor r of token t is (t + shift + r) % vocab."""
+    """No slot cold: successor r of token t is (t + shift + r) % vocab."""
     m = new_matrix(vocab_size, k)
     for t in range(vocab_size):
         m.rows[t] = [(t + shift + r) % vocab_size for r in range(m.k)]
-        m.valid[t] = True
     return m
+
+
+def write_dist(m, token, dist):
+    """Write row ``token`` through ``write_rows`` from a model whose one row,
+    row id 0, is ``dist``."""
+    write_rows(m, {token: 0}, table_model(m.vocab_size, 1, {}, fallback=np.asarray(dist, dtype=float)))
 
 
 class TestTemplates:
@@ -102,59 +106,60 @@ class TestTemplates:
 class TestLookupAndUpdate:
     def test_update_then_lookup(self):
         m = new_matrix(8, 2)
-        update_row(m, 3, np.array([0.0, 0.9, 0.1, 0, 0, 0, 0, 0]))
-        assert m.valid[3, 0] and m.rows[3, 0] == 1
+        write_dist(m, 3, np.array([0.0, 0.9, 0.1, 0, 0, 0, 0, 0]))
+        assert m.rows[3, 0] != COLD and m.rows[3, 0] == 1
 
     def test_fresh_is_cold(self):
         m = new_matrix(8, 2)
-        assert not m.valid[5, 1]
+        assert m.rows[5, 1] == COLD
 
     def test_rank_and_token_bounds(self):
         m = new_matrix(8, 2)
-        # slot (token, rank) is read as rows/valid[token, rank]: token 8 and rank 2 lie outside
-        assert m.rows.shape == m.valid.shape == (8, 2)
+        # slot (token, rank) is read as rows[token, rank]: token 8 and rank 2 lie outside
+        assert m.rows.shape == (m.vocab_size, m.k) == (8, 2)
         with pytest.raises(InputError):
-            update_row(m, 8, np.full(8, 0.125))
+            write_dist(m, 8, np.full(8, 0.125))
 
-    def test_update_row_example(self):
+    def test_write_rows_example(self):
         m = new_matrix(8, 2)
-        update_row(m, 5, np.array([0.1, 0.6, 0.3, 0.0, 0, 0, 0, 0]))
+        write_dist(m, 5, np.array([0.1, 0.6, 0.3, 0.0, 0, 0, 0, 0]))
         assert list(m.rows[5]) == [1, 2]
-        assert m.valid[5].all()
+        assert (m.rows[5] != COLD).all()
 
     def test_uniform_tie_rule(self):
         m = new_matrix(4, 2)
-        update_row(m, 0, np.full(4, 0.25))
+        write_dist(m, 0, np.full(4, 0.25))
         assert list(m.rows[0]) == [0, 1]
 
     def test_topk_matches_sort_oracle(self):
         model = build_markov(VocabSpec(16), 1, seed=42)
         row = model.row_for_context((2,))
         m = new_matrix(16, 3)
-        update_row(m, 2, row)
+        write_dist(m, 2, row)
         expect = sorted(range(16), key=lambda t: (-row[t], t))[:3]
         assert list(m.rows[2]) == expect
 
     def test_batch_update_empty(self, det4):
         m = new_matrix(4, 2)
         before = m.rows.copy()
-        update_from_verification(m, [], [], det4)
+        write_rows(m, {}, det4)
         assert np.array_equal(m.rows, before)
 
     def test_last_writer_wins(self):
         # entries name target rows by id: row 0 is [0.9, 0.1, 0, 0], row 1 is [0, 0, 0.1, 0.9]
         target = table_model(4, 1, {(0,): [0.9, 0.1, 0.0, 0.0], (1,): [0.0, 0.0, 0.1, 0.9]})
         m = new_matrix(4, 2)
-        update_from_verification(m, [1, 1], [0, 1], target)
+        write_rows(m, {1: 1}, target)
         assert list(m.rows[1]) == [3, 2]
-        update_from_verification(m, [1, 1], [1, 0], target)
+        write_rows(m, {1: 0}, target)  # a later write replaces the row wholesale
         assert list(m.rows[1]) == [0, 1]
 
-    def test_row_ids_must_match_tokens(self, det4):
+    @pytest.mark.parametrize("token", [-1, 4])
+    def test_out_of_range_token_writes_nothing(self, det4, token):
         m = new_matrix(4, 2)
         with pytest.raises(InputError):
-            update_from_verification(m, [0, 1], [0], det4)
-        assert not m.valid.any()
+            write_rows(m, {0: 0, token: 1}, det4)
+        assert (m.rows == COLD).all()
 
     @pytest.mark.parametrize("model", [
         build_markov(VocabSpec(12), 1, seed=8, sparsity=0.5),
@@ -255,7 +260,7 @@ class TestLookupAndUpdate:
         cfg = DecodeConfig(method="graft", max_new_tokens=80)
         matrix = new_matrix(24, cfg.prune.top_k)
         decode_session(cfg, target, target, matrix, [3])
-        written = np.flatnonzero(matrix.valid.all(axis=1))
+        written = np.flatnonzero((matrix.rows != COLD).all(axis=1))
         assert written.size > 5
         expect = [argtopk(target.row_for_context((int(t),)), matrix.k) for t in written]
         assert [r.tolist() for r in matrix.rows[written]] == [r.tolist() for r in expect]
@@ -264,7 +269,7 @@ class TestLookupAndUpdate:
     def test_det4_verified_tree_rows(self, det4):
         m = new_matrix(4, 2)
         tokens = [0, 1, 2, 1, 3]
-        update_from_verification(m, tokens, [det4.index[context_code((t,), 4)] for t in tokens], det4)
+        write_rows(m, {t: det4.index[context_code((t,), 4)] for t in tokens}, det4)
         for t in {0, 1, 2, 3}:
             assert m.rows[t][0] == (t + 1) % 4
 
@@ -275,7 +280,7 @@ class TestLookupAndUpdate:
         for token, seed in stream:
             w = np.random.default_rng(seed).gamma(1.0, 1.0, 8)
             dist = w / w.sum()
-            update_row(m, token, dist)
+            write_dist(m, token, dist)
             row = m.rows[token]
             assert len(set(row.tolist())) == 4
             probs = dist[row]
@@ -284,11 +289,11 @@ class TestLookupAndUpdate:
     def test_update_idempotent(self):
         m1, m2 = new_matrix(6, 3), new_matrix(6, 3)
         dist = np.array([0.1, 0.2, 0.3, 0.4, 0.0, 0.0])
-        update_row(m1, 2, dist)
-        update_row(m2, 2, dist)
-        update_row(m2, 2, dist)
+        write_dist(m1, 2, dist)
+        write_dist(m2, 2, dist)
+        write_dist(m2, 2, dist)
         assert np.array_equal(m1.rows, m2.rows)
-        assert np.array_equal(m1.valid, m2.valid)
+        assert np.array_equal(m1.rows != COLD, m2.rows != COLD)
 
 
 class TestInstantiate:
@@ -307,10 +312,9 @@ class TestInstantiate:
         m = new_matrix(32, 10)
         for t in range(32):
             m.rows[t, 0] = (t + 1) % 32
-            m.valid[t, 0] = True
         template = builtin_templates(10)["d1"]
         branch = instantiate(m, template, root=0)
-        expect = template_walk_realized(template, m.rows, m.valid, root=0)
+        expect = template_walk_realized(template, m.rows, root=0)
         assert branch.realized_count == expect
         assert expect == 9  # the rank-0 chain, one node per depth
 
@@ -318,15 +322,14 @@ class TestInstantiate:
         rng = np.random.default_rng(4)
         m = new_matrix(32, 10)
         mask = rng.random((32, 10)) < 0.5
-        m.valid[:] = mask
-        m.rows[:] = rng.integers(0, 32, size=(32, 10))
+        m.rows[:] = np.where(mask, rng.integers(0, 32, size=(32, 10)), COLD)
         template = builtin_templates(10)["d0"]
         branch = instantiate(m, template, root=1)
         for i in range(template.declared_size):
             p = int(template.parents[i])
             if branch.tokens[i] != COLD and p >= 0:
                 assert branch.tokens[p] != COLD
-        assert branch.realized_count == template_walk_realized(template, m.rows, m.valid, 1)
+        assert branch.realized_count == template_walk_realized(template, m.rows, 1)
 
 
 class TestWarmup:
@@ -346,9 +349,9 @@ class TestWarmup:
         out, transcript = warmup(m, det4, det4, [[0]], rounds=1, config=cfg)
         assert len(transcript) == 1
         for t in range(4):
-            if m.valid[t, 0]:
+            if m.rows[t, 0] != COLD:
                 assert m.rows[t, 0] == (t + 1) % 4
-        assert m.valid[:, 0].any()
+        assert (m.rows[:, 0] != COLD).any()
 
     def test_ngram_corpus_lookup(self):
         corpus = [0, 1] * 12
@@ -356,7 +359,7 @@ class TestWarmup:
         m = new_matrix(4, 2)
         cfg = DecodeConfig(method="graft", max_new_tokens=8, prune=_small_prune())
         warmup(m, target, target, [corpus[:6]], rounds=1, config=cfg)
-        assert m.valid[0, 0] and m.rows[0, 0] == 1
+        assert m.rows[0, 0] != COLD and m.rows[0, 0] == 1
 
     def test_rounds_visit_fresh_prompts_and_grow_storage(self):
         target = build_markov(VocabSpec(32), 1, seed=15, sparsity=0.3)
@@ -397,20 +400,20 @@ class TestStorage:
         id_bytes = 151_936 * 10 * 4
         assert id_bytes == 6_077_440  # ~6.1 MB dense id payload
         assert storage_bytes(m) == id_bytes + (151_936 * 10 + 7) // 8
-        update_row(m, 5, np.full(151_936, 1.0 / 151_936))
+        write_dist(m, 5, np.full(151_936, 1.0 / 151_936))
         assert touched_bytes(m) == 40  # touched-rows-only accounting
 
 
 class TestSnapshot:
     def test_roundtrip(self, tmp_path):
         m = full_matrix(32, 4)
-        m.valid[3, 2:] = False
+        m.rows[3, 2:] = COLD
         path = tmp_path / "m.bin"
         save_matrix(path, m)
         out = load_matrix(path)
         assert out.k == 4
-        assert np.array_equal(out.rows[out.valid], m.rows[m.valid])
-        assert np.array_equal(out.valid, m.valid)
+        assert np.array_equal(out.rows, m.rows)
+        assert np.array_equal(out.rows != COLD, m.rows != COLD)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -450,6 +453,43 @@ class TestSnapshot:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    @staticmethod
+    def raw_snapshot(path, rows, warm):
+        """A snapshot file from an id array and a bitmap, whether or not they agree."""
+        header = MAGIC + struct.pack("<II", *rows.shape)
+        path.write_bytes(header + rows.astype("<i4").tobytes() + np.packbits(warm.reshape(-1)).tobytes())
+
+    @pytest.mark.parametrize("bad_id", [COLD, 32, 1000])
+    def test_set_bit_over_out_of_range_id_rejected(self, tmp_path, bad_id):
+        rows = full_matrix(32, 4).rows
+        rows[5, 1] = bad_id
+        path = tmp_path / "bad.bin"
+        self.raw_snapshot(path, rows, np.ones(rows.shape, dtype=bool))
+        with pytest.raises(StructureError, match="out-of-range"):
+            load_matrix(path)
+
+    def test_cleared_bit_loads_cold(self, tmp_path):
+        rows = full_matrix(32, 10).rows
+        warm = np.ones(rows.shape, dtype=bool)
+        warm[7, 0] = False  # over the in-range id 8
+        path = tmp_path / "m.bin"
+        self.raw_snapshot(path, rows, warm)
+        m = load_matrix(path)
+        assert rows[7, 0] == 8 and m.rows[7, 0] == COLD
+        assert np.array_equal(m.rows != COLD, warm)
+        template = builtin_templates(10)["d5"]
+        assert (template.parents[0], template.ranks[0]) == (-1, 0)  # root 7's rank-0 successor
+        branch = instantiate(m, template, root=7)
+        assert branch.tokens[0] == COLD
+        assert branch.realized_count == template_walk_realized(template, m.rows, 7) < template.declared_size
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_load_save_round_trip_is_byte_identical(self, tmp_path, config):
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_matrix(first, _warmed(config, "graft")[1])
+        save_matrix(second, load_matrix(first))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_cli_reports_damaged_snapshot_in_one_line(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"
