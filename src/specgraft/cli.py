@@ -173,8 +173,7 @@ def _prepared_matrix(run: RunConfig):
             )
     else:
         matrix = new_matrix(run.vocab.size, run.matrix_k)
-        if run.warmup_rounds > 0:
-            warmup(matrix, run.target, run.draft, run.warmup_prompts, run.warmup_rounds, config=run.decode)
+        warmup(matrix, run.target, run.draft, run.warmup_prompts, run.warmup_rounds, config=run.decode)
     return matrix
 
 
@@ -240,6 +239,7 @@ def _ablation_fixture(run: RunConfig) -> AblationFixture:
         prompts=prompts,
         config=run.decode,
         warmup_prompts=run.warmup_prompts,
+        warmup_rounds=run.warmup_rounds,
     )
 
 
@@ -326,7 +326,7 @@ def cmd_theory(args) -> int:
 
 
 def cmd_dump_templates(args) -> int:
-    templates = builtin_templates(args.k)
+    templates = builtin_templates()
     for name in ("full", "d0", "d1", "d5"):
         t = templates[name]
         counts = "+".join(str(c) for c in t.depth_counts())
@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_theory)
 
     p = sub.add_parser("dump-templates", help="print the builtin retrieval templates")
-    p.add_argument("--k", type=int, default=10)
     p.add_argument("--full", action="store_true", help="also list every template node")
     p.set_defaults(fn=cmd_dump_templates)
 

@@ -30,6 +30,7 @@ from .models import (
     tokenize_bytes,
     train_ngram,
 )
+from .retrieval import TEMPLATE_WIDTH
 
 # Value rules. A rule takes the value's name (``section.key``) and the value,
 # and returns the value as the program uses it or raises ConfigError naming it.
@@ -119,7 +120,7 @@ _RULES = {
                "fixed_split": _pair, "root_branch_size": _int(), "tail_chain_len": _int()},
     "warmup": {"rounds": _int(0), "prompts_text": _list(_text), "prompts_tokens": _list(_tokens),
                "derive": _fields(count=_int(1), length=_int(1))},
-    "matrix": {"k": _int(0), "load": _text, "save": _text},
+    "matrix": {"k": _int(TEMPLATE_WIDTH), "load": _text, "save": _text},
     "calibration": {"grid": _by_depth(_list(_number))},
     "ablation": {"seeds": _list(_int(0)), "n_seeds": _int(0), "prompt_length": _int(1)},
     "output": {"json": _text, "csv": _text, "dump_trees": _text},
@@ -296,11 +297,9 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     decode = DecodeConfig(
         method=method,
         prune=prune,
-        k=matrix_cfg.get("k", 10),
         max_new_tokens=decode_cfg.get("max_new_tokens", 128),
         acceptance=decode_cfg.get("acceptance", "greedy"),
         seed=seed,
-        warmup_rounds=warm.get("rounds", 0),
         updates_enabled=decode_cfg.get("updates_enabled", True),
         prefill_update=decode_cfg.get("prefill_update", True),
         fixed_split=decode_cfg.get("fixed_split", (24, 36)),

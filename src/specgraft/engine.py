@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,8 +42,8 @@ from .retrieval import (
     filter_template,
     instantiate,
     new_matrix,
-    template_from_depth_counts,
     template_prefix,
+    warmup,
     write_rows,
 )
 from .verify import verify_greedy, verify_stochastic
@@ -86,11 +87,9 @@ class CostModel:
 class DecodeConfig:
     method: str = "graft"
     prune: PruneConfig = field(default_factory=PruneConfig)
-    k: int = 10
     max_new_tokens: int = 64
     acceptance: str = "greedy"
     seed: int = 0
-    warmup_rounds: int = 5
     updates_enabled: bool = True
     prefill_update: bool = True
     fixed_split: tuple[int, int] = (24, 36)
@@ -169,8 +168,8 @@ class CalibrationResult:
     objective_trace: list[tuple[dict[int, float], float]]
 
 
-def _resolve_templates(config: DecodeConfig) -> dict[str, StageTemplate]:
-    templates = builtin_templates(config.k)
+def _resolve_templates(config: DecodeConfig) -> Mapping[str, StageTemplate]:
+    templates = builtin_templates()
     if config.template_filter is not None:
         max_depth, max_rank = config.template_filter
         templates = {
@@ -180,11 +179,11 @@ def _resolve_templates(config: DecodeConfig) -> dict[str, StageTemplate]:
     return templates
 
 
-def _template_for_size(templates: dict[str, StageTemplate], size: int) -> StageTemplate:
+def _template_for_size(templates: Mapping[str, StageTemplate], size: int) -> StageTemplate:
     for t in templates.values():
         if t.declared_size == size:
             return t
-    return template_prefix(templates["full"], size, stage=f"prefix{size}")
+    return template_prefix(templates["full"], size)
 
 
 def build_next_tree(
@@ -192,7 +191,7 @@ def build_next_tree(
     draft: MarkovTableModel,
     matrix: TransitionMatrix,
     committed,
-    templates: dict[str, StageTemplate],
+    templates: Mapping[str, StageTemplate],
     before_read=None,
 ) -> tuple[HybridTree, dict]:
     """Next candidate tree for the configured method, plus build metadata.
@@ -513,7 +512,7 @@ def calibrate(
 # ---------------------------------------------------------------------------
 # theory checks
 
-_SMALL_TEMPLATE = template_from_depth_counts("d5", TEMPLATE_DEPTH_COUNTS["d5"])
+_SMALL_TEMPLATE = builtin_templates()["d5"]
 
 
 def _random_subset_tree(hy: HybridTree, rng: np.random.Generator, keep_prob: float) -> HybridTree:
@@ -572,7 +571,7 @@ def theory_checks(
         limit = int(rng.integers(1, max(tree.n_nodes - 1, 2)))
         retained = select_retained(tree, limit)
         pruned = draft_only(tree, retained, tree.n_nodes + 32)
-        tmpl = template_prefix(_SMALL_TEMPLATE, int(rng.integers(0, 12)), stage="rand")
+        tmpl = template_prefix(_SMALL_TEMPLATE, int(rng.integers(0, 12)))
         branch = instantiate(matrix, tmpl, tree.root_token)
         grafted = merge(tree, retained, branch, tree.n_nodes + 32)
         l_pruned = verify_greedy(target, prefix, pruned).accepted_len
@@ -636,10 +635,13 @@ class AblationFixture:
     warmed_matrix: TransitionMatrix
     prompts: dict[int, list[int]]  # seed -> prompt
     config: DecodeConfig
+    warmup_rounds: int  # the rounds that warmed ``warmed_matrix``, echoed into the rows that use it
     warmup_prompts: list[list[int]] = field(default_factory=list)
 
 
-def _run_variant(fixture: AblationFixture, variant: str, cfg: DecodeConfig, seed: int, matrix: TransitionMatrix) -> dict:
+def _run_variant(
+    fixture: AblationFixture, variant: str, cfg: DecodeConfig, seed: int, matrix: TransitionMatrix, warmup_rounds: int
+) -> dict:
     cfg = replace(cfg, seed=seed)
     _, report = decode_session(cfg, fixture.target, fixture.draft, matrix, fixture.prompts[seed])
     return {
@@ -647,7 +649,7 @@ def _run_variant(fixture: AblationFixture, variant: str, cfg: DecodeConfig, seed
         "method": cfg.method,
         "seed": seed,
         "acceptance": cfg.acceptance,
-        "warmup_rounds": cfg.warmup_rounds,
+        "warmup_rounds": warmup_rounds,
         "report": report,
     }
 
@@ -657,43 +659,29 @@ def run_ablation(suite: str, fixture: AblationFixture) -> list[dict]:
     if suite not in ABLATION_SUITES:
         raise ConfigError(f"unknown ablation suite {suite!r}; pick one of {ABLATION_SUITES}")
     base = fixture.config
-    tasks: list[tuple[str, DecodeConfig, int, TransitionMatrix]] = []
+    tasks: list[tuple[str, DecodeConfig, int, TransitionMatrix, int]] = []
+
+    def add(variant: str, cfg: DecodeConfig, matrix=fixture.warmed_matrix, rounds=fixture.warmup_rounds):
+        for seed in fixture.prompts:
+            tasks.append((variant, cfg, seed, matrix.copy(), rounds))
 
     if suite == "component":
-        variants = [
-            ("graft", replace(base, method="graft")),
-            ("w/o retrieval", replace(base, method="prune_only")),
-            ("w/o prune", replace(base, method="fixed_split")),
-            ("dense", replace(base, method="dense")),
-        ]
-        for name, cfg in variants:
-            for seed in fixture.prompts:
-                tasks.append((name, cfg, seed, fixture.warmed_matrix.copy()))
+        add("graft", replace(base, method="graft"))
+        add("w/o retrieval", replace(base, method="prune_only"))
+        add("w/o prune", replace(base, method="fixed_split"))
+        add("dense", replace(base, method="dense"))
     elif suite == "warmup":
-        from .retrieval import warmup
-
         for rounds in WARMUP_SWEEP:
-            matrix = new_matrix(fixture.target.vocab.size, base.k)
-            if rounds:
-                warmup(matrix, fixture.target, fixture.draft, fixture.warmup_prompts, rounds, config=base)
-            cfg = replace(base, method="graft", warmup_rounds=rounds)
-            for seed in fixture.prompts:
-                tasks.append((f"K={rounds}", cfg, seed, matrix.copy()))
+            matrix = new_matrix(fixture.target.vocab.size, fixture.warmed_matrix.k)
+            warmup(matrix, fixture.target, fixture.draft, fixture.warmup_prompts, rounds, config=base)
+            add(f"K={rounds}", replace(base, method="graft"), matrix, rounds)
     elif suite == "template":
         for depth in TEMPLATE_DEPTH_SWEEP:
-            cfg = replace(base, method="graft")
-            for seed in fixture.prompts:
-                tasks.append((f"d={depth}", replace(cfg, template_filter=(depth, None)), seed, fixture.warmed_matrix.copy()))
+            add(f"d={depth}", replace(base, method="graft", template_filter=(depth, None)))
         for width in TEMPLATE_WIDTH_SWEEP:
-            cfg = replace(base, method="graft")
-            for seed in fixture.prompts:
-                tasks.append((f"w={width}", replace(cfg, template_filter=(None, width)), seed, fixture.warmed_matrix.copy()))
+            add(f"w={width}", replace(base, method="graft", template_filter=(None, width)))
     else:  # temperature
-        for name, cfg in (
-            ("greedy", replace(base, method="graft", acceptance="greedy")),
-            ("T=1", replace(base, method="graft", acceptance="stochastic")),
-        ):
-            for seed in fixture.prompts:
-                tasks.append((name, cfg, seed, fixture.warmed_matrix.copy()))
+        add("greedy", replace(base, method="graft", acceptance="greedy"))
+        add("T=1", replace(base, method="graft", acceptance="stochastic"))
 
     return [_run_variant(fixture, *t) for t in tasks]

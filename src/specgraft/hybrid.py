@@ -149,7 +149,6 @@ def insert_tail_variant(tree: HybridTree, matrix: TransitionMatrix, budget: int,
     anchor = int(leaves[np.lexsort((leaves, -tree.scores[leaves], -tree.depths[leaves]))[0]])
 
     chain = StageTemplate(
-        stage="chain",
         parents=np.arange(-1, chain_len - 1, dtype=np.int32),
         ranks=np.zeros(chain_len, dtype=np.int32),
         depths=np.arange(1, chain_len + 1, dtype=np.int32),

@@ -150,9 +150,6 @@ class MarkovTableModel:
         """Row for the last ``order`` tokens of ``prefix`` (fallback if unseen)."""
         return self.rows[self.index.get(self.code_of(prefix), -1)]
 
-    def row_for_context(self, context) -> np.ndarray:
-        return self.rows[self.index.get(context_code(context, self.vocab.size), -1)]
-
     def _cache(self, caches: dict, k: int, dtypes) -> tuple:
         """``caches[k]``: one ``(n_rows, k)`` array per dtype and the set of
         filled row ids, allocated on first use.
@@ -202,10 +199,15 @@ def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0)
         raise InputError(f"order must be >= 0, got {order}")
     if not 0.0 <= sparsity < 1.0:
         raise InputError(f"sparsity must be in [0, 1), got {sparsity}")
-    if vocab.size ** (order + 1) > MAX_TABLE_CELLS:
+    cells = vocab.size
+    for _ in range(order):  # vocab^(order+1), multiplied up only while it fits (vocab >= 2)
+        cells *= vocab.size
+        if cells > MAX_TABLE_CELLS:
+            break
+    if cells > MAX_TABLE_CELLS:
         raise InputError(
-            f"markov table vocab^(order+1) = {vocab.size ** (order + 1)} cells is too large; "
-            "train an n-gram model from a corpus instead"
+            f"markov table vocab^(order+1) for vocab={vocab.size}, order={order} exceeds the "
+            f"{MAX_TABLE_CELLS}-cell ceiling; train an n-gram model from a corpus instead"
         )
     rng = np.random.default_rng(seed)
     rows = np.empty((vocab.size**order + 1, vocab.size))

@@ -5,6 +5,10 @@ successor ids seen so far after token t, in rank order, and a cold slot
 holds ``COLD``. Rows are refreshed wholesale from verified target rows
 (argtop-k with ties to the lower id, cached per target row).
 
+The builtin templates are constants, built once at import with read-only
+arrays: ``builtin_templates()`` returns them, and ``TEMPLATE_WIDTH`` is the
+narrowest matrix that realizes every one of their ranks.
+
 One function writes the matrix, :func:`write_rows`, from a
 ``{token: target row id}`` dict in which the last writer has already won.
 A decode session collects its verified nodes in such a dict and writes it
@@ -15,8 +19,9 @@ from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -90,7 +95,6 @@ def touched_bytes(matrix: TransitionMatrix) -> int:
 class StageTemplate:
     """Static rank-path topology, breadth-first, root excluded."""
 
-    stage: str
     parents: np.ndarray  # (n,) int32, -1 means the tree root
     ranks: np.ndarray  # (n,) int32
     depths: np.ndarray  # (n,) int32
@@ -114,7 +118,7 @@ class StageTemplate:
         return tuple(reversed(path))
 
 
-def template_from_depth_counts(stage: str, counts) -> StageTemplate:
+def template_from_depth_counts(counts) -> StageTemplate:
     """Build the unbalanced template realizing the per-depth node counts.
 
     Children are dealt to the previous layer in waves (one child per parent
@@ -145,24 +149,29 @@ def template_from_depth_counts(stage: str, counts) -> StageTemplate:
         prev_layer = layer
 
     return StageTemplate(
-        stage=stage,
         parents=np.array(parents, dtype=np.int32),
         ranks=np.array(ranks, dtype=np.int32),
         depths=np.array(depths, dtype=np.int32),
     )
 
 
-@lru_cache(maxsize=8)
-def builtin_templates(k: int) -> dict[str, StageTemplate]:
-    """The four shipped templates: sizes 80 (full), 52 (d0), 36 (d1), 20 (d5).
+def _frozen(template: StageTemplate) -> StageTemplate:
+    for array in (template.parents, template.ranks, template.depths):
+        array.flags.writeable = False
+    return template
 
-    Cached per k; callers must treat the returned templates as read-only.
-    """
-    templates = {name: template_from_depth_counts(name, counts) for name, counts in TEMPLATE_DEPTH_COUNTS.items()}
-    need = max(t.max_rank() for t in templates.values()) + 1
-    if k < need:
-        raise ConfigError(f"k={k} too small for builtin templates (need >= {need})")
-    return templates
+
+# the four shipped templates: sizes 80 (full), 52 (d0), 36 (d1), 20 (d5)
+_BUILTIN = MappingProxyType(
+    {name: _frozen(template_from_depth_counts(counts)) for name, counts in TEMPLATE_DEPTH_COUNTS.items()}
+)
+# matrix.k must be at least this wide for every builtin rank to be realizable
+TEMPLATE_WIDTH = max(t.max_rank() for t in _BUILTIN.values()) + 1
+
+
+def builtin_templates() -> Mapping[str, StageTemplate]:
+    """The four shipped templates by stage label, read-only down to their arrays."""
+    return _BUILTIN
 
 
 def filter_template(
@@ -189,23 +198,17 @@ def filter_template(
         ranks.append(int(template.ranks[i]))
         depths.append(int(template.depths[i]))
     return StageTemplate(
-        stage=f"{template.stage}|d<={max_depth},r<{max_rank}",
         parents=np.array(parents, dtype=np.int32),
         ranks=np.array(ranks, dtype=np.int32),
         depths=np.array(depths, dtype=np.int32),
     )
 
 
-def template_prefix(template: StageTemplate, size: int, stage: str | None = None) -> StageTemplate:
+def template_prefix(template: StageTemplate, size: int) -> StageTemplate:
     """Breadth-first prefix of a template (parents always precede children)."""
     if size >= template.declared_size:
         return template
-    return StageTemplate(
-        stage=stage or f"{template.stage}[:{size}]",
-        parents=template.parents[:size].copy(),
-        ranks=template.ranks[:size].copy(),
-        depths=template.depths[:size].copy(),
-    )
+    return StageTemplate(template.parents[:size], template.ranks[:size], template.depths[:size])
 
 
 @dataclass
@@ -250,46 +253,28 @@ def warmup(
     prompts,
     rounds: int,
     config=None,
-):
-    """Enrich the matrix with ``rounds`` full decode sessions over held-out
-    warm-up prompts, one prompt per round (cycling), discarding the text.
+) -> None:
+    """Enrich the matrix in place with ``rounds`` full decode sessions over
+    held-out warm-up prompts, one prompt per round (cycling), discarding the
+    text and the reports.
 
     Each round visits fresh held-out material, so touched-row storage grows
-    with the round count. The transcript carries per-round statistics and
-    the observed checkpoint confidences for threshold calibration. The
-    sessions run with ``config``, by default a graft ``DecodeConfig``.
+    with the round count. The sessions run with ``config``, by default a
+    graft ``DecodeConfig``.
     """
     from .engine import DecodeConfig, decode_session  # cycle: engine drives sessions
 
     if rounds < 0:
         raise InputError("rounds must be >= 0")
-    transcript = []
     if rounds == 0:
-        return matrix, transcript
+        return
     if config is None:
         config = DecodeConfig(method="graft")
     prompts = list(prompts)
     if not prompts:
         raise InputError("warm-up needs at least one prompt")
     for rnd in range(rounds):
-        confidences: dict[int, list[float]] = {d: [] for d in config.prune.checkpoints}
-        prompt = prompts[rnd % len(prompts)]
-        _, report = decode_session(config, target, draft, matrix, prompt)
-        for step in report.steps:
-            for d, c in step.get("confidence_trace", {}).items():
-                confidences[int(d)].append(c)
-        transcript.append(
-            {
-                "round": rnd,
-                "prompt_index": rnd % len(prompts),
-                "steps": report.steps_count,
-                "tokens": report.tokens_emitted,
-                "mat": report.mat,
-                "rows_touched": matrix.touched_rows(),
-                "confidences": {d: sorted(v) for d, v in confidences.items()},
-            }
-        )
-    return matrix, transcript
+        decode_session(config, target, draft, matrix, prompts[rnd % len(prompts)])
 
 
 # ---------------------------------------------------------------------------

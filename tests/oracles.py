@@ -6,6 +6,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from specgraft.models import context_code
+
+
+def context_row(model, context):
+    """The model's row for exactly ``context`` (the fallback row if it is not a known context)."""
+    return model.rows[model.index.get(context_code(context, model.vocab.size), -1)]
+
 
 def ar_greedy(target, prompt, n):
     """Pure autoregressive greedy decode of the target model."""

@@ -23,7 +23,7 @@ from specgraft.retrieval import TEMPLATE_DEPTH_COUNTS, builtin_templates, new_ma
 from specgraft.verify import first_token_frequencies, node_row_ids
 
 from .conftest import grow
-from .oracles import ar_greedy, enumerate_first_token_marginal
+from .oracles import ar_greedy, context_row, enumerate_first_token_marginal
 
 TREE_METHODS = ("dense", "prune_only", "fixed_split", "graft", "graft_root", "graft_tail")
 
@@ -83,10 +83,10 @@ def tiny_instance(i):
     if i % 2:
         matrix = new_matrix(vocab.size, 3)
         for t in range(vocab.size):
-            matrix.rows[t] = argtopk(target.row_for_context((t,)), matrix.k)
+            matrix.rows[t] = argtopk(context_row(target, (t,)), matrix.k)
         from specgraft.retrieval import template_from_depth_counts
 
-        template = template_prefix(template_from_depth_counts("tiny", (2, 1)), 3, stage="tiny")
+        template = template_prefix(template_from_depth_counts((2, 1)), 3)
         branch = instantiate(matrix, template, tree.root_token)
         hy = merge(tree, retained, branch, 9)
     else:
@@ -197,7 +197,7 @@ def test_criterion_5_budget_conservation(lossless_data, frontier_data):
     splits_ok = cfg.stage_budgets == {0: (8, 52), 1: (24, 36), 5: (40, 20)} and all(
         kd + kr == 60 for kd, kr in cfg.stage_budgets.values()
     )
-    templates = builtin_templates(10)
+    templates = builtin_templates()
     sizes_ok = {name: t.declared_size for name, t in templates.items()} == {
         "full": 80,
         "d0": 52,
@@ -209,7 +209,7 @@ def test_criterion_5_budget_conservation(lossless_data, frontier_data):
 
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        cli_main(["dump-templates", "--k", "10"])
+        cli_main(["dump-templates"])
     dump = buf.getvalue()
     dump_ok = all(f"nodes={n}" in dump for n in (80, 52, 36, 20)) and "8+10+8+6+5+4+4+4+3" in dump
     ok = not oversize and splits_ok and sizes_ok and counts_ok and dump_ok
@@ -291,7 +291,7 @@ def frontier_data():
         if rounds:
             warmup(m0, target, draft, warm_prompts, rounds=rounds, config=warm_cfg)
         for s in seeds:
-            cfg = replace(base, method="graft", seed=s, max_new_tokens=48, warmup_rounds=rounds)
+            cfg = replace(base, method="graft", seed=s, max_new_tokens=48)
             _, report = decode_session(cfg, target, draft, m0.copy(), sweep_prompts[s])
             sweep.append({"variant": f"K={rounds}", "rounds": rounds, "seed": s, "report": report})
 

@@ -155,7 +155,7 @@ class TestDecodeCommand:
 
 class TestOtherCommands:
     def test_dump_templates_counts(self, capsys):
-        assert run_cli("dump-templates", "--k", "10") == 0
+        assert run_cli("dump-templates") == 0
         out = capsys.readouterr().out
         for token in ("nodes=80", "nodes=52", "nodes=36", "nodes=20"):
             assert token in out
@@ -332,6 +332,7 @@ BAD_VALUES = [
     ("prune", "max_depth", 1_000_000),
     ("prune", "beam_width", 1_000_000),
     ("prune", "top_k", 2**20),
+    ("matrix", "k", 5),  # narrower than the builtin templates' ranks
 ]
 
 
@@ -379,6 +380,23 @@ class TestBadValues:
         # the envelope would preallocate 10**12 nodes (3.64 TiB of node arrays)
         prune = {"max_depth": 1_000_000, "beam_width": 1_000_000}
         _rejects_before_allocating(tmp_path, capsys, {"prune": prune}, ["decode"], ["prune.max_depth", "prune.beam_width"])
+
+    @pytest.mark.parametrize("command", [["matrix", "stats"], ["matrix", "save"]])
+    def test_narrow_matrix_exits_2_at_load(self, tmp_path, capsys, command):
+        # commands that never decode reject matrix.k below TEMPLATE_WIDTH too
+        doc = {**json.loads(json.dumps(BASE_DOC)), "matrix": {"k": 5}, "warmup": {"rounds": 0}}
+        out = tmp_path / "out"
+        assert run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(out), *command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "matrix.k must be an integer >= 8, got 5" in err
+        assert not out.exists()
+
+    def test_markov_order_ceiling_rejects_before_allocating(self, tmp_path, capsys):
+        # vocab**(order + 1) has about 1.4 billion digits: computing it took
+        # minutes, and printing it failed on the integer string limit
+        target = {**BASE_DOC["target"], "order": 10**9}
+        _rejects_before_allocating(tmp_path, capsys, {"target": target}, ["decode"], ["markov table"])
 
     def test_ngram_table_ceiling_rejects_before_allocating(self, tmp_path, capsys):
         # one token id of 10**15 makes an ints corpus's vocab 10**15 + 1, so
@@ -544,8 +562,8 @@ _ANY_INT = st.integers(-5, 40) | st.integers(-(2**63), 2**63)
 
 
 class TestFlagFuzz:
-    """Any value of ``theory --trials`` (small: trials set the work), ``dump-templates
-    --k`` or ``--seed`` exits 0 or 2 with one error line, never a traceback."""
+    """Any value of ``theory --trials`` (small: trials set the work), ``--seed``
+    or a config's ``matrix.k`` exits 0 or 2 with one error line, never a traceback."""
 
     @given(
         st.one_of(
@@ -557,11 +575,15 @@ class TestFlagFuzz:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_one_flag(self, tmp_path, capsys, case):
         flag, value = case
-        argv = {
-            "trials": ["theory", "--trials", str(value)],
-            "k": ["dump-templates", "--k", str(value)],
-            "seed": ["--seed", str(value), "theory", "--trials", "2"],
-        }[flag]
+        if flag == "k":
+            doc = {**json.loads(json.dumps(BASE_DOC)), "matrix": {"k": value}}
+            doc["decode"]["max_new_tokens"] = 4
+            argv = ["--config", _write_doc(tmp_path, doc), "decode"]
+        else:
+            argv = {
+                "trials": ["theory", "--trials", str(value)],
+                "seed": ["--seed", str(value), "theory", "--trials", "2"],
+            }[flag]
         capsys.readouterr()
         rc = run_cli("--out-dir", str(tmp_path / "out"), *argv)
         err = capsys.readouterr().err

@@ -34,6 +34,7 @@ from .oracles import (
     ar_greedy,
     canonical_form,
     closure_topk_iterative,
+    context_row,
     greedy_chain_walk,
     new_tree,
     reference_draft_builder,
@@ -140,7 +141,7 @@ class TestDecodeSession:
 class TestBuildNextTree:
     def test_graft_stage_none_has_no_retrieval(self, det4):
         cfg = DecodeConfig(method="graft")
-        templates = builtin_templates(10)
+        templates = builtin_templates()
         hy, info = build_next_tree(cfg, det4, full_matrix(4, 10), [0], templates)
         assert info["stage"] == "none"
         assert hy.counts_by_origin()[1] == 0
@@ -156,7 +157,7 @@ class TestBuildNextTree:
         prune = PruneConfig(thresholds={0: 1e-9, 1: 0.999999, 5: 0.51})
         cfg = DecodeConfig(method="graft", prune=prune)
         matrix = full_matrix(64, 10, shift=32)
-        hy, info = build_next_tree(cfg, draft, matrix, [0], builtin_templates(10))
+        hy, info = build_next_tree(cfg, draft, matrix, [0], builtin_templates())
         assert info["stage"] == "d1"
         n_draft, n_retrieved = hy.counts_by_origin()
         # the d1 split is (24, 36); under the width-10 layer beam the
@@ -171,7 +172,7 @@ class TestBuildNextTree:
         target, draft = seeded_pair(seed=23)
         prune = PruneConfig(thresholds={0: 0.999999, 1: 0.13, 5: 0.51})
         cfg = DecodeConfig(method="prune_only", prune=prune)
-        hy, info = build_next_tree(cfg, draft, new_matrix(24, 10), [0], builtin_templates(10))
+        hy, info = build_next_tree(cfg, draft, new_matrix(24, 10), [0], builtin_templates())
         assert info["stage"] == "d0"
         assert hy.n_candidates == 8
         # oracle: re-run the stage resolution independently
@@ -182,7 +183,7 @@ class TestBuildNextTree:
     def test_fixed_split_uses_constant_split(self):
         target, draft = seeded_pair(seed=29)
         cfg = DecodeConfig(method="fixed_split", fixed_split=(24, 36))
-        hy, info = build_next_tree(cfg, draft, full_matrix(24, 10, shift=13), [0], builtin_templates(10))
+        hy, info = build_next_tree(cfg, draft, full_matrix(24, 10, shift=13), [0], builtin_templates())
         n_draft, _ = hy.counts_by_origin()
         assert n_draft <= 24
         assert info["stage"] == "none"
@@ -233,7 +234,7 @@ class TestBoundedContext:
         matrix = full_matrix(12, 10, shift=5)
         long = [int(t) for t in np.random.default_rng(order).integers(0, 12, size=20_000)]
         short = long[-order:]
-        templates = builtin_templates(10)
+        templates = builtin_templates()
         hy_long, info_long = build_next_tree(cfg, draft, matrix, long, templates)
         hy_short, info_short = build_next_tree(cfg, draft, matrix, short, templates)
         assert info_long == info_short
@@ -531,7 +532,7 @@ class TestMetrics:
 
     def test_coverage_gain_matches_row_sum_oracle(self):
         target, _ = seeded_pair(seed=42)
-        p = target.row_for_context((2,))
+        p = context_row(target, (2,))
         drafted = [0, 5, 7]
         retrieved = [5, 9, 11, 7, 9]
         expect = sum(p[t] for t in {9, 11})
@@ -683,6 +684,7 @@ def mini_fixture(max_new_tokens=32, seeds=(0, 1)):
         warmed_matrix=matrix,
         prompts=prompts,
         config=cfg,
+        warmup_rounds=2,
         warmup_prompts=warm_prompts,
     )
 
@@ -696,10 +698,12 @@ class TestAblation:
         assert methods["w/o retrieval"] == "prune_only"
         assert methods["w/o prune"] == "fixed_split"
         assert len(rows) == 4 * 2  # variants x seeds
+        assert {r["warmup_rounds"] for r in rows} == {2}  # the fixture's warm-up
 
     def test_warmup_suite_round_set(self):
         rows = run_ablation("warmup", mini_fixture(max_new_tokens=16, seeds=(0,)))
         assert {r["variant"] for r in rows} == {f"K={k}" for k in (0, 1, 3, 5, 10, 25, 50)}
+        assert all(r["variant"] == f"K={r['warmup_rounds']}" for r in rows)
 
     def test_template_suite_sweeps_depth_and_width(self):
         rows = run_ablation("template", mini_fixture(max_new_tokens=16, seeds=(0,)))

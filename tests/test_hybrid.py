@@ -61,7 +61,7 @@ def seeded_setup(vocab=64, seed=42, prefix=(3,), prune=None):
 
 def size_zero_branch(root):
     """A branch instantiated from a size-0 template."""
-    return instantiate(new_matrix(64, 10), template_prefix(builtin_templates(10)["d5"], 0, stage="empty"), root)
+    return instantiate(new_matrix(64, 10), template_prefix(builtin_templates()["d5"], 0), root)
 
 
 def root_variant(tree, branch, budget):
@@ -96,7 +96,7 @@ class TestMerge:
         tree, decision = resolve_stage(draft, [0], prune)
         assert decision.stage == 0 and len(decision.retained) == 9
         matrix = full_matrix(64, 10, shift=32)
-        branch = instantiate(matrix, builtin_templates(10)["d0"], tree.root_token)
+        branch = instantiate(matrix, builtin_templates()["d0"], tree.root_token)
         merged = merge(tree, decision.retained, branch, prune.total_budget)
         n_draft, n_retrieved = merged.counts_by_origin()
         assert (n_draft, n_retrieved) == (8, 52)
@@ -114,7 +114,7 @@ class TestMerge:
         matrix = new_matrix(16, 2)
         matrix.rows[0] = [7, 3]
         matrix.rows[7] = [9, 4]
-        template = builtin_templates(10)["d5"]
+        template = builtin_templates()["d5"]
         from specgraft.retrieval import template_prefix
 
         branch = instantiate(matrix, template_prefix(template, 5), 0)
@@ -149,7 +149,7 @@ class TestMerge:
     def test_root_mismatch_rejected(self):
         _, tree, prune = seeded_setup()
         matrix = full_matrix(64, 10)
-        branch = instantiate(matrix, builtin_templates(10)["d5"], root=(tree.root_token + 1) % 64)
+        branch = instantiate(matrix, builtin_templates()["d5"], root=(tree.root_token + 1) % 64)
         with pytest.raises(StructureError):
             merge(tree, select_retained(tree, 10), branch, prune.total_budget)
 
@@ -209,7 +209,7 @@ class TestStaticVariants:
         _, tree, prune = seeded_setup(seed=23)
         matrix = full_matrix(64, 10, shift=29)
         with pytest.raises(ConfigError):  # no depth-count template is this deep
-            template_from_depth_counts("chain", [1] * 12)
+            template_from_depth_counts([1] * 12)
         hy = insert_tail_variant(tree, matrix, prune.total_budget, chain_len=12)
         assert hy.counts_by_origin() == (48, 12)
         chain = np.flatnonzero(hy.origin == ORIGIN_RETRIEVED)
@@ -222,7 +222,7 @@ class TestStaticVariants:
     def test_root_eviction_matches_closure_oracle(self):
         _, tree, prune = seeded_setup(seed=31)
         matrix = full_matrix(64, 10, shift=41)
-        branch = instantiate(matrix, builtin_templates(10)["d5"], tree.root_token)
+        branch = instantiate(matrix, builtin_templates()["d5"], tree.root_token)
         assert branch.realized_count == 20
         hy = root_variant(tree, branch, prune.total_budget)
         kept_oracle = closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), prune.total_budget - 20)
@@ -240,7 +240,7 @@ class TestStaticVariants:
         dense = draft_only(tree, select_retained(tree, prune.total_budget), prune.total_budget)
         matrix = full_matrix(64, 10, shift=45)
         _, decision = resolve_stage(build_markov(VocabSpec(64), 1, seed=37), [3], prune)
-        branch = instantiate(matrix, builtin_templates(10)["d0"], tree.root_token)
+        branch = instantiate(matrix, builtin_templates()["d0"], tree.root_token)
         merged = merge(tree, decision.retained, branch, prune.total_budget)
         dense_paths = path_token_sets(dense.tokens, dense.parents)
         merged_paths = path_token_sets(merged.tokens, merged.parents)
@@ -253,7 +253,7 @@ class TestStaticVariants:
             _, tree, prune = seeded_setup(vocab=vocab, seed=int(rng.integers(1000)))
             matrix = full_matrix(vocab, 10, shift=int(rng.integers(1, vocab)))
             for builder in (
-                lambda: root_variant(tree, instantiate(matrix, builtin_templates(10)["d5"], tree.root_token), 60),
+                lambda: root_variant(tree, instantiate(matrix, builtin_templates()["d5"], tree.root_token), 60),
                 lambda: insert_tail_variant(tree, matrix, 60, 8),
             ):
                 assert builder().n_candidates <= 60
@@ -328,8 +328,8 @@ def _random_matrix(rng, vocab):
 
 def _random_template(rng):
     """A breadth-first prefix, possibly empty, of a builtin template."""
-    template = builtin_templates(10)[("full", "d0", "d1", "d5")[int(rng.integers(4))]]
-    return template_prefix(template, int(rng.integers(0, template.declared_size + 1)), stage="rand")
+    template = builtin_templates()[("full", "d0", "d1", "d5")[int(rng.integers(4))]]
+    return template_prefix(template, int(rng.integers(0, template.declared_size + 1)))
 
 
 def _assert_matches_reference(hy, expect):
@@ -381,7 +381,7 @@ class TestBulkAssembly:
     def test_rejects_open_and_oversized_sets(self):
         _, tree, _ = seeded_setup()
         deep = int(np.flatnonzero(tree.depths == 2)[0])
-        branch = instantiate(full_matrix(64, 10), builtin_templates(10)["d5"], tree.root_token)
+        branch = instantiate(full_matrix(64, 10), builtin_templates()["d5"], tree.root_token)
         for build in (draft_only, lambda tree, retained, budget: merge(tree, retained, branch, budget)):
             with pytest.raises(StructureError, match="parent-closed"):
                 build(tree, [0, deep], 60)

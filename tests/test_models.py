@@ -23,6 +23,7 @@ from specgraft.models import (
 from specgraft.verify import node_row_ids
 
 from .conftest import delta, grow
+from .oracles import context_row
 
 
 class TestVocabSpec:
@@ -48,7 +49,7 @@ class TestNextDistribution:
         vocab = VocabSpec(8)
         model = build_markov(vocab, 1, seed=123)
         rebuilt = build_markov(vocab, 1, seed=123)
-        assert np.array_equal(model.next_distribution([0]), rebuilt.row_for_context((0,)))
+        assert np.array_equal(model.next_distribution([0]), context_row(rebuilt, (0,)))
 
     def test_out_of_range_token(self, det4):
         with pytest.raises(InputError):
@@ -76,17 +77,17 @@ class TestBuildMarkov:
 class TestTrainNgram:
     def test_abab_exact(self):
         model = train_ngram(VocabSpec(4), [0, 1, 0, 1], order=1, smoothing=0.0)
-        assert model.row_for_context((0,))[1] == 1.0
-        assert model.row_for_context((1,))[0] == 1.0
+        assert context_row(model, (0,))[1] == 1.0
+        assert context_row(model, (1,))[0] == 1.0
 
     def test_abab_addone(self):
         model = train_ngram(VocabSpec(4), [0, 1, 0, 1], order=1, smoothing=1.0)
         # two (0 -> 1) transitions: (2+1)/(2+4)
-        assert model.row_for_context((0,))[1] == pytest.approx(0.5, abs=1e-12)
+        assert context_row(model, (0,))[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_order0_unigram(self):
         model = train_ngram(VocabSpec(4), [0, 0, 1, 2], order=0, smoothing=0.0)
-        assert np.allclose(model.row_for_context(()), [0.5, 0.25, 0.25, 0.0])
+        assert np.allclose(context_row(model, ()), [0.5, 0.25, 0.25, 0.0])
 
     def test_empty_corpus(self):
         with pytest.raises(InputError):
@@ -102,7 +103,7 @@ class TestDeriveDraft:
         for mode in ("temperature-smooth", "uniform-mix"):
             out = derive_draft(det4, DraftDerivation(mode, 0.0))
             for t in range(4):
-                assert np.allclose(out.row_for_context((t,)), det4.row_for_context((t,)), atol=1e-12)
+                assert np.allclose(context_row(out, (t,)), context_row(det4, (t,)), atol=1e-12)
 
     def test_full_uniform_mix(self, det4):
         out = derive_draft(det4, DraftDerivation("uniform-mix", 1.0))
@@ -111,7 +112,7 @@ class TestDeriveDraft:
 
     def test_half_mix_on_det4(self, det4):
         out = derive_draft(det4, DraftDerivation("uniform-mix", 0.5))
-        assert np.allclose(out.row_for_context((0,)), [0.125, 0.625, 0.125, 0.125], atol=1e-12)
+        assert np.allclose(context_row(out, (0,)), [0.125, 0.625, 0.125, 0.125], atol=1e-12)
 
     def test_context_truncate_drops_order(self):
         model = build_markov(VocabSpec(4), 2, seed=5)
@@ -119,15 +120,15 @@ class TestDeriveDraft:
         assert out.order == 0
         # reduced row is the uniform average over all length-2 contexts
         expect = np.mean(model.rows[:-1], axis=0)
-        assert np.allclose(out.row_for_context(()), expect, atol=1e-12)
+        assert np.allclose(context_row(out, ()), expect, atol=1e-12)
 
     def test_context_truncate_partial(self):
         model = build_markov(VocabSpec(4), 2, seed=5)
         out = derive_draft(model, DraftDerivation("context-truncate", 0.5))
         assert out.order == 1  # 2 - round(0.5 * 2)
         for last in range(4):
-            group = [model.row_for_context((first, last)) for first in range(4)]
-            assert np.allclose(out.row_for_context((last,)), np.mean(group, axis=0), atol=1e-12)
+            group = [context_row(model, (first, last)) for first in range(4)]
+            assert np.allclose(context_row(out, (last,)), np.mean(group, axis=0), atol=1e-12)
 
     @given(
         st.sampled_from(["temperature-smooth", "uniform-mix"]),
@@ -197,7 +198,7 @@ class TestContextCodes:
         tokens = st.integers(0, size - 1)
         ctx = data.draw(st.lists(tokens, max_size=order + 2))
         assert model.row_ids([context_code(ctx, size)]) == [row_id(ctx)]
-        assert np.array_equal(model.row_for_context(ctx), model.rows[row_id(ctx)])
+        assert np.array_equal(context_row(model, ctx), model.rows[row_id(ctx)])
         assert np.array_equal(model.next_distribution(ctx), model.rows[row_id(context_of(ctx))])
 
         prefix = data.draw(st.lists(tokens, min_size=1, max_size=order + 2))

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specgraft.engine import DecodeConfig, decode_session
-from specgraft.errors import ConfigError, InputError, StructureError
+from specgraft.errors import InputError, StructureError
 from specgraft.models import DraftDerivation, VocabSpec, argtopk, build_markov, context_code, derive_draft, train_ngram
 from specgraft.cli import main
 from specgraft.retrieval import (
     COLD,
     MAGIC,
     TEMPLATE_DEPTH_COUNTS,
+    TEMPLATE_WIDTH,
     builtin_templates,
     filter_template,
     instantiate,
@@ -30,7 +31,7 @@ from specgraft.retrieval import (
 )
 
 from .conftest import table_model
-from .oracles import template_walk_realized
+from .oracles import context_row, template_walk_realized
 from .test_report_digests import CONFIGS, _warmed
 
 
@@ -50,7 +51,7 @@ def write_dist(m, token, dist):
 
 class TestTemplates:
     def test_shipped_counts(self):
-        templates = builtin_templates(10)
+        templates = builtin_templates()
         assert templates["full"].declared_size == 80
         assert templates["d0"].declared_size == 52
         assert templates["d1"].declared_size == 36
@@ -59,21 +60,21 @@ class TestTemplates:
             assert tuple(t.depth_counts()) == TEMPLATE_DEPTH_COUNTS[name]
 
     def test_depth1_counts_match_first_term(self):
-        for name, t in builtin_templates(10).items():
+        for name, t in builtin_templates().items():
             assert t.depth_counts()[0] == TEMPLATE_DEPTH_COUNTS[name][0]
 
     def test_rank0_chain_reaches_depth9(self):
-        for t in builtin_templates(10).values():
+        for t in builtin_templates().values():
             deepest = [i for i in range(t.declared_size) if t.depths[i] == 9]
             assert any(t.rank_path(i) == (0,) * 9 for i in deepest)
 
     def test_d5_deepest_chain_length(self):
-        t = builtin_templates(10)["d5"]
+        t = builtin_templates()["d5"]
         assert t.declared_size == 20
         assert int(t.depths.max()) == 9
 
     def test_low_rank_paths_get_more_children(self):
-        t = builtin_templates(10)["full"]
+        t = builtin_templates()["full"]
         kids = {i: 0 for i in range(-1, t.declared_size)}
         for i in range(t.declared_size):
             kids[int(t.parents[i])] += 1
@@ -84,17 +85,25 @@ class TestTemplates:
             counts = [kids[i] for i in layer]
             assert counts[0] == max(counts)
 
-    def test_k_too_small(self):
-        with pytest.raises(ConfigError):
-            builtin_templates(4)
+    def test_template_width_is_widest_rank_plus_one(self):
+        assert TEMPLATE_WIDTH == max(t.max_rank() for t in builtin_templates().values()) + 1 == 8
+
+    def test_builtins_are_read_only(self):
+        assert builtin_templates() is builtin_templates()
+        for t in builtin_templates().values():
+            for array in (t.parents, t.ranks, t.depths):
+                with pytest.raises(ValueError):
+                    array[0] = 1
+        with pytest.raises(TypeError):
+            builtin_templates()["d5"] = builtin_templates()["d0"]
 
     def test_prefix_is_parent_closed(self):
-        t = template_prefix(builtin_templates(10)["full"], 17)
+        t = template_prefix(builtin_templates()["full"], 17)
         assert t.declared_size == 17
         assert all(t.parents[i] < i for i in range(17))
 
     def test_filter_by_depth_and_rank(self):
-        t = builtin_templates(10)["full"]
+        t = builtin_templates()["full"]
         shallow = filter_template(t, max_depth=2)
         assert int(shallow.depths.max()) == 2
         assert shallow.declared_size == 8 + 16
@@ -133,7 +142,7 @@ class TestLookupAndUpdate:
 
     def test_topk_matches_sort_oracle(self):
         model = build_markov(VocabSpec(16), 1, seed=42)
-        row = model.row_for_context((2,))
+        row = context_row(model, (2,))
         m = new_matrix(16, 3)
         write_dist(m, 2, row)
         expect = sorted(range(16), key=lambda t: (-row[t], t))[:3]
@@ -262,7 +271,7 @@ class TestLookupAndUpdate:
         decode_session(cfg, target, target, matrix, [3])
         written = np.flatnonzero((matrix.rows != COLD).all(axis=1))
         assert written.size > 5
-        expect = [argtopk(target.row_for_context((int(t),)), matrix.k) for t in written]
+        expect = [argtopk(context_row(target, (int(t),)), matrix.k) for t in written]
         assert [r.tolist() for r in matrix.rows[written]] == [r.tolist() for r in expect]
         assert any((np.diff(r) < 0).any() for r in expect)  # some rank order is not token order
 
@@ -299,20 +308,20 @@ class TestLookupAndUpdate:
 class TestInstantiate:
     def test_full_matrix_realizes_everything(self):
         m = full_matrix(64, 10)
-        for t in builtin_templates(10).values():
+        for t in builtin_templates().values():
             branch = instantiate(m, t, root=7)
             assert branch.realized_count == t.declared_size
 
     def test_fresh_matrix_realizes_nothing(self):
         m = new_matrix(16, 10)
-        branch = instantiate(m, builtin_templates(10)["d5"], root=3)
+        branch = instantiate(m, builtin_templates()["d5"], root=3)
         assert branch.realized_count == 0
 
     def test_rank0_only_matches_walk_oracle(self):
         m = new_matrix(32, 10)
         for t in range(32):
             m.rows[t, 0] = (t + 1) % 32
-        template = builtin_templates(10)["d1"]
+        template = builtin_templates()["d1"]
         branch = instantiate(m, template, root=0)
         expect = template_walk_realized(template, m.rows, root=0)
         assert branch.realized_count == expect
@@ -323,7 +332,7 @@ class TestInstantiate:
         m = new_matrix(32, 10)
         mask = rng.random((32, 10)) < 0.5
         m.rows[:] = np.where(mask, rng.integers(0, 32, size=(32, 10)), COLD)
-        template = builtin_templates(10)["d0"]
+        template = builtin_templates()["d0"]
         branch = instantiate(m, template, root=1)
         for i in range(template.declared_size):
             p = int(template.parents[i])
@@ -336,18 +345,13 @@ class TestWarmup:
     def test_zero_rounds_is_identity(self, det4):
         m = new_matrix(4, 2)
         draft = det4
-        out, transcript = warmup(m, det4, draft, [[0]], rounds=0)
-        assert out.touched_rows() == 0
-        assert transcript == []
-
-    def test_default_rounds_is_five(self):
-        assert DecodeConfig().warmup_rounds == 5
+        assert warmup(m, det4, draft, [[0]], rounds=0) is None
+        assert m.touched_rows() == 0
 
     def test_one_round_on_det4(self, det4):
         m = new_matrix(4, 2)
         cfg = DecodeConfig(method="graft", max_new_tokens=12, prune=_small_prune())
-        out, transcript = warmup(m, det4, det4, [[0]], rounds=1, config=cfg)
-        assert len(transcript) == 1
+        assert warmup(m, det4, det4, [[0]], rounds=1, config=cfg) is None
         for t in range(4):
             if m.rows[t, 0] != COLD:
                 assert m.rows[t, 0] == (t + 1) % 4
@@ -366,12 +370,24 @@ class TestWarmup:
         m = new_matrix(32, 4)
         cfg = DecodeConfig(method="graft", max_new_tokens=12, prune=_small_prune())
         prompts = [[t] for t in range(0, 30, 6)]
-        _, transcript = warmup(m, target, target, prompts, rounds=5, config=cfg)
-        assert [t["round"] for t in transcript] == list(range(5))
-        assert [t["prompt_index"] for t in transcript] == [0, 1, 2, 3, 4]
-        touched = [t["rows_touched"] for t in transcript]
+        touched = []
+        for rounds in range(1, 6):
+            m = new_matrix(32, 4)
+            warmup(m, target, target, prompts, rounds=rounds, config=cfg)
+            touched.append(m.touched_rows())
         assert touched == sorted(touched)  # coverage only grows with rounds
         assert touched[-1] > touched[0]
+
+    def test_rounds_cycle_through_the_prompts(self):
+        target = build_markov(VocabSpec(32), 1, seed=15, sparsity=0.3)
+        cfg = DecodeConfig(method="graft", max_new_tokens=12, prune=_small_prune())
+        prompts = [[t] for t in range(0, 30, 6)]
+        m = new_matrix(32, 4)
+        warmup(m, target, target, prompts, rounds=7, config=cfg)
+        replay = new_matrix(32, 4)
+        for r in range(7):
+            decode_session(cfg, target, target, replay, prompts[r % 5])
+        assert np.array_equal(m.rows, replay.rows)
 
 
 def _small_prune():
@@ -478,7 +494,7 @@ class TestSnapshot:
         m = load_matrix(path)
         assert rows[7, 0] == 8 and m.rows[7, 0] == COLD
         assert np.array_equal(m.rows != COLD, warm)
-        template = builtin_templates(10)["d5"]
+        template = builtin_templates()["d5"]
         assert (template.parents[0], template.ranks[0]) == (-1, 0)  # root 7's rank-0 successor
         branch = instantiate(m, template, root=7)
         assert branch.tokens[0] == COLD

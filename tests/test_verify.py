@@ -16,7 +16,7 @@ from specgraft.verify import (
 )
 
 from .conftest import delta, grow, table_model
-from .oracles import ar_greedy, children_of, enumerate_first_token_marginal, greedy_chain_walk
+from .oracles import ar_greedy, children_of, context_row, enumerate_first_token_marginal, greedy_chain_walk
 from .test_drafttree import dyadic_model
 
 
@@ -116,7 +116,7 @@ class TestVerifyGreedy:
         dyadic = dyadic_model(5, order, seed)
         rng = np.random.default_rng(seed)
         contexts = itertools.product(range(5), repeat=order)  # the order dyadic_model fills its table in
-        table = {ctx: dyadic.row_for_context(ctx) for ctx in contexts if rng.random() < 0.7}
+        table = {ctx: context_row(dyadic, ctx) for ctx in contexts if rng.random() < 0.7}
         target = table_model(5, order, table)
         prefix = [int(t) for t in rng.integers(0, 5, size=order)]
         tree = grow(target, prefix, depth=4, top_k=3, beam=20)
