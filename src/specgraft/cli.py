@@ -27,7 +27,7 @@ from .engine import (
     run_ablation,
     theory_checks,
 )
-from .errors import InputError, SpecGraftError, StructureError
+from .errors import AnalysisError, InputError, SpecGraftError, StructureError
 from .hybrid import render_tree
 from .retrieval import (
     TEMPLATE_DEPTH_COUNTS,
@@ -93,9 +93,12 @@ def _command_name(configured: str | None, default_name: str) -> str:
 def _write_report(args, path: str, document: dict) -> None:
     document["generated_at"] = datetime.now(timezone.utc).isoformat() if args.timestamps else None
     jsonschema.validate(document, _schema())
+    try:
+        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # an inf or NaN, say a speedup proxy overflowed by a huge cost
+        raise AnalysisError(f"{path}: the report would hold a non-finite number, which JSON cannot store") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _run_row(report: DecodeReport, method: str, seed: int, acceptance: str, warmup_rounds: int,

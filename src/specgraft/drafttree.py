@@ -32,15 +32,34 @@ def stage_label(checkpoint) -> str:
     return STAGE_NONE if checkpoint is None else f"d{checkpoint}"
 
 
+def node_depths(parents: np.ndarray, top: int) -> np.ndarray:
+    """(n,) int32 depths of a parent-before-child node list: ``top`` for a
+    node whose parent is -1, one more than its parent's for the others."""
+    depths: list[int] = []
+    for parent in parents.tolist():
+        depths.append(top if parent < 0 else depths[parent] + 1)
+    return np.array(depths, dtype=np.int32)
+
+
 @dataclass
 class HybridTree:
     """A tree in canonical order rooted at the last committed token."""
 
     tokens: np.ndarray  # (n,) int32, root first
     parents: np.ndarray  # (n,) int32, root parent -1
-    depths: np.ndarray  # (n,) int32
-    origin: np.ndarray  # (n,) int8
     scores: np.ndarray  # (n,) float64 path scores; NaN for retrieved nodes
+
+    @cached_property
+    def depths(self) -> np.ndarray:
+        """(n,) int32: the root is at depth 0."""
+        return node_depths(self.parents, 0)
+
+    @cached_property
+    def origin(self) -> np.ndarray:
+        """(n,) int8: ``ORIGIN_RETRIEVED`` where the score is NaN, else
+        ``ORIGIN_DRAFT``. A drafted score is never NaN: a zero-probability
+        candidate costs ``+inf`` and is cut at the beam."""
+        return np.isnan(self.scores).astype(np.int8)
 
     @property
     def n_nodes(self) -> int:
@@ -66,8 +85,7 @@ class HybridTree:
 
         Breadth-first storage puts each node's children together and keeps
         ``parents[1:]`` nondecreasing, so no sort is needed and no index
-        array either. ``hybrid._Builder.finish`` fills this cache as it
-        emits a tree.
+        array either. ``hybrid.graft`` fills this cache as it emits a tree.
         """
         parents = self.parents[1:]
         if (parents[1:] < parents[:-1]).any():
@@ -197,10 +215,10 @@ def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[i
     row_of, fallback = draft.index.get, draft.rows.shape[0] - 1
     k = min(top_k, draft.vocab.size)
     cost = np.array([-0.0])  # negated back, the root's score is +0.0
-    tokens, parents, depths, costs = [context[-1]], [ROOT_PARENT], [0], [cost]
+    tokens, parents, costs = [context[-1]], [ROOT_PARENT], [cost]
     trace: dict[int, float] = {}
     stage: int | None = None
-    lo, hi = 0, 1
+    lo = 0  # the frontier layer's first node
     for depth, beam_width in enumerate(beams, 1):
         top, logq = draft.topk_by_token(frontier, k)
         # candidate j is token top[j // k, j % k]; zero-probability ones cost +inf
@@ -227,18 +245,16 @@ def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[i
             parents.append(parent)
             codes.append(code)
             frontier.append(row_of(code, fallback))
+        lo = len(tokens)  # the new layer is the next frontier
         tokens += layer
-        depths += [depth] * len(layer)
         costs.append(cost)
-        lo, hi = hi, hi + len(layer)
         checkpoint = depth - 1
         if checkpoint in gates:
             trace[checkpoint] = conf = float(np.exp(-cost.min()))
             if not evaluate_gate(conf, gates[checkpoint]):
                 stage = checkpoint
                 break
-    arrays = (np.array(a, dtype=np.int32) for a in (tokens, parents, depths))
-    tree = HybridTree(*arrays, np.full(hi, ORIGIN_DRAFT, dtype=np.int8), -np.concatenate(costs))
+    tree = HybridTree(np.array(tokens, dtype=np.int32), np.array(parents, dtype=np.int32), -np.concatenate(costs))
     return tree, stage, trace
 
 
@@ -252,9 +268,9 @@ def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tupl
     """Expand with gates per the pruning policy and pick the stage.
 
     A checkpoint d is evaluated right after layer d+1 is drafted, on that
-    layer's confidence; the first failed gate stops expansion. With no
-    failed gate the tree reaches ``max_depth`` and the stage is ``None``.
-    Only the last ``max(draft.order, 1)`` tokens of ``context`` are read.
+    layer's confidence; the first failed gate stops expansion, after d + 1
+    layers. With no failed gate the tree reaches ``max_depth`` and the stage
+    is ``None``. Only the last ``max(draft.order, 1)`` tokens of ``context`` are read.
     """
     gates = {d: config.thresholds[d] for d in config.checkpoints}
     tree, stage, trace = _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, gates)
@@ -262,5 +278,5 @@ def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tupl
         stage=stage,
         confidence_trace=trace,
         retained=select_retained(tree, config.draft_budget(stage)),
-        layers_drafted=int(tree.depths[-1]),
+        layers_drafted=config.max_depth if stage is None else stage + 1,
     )

@@ -28,8 +28,8 @@ from .drafttree import (
 )
 from .errors import AnalysisError, ConfigError, InputError
 from .hybrid import (
-    _Builder,
     draft_only,
+    graft,
     insert_tail_variant,
     merge,
 )
@@ -113,9 +113,9 @@ class DecodeConfig:
         kd, kr = self.fixed_split
         if kd < 0 or kr < 0:
             raise ConfigError(f"decode.fixed_split halves must be >= 0, got {kd}+{kr}")
-        if kd + kr != self.prune.total_budget:
+        if self.method == "fixed_split" and kd + kr != self.prune.total_budget:
             raise ConfigError(
-                f"fixed split {kd}+{kr} must equal the total budget {self.prune.total_budget}"
+                f"decode.fixed_split {kd}+{kr} must equal prune.total_budget {self.prune.total_budget}"
             )
         # graft fills the slots a failed gate at checkpoint d frees from the builtin template "d<d>"
         missing = [d for d in self.prune.checkpoints if stage_label(d) not in TEMPLATE_DEPTH_COUNTS]
@@ -284,9 +284,9 @@ def _dense_union_replay(
     prune = config.prune
     tree = expand_full(draft, committed, prune)
     budget = prune.total_budget + method_tree.n_candidates
-    builder = _Builder(tree, select_retained(tree, prune.total_budget), budget)
-    builder.graft(0, method_tree.parents[1:] - 1, method_tree.tokens[1:])
-    return verify_greedy(target, committed, builder.finish()).accepted_len
+    retained = select_retained(tree, prune.total_budget)
+    union = graft(tree, retained, budget, 0, method_tree.parents[1:] - 1, method_tree.tokens[1:])
+    return verify_greedy(target, committed, union).accepted_len
 
 
 def decode_session(

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .drafttree import ORIGIN_RETRIEVED, HybridTree, select_retained
+from .drafttree import HybridTree, select_retained
 from .errors import StructureError
 from .models import VocabSpec
 from .retrieval import COLD, RetrievedBranch, StageTemplate, TransitionMatrix, instantiate
@@ -44,81 +44,55 @@ def draft_only(tree: HybridTree, retained, budget: int) -> HybridTree:
     parent-closed subset of a canonical tree, kept in index order, is
     canonical, so this is a reindex."""
     kept, parents = _kept(tree, retained, budget)
-    return HybridTree(tree.tokens[kept], parents, tree.depths[kept], tree.origin[kept], tree.scores[kept])
+    return HybridTree(tree.tokens[kept], parents, tree.scores[kept])
 
 
-class _Builder:
-    """The nodes ``retained`` of a canonical tree, with grafts under way,
-    emitted in canonical order.
+def graft(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray, tokens: np.ndarray) -> HybridTree:
+    """The nodes ``retained`` of ``tree``, its root added, with a
+    parent-before-child node list grafted below kept node ``at``, in
+    canonical order and with its child pointers filled in.
 
-    Builder index i < ``kept.size`` is kept node ``kept[i]`` of the tree;
-    grafted nodes follow. Each node keeps a ``{token: builder index}`` map
-    of its children, so ``graft`` dedupes grafted (parent, token) pairs by
-    one lookup while holding the budget, and ``finish`` emits the tree
-    breadth-first from those maps.
+    ``parents[i]`` indexes an earlier entry of the list, -1 meaning ``at``.
+    A node whose (parent, token) pair is present already is merged into
+    that node, so its children attach there. A ``COLD`` token, a new pair
+    once the budget is full, or a dropped parent drops the node, and with
+    it its subtree. Grafted nodes score NaN.
     """
+    kept, kept_parents = _kept(tree, retained, budget)
+    slot = int(np.searchsorted(kept, at))
+    if slot == kept.size or kept[slot] != at:
+        raise StructureError(f"graft point {at} is not a kept node")
+    # node i < kept.size is kept node kept[i], grafted nodes follow; kids[i]: {token: node}
+    kids = [{} for _ in range(kept.size)]
+    for i, (parent, token) in enumerate(zip(kept_parents[1:].tolist(), tree.tokens[kept[1:]].tolist()), 1):
+        kids[parent][token] = i
+    slots: list[int | None] = [slot]  # ``at``'s node, then each list entry's; None when dropped
+    for parent, token in zip(parents.tolist(), tokens.tolist()):
+        parent = slots[parent + 1]  # parent -1 reads ``at``'s
+        slot = None
+        if token != COLD and parent is not None:
+            slot = kids[parent].get(token)
+            if slot is None and len(kids) - 1 < budget:
+                slot = kids[parent][token] = len(kids)
+                kids.append({})
+        slots.append(slot)
 
-    def __init__(self, tree: HybridTree, retained, budget: int):
-        kept, parents = _kept(tree, retained, budget)
-        self.kids = kids = [{} for _ in range(kept.size)]  # kids[i]: {token: builder index}
-        for i, (parent, token) in enumerate(zip(parents[1:].tolist(), tree.tokens[kept[1:]].tolist()), 1):
-            kids[parent][token] = i
-        self.tree = tree
-        self.kept = kept
-        self.budget = budget
-
-    def graft(self, at: int, parents: np.ndarray, tokens: np.ndarray) -> None:
-        """Add a parent-before-child node list below builder node ``at``.
-
-        ``parents[i]`` indexes an earlier entry of the list, -1 meaning
-        ``at``. A node whose (parent, token) pair is present already is
-        merged into that node, so its children attach there. A ``COLD``
-        token, a new pair once the budget is full, or a dropped parent
-        drops the node, and with it its subtree.
-        """
-        kids = self.kids
-        slots: list[int | None] = []  # builder index of each list entry; None when dropped
-        for parent, token in zip(parents.tolist(), tokens.tolist()):
-            parent = at if parent < 0 else slots[parent]
-            slot = None
-            if token != COLD and parent is not None:
-                slot = kids[parent].get(token)
-                if slot is None and len(kids) - 1 < self.budget:
-                    slot = kids[parent][token] = len(kids)
-                    kids.append({})
-            slots.append(slot)
-
-    def finish(self) -> HybridTree:
-        """The tree breadth-first, each node's children by ascending token,
-        with its child pointers filled in as it is emitted."""
-        tree, kept = self.tree, self.kept
-        order, tokens, parents, depths = [0], [tree.root_token], [-1], [0]
-        ptr = []  # children of emitted node i are nodes ptr[i] + 1 .. ptr[i + 1]
-        for at, node in enumerate(order):  # ``order`` grows as it is read
-            ptr.append(len(order) - 1)
-            kids = self.kids[node]
-            if kids:
-                depth = depths[at] + 1
-                for token in sorted(kids):
-                    order.append(kids[token])
-                    tokens.append(token)
-                    parents.append(at)
-                    depths.append(depth)
-        n = len(order)
-        ptr.append(n - 1)
-        grafted = n - kept.size  # builder indices past the kept nodes
-        origin = np.concatenate((tree.origin[kept], np.full(grafted, ORIGIN_RETRIEVED, dtype=np.int8)))
-        scores = np.concatenate((tree.scores[kept], np.full(grafted, math.nan)))
-        order = np.array(order, dtype=np.intp)
-        hy = HybridTree(
-            tokens=np.array(tokens, dtype=np.int32),
-            parents=np.array(parents, dtype=np.int32),
-            depths=np.array(depths, dtype=np.int32),
-            origin=origin[order],
-            scores=scores[order],
-        )
-        hy.child_ptr = np.array(ptr, dtype=np.int32)  # the cached child pointers
-        return hy
+    # breadth-first, each node's children by ascending token
+    order, out_tokens, out_parents = [0], [tree.root_token], [-1]
+    ptr = []  # children of emitted node i are nodes ptr[i] + 1 .. ptr[i + 1]
+    for i, node in enumerate(order):  # ``order`` grows as it is read
+        ptr.append(len(order) - 1)
+        children = kids[node]
+        if children:  # most nodes are leaves: skip their sort
+            for token in sorted(children):
+                order.append(children[token])
+                out_tokens.append(token)
+                out_parents.append(i)
+    ptr.append(len(order) - 1)
+    scores = np.concatenate((tree.scores[kept], np.full(len(order) - kept.size, math.nan)))
+    hy = HybridTree(np.array(out_tokens, dtype=np.int32), np.array(out_parents, dtype=np.int32), scores[order])
+    hy.child_ptr = np.array(ptr, dtype=np.int32)  # the cached child pointers
+    return hy
 
 
 def merge(tree: HybridTree, retained: np.ndarray, branch: RetrievedBranch, budget: int) -> HybridTree:
@@ -131,31 +105,23 @@ def merge(tree: HybridTree, retained: np.ndarray, branch: RetrievedBranch, budge
         raise StructureError(
             f"branch rooted at {branch.root_token} cannot graft onto root {tree.root_token}"
         )
-    builder = _Builder(tree, retained, budget)
-    builder.graft(0, branch.template.parents, branch.tokens)
-    return builder.finish()
+    return graft(tree, retained, budget, 0, branch.template.parents, branch.tokens)
 
 
 def insert_tail_variant(tree: HybridTree, matrix: TransitionMatrix, budget: int, chain_len: int) -> HybridTree:
     """Static-tree baseline: a rank-0 chain appended after the deepest
     highest-score retained leaf, evicting lowest-score draft nodes to fit.
     """
-    builder = _Builder(tree, select_retained(tree, max(budget - chain_len, 0)), budget)
-    kept = builder.kept
+    retained = select_retained(tree, max(budget - chain_len, 0))
     chain_len = min(chain_len, budget)  # ``graft`` drops every node past the budget
 
-    leaves = np.setdiff1d(kept, tree.parents[kept])
+    leaves = np.setdiff1d(retained, tree.parents[retained])
     # deepest first, then best score, then lowest index
     anchor = int(leaves[np.lexsort((leaves, -tree.scores[leaves], -tree.depths[leaves]))[0]])
 
-    chain = StageTemplate(
-        parents=np.arange(-1, chain_len - 1, dtype=np.int32),
-        ranks=np.zeros(chain_len, dtype=np.int32),
-        depths=np.arange(1, chain_len + 1, dtype=np.int32),
-    )
+    chain = StageTemplate(np.arange(-1, chain_len - 1, dtype=np.int32), np.zeros(chain_len, dtype=np.int32))
     branch = instantiate(matrix, chain, int(tree.tokens[anchor]))
-    builder.graft(int(np.searchsorted(kept, anchor)), chain.parents, branch.tokens)
-    return builder.finish()
+    return graft(tree, retained, budget, anchor, chain.parents, branch.tokens)
 
 
 def flatten(tree: HybridTree, prefix_len: int) -> HybridTree:

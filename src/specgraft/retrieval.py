@@ -25,6 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .drafttree import node_depths
 from .errors import ConfigError, InputError, StructureError
 from .models import MarkovTableModel
 
@@ -97,15 +98,18 @@ class StageTemplate:
 
     parents: np.ndarray  # (n,) int32, -1 means the tree root
     ranks: np.ndarray  # (n,) int32
-    depths: np.ndarray  # (n,) int32
 
     @property
     def declared_size(self) -> int:
         return int(self.parents.size)
 
+    @property
+    def depths(self) -> np.ndarray:
+        """(n,) int32, a fresh array each call: the root's children are at depth 1."""
+        return node_depths(self.parents, 1)
+
     def depth_counts(self) -> list[int]:
-        n_depths = int(self.depths.max()) if self.declared_size else 0
-        return [int((self.depths == d).sum()) for d in range(1, n_depths + 1)]
+        return np.bincount(self.depths)[1:].tolist()
 
     def max_rank(self) -> int:
         return int(self.ranks.max()) if self.declared_size else 0
@@ -131,10 +135,9 @@ def template_from_depth_counts(counts) -> StageTemplate:
         raise ConfigError(f"template deeper than {MAX_TEMPLATE_DEPTH}")
     parents: list[int] = []
     ranks: list[int] = []
-    depths: list[int] = []
     prev_layer = [-1]  # template indices of the previous depth, priority order; -1 is the root
 
-    for depth, count in enumerate(counts, start=1):
+    for count in counts:
         per_parent = [0] * len(prev_layer)
         for j in range(count):
             per_parent[j % len(prev_layer)] += 1
@@ -144,19 +147,14 @@ def template_from_depth_counts(counts) -> StageTemplate:
             for r in range(per_parent[slot]):
                 parents.append(parent)
                 ranks.append(r)
-                depths.append(depth)
                 layer.append(len(parents) - 1)
         prev_layer = layer
 
-    return StageTemplate(
-        parents=np.array(parents, dtype=np.int32),
-        ranks=np.array(ranks, dtype=np.int32),
-        depths=np.array(depths, dtype=np.int32),
-    )
+    return StageTemplate(parents=np.array(parents, dtype=np.int32), ranks=np.array(ranks, dtype=np.int32))
 
 
 def _frozen(template: StageTemplate) -> StageTemplate:
-    for array in (template.parents, template.ranks, template.depths):
+    for array in (template.parents, template.ranks):
         array.flags.writeable = False
     return template
 
@@ -181,14 +179,15 @@ def filter_template(
 ) -> StageTemplate:
     """Ancestor-closed restriction to nodes within a depth/successor-rank cap."""
     n = template.declared_size
+    depths = template.depths
     keep = np.zeros(n, dtype=bool)
     remap = np.full(n, -1, dtype=np.int32)
-    parents, ranks, depths = [], [], []
+    parents, ranks = [], []
     for i in range(n):
         p = int(template.parents[i])
         if p >= 0 and not keep[p]:
             continue
-        if max_depth is not None and template.depths[i] > max_depth:
+        if max_depth is not None and depths[i] > max_depth:
             continue
         if max_rank is not None and template.ranks[i] >= max_rank:
             continue
@@ -196,19 +195,14 @@ def filter_template(
         remap[i] = len(parents)
         parents.append(remap[p] if p >= 0 else -1)
         ranks.append(int(template.ranks[i]))
-        depths.append(int(template.depths[i]))
-    return StageTemplate(
-        parents=np.array(parents, dtype=np.int32),
-        ranks=np.array(ranks, dtype=np.int32),
-        depths=np.array(depths, dtype=np.int32),
-    )
+    return StageTemplate(parents=np.array(parents, dtype=np.int32), ranks=np.array(ranks, dtype=np.int32))
 
 
 def template_prefix(template: StageTemplate, size: int) -> StageTemplate:
     """Breadth-first prefix of a template (parents always precede children)."""
     if size >= template.declared_size:
         return template
-    return StageTemplate(template.parents[:size], template.ranks[:size], template.depths[:size])
+    return StageTemplate(template.parents[:size], template.ranks[:size])
 
 
 @dataclass

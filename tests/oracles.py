@@ -282,7 +282,8 @@ def reference_tail(tree, retained, budget, matrix, chain_len):
     the budget or ``chain_len`` stops it (origin 1, score NaN)."""
     builder, mapping = reference_draft_builder(tree, retained, budget)
     inner = {int(tree.parents[i]) for i in mapping if i}
-    anchor = min((i for i in mapping if i not in inner), key=lambda i: (-int(tree.depths[i]), -float(tree.scores[i]), i))
+    depth = builder.depths  # the builder's own, not the tree's derived depths
+    anchor = min((i for i in mapping if i not in inner), key=lambda i: (-depth[mapping[i]], -float(tree.scores[i]), i))
     node, token = mapping[anchor], int(tree.tokens[anchor])
     for _ in range(chain_len):
         if matrix.k == 0 or matrix.rows[token, 0] < 0:  # a cold slot holds -1
@@ -312,8 +313,6 @@ def new_tree(context):
     return HybridTree(
         tokens=np.array([context[-1]], dtype=np.int32),
         parents=np.array([-1], dtype=np.int32),
-        depths=np.array([0], dtype=np.int32),
-        origin=np.array([0], dtype=np.int8),
         scores=np.array([0.0]),
     )
 
@@ -387,8 +386,6 @@ def reference_expand_layer(layered, draft, top_k, beam_width):
     grown = HybridTree(
         tokens=np.concatenate([tree.tokens, token]),
         parents=np.concatenate([tree.parents, (lo + slot).astype(np.int32)]),
-        depths=np.concatenate([tree.depths, np.full(cand.size, len(layered.offsets), dtype=np.int32)]),
-        origin=np.zeros(tree.n_nodes + cand.size, dtype=np.int8),
         scores=np.concatenate([tree.scores, cand_score]),
     )
     return LayeredTree(

@@ -7,9 +7,12 @@ digest. The template case hashes the stdout of ``dump-templates --full``.
 The pinned values were recorded while the templates were still built per
 successor width ``k`` and the ablation rows took their ``warmup_rounds``
 from the decode config.
+
+The tree-dump cases hash the file ``decode --dump-trees`` writes, the one
+output that prints every node's depth and origin. Their values were
+recorded while every tree still stored both.
 """
 
-import contextlib
 import hashlib
 
 import pytest
@@ -17,7 +20,7 @@ import pytest
 from specgraft.cli import main
 from specgraft.engine import ABLATION_SUITES
 
-from .test_report_digests import ROOT
+from .test_report_digests import ROOT, at_root
 
 ABLATION_DIGESTS = {
     ('component', 'json'): '992a13e26a23ab692cdb77ecef940f6bcef1dab18077c94e79d2fc268f78e436',
@@ -30,6 +33,26 @@ ABLATION_DIGESTS = {
     ('temperature', 'csv'): 'eaab862fab15fec7cfb596c526c3af213fe093ddcbf10748b9d9915368c04b86',
 }
 
+# the stochastic cases decode the config with ``acceptance: stochastic``
+TREE_DUMP_DIGESTS = {
+    ('quickstart.yaml', 'autoregressive', 'greedy'): 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    ('quickstart.yaml', 'autoregressive', 'stochastic'): 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    ('quickstart.yaml', 'dense', 'greedy'): 'f42cfd0874f2b25d474812b1197f5134991df9bd45344e2419bffaef8bca6771',
+    ('quickstart.yaml', 'dense', 'stochastic'): '7387640f64bf1b4cdef024fb9f7123eda150376cc29091dd950ce54eee76e53a',
+    ('quickstart.yaml', 'prune_only', 'greedy'): '346016f0ebf4a73b1ac46f290236747eff0de4f786b353ffe4d6e2fae0872756',
+    ('quickstart.yaml', 'prune_only', 'stochastic'): '58b05c560917ac800471f8b4561f235a7319e780b8f7b84fddb8cf8b56952d64',
+    ('quickstart.yaml', 'fixed_split', 'greedy'): '3ede6d071191ad11d5f8ad7ddc7ace4ed0c81a10b9fdfe35a16a3972f00be7f5',
+    ('quickstart.yaml', 'fixed_split', 'stochastic'): '71fd48b606e2079f5c1da1593907f9bb90173406be0c4e03a6b18f7e6d9bcdd7',
+    ('quickstart.yaml', 'graft', 'greedy'): '1eb11ab639b636d6c63ce88e35b820f25549a5810605012f87794d101dcb6dd4',
+    ('quickstart.yaml', 'graft', 'stochastic'): '687458bfee7adef91af8020e98e0beab90bebdf2b60a5c896762fe9b11b2320d',
+    ('quickstart.yaml', 'graft_root', 'greedy'): 'c3247c7baa678547e5bf6ee7cf95efbe2a87bae08534b4f03d68520def10d006',
+    ('quickstart.yaml', 'graft_root', 'stochastic'): 'f931f056ced096d3188c070dcc6199b8905cf3e962ab0fdf4fbe0a1e47bda33a',
+    ('quickstart.yaml', 'graft_tail', 'greedy'): '415aa4b9e8d31edfefd507cf9a8f02139d06a7bc33cbc245b71691a51fbe0394',
+    ('quickstart.yaml', 'graft_tail', 'stochastic'): '560ab3209ee9924a4e7e5286672514a1f15646b4a229a51c0c5a3f149d0ef39c',
+    ('repetitive.yaml', 'graft_root', 'greedy'): 'a49199ed341e5b120f29b7be7697bde6b345921fb6bbbeee2449e036d2196fc6',
+    ('repetitive.yaml', 'graft_tail', 'greedy'): '4f2ef40a2e5ba75d26eebd0728f25bcf4878af673419fccf305d746451b43dfc',
+}
+
 TEMPLATES_DIGEST = '07176479c8e31cf1b6f6731ef8ccd594b7fd3a8e4420df25d7b06dcde0f34394'
 
 
@@ -39,7 +62,7 @@ def _sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("suite", ABLATION_SUITES)
 def test_ablation_digest(suite, tmp_path, capsys):
-    with contextlib.chdir(ROOT):
+    with at_root():
         assert main(["--config", "configs/quickstart.yaml", "--out-dir", str(tmp_path), "ablation", "--suite", suite]) == 0
     capsys.readouterr()
     for ext in ("json", "csv"):
@@ -50,3 +73,18 @@ def test_ablation_digest(suite, tmp_path, capsys):
 def test_dump_templates_digest(capsys):
     assert main(["dump-templates", "--full"]) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == TEMPLATES_DIGEST
+
+
+@pytest.mark.parametrize("config, method, acceptance", list(TREE_DUMP_DIGESTS))
+def test_tree_dump_digest(config, method, acceptance, tmp_path, capsys):
+    path = f"configs/{config}"
+    if acceptance == "stochastic":
+        text = (ROOT / path).read_text(encoding="utf-8")
+        assert "acceptance: greedy" in text
+        path = tmp_path / "stochastic.yaml"
+        path.write_text(text.replace("acceptance: greedy", "acceptance: stochastic"), encoding="utf-8")
+    argv = ["--config", str(path), "--out-dir", str(tmp_path), "--method", method, "decode", "--dump-trees", "trees.txt"]
+    with at_root():
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert _sha256((tmp_path / "trees.txt").read_bytes()) == TREE_DUMP_DIGESTS[(config, method, acceptance)]

@@ -369,6 +369,23 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # finite costs whose speedup proxy overflows to inf, which JSON cannot hold
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            {"t_ar": 1.0e308},
+            {"verify_base": 1.0e-320, "draft_layer_cost": 0, "verify_per_node": 0, "overhead_cost": 0},
+        ],
+    )
+    def test_non_finite_report_exits_2(self, tmp_path, capsys, cost):
+        doc = {**json.loads(json.dumps(BASE_DOC)), "cost": cost}
+        out = tmp_path / "out"
+        assert run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(out), "decode") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err
+        assert not (out / "run.json").exists() and not (out / "run.csv").exists()
+
     def test_malformed_yaml_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("decode: [1\n", encoding="utf-8")
@@ -498,6 +515,33 @@ class TestGraftCheckpoints:
         assert run_cli("--config", self._path(tmp_path), "--out-dir", str(out), "--method", "prune_only", "decode") == 0
         report = json.loads((out / "decode.json").read_text())
         assert report["runs"][0]["method"] == "prune_only"
+
+
+class TestFixedSplitBudget:
+    """Only ``fixed_split`` reads ``decode.fixed_split``'s pair, so only it
+    needs the pair to sum to the budget."""
+
+    def _path(self, tmp_path):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["decode"]["max_new_tokens"] = 16
+        doc["prune"] = {"total_budget": 40, "stage_budgets": {0: [8, 32], 1: [24, 16], 5: [30, 10]}}
+        doc["ablation"] = {"n_seeds": 1, "prompt_length": 4}
+        return _write_doc(tmp_path, doc)
+
+    def test_graft_decodes_under_a_smaller_budget(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("--config", self._path(tmp_path), "--out-dir", str(out), "decode") == 0
+        report = json.loads((out / "run.json").read_text())
+        assert report["runs"][0]["method"] == "graft"
+        assert report["runs"][0]["report"]["max_tree_candidates"] <= 40
+
+    @pytest.mark.parametrize("command", [["--method", "fixed_split", "decode"], ["ablation", "--suite", "component"]])
+    def test_fixed_split_rejects_the_default_pair(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run_cli("--config", self._path(tmp_path), "--out-dir", str(out), *command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "decode.fixed_split 24+36" in err and "prune.total_budget 40" in err
 
 
 _CONFIG_KEYS = sorted((s, k) for s, rules in _RULES.items() for k in rules) + [(None, "method")]

@@ -19,9 +19,9 @@ from specgraft.drafttree import (
 from specgraft.engine import expand_full
 from specgraft.errors import ConfigError, StructureError
 from specgraft.hybrid import (
-    _Builder,
     draft_only,
     flatten,
+    graft,
     insert_tail_variant,
     merge,
     render_tree,
@@ -107,8 +107,6 @@ class TestMerge:
         tree = HybridTree(
             tokens=np.array([0, 7], dtype=np.int32),
             parents=np.array([-1, 0], dtype=np.int32),
-            depths=np.array([0, 1], dtype=np.int32),
-            origin=np.array([ORIGIN_DRAFT] * 2, dtype=np.int8),
             scores=np.array([0.0, -0.1]),
         )
         matrix = new_matrix(16, 2)
@@ -135,16 +133,24 @@ class TestMerge:
         assert path_token_sets(merged.tokens, merged.parents) == expect
 
     def test_graft_drops_the_subtree_of_a_dropped_node(self):
-        builder = _Builder(new_tree([0]), [0], budget=3)
         # a cold node and its child; a chain that runs past the budget; a
         # repeat of the chain's head, merged, whose new child is dropped
         parents = np.array([-1, 0, -1, 2, 3, 4, -1, 6, 7], dtype=np.int32)
         tokens = np.array([COLD, 5, 1, 2, 3, 4, 1, 2, 9], dtype=np.int32)
-        builder.graft(0, parents, tokens)
-        hy = builder.finish()
+        hy = graft(new_tree([0]), [0], 3, 0, parents, tokens)
         assert hy.tokens.tolist() == [0, 1, 2, 3]
         assert hy.parents.tolist() == [-1, 0, 1, 2]
         assert hy.origin.tolist() == [ORIGIN_DRAFT] + [ORIGIN_RETRIEVED] * 3
+
+    def test_graft_point_must_be_kept(self, det4):
+        tree = grow(det4, [0], 3, top_k=1)  # the chain 0 -> 1 -> 2 -> 3
+        chain = (np.array([-1, 0], dtype=np.int32), np.array([3, 0], dtype=np.int32))
+        hy = graft(tree, [0, 1], 4, 1, *chain)
+        assert hy.tokens.tolist() == [0, 1, 3, 0]
+        assert hy.parents.tolist() == [-1, 0, 1, 2]
+        assert hy.origin.tolist() == [ORIGIN_DRAFT] * 2 + [ORIGIN_RETRIEVED] * 2
+        with pytest.raises(StructureError, match="graft point 2"):
+            graft(tree, [0, 1], 4, 2, *chain)
 
     def test_root_mismatch_rejected(self):
         _, tree, prune = seeded_setup()
@@ -273,21 +279,22 @@ class TestFlattenProperties:
     @settings(max_examples=50, deadline=None)
     def test_children_csr_on_random_trees(self, seed, n):
         rng = np.random.default_rng(seed)
-        builder = _Builder(new_tree([0]), [0], budget=n + 1)
         # each node hangs below the root (-1) or an earlier node; repeated
         # (parent, token) pairs merge
         parents = np.array([rng.integers(-1, i) for i in range(n)], dtype=np.int32)
-        builder.graft(0, parents, rng.integers(0, 12, size=n).astype(np.int32))
-        hy = builder.finish()
+        hy = graft(new_tree([0]), [0], n + 1, 0, parents, rng.integers(0, 12, size=n).astype(np.int32))
         ptr = hy.child_ptr
         for i in range(hy.n_nodes):
             assert list(range(ptr[i] + 1, ptr[i + 1] + 1)) == children_of(hy, i).tolist()
 
 
 def _as_tree(lists):
-    """A tree from the oracle's (tokens, parents, depths, origin, scores) lists."""
-    dtypes = (np.int32, np.int32, np.int32, np.int8, np.float64)
-    return HybridTree(*(np.array(values, dtype=dtype) for values, dtype in zip(lists, dtypes)))
+    """A tree from the oracle's (tokens, parents, depths, origin, scores)
+    lists, whose derived depths and origin equal the oracle's own."""
+    tokens, parents, depths, origin, scores = lists
+    tree = HybridTree(np.array(tokens, dtype=np.int32), np.array(parents, dtype=np.int32), np.array(scores))
+    assert tree.depths.tolist() == depths and tree.origin.tolist() == origin
+    return tree
 
 
 def _random_draft(rng):
@@ -401,7 +408,7 @@ def _assert_canonical(hy):
     assert (tokens[2:][siblings] > tokens[1:-1][siblings]).all()
     assert np.array_equal(depths[1:], depths[parents[1:]] + 1)
     ptr = hy.child_ptr
-    fresh = HybridTree(tokens, parents, depths, hy.origin, hy.scores).child_ptr
+    fresh = HybridTree(tokens, parents, hy.scores).child_ptr
     assert ptr.dtype == fresh.dtype and np.array_equal(ptr, fresh)
     for i in range(hy.n_nodes):
         assert list(range(ptr[i] + 1, ptr[i + 1] + 1)) == children_of(hy, i).tolist()
@@ -472,8 +479,6 @@ class TestCanonicalOrder:
         hy = HybridTree(
             tokens=np.array([0, 1, 2, 3], dtype=np.int32),
             parents=np.array([-1, 0, 1, 0], dtype=np.int32),
-            depths=np.array([0, 1, 2, 1], dtype=np.int32),
-            origin=np.zeros(4, dtype=np.int8),
             scores=np.zeros(4),
         )
         with pytest.raises(StructureError, match="breadth-first"):

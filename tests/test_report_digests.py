@@ -10,9 +10,10 @@ recorded before the decode step was made array-native; an optimization that
 keeps reports byte-identical passes unchanged.
 """
 
-import contextlib
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -75,10 +76,21 @@ TRUNCATE_DIGESTS = {
 }
 
 
+@contextmanager
+def at_root():
+    """Run the block from the repository root, where configs name their corpus."""
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
 @lru_cache(maxsize=None)
 def _warmed(config: str, method: str, truncate: bool = False):
     # configs name their corpus relative to the repository root
-    with contextlib.chdir(ROOT):
+    with at_root():
         run = load_run_config(f"configs/{config}", overrides={"method": method})
     if truncate:
         run = replace(run, draft=derive_draft(run.target, DraftDerivation("context-truncate", 0.5)))

@@ -91,9 +91,13 @@ class TestTemplates:
     def test_builtins_are_read_only(self):
         assert builtin_templates() is builtin_templates()
         for t in builtin_templates().values():
-            for array in (t.parents, t.ranks, t.depths):
+            for array in (t.parents, t.ranks):
                 with pytest.raises(ValueError):
                     array[0] = 1
+            # depths are derived afresh on every read, so a write reaches no later reader
+            depths = t.depths
+            depths[0] = 5
+            assert t.depths[0] == 1
         with pytest.raises(TypeError):
             builtin_templates()["d5"] = builtin_templates()["d0"]
 
