@@ -22,19 +22,20 @@ _ORIGIN_NAMES = ("draft", "retrieved")
 def _kept(tree: HybridTree, retained, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """The nodes ``retained`` of ``tree`` in index order, its root added, and
     the parent of each as a position among them (-1 for the root). Raises
-    ``StructureError`` unless the candidates fit ``budget`` and every kept
-    node's parent is kept."""
+    ``StructureError`` unless ``retained`` names distinct nodes of ``tree``,
+    the candidates fit ``budget`` and every kept node's parent is kept."""
     kept = np.sort(np.asarray(retained, dtype=np.intp))
+    if kept.size and (kept[0] < 0 or kept[-1] >= tree.n_nodes or np.count_nonzero(kept[1:] == kept[:-1])):
+        raise StructureError(f"retained nodes must be distinct nodes of the {tree.n_nodes}-node draft tree")
     if not kept.size or kept[0] != 0:
         kept = np.concatenate(([0], kept))  # the root is free and always kept
     if kept.size - 1 > budget:
         raise StructureError("draft nodes exceed the hybrid budget")
-    # position of each node of ``tree`` among the kept; -1 marks a node left
-    # out, and the extra last entry maps the root's parent -1 to itself
-    slot = np.full(tree.n_nodes + 1, -1, dtype=np.int32)
-    slot[kept] = np.arange(kept.size, dtype=np.int32)
-    parents = slot[tree.parents[kept]]
-    if (parents[1:] < 0).any():
+    # each node's parent is kept iff it sits at its sorted position among the kept
+    node_parents = tree.parents[kept]
+    parents = kept.searchsorted(node_parents).astype(np.int32)
+    parents[0] = -1
+    if np.count_nonzero(kept.take(parents[1:], mode="clip") != node_parents[1:]):
         raise StructureError("retained draft set is not parent-closed")
     return kept, parents
 

@@ -8,11 +8,14 @@ code to its row id; unseen contexts read the fallback row. A context is at
 most the last ``order`` tokens, so a caller needs to carry only that many
 committed tokens, and a tree node's code follows from its parent's by one
 multiply-add. Verification claims can be checked analytically.
+
+Builders fill a table in bulk, the random draws still in row order. Each
+top-``k`` table (per model, accessor and ``k``) is built whole, a block of
+rows at a time, on its first read; later reads are one ``take`` per array.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +25,7 @@ from .errors import InputError
 DIST_ATOL = 1e-9
 TEMPERATURE_SCALE = 4.0
 MAX_TABLE_CELLS = 4_000_000  # ceiling on a built row table (32 MB of float64), checked before allocating
+_TOPK_BLOCK = 256  # rows per sort while a top-k table is built: bounds its temporaries
 
 DERIVATION_MODES = ("temperature-smooth", "uniform-mix", "context-truncate")
 
@@ -106,15 +110,11 @@ class MarkovTableModel:
     order: int
     index: dict[int, int]
     rows: np.ndarray
-    # top-k caches, filled lazily per k and per accessor:
-    # {k: (ids by rank, filled row ids)} for topk and
-    # {k: (ids by token, their log-probabilities, filled row ids)} for topk_by_token
-    _topk: dict[int, tuple[np.ndarray, set]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _topk_by_token: dict[int, tuple[np.ndarray, np.ndarray, set]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # top-k tables per k, each built whole on its first read and never
+    # changed: (ids by rank, None) for topk, and for topk_by_token
+    # (ids by token, their log-probabilities)
+    _topk: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _topk_by_token: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -150,47 +150,36 @@ class MarkovTableModel:
         """Row for the last ``order`` tokens of ``prefix`` (fallback if unseen)."""
         return self.rows[self.index.get(self.code_of(prefix), -1)]
 
-    def _cache(self, caches: dict, k: int, dtypes) -> tuple:
-        """``caches[k]``: one ``(n_rows, k)`` array per dtype and the set of
-        filled row ids, allocated on first use.
-
-        Rows never change, so filling a row twice writes the same values;
-        an id joins the set once its row is written. Callers need no lock.
-        """
-        cache = caches.get(k)
-        if cache is None:
-            n = self.rows.shape[0]
-            arrays = tuple(np.empty((n, k), dtype) for dtype in dtypes) + (set(),)
-            cache = caches.setdefault(k, arrays)
-        return cache
-
     def topk(self, ids, k: int) -> np.ndarray:
         """``argtopk(self.rows[ids], k)``: each row's top-``k`` ids by rank."""
-        top, filled = self._cache(self._topk, k, (np.int32,))
-        todo = _unfilled(filled, ids)
-        if todo:
-            top[todo] = argtopk(self.rows[todo], k)
-            filled.update(todo)
+        # concurrent first calls may each build the table; the first stored wins
+        tables = self._topk
+        top, _ = tables.get(k) or tables.setdefault(k, _topk_table(self.rows, k, by_token=False))
         return top.take(np.asarray(ids, dtype=np.intp), axis=0)
 
     def topk_by_token(self, ids, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The ids of :meth:`topk` in ascending token order, and their
         log-probabilities (``-inf`` where zero)."""
-        by_token, logq, filled = self._cache(self._topk_by_token, k, (np.int32, np.float64))
-        todo = _unfilled(filled, ids)
-        if todo:
-            rows = self.rows[todo]
-            by_token[todo] = ordered = np.sort(argtopk(rows, k), axis=1)
-            with np.errstate(divide="ignore"):
-                logq[todo] = np.log(np.take_along_axis(rows, ordered, axis=1))
-            filled.update(todo)
+        tables = self._topk_by_token
+        by_token, logq = tables.get(k) or tables.setdefault(k, _topk_table(self.rows, k, by_token=True))
         ids = np.asarray(ids, dtype=np.intp)
         return by_token.take(ids, axis=0), logq.take(ids, axis=0)
 
 
-def _unfilled(filled: set, ids) -> list[int]:
-    """The distinct row ids of ``ids`` that ``filled`` lacks."""
-    return [] if filled.issuperset(ids) else list(set(ids).difference(filled))
+def _topk_table(rows: np.ndarray, k: int, by_token: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every row's ``argtopk(row, k)``, built one block of rows at a time:
+    the ids by rank and None, or the ids by token and their log-probabilities."""
+    top = np.empty((rows.shape[0], k), np.int32)
+    logq = np.empty(top.shape) if by_token else None
+    for lo in range(0, rows.shape[0], _TOPK_BLOCK):
+        block = rows[lo:lo + _TOPK_BLOCK]
+        ids = top[lo:lo + _TOPK_BLOCK]
+        ids[:] = argtopk(block, k)
+        if by_token:
+            ids.sort(axis=1)
+            with np.errstate(divide="ignore"):
+                np.log(np.take_along_axis(block, ids, axis=1), out=logq[lo:lo + _TOPK_BLOCK])
+    return top, logq
 
 
 def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0) -> MarkovTableModel:
@@ -199,31 +188,33 @@ def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0)
         raise InputError(f"order must be >= 0, got {order}")
     if not 0.0 <= sparsity < 1.0:
         raise InputError(f"sparsity must be in [0, 1), got {sparsity}")
-    cells = vocab.size
-    for _ in range(order):  # vocab^(order+1), multiplied up only while it fits (vocab >= 2)
-        cells *= vocab.size
-        if cells > MAX_TABLE_CELLS:
-            break
-    if cells > MAX_TABLE_CELLS:
+    # vocab^(order+1) cells; past the capped exponent even vocab 2 exceeds the ceiling
+    if vocab.size ** min(order + 1, MAX_TABLE_CELLS.bit_length()) > MAX_TABLE_CELLS:
         raise InputError(
             f"markov table vocab^(order+1) for vocab={vocab.size}, order={order} exceeds the "
             f"{MAX_TABLE_CELLS}-cell ceiling; train an n-gram model from a corpus instead"
         )
     rng = np.random.default_rng(seed)
-    rows = np.empty((vocab.size**order + 1, vocab.size))
-    index: dict[int, int] = {}
-    for i, ctx in enumerate(itertools.product(range(vocab.size), repeat=order)):
-        w = rng.gamma(1.0, 1.0, size=vocab.size)
+    size = vocab.size
+    rows = np.empty((size**order + 1, size))
+    body = rows[:-1]  # row i is the i-th context of itertools.product(range(size), repeat=order)
+    drop = np.zeros(body.shape, dtype=bool)
+    uniforms = np.empty(size)
+    for w, dropped in zip(body, drop):  # the draws stay in per-row order: weights, then drops
+        rng.standard_exponential(out=w)  # gamma(1, 1), draw for draw
         if sparsity > 0.0:
-            drop = rng.random(vocab.size) < sparsity
-            keep_best = int(np.argmax(w))
-            w[drop] = 0.0
-            if w.sum() == 0.0:
-                w[keep_best] = 1.0
-        rows[i] = w / w.sum()
-        index[context_code(ctx, vocab.size)] = i
+            np.less(rng.random(out=uniforms), sparsity, out=dropped)
+    best = body.argmax(axis=1)
+    body[drop] = 0.0
+    empty = np.flatnonzero(~body.any(axis=1))
+    body[empty, best[empty]] = 1.0  # a row left all zero keeps its largest weight
+    body /= body.sum(axis=1, keepdims=True)
     # a single-row model: the row IS the fallback
-    rows[-1] = rows[0] if order == 0 else 1.0 / vocab.size
+    rows[-1] = rows[0] if order == 0 else 1.0 / size
+    codes = np.zeros(1, dtype=np.int64)
+    for _ in range(order):  # each context's code, the first token most significant
+        codes = (codes[:, None] * (size + 1) + np.arange(1, size + 1)).ravel()
+    index = dict(zip(codes.tolist(), range(codes.size)))
     return MarkovTableModel(vocab=vocab, order=order, index=index, rows=rows)
 
 
@@ -240,8 +231,14 @@ def train_ngram(vocab: VocabSpec, corpus, order: int, smoothing: float = 0.0) ->
         if not 0 <= t < vocab.size:
             raise InputError(f"corpus token {t} out of range for vocab {vocab.size}")
 
+    # each position's context code, rolled forward one token at a time as in
+    # ``extend_codes``; contexts get row ids in first-seen order
     index: dict[int, int] = {}
-    ids = [index.setdefault(context_code(corpus[i - order:i], vocab.size), len(index)) for i in range(order, len(corpus))]
+    ids, code, base, span = [], 0, vocab.size + 1, (vocab.size + 1) ** order
+    for i, t in enumerate(corpus):
+        if i >= order:
+            ids.append(index.setdefault(code, len(index)))
+        code = (code * base + t + 1) % span
     if (len(index) + 1) * vocab.size > MAX_TABLE_CELLS:
         raise InputError(f"n-gram table (contexts + 1) x vocab = {len(index) + 1} x {vocab.size} cells "
                          f"exceeds the {MAX_TABLE_CELLS}-cell ceiling")

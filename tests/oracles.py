@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -12,6 +13,41 @@ from specgraft.models import context_code
 def context_row(model, context):
     """The model's row for exactly ``context`` (the fallback row if it is not a known context)."""
     return model.rows[model.index.get(context_code(context, model.vocab.size), -1)]
+
+
+def reference_markov(size, order, seed, sparsity):
+    """``build_markov``'s ``(index, rows)``, drawn and normalised one row at a
+    time: for each context, exponential weights, then (under sparsity) the
+    uniforms that drop weights, the largest weight restored in a row left
+    empty."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((size**order + 1, size))
+    index = {}
+    for i, ctx in enumerate(itertools.product(range(size), repeat=order)):
+        w = rng.gamma(1.0, 1.0, size=size)
+        if sparsity > 0.0:
+            drop = rng.random(size) < sparsity
+            keep_best = int(np.argmax(w))
+            w[drop] = 0.0
+            if w.sum() == 0.0:
+                w[keep_best] = 1.0
+        rows[i] = w / w.sum()
+        index[context_code(ctx, size)] = i
+    rows[-1] = rows[0] if order == 0 else 1.0 / size
+    return index, rows
+
+
+def reference_ngram(size, corpus, order, smoothing):
+    """``train_ngram``'s ``(index, rows)``, each position's context sliced out
+    and coded afresh, each count added one at a time."""
+    index = {}
+    ids = [index.setdefault(context_code(corpus[i - order:i], size), len(index)) for i in range(order, len(corpus))]
+    counts = np.zeros((len(index) + 1, size))
+    for row, t in zip(ids, corpus[order:]):
+        counts[row, t] += 1.0
+    for t in corpus:
+        counts[-1, t] += 1.0
+    return index, (counts + smoothing) / (counts.sum(axis=1, keepdims=True) + smoothing * size)
 
 
 def ar_greedy(target, prompt, n):

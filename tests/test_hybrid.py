@@ -396,6 +396,20 @@ class TestBulkAssembly:
                 build(tree, select_retained(tree, 10), 5)
 
 
+    @pytest.mark.parametrize("retained", [[0, 1, 1, 2], [2, 1, 0, 2], [0, 0, 1], [0, -1], [0, 1, 99]])
+    def test_rejects_repeated_and_foreign_nodes(self, retained):
+        _, tree, _ = seeded_setup()
+        retained = [tree.n_nodes if i == 99 else i for i in retained]  # 99: the first index past the tree
+        chain = (np.array([-1, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32))
+        for build in (
+            lambda: draft_only(tree, retained, 60),
+            lambda: graft(tree, retained, 60, 0, *chain),
+            lambda: merge(tree, retained, instantiate(full_matrix(64, 10), builtin_templates()["d5"], tree.root_token), 60),
+        ):
+            with pytest.raises(StructureError, match=f"distinct nodes of the {tree.n_nodes}-node"):
+                build()
+
+
 def _assert_canonical(hy):
     """Breadth-first with siblings by ascending token, and child pointers
     that agree with a scan of the parent array and with the pointers a

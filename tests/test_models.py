@@ -23,7 +23,7 @@ from specgraft.models import (
 from specgraft.verify import node_row_ids
 
 from .conftest import delta, grow
-from .oracles import context_row
+from .oracles import context_row, reference_markov, reference_ngram
 
 
 class TestVocabSpec:
@@ -73,6 +73,26 @@ class TestBuildMarkov:
         for row in model.rows[:-1]:
             assert abs(row.sum() - 1.0) <= 1e-9
 
+    def test_matches_the_per_row_oracle(self):
+        # 520 random cases (vocab 2..2000, order 0..2) plus the edges, with
+        # sparsity up to 0.999, where most rows of a small vocab come out
+        # empty and are repaired; the bulk build matches the oracle bit for bit
+        rng = np.random.default_rng(20)
+        cases = [(2, 2, 0.999), (3, 1, 0.999), (2, 0, 0.995), (2000, 0, 0.999), (2000, 1, 0.99), (2, 3, 0.0)]
+        for _ in range(520):
+            order = int(rng.integers(0, 3))
+            size = 2000
+            while size ** (order + 1) > 20_000:
+                size = int(np.exp(rng.uniform(np.log(2), np.log(2000))))
+            sparsity = float(rng.choice([0.0, rng.uniform(0.0, 0.99), 0.99, 0.995, 0.999]))
+            cases.append((size, order, sparsity))
+        for size, order, sparsity in cases:
+            seed = int(rng.integers(2**31))
+            model = build_markov(VocabSpec(size), order, seed, sparsity)
+            index, rows = reference_markov(size, order, seed, sparsity)
+            assert list(model.index.items()) == list(index.items()), (size, order, sparsity, seed)
+            assert np.array_equal(model.rows, rows), (size, order, sparsity, seed)
+
 
 class TestTrainNgram:
     def test_abab_exact(self):
@@ -88,6 +108,22 @@ class TestTrainNgram:
     def test_order0_unigram(self):
         model = train_ngram(VocabSpec(4), [0, 0, 1, 2], order=0, smoothing=0.0)
         assert np.allclose(context_row(model, ()), [0.5, 0.25, 0.25, 0.0])
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_matches_the_per_position_oracle(self, order):
+        # random corpora, and repetitive ones whose contexts recur; the
+        # contexts keep their first-seen row ids
+        rng = np.random.default_rng(order)
+        for case in range(40):
+            size = int(rng.integers(2, 30))
+            corpus = rng.integers(0, size, size=int(rng.integers(order + 1, 1500))).tolist()
+            if case % 2:
+                corpus = (corpus[: order + 1 + len(corpus) // 8] * 8)[: len(corpus)]
+            smoothing = float(rng.choice([0.0, 0.05, 1.0]))
+            model = train_ngram(VocabSpec(size), corpus, order, smoothing)
+            index, rows = reference_ngram(size, corpus, order, smoothing)
+            assert list(model.index.items()) == list(index.items())
+            assert np.array_equal(model.rows, rows)
 
     def test_empty_corpus(self):
         with pytest.raises(InputError):

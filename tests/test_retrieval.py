@@ -1,3 +1,4 @@
+import collections
 import struct
 import sys
 import threading
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specgraft import models
 from specgraft.engine import DecodeConfig, decode_session
 from specgraft.errors import InputError, StructureError
 from specgraft.models import DraftDerivation, VocabSpec, argtopk, build_markov, context_code, derive_draft, train_ngram
@@ -207,7 +209,6 @@ class TestLookupAndUpdate:
         draft = build_markov(VocabSpec(8), 1, seed=2, sparsity=0.5)
         draft.topk_by_token(ids, 3)
         assert list(draft._topk_by_token) == [3] and not draft._topk
-        assert target._topk[3][-1] == draft._topk_by_token[3][-1] == set(range(5))
 
     def test_topk_cache_is_per_model_instance(self):
         ids = np.arange(9)
@@ -265,6 +266,57 @@ class TestLookupAndUpdate:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not wrong
+
+    def test_tables_match_argtopk_across_block_seams(self):
+        # more rows than two fill blocks; zeroed entries tie inside rows
+        model = build_markov(VocabSpec(6), 4, seed=4, sparsity=0.4)
+        assert model.rows.shape[0] > 2 * models._TOPK_BLOCK
+        ids = np.arange(model.rows.shape[0])
+        for k in (1, 3, model.vocab.size):
+            ranked = model.topk(ids, k)
+            by_token, logq = model.topk_by_token(ids, k)
+            for i in ids:
+                expect = argtopk(model.rows[i], k)
+                assert np.array_equal(ranked[i], expect)
+                assert np.array_equal(by_token[i], np.sort(expect))
+                with np.errstate(divide="ignore"):
+                    assert np.array_equal(logq[i], np.log(model.rows[i, by_token[i]]))
+
+    def test_a_first_session_builds_each_table_once(self, monkeypatch):
+        fills = collections.Counter()
+        fill = models._topk_table
+
+        def counted(rows, k, by_token):
+            fills[id(rows), k, by_token] += 1
+            return fill(rows, k, by_token)
+
+        monkeypatch.setattr(models, "_topk_table", counted)
+        target = build_markov(VocabSpec(24), 2, seed=5, sparsity=0.3)
+        draft = derive_draft(target, DraftDerivation("uniform-mix", 0.4))
+        cfg = DecodeConfig(method="graft", max_new_tokens=80)
+        matrix = new_matrix(24, 8)
+        decode_session(cfg, target, draft, matrix, [3, 1])
+        # the target's top-1 (greedy verification) and top-8 (matrix writes),
+        # and the draft's by-token top-k (the envelope), each built once
+        assert fills == {
+            (id(target.rows), 1, False): 1,
+            (id(target.rows), 8, False): 1,
+            (id(draft.rows), cfg.prune.top_k, True): 1,
+        }
+        decode_session(cfg, target, draft, matrix, [2])
+        assert sum(fills.values()) == 3
+
+    def test_first_table_build_sorts_one_block_at_a_time(self):
+        model = build_markov(VocabSpec(64), 2, seed=11, sparsity=0.3)  # 4097 rows
+        tracemalloc.start()
+        try:
+            model.topk_by_token([0, 4096], 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the two tables are 4097 x 10 x 12 B = 0.49 MB; sorting every row at
+        # once would add the negated rows and their argsort, 2 x 2.1 MB
+        assert peak < 1_000_000
 
     def test_draft_that_is_the_target_writes_rank_order(self):
         # one model drafts and verifies at the matrix's k: drafting reads the
