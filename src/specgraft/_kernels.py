@@ -1,13 +1,14 @@
 """The stochastic-verification walk, plain Python, one acceptance rule.
 
-``_try_children`` is the rule: both walks try a node's children through it.
-``stochastic_walk`` runs one walk for :func:`verify.verify_stochastic`;
-``stochastic_trials`` runs a batch of them for the exactness audit in
-:func:`verify.first_token_frequencies` over one acceptance table, which the
-same rule fills. Both read node c's target row as ``rows[row_ids[c]]``, and
-only for the nodes they visit, and both consume pre-drawn uniforms, so a
-walk is a pure function of its inputs. ``_draw`` is the one inverse-CDF
-draw; the autoregressive step draws its token with it too.
+``_try_children`` is the rule. ``stochastic_walk`` runs one walk for
+:func:`verify.verify_stochastic`, trying each node's children through it;
+``stochastic_trials`` decides a batch of walks' first tokens for the
+exactness audit in :func:`verify.first_token_frequencies`, from the root's
+thresholds, which the same rule gives. Both read node c's target row as
+``rows[row_ids[c]]``, and only for the nodes they visit (the audit visits
+the root alone), and both consume pre-drawn uniforms, so a walk is a pure
+function of its inputs. ``_draw`` is the one inverse-CDF draw; the
+autoregressive step draws its token with it too.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ NUMBA_ENABLED = False  # there is no numba path; perfbench/run.py still records 
 # left-to-right running sum (``np.cumsum``) is the inverse-CDF table, and a
 # uniform at or past its total falls back to the last positive token.
 # ``stochastic_walk`` computes them as it goes, for its path only, and keeps
-# none; ``stochastic_trials`` keeps every node's in a table all its walks share.
+# none; ``stochastic_trials`` computes the root's once and shares them among
+# its trials, since a walk's first token is the root's accepted child or,
+# with none accepted, the root's residual draw.
 
 
 def _try_children(row: np.ndarray, tokens: list[int], lo: int, hi: int, draws, thresholds: list[float],
@@ -110,54 +113,6 @@ def stochastic_walk(
         cur = c
 
 
-class _AcceptanceTable:
-    """The acceptance entries of one tree's nodes, each filled on first use.
-
-    ``accept[c]`` is ``(kids, thresholds, rests)``: node c's children, a
-    range in stored order, with the lists ``_try_children`` gives when it
-    rejects them all. ``draw[c]`` is ``(cdf, residual)``: the residual left
-    once every child is rejected and its running sum, as a list for
-    ``bisect``.
-    """
-
-    __slots__ = ("tokens", "ptr", "rows", "row_ids", "accept", "draw")
-
-    def __init__(self, tokens, child_ptr, rows, row_ids):
-        self.tokens, self.ptr, self.rows, self.row_ids = tokens, child_ptr, rows, row_ids
-        self.accept: list = [None] * (len(child_ptr) - 1)
-        self.draw: list = [None] * (len(child_ptr) - 1)
-
-    def fill_accept(self, c: int) -> tuple[range, list[float], list[float]]:
-        lo, hi = self.ptr[c] + 1, self.ptr[c + 1] + 1
-        thresholds, rests = [], []
-        _try_children(self.rows[self.row_ids[c]], self.tokens, lo, hi, repeat(math.inf), thresholds, rests)
-        entry = self.accept[c] = (range(lo, hi), thresholds, rests)
-        return entry
-
-    def fill_draw(self, c: int) -> tuple[list[float], np.ndarray]:
-        kids, _, rests = self.accept[c] or self.fill_accept(c)
-        residual = _residual(self.rows[self.row_ids[c]], self.tokens[kids.start:kids.stop], rests)
-        entry = self.draw[c] = (residual.cumsum().tolist(), residual)
-        return entry
-
-    def walk(self, draws, path: list[int]) -> int:
-        """One walk on ``draws``, an iterator of floats; appends the accepted
-        nodes to ``path`` and returns the emitted token."""
-        accept, draw = self.accept, self.draw
-        cur = 0
-        while True:
-            kids, thresholds, _ = accept[cur] or self.fill_accept(cur)
-            # zip reads a child before its draw, so each child tried takes one
-            for c, a, u in zip(kids, thresholds, draws):
-                if u < a:
-                    break
-            else:
-                cdf, residual = draw[cur] or self.fill_draw(cur)
-                return _draw(cdf, residual, next(draws))
-            path.append(c)
-            cur = c
-
-
 def stochastic_trials(
     tokens: list[int],
     child_ptr: list[int],
@@ -165,18 +120,29 @@ def stochastic_trials(
     row_ids: list[int],
     uniforms: np.ndarray,
 ) -> np.ndarray:
-    """First-emitted-token counts over ``uniforms.shape[0]`` walk trials,
-    all on one acceptance table; the arguments are those of
-    :func:`stochastic_walk`, with one row of uniforms per trial."""
-    walk = _AcceptanceTable(tokens, child_ptr, rows, row_ids).walk
+    """First-emitted-token counts over ``uniforms.shape[0]`` walk trials; the
+    arguments are those of :func:`stochastic_walk`, with one row of uniforms
+    per trial. The root decides a walk's first token: root child j takes
+    ``u[j]`` and the residual draw ``u[n_children]``, the positions a full
+    walk reads them at, so the counts equal those of full walks."""
+    row = rows[row_ids[0]]
+    lo, hi = child_ptr[0] + 1, child_ptr[1] + 1
+    kids = tokens[lo:hi]
+    thresholds: list[float] = []
+    rests: list[float] = []
+    _try_children(row, tokens, lo, hi, repeat(math.inf), thresholds, rests)
+    residual = _residual(row, kids, rests)
+    cdf = residual.cumsum().tolist()
+    n = len(kids)
     counts = [0] * rows.shape[1]
-    # a memoryview makes a float of each draw only when a walk reads it
-    flat = np.ascontiguousarray(uniforms, dtype=np.float64).reshape(-1).data
-    width = uniforms.shape[1]
-    for lo in range(0, len(flat), width):
-        path: list[int] = []
-        emitted = walk(iter(flat[lo:lo + width]), path)
-        if emitted < 0:
-            raise StructureError("residual exhausted; node distributions are inconsistent")
-        counts[tokens[path[0]] if path else emitted] += 1
+    for u in uniforms[:, :n + 1].tolist():
+        for t, a, x in zip(kids, thresholds, u):
+            if x < a:
+                counts[t] += 1
+                break
+        else:
+            emitted = _draw(cdf, residual, u[n])
+            if emitted < 0:
+                raise StructureError("residual exhausted; node distributions are inconsistent")
+            counts[emitted] += 1
     return np.array(counts, dtype=np.int64)

@@ -18,6 +18,7 @@ from importlib import resources
 import jsonschema
 
 from .config import RunConfig, check_prompt_set, derive_prompts, load_run_config
+from .drafttree import stage_label
 from .engine import (
     ABLATION_SUITES,
     AblationFixture,
@@ -42,7 +43,9 @@ from .retrieval import (
 
 OUT_DIR_ENV = "SPECGRAFT_OUT_DIR"
 
-CSV_FIELDS = [
+# a report's stage columns, ``stage_<label>`` for each prune checkpoint and
+# then ``stage_none``, go between these two
+CSV_LEAD_FIELDS = [
     "suite",
     "variant",
     "method",
@@ -55,14 +58,8 @@ CSV_FIELDS = [
     "cost_total",
     "speedup_proxy",
     "tradeoff_ratio",
-    "stage_d0",
-    "stage_d1",
-    "stage_d5",
-    "stage_none",
-    "fill_ratio",
-    "regret",
-    "coverage_gain_mean",
 ]
+CSV_TAIL_FIELDS = ["fill_ratio", "regret", "coverage_gain_mean"]
 
 
 def _schema() -> dict:
@@ -114,7 +111,7 @@ def _run_row(report: DecodeReport, method: str, seed: int, acceptance: str, warm
     }
 
 
-def _csv_row(row: dict) -> dict:
+def _csv_row(row: dict, stages: list[str]) -> dict:
     rep = row["report"]
     hist = rep["stage_histogram"]
     return {
@@ -130,22 +127,22 @@ def _csv_row(row: dict) -> dict:
         "cost_total": f"{rep['cost_total']:.6f}",
         "speedup_proxy": f"{rep['speedup_proxy']:.6f}",
         "tradeoff_ratio": "" if rep.get("tradeoff_ratio") is None else f"{rep['tradeoff_ratio']:.6f}",
-        "stage_d0": hist.get("d0", 0),
-        "stage_d1": hist.get("d1", 0),
-        "stage_d5": hist.get("d5", 0),
-        "stage_none": hist.get("none", 0),
+        **{f"stage_{stage}": hist.get(stage, 0) for stage in stages},
         "fill_ratio": "" if rep.get("realized_retrieval_fill") is None else f"{rep['realized_retrieval_fill']:.6f}",
         "regret": "" if rep.get("regret_estimate") is None else f"{rep['regret_estimate']:.6f}",
         "coverage_gain_mean": "" if rep.get("coverage_gain_mean") is None else f"{rep['coverage_gain_mean']:.6f}",
     }
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
+def _write_csv(path: str, rows: list[dict], checkpoints: tuple[int, ...]) -> None:
+    """One line per run; the stage columns are the run's ``checkpoints`` and ``none``."""
+    stages = [stage_label(d) for d in checkpoints] + [stage_label(None)]
+    fields = CSV_LEAD_FIELDS + [f"stage_{stage}" for stage in stages] + CSV_TAIL_FIELDS
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in rows:
-            writer.writerow(_csv_row(row))
+            writer.writerow(_csv_row(row, stages))
 
 
 def _overrides(args) -> dict:
@@ -212,7 +209,7 @@ def cmd_decode(args) -> int:
         "runs": [row],
     }
     _write_report(args, _out_path(args, run.output_json or "decode.json"), document)
-    _write_csv(_out_path(args, run.output_csv or "decode.csv"), [row])
+    _write_csv(_out_path(args, run.output_csv or "decode.csv"), [row], run.decode.prune.checkpoints)
     print(f"method={run.decode.method} mat={report.mat:.3f} proxy={report.speedup_proxy:.3f}")
     return 0
 
@@ -272,7 +269,7 @@ def cmd_ablation(args) -> int:
     }
     name = f"ablation_{args.suite}"
     _write_report(args, _out_path(args, _command_name(run.output_json, f"{name}.json")), document)
-    _write_csv(_out_path(args, _command_name(run.output_csv, f"{name}.csv")), rows_out)
+    _write_csv(_out_path(args, _command_name(run.output_csv, f"{name}.csv")), rows_out, run.decode.prune.checkpoints)
     print(f"suite={args.suite} runs={len(rows_out)}")
     return 0
 

@@ -294,19 +294,16 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     end_token = decode_cfg.get("end_token")
     if end_token is not None:
         _in_vocab("decode.end_token", [end_token], vocab)
+    # a key the file leaves out takes DecodeConfig's default
+    passed = ("acceptance", "updates_enabled", "prefill_update", "fixed_split", "root_branch_size", "tail_chain_len")
     decode = DecodeConfig(
         method=method,
         prune=prune,
         max_new_tokens=decode_cfg.get("max_new_tokens", 128),
-        acceptance=decode_cfg.get("acceptance", "greedy"),
         seed=seed,
-        updates_enabled=decode_cfg.get("updates_enabled", True),
-        prefill_update=decode_cfg.get("prefill_update", True),
-        fixed_split=decode_cfg.get("fixed_split", (24, 36)),
-        root_branch_size=decode_cfg.get("root_branch_size", 20),
-        tail_chain_len=decode_cfg.get("tail_chain_len", 8),
         cost=cost,
         end_token=end_token,
+        **{key: decode_cfg[key] for key in passed if key in decode_cfg},
     )
 
     grid = sections["calibration"].get("grid") or {d: list(DEFAULT_CALIBRATION_GRID) for d in prune.checkpoints}

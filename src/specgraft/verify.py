@@ -110,10 +110,14 @@ def first_token_frequencies(
 ) -> np.ndarray:
     """Empirical first-emitted-token counts over ``n_trials`` stochastic walks.
 
-    Runs the acceptance rule of :func:`verify_stochastic`, batched over one
-    acceptance table per chunk. The uniforms are drawn ``TRIAL_CHUNK``
-    trials at a time; successive draws continue one stream, so the counts
-    do not depend on the chunk size.
+    A walk's first token is decided at the root: the acceptance rule of
+    :func:`verify_stochastic` gives the root's thresholds and residual once,
+    and each trial reads the uniforms a full walk reads there, so the counts
+    equal those of full walks. Only the root's target row is read. The
+    uniforms are drawn ``TRIAL_CHUNK`` trials at a time; successive draws
+    continue one stream, so the counts do not depend on the chunk size. A
+    residual exhausted at the root raises :class:`StructureError`; one below
+    the root is never reached.
     """
     if n_trials < 0:
         raise InputError(f"n_trials must be >= 0, got {n_trials}")

@@ -7,6 +7,7 @@ Shared fixtures are module-scoped so the expensive decode grids run once.
 import contextlib
 import io
 import itertools
+import math
 import time
 from dataclasses import replace
 
@@ -14,16 +15,18 @@ import numpy as np
 import pytest
 
 import specgraft as sg
-from specgraft.config import derive_prompts
+from specgraft import _kernels, engine
+from specgraft.config import derive_prompts, load_run_config
 from specgraft.drafttree import PruneConfig, select_retained
 from specgraft.engine import DecodeConfig, calibrate, decode_session, theory_checks
 from specgraft.hybrid import draft_only, flatten, merge
 from specgraft.models import DraftDerivation, VocabSpec, argtopk, build_markov, derive_draft, tokenize_whitespace, train_ngram
 from specgraft.retrieval import TEMPLATE_DEPTH_COUNTS, builtin_templates, new_matrix, template_prefix, instantiate, warmup
-from specgraft.verify import first_token_frequencies, node_row_ids
+from specgraft.verify import first_token_frequencies, node_row_ids, verify_stochastic
 
 from .conftest import grow
 from .oracles import ar_greedy, context_row, enumerate_first_token_marginal
+from .test_report_digests import at_root
 
 TREE_METHODS = ("dense", "prune_only", "fixed_split", "graft", "graft_root", "graft_tail")
 
@@ -120,6 +123,60 @@ def test_criterion_2_stochastic_exactness():
         f"20 instances, max |enumerated - target| = {worst_enum:.2e} (<= 1e-12); "
         f"{n_emp} instances x 1e6 trials, max TV = {worst_tv:.5f} (<= 0.003); {elapsed:.1f}s (< 180s)",
     )
+
+
+def _root_decision_marginal(target, prefix, tree):
+    """The first-token marginal of the audit's root decision, and the root's
+    target row: root child j, tried with reach ``reach``, contributes
+    ``reach * a_j`` and leaves ``reach *= 1 - a_j``; the rest is ``reach``
+    times the root's residual."""
+    row = target.rows[node_row_ids(target, prefix, tree)[0]]
+    ptr, tokens = tree.child_ptr.tolist(), tree.tokens.tolist()
+    lo, hi = ptr[0] + 1, ptr[1] + 1
+    thresholds, rests = [], []
+    _kernels._try_children(row, tokens, lo, hi, itertools.repeat(math.inf), thresholds, rests)
+    marginal = np.zeros_like(row)
+    reach = 1.0
+    for t, a in zip(tokens[lo:hi], thresholds):
+        marginal[t] += reach * a
+        reach *= 1.0 - a
+    return marginal + reach * _kernels._residual(row, tokens[lo:hi], rests), row
+
+
+def test_root_decision_exact_on_session_steps(monkeypatch):
+    """Beside criterion 2: on every step of stochastic sessions of the six
+    tree methods, the root decision the audit counts gives the target's row
+    exactly, on quickstart.yaml and on a vocab-64 order-2 Markov target."""
+    worst, n_steps = 0.0, 0
+
+    def checked(target, prefix, tree, rng):
+        nonlocal worst, n_steps
+        marginal, row = _root_decision_marginal(target, prefix, tree)
+        worst = max(worst, float(np.abs(marginal - row).max()))
+        n_steps += 1
+        return verify_stochastic(target, prefix, tree, rng)
+
+    monkeypatch.setattr(engine, "verify_stochastic", checked)
+    with at_root():
+        run = load_run_config("configs/quickstart.yaml")
+    vocab = VocabSpec(64)
+    target = build_markov(vocab, 2, seed=64, sparsity=0.3)
+    wide = replace(
+        run,
+        vocab=vocab,
+        target=target,
+        draft=derive_draft(target, DraftDerivation("uniform-mix", 0.4)),
+        prompt=[1, 2, 3],
+        warmup_prompts=derive_prompts(None, vocab, 2, 32, seed=64),
+    )
+    for fixture in (run, wide):
+        matrix = new_matrix(fixture.vocab.size, fixture.matrix_k)
+        warmup(matrix, fixture.target, fixture.draft, fixture.warmup_prompts, fixture.warmup_rounds, config=fixture.decode)
+        for method in TREE_METHODS:
+            cfg = replace(fixture.decode, method=method, acceptance="stochastic")
+            decode_session(cfg, fixture.target, fixture.draft, matrix.copy(), fixture.prompt)
+    assert n_steps >= 500
+    assert worst <= 1e-12, f"max |root-decision marginal - target row| = {worst:.2e} over {n_steps} steps"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from specgraft.cli import main
 from specgraft.config import _RULES, check_prompt_set, load_run_config
+from specgraft.engine import DecodeConfig
 from specgraft.errors import ConfigError
 
 BASE_DOC = {
@@ -43,6 +45,11 @@ class TestConfigLoading:
         assert run.vocab.size == 24
         assert run.prompt == [3, 1]
         assert run.raw == BASE_DOC
+
+    def test_absent_decode_keys_take_the_decode_defaults(self, config_path):
+        decode, default = load_run_config(config_path).decode, DecodeConfig()
+        for key in ("acceptance", "updates_enabled", "prefill_update", "fixed_split", "root_branch_size", "tail_chain_len"):
+            assert getattr(decode, key) == getattr(default, key), key
 
     def test_unknown_top_level_key(self, tmp_path):
         doc = dict(BASE_DOC, extra_section={})
@@ -515,6 +522,17 @@ class TestGraftCheckpoints:
         assert run_cli("--config", self._path(tmp_path), "--out-dir", str(out), "--method", "prune_only", "decode") == 0
         report = json.loads((out / "decode.json").read_text())
         assert report["runs"][0]["method"] == "prune_only"
+
+    def test_csv_stage_columns_follow_the_checkpoints(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("--config", self._path(tmp_path), "--out-dir", str(out), "--method", "prune_only", "decode") == 0
+        with open(out / "decode.csv", encoding="utf-8", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        stages = {key[len("stage_"):]: int(value) for key, value in row.items() if key.startswith("stage_")}
+        assert list(stages) == ["d2", "none"]
+        assert sum(stages.values()) == int(row["steps"])
+        histogram = json.loads((out / "decode.json").read_text())["runs"][0]["report"]["stage_histogram"]
+        assert {stage: n for stage, n in stages.items() if n} == histogram
 
 
 class TestFixedSplitBudget:

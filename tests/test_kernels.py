@@ -130,13 +130,13 @@ def test_walk_reads_only_the_rows_it_visits():
         walks = [reference_walk(tokens, parents, dists, u) for u in uniforms]
         for u, (path, emitted) in zip(uniforms, walks):
             assert _walk(tokens, ptr, _visited_rows(dists, [0] + path), u, reversed_ids) == (path, emitted)
-        # the trials share one table, so they read the rows of every walk's path
-        rows = _visited_rows(dists, [0] + [c for path, _ in walks for c in path])
-        if any(emitted < 0 for _, emitted in walks):
+        # the trials decide each first token at the root, so they read its row alone
+        rows = _visited_rows(dists, [0])
+        firsts = [tokens[path[0]] if path else emitted for path, emitted in walks]
+        if -1 in firsts:  # a residual exhausted at the root
             with pytest.raises(StructureError):
                 _trials(tokens, ptr, rows, uniforms, reversed_ids)
         else:
-            firsts = [tokens[path[0]] if path else emitted for path, emitted in walks]
             assert np.array_equal(_trials(tokens, ptr, rows, uniforms, reversed_ids), np.bincount(firsts, minlength=dists.shape[1]))
 
 
@@ -186,15 +186,16 @@ def test_exhausted_residual_raises():
         verify_stochastic(target, [0], hy, LargestDraw())
 
 
-def test_walk_fills_only_its_path():
-    tokens, _, ptr, dists = _tree_case(1, 0.0)
-    for u in _draws(50, tokens.shape[0] + 1, 5):
-        table = K._AcceptanceTable(tokens.tolist(), ptr.tolist(), dists, list(range(dists.shape[0])))
-        path: list[int] = []
-        table.walk(iter(u.tolist()), path)
-        filled = [c for c, entry in enumerate(table.accept) if entry is not None]
-        assert filled == [0] + path
-        assert [c for c, entry in enumerate(table.draw) if entry is not None] == [filled[-1]]
+def test_residual_exhausted_below_the_root():
+    # the root accepts node 1 on a draw below 0.75; node 1's unnormalised row
+    # leaves no mass once its child is rejected, so that walk emits -1, but
+    # its first token is node 1's and the audit counts it
+    tokens, parents, ptr, dists = _case([-1, 0, 1], [0, 1, 1], [[0.25, 0.75, 0.0], [0.0, 0.5, 0.0], [0.2, 0.3, 0.5]])
+    uniforms = np.array([[0.1, 0.7, 0.3, 0.3], [0.9, 0.2, 0.3, 0.3]])
+    walks = [_walk(tokens, ptr, dists, u) for u in uniforms]
+    assert walks == [([1], -1), ([], 0)]
+    assert walks == [reference_walk(tokens, parents, dists, u) for u in uniforms]
+    assert _trials(tokens, ptr, dists, uniforms).tolist() == [1, 1, 0]
 
 
 def test_chunked_draws_match_single_walks():
