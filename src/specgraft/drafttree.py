@@ -8,6 +8,7 @@ score is the sum of the log draft probabilities along its path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -167,11 +168,11 @@ class PruneConfig:
 
 @dataclass
 class PruneDecision:
-    """Outcome of gated expansion: the stage and the retained candidate set."""
+    """Outcome of gated expansion: the stage, whose ``draft_budget`` is the
+    rank cut of the tree, and the gate confidences."""
 
     stage: int | None
     confidence_trace: dict[int, float]
-    retained: np.ndarray  # node indices in the expanded tree, root included
     layers_drafted: int
 
 
@@ -188,13 +189,23 @@ def select_retained(tree: HybridTree, limit: int) -> np.ndarray:
     return np.concatenate(([0], ranked))
 
 
-def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[int, float]) -> tuple[HybridTree, int | None, dict]:
+def _envelope(
+    draft: MarkovTableModel, context, top_k: int, beams, gates: dict[int, float], keep: int | None = None
+) -> tuple[HybridTree, int | None, dict]:
     """Draft ``len(beams)`` layers: layer d keeps the ``beams[d - 1]``
     best-scoring of its frontier's top-``top_k`` children. Checkpoint d of
     ``gates`` tests layer d+1's best path probability against ``gates[d]``;
     the first failed gate stops drafting at that stage. Only the last
     ``max(draft.order, 1)`` tokens of ``context`` are read. Returns the
     tree, the stage and the gate confidences.
+
+    ``keep``, when given, is the size of the rank cut
+    (:func:`select_retained`) the tree feeds. Past the last gate, drafting
+    stops before a layer once at least ``keep`` drafted candidates cost no
+    more than that layer's cheapest candidate. Path costs never fall along
+    a path, and a tie goes to the lower index, which a drafted node has, so
+    no node of that layer or below could enter the cut: the cut keeps the
+    nodes it would keep from the whole envelope.
 
     Candidates of equal score rank by their paths, compared where the paths
     part: the higher draft probability first, then the lower id. Between
@@ -219,10 +230,15 @@ def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[i
     trace: dict[int, float] = {}
     stage: int | None = None
     lo = 0  # the frontier layer's first node
+    keep = math.inf if keep is None else keep
+    last_gate = max(gates, default=-1)
     for depth, beam_width in enumerate(beams, 1):
         top, logq = draft.topk_by_token(frontier, k)
         # candidate j is token top[j // k, j % k]; zero-probability ones cost +inf
         cand = (cost[:, None] - logq).ravel()
+        if depth > last_gate + 1 and len(tokens) > keep:  # past the last gate, with keep candidates drafted
+            if np.count_nonzero(np.concatenate(costs)[1:] <= cand.min()) >= keep:
+                break
         order = cand.argsort(kind="stable")
         best = order[:beam_width]
         cut = cand.item(best.item(-1))
@@ -258,25 +274,30 @@ def _envelope(draft: MarkovTableModel, context, top_k: int, beams, gates: dict[i
     return tree, stage, trace
 
 
-def expand_full(draft: MarkovTableModel, context, config: PruneConfig) -> HybridTree:
+def expand_full(draft: MarkovTableModel, context, config: PruneConfig, keep: int | None = None) -> HybridTree:
     """The static envelope: ``max_depth`` ungated layers under the beam,
-    reading only the last ``max(draft.order, 1)`` tokens of ``context``."""
-    return _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, {})[0]
+    reading only the last ``max(draft.order, 1)`` tokens of ``context``.
+    With ``keep``, only as deep as a rank cut to ``keep`` candidates needs."""
+    return _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, {}, keep)[0]
 
 
-def resolve_stage(draft: MarkovTableModel, context, config: PruneConfig) -> tuple[HybridTree, PruneDecision]:
+def resolve_stage(
+    draft: MarkovTableModel, context, config: PruneConfig, keep: int | None = None
+) -> tuple[HybridTree, PruneDecision]:
     """Expand with gates per the pruning policy and pick the stage.
 
     A checkpoint d is evaluated right after layer d+1 is drafted, on that
     layer's confidence; the first failed gate stops expansion, after d + 1
     layers. With no failed gate the tree reaches ``max_depth`` and the stage
-    is ``None``. Only the last ``max(draft.order, 1)`` tokens of ``context`` are read.
+    is ``None``; with ``keep``, the rank cut the tree feeds then, it stops
+    as deep as that cut needs. ``layers_drafted`` counts ``max_depth`` all
+    the same. Only the last ``max(draft.order, 1)`` tokens of ``context``
+    are read.
     """
     gates = {d: config.thresholds[d] for d in config.checkpoints}
-    tree, stage, trace = _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, gates)
+    tree, stage, trace = _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, gates, keep)
     return tree, PruneDecision(
         stage=stage,
         confidence_trace=trace,
-        retained=select_retained(tree, config.draft_budget(stage)),
         layers_drafted=config.max_depth if stage is None else stage + 1,
     )

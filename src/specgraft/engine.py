@@ -32,6 +32,7 @@ from .hybrid import (
     graft,
     insert_tail_variant,
     merge,
+    rank_cut,
 )
 from .models import MarkovTableModel
 from .retrieval import (
@@ -202,46 +203,44 @@ def build_next_tree(
     """
     prune = config.prune
     method = config.method
-    budget = prune.total_budget
+    budget = limit = prune.total_budget  # the rank cut of the draft tree
     template = None
     if method in ("prune_only", "graft"):
-        tree, decision = resolve_stage(draft, committed, prune)
+        tree, decision = resolve_stage(draft, committed, prune, budget)
         info = {
             "stage": stage_label(decision.stage),
             "layers_drafted": decision.layers_drafted,
             "confidence_trace": {str(d): c for d, c in decision.confidence_trace.items()},
         }
-        retained = decision.retained
+        limit = prune.draft_budget(decision.stage)
         if method == "graft" and decision.stage is not None:
             template = templates[stage_label(decision.stage)]
     elif method in TREE_METHODS:
-        tree = expand_full(draft, committed, prune)
         info = {"stage": stage_label(None), "layers_drafted": prune.max_depth, "confidence_trace": {}}
         if method == "graft_tail":
+            tree = expand_full(draft, committed, prune, max(budget - config.tail_chain_len, 0))
             if before_read is not None:
                 before_read()
             return insert_tail_variant(tree, matrix, budget, config.tail_chain_len), info
-        if method == "dense":
-            retained = select_retained(tree, budget)
-        elif method == "fixed_split":
-            retained = select_retained(tree, config.fixed_split[0])
+        if method == "fixed_split":
+            limit = config.fixed_split[0]
             template = _template_for_size(templates, config.fixed_split[1])
-        else:  # graft_root: the realized branch evicts draft nodes, below
-            retained = None
+        elif method == "graft_root":  # the realized branch evicts draft nodes, below
             template = _template_for_size(templates, config.root_branch_size)
+        tree = expand_full(draft, committed, prune, limit)
     else:
         raise ConfigError(f"method {method!r} does not build trees")
 
     if template is None:
-        return draft_only(tree, retained, budget), info
+        return rank_cut(tree, limit), info
     if before_read is not None:
         before_read()
     branch = instantiate(matrix, template, int(committed[-1]))
-    if retained is None:
-        retained = select_retained(tree, max(budget - branch.realized_count, 0))
+    if method == "graft_root":
+        limit = max(budget - branch.realized_count, 0)
     info["declared"] = template.declared_size
     info["realized"] = branch.realized_count
-    return merge(tree, retained, branch, budget), info
+    return merge(tree, select_retained(tree, limit), branch, budget), info
 
 
 def coverage_gain(root_dist: np.ndarray, draft_tokens, retrieved_tokens) -> float:
@@ -282,7 +281,7 @@ def _dense_union_replay(
     nodes: greedy verification reads no origin label.
     """
     prune = config.prune
-    tree = expand_full(draft, committed, prune)
+    tree = expand_full(draft, committed, prune, prune.total_budget)
     budget = prune.total_budget + method_tree.n_candidates
     retained = select_retained(tree, prune.total_budget)
     union = graft(tree, retained, budget, 0, method_tree.parents[1:] - 1, method_tree.tokens[1:])

@@ -48,6 +48,15 @@ def draft_only(tree: HybridTree, retained, budget: int) -> HybridTree:
     return HybridTree(tree.tokens[kept], parents, tree.scores[kept])
 
 
+def rank_cut(tree: HybridTree, limit: int) -> HybridTree:
+    """The root and the top-``limit`` candidates of ``tree`` by
+    :func:`select_retained`, as a tree: ``tree`` itself when the cut keeps
+    every candidate, since then the reindex is the identity."""
+    if limit >= tree.n_candidates:
+        return tree
+    return draft_only(tree, select_retained(tree, limit), limit)
+
+
 def graft(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray, tokens: np.ndarray) -> HybridTree:
     """The nodes ``retained`` of ``tree``, its root added, with a
     parent-before-child node list grafted below kept node ``at``, in

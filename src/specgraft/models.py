@@ -168,13 +168,15 @@ class MarkovTableModel:
 
 def _topk_table(rows: np.ndarray, k: int, by_token: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Every row's ``argtopk(row, k)``, built one block of rows at a time:
-    the ids by rank and None, or the ids by token and their log-probabilities."""
+    the ids by rank and None, or the ids by token and their log-probabilities.
+    For k = 1 that is each row's ``argmax``, the first maximum, which is the
+    lowest of tied ids, as in the stable sort."""
     top = np.empty((rows.shape[0], k), np.int32)
     logq = np.empty(top.shape) if by_token else None
     for lo in range(0, rows.shape[0], _TOPK_BLOCK):
         block = rows[lo:lo + _TOPK_BLOCK]
         ids = top[lo:lo + _TOPK_BLOCK]
-        ids[:] = argtopk(block, k)
+        ids[:] = block.argmax(axis=1)[:, None] if k == 1 else argtopk(block, k)
         if by_token:
             ids.sort(axis=1)
             with np.errstate(divide="ignore"):

@@ -1,12 +1,16 @@
 import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specgraft import engine
 from specgraft.drafttree import (
+    HybridTree,
     PruneConfig,
+    PruneDecision,
     _envelope,
     evaluate_gate,
     expand_full,
@@ -14,6 +18,7 @@ from specgraft.drafttree import (
     select_retained,
     stage_label,
 )
+from specgraft.engine import TREE_METHODS, DecodeConfig, build_next_tree
 from specgraft.errors import ConfigError, InputError
 from specgraft.models import (
     BYTE_VOCAB,
@@ -25,6 +30,7 @@ from specgraft.models import (
     tokenize_bytes,
     train_ngram,
 )
+from specgraft.retrieval import builtin_templates, new_matrix, write_rows
 
 from .conftest import grow, table_model
 
@@ -175,13 +181,18 @@ class TestPruneConfig:
             PruneConfig(checkpoints=(0, 8), thresholds={0: 0.1, 8: 0.1}, stage_budgets={0: (8, 52), 8: (40, 20)})
 
 
+def stage_cut(tree, decision, config):
+    """The rank cut of a ``resolve_stage`` tree: its stage's draft budget."""
+    return select_retained(tree, config.draft_budget(decision.stage))
+
+
 class TestResolveStage:
     def test_det4_never_prunes(self, det4):
         tree, decision = resolve_stage(det4, [0], PruneConfig())
         assert decision.stage is None
         assert stage_label(decision.stage) == "none"
         # full chain retained (8 candidates, fewer than the budget)
-        assert list(decision.retained) == list(range(9))
+        assert list(stage_cut(tree, decision, PruneConfig())) == list(range(9))
         assert decision.layers_drafted == 8
 
     def test_uni4_prunes_at_root_stage(self, uni4):
@@ -191,14 +202,14 @@ class TestResolveStage:
         assert decision.confidence_trace[0] == pytest.approx(0.25)
         assert cfg.draft_budget(0) == 8
         # vocab 4 only offers 4 depth-1 candidates; all retained
-        assert len(decision.retained) == 1 + 4
+        assert len(stage_cut(tree, decision, cfg)) == 1 + 4
         assert decision.layers_drafted == 1
 
     def test_uni16_fills_stage_budget(self, uni16):
         cfg = PruneConfig(thresholds={0: 0.3, 1: 0.3, 5: 0.51})
         tree, decision = resolve_stage(uni16, [0], cfg)
         assert decision.stage == 0
-        assert len(decision.retained) == 1 + 8  # root + exactly the d0 draft budget
+        assert len(stage_cut(tree, decision, cfg)) == 1 + 8  # root + exactly the d0 draft budget
 
     def test_retention_matches_iterative_oracle(self):
         draft = build_markov(VocabSpec(24), 1, seed=42)
@@ -206,13 +217,14 @@ class TestResolveStage:
         tree, decision = resolve_stage(draft, [3], cfg)
         limit = cfg.draft_budget(decision.stage)
         expect = closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), limit)
-        assert list(decision.retained) == expect
+        assert list(stage_cut(tree, decision, cfg)) == expect
 
     def test_parent_closure(self):
         draft = build_markov(VocabSpec(12), 1, seed=6, sparsity=0.2)
         tree, decision = resolve_stage(draft, [1], PruneConfig())
-        kept = set(decision.retained.tolist())
-        for i in decision.retained:
+        retained = stage_cut(tree, decision, PruneConfig())
+        kept = set(retained.tolist())
+        for i in retained:
             if i != 0:
                 assert int(tree.parents[i]) in kept
 
@@ -221,13 +233,13 @@ class TestResolveStage:
         cfg = PruneConfig(thresholds={0: 0.999, 1: 0.13, 5: 0.51})  # force d0 prune
         tree, decision = resolve_stage(draft, [2], cfg)
         assert decision.stage == 0
-        assert len(decision.retained) - 1 == min(cfg.draft_budget(0), tree.n_nodes - 1)
+        assert len(stage_cut(tree, decision, cfg)) - 1 == min(cfg.draft_budget(0), tree.n_nodes - 1)
 
     def test_determinism(self):
         draft = build_markov(VocabSpec(16), 1, seed=5, sparsity=0.1)
         a = resolve_stage(draft, [2, 7], PruneConfig())
         b = resolve_stage(draft, [2, 7], PruneConfig())
-        assert np.array_equal(a[1].retained, b[1].retained)
+        assert np.array_equal(stage_cut(*a, PruneConfig()), stage_cut(*b, PruneConfig()))
         assert a[1].stage == b[1].stage
         assert np.array_equal(a[0].tokens, b[0].tokens)
 
@@ -363,7 +375,7 @@ class TestOnePassEnvelope:
                 _same_tree(tree, expect)
                 assert (decision.stage, decision.confidence_trace) == (stage, trace), name
                 assert decision.layers_drafted == canonical_form(expect)[2][-1]  # the oracle's own depths
-                assert decision.retained.tolist() == closure_topk_iterative(
+                assert stage_cut(tree, decision, config).tolist() == closure_topk_iterative(
                     tree.scores.tolist(), tree.parents.tolist(), config.draft_budget(stage)
                 )
                 stages.add("none" if stage is None else "first" if stage == config.checkpoints[0] else "later")
@@ -400,3 +412,119 @@ class TestOnePassEnvelope:
             _same_tree(tree, expect)
             assert (decision.stage, decision.confidence_trace) == (stage, trace)
             _same_tree(expand_full(draft, context, config), reference_envelope(draft, context, config, gated=False)[0])
+
+
+def _oracle_tree(tree):
+    """The oracle's tree stored in canonical order, as the envelope stores it."""
+    tokens, parents, _, _, scores = canonical_form(tree)
+    return HybridTree(np.array(tokens, dtype=np.int32), np.array(parents, dtype=np.int32), np.array(scores))
+
+
+def _oracle_expand_full(draft, context, config, keep=None):
+    return _oracle_tree(reference_envelope(draft, context, config, gated=False)[0])
+
+
+def _oracle_resolve_stage(draft, context, config, keep=None):
+    tree, stage, trace = reference_envelope(draft, context, config)
+    return _oracle_tree(tree), PruneDecision(stage, trace, config.max_depth if stage is None else stage + 1)
+
+
+def _bound_config(rng, method, keep, base):
+    """``base`` with the budgets that make ``method`` cut its draft tree at
+    ``keep``: the draft half of ``fixed_split``, or the total less the
+    ``graft_tail`` chain, or else the total budget, which is at least 1."""
+    total = max(keep, 1)
+    if method in ("fixed_split", "graft_tail"):
+        total = keep + int(rng.integers(0 if keep else 1, 4))
+    splits = {}
+    for d in base.checkpoints:
+        kd = int(rng.integers(0, total + 1))
+        splits[d] = (kd, total - kd)
+    prune = replace(base, total_budget=total, stage_budgets=splits)
+    return DecodeConfig(
+        method=method,
+        prune=prune,
+        fixed_split=(keep, total - keep),
+        tail_chain_len=total - keep,
+        root_branch_size=int(rng.integers(0, 21)),
+    )
+
+
+class TestRankCutBound:
+    """The envelope drafts only as deep as the rank cut it feeds: for every
+    tree method, ``build_next_tree`` gives the tree that the layer-by-layer
+    oracle's whole envelope gives under the same cut, with the same stage,
+    gate confidences and realized branch, with gates on and off and for
+    cuts of 0 candidates, less than one layer, whole layers and more than
+    the envelope holds."""
+
+    def test_build_next_tree_matches_the_oracle_cut(self, monkeypatch):
+        rng = np.random.default_rng(99)
+        drafts = [build_markov(VocabSpec(7), order, seed=order, sparsity=0.5) for order in (1, 2)]
+        drafts += [dyadic_model(5, order, seed=order) for order in (1, 2)]
+        templates = builtin_templates()
+        fired = {False: 0, True: 0}
+        for draft in drafts:
+            vocab = draft.vocab.size
+            matrix = new_matrix(vocab, 10)
+            hot = [t for t in range(vocab) if rng.random() < 0.8]
+            write_rows(matrix, dict(zip(hot, draft.row_ids([draft.code_of([t]) for t in hot]))), draft)
+            for gated in (False, True):
+                for _ in range(4):
+                    max_depth = int(rng.integers(2, 8))
+                    checkpoints = (0, *(d for d in (1, 5) if d < max_depth and rng.random() < 0.7)) if gated else ()
+                    base = PruneConfig(
+                        checkpoints=checkpoints,
+                        thresholds={d: float(rng.uniform(0.02, 0.5)) for d in checkpoints},
+                        stage_budgets={d: (1, 0) for d in checkpoints},
+                        total_budget=1,
+                        top_k=int(rng.integers(2, vocab + 2)),
+                        max_depth=max_depth,
+                        beam_width=int(rng.integers(2, 7)),
+                    )
+                    context = [int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 4))]
+                    full = _oracle_expand_full(draft, context, base)
+                    sizes = np.cumsum(np.bincount(full.depths)[1:])
+                    layers = int(rng.integers(1, sizes.size + 1))
+                    keeps = (0, int(rng.integers(1, sizes[0])) if sizes[0] > 1 else 1, int(sizes[layers - 1]), full.n_nodes + 3)
+                    whole = resolve_stage(draft, context, base)[0].n_nodes
+                    for keep in keeps:
+                        fired[gated] += resolve_stage(draft, context, base, keep)[0].n_nodes < whole
+                        for method in TREE_METHODS:
+                            config = _bound_config(rng, method, keep, base)
+                            got, info = build_next_tree(config, draft, matrix.copy(), context, templates)
+                            with monkeypatch.context() as patch:
+                                patch.setattr(engine, "expand_full", _oracle_expand_full)
+                                patch.setattr(engine, "resolve_stage", _oracle_resolve_stage)
+                                expect, expect_info = build_next_tree(config, draft, matrix.copy(), context, templates)
+                            for name in ("tokens", "parents", "scores"):
+                                a, b = getattr(got, name), getattr(expect, name)
+                                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (method, name)
+                            assert info == expect_info, method
+        assert fired[False] > 0 and fired[True] > 0
+
+    def test_dense_markov64_stops_after_six_layers(self):
+        # vocab 64, order 2, uniform-mix 0.4: the 60-node cut is layers 1-6 of 10 nodes each
+        draft = derive_draft(build_markov(VocabSpec(64), 2, seed=11, sparsity=0.3), DraftDerivation("uniform-mix", 0.4))
+        config = DecodeConfig(method="dense")
+        matrix = new_matrix(64, 10)
+        for context in np.random.default_rng(3).integers(0, 64, size=(40, 3)).tolist():
+            tree = expand_full(draft, context, config.prune, config.prune.total_budget)
+            assert int(tree.depths[-1]) == 6 and tree.n_candidates == 60
+            hy, info = build_next_tree(config, draft, matrix, context, builtin_templates())
+            assert hy.tokens.tobytes() == tree.tokens.tobytes() and hy.scores.tobytes() == tree.scores.tobytes()
+            assert info["layers_drafted"] == config.prune.max_depth
+
+    def test_failed_gate_drafts_through_its_layer(self):
+        # a 1-node cut could stop after layer 1, but the bound waits for the
+        # last gate: a failed gate 5 stops drafting after its 6 layers, and
+        # past a passed one the bound stops it at the next boundary
+        draft = derive_draft(build_markov(VocabSpec(64), 2, seed=11, sparsity=0.3), DraftDerivation("uniform-mix", 0.4))
+        for last, stage in ((0.99, 5), (1e-9, None)):
+            config = PruneConfig(thresholds={0: 1e-9, 1: 1e-9, 5: last})
+            for context in np.random.default_rng(4).integers(0, 64, size=(20, 3)).tolist():
+                tree, decision = resolve_stage(draft, context, config, keep=1)
+                whole, expect = resolve_stage(draft, context, config)
+                assert decision == expect and decision.stage == stage
+                assert int(tree.depths[-1]) == 6  # stage + 1, or the first layer past the last gate
+                assert whole.n_nodes == (tree.n_nodes if stage is not None else 81)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specgraft import engine, hybrid, retrieval
-from specgraft.drafttree import PruneConfig, expand_full, resolve_stage
+from specgraft.drafttree import PruneConfig, expand_full, resolve_stage, select_retained
 from specgraft.engine import (
     ACCEPTANCE_MODES,
     METHODS,
@@ -138,6 +138,19 @@ class TestDecodeSession:
         assert runs[0] == runs[1]
 
 
+    def test_dense_charges_the_layers_the_bound_skips(self):
+        # vocab 64, order 2: the envelope stops after 6 of 8 layers, the proxy charges 8
+        target = build_markov(VocabSpec(64), 2, seed=11, sparsity=0.3)
+        draft = derive_draft(target, DraftDerivation("uniform-mix", 0.4))
+        cfg = DecodeConfig(method="dense", max_new_tokens=40, acceptance="stochastic")
+        depths = []
+        _, report = decode_session(cfg, target, draft, new_matrix(64, 10), [5, 9], lambda _, hy: depths.append(int(hy.depths[-1])))
+        assert set(depths) == {6}
+        for step in report.steps:
+            assert step["layers_drafted"] == cfg.prune.max_depth
+            assert step["cost"] == cfg.cost.step_cost(cfg.prune.max_depth, step["tree_candidates"])
+
+
 class TestBuildNextTree:
     def test_graft_stage_none_has_no_retrieval(self, det4):
         cfg = DecodeConfig(method="graft")
@@ -178,7 +191,7 @@ class TestBuildNextTree:
         # oracle: re-run the stage resolution independently
         tree, decision = resolve_stage(draft, [0], prune)
         assert decision.stage == 0
-        assert len(decision.retained) - 1 == 8
+        assert len(select_retained(tree, prune.draft_budget(decision.stage))) - 1 == 8
 
     def test_fixed_split_uses_constant_split(self):
         target, draft = seeded_pair(seed=29)

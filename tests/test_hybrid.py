@@ -59,6 +59,12 @@ def seeded_setup(vocab=64, seed=42, prefix=(3,), prune=None):
     return target, tree, prune
 
 
+def stage_retained(draft, context, prune):
+    """The rank cut of the gated tree: its stage's draft budget."""
+    tree, decision = resolve_stage(draft, context, prune)
+    return select_retained(tree, prune.draft_budget(decision.stage))
+
+
 def size_zero_branch(root):
     """A branch instantiated from a size-0 template."""
     return instantiate(new_matrix(64, 10), template_prefix(builtin_templates()["d5"], 0), root)
@@ -73,9 +79,9 @@ def root_variant(tree, branch, budget):
 class TestMerge:
     def test_size_zero_branch_is_identity(self):
         _, tree, prune = seeded_setup()
-        _, decision = resolve_stage(build_markov(VocabSpec(64), 1, seed=42), [3], prune)
-        base = draft_only(tree, decision.retained, prune.total_budget)
-        merged = merge(tree, decision.retained, size_zero_branch(tree.root_token), prune.total_budget)
+        retained = stage_retained(build_markov(VocabSpec(64), 1, seed=42), [3], prune)
+        base = draft_only(tree, retained, prune.total_budget)
+        merged = merge(tree, retained, size_zero_branch(tree.root_token), prune.total_budget)
         assert np.array_equal(base.tokens, merged.tokens)
         assert np.array_equal(base.parents, merged.parents)
 
@@ -94,10 +100,11 @@ class TestMerge:
         draft = table_model(64, 1, rows)
         prune = PruneConfig(thresholds={0: 0.999, 1: 0.13, 5: 0.51})
         tree, decision = resolve_stage(draft, [0], prune)
-        assert decision.stage == 0 and len(decision.retained) == 9
+        retained = stage_retained(draft, [0], prune)
+        assert decision.stage == 0 and len(retained) == 9
         matrix = full_matrix(64, 10, shift=32)
         branch = instantiate(matrix, builtin_templates()["d0"], tree.root_token)
-        merged = merge(tree, decision.retained, branch, prune.total_budget)
+        merged = merge(tree, retained, branch, prune.total_budget)
         n_draft, n_retrieved = merged.counts_by_origin()
         assert (n_draft, n_retrieved) == (8, 52)
         assert merged.n_candidates == 60
@@ -245,9 +252,9 @@ class TestStaticVariants:
         _, tree, prune = seeded_setup(seed=37)
         dense = draft_only(tree, select_retained(tree, prune.total_budget), prune.total_budget)
         matrix = full_matrix(64, 10, shift=45)
-        _, decision = resolve_stage(build_markov(VocabSpec(64), 1, seed=37), [3], prune)
+        retained = stage_retained(build_markov(VocabSpec(64), 1, seed=37), [3], prune)
         branch = instantiate(matrix, builtin_templates()["d0"], tree.root_token)
-        merged = merge(tree, decision.retained, branch, prune.total_budget)
+        merged = merge(tree, retained, branch, prune.total_budget)
         dense_paths = path_token_sets(dense.tokens, dense.parents)
         merged_paths = path_token_sets(merged.tokens, merged.parents)
         assert merged_paths - dense_paths  # hybrid is not confined to the dense tree

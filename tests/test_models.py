@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from specgraft.models import (
     BYTE_VOCAB,
     DraftDerivation,
     VocabSpec,
+    argtopk,
     build_markov,
     context_code,
     derive_draft,
@@ -177,6 +179,28 @@ class TestDeriveDraft:
         for row in out.rows[:-1]:
             assert abs(row.sum() - 1.0) <= 1e-9
             assert (row >= 0).all()
+
+
+class TestTopOneTable:
+    """The k = 1 tables, built by ``argmax``, equal ``argtopk(rows, 1)``,
+    ties to the lowest id, over more than one block of rows."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "dyadic", "sparse"])
+    def test_matches_argtopk(self, kind):
+        model = build_markov(VocabSpec(20), 2, seed=4, sparsity=0.9 if kind == "sparse" else 0.0)
+        if kind == "uniform":
+            model = derive_draft(model, DraftDerivation("uniform-mix", 1.0))
+        elif kind == "dyadic":  # multiples of 1/8: most rows tie at their maximum
+            rng = np.random.default_rng(4)
+            counts = [np.bincount(rng.integers(0, 20, size=8), minlength=20) for _ in model.rows]
+            model = replace(model, rows=np.array(counts) / 8.0)
+        ids = np.arange(model.rows.shape[0])
+        expect = argtopk(model.rows, 1)
+        assert model.rows.shape[0] > 256  # more than one block
+        assert np.array_equal(model.topk(ids, 1), expect)
+        by_token, logq = model.topk_by_token(ids, 1)
+        assert np.array_equal(by_token, expect)
+        assert np.array_equal(logq, np.log(np.take_along_axis(model.rows, expect, axis=1)))
 
 
 def _coded_models():
