@@ -22,10 +22,10 @@ from .drafttree import stage_label
 from .engine import (
     ABLATION_SUITES,
     AblationFixture,
-    DecodeReport,
     calibrate,
     decode_session,
     run_ablation,
+    run_row,
     theory_checks,
 )
 from .errors import AnalysisError, InputError, SpecGraftError, StructureError
@@ -87,8 +87,18 @@ def _command_name(configured: str | None, default_name: str) -> str:
     return f"{os.path.splitext(configured)[0]}.{default_name}"
 
 
-def _write_report(args, path: str, document: dict) -> None:
-    document["generated_at"] = datetime.now(timezone.utc).isoformat() if args.timestamps else None
+def _write_report(args, path: str, command: str, config: dict, runs: list[dict], **sections) -> None:
+    """Write the ``command``'s report document: its config, the flag
+    overrides, its run rows and any further top-level ``sections``."""
+    document = {
+        "schema": "specgraft-report-v1",
+        "command": command,
+        "config": config,
+        "overrides": _overrides(args),
+        "runs": runs,
+        **sections,
+        "generated_at": datetime.now(timezone.utc).isoformat() if args.timestamps else None,
+    }
     jsonschema.validate(document, _schema())
     try:
         text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
@@ -98,39 +108,29 @@ def _write_report(args, path: str, document: dict) -> None:
         fh.write(text + "\n")
 
 
-def _run_row(report: DecodeReport, method: str, seed: int, acceptance: str, warmup_rounds: int,
-             suite: str | None = None, variant: str | None = None, include_steps: bool = True) -> dict:
-    return {
-        "suite": suite,
-        "variant": variant,
-        "method": method,
-        "seed": seed,
-        "acceptance": acceptance,
-        "warmup_rounds": warmup_rounds,
-        "report": report.to_dict(include_steps=include_steps),
-    }
-
-
 def _csv_row(row: dict, stages: list[str]) -> dict:
     rep = row["report"]
-    hist = rep["stage_histogram"]
+
+    def fixed(key: str) -> str:  # six decimals, or empty for an absent metric
+        return "" if rep[key] is None else f"{rep[key]:.6f}"
+
     return {
-        "suite": row.get("suite") or "",
-        "variant": row.get("variant") or "",
+        "suite": row["suite"] or "",
+        "variant": row["variant"] or "",
         "method": row["method"],
         "seed": row["seed"],
-        "acceptance": row.get("acceptance", ""),
-        "warmup_rounds": row.get("warmup_rounds", ""),
+        "acceptance": row["acceptance"],
+        "warmup_rounds": row["warmup_rounds"],
         "steps": rep["steps_count"],
         "tokens": rep["tokens_emitted"],
-        "mat": f"{rep['mat']:.6f}",
-        "cost_total": f"{rep['cost_total']:.6f}",
-        "speedup_proxy": f"{rep['speedup_proxy']:.6f}",
-        "tradeoff_ratio": "" if rep.get("tradeoff_ratio") is None else f"{rep['tradeoff_ratio']:.6f}",
-        **{f"stage_{stage}": hist.get(stage, 0) for stage in stages},
-        "fill_ratio": "" if rep.get("realized_retrieval_fill") is None else f"{rep['realized_retrieval_fill']:.6f}",
-        "regret": "" if rep.get("regret_estimate") is None else f"{rep['regret_estimate']:.6f}",
-        "coverage_gain_mean": "" if rep.get("coverage_gain_mean") is None else f"{rep['coverage_gain_mean']:.6f}",
+        "mat": fixed("mat"),
+        "cost_total": fixed("cost_total"),
+        "speedup_proxy": fixed("speedup_proxy"),
+        "tradeoff_ratio": fixed("tradeoff_ratio"),
+        **{f"stage_{stage}": rep["stage_histogram"].get(stage, 0) for stage in stages},
+        "fill_ratio": fixed("realized_retrieval_fill"),
+        "regret": fixed("regret_estimate"),
+        "coverage_gain_mean": fixed("coverage_gain_mean"),
     }
 
 
@@ -185,30 +185,19 @@ def cmd_decode(args) -> int:
     run = _load(args)
     matrix = _prepared_matrix(run)
     dump_path = args.dump_trees or run.dump_trees
+    rendered = []
+    observer = (lambda step, hy: rendered.append(render_tree(hy, run.vocab))) if dump_path else None
+    _, report = decode_session(run.decode, run.target, run.draft, matrix, run.prompt, tree_observer=observer)
     if dump_path:
-        rendered = []
-        observer = lambda step, hy: rendered.append(render_tree(hy, run.vocab))  # noqa: E731
-        tokens, report = decode_session(
-            run.decode, run.target, run.draft, matrix, run.prompt, tree_observer=observer
-        )
         with open(_out_path(args, dump_path), "w", encoding="utf-8") as fh:
             for i, text in enumerate(rendered):
                 fh.write(f"# step {i}\n{text}\n\n")
-    else:
-        tokens, report = decode_session(run.decode, run.target, run.draft, matrix, run.prompt)
 
     if args.matrix_out or run.matrix_save:
         save_matrix(_out_path(args, args.matrix_out or run.matrix_save), matrix)
 
-    row = _run_row(report, run.decode.method, run.decode.seed, run.decode.acceptance, run.warmup_rounds)
-    document = {
-        "schema": "specgraft-report-v1",
-        "command": "decode",
-        "config": run.raw,
-        "overrides": _overrides(args),
-        "runs": [row],
-    }
-    _write_report(args, _out_path(args, run.output_json or "decode.json"), document)
+    row = run_row(report, run.decode, run.warmup_rounds)
+    _write_report(args, _out_path(args, run.output_json or "decode.json"), "decode", run.raw, [row])
     _write_csv(_out_path(args, run.output_csv or "decode.csv"), [row], run.decode.prune.checkpoints)
     print(f"method={run.decode.method} mat={report.mat:.3f} proxy={report.speedup_proxy:.3f}")
     return 0
@@ -245,32 +234,11 @@ def _ablation_fixture(run: RunConfig) -> AblationFixture:
 
 def cmd_ablation(args) -> int:
     run = _load(args)
-    fixture = _ablation_fixture(run)
-    rows_out = []
-    for raw in run_ablation(args.suite, fixture):
-        rows_out.append(
-            _run_row(
-                raw["report"],
-                raw["method"],
-                raw["seed"],
-                raw["acceptance"],
-                raw["warmup_rounds"],
-                suite=args.suite,
-                variant=raw["variant"],
-                include_steps=False,
-            )
-        )
-    document = {
-        "schema": "specgraft-report-v1",
-        "command": "ablation",
-        "config": run.raw,
-        "overrides": _overrides(args),
-        "runs": rows_out,
-    }
+    rows = run_ablation(args.suite, _ablation_fixture(run))
     name = f"ablation_{args.suite}"
-    _write_report(args, _out_path(args, _command_name(run.output_json, f"{name}.json")), document)
-    _write_csv(_out_path(args, _command_name(run.output_csv, f"{name}.csv")), rows_out, run.decode.prune.checkpoints)
-    print(f"suite={args.suite} runs={len(rows_out)}")
+    _write_report(args, _out_path(args, _command_name(run.output_json, f"{name}.json")), "ablation", run.raw, rows)
+    _write_csv(_out_path(args, _command_name(run.output_csv, f"{name}.csv")), rows, run.decode.prune.checkpoints)
+    print(f"suite={args.suite} runs={len(rows)}")
     return 0
 
 
@@ -278,21 +246,14 @@ def cmd_calibrate(args) -> int:
     run = _load(args)
     matrix = _prepared_matrix(run)
     result = calibrate(run.target, run.draft, matrix, run.warmup_prompts, run.calibration_grid, run.decode)
-    document = {
-        "schema": "specgraft-report-v1",
-        "command": "calibrate",
-        "config": run.raw,
-        "overrides": _overrides(args),
-        "runs": [],
-        "calibration": {
-            "thresholds": {str(d): v for d, v in result.thresholds.items()},
-            "objective_trace": [
-                {"thresholds": {str(d): v for d, v in vec.items()}, "proxy": score}
-                for vec, score in result.objective_trace
-            ],
-        },
+    calibration = {
+        "thresholds": {str(d): v for d, v in result.thresholds.items()},
+        "objective_trace": [
+            {"thresholds": {str(d): v for d, v in vec.items()}, "proxy": score} for vec, score in result.objective_trace
+        ],
     }
-    _write_report(args, _out_path(args, _command_name(run.output_json, "calibrate.json")), document)
+    path = _out_path(args, _command_name(run.output_json, "calibrate.json"))
+    _write_report(args, path, "calibrate", run.raw, [], calibration=calibration)
     print(" ".join(f"d{d}={v:.3f}" for d, v in sorted(result.thresholds.items())))
     return 0
 
@@ -306,15 +267,7 @@ def cmd_theory(args) -> int:
         n_graft=args.trials,
         n_coverage=max(args.trials // 10, 10),
     )
-    document = {
-        "schema": "specgraft-report-v1",
-        "command": "theory",
-        "config": {},
-        "overrides": _overrides(args),
-        "runs": [],
-        "theory": report,
-    }
-    _write_report(args, _out_path(args, args.out or "theory.json"), document)
+    _write_report(args, _out_path(args, args.out or "theory.json"), "theory", {}, [], theory=report)
     ok = (
         report["subset_monotonicity"]["violations"] == 0
         and report["graft_monotonicity"]["violations"] == 0

@@ -12,7 +12,7 @@ import math
 import os
 import reprlib
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -80,6 +80,18 @@ def _list(item, length: int | None = None, convert=list):
     return rule
 
 
+def _such(item, test, what: str):
+    """``item``'s rule, then ``test`` on the value it returns."""
+
+    def rule(where, value):
+        value = item(where, value)
+        if not test(value):
+            raise _bad(where, what, value)
+        return value
+
+    return rule
+
+
 def _by_depth(item):
     depth = _int(0)
 
@@ -104,6 +116,9 @@ _text = _of_type(str, "a string")
 _flag = _of_type(bool, "true or false")
 _tokens = _list(_int(0))
 _pair = _list(_int(0), 2, tuple)
+_prompt_text = _such(_text, len, "nonempty")
+_prompt_tokens = _such(_tokens, len, "nonempty")
+_fraction = _such(_number, lambda v: 0 < v < 1, "a number in (0, 1)")
 
 _RULES = {
     "vocab": {"size": _int()},
@@ -113,15 +128,14 @@ _RULES = {
     "prune": {"checkpoints": _list(_int(), convert=tuple), "thresholds": _by_depth(_number),
               "stage_budgets": _by_depth(_pair), "total_budget": _int(), "top_k": _int(), "max_depth": _int(),
               "beam_width": _int()},
-    "cost": dict.fromkeys(("t_ar", "draft_layer_cost", "verify_base", "verify_per_node", "retrieval_cost",
-                           "overhead_cost"), _number),
-    "decode": {"max_new_tokens": _int(), "acceptance": _text, "seed": _int(0), "prompt_text": _text,
-               "prompt_tokens": _tokens, "end_token": _int(0), "updates_enabled": _flag, "prefill_update": _flag,
+    "cost": dict.fromkeys((f.name for f in fields(CostModel)), _number),
+    "decode": {"max_new_tokens": _int(), "acceptance": _text, "seed": _int(0), "prompt_text": _prompt_text,
+               "prompt_tokens": _prompt_tokens, "end_token": _int(0), "updates_enabled": _flag, "prefill_update": _flag,
                "fixed_split": _pair, "root_branch_size": _int(), "tail_chain_len": _int()},
-    "warmup": {"rounds": _int(0), "prompts_text": _list(_text), "prompts_tokens": _list(_tokens),
+    "warmup": {"rounds": _int(0), "prompts_text": _list(_prompt_text), "prompts_tokens": _list(_prompt_tokens),
                "derive": _fields(count=_int(1), length=_int(1))},
     "matrix": {"k": _int(TEMPLATE_WIDTH), "load": _text, "save": _text},
-    "calibration": {"grid": _by_depth(_list(_number))},
+    "calibration": {"grid": _by_depth(_such(_list(_fraction), len, "nonempty"))},
     "ablation": {"seeds": _list(_int(0)), "n_seeds": _int(0), "prompt_length": _int(1)},
     "output": {"json": _text, "csv": _text, "dump_trees": _text},
 }
@@ -307,6 +321,10 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     )
 
     grid = sections["calibration"].get("grid") or {d: list(DEFAULT_CALIBRATION_GRID) for d in prune.checkpoints}
+    if set(grid) != set(prune.checkpoints):
+        raise ConfigError(
+            f"calibration.grid must have one key per prune checkpoint {list(prune.checkpoints)}, got {sorted(grid)}"
+        )
     seeds = ablation_cfg.get("seeds")
     if seeds is None:
         seeds = range(ablation_cfg.get("n_seeds", 8))  # lazy: only ``ablation`` reads the seeds

@@ -144,20 +144,20 @@ class PruneConfig:
                 f"got {self.beam_width} x {self.top_k}"
             )
         if tuple(sorted(self.checkpoints)) != self.checkpoints:
-            raise ConfigError("checkpoints must be ascending")
+            raise ConfigError(f"prune.checkpoints must be ascending, got {list(self.checkpoints)}")
         for d in self.checkpoints:
             if not 0 <= d < self.max_depth:
-                raise ConfigError(f"checkpoint {d} outside [0, max_depth)")
+                raise ConfigError(f"prune.checkpoints entry {d} must be in [0, prune.max_depth {self.max_depth})")
             if d not in self.thresholds:
-                raise ConfigError(f"missing threshold for checkpoint {d}")
+                raise ConfigError(f"prune.thresholds has no threshold for checkpoint {d}")
             if not (0.0 < self.thresholds[d] < 1.0):
-                raise ConfigError(f"threshold for checkpoint {d} must be in (0, 1)")
+                raise ConfigError(f"prune.thresholds[{d}] must be in (0, 1), got {self.thresholds[d]}")
             if d not in self.stage_budgets:
-                raise ConfigError(f"missing stage budget for checkpoint {d}")
+                raise ConfigError(f"prune.stage_budgets has no split for checkpoint {d}")
             kd, kr = self.stage_budgets[d]
             if kd < 0 or kr < 0 or kd + kr != self.total_budget:
                 raise ConfigError(
-                    f"stage {d} split {kd}+{kr} must equal total budget {self.total_budget}"
+                    f"prune.stage_budgets[{d}] split {kd}+{kr} must equal prune.total_budget {self.total_budget}"
                 )
 
     def draft_budget(self, checkpoint) -> int:

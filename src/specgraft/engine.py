@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -66,9 +66,9 @@ class CostModel:
     overhead_cost: float = 0.02  # merge + rebuild + matrix update
 
     def __post_init__(self):
-        for name in ("t_ar", "draft_layer_cost", "verify_base", "verify_per_node", "retrieval_cost", "overhead_cost"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"cost.{name} must be >= 0, got {getattr(self, name)}")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ConfigError(f"cost.{f.name} must be >= 0, got {getattr(self, f.name)}")
         # every step runs the target once, so the proxy's denominators stay positive
         for name in ("t_ar", "verify_base"):
             if getattr(self, name) <= 0:
@@ -141,26 +141,11 @@ class DecodeReport:
     realized_retrieval_fill: float | None
     overpruning_rate_estimates: dict[str, float]
     max_tree_candidates: int
-    steps: list[dict]
+    steps: list[dict] = field(metadata={"per_step": True})
 
     def to_dict(self, include_steps: bool = True) -> dict:
-        out = {
-            "mat": self.mat,
-            "steps_count": self.steps_count,
-            "tokens_emitted": self.tokens_emitted,
-            "stage_histogram": dict(self.stage_histogram),
-            "cost_total": self.cost_total,
-            "speedup_proxy": self.speedup_proxy,
-            "tradeoff_ratio": self.tradeoff_ratio,
-            "regret_estimate": self.regret_estimate,
-            "coverage_gain_mean": self.coverage_gain_mean,
-            "realized_retrieval_fill": self.realized_retrieval_fill,
-            "overpruning_rate_estimates": dict(self.overpruning_rate_estimates),
-            "max_tree_candidates": self.max_tree_candidates,
-        }
-        if include_steps:
-            out["steps"] = self.steps
-        return out
+        """Every field; without ``include_steps``, only the session totals."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if include_steps or not f.metadata.get("per_step")}
 
 
 @dataclass
@@ -371,19 +356,14 @@ def decode_session(
                 else:
                     outcome = verify_stochastic(target, committed, hy, rng)
                 n_draft, n_retrieved = hy.counts_by_origin()
-                record = {
-                    "stage": info["stage"],
-                    "layers_drafted": info["layers_drafted"],
-                    "tree_candidates": hy.n_candidates,
-                    "n_draft": n_draft,
-                    "n_retrieved": n_retrieved,
-                    "accepted_len": outcome.accepted_len,
-                    "cost": cost.step_cost(info["layers_drafted"], hy.n_candidates),
-                    "confidence_trace": info["confidence_trace"],
-                }
-                if "declared" in info:
-                    record["declared"] = info["declared"]
-                    record["realized"] = info["realized"]
+                record = dict(
+                    info,
+                    tree_candidates=hy.n_candidates,
+                    n_draft=n_draft,
+                    n_retrieved=n_retrieved,
+                    accepted_len=outcome.accepted_len,
+                    cost=cost.step_cost(info["layers_drafted"], hy.n_candidates),
+                )
                 if n_retrieved > 0:
                     drafted_tokens, retrieved_tokens = _root_frontier(hy)
                     root_row = target.rows[outcome.row_ids[0]]
@@ -481,7 +461,7 @@ def calibrate(
         raise ConfigError("calibration needs at least one prompt")
     for d in config.prune.checkpoints:
         if d not in grid or not grid[d]:
-            raise ConfigError(f"empty calibration grid for checkpoint {d}")
+            raise ConfigError(f"calibration.grid has no thresholds for checkpoint {d}")
 
     thresholds = dict(config.prune.thresholds)
     trace: list[tuple[dict[int, float], float]] = []
@@ -638,31 +618,33 @@ class AblationFixture:
     warmup_prompts: list[list[int]] = field(default_factory=list)
 
 
-def _run_variant(
-    fixture: AblationFixture, variant: str, cfg: DecodeConfig, seed: int, matrix: TransitionMatrix, warmup_rounds: int
-) -> dict:
-    cfg = replace(cfg, seed=seed)
-    _, report = decode_session(cfg, fixture.target, fixture.draft, matrix, fixture.prompts[seed])
+def run_row(report: DecodeReport, config: DecodeConfig, warmup_rounds: int, suite: str | None = None,
+            variant: str | None = None) -> dict:
+    """One session's row of a report document; a suite's rows keep only the session totals."""
     return {
+        "suite": suite,
         "variant": variant,
-        "method": cfg.method,
-        "seed": seed,
-        "acceptance": cfg.acceptance,
+        "method": config.method,
+        "seed": config.seed,
+        "acceptance": config.acceptance,
         "warmup_rounds": warmup_rounds,
-        "report": report,
+        "report": report.to_dict(include_steps=suite is None),
     }
 
 
 def run_ablation(suite: str, fixture: AblationFixture) -> list[dict]:
-    """Matched sessions across a named variant grid; identical seeds/prompts."""
+    """Matched sessions across a named variant grid; identical seeds/prompts.
+    Returns their rows, each session run on its own copy of its matrix."""
     if suite not in ABLATION_SUITES:
         raise ConfigError(f"unknown ablation suite {suite!r}; pick one of {ABLATION_SUITES}")
     base = fixture.config
-    tasks: list[tuple[str, DecodeConfig, int, TransitionMatrix, int]] = []
+    rows: list[dict] = []
 
     def add(variant: str, cfg: DecodeConfig, matrix=fixture.warmed_matrix, rounds=fixture.warmup_rounds):
-        for seed in fixture.prompts:
-            tasks.append((variant, cfg, seed, matrix.copy(), rounds))
+        for seed, prompt in fixture.prompts.items():
+            seeded = replace(cfg, seed=seed)
+            _, report = decode_session(seeded, fixture.target, fixture.draft, matrix.copy(), prompt)
+            rows.append(run_row(report, seeded, rounds, suite, variant))
 
     if suite == "component":
         add("graft", replace(base, method="graft"))
@@ -683,4 +665,4 @@ def run_ablation(suite: str, fixture: AblationFixture) -> list[dict]:
         add("greedy", replace(base, method="graft", acceptance="greedy"))
         add("T=1", replace(base, method="graft", acceptance="stochastic"))
 
-    return [_run_variant(fixture, *t) for t in tasks]
+    return rows

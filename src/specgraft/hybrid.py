@@ -125,9 +125,14 @@ def insert_tail_variant(tree: HybridTree, matrix: TransitionMatrix, budget: int,
     retained = select_retained(tree, max(budget - chain_len, 0))
     chain_len = min(chain_len, budget)  # ``graft`` drops every node past the budget
 
-    leaves = np.setdiff1d(retained, tree.parents[retained])
-    # deepest first, then best score, then lowest index
-    anchor = int(leaves[np.lexsort((leaves, -tree.scores[leaves], -tree.depths[leaves]))[0]])
+    # depth never falls as the index grows, so the deepest kept leaves are the
+    # kept nodes in the layer of the last one: walk the layer bounds down to it
+    ptr, last = tree.child_ptr, int(retained[-1])
+    lo, hi = 0, 1
+    while hi <= last:
+        lo, hi = int(ptr[lo]) + 1, int(ptr[hi]) + 1
+    layer = retained[retained.searchsorted(lo):]
+    anchor = int(layer[np.argmax(tree.scores[layer])])  # best score, ties to the lowest index
 
     chain = StageTemplate(np.arange(-1, chain_len - 1, dtype=np.int32), np.zeros(chain_len, dtype=np.int32))
     branch = instantiate(matrix, chain, int(tree.tokens[anchor]))

@@ -11,6 +11,11 @@ from the decode config.
 The tree-dump cases hash the file ``decode --dump-trees`` writes, the one
 output that prints every node's depth and origin. Their values were
 recorded while every tree still stored both.
+
+The report cases hash the JSON and CSV of ``decode``, the JSON of
+``calibrate`` on ``configs/quickstart.yaml`` and the JSON of ``theory
+--trials 50``. Their values were recorded while each command still spelled
+out its own report envelope and run rows.
 """
 
 import hashlib
@@ -53,6 +58,13 @@ TREE_DUMP_DIGESTS = {
     ('repetitive.yaml', 'graft_tail', 'greedy'): '4f2ef40a2e5ba75d26eebd0728f25bcf4878af673419fccf305d746451b43dfc',
 }
 
+REPORT_DIGESTS = {
+    'quickstart.json': 'fbf2932e1cf4055f05b3923f20045574df7ad2441ab07cc21054229568129b3e',
+    'quickstart.csv': '4a18a5ee0394ad8bb84668f507c5a8fb236f402143c722e85f056f741ee180b4',
+    'quickstart.calibrate.json': 'c101cf7586fcc125977f99ac2a9444f4a2b51c5be2209f9f39c9c10058d52322',
+    'theory.json': 'd0563327455cf438b34e03a1eec1508f964b75a3444a8834ef9d59f97b40d08e',
+}
+
 TEMPLATES_DIGEST = '07176479c8e31cf1b6f6731ef8ccd594b7fd3a8e4420df25d7b06dcde0f34394'
 
 
@@ -88,3 +100,20 @@ def test_tree_dump_digest(config, method, acceptance, tmp_path, capsys):
         assert main(argv) == 0
     capsys.readouterr()
     assert _sha256((tmp_path / "trees.txt").read_bytes()) == TREE_DUMP_DIGESTS[(config, method, acceptance)]
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["--config", "configs/quickstart.yaml", "decode"], ("quickstart.json", "quickstart.csv")),
+        (["--config", "configs/quickstart.yaml", "calibrate"], ("quickstart.calibrate.json",)),
+        (["theory", "--trials", "50"], ("theory.json",)),
+    ],
+    ids=["decode", "calibrate", "theory"],
+)
+def test_report_digest(argv, files, tmp_path, capsys):
+    with at_root():
+        assert main(["--out-dir", str(tmp_path), *argv]) == 0
+    capsys.readouterr()
+    for name in files:
+        assert _sha256((tmp_path / name).read_bytes()) == REPORT_DIGESTS[name], name

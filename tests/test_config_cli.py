@@ -340,6 +340,23 @@ BAD_VALUES = [
     ("prune", "beam_width", 1_000_000),
     ("prune", "top_k", 2**20),
     ("matrix", "k", 5),  # narrower than the builtin templates' ranks
+    # the prune policy's own checks
+    ("prune", "checkpoints", [5, 1, 0]),
+    ("prune", "checkpoints", [0, 1, 9]),  # past max_depth
+    ("prune", "thresholds", {0: 1.5, 1: 0.13, 5: 0.51}),
+    ("prune", "thresholds", {0: 0.15, 1: 0.13}),  # no threshold for checkpoint 5
+    ("prune", "stage_budgets", {0: [8, 50], 1: [24, 36], 5: [40, 20]}),
+    ("prune", "stage_budgets", {0: [8, 52], 1: [24, 36]}),  # no split for checkpoint 5
+    # empty prompts, rejected where the config loads
+    ("decode", "prompt_tokens", []),
+    ("decode", "prompt_text", ""),
+    ("warmup", "prompts_tokens", [[1], []]),
+    ("warmup", "prompts_text", ["\x01", ""]),
+    # calibration grids, rejected where the config loads, not only under calibrate
+    ("calibration", "grid", {0: [0.1], 1: [1.5], 5: [0.5]}),
+    ("calibration", "grid", {0: [0.1], 1: [], 5: [0.5]}),
+    ("calibration", "grid", {0: [0.1], 5: [0.5]}),  # no candidates for checkpoint 1
+    ("calibration", "grid", {0: [0.1], 1: [0.2], 3: [0.5], 5: [0.5]}),  # depth 3 is no checkpoint
 ]
 
 
