@@ -24,7 +24,6 @@ from .engine import (
 from .errors import AnalysisError, ConfigError, InputError, SpecGraftError, StructureError
 from .hybrid import (
     flatten,
-    insert_tail_variant,
     merge,
     render_tree,
 )
@@ -37,7 +36,6 @@ from .models import (
     train_ngram,
 )
 from .retrieval import (
-    RetrievedBranch,
     StageTemplate,
     TransitionMatrix,
     builtin_templates,

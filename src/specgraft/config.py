@@ -132,11 +132,12 @@ _RULES = {
     "decode": {"max_new_tokens": _int(), "acceptance": _text, "seed": _int(0), "prompt_text": _prompt_text,
                "prompt_tokens": _prompt_tokens, "end_token": _int(0), "updates_enabled": _flag, "prefill_update": _flag,
                "fixed_split": _pair, "root_branch_size": _int(), "tail_chain_len": _int()},
-    "warmup": {"rounds": _int(0), "prompts_text": _list(_prompt_text), "prompts_tokens": _list(_prompt_tokens),
+    "warmup": {"rounds": _int(0), "prompts_text": _such(_list(_prompt_text), len, "nonempty"),
+               "prompts_tokens": _such(_list(_prompt_tokens), len, "nonempty"),
                "derive": _fields(count=_int(1), length=_int(1))},
     "matrix": {"k": _int(TEMPLATE_WIDTH), "load": _text, "save": _text},
     "calibration": {"grid": _by_depth(_such(_list(_fraction), len, "nonempty"))},
-    "ablation": {"seeds": _list(_int(0)), "n_seeds": _int(0), "prompt_length": _int(1)},
+    "ablation": {"seeds": _such(_list(_int(0)), len, "nonempty"), "n_seeds": _int(1), "prompt_length": _int(1)},
     "output": {"json": _text, "csv": _text, "dump_trees": _text},
 }
 _TOP_KEYS = set(_RULES) | {"method"}
@@ -220,7 +221,7 @@ def _build_models(sections: dict) -> tuple[VocabSpec, MarkovTableModel, list[int
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
-def _prompt_tokens(decode_cfg: dict, tokenizer: str, vocab: VocabSpec, corpus: list[int] | None) -> list[int]:
+def _decode_prompt(decode_cfg: dict, tokenizer: str, vocab: VocabSpec, corpus: list[int] | None) -> list[int]:
     if "prompt_tokens" in decode_cfg:
         return _in_vocab("decode.prompt_tokens", decode_cfg["prompt_tokens"], vocab)
     if "prompt_text" in decode_cfg:
@@ -344,7 +345,7 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
         draft=draft,
         decode=decode,
         corpus_tokens=corpus,
-        prompt=_prompt_tokens(decode_cfg, tokenizer, vocab, corpus),
+        prompt=_decode_prompt(decode_cfg, tokenizer, vocab, corpus),
         warmup_rounds=warm.get("rounds", 0),
         warmup_prompts=_warmup_prompts(warm, tokenizer, vocab, corpus, seed),
         calibration_grid=grid,

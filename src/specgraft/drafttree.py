@@ -86,7 +86,7 @@ class HybridTree:
 
         Breadth-first storage puts each node's children together and keeps
         ``parents[1:]`` nondecreasing, so no sort is needed and no index
-        array either. ``hybrid.graft`` fills this cache as it emits a tree.
+        array either. ``hybrid.merge`` fills this cache as it emits a tree.
         """
         parents = self.parents[1:]
         if (parents[1:] < parents[:-1]).any():

@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,15 +28,10 @@ from .drafttree import (
     stage_label,
 )
 from .errors import AnalysisError, ConfigError, InputError
-from .hybrid import (
-    draft_only,
-    graft,
-    insert_tail_variant,
-    merge,
-    rank_cut,
-)
+from .hybrid import draft_only, merge, rank_cut, tail_anchor
 from .models import MarkovTableModel
 from .retrieval import (
+    COLD,
     TEMPLATE_DEPTH_COUNTS,
     StageTemplate,
     TransitionMatrix,
@@ -126,6 +122,33 @@ class DecodeConfig:
                 f"prune.checkpoints {missing} have no graft template; method graft needs stages among {staged}"
             )
 
+    @cached_property
+    def templates(self) -> Mapping[str, StageTemplate]:
+        """The template a step grafts, by the stage label it grafts at,
+        chosen once per config. ``graft`` grafts the builtin template of each
+        gate's stage; ``fixed_split`` and ``graft_root`` graft at stage
+        ``none`` the builtin of their branch size, else a prefix of ``full``,
+        each restricted by ``template_filter`` first; ``graft_tail`` grafts
+        the rank-0 chain, cut to the budget; the other methods graft nothing.
+        """
+        if self.method == "graft_tail":
+            n = min(self.tail_chain_len, self.prune.total_budget)  # ``merge`` would drop the rest
+            chain = StageTemplate(np.arange(-1, n - 1, dtype=np.int32), np.zeros(n, dtype=np.int32))
+            return {stage_label(None): chain}
+        if self.method not in ("graft", "fixed_split", "graft_root"):
+            return {}
+        templates = builtin_templates()
+        if self.template_filter is not None:
+            max_depth, max_rank = self.template_filter
+            templates = {
+                name: filter_template(t, max_depth=max_depth, max_rank=max_rank) for name, t in templates.items()
+            }
+        if self.method == "graft":
+            return {label: templates[label] for label in map(stage_label, self.prune.checkpoints)}
+        size = self.fixed_split[1] if self.method == "fixed_split" else self.root_branch_size
+        sized = [t for t in templates.values() if t.declared_size == size]
+        return {stage_label(None): sized[0] if sized else template_prefix(templates["full"], size)}
+
 
 @dataclass
 class DecodeReport:
@@ -154,42 +177,25 @@ class CalibrationResult:
     objective_trace: list[tuple[dict[int, float], float]]
 
 
-def _resolve_templates(config: DecodeConfig) -> Mapping[str, StageTemplate]:
-    templates = builtin_templates()
-    if config.template_filter is not None:
-        max_depth, max_rank = config.template_filter
-        templates = {
-            name: filter_template(t, max_depth=max_depth, max_rank=max_rank)
-            for name, t in templates.items()
-        }
-    return templates
-
-
-def _template_for_size(templates: Mapping[str, StageTemplate], size: int) -> StageTemplate:
-    for t in templates.values():
-        if t.declared_size == size:
-            return t
-    return template_prefix(templates["full"], size)
-
-
 def build_next_tree(
     config: DecodeConfig,
     draft: MarkovTableModel,
     matrix: TransitionMatrix,
     committed,
-    templates: Mapping[str, StageTemplate],
+    *,
     before_read=None,
 ) -> tuple[HybridTree, dict]:
     """Next candidate tree for the configured method, plus build metadata.
 
-    ``before_read``, when given, is called right before the matrix is
-    first read (the retrieval methods' ``instantiate``), so a caller that
-    defers its matrix writes can apply them there.
+    The draft tree is cut to the method's rank cut; when the config has a
+    template at the step's stage, the branch read from the matrix along it
+    is merged in: at the root, or for ``graft_tail`` below the cut's best
+    deepest leaf. ``before_read``, when given, is called right before that
+    read, so a caller that defers its matrix writes can apply them there.
     """
     prune = config.prune
     method = config.method
     budget = limit = prune.total_budget  # the rank cut of the draft tree
-    template = None
     if method in ("prune_only", "graft"):
         tree, decision = resolve_stage(draft, committed, prune, budget)
         info = {
@@ -198,34 +204,34 @@ def build_next_tree(
             "confidence_trace": {str(d): c for d, c in decision.confidence_trace.items()},
         }
         limit = prune.draft_budget(decision.stage)
-        if method == "graft" and decision.stage is not None:
-            template = templates[stage_label(decision.stage)]
     elif method in TREE_METHODS:
         info = {"stage": stage_label(None), "layers_drafted": prune.max_depth, "confidence_trace": {}}
-        if method == "graft_tail":
-            tree = expand_full(draft, committed, prune, max(budget - config.tail_chain_len, 0))
-            if before_read is not None:
-                before_read()
-            return insert_tail_variant(tree, matrix, budget, config.tail_chain_len), info
         if method == "fixed_split":
             limit = config.fixed_split[0]
-            template = _template_for_size(templates, config.fixed_split[1])
-        elif method == "graft_root":  # the realized branch evicts draft nodes, below
-            template = _template_for_size(templates, config.root_branch_size)
+        elif method == "graft_tail":
+            limit = max(budget - config.tail_chain_len, 0)
         tree = expand_full(draft, committed, prune, limit)
     else:
         raise ConfigError(f"method {method!r} does not build trees")
 
+    template = config.templates.get(info["stage"])
     if template is None:
         return rank_cut(tree, limit), info
+    at = 0
+    if method == "graft_tail":
+        retained = select_retained(tree, limit)
+        at = tail_anchor(tree, retained)
     if before_read is not None:
         before_read()
-    branch = instantiate(matrix, template, int(committed[-1]))
-    if method == "graft_root":
-        limit = max(budget - branch.realized_count, 0)
-    info["declared"] = template.declared_size
-    info["realized"] = branch.realized_count
-    return merge(tree, select_retained(tree, limit), branch, budget), info
+    tokens = instantiate(matrix, template, int(tree.tokens[at]))
+    if method != "graft_tail":
+        realized = int(np.count_nonzero(tokens != COLD))
+        if method == "graft_root":  # the realized branch evicts draft nodes
+            limit = max(budget - realized, 0)
+        retained = select_retained(tree, limit)
+        info["declared"] = template.declared_size
+        info["realized"] = realized
+    return merge(tree, retained, budget, at, template.parents, tokens), info
 
 
 def coverage_gain(root_dist: np.ndarray, draft_tokens, retrieved_tokens) -> float:
@@ -269,7 +275,7 @@ def _dense_union_replay(
     tree = expand_full(draft, committed, prune, prune.total_budget)
     budget = prune.total_budget + method_tree.n_candidates
     retained = select_retained(tree, prune.total_budget)
-    union = graft(tree, retained, budget, 0, method_tree.parents[1:] - 1, method_tree.tokens[1:])
+    union = merge(tree, retained, budget, 0, method_tree.parents[1:] - 1, method_tree.tokens[1:])
     return verify_greedy(target, committed, union).accepted_len
 
 
@@ -301,7 +307,6 @@ def decode_session(
         if not 0 <= t < target.vocab.size:
             raise InputError(f"prompt token {t} out of range")
 
-    templates = _resolve_templates(config)
     rng = np.random.default_rng(config.seed)
     cost = config.cost
 
@@ -348,7 +353,7 @@ def decode_session(
                     "confidence_trace": {},
                 }
             else:
-                hy, info = build_next_tree(config, draft, matrix, committed, templates, flush)
+                hy, info = build_next_tree(config, draft, matrix, committed, before_read=flush)
                 if tree_observer is not None:
                     tree_observer(len(steps), hy)
                 if config.acceptance == "greedy":
@@ -551,8 +556,7 @@ def theory_checks(
         retained = select_retained(tree, limit)
         pruned = draft_only(tree, retained, tree.n_nodes + 32)
         tmpl = template_prefix(_SMALL_TEMPLATE, int(rng.integers(0, 12)))
-        branch = instantiate(matrix, tmpl, tree.root_token)
-        grafted = merge(tree, retained, branch, tree.n_nodes + 32)
+        grafted = merge(tree, retained, tree.n_nodes + 32, 0, tmpl.parents, instantiate(matrix, tmpl, tree.root_token))
         l_pruned = verify_greedy(target, prefix, pruned).accepted_len
         l_grafted = verify_greedy(target, prefix, grafted).accepted_len
         if l_grafted < l_pruned:

@@ -1,8 +1,10 @@
 """Merge retained draft nodes with retrieved branches into hybrid trees.
 
-Retained draft nodes alone are a reindex of the draft tree; a graft builds
-from the draft tree and the retained set directly. Node budgets count
-candidates only; the root (last committed token) is index 0 and free.
+Retained draft nodes alone are a reindex of the draft tree; a merge builds
+from the draft tree and the retained set directly, and grafts a retrieved
+branch, a token array read along a template, below one kept node. Node
+budgets count candidates only; the root (last committed token) is index 0
+and free.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from .drafttree import HybridTree, select_retained
 from .errors import StructureError
 from .models import VocabSpec
-from .retrieval import COLD, RetrievedBranch, StageTemplate, TransitionMatrix, instantiate
+from .retrieval import COLD
 
 _ORIGIN_NAMES = ("draft", "retrieved")
 
@@ -57,12 +59,13 @@ def rank_cut(tree: HybridTree, limit: int) -> HybridTree:
     return draft_only(tree, select_retained(tree, limit), limit)
 
 
-def graft(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray, tokens: np.ndarray) -> HybridTree:
+def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray, tokens: np.ndarray) -> HybridTree:
     """The nodes ``retained`` of ``tree``, its root added, with a
     parent-before-child node list grafted below kept node ``at``, in
     canonical order and with its child pointers filled in.
 
-    ``parents[i]`` indexes an earlier entry of the list, -1 meaning ``at``.
+    The list is a retrieved branch: a template's ``parents`` and the
+    ``tokens`` read from the matrix along it below ``at``'s token. ``parents[i]`` indexes an earlier entry, -1 meaning ``at``.
     A node whose (parent, token) pair is present already is merged into
     that node, so its children attach there. A ``COLD`` token, a new pair
     once the budget is full, or a dropped parent drops the node, and with
@@ -105,26 +108,11 @@ def graft(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray,
     return hy
 
 
-def merge(tree: HybridTree, retained: np.ndarray, branch: RetrievedBranch, budget: int) -> HybridTree:
-    """Retained draft nodes plus the branch grafted at the root.
-
-    Duplicate (parent, token) pairs keep the draft node; the retrieved
-    node's children re-parent onto the survivor. Freed slots stay empty.
-    """
-    if branch.root_token != tree.root_token:
-        raise StructureError(
-            f"branch rooted at {branch.root_token} cannot graft onto root {tree.root_token}"
-        )
-    return graft(tree, retained, budget, 0, branch.template.parents, branch.tokens)
-
-
-def insert_tail_variant(tree: HybridTree, matrix: TransitionMatrix, budget: int, chain_len: int) -> HybridTree:
-    """Static-tree baseline: a rank-0 chain appended after the deepest
-    highest-score retained leaf, evicting lowest-score draft nodes to fit.
-    """
-    retained = select_retained(tree, max(budget - chain_len, 0))
-    chain_len = min(chain_len, budget)  # ``graft`` drops every node past the budget
-
+def tail_anchor(tree: HybridTree, retained) -> int:
+    """Of the deepest nodes ``retained`` of ``tree``, the best-scoring one,
+    ties to the lowest index: the leaf below which the static tail baseline
+    grafts its rank-0 chain. ``retained`` is a sorted array, as
+    :func:`select_retained` gives it."""
     # depth never falls as the index grows, so the deepest kept leaves are the
     # kept nodes in the layer of the last one: walk the layer bounds down to it
     ptr, last = tree.child_ptr, int(retained[-1])
@@ -132,11 +120,7 @@ def insert_tail_variant(tree: HybridTree, matrix: TransitionMatrix, budget: int,
     while hi <= last:
         lo, hi = int(ptr[lo]) + 1, int(ptr[hi]) + 1
     layer = retained[retained.searchsorted(lo):]
-    anchor = int(layer[np.argmax(tree.scores[layer])])  # best score, ties to the lowest index
-
-    chain = StageTemplate(np.arange(-1, chain_len - 1, dtype=np.int32), np.zeros(chain_len, dtype=np.int32))
-    branch = instantiate(matrix, chain, int(tree.tokens[anchor]))
-    return graft(tree, retained, budget, anchor, chain.parents, branch.tokens)
+    return int(layer[np.argmax(tree.scores[layer])])
 
 
 def flatten(tree: HybridTree, prefix_len: int) -> HybridTree:

@@ -10,9 +10,12 @@ arrays: ``builtin_templates()`` returns them, and ``TEMPLATE_WIDTH`` is the
 narrowest matrix that realizes every one of their ranks.
 
 One function writes the matrix, :func:`write_rows`, from a
-``{token: target row id}`` dict in which the last writer has already won.
-A decode session collects its verified nodes in such a dict and writes it
-only right before it reads the matrix (``instantiate``) and when it ends.
+``{token: target row id}`` dict in which the last writer has already won,
+and one reads it, :func:`instantiate`: a retrieved branch is the token
+array it reads along a template, which ``hybrid.merge`` grafts at an
+anchor. A decode session collects its verified nodes in such a dict and
+writes it only right before its one read per step (``build_next_tree``'s
+``instantiate``) and when it ends.
 """
 
 from __future__ import annotations
@@ -205,26 +208,11 @@ def template_prefix(template: StageTemplate, size: int) -> StageTemplate:
     return StageTemplate(template.parents[:size], template.ranks[:size])
 
 
-@dataclass
-class RetrievedBranch:
-    """Template instantiated against the matrix from a root token.
-
-    ``tokens[i]`` is ``COLD`` where node i is not realized; a node is
-    realized iff its parent is realized and the parent row holds a
-    successor at the node's rank.
-    """
-
-    template: StageTemplate
-    root_token: int
-    tokens: np.ndarray
-
-    @property
-    def realized_count(self) -> int:
-        return int(np.count_nonzero(self.tokens != COLD))
-
-
-def instantiate(matrix: TransitionMatrix, template: StageTemplate, root: int) -> RetrievedBranch:
-    """Breadth-first fill; cold rows shrink the branch, never fail it."""
+def instantiate(matrix: TransitionMatrix, template: StageTemplate, root: int) -> np.ndarray:
+    """The (n,) int32 token of each template node below ``root``,
+    breadth-first, ``COLD`` where a node is unrealized: a node is realized
+    iff its parent is realized and the parent row holds a successor at the
+    node's rank. Cold rows shrink the branch, never fail it."""
     if not 0 <= root < matrix.vocab_size:
         raise InputError(f"root token {root} out of range")
     tokens = [COLD] * template.declared_size
@@ -233,7 +221,7 @@ def instantiate(matrix: TransitionMatrix, template: StageTemplate, root: int) ->
         parent_token = root if p < 0 else tokens[p]
         if parent_token != COLD and rank < k:
             tokens[i] = rows(parent_token, rank)
-    return RetrievedBranch(template=template, root_token=int(root), tokens=np.array(tokens, dtype=np.int32))
+    return np.array(tokens, dtype=np.int32)
 
 
 # ---------------------------------------------------------------------------

@@ -290,19 +290,18 @@ def reference_draft_builder(tree, retained, budget):
     return builder, mapping
 
 
-def reference_hybrid(tree, retained, budget, branch=None):
-    """Retained draft nodes added one by one, then the branch's realized
-    nodes grafted at the root (origin 1, score NaN)."""
+def reference_hybrid(tree, retained, budget, parents=(), tokens=()):
+    """Retained draft nodes added one by one, then the realized nodes of a
+    retrieved branch, its template's ``parents`` and the ``tokens`` read
+    along it, grafted at the root (origin 1, score NaN)."""
     builder, _ = reference_draft_builder(tree, retained, budget)
-    if branch is not None:
-        mapping = {-1: 0}
-        template = branch.template
-        for i in range(template.declared_size):
-            parent = mapping.get(int(template.parents[i]))
-            if branch.tokens[i] != -1 and parent is not None:  # -1: the slot is cold
-                idx = builder.add(parent, int(branch.tokens[i]), 1, float("nan"))
-                if idx is not None:
-                    mapping[i] = idx
+    mapping = {-1: 0}
+    for i, (p, token) in enumerate(zip(parents, tokens)):
+        parent = mapping.get(int(p))
+        if token != -1 and parent is not None:  # -1: the slot is cold
+            idx = builder.add(parent, int(token), 1, float("nan"))
+            if idx is not None:
+                mapping[i] = idx
     return builder.finish()
 
 

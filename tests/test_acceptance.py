@@ -90,8 +90,7 @@ def tiny_instance(i):
         from specgraft.retrieval import template_from_depth_counts
 
         template = template_prefix(template_from_depth_counts((2, 1)), 3)
-        branch = instantiate(matrix, template, tree.root_token)
-        hy = merge(tree, retained, branch, 9)
+        hy = merge(tree, retained, 9, 0, template.parents, instantiate(matrix, template, tree.root_token))
     else:
         hy = draft_only(tree, retained, 9)
     return target, prefix, flatten(hy, len(prefix) - 1)

@@ -352,6 +352,11 @@ BAD_VALUES = [
     ("decode", "prompt_text", ""),
     ("warmup", "prompts_tokens", [[1], []]),
     ("warmup", "prompts_text", ["\x01", ""]),
+    # empty prompt and seed lists, which would leave a command nothing to run
+    ("warmup", "prompts_tokens", []),
+    ("warmup", "prompts_text", []),
+    ("ablation", "seeds", []),
+    ("ablation", "n_seeds", 0),
     # calibration grids, rejected where the config loads, not only under calibrate
     ("calibration", "grid", {0: [0.1], 1: [1.5], 5: [0.5]}),
     ("calibration", "grid", {0: [0.1], 1: [], 5: [0.5]}),

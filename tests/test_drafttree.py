@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specgraft import engine
+from specgraft import engine, retrieval
 from specgraft.drafttree import (
     HybridTree,
     PruneConfig,
@@ -30,7 +30,7 @@ from specgraft.models import (
     tokenize_bytes,
     train_ngram,
 )
-from specgraft.retrieval import builtin_templates, new_matrix, write_rows
+from specgraft.retrieval import new_matrix, write_rows
 
 from .conftest import grow, table_model
 
@@ -462,8 +462,9 @@ class TestRankCutBound:
         rng = np.random.default_rng(99)
         drafts = [build_markov(VocabSpec(7), order, seed=order, sparsity=0.5) for order in (1, 2)]
         drafts += [dyadic_model(5, order, seed=order) for order in (1, 2)]
-        templates = builtin_templates()
         fired = {False: 0, True: 0}
+        reads = []  # every matrix read: fixed_split, graft_root and graft_tail read once a step
+        monkeypatch.setattr(engine, "instantiate", lambda *args: reads.append(args) or retrieval.instantiate(*args))
         for draft in drafts:
             vocab = draft.vocab.size
             matrix = new_matrix(vocab, 10)
@@ -492,11 +493,14 @@ class TestRankCutBound:
                         fired[gated] += resolve_stage(draft, context, base, keep)[0].n_nodes < whole
                         for method in TREE_METHODS:
                             config = _bound_config(rng, method, keep, base)
-                            got, info = build_next_tree(config, draft, matrix.copy(), context, templates)
+                            before = len(reads)
+                            got, info = build_next_tree(config, draft, matrix.copy(), context)
+                            if method in ("fixed_split", "graft_root", "graft_tail"):
+                                assert len(reads) == before + 1, method
                             with monkeypatch.context() as patch:
                                 patch.setattr(engine, "expand_full", _oracle_expand_full)
                                 patch.setattr(engine, "resolve_stage", _oracle_resolve_stage)
-                                expect, expect_info = build_next_tree(config, draft, matrix.copy(), context, templates)
+                                expect, expect_info = build_next_tree(config, draft, matrix.copy(), context)
                             for name in ("tokens", "parents", "scores"):
                                 a, b = getattr(got, name), getattr(expect, name)
                                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (method, name)
@@ -511,7 +515,7 @@ class TestRankCutBound:
         for context in np.random.default_rng(3).integers(0, 64, size=(40, 3)).tolist():
             tree = expand_full(draft, context, config.prune, config.prune.total_budget)
             assert int(tree.depths[-1]) == 6 and tree.n_candidates == 60
-            hy, info = build_next_tree(config, draft, matrix, context, builtin_templates())
+            hy, info = build_next_tree(config, draft, matrix, context)
             assert hy.tokens.tobytes() == tree.tokens.tobytes() and hy.scores.tobytes() == tree.scores.tobytes()
             assert info["layers_drafted"] == config.prune.max_depth
 

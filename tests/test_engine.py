@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specgraft import engine, hybrid, retrieval
+from specgraft import engine, retrieval
 from specgraft.drafttree import PruneConfig, expand_full, resolve_stage, select_retained
 from specgraft.engine import (
     ACCEPTANCE_MODES,
@@ -26,7 +26,7 @@ from specgraft.engine import (
 from specgraft.errors import ConfigError
 from specgraft.hybrid import flatten
 from specgraft.models import DraftDerivation, VocabSpec, argtopk, build_markov, derive_draft
-from specgraft.retrieval import COLD, builtin_templates, new_matrix, warmup
+from specgraft.retrieval import COLD, builtin_templates, filter_template, new_matrix, warmup
 from specgraft.verify import node_row_ids, verify_greedy, verify_stochastic
 
 from .conftest import table_model
@@ -154,8 +154,7 @@ class TestDecodeSession:
 class TestBuildNextTree:
     def test_graft_stage_none_has_no_retrieval(self, det4):
         cfg = DecodeConfig(method="graft")
-        templates = builtin_templates()
-        hy, info = build_next_tree(cfg, det4, full_matrix(4, 10), [0], templates)
+        hy, info = build_next_tree(cfg, det4, full_matrix(4, 10), [0])
         assert info["stage"] == "none"
         assert hy.counts_by_origin()[1] == 0
 
@@ -170,7 +169,7 @@ class TestBuildNextTree:
         prune = PruneConfig(thresholds={0: 1e-9, 1: 0.999999, 5: 0.51})
         cfg = DecodeConfig(method="graft", prune=prune)
         matrix = full_matrix(64, 10, shift=32)
-        hy, info = build_next_tree(cfg, draft, matrix, [0], builtin_templates())
+        hy, info = build_next_tree(cfg, draft, matrix, [0])
         assert info["stage"] == "d1"
         n_draft, n_retrieved = hy.counts_by_origin()
         # the d1 split is (24, 36); under the width-10 layer beam the
@@ -185,7 +184,7 @@ class TestBuildNextTree:
         target, draft = seeded_pair(seed=23)
         prune = PruneConfig(thresholds={0: 0.999999, 1: 0.13, 5: 0.51})
         cfg = DecodeConfig(method="prune_only", prune=prune)
-        hy, info = build_next_tree(cfg, draft, new_matrix(24, 10), [0], builtin_templates())
+        hy, info = build_next_tree(cfg, draft, new_matrix(24, 10), [0])
         assert info["stage"] == "d0"
         assert hy.n_candidates == 8
         # oracle: re-run the stage resolution independently
@@ -196,7 +195,7 @@ class TestBuildNextTree:
     def test_fixed_split_uses_constant_split(self):
         target, draft = seeded_pair(seed=29)
         cfg = DecodeConfig(method="fixed_split", fixed_split=(24, 36))
-        hy, info = build_next_tree(cfg, draft, full_matrix(24, 10, shift=13), [0], builtin_templates())
+        hy, info = build_next_tree(cfg, draft, full_matrix(24, 10, shift=13), [0])
         n_draft, _ = hy.counts_by_origin()
         assert n_draft <= 24
         assert info["stage"] == "none"
@@ -232,6 +231,62 @@ class TestBuildNextTree:
             DecodeConfig(method="fixed_split", fixed_split=split)
 
 
+class TestTemplates:
+    """``DecodeConfig.templates``: the template each method grafts, by the
+    stage label it grafts at, chosen once per config."""
+
+    def test_graft_grafts_each_gate_stage_template(self):
+        cfg = DecodeConfig(method="graft")
+        assert cfg.templates is cfg.templates  # computed once
+        assert set(cfg.templates) == {"d0", "d1", "d5"}
+        assert all(t is builtin_templates()[name] for name, t in cfg.templates.items())
+
+    def test_graft_filters_its_stage_templates(self):
+        templates = DecodeConfig(method="graft", template_filter=(2, 3)).templates
+        assert set(templates) == {"d0", "d1", "d5"}
+        for name, t in templates.items():
+            expect = filter_template(builtin_templates()[name], max_depth=2, max_rank=3)
+            assert t.parents.tolist() == expect.parents.tolist() and t.ranks.tolist() == expect.ranks.tolist()
+            assert len(t.depth_counts()) == 2 and t.max_rank() == 2
+
+    @pytest.mark.parametrize("method,size,builtin", [("fixed_split", 36, "d1"), ("graft_root", 20, "d5")])
+    def test_a_size_that_hits_a_builtin_takes_it(self, method, size, builtin):
+        cfg = DecodeConfig(method=method, fixed_split=(60 - size, size), root_branch_size=size)
+        assert set(cfg.templates) == {"none"} and cfg.templates["none"] is builtin_templates()[builtin]
+
+    def test_a_size_that_misses_takes_a_prefix_of_full(self):
+        template = DecodeConfig(method="fixed_split", fixed_split=(10, 50)).templates["none"]
+        full = builtin_templates()["full"]
+        assert template.parents.tolist() == full.parents[:50].tolist()
+        assert template.ranks.tolist() == full.ranks[:50].tolist()
+
+    def test_fixed_split_searches_the_filtered_templates(self):
+        # depth 2 leaves full 24 nodes (8 + 16) and d1 13 (6 + 7)
+        def template(split):
+            return DecodeConfig(method="fixed_split", fixed_split=split, template_filter=(2, None)).templates["none"]
+
+        full = filter_template(builtin_templates()["full"], max_depth=2)
+        assert template((36, 24)).parents.tolist() == full.parents.tolist()
+        assert template((47, 13)).depth_counts() == [6, 7]
+        assert template((24, 36)).declared_size == 24  # a prefix longer than the filtered full is all of it
+
+    @pytest.mark.parametrize("chain_len,size", [(8, 8), (0, 0), (61, 60), (10**12, 60)])
+    def test_graft_tail_grafts_the_rank0_chain_cut_to_the_budget(self, chain_len, size):
+        templates = DecodeConfig(method="graft_tail", tail_chain_len=chain_len).templates
+        assert set(templates) == {"none"}
+        chain = templates["none"]
+        assert chain.parents.tolist() == list(range(-1, size - 1))
+        assert chain.ranks.tolist() == [0] * size
+
+    @pytest.mark.parametrize("method", ["autoregressive", "dense", "prune_only"])
+    def test_other_methods_graft_nothing(self, method):
+        assert DecodeConfig(method=method, template_filter=(2, None)).templates == {}
+
+    def test_before_read_is_keyword_only(self, det4):
+        with pytest.raises(TypeError):
+            build_next_tree(DecodeConfig(method="graft"), det4, full_matrix(4, 10), [0], lambda: None)
+
+
 class TestBoundedContext:
     """The models read at most ``order`` tokens, so a step must not depend on
     anything earlier: a 20 000-token prefix and its last-``order`` suffix
@@ -247,9 +302,8 @@ class TestBoundedContext:
         matrix = full_matrix(12, 10, shift=5)
         long = [int(t) for t in np.random.default_rng(order).integers(0, 12, size=20_000)]
         short = long[-order:]
-        templates = builtin_templates()
-        hy_long, info_long = build_next_tree(cfg, draft, matrix, long, templates)
-        hy_short, info_short = build_next_tree(cfg, draft, matrix, short, templates)
+        hy_long, info_long = build_next_tree(cfg, draft, matrix, long)
+        hy_short, info_short = build_next_tree(cfg, draft, matrix, short)
         assert info_long == info_short
         for name in ("tokens", "parents", "depths", "origin", "scores"):
             assert np.array_equal(getattr(hy_long, name), getattr(hy_short, name), equal_nan=True), name
@@ -392,8 +446,8 @@ class _Stop(Exception):
 
 def _traced_session(monkeypatch, cfg, target, draft, matrix, prompt, stop_at=None):
     """Run one session, recording the trees it verifies, a snapshot of the
-    matrix at every ``instantiate`` (under its ``engine`` and ``hybrid``
-    names) with the step it serves, and every ``write_rows`` call, in order.
+    matrix at every ``instantiate``, all of which ``engine`` makes, with
+    the step it serves, and every ``write_rows`` call, in order.
     ``stop_at`` makes the tree observer raise at that step."""
     trees, reads, events = [], [], []
 
@@ -412,7 +466,6 @@ def _traced_session(monkeypatch, cfg, target, draft, matrix, prompt, stop_at=Non
         trees.append(hy)
 
     monkeypatch.setattr(engine, "instantiate", read)
-    monkeypatch.setattr(hybrid, "instantiate", read)
     monkeypatch.setattr(engine, "write_rows", write)
     report = None
     if stop_at is None:

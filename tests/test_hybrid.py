@@ -21,14 +21,14 @@ from specgraft.errors import ConfigError, StructureError
 from specgraft.hybrid import (
     draft_only,
     flatten,
-    graft,
-    insert_tail_variant,
     merge,
     render_tree,
+    tail_anchor,
 )
 from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft
 from specgraft.retrieval import (
     COLD,
+    StageTemplate,
     builtin_templates,
     instantiate,
     new_matrix,
@@ -65,15 +65,31 @@ def stage_retained(draft, context, prune):
     return select_retained(tree, prune.draft_budget(decision.stage))
 
 
-def size_zero_branch(root):
-    """A branch instantiated from a size-0 template."""
-    return instantiate(new_matrix(64, 10), template_prefix(builtin_templates()["d5"], 0), root)
+SIZE_ZERO = template_prefix(builtin_templates()["d5"], 0)
 
 
-def root_variant(tree, branch, budget):
+def root_merge(tree, retained, budget, matrix, template):
+    """The nodes ``retained`` of ``tree`` with ``template``'s branch, read
+    from ``matrix`` below the root, grafted at the root."""
+    return merge(tree, retained, budget, 0, template.parents, instantiate(matrix, template, tree.root_token))
+
+
+def root_variant(tree, matrix, template, budget):
     """The graft_root baseline: the realized branch evicts the lowest-score
     draft nodes, then is grafted at the root."""
-    return merge(tree, select_retained(tree, max(budget - branch.realized_count, 0)), branch, budget)
+    tokens = instantiate(matrix, template, tree.root_token)
+    retained = select_retained(tree, max(budget - np.count_nonzero(tokens != COLD), 0))
+    return merge(tree, retained, budget, 0, template.parents, tokens)
+
+
+def tail_variant(tree, matrix, budget, chain_len):
+    """The graft_tail baseline: the rank-0 chain of ``chain_len`` nodes read
+    below the cut's :func:`tail_anchor` and grafted there; ``merge`` drops
+    every chain node past the budget."""
+    retained = select_retained(tree, max(budget - chain_len, 0))
+    at = tail_anchor(tree, retained)
+    chain = StageTemplate(np.arange(-1, chain_len - 1, dtype=np.int32), np.zeros(chain_len, dtype=np.int32))
+    return merge(tree, retained, budget, at, chain.parents, instantiate(matrix, chain, int(tree.tokens[at])))
 
 
 class TestMerge:
@@ -81,7 +97,7 @@ class TestMerge:
         _, tree, prune = seeded_setup()
         retained = stage_retained(build_markov(VocabSpec(64), 1, seed=42), [3], prune)
         base = draft_only(tree, retained, prune.total_budget)
-        merged = merge(tree, retained, size_zero_branch(tree.root_token), prune.total_budget)
+        merged = root_merge(tree, retained, prune.total_budget, new_matrix(64, 10), SIZE_ZERO)
         assert np.array_equal(base.tokens, merged.tokens)
         assert np.array_equal(base.parents, merged.parents)
 
@@ -103,8 +119,7 @@ class TestMerge:
         retained = stage_retained(draft, [0], prune)
         assert decision.stage == 0 and len(retained) == 9
         matrix = full_matrix(64, 10, shift=32)
-        branch = instantiate(matrix, builtin_templates()["d0"], tree.root_token)
-        merged = merge(tree, retained, branch, prune.total_budget)
+        merged = root_merge(tree, retained, prune.total_budget, matrix, builtin_templates()["d0"])
         n_draft, n_retrieved = merged.counts_by_origin()
         assert (n_draft, n_retrieved) == (8, 52)
         assert merged.n_candidates == 60
@@ -119,11 +134,9 @@ class TestMerge:
         matrix = new_matrix(16, 2)
         matrix.rows[0] = [7, 3]
         matrix.rows[7] = [9, 4]
-        template = builtin_templates()["d5"]
-        from specgraft.retrieval import template_prefix
-
-        branch = instantiate(matrix, template_prefix(template, 5), 0)
-        merged = merge(tree, np.array([0, 1]), branch, 60)
+        template = template_prefix(builtin_templates()["d5"], 5)
+        tokens = instantiate(matrix, template, 0)
+        merged = merge(tree, np.array([0, 1]), 60, 0, template.parents, tokens)
         # exactly one child with token 7 under the root, tagged draft
         root_kids = children_of(merged, 0)
         sevens = [i for i in root_kids if merged.tokens[i] == 7]
@@ -134,8 +147,8 @@ class TestMerge:
         assert any(merged.tokens[i] == 9 and merged.origin[i] == ORIGIN_RETRIEVED for i in kids)
         # path-set union oracle
         expect = path_token_sets(tree.tokens, tree.parents) | path_token_sets(
-            [0] + [int(t) for t in branch.tokens[branch.tokens != COLD]],
-            _branch_parents(branch),
+            [0] + [int(t) for t in tokens[tokens != COLD]],
+            _branch_parents(template, tokens),
         )
         assert path_token_sets(merged.tokens, merged.parents) == expect
 
@@ -144,7 +157,7 @@ class TestMerge:
         # repeat of the chain's head, merged, whose new child is dropped
         parents = np.array([-1, 0, -1, 2, 3, 4, -1, 6, 7], dtype=np.int32)
         tokens = np.array([COLD, 5, 1, 2, 3, 4, 1, 2, 9], dtype=np.int32)
-        hy = graft(new_tree([0]), [0], 3, 0, parents, tokens)
+        hy = merge(new_tree([0]), [0], 3, 0, parents, tokens)
         assert hy.tokens.tolist() == [0, 1, 2, 3]
         assert hy.parents.tolist() == [-1, 0, 1, 2]
         assert hy.origin.tolist() == [ORIGIN_DRAFT] + [ORIGIN_RETRIEVED] * 3
@@ -152,31 +165,24 @@ class TestMerge:
     def test_graft_point_must_be_kept(self, det4):
         tree = grow(det4, [0], 3, top_k=1)  # the chain 0 -> 1 -> 2 -> 3
         chain = (np.array([-1, 0], dtype=np.int32), np.array([3, 0], dtype=np.int32))
-        hy = graft(tree, [0, 1], 4, 1, *chain)
+        hy = merge(tree, [0, 1], 4, 1, *chain)
         assert hy.tokens.tolist() == [0, 1, 3, 0]
         assert hy.parents.tolist() == [-1, 0, 1, 2]
         assert hy.origin.tolist() == [ORIGIN_DRAFT] * 2 + [ORIGIN_RETRIEVED] * 2
         with pytest.raises(StructureError, match="graft point 2"):
-            graft(tree, [0, 1], 4, 2, *chain)
-
-    def test_root_mismatch_rejected(self):
-        _, tree, prune = seeded_setup()
-        matrix = full_matrix(64, 10)
-        branch = instantiate(matrix, builtin_templates()["d5"], root=(tree.root_token + 1) % 64)
-        with pytest.raises(StructureError):
-            merge(tree, select_retained(tree, 10), branch, prune.total_budget)
+            merge(tree, [0, 1], 4, 2, *chain)
 
 
-def _branch_parents(branch):
+def _branch_parents(template, tokens):
     """Branch (template) parents re-indexed over realized nodes, root=0."""
     remap = {-1: 0}
     parents = [(-1)]
     n = 1
-    for i in range(branch.template.declared_size):
-        if branch.tokens[i] == COLD:
+    for i in range(template.declared_size):
+        if tokens[i] == COLD:
             continue
         remap[i] = n
-        parents.append(remap[int(branch.template.parents[i])])
+        parents.append(remap[int(template.parents[i])])
         n += 1
     return parents
 
@@ -203,13 +209,13 @@ class TestStaticVariants:
     def test_root_with_size_zero_branch_unchanged(self):
         _, tree, prune = seeded_setup(seed=21)
         dense = draft_only(tree, select_retained(tree, prune.total_budget), prune.total_budget)
-        rooted = root_variant(tree, size_zero_branch(tree.root_token), prune.total_budget)
+        rooted = root_variant(tree, new_matrix(64, 10), SIZE_ZERO, prune.total_budget)
         assert np.array_equal(dense.tokens, rooted.tokens)
 
     def test_tail_arithmetic(self):
         _, tree, prune = seeded_setup(seed=23)
         matrix = full_matrix(64, 10, shift=29)
-        hy = insert_tail_variant(tree, matrix, prune.total_budget, chain_len=3)
+        hy = tail_variant(tree, matrix, prune.total_budget, chain_len=3)
         n_draft, n_retrieved = hy.counts_by_origin()
         assert (n_draft, n_retrieved) == (57, 3)
         # chain nodes form a single path below a retained leaf
@@ -223,7 +229,7 @@ class TestStaticVariants:
         matrix = full_matrix(64, 10, shift=29)
         with pytest.raises(ConfigError):  # no depth-count template is this deep
             template_from_depth_counts([1] * 12)
-        hy = insert_tail_variant(tree, matrix, prune.total_budget, chain_len=12)
+        hy = tail_variant(tree, matrix, prune.total_budget, chain_len=12)
         assert hy.counts_by_origin() == (48, 12)
         chain = np.flatnonzero(hy.origin == ORIGIN_RETRIEVED)
         assert hy.origin[hy.parents[chain[0]]] == ORIGIN_DRAFT
@@ -235,9 +241,8 @@ class TestStaticVariants:
     def test_root_eviction_matches_closure_oracle(self):
         _, tree, prune = seeded_setup(seed=31)
         matrix = full_matrix(64, 10, shift=41)
-        branch = instantiate(matrix, builtin_templates()["d5"], tree.root_token)
-        assert branch.realized_count == 20
-        hy = root_variant(tree, branch, prune.total_budget)
+        assert np.count_nonzero(instantiate(matrix, builtin_templates()["d5"], tree.root_token) != COLD) == 20
+        hy = root_variant(tree, matrix, builtin_templates()["d5"], prune.total_budget)
         kept_oracle = closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), prune.total_budget - 20)
         expect_paths = path_token_sets(
             [int(tree.tokens[i]) for i in kept_oracle],
@@ -253,8 +258,7 @@ class TestStaticVariants:
         dense = draft_only(tree, select_retained(tree, prune.total_budget), prune.total_budget)
         matrix = full_matrix(64, 10, shift=45)
         retained = stage_retained(build_markov(VocabSpec(64), 1, seed=37), [3], prune)
-        branch = instantiate(matrix, builtin_templates()["d0"], tree.root_token)
-        merged = merge(tree, retained, branch, prune.total_budget)
+        merged = root_merge(tree, retained, prune.total_budget, matrix, builtin_templates()["d0"])
         dense_paths = path_token_sets(dense.tokens, dense.parents)
         merged_paths = path_token_sets(merged.tokens, merged.parents)
         assert merged_paths - dense_paths  # hybrid is not confined to the dense tree
@@ -266,8 +270,8 @@ class TestStaticVariants:
             _, tree, prune = seeded_setup(vocab=vocab, seed=int(rng.integers(1000)))
             matrix = full_matrix(vocab, 10, shift=int(rng.integers(1, vocab)))
             for builder in (
-                lambda: root_variant(tree, instantiate(matrix, builtin_templates()["d5"], tree.root_token), 60),
-                lambda: insert_tail_variant(tree, matrix, 60, 8),
+                lambda: root_variant(tree, matrix, builtin_templates()["d5"], 60),
+                lambda: tail_variant(tree, matrix, 60, 8),
             ):
                 assert builder().n_candidates <= 60
 
@@ -289,7 +293,7 @@ class TestFlattenProperties:
         # each node hangs below the root (-1) or an earlier node; repeated
         # (parent, token) pairs merge
         parents = np.array([rng.integers(-1, i) for i in range(n)], dtype=np.int32)
-        hy = graft(new_tree([0]), [0], n + 1, 0, parents, rng.integers(0, 12, size=n).astype(np.int32))
+        hy = merge(new_tree([0]), [0], n + 1, 0, parents, rng.integers(0, 12, size=n).astype(np.int32))
         ptr = hy.child_ptr
         for i in range(hy.n_nodes):
             assert list(range(ptr[i] + 1, ptr[i + 1] + 1)) == children_of(hy, i).tolist()
@@ -366,9 +370,11 @@ class TestBulkAssembly:
         _assert_matches_reference(draft_only(tree, retained, budget), reference_hybrid(tree, retained, budget))
 
         matrix = _random_matrix(rng, vocab)
-        branch = instantiate(matrix, _random_template(rng), tree.root_token)
+        template = _random_template(rng)
+        tokens = instantiate(matrix, template, tree.root_token)
         _assert_matches_reference(
-            merge(tree, retained, branch, budget), reference_hybrid(tree, retained, budget, branch)
+            merge(tree, retained, budget, 0, template.parents, tokens),
+            reference_hybrid(tree, retained, budget, template.parents, tokens),
         )
 
     @given(st.integers(0, 10**6))
@@ -381,22 +387,25 @@ class TestBulkAssembly:
         scores, parents = tree.scores.tolist(), tree.parents.tolist()
 
         template = _random_template(rng)
-        branch = instantiate(matrix, template, tree.root_token)
+        tokens = instantiate(matrix, template, tree.root_token)
         realized = template_walk_realized(template, matrix.rows, tree.root_token)
         evicted = closure_topk_iterative(scores, parents, max(budget - realized, 0))
-        _assert_matches_reference(root_variant(tree, branch, budget), reference_hybrid(tree, evicted, budget, branch))
+        _assert_matches_reference(
+            root_variant(tree, matrix, template, budget),
+            reference_hybrid(tree, evicted, budget, template.parents, tokens),
+        )
 
         chain_len = int(rng.integers(0, 15))  # up to past the deepest template
         evicted = closure_topk_iterative(scores, parents, max(budget - chain_len, 0))
         _assert_matches_reference(
-            insert_tail_variant(tree, matrix, budget, chain_len), reference_tail(tree, evicted, budget, matrix, chain_len)
+            tail_variant(tree, matrix, budget, chain_len), reference_tail(tree, evicted, budget, matrix, chain_len)
         )
 
     def test_rejects_open_and_oversized_sets(self):
         _, tree, _ = seeded_setup()
         deep = int(np.flatnonzero(tree.depths == 2)[0])
-        branch = instantiate(full_matrix(64, 10), builtin_templates()["d5"], tree.root_token)
-        for build in (draft_only, lambda tree, retained, budget: merge(tree, retained, branch, budget)):
+        matrix, template = full_matrix(64, 10), builtin_templates()["d5"]
+        for build in (draft_only, lambda tree, retained, budget: root_merge(tree, retained, budget, matrix, template)):
             with pytest.raises(StructureError, match="parent-closed"):
                 build(tree, [0, deep], 60)
             with pytest.raises(StructureError, match="budget"):
@@ -410,8 +419,8 @@ class TestBulkAssembly:
         chain = (np.array([-1, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32))
         for build in (
             lambda: draft_only(tree, retained, 60),
-            lambda: graft(tree, retained, 60, 0, *chain),
-            lambda: merge(tree, retained, instantiate(full_matrix(64, 10), builtin_templates()["d5"], tree.root_token), 60),
+            lambda: merge(tree, retained, 60, 0, *chain),
+            lambda: root_merge(tree, retained, 60, full_matrix(64, 10), builtin_templates()["d5"]),
         ):
             with pytest.raises(StructureError, match=f"distinct nodes of the {tree.n_nodes}-node"):
                 build()
@@ -447,8 +456,8 @@ class TestCanonicalOrder:
         retained = _random_subset(rng, tree)
         budget = retained.size - 1 + int(rng.integers(0, 30))
         matrix = _random_matrix(rng, vocab)
-        merged = merge(tree, retained, instantiate(matrix, _random_template(rng), tree.root_token), budget)
-        tail = insert_tail_variant(tree, matrix, int(rng.integers(0, tree.n_nodes + 20)), int(rng.integers(0, 15)))
+        merged = root_merge(tree, retained, budget, matrix, _random_template(rng))
+        tail = tail_variant(tree, matrix, int(rng.integers(0, tree.n_nodes + 20)), int(rng.integers(0, 15)))
         for hy in (draft_only(tree, retained, budget), merged, tail):
             _assert_canonical(hy)
         # the builder hands its child pointers over: the checks above read the cached ones
