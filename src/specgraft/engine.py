@@ -217,7 +217,7 @@ def build_next_tree(
     template = config.templates.get(info["stage"])
     if template is None:
         return rank_cut(tree, limit), info
-    at = 0
+    at, retained = 0, limit  # ``merge`` cuts the tree to ``limit`` candidates
     if method == "graft_tail":
         retained = select_retained(tree, limit)
         at = tail_anchor(tree, retained)
@@ -227,8 +227,7 @@ def build_next_tree(
     if method != "graft_tail":
         realized = int(np.count_nonzero(tokens != COLD))
         if method == "graft_root":  # the realized branch evicts draft nodes
-            limit = max(budget - realized, 0)
-        retained = select_retained(tree, limit)
+            retained = max(budget - realized, 0)
         info["declared"] = template.declared_size
         info["realized"] = realized
     return merge(tree, retained, budget, at, template.parents, tokens), info
@@ -274,8 +273,7 @@ def _dense_union_replay(
     prune = config.prune
     tree = expand_full(draft, committed, prune, prune.total_budget)
     budget = prune.total_budget + method_tree.n_candidates
-    retained = select_retained(tree, prune.total_budget)
-    union = merge(tree, retained, budget, 0, method_tree.parents[1:] - 1, method_tree.tokens[1:])
+    union = merge(tree, prune.total_budget, budget, 0, method_tree.parents[1:] - 1, method_tree.tokens[1:])
     return verify_greedy(target, committed, union).accepted_len
 
 
@@ -541,10 +539,9 @@ def theory_checks(
     violations = 0
     for _ in range(n_monotonic):
         target, _, prefix, tree, _ = _random_instance(rng)
-        big = draft_only(tree, select_retained(tree, tree.n_nodes), tree.n_nodes)
-        small = _random_subset_tree(big, rng, keep_prob=float(rng.uniform(0.3, 0.9)))
+        small = _random_subset_tree(tree, rng, keep_prob=float(rng.uniform(0.3, 0.9)))
         l_small = verify_greedy(target, prefix, small).accepted_len
-        l_big = verify_greedy(target, prefix, big).accepted_len
+        l_big = verify_greedy(target, prefix, tree).accepted_len
         if l_small > l_big:
             violations += 1
     report["subset_monotonicity"] = {"instances": n_monotonic, "violations": violations}

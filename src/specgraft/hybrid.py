@@ -19,20 +19,32 @@ from .models import VocabSpec
 from .retrieval import COLD
 
 _ORIGIN_NAMES = ("draft", "retrieved")
+_OVER_BUDGET = "draft nodes exceed the hybrid budget"
 
 
 def _kept(tree: HybridTree, retained, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """The nodes ``retained`` of ``tree`` in index order, its root added, and
-    the parent of each as a position among them (-1 for the root). Raises
-    ``StructureError`` unless ``retained`` names distinct nodes of ``tree``,
-    the candidates fit ``budget`` and every kept node's parent is kept."""
+    the parent of each as a position among them (-1 for the root).
+
+    ``retained`` is an array of nodes, or an int: the rank cut of ``tree``
+    to that many candidates (:func:`select_retained`). A cut that keeps
+    every candidate keeps the tree itself, which is parent-closed, so only
+    the budget is checked. Any other set raises ``StructureError`` unless it
+    names distinct nodes of ``tree``, its candidates fit ``budget`` and
+    every kept node's parent is kept."""
+    if isinstance(retained, int):
+        if retained >= tree.n_candidates:
+            if tree.n_candidates > budget:
+                raise StructureError(_OVER_BUDGET)
+            return np.arange(tree.n_nodes), tree.parents
+        retained = select_retained(tree, retained)
     kept = np.sort(np.asarray(retained, dtype=np.intp))
     if kept.size and (kept[0] < 0 or kept[-1] >= tree.n_nodes or np.count_nonzero(kept[1:] == kept[:-1])):
         raise StructureError(f"retained nodes must be distinct nodes of the {tree.n_nodes}-node draft tree")
     if not kept.size or kept[0] != 0:
         kept = np.concatenate(([0], kept))  # the root is free and always kept
     if kept.size - 1 > budget:
-        raise StructureError("draft nodes exceed the hybrid budget")
+        raise StructureError(_OVER_BUDGET)
     # each node's parent is kept iff it sits at its sorted position among the kept
     node_parents = tree.parents[kept]
     parents = kept.searchsorted(node_parents).astype(np.int32)
@@ -43,26 +55,27 @@ def _kept(tree: HybridTree, retained, budget: int) -> tuple[np.ndarray, np.ndarr
 
 
 def draft_only(tree: HybridTree, retained, budget: int) -> HybridTree:
-    """The nodes ``retained`` of ``tree``, and its root, as a tree: a
-    parent-closed subset of a canonical tree, kept in index order, is
-    canonical, so this is a reindex."""
+    """The nodes ``retained`` of ``tree`` (an array, or a rank-cut size as
+    :func:`_kept` takes it), and its root, as a tree: a parent-closed subset
+    of a canonical tree, kept in index order, is canonical, so this is a
+    reindex, and ``tree`` itself when every node is kept."""
     kept, parents = _kept(tree, retained, budget)
+    if kept.size == tree.n_nodes:
+        return tree
     return HybridTree(tree.tokens[kept], parents, tree.scores[kept])
 
 
 def rank_cut(tree: HybridTree, limit: int) -> HybridTree:
     """The root and the top-``limit`` candidates of ``tree`` by
-    :func:`select_retained`, as a tree: ``tree`` itself when the cut keeps
-    every candidate, since then the reindex is the identity."""
-    if limit >= tree.n_candidates:
-        return tree
-    return draft_only(tree, select_retained(tree, limit), limit)
+    :func:`select_retained`, as a tree."""
+    return draft_only(tree, limit, limit)
 
 
 def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray, tokens: np.ndarray) -> HybridTree:
-    """The nodes ``retained`` of ``tree``, its root added, with a
-    parent-before-child node list grafted below kept node ``at``, in
-    canonical order and with its child pointers filled in.
+    """The nodes ``retained`` of ``tree`` (an array, or a rank-cut size as
+    :func:`_kept` takes it), its root added, with a parent-before-child node
+    list grafted below kept node ``at``, in canonical order and with its
+    child pointers filled in.
 
     The list is a retrieved branch: a template's ``parents`` and the
     ``tokens`` read from the matrix along it below ``at``'s token. ``parents[i]`` indexes an earlier entry, -1 meaning ``at``.

@@ -180,6 +180,65 @@ def enumerate_first_token_marginal(tokens, parents, root_dist, child_order=None)
     return marginal
 
 
+def enumerate_block_law(tree, rows, row_ids):
+    """Exact law of one residual-acceptance walk's emitted block: the
+    accepted path's tokens plus the correction or bonus token, as
+    ``{block: probability}``. Node c's target distribution is
+    ``rows[row_ids[c]]``.
+
+    Each node's children are tried in index order, child c accepted with the
+    current residual mass of its token; a rejection zeroes that token and
+    renormalizes by the residual's sum. When no child is accepted, or at a
+    leaf, the block ends with a token drawn from what remains.
+    """
+    tokens, parents = [int(t) for t in tree.tokens], [int(p) for p in tree.parents]
+    children = {}
+    for i in range(1, len(tokens)):
+        children.setdefault(parents[i], []).append(i)
+    law = {}
+
+    def visit(node, block, reach):
+        residual = [float(p) for p in rows[row_ids[node]]]
+        for c in children.get(node, []):
+            a = residual[tokens[c]]
+            if a > 0.0:
+                visit(c, block + (tokens[c],), reach * a)
+            reach *= 1.0 - a
+            residual[tokens[c]] = 0.0
+            total = sum(residual)
+            if total <= 0.0:
+                return
+            residual = [r / total for r in residual]
+        for t, r in enumerate(residual):
+            if r > 0.0:
+                law[block + (t,)] = law.get(block + (t,), 0.0) + reach * r
+
+    visit(0, (), 1.0)
+    return law
+
+
+def stream_law(law, next_row, prefix, horizon):
+    """The law of the first ``horizon`` tokens when each block of ``law``
+    (as :func:`enumerate_block_law` gives it) is followed by tokens drawn
+    from ``next_row(sequence)``, or cut to ``horizon``. With the one-block
+    law ``{(): 1.0}`` it is the joint law of ``horizon`` tokens drawn from
+    ``next_row`` alone."""
+    out = {}
+
+    def extend(seq, p):
+        if len(seq) == len(prefix) + horizon:
+            key = tuple(seq[len(prefix):])
+            out[key] = out.get(key, 0.0) + p
+            return
+        for t, q in enumerate(next_row(seq)):
+            if q > 0.0:
+                extend(seq + [t], p * float(q))
+
+    for block, p in law.items():
+        extend(list(prefix) + list(block[:horizon]), p)
+    return out
+
+
 def template_walk_realized(template, matrix_rows, root):
     """Count realizable template nodes by resolving each full rank path; a
     cold slot holds -1."""

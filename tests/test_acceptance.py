@@ -9,6 +9,7 @@ import io
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,11 +22,20 @@ from specgraft.drafttree import PruneConfig, select_retained
 from specgraft.engine import DecodeConfig, calibrate, decode_session, theory_checks
 from specgraft.hybrid import draft_only, flatten, merge
 from specgraft.models import DraftDerivation, VocabSpec, argtopk, build_markov, derive_draft, tokenize_whitespace, train_ngram
-from specgraft.retrieval import TEMPLATE_DEPTH_COUNTS, builtin_templates, new_matrix, template_prefix, instantiate, warmup
+from specgraft.retrieval import (
+    COLD,
+    TEMPLATE_DEPTH_COUNTS,
+    builtin_templates,
+    instantiate,
+    new_matrix,
+    template_from_depth_counts,
+    template_prefix,
+    warmup,
+)
 from specgraft.verify import first_token_frequencies, node_row_ids, verify_stochastic
 
 from .conftest import grow
-from .oracles import ar_greedy, context_row, enumerate_first_token_marginal
+from .oracles import ar_greedy, context_row, enumerate_block_law, enumerate_first_token_marginal, stream_law
 from .test_report_digests import at_root
 
 TREE_METHODS = ("dense", "prune_only", "fixed_split", "graft", "graft_root", "graft_tail")
@@ -87,8 +97,6 @@ def tiny_instance(i):
         matrix = new_matrix(vocab.size, 3)
         for t in range(vocab.size):
             matrix.rows[t] = argtopk(context_row(target, (t,)), matrix.k)
-        from specgraft.retrieval import template_from_depth_counts
-
         template = template_prefix(template_from_depth_counts((2, 1)), 3)
         hy = merge(tree, retained, 9, 0, template.parents, instantiate(matrix, template, tree.root_token))
     else:
@@ -122,6 +130,78 @@ def test_criterion_2_stochastic_exactness():
         f"20 instances, max |enumerated - target| = {worst_enum:.2e} (<= 1e-12); "
         f"{n_emp} instances x 1e6 trials, max TV = {worst_tv:.5f} (<= 0.003); {elapsed:.1f}s (< 180s)",
     )
+
+
+def grafted_instance(rng):
+    """A small tree with grafted nodes: a vocab 3-5, order 1 or 2 Markov
+    target, its uniform-mix draft's envelope cut at random, and a branch of
+    at most two levels read from a random matrix, grafted at the root or at
+    a kept depth-1 node. Returns the target, the prefix and the tree."""
+    vocab = VocabSpec(int(rng.integers(3, 6)))
+    order = int(rng.integers(1, 3))
+    target = build_markov(vocab, order, seed=int(rng.integers(2**31)), sparsity=float(rng.uniform(0.0, 0.5)))
+    draft = derive_draft(target, DraftDerivation("uniform-mix", float(rng.uniform(0.2, 0.8))))
+    prefix = [int(t) for t in rng.integers(0, vocab.size, size=order)]
+    tree = grow(draft, prefix, int(rng.integers(1, 4)), top_k=int(rng.integers(2, 4)), beam=int(rng.integers(2, 5)))
+    retained = select_retained(tree, int(rng.integers(0, tree.n_nodes)))
+    matrix = new_matrix(vocab.size, 3)
+    for row in matrix.rows:  # distinct successors, about a fifth of the slots cold
+        row[:] = np.where(rng.random(matrix.k) < 0.8, rng.permutation(vocab.size)[: matrix.k], COLD)
+    template = template_from_depth_counts((int(rng.integers(1, 4)), int(rng.integers(0, 4))))
+    anchors = [int(i) for i in retained if tree.depths[i] <= 1]
+    at = anchors[int(rng.integers(len(anchors)))]
+    budget = retained.size - 1 + int(rng.integers(0, 8))
+    tokens = instantiate(matrix, template, int(tree.tokens[at]))
+    return target, prefix, merge(tree, retained, budget, at, template.parents, tokens)
+
+
+def _grafted_deep(tree):
+    """Whether the tree holds a grafted node below depth 1."""
+    return bool(np.count_nonzero(tree.origin[tree.depths >= 2]))
+
+
+def test_block_law_stream_exact_on_grafted_trees():
+    """Beside criterion 2: the law of the whole emitted block (accepted path
+    plus correction), each block extended by target sampling to H = depth + 1
+    tokens, is the target's H-token joint law to 1e-12, on random trees with
+    grafted nodes."""
+    rng = np.random.default_rng(2026)
+    worst, deep = 0.0, 0
+    for _ in range(150):
+        target, prefix, hy = grafted_instance(rng)
+        law = enumerate_block_law(hy, target.rows, node_row_ids(target, prefix, hy))
+        horizon = int(hy.depths[-1]) + 1
+
+        def next_row(seq):
+            return context_row(target, tuple(seq[-target.order:]))
+
+        got = stream_law(law, next_row, prefix, horizon)
+        want = stream_law({(): 1.0}, next_row, prefix, horizon)
+        worst = max(worst, max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in got.keys() | want.keys()))
+        deep += _grafted_deep(hy)
+    assert deep >= 40
+    assert worst <= 1e-12, f"max |stream law - target joint law| = {worst:.2e}"
+
+
+def test_verify_stochastic_block_frequencies():
+    """Beside criterion 2: over 30000 seeded ``verify_stochastic`` walks on
+    each of three trees of 6 or more nodes with grafted nodes below depth 1,
+    every emitted block has positive law, and the total variation between
+    the block frequencies and the law is at most sqrt(K / N) (K blocks of
+    positive law, N walks), twice a bound on its expectation."""
+    rng = np.random.default_rng(11)
+    n, checked = 30_000, 0
+    while checked < 3:
+        target, prefix, hy = grafted_instance(rng)
+        if hy.n_nodes < 6 or not _grafted_deep(hy):
+            continue
+        law = enumerate_block_law(hy, target.rows, node_row_ids(target, prefix, hy))
+        walks = np.random.default_rng(500 + checked)
+        counts = Counter(tuple(verify_stochastic(target, prefix, hy, walks).emitted_tokens) for _ in range(n))
+        assert counts.keys() <= law.keys()
+        tv = 0.5 * sum(abs(counts[block] / n - p) for block, p in law.items())
+        assert tv <= math.sqrt(len(law) / n), (checked, tv, len(law))
+        checked += 1
 
 
 def _root_decision_marginal(target, prefix, tree):

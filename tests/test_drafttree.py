@@ -2,11 +2,12 @@ import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from specgraft import engine, retrieval
+from specgraft import engine, hybrid, retrieval
 from specgraft.drafttree import (
     HybridTree,
     PruneConfig,
@@ -450,6 +451,28 @@ def _bound_config(rng, method, keep, base):
     )
 
 
+def _bound_drafts():
+    """Sparse Markov and dyadic (tied) drafts, orders 1 and 2."""
+    drafts = [build_markov(VocabSpec(7), order, seed=order, sparsity=0.5) for order in (1, 2)]
+    return drafts + [dyadic_model(5, order, seed=order) for order in (1, 2)]
+
+
+def _bound_base(rng, vocab, gated):
+    """A random prune config, with the checkpoints 0 and some of 1 and 5
+    when ``gated``; :func:`_bound_config` sets its budgets."""
+    max_depth = int(rng.integers(2, 8))
+    checkpoints = (0, *(d for d in (1, 5) if d < max_depth and rng.random() < 0.7)) if gated else ()
+    return PruneConfig(
+        checkpoints=checkpoints,
+        thresholds={d: float(rng.uniform(0.02, 0.5)) for d in checkpoints},
+        stage_budgets={d: (1, 0) for d in checkpoints},
+        total_budget=1,
+        top_k=int(rng.integers(2, vocab + 2)),
+        max_depth=max_depth,
+        beam_width=int(rng.integers(2, 7)),
+    )
+
+
 class TestRankCutBound:
     """The envelope drafts only as deep as the rank cut it feeds: for every
     tree method, ``build_next_tree`` gives the tree that the layer-by-layer
@@ -460,29 +483,17 @@ class TestRankCutBound:
 
     def test_build_next_tree_matches_the_oracle_cut(self, monkeypatch):
         rng = np.random.default_rng(99)
-        drafts = [build_markov(VocabSpec(7), order, seed=order, sparsity=0.5) for order in (1, 2)]
-        drafts += [dyadic_model(5, order, seed=order) for order in (1, 2)]
         fired = {False: 0, True: 0}
         reads = []  # every matrix read: fixed_split, graft_root and graft_tail read once a step
         monkeypatch.setattr(engine, "instantiate", lambda *args: reads.append(args) or retrieval.instantiate(*args))
-        for draft in drafts:
+        for draft in _bound_drafts():
             vocab = draft.vocab.size
             matrix = new_matrix(vocab, 10)
             hot = [t for t in range(vocab) if rng.random() < 0.8]
             write_rows(matrix, dict(zip(hot, draft.row_ids([draft.code_of([t]) for t in hot]))), draft)
             for gated in (False, True):
                 for _ in range(4):
-                    max_depth = int(rng.integers(2, 8))
-                    checkpoints = (0, *(d for d in (1, 5) if d < max_depth and rng.random() < 0.7)) if gated else ()
-                    base = PruneConfig(
-                        checkpoints=checkpoints,
-                        thresholds={d: float(rng.uniform(0.02, 0.5)) for d in checkpoints},
-                        stage_budgets={d: (1, 0) for d in checkpoints},
-                        total_budget=1,
-                        top_k=int(rng.integers(2, vocab + 2)),
-                        max_depth=max_depth,
-                        beam_width=int(rng.integers(2, 7)),
-                    )
+                    base = _bound_base(rng, vocab, gated)
                     context = [int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 4))]
                     full = _oracle_expand_full(draft, context, base)
                     sizes = np.cumsum(np.bincount(full.depths)[1:])
@@ -532,3 +543,83 @@ class TestRankCutBound:
                 assert decision == expect and decision.stage == stage
                 assert int(tree.depths[-1]) == 6  # stage + 1, or the first layer past the last gate
                 assert whole.n_nodes == (tree.n_nodes if stage is not None else 81)
+
+
+def _explicit_merge(tree, retained, budget, at, parents, tokens):
+    """``hybrid.merge`` handed the explicit ``select_retained`` cut as an array."""
+    if isinstance(retained, int):
+        retained = select_retained(tree, retained)
+    return hybrid.merge(tree, retained, budget, at, parents, tokens)
+
+
+def _explicit_rank_cut(tree, limit):
+    """``hybrid.draft_only`` handed the explicit ``select_retained`` cut as an array."""
+    return hybrid.draft_only(tree, select_retained(tree, limit), limit)
+
+
+class TestIdentityCut:
+    """A cut that keeps every candidate keeps the tree itself: for every tree
+    method, ``build_next_tree`` gives the tree and info that the explicit
+    ``select_retained`` cut, handed to ``merge`` or ``draft_only`` as an
+    array, gives, and ``select_retained`` runs only when the cut drops
+    nodes (``graft_tail`` cuts explicitly, for ``tail_anchor``). The dense
+    replay's union is the explicit one too."""
+
+    def test_build_next_tree_matches_the_explicit_cut(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        ranked, cuts, unions = [], [], []
+
+        def counted(tree, limit):
+            ranked.append(limit)
+            return select_retained(tree, limit)
+
+        monkeypatch.setattr(hybrid, "select_retained", counted)
+        monkeypatch.setattr(engine, "select_retained", counted)
+
+        def seen(build):
+            def cut(tree, retained, *rest):
+                cuts.append(isinstance(retained, int) and retained >= tree.n_candidates)
+                return build(tree, retained, *rest)
+            return cut
+
+        monkeypatch.setattr(engine, "verify_greedy", lambda target, prefix, hy: unions.append(hy) or SimpleNamespace(accepted_len=0))
+        covered = set()
+        for draft in _bound_drafts():
+            vocab = draft.vocab.size
+            matrix = new_matrix(vocab, 10)
+            hot = [t for t in range(vocab) if rng.random() < 0.8]
+            write_rows(matrix, dict(zip(hot, draft.row_ids([draft.code_of([t]) for t in hot]))), draft)
+            for _ in range(6):
+                base = _bound_base(rng, vocab, rng.random() < 0.7)
+                context = [int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 4))]
+                n = expand_full(draft, context, base).n_candidates
+                for keep in (0, int(rng.integers(1, n)) if n > 1 else 1, n, n + 3):
+                    for method in TREE_METHODS:
+                        config = _bound_config(rng, method, keep, base)
+                        ranked.clear()
+                        cuts.clear()
+                        with monkeypatch.context() as patch:
+                            patch.setattr(engine, "merge", seen(hybrid.merge))
+                            patch.setattr(engine, "rank_cut", seen(hybrid.rank_cut))
+                            got, info = build_next_tree(config, draft, matrix.copy(), context)
+                        (whole,) = cuts
+                        assert len(ranked) == (0 if whole else 1), method
+                        covered.add((method, whole))
+                        with monkeypatch.context() as patch:
+                            patch.setattr(engine, "merge", _explicit_merge)
+                            patch.setattr(engine, "rank_cut", _explicit_rank_cut)
+                            expect, expect_info = build_next_tree(config, draft, matrix.copy(), context)
+                        for name in ("tokens", "parents", "scores", "child_ptr"):
+                            a, b = getattr(got, name), getattr(expect, name)
+                            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (method, name)
+                        assert info == expect_info, method
+
+                        unions.clear()
+                        engine._dense_union_replay(config, draft, draft, context, got)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(engine, "merge", _explicit_merge)
+                            engine._dense_union_replay(config, draft, draft, context, got)
+                        a, b = unions
+                        assert a.tokens.tobytes() == b.tokens.tobytes() and a.parents.tobytes() == b.parents.tobytes()
+                        assert a.scores.tobytes() == b.scores.tobytes()
+        assert covered >= {(m, w) for m in TREE_METHODS if m != "graft_tail" for w in (False, True)}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgraft import engine
+from specgraft import engine, hybrid
 from specgraft.drafttree import (
     ORIGIN_DRAFT,
     ORIGIN_RETRIEVED,
@@ -22,6 +22,7 @@ from specgraft.hybrid import (
     draft_only,
     flatten,
     merge,
+    rank_cut,
     render_tree,
     tail_anchor,
 )
@@ -411,6 +412,33 @@ class TestBulkAssembly:
             with pytest.raises(StructureError, match="budget"):
                 build(tree, select_retained(tree, 10), 5)
 
+    def test_a_cut_that_keeps_every_node_keeps_the_tree(self, monkeypatch):
+        _, tree, _ = seeded_setup()
+        n = tree.n_candidates
+        chain = (np.array([-1, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32))
+        ranked = []
+        monkeypatch.setattr(hybrid, "select_retained", lambda tree, limit: ranked.append(limit) or select_retained(tree, limit))
+        assert rank_cut(tree, n) is tree and draft_only(tree, n + 4, n + 4) is tree
+        whole = merge(tree, n + 4, n + 2, 0, *chain)
+        assert ranked == []
+        expect = merge(tree, np.arange(tree.n_nodes), n + 2, 0, *chain)
+        for name in ("tokens", "parents", "scores", "child_ptr"):
+            assert getattr(whole, name).tobytes() == getattr(expect, name).tobytes(), name
+        cut = rank_cut(tree, n - 1)
+        assert ranked == [n - 1]
+        assert cut.tokens.tobytes() == draft_only(tree, select_retained(tree, n - 1), n - 1).tokens.tobytes()
+
+    def test_a_cut_that_keeps_every_node_still_checks_the_budget(self):
+        _, tree, _ = seeded_setup()
+        n = tree.n_candidates
+        chain = (np.array([-1, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32))
+        for limit in (n, n + 5):
+            for build in (
+                lambda: draft_only(tree, limit, n - 1),
+                lambda: merge(tree, limit, n - 1, 0, *chain),
+            ):
+                with pytest.raises(StructureError, match="budget"):
+                    build()
 
     @pytest.mark.parametrize("retained", [[0, 1, 1, 2], [2, 1, 0, 2], [0, 0, 1], [0, -1], [0, 1, 99]])
     def test_rejects_repeated_and_foreign_nodes(self, retained):
