@@ -57,7 +57,6 @@ CSV_LEAD_FIELDS = [
     "mat",
     "cost_total",
     "speedup_proxy",
-    "tradeoff_ratio",
 ]
 CSV_TAIL_FIELDS = ["fill_ratio", "regret", "coverage_gain_mean"]
 
@@ -126,7 +125,6 @@ def _csv_row(row: dict, stages: list[str]) -> dict:
         "mat": fixed("mat"),
         "cost_total": fixed("cost_total"),
         "speedup_proxy": fixed("speedup_proxy"),
-        "tradeoff_ratio": fixed("tradeoff_ratio"),
         **{f"stage_{stage}": rep["stage_histogram"].get(stage, 0) for stage in stages},
         "fill_ratio": fixed("realized_retrieval_fill"),
         "regret": fixed("regret_estimate"),

@@ -143,8 +143,8 @@ class PruneConfig:
                 f"prune.beam_width x prune.top_k must be <= {MAX_ENVELOPE_NODES} layer candidates, "
                 f"got {self.beam_width} x {self.top_k}"
             )
-        if tuple(sorted(self.checkpoints)) != self.checkpoints:
-            raise ConfigError(f"prune.checkpoints must be ascending, got {list(self.checkpoints)}")
+        if tuple(sorted(set(self.checkpoints))) != self.checkpoints:
+            raise ConfigError(f"prune.checkpoints must be strictly ascending, got {list(self.checkpoints)}")
         for d in self.checkpoints:
             if not 0 <= d < self.max_depth:
                 raise ConfigError(f"prune.checkpoints entry {d} must be in [0, prune.max_depth {self.max_depth})")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -94,7 +94,7 @@ class DecodeConfig:
     tail_chain_len: int = 8
     cost: CostModel = field(default_factory=CostModel)
     end_token: int | None = None
-    dense_replay: bool = False
+    analyses: tuple[Callable[..., dict], ...] = ()  # opt-in step analyses, e.g. (dense_replay,)
     template_filter: tuple[int | None, int | None] | None = None  # (max_depth, max_rank)
 
     def __post_init__(self):
@@ -158,7 +158,6 @@ class DecodeReport:
     stage_histogram: dict[str, int]
     cost_total: float
     speedup_proxy: float
-    tradeoff_ratio: float | None
     regret_estimate: float | None
     coverage_gain_mean: float | None
     realized_retrieval_fill: float | None
@@ -246,35 +245,36 @@ def coverage_gain(root_dist: np.ndarray, draft_tokens, retrieved_tokens) -> floa
     return gain
 
 
-def _root_frontier(hy: HybridTree) -> tuple[list[int], list[int]]:
-    """The drafted and the retrieved tokens of the root's children, nodes
-    1 .. ``ptr[1]`` in breadth-first storage."""
-    end = int(hy.child_ptr[1]) + 1
+def _root_coverage_gain(tree: HybridTree, root_dist: np.ndarray) -> float:
+    """``coverage_gain`` of the root's children, nodes 1 .. ``ptr[1]`` in
+    breadth-first storage."""
+    end = int(tree.child_ptr[1]) + 1
     drafted, retrieved = [], []
-    for token, origin in zip(hy.tokens[1:end].tolist(), hy.origin[1:end].tolist()):
+    for token, origin in zip(tree.tokens[1:end].tolist(), tree.origin[1:end].tolist()):
         (drafted if origin == ORIGIN_DRAFT else retrieved).append(token)
-    return drafted, retrieved
+    return coverage_gain(root_dist, drafted, retrieved)
 
 
-def _dense_union_replay(
-    config: DecodeConfig,
-    target: MarkovTableModel,
-    draft: MarkovTableModel,
-    committed,
-    method_tree: HybridTree,
-) -> int:
-    """Greedy accepted length of (dense top-budget) UNION (method tree).
+# A step analysis, ``analysis(config, target, draft, committed, tree, outcome)``,
+# runs after a tree step's verification and returns fields for its record.
+
+
+def dense_replay(config: DecodeConfig, target, draft, committed, tree: HybridTree, outcome) -> dict:
+    """Greedy accepted length of (dense top-budget) UNION (method tree), as
+    ``replay_accepted_len``; nothing under stochastic acceptance.
 
     The union keeps the method tree a subset of the replay tree, so replay
     acceptance is a per-step upper bound (subset monotonicity); nothing
     from the replay is ever committed. Method-tree nodes enter as retrieved
     nodes: greedy verification reads no origin label.
     """
+    if config.acceptance != "greedy":
+        return {}
     prune = config.prune
-    tree = expand_full(draft, committed, prune, prune.total_budget)
-    budget = prune.total_budget + method_tree.n_candidates
-    union = merge(tree, prune.total_budget, budget, 0, method_tree.parents[1:] - 1, method_tree.tokens[1:])
-    return verify_greedy(target, committed, union).accepted_len
+    dense = expand_full(draft, committed, prune, prune.total_budget)
+    budget = prune.total_budget + tree.n_candidates
+    union = merge(dense, prune.total_budget, budget, 0, tree.parents[1:] - 1, tree.tokens[1:])
+    return {"replay_accepted_len": verify_greedy(target, committed, union).accepted_len}
 
 
 def decode_session(
@@ -287,6 +287,9 @@ def decode_session(
 ) -> tuple[list[int], DecodeReport]:
     """Run one decode session; returns (new tokens, report).
 
+    After each tree step's verification, ``coverage_gain`` is recorded on a
+    step whose tree holds a retrieved node, and each of ``config.analyses``
+    adds its fields to the step's record.
     When updates are enabled, the matrix is refreshed from every verified
     node and from the prompt prefill; an autoregressive step verifies the
     root-only tree. The writes are collected in one ``{token: target row
@@ -368,11 +371,9 @@ def decode_session(
                     cost=cost.step_cost(info["layers_drafted"], hy.n_candidates),
                 )
                 if n_retrieved > 0:
-                    drafted_tokens, retrieved_tokens = _root_frontier(hy)
-                    root_row = target.rows[outcome.row_ids[0]]
-                    record["coverage_gain"] = coverage_gain(root_row, drafted_tokens, retrieved_tokens)
-                if config.dense_replay and config.acceptance == "greedy":
-                    record["replay_accepted_len"] = _dense_union_replay(config, target, draft, committed, hy)
+                    record["coverage_gain"] = _root_coverage_gain(hy, target.rows[outcome.row_ids[0]])
+                for analysis in config.analyses:
+                    record.update(analysis(config, target, draft, committed, hy, outcome))
                 if config.updates_enabled:
                     pending.update(zip(hy.tokens.tolist(), outcome.row_ids))
                 emitted = outcome.emitted_tokens
@@ -392,7 +393,7 @@ def decode_session(
     return committed[prompt_len:], report
 
 
-def compute_metrics(steps: list[dict], cost: CostModel, dense_report: DecodeReport | None = None) -> DecodeReport:
+def compute_metrics(steps: list[dict], cost: CostModel) -> DecodeReport:
     """Aggregate a session trace into a report.
 
     MAT counts every emitted token (bonus included), so the speedup proxy
@@ -420,14 +421,13 @@ def compute_metrics(steps: list[dict], cost: CostModel, dense_report: DecodeRepo
             harmful = sum(1 for s in staged if s["replay_accepted_len"] > s["accepted_len"])
             eps_hat[stage] = harmful / len(staged)
 
-    report = DecodeReport(
+    return DecodeReport(
         mat=mat,
         steps_count=len(steps),
         tokens_emitted=tokens,
         stage_histogram=dict(histogram),
         cost_total=cost_total,
         speedup_proxy=proxy,
-        tradeoff_ratio=None,
         regret_estimate=regret,
         coverage_gain_mean=float(np.mean(gains)) if gains else None,
         realized_retrieval_fill=float(np.mean(fills)) if fills else None,
@@ -435,9 +435,6 @@ def compute_metrics(steps: list[dict], cost: CostModel, dense_report: DecodeRepo
         max_tree_candidates=max(s["tree_candidates"] for s in steps),
         steps=steps,
     )
-    if dense_report is not None:
-        report.tradeoff_ratio = report.speedup_proxy / dense_report.speedup_proxy
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +463,7 @@ def calibrate(
         if d not in grid or not grid[d]:
             raise ConfigError(f"calibration.grid has no thresholds for checkpoint {d}")
 
-    thresholds = dict(config.prune.thresholds)
+    thresholds = {d: config.prune.thresholds[d] for d in config.prune.checkpoints}
     trace: list[tuple[dict[int, float], float]] = []
 
     def score(vector: dict[int, float]) -> float:

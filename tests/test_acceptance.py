@@ -160,6 +160,20 @@ def _grafted_deep(tree):
     return bool(np.count_nonzero(tree.origin[tree.depths >= 2]))
 
 
+def _stream_error(target, prefix, tree, horizon):
+    """The largest gap between the law of the first ``horizon`` tokens, when
+    the tree's emitted block is extended by target sampling, and the
+    target's ``horizon``-token joint law."""
+    law = enumerate_block_law(tree, target.rows, node_row_ids(target, prefix, tree))
+
+    def next_row(seq):
+        return context_row(target, tuple(seq[-target.order:]))
+
+    got = stream_law(law, next_row, prefix, horizon)
+    want = stream_law({(): 1.0}, next_row, prefix, horizon)
+    return max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in got.keys() | want.keys())
+
+
 def test_block_law_stream_exact_on_grafted_trees():
     """Beside criterion 2: the law of the whole emitted block (accepted path
     plus correction), each block extended by target sampling to H = depth + 1
@@ -169,15 +183,7 @@ def test_block_law_stream_exact_on_grafted_trees():
     worst, deep = 0.0, 0
     for _ in range(150):
         target, prefix, hy = grafted_instance(rng)
-        law = enumerate_block_law(hy, target.rows, node_row_ids(target, prefix, hy))
-        horizon = int(hy.depths[-1]) + 1
-
-        def next_row(seq):
-            return context_row(target, tuple(seq[-target.order:]))
-
-        got = stream_law(law, next_row, prefix, horizon)
-        want = stream_law({(): 1.0}, next_row, prefix, horizon)
-        worst = max(worst, max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in got.keys() | want.keys()))
+        worst = max(worst, _stream_error(target, prefix, hy, int(hy.depths[-1]) + 1))
         deep += _grafted_deep(hy)
     assert deep >= 40
     assert worst <= 1e-12, f"max |stream law - target joint law| = {worst:.2e}"
@@ -225,13 +231,18 @@ def _root_decision_marginal(target, prefix, tree):
 def test_root_decision_exact_on_session_steps(monkeypatch):
     """Beside criterion 2: on every step of stochastic sessions of the six
     tree methods, the root decision the audit counts gives the target's row
-    exactly, on quickstart.yaml and on a vocab-64 order-2 Markov target."""
-    worst, n_steps = 0.0, 0
+    exactly, on quickstart.yaml and on a vocab-64 order-2 Markov target. On
+    every 10th step, the whole emitted block, extended by target sampling to
+    H = 2 tokens, gives the target's 2-token joint law to 1e-12 too."""
+    worst, n_steps, worst_stream, n_streams = 0.0, 0, 0.0, 0
 
     def checked(target, prefix, tree, rng):
-        nonlocal worst, n_steps
+        nonlocal worst, n_steps, worst_stream, n_streams
         marginal, row = _root_decision_marginal(target, prefix, tree)
         worst = max(worst, float(np.abs(marginal - row).max()))
+        if n_steps % 10 == 0:
+            worst_stream = max(worst_stream, _stream_error(target, prefix, tree, 2))
+            n_streams += 1
         n_steps += 1
         return verify_stochastic(target, prefix, tree, rng)
 
@@ -256,6 +267,8 @@ def test_root_decision_exact_on_session_steps(monkeypatch):
             decode_session(cfg, fixture.target, fixture.draft, matrix.copy(), fixture.prompt)
     assert n_steps >= 500
     assert worst <= 1e-12, f"max |root-decision marginal - target row| = {worst:.2e} over {n_steps} steps"
+    assert n_streams >= 50
+    assert worst_stream <= 1e-12, f"max |stream law - target joint law| = {worst_stream:.2e} over {n_streams} steps"
 
 
 # ---------------------------------------------------------------------------

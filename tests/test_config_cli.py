@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from specgraft.cli import main
 from specgraft.config import _RULES, check_prompt_set, load_run_config
-from specgraft.engine import DecodeConfig
+from specgraft.engine import DecodeConfig, DecodeReport
 from specgraft.errors import ConfigError
 
 BASE_DOC = {
@@ -109,6 +110,13 @@ class TestDecodeCommand:
         assert doc["overrides"] == {}
         assert doc["generated_at"] is None
         assert (out / "run.csv").read_text().startswith("suite,variant,method")
+
+    def test_schema_names_exactly_the_report_fields(self):
+        from specgraft.cli import _schema
+
+        report = _schema()["properties"]["runs"]["items"]["properties"]["report"]
+        assert report["additionalProperties"] is False
+        assert list(report["properties"]) == [f.name for f in dataclasses.fields(DecodeReport)]
 
     def test_byte_identical_reruns(self, config_path, tmp_path):
         outs = []
@@ -228,6 +236,21 @@ class TestOtherCommands:
         report = json.loads((out / "calibrate.json").read_text())
         assert set(report["calibration"]["thresholds"]) == {"0", "1", "5"}
 
+    def test_calibrate_two_checkpoints_searches_only_theirs(self, tmp_path, capsys):
+        # the prune thresholds keep their default for depth 1, which no gate reads
+        out = tmp_path / "out"
+        doc = json.loads(json.dumps(BASE_DOC))
+        del doc["output"]
+        doc["prune"] = {"checkpoints": [0, 5]}
+        doc["calibration"] = {"grid": {0: [0.1, 0.3], 5: [0.1]}}
+        doc["decode"]["max_new_tokens"] = 16
+        assert run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(out), "calibrate") == 0
+        assert [item.split("=")[0] for item in capsys.readouterr().out.split()] == ["d0", "d5"]
+        calibration = json.loads((out / "calibrate.json").read_text())["calibration"]
+        assert set(calibration["thresholds"]) == {"0", "5"}
+        assert len(calibration["objective_trace"]) == 6  # (2 + 1) candidates x 2 sweeps
+        assert all(set(entry["thresholds"]) == {"0", "5"} for entry in calibration["objective_trace"])
+
     def test_ablation_component(self, config_path, tmp_path):
         out = tmp_path / "out"
         doc = json.loads(json.dumps(BASE_DOC))
@@ -342,6 +365,7 @@ BAD_VALUES = [
     ("matrix", "k", 5),  # narrower than the builtin templates' ranks
     # the prune policy's own checks
     ("prune", "checkpoints", [5, 1, 0]),
+    ("prune", "checkpoints", [0, 0, 5]),  # a repeated gate depth
     ("prune", "checkpoints", [0, 1, 9]),  # past max_depth
     ("prune", "thresholds", {0: 1.5, 1: 0.13, 5: 0.51}),
     ("prune", "thresholds", {0: 0.15, 1: 0.13}),  # no threshold for checkpoint 5

@@ -615,10 +615,10 @@ class TestIdentityCut:
                         assert info == expect_info, method
 
                         unions.clear()
-                        engine._dense_union_replay(config, draft, draft, context, got)
+                        engine.dense_replay(config, draft, draft, context, got, None)
                         with monkeypatch.context() as patch:
                             patch.setattr(engine, "merge", _explicit_merge)
-                            engine._dense_union_replay(config, draft, draft, context, got)
+                            engine.dense_replay(config, draft, draft, context, got, None)
                         a, b = unions
                         assert a.tokens.tobytes() == b.tokens.tobytes() and a.parents.tobytes() == b.parents.tobytes()
                         assert a.scores.tobytes() == b.scores.tobytes()

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from specgraft.engine import (
     compute_metrics,
     coverage_gain,
     decode_session,
+    dense_replay,
     run_ablation,
     theory_checks,
     _random_instance,
@@ -604,21 +606,9 @@ class TestMetrics:
         expect = sum(p[t] for t in {9, 11})
         assert coverage_gain(p, drafted, retrieved) == pytest.approx(expect, abs=1e-15)
 
-    def test_tradeoff_identity(self):
-        target, draft = seeded_pair(seed=31)
-        cfg_g = DecodeConfig(method="graft", max_new_tokens=80)
-        cfg_d = DecodeConfig(method="dense", max_new_tokens=80)
-        _, rep_g = decode_session(cfg_g, target, draft, new_matrix(24, 10), [4])
-        _, rep_d = decode_session(cfg_d, target, draft, new_matrix(24, 10), [4])
-        rep_g = compute_metrics(rep_g.steps, cfg_g.cost, dense_report=rep_d)
-        mat_ratio = rep_g.mat / rep_d.mat
-        cost_ratio = (rep_d.cost_total / rep_d.steps_count) / (rep_g.cost_total / rep_g.steps_count)
-        assert rep_g.tradeoff_ratio == pytest.approx(mat_ratio * cost_ratio, abs=1e-9)
-        assert rep_g.tradeoff_ratio == pytest.approx(rep_g.speedup_proxy / rep_d.speedup_proxy, abs=1e-9)
-
     def test_dense_replay_regret_nonnegative_per_step(self):
         target, draft = seeded_pair(seed=37, strength=0.6)
-        cfg = DecodeConfig(method="prune_only", max_new_tokens=60, dense_replay=True)
+        cfg = DecodeConfig(method="prune_only", max_new_tokens=60, analyses=(dense_replay,))
         _, report = decode_session(cfg, target, draft, new_matrix(24, 10), [2])
         assert report.regret_estimate is not None and report.regret_estimate >= 0
         for step in report.steps:
@@ -626,11 +616,48 @@ class TestMetrics:
         for stage, eps in report.overpruning_rate_estimates.items():
             assert 0.0 <= eps <= 1.0
 
+    @pytest.mark.parametrize("method", ["prune_only", "graft"])
+    def test_dense_replay_adds_nothing_under_stochastic(self, method):
+        target, draft = seeded_pair(seed=37, strength=0.6)
+        cfg = DecodeConfig(method=method, max_new_tokens=60, acceptance="stochastic", seed=3)
+        matrix = new_matrix(24, 10)
+        warmup(matrix, target, draft, [[0, 1], [5]], rounds=2, config=cfg)
+        _, plain = decode_session(cfg, target, draft, matrix.copy(), [2, 9])
+        replayed = replace(cfg, analyses=(dense_replay,))
+        _, report = decode_session(replayed, target, draft, matrix.copy(), [2, 9])
+        assert report.to_dict() == plain.to_dict()
+        assert report.regret_estimate is None and report.overpruning_rate_estimates == {}
+        if method == "graft":
+            assert any("coverage_gain" in step for step in report.steps)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_analyses_run_once_per_tree_step_after_verification(self, method):
+        target, draft = seeded_pair(seed=37, strength=0.6)
+        calls = []
+
+        def probe(config, target_, draft_, committed, tree, outcome):
+            assert target_ is target and draft_ is draft
+            calls.append((len(committed), tree.n_candidates, outcome.accepted_len))
+            return {"probe": len(calls)}
+
+        cfg = DecodeConfig(method=method, max_new_tokens=40, analyses=(probe,))
+        _, report = decode_session(cfg, target, draft, new_matrix(24, 10), [2, 9])
+        # coverage is recorded in the loop itself, whatever the analyses
+        assert all(("coverage_gain" in step) == (step["n_retrieved"] > 0) for step in report.steps)
+        if method == "autoregressive":  # its steps verify no tree
+            assert calls == [] and not any("probe" in step for step in report.steps)
+            return
+        assert [step["probe"] for step in report.steps] == list(range(1, len(report.steps) + 1))
+        committed = 2
+        for step, call in zip(report.steps, calls, strict=True):
+            assert call == (committed, step["tree_candidates"], step["accepted_len"])
+            committed += len(step["emitted"])
+
 
     @pytest.mark.parametrize("method", TREE_METHODS)
     def test_dense_replay_verifies_the_reference_union(self, method):
         target, draft = seeded_pair(seed=37, strength=0.6)
-        cfg = DecodeConfig(method=method, max_new_tokens=60, dense_replay=True)
+        cfg = DecodeConfig(method=method, max_new_tokens=60, analyses=(dense_replay,))
         trees = []
         prompt = [2, 9]
         _, report = decode_session(cfg, target, draft, new_matrix(24, 10), prompt, lambda _, hy: trees.append(hy))

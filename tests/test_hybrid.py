@@ -527,7 +527,8 @@ class TestCanonicalOrder:
         )
         seen = []
         with mock.patch.object(engine, "verify_greedy", lambda target, prefix, hy: seen.append(hy) or SimpleNamespace(accepted_len=0)):
-            engine._dense_union_replay(SimpleNamespace(prune=prune), draft, draft, [tree.root_token], merged)
+            config = SimpleNamespace(prune=prune, acceptance="greedy")
+            engine.dense_replay(config, draft, draft, [tree.root_token], merged, None)
         assert seen[0].n_candidates >= merged.n_candidates
         assert "child_ptr" in vars(seen[0])
         _assert_canonical(seen[0])

@@ -7,7 +7,9 @@ from the same warmed matrix. The sha256 covers ``DecodeReport.to_dict()``
 plus the emitted tokens, so any change to a tree, a verification outcome, a
 matrix update or an RNG draw changes a digest. The pinned values were
 recorded before the decode step was made array-native; an optimization that
-keeps reports byte-identical passes unchanged.
+keeps reports byte-identical passes unchanged. They were re-pinned once,
+when the report lost its never-filled trade-off ratio field: each new
+value is the digest of the earlier report with that key removed.
 """
 
 import hashlib
@@ -30,34 +32,34 @@ CONFIGS = ("quickstart.yaml", "repetitive.yaml")
 ACCEPTANCE = ("greedy", "stochastic")
 
 DIGESTS = {
-    ('quickstart.yaml', 'autoregressive', 'greedy'): '21e33529965e6d1127be916c142379ee3d2d34bdacc0104d6224ccb773957bc1',
-    ('quickstart.yaml', 'autoregressive', 'stochastic'): 'a5d5aec8debeb5f7d352ff274c903230f3a61a99782f9000c16a907408e1671c',
-    ('quickstart.yaml', 'dense', 'greedy'): '7f62e825ceca6aceb76d9073f7d97b9b617a29e1489ad7a91abe50207e13f77c',
-    ('quickstart.yaml', 'dense', 'stochastic'): '5551c516b0f1db7c887c67e872500791e36130eae46a3469f774fd3ebed9e4d1',
-    ('quickstart.yaml', 'prune_only', 'greedy'): '9815adf1a378a7780ab4b2ff854094b192b150fca71ac97cfa0c95b4456615d2',
-    ('quickstart.yaml', 'prune_only', 'stochastic'): 'dca90c05bed330c203ada7203f0d839c0fb9957d64ddfc8accea23ed38a38b83',
-    ('quickstart.yaml', 'fixed_split', 'greedy'): '55df287e87e8e154600468d4bd0868b212a88fe8fc4cbe438d0524474feaa296',
-    ('quickstart.yaml', 'fixed_split', 'stochastic'): '06b9f72eeb695d161839cc8f18c968beee9f8b3ed6ba827ca806d9fc923d8044',
-    ('quickstart.yaml', 'graft', 'greedy'): 'c1555a61abf06964d08c16db9cf0cfa14775f97fa22463a68b5bc2ace88010be',
-    ('quickstart.yaml', 'graft', 'stochastic'): '16a4a770699d7b479375a225f5182b572aef669a4498142e19d8940029a28cea',
-    ('quickstart.yaml', 'graft_root', 'greedy'): '7a248655ece47f2fe732f3c2c7d874fc1960c06328a74bb8c66380604c077aec',
-    ('quickstart.yaml', 'graft_root', 'stochastic'): '66d47d19683ddce20bc7f38bff3bb7a22aa98735c661c9833868056614a1ee4c',
-    ('quickstart.yaml', 'graft_tail', 'greedy'): '08f4f3dbf60d54d9f2f415af5a87a34a83949b6e75c166820a67e6654342f5c4',
-    ('quickstart.yaml', 'graft_tail', 'stochastic'): 'daafb9e93d6d646383c18db7a58e88fbe807e4cdec38885290be3ba9e680eb41',
-    ('repetitive.yaml', 'autoregressive', 'greedy'): '6ed7538e8c09b9eb43b02aa2a535f2aa74b83dd3de709f0864143907aae9b34d',
-    ('repetitive.yaml', 'autoregressive', 'stochastic'): '9b43c025f50207fdbf7b8292aec60e3a989d058b9753d3b981528edbfbcb42f1',
-    ('repetitive.yaml', 'dense', 'greedy'): '678506282ebdebd5906f19f839d775a469763ab8cd497e4a95dafe4b1315c5f2',
-    ('repetitive.yaml', 'dense', 'stochastic'): 'cc2b0df8dca021b47d7010f7639a5dea1518ded052fe728a030220ea1cbaa4f7',
-    ('repetitive.yaml', 'prune_only', 'greedy'): 'b4ed6099f0b79306016ceb8cd8a736f33e30a3a0ead04256f218e04878905928',
-    ('repetitive.yaml', 'prune_only', 'stochastic'): 'c1b0df5470313c88d16ccfcd2a584f5b4a79eb193ffadc987db07c3a5472baa7',
-    ('repetitive.yaml', 'fixed_split', 'greedy'): '64725a1ddb02d4624d8cb316cdb62318a9ca34cb65c4a50bd8e64aace08545ec',
-    ('repetitive.yaml', 'fixed_split', 'stochastic'): 'ff9220615cb68870a86af937901721068c20edb6150d5d8119b4c6f81105a0de',
-    ('repetitive.yaml', 'graft', 'greedy'): '661d4794ecc1cd3f7b4a4ef4f91a78d67ea62a8c0e8c9968de06218729b99747',
-    ('repetitive.yaml', 'graft', 'stochastic'): '1ba739c653f5a04b5e13667416876d2cb99c8e28999bc4d5c13e56ae76f90df1',
-    ('repetitive.yaml', 'graft_root', 'greedy'): '9fbf830f7020c8281d87afab86cecc28823fe880a97986a7b3fe6b50fac2e4d5',
-    ('repetitive.yaml', 'graft_root', 'stochastic'): '20553b3d3e53bb9fe592c8e83e13f9ce2ac59d42e5a0ebb3ab21dc31c9a0f106',
-    ('repetitive.yaml', 'graft_tail', 'greedy'): '5f0d9bdf7407172aa045d7d85c591bc5e40f0aeab0432a3c241799bb5eedf3b4',
-    ('repetitive.yaml', 'graft_tail', 'stochastic'): '7613367c659d941be667e698b4866a62c56245e7f5ee7b7e0e51932521074222',
+    ('quickstart.yaml', 'autoregressive', 'greedy'): '1fd515d53b88315906b045f743927bb8130a6b20a879e008baa36eb0e9848bfb',
+    ('quickstart.yaml', 'autoregressive', 'stochastic'): '0ed7761d15aee327bac9d1d8b9d57b47fcdb84d938f27ad2c1e70302ef3e9441',
+    ('quickstart.yaml', 'dense', 'greedy'): '3bfa015440353d363305699f0f99d98c37549f6d6e6adebe263324929946f7ef',
+    ('quickstart.yaml', 'dense', 'stochastic'): '7f51b4380448ff9b46db7a9a29f059e8f41dd768c3ee21eaf3b6e88caed7a019',
+    ('quickstart.yaml', 'prune_only', 'greedy'): '310264b4ae624ed613d0cebadbdb011a2e27c98c9608e83aa7acda3709c55b75',
+    ('quickstart.yaml', 'prune_only', 'stochastic'): 'd3701136c60fc5250d0e4ccb1024724d3a40a9bb5b8deb722fb9984b32c8a7df',
+    ('quickstart.yaml', 'fixed_split', 'greedy'): 'd9197cbe687d6a774ced77d36bdd45beb79051cede039544dc39ede863208d7e',
+    ('quickstart.yaml', 'fixed_split', 'stochastic'): 'd8cbcccc5d4f5f025e4b09add3612443189e7fcdd42fd4cf1f3e1a019ed5a3ae',
+    ('quickstart.yaml', 'graft', 'greedy'): 'c83c3682f648718de7d8a17468a2bf33060b43606608af7e19df2df5c5ddfa76',
+    ('quickstart.yaml', 'graft', 'stochastic'): '52fc75409d798dc35d79f0e05e86e4c2cd0fe0a229930371a894bfcdd768748f',
+    ('quickstart.yaml', 'graft_root', 'greedy'): 'cdfff01c97e9a318498b588b23967c408407e8945e4c445f3baab2124e82d773',
+    ('quickstart.yaml', 'graft_root', 'stochastic'): '4af04430206246bb77537e6da0e22652d59d7c1f5fd40155c4129467a4751dd7',
+    ('quickstart.yaml', 'graft_tail', 'greedy'): 'ac7beb8abe26cec40b169a651a3b584e95ef9c5c47ce8f1d77de92e56071f68d',
+    ('quickstart.yaml', 'graft_tail', 'stochastic'): '615accc723ca014eca0927b192988babe8836b56e6ca33751de95e9a00fc08ee',
+    ('repetitive.yaml', 'autoregressive', 'greedy'): 'd2baeb9b9db9ab9ff9a8285b619c984b9930c6a32cfae94bfabbd0290d51d072',
+    ('repetitive.yaml', 'autoregressive', 'stochastic'): '8486e46dea1dc0d90a1263e0f2a37251ba0d71df677f9d73a452c7e264725782',
+    ('repetitive.yaml', 'dense', 'greedy'): '319871fee621da5b3d8f43584f4d60463342361ce4567fe4eefa68da24a2ff0b',
+    ('repetitive.yaml', 'dense', 'stochastic'): '06e736d2b91559fa3650b403f67a7c72215fa7883f8047d2acd55dd486a7d3c7',
+    ('repetitive.yaml', 'prune_only', 'greedy'): '9a1768f25adc9fcbc18c38ced183c2d2ca97961218299ea185b9d216135a7788',
+    ('repetitive.yaml', 'prune_only', 'stochastic'): '8d5a2ba4137dd50939a16958d30eb9ff753d35248c1a48ae4cd6f2baaef91b71',
+    ('repetitive.yaml', 'fixed_split', 'greedy'): '8367f82bcdc538a6e397a56cfdf8daf8bfcb6424dede1a8fb40ddd022f41f5b3',
+    ('repetitive.yaml', 'fixed_split', 'stochastic'): 'ce6d23600124c1c670ac12329871b94f4d106e7dc8bda77d46c2222357b67aaa',
+    ('repetitive.yaml', 'graft', 'greedy'): '44998138bcc98f9d73f4c067d0b727d8dc5c0050e1fea5001665b76ebdf7d6ac',
+    ('repetitive.yaml', 'graft', 'stochastic'): 'a6f2479aa0f2dfb2c4f1a9a7eed472974a56e40e17a1179675a9142dea29dc39',
+    ('repetitive.yaml', 'graft_root', 'greedy'): '5fbfce01b7a0b70d6cd56625655934843986e8427ee7a30e30f87017552414c3',
+    ('repetitive.yaml', 'graft_root', 'stochastic'): '144a7fb4ec20f388aa658a74223df697ea9f605d8d255d1097800ae674ae0ae0',
+    ('repetitive.yaml', 'graft_tail', 'greedy'): '6f38cc4a893734823e9a573c858669e5426e6f1a5fc91d2d01a535928dd2afa6',
+    ('repetitive.yaml', 'graft_tail', 'stochastic'): '73bbcf195fec61ad6f725bb32751bb332e50bfb4abb74a04b932c2a17c53ca15',
 }
 
 
@@ -67,12 +69,12 @@ DIGESTS = {
 # codes, so row lookups where the two orders differ stay covered.
 TRUNCATE_METHODS = ("dense", "graft", "graft_tail")
 TRUNCATE_DIGESTS = {
-    ('dense', 'greedy'): '6354a4277a53bc0ae1cee9733bcbe1b5a7ac10c5cc7671aef33a235dc8fdffa8',
-    ('dense', 'stochastic'): '6267b7ebf7ba03e698ef915379a1bd8f87abb3f486aa105b1befe20ec9c304ae',
-    ('graft', 'greedy'): 'fdf4b000ad638535fb654c8c043e2a1f325dc883bd2680ed0e7da92110b195ea',
-    ('graft', 'stochastic'): 'c89c64d7271fa73dd51864449e92c8610c49f04e9fc39079dd6f91ae78e5de9d',
-    ('graft_tail', 'greedy'): '7b5478fe387a67d373c597e06448c9bfc8c1aee9b71e56554aa8812a28776882',
-    ('graft_tail', 'stochastic'): '8757c5dea1f02d6b0402c74c716e8202b4b7095265d36274a23d2f3fb79b1267',
+    ('dense', 'greedy'): '5e561b2c262e4872abd7a345dc77d02be6a778e29187e9fc8964be23b531c17a',
+    ('dense', 'stochastic'): '846f44ffeac7036c55a618a5fd6f69ed9ed68ae43b123d809d7b6b9953bc9037',
+    ('graft', 'greedy'): '00d9499489457c0454cc244eb52bef4241dc7ac318450403344a5022937235f7',
+    ('graft', 'stochastic'): 'f73fe981da4a173fdf4bf160e6a11cac92994a12b7f2b782acf9326f96a9466e',
+    ('graft_tail', 'greedy'): '446e0f8872ee92c0be23c0d1748088353960f0c76b2bf3fcb0f91b3584c9b1cf',
+    ('graft_tail', 'stochastic'): '8eb1aa1fba79609382d291b641c5aefb66a98d6359201fe1fb13ab290e67ccd8',
 }
 
 
