@@ -3,8 +3,6 @@
 from .drafttree import (
     HybridTree,
     PruneConfig,
-    PruneDecision,
-    evaluate_gate,
     resolve_stage,
 )
 from .engine import (

@@ -191,9 +191,9 @@ def _in_vocab(where: str, tokens: list[int], vocab: VocabSpec) -> list[int]:
     return tokens
 
 
-def _require_file(path: str, what: str) -> str:
+def _require_file(path: str, where: str) -> str:
     if not os.path.isfile(path):
-        raise ConfigError(f"{what} file does not exist: {path}")
+        raise ConfigError(f"{where} file does not exist: {path}")
     return path
 
 
@@ -212,13 +212,13 @@ def _build_models(sections: dict) -> tuple[VocabSpec, MarkovTableModel, list[int
         corpus_path = cfg.get("corpus")
         if corpus_path is None:
             raise ConfigError("ngram targets need target.corpus")
-        _require_file(corpus_path, "corpus")
+        _require_file(corpus_path, "target.corpus")
         tokens, vocab = load_corpus(corpus_path, tokenizer)
         if size is not None and size != vocab.size:
             raise ConfigError(f"vocab.size {size} != corpus-derived vocab {vocab.size}")
         target = train_ngram(vocab, tokens, cfg.get("order", 2), cfg.get("smoothing", 0.1))
         return vocab, target, tokens, tokenizer
-    raise ConfigError(f"unknown target kind {kind!r}")
+    raise ConfigError(f"target.kind must be markov or ngram, got {kind!r}")
 
 
 def _decode_prompt(decode_cfg: dict, tokenizer: str, vocab: VocabSpec, corpus: list[int] | None) -> list[int]:
@@ -226,7 +226,7 @@ def _decode_prompt(decode_cfg: dict, tokenizer: str, vocab: VocabSpec, corpus: l
         return _in_vocab("decode.prompt_tokens", decode_cfg["prompt_tokens"], vocab)
     if "prompt_text" in decode_cfg:
         if tokenizer != "bytes":
-            raise ConfigError("prompt_text needs the byte tokenizer; use prompt_tokens")
+            raise ConfigError("decode.prompt_text needs target.tokenizer: bytes; use decode.prompt_tokens")
         return _in_vocab("decode.prompt_text", tokenize_bytes(decode_cfg["prompt_text"]), vocab)
     if corpus:
         return corpus[: min(32, len(corpus) - 1)]
@@ -265,7 +265,7 @@ def _warmup_prompts(warm: dict, tokenizer: str, vocab: VocabSpec, corpus: list[i
         return [_in_vocab("warmup.prompts_tokens", p, vocab) for p in warm["prompts_tokens"]]
     if "prompts_text" in warm:
         if tokenizer != "bytes":
-            raise ConfigError("warmup.prompts_text needs the byte tokenizer")
+            raise ConfigError("warmup.prompts_text needs target.tokenizer: bytes; use warmup.prompts_tokens")
         return [_in_vocab("warmup.prompts_text", tokenize_bytes(p), vocab) for p in warm["prompts_text"]]
     derive = warm.get("derive", {})
     count = derive.get("count", max(3, warm.get("rounds", 0)))  # one fresh prompt per round
@@ -298,6 +298,13 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     draft_cfg = sections["draft"]
     draft = derive_draft(target, DraftDerivation(draft_cfg.get("mode", "uniform-mix"), draft_cfg.get("strength", 0.4)))
     prune = PruneConfig(**sections["prune"])
+    for key in ("thresholds", "stage_budgets"):  # only the file's: a default's depth need not be a checkpoint
+        extra = sorted(set(sections["prune"].get(key, ())) - set(prune.checkpoints))
+        if extra:
+            raise ConfigError(
+                f"prune.{key} depths {extra} are no checkpoint; give one entry per checkpoint "
+                f"{list(prune.checkpoints)} and no other depth"
+            )
     cost = CostModel(**sections["cost"])
 
     decode_cfg, warm, matrix_cfg, ablation_cfg = (sections[s] for s in ("decode", "warmup", "matrix", "ablation"))
@@ -334,7 +341,7 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
 
     matrix_load = matrix_cfg.get("load")
     if matrix_load:
-        _require_file(matrix_load, "matrix snapshot")
+        _require_file(matrix_load, "matrix.load")
 
     output_cfg = sections["output"]
     return RunConfig(

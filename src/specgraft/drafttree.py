@@ -1,4 +1,10 @@
-"""The tree class, layered draft-tree construction, gates and pruning.
+"""The tree class, the gated draft envelope and the rank cut.
+
+One pass, :func:`_envelope`, drafts every draft tree layer by layer and
+tests each checkpoint's gate as its layer lands: a gate passes only
+strictly above its threshold. :func:`resolve_stage` gives the decode step
+that tree, its stage and its gate confidences as they are, and
+:func:`select_retained` ranks the candidates its cut keeps.
 
 Every tree is a :class:`HybridTree` of parallel arrays in canonical order:
 breadth-first, each node's children by ascending token, drafted so from
@@ -104,13 +110,6 @@ def _rank_rows(draft: MarkovTableModel, codes: list, tokens: list, parents: list
     return np.array(sorted(range(len(paths) - lo), key=lambda slot: paths[lo + slot]))
 
 
-def evaluate_gate(confidence: float, threshold: float) -> bool:
-    """True iff the gate passes (strictly above threshold); equality prunes."""
-    if not (0.0 < threshold < 1.0):
-        raise InputError(f"threshold must be in (0, 1), got {threshold}")
-    return confidence > threshold
-
-
 @dataclass(frozen=True)
 class PruneConfig:
     """Checkpointed pruning policy and the fixed-budget stage splits."""
@@ -164,16 +163,6 @@ class PruneConfig:
         if checkpoint is None:
             return self.total_budget
         return self.stage_budgets[checkpoint][0]
-
-
-@dataclass
-class PruneDecision:
-    """Outcome of gated expansion: the stage, whose ``draft_budget`` is the
-    rank cut of the tree, and the gate confidences."""
-
-    stage: int | None
-    confidence_trace: dict[int, float]
-    layers_drafted: int
 
 
 def select_retained(tree: HybridTree, limit: int) -> np.ndarray:
@@ -267,7 +256,7 @@ def _envelope(
         checkpoint = depth - 1
         if checkpoint in gates:
             trace[checkpoint] = conf = float(np.exp(-cost.min()))
-            if not evaluate_gate(conf, gates[checkpoint]):
+            if not conf > gates[checkpoint]:  # equality prunes
                 stage = checkpoint
                 break
     tree = HybridTree(np.array(tokens, dtype=np.int32), np.array(parents, dtype=np.int32), -np.concatenate(costs))
@@ -283,21 +272,17 @@ def expand_full(draft: MarkovTableModel, context, config: PruneConfig, keep: int
 
 def resolve_stage(
     draft: MarkovTableModel, context, config: PruneConfig, keep: int | None = None
-) -> tuple[HybridTree, PruneDecision]:
-    """Expand with gates per the pruning policy and pick the stage.
+) -> tuple[HybridTree, int | None, dict[int, float]]:
+    """Expand with gates per the pruning policy; returns the tree, the stage
+    (whose ``draft_budget`` is the tree's rank cut) and the gate confidences.
 
     A checkpoint d is evaluated right after layer d+1 is drafted, on that
-    layer's confidence; the first failed gate stops expansion, after d + 1
-    layers. With no failed gate the tree reaches ``max_depth`` and the stage
-    is ``None``; with ``keep``, the rank cut the tree feeds then, it stops
-    as deep as that cut needs. ``layers_drafted`` counts ``max_depth`` all
-    the same. Only the last ``max(draft.order, 1)`` tokens of ``context``
-    are read.
+    layer's confidence; it passes only strictly above its threshold, and
+    the first failed gate stops expansion, after d + 1 layers. With no
+    failed gate the tree reaches ``max_depth`` and the stage is ``None``;
+    with ``keep``, the rank cut the tree feeds then, it stops as deep as
+    that cut needs. Only the last ``max(draft.order, 1)`` tokens of
+    ``context`` are read.
     """
     gates = {d: config.thresholds[d] for d in config.checkpoints}
-    tree, stage, trace = _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, gates, keep)
-    return tree, PruneDecision(
-        stage=stage,
-        confidence_trace=trace,
-        layers_drafted=config.max_depth if stage is None else stage + 1,
-    )
+    return _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, gates, keep)

@@ -28,7 +28,7 @@ from .drafttree import (
     stage_label,
 )
 from .errors import AnalysisError, ConfigError, InputError
-from .hybrid import draft_only, merge, rank_cut, tail_anchor
+from .hybrid import draft_only, merge, tail_anchor
 from .models import MarkovTableModel
 from .retrieval import (
     COLD,
@@ -101,7 +101,7 @@ class DecodeConfig:
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.acceptance not in ACCEPTANCE_MODES:
-            raise ConfigError(f"unknown acceptance mode {self.acceptance!r}")
+            raise ConfigError(f"decode.acceptance must be greedy or stochastic, got {self.acceptance!r}")
         if self.max_new_tokens < 1:
             raise ConfigError(f"decode.max_new_tokens must be >= 1, got {self.max_new_tokens}")
         for name in ("root_branch_size", "tail_chain_len"):
@@ -181,28 +181,26 @@ def build_next_tree(
     draft: MarkovTableModel,
     matrix: TransitionMatrix,
     committed,
-    *,
-    before_read=None,
 ) -> tuple[HybridTree, dict]:
     """Next candidate tree for the configured method, plus build metadata.
 
     The draft tree is cut to the method's rank cut; when the config has a
     template at the step's stage, the branch read from the matrix along it
     is merged in: at the root, or for ``graft_tail`` below the cut's best
-    deepest leaf. ``before_read``, when given, is called right before that
-    read, so a caller that defers its matrix writes can apply them there.
+    deepest leaf. That read is the step's one read of the matrix, so a
+    caller that defers its matrix writes applies them before this call.
     """
     prune = config.prune
     method = config.method
     budget = limit = prune.total_budget  # the rank cut of the draft tree
     if method in ("prune_only", "graft"):
-        tree, decision = resolve_stage(draft, committed, prune, budget)
+        tree, stage, trace = resolve_stage(draft, committed, prune, budget)
         info = {
-            "stage": stage_label(decision.stage),
-            "layers_drafted": decision.layers_drafted,
-            "confidence_trace": {str(d): c for d, c in decision.confidence_trace.items()},
+            "stage": stage_label(stage),
+            "layers_drafted": prune.max_depth if stage is None else stage + 1,
+            "confidence_trace": {str(d): c for d, c in trace.items()},
         }
-        limit = prune.draft_budget(decision.stage)
+        limit = prune.draft_budget(stage)
     elif method in TREE_METHODS:
         info = {"stage": stage_label(None), "layers_drafted": prune.max_depth, "confidence_trace": {}}
         if method == "fixed_split":
@@ -215,13 +213,11 @@ def build_next_tree(
 
     template = config.templates.get(info["stage"])
     if template is None:
-        return rank_cut(tree, limit), info
+        return draft_only(tree, limit, limit), info
     at, retained = 0, limit  # ``merge`` cuts the tree to ``limit`` candidates
     if method == "graft_tail":
         retained = select_retained(tree, limit)
         at = tail_anchor(tree, retained)
-    if before_read is not None:
-        before_read()
     tokens = instantiate(matrix, template, int(tree.tokens[at]))
     if method != "graft_tail":
         realized = int(np.count_nonzero(tokens != COLD))
@@ -294,10 +290,12 @@ def decode_session(
     node and from the prompt prefill; an autoregressive step verifies the
     root-only tree. The writes are collected in one ``{token: target row
     id}`` dict, the last writer winning, and applied by
-    :func:`retrieval.write_rows` right before the session reads the matrix
-    and when it ends, also by an exception. So the matrix is what per-step
-    writes would leave at every read and at return, but not between steps:
-    a ``tree_observer`` that inspects it mid-session sees it lag.
+    :func:`retrieval.write_rows` before every tree step of a method with
+    templates, the steps that may read the matrix, and when the session
+    ends, also by an exception. So the matrix is what per-step writes would
+    leave at every read and at return. Under the other methods it lags
+    between steps, and a ``tree_observer`` that inspects it mid-session
+    sees the lag.
     """
     if target.vocab.size != draft.vocab.size or target.vocab.size != matrix.vocab_size:
         raise ConfigError("target, draft and matrix must share one vocabulary")
@@ -354,7 +352,9 @@ def decode_session(
                     "confidence_trace": {},
                 }
             else:
-                hy, info = build_next_tree(config, draft, matrix, committed, before_read=flush)
+                if config.templates:  # the step may read the matrix
+                    flush()
+                hy, info = build_next_tree(config, draft, matrix, committed)
                 if tree_observer is not None:
                     tree_observer(len(steps), hy)
                 if config.acceptance == "greedy":

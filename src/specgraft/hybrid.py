@@ -65,12 +65,6 @@ def draft_only(tree: HybridTree, retained, budget: int) -> HybridTree:
     return HybridTree(tree.tokens[kept], parents, tree.scores[kept])
 
 
-def rank_cut(tree: HybridTree, limit: int) -> HybridTree:
-    """The root and the top-``limit`` candidates of ``tree`` by
-    :func:`select_retained`, as a tree."""
-    return draft_only(tree, limit, limit)
-
-
 def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray, tokens: np.ndarray) -> HybridTree:
     """The nodes ``retained`` of ``tree`` (an array, or a rank-cut size as
     :func:`_kept` takes it), its root added, with a parent-before-child node

@@ -39,7 +39,7 @@ class VocabSpec:
 
     def __post_init__(self):
         if self.size < 2:
-            raise InputError(f"vocab size must be >= 2, got {self.size}")
+            raise InputError(f"vocab.size must be >= 2, got {self.size}")
         if self.glyphs is not None and len(self.glyphs) != self.size:
             raise InputError(
                 f"glyph table has {len(self.glyphs)} entries for vocab size {self.size}"
@@ -92,9 +92,9 @@ class DraftDerivation:
 
     def __post_init__(self):
         if self.mode not in DERIVATION_MODES:
-            raise InputError(f"unknown derivation mode {self.mode!r}")
+            raise InputError(f"draft.mode must be one of {', '.join(DERIVATION_MODES)}, got {self.mode!r}")
         if not 0.0 <= self.strength <= 1.0:
-            raise InputError(f"strength must be in [0, 1], got {self.strength}")
+            raise InputError(f"draft.strength must be in [0, 1], got {self.strength}")
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,9 @@ def _topk_table(rows: np.ndarray, k: int, by_token: bool) -> tuple[np.ndarray, n
 def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0) -> MarkovTableModel:
     """Seeded random table: exponential weights, ``sparsity`` share zeroed, renormalized."""
     if order < 0:
-        raise InputError(f"order must be >= 0, got {order}")
+        raise InputError(f"target.order must be >= 0, got {order}")
     if not 0.0 <= sparsity < 1.0:
-        raise InputError(f"sparsity must be in [0, 1), got {sparsity}")
+        raise InputError(f"target.sparsity must be in [0, 1), got {sparsity}")
     # vocab^(order+1) cells; past the capped exponent even vocab 2 exceeds the ceiling
     if vocab.size ** min(order + 1, MAX_TABLE_CELLS.bit_length()) > MAX_TABLE_CELLS:
         raise InputError(
@@ -224,11 +224,11 @@ def train_ngram(vocab: VocabSpec, corpus, order: int, smoothing: float = 0.0) ->
     """Add-``smoothing`` count model; unseen contexts map to the smoothed unigram."""
     corpus = [int(t) for t in corpus]
     if not corpus:
-        raise InputError("empty corpus")
+        raise InputError("target.corpus has no tokens")
     if len(corpus) <= order:
-        raise InputError(f"corpus length {len(corpus)} must exceed order {order}")
+        raise InputError(f"target.order must be below the corpus length {len(corpus)}, got {order}")
     if smoothing < 0:
-        raise InputError("smoothing must be >= 0")
+        raise InputError(f"target.smoothing must be >= 0, got {smoothing}")
     for t in corpus:
         if not 0 <= t < vocab.size:
             raise InputError(f"corpus token {t} out of range for vocab {vocab.size}")
@@ -299,7 +299,7 @@ def tokenize_bytes(text: str) -> list[int]:
 def tokenize_whitespace(text: str) -> tuple[list[int], VocabSpec]:
     words = text.split()
     if not words:
-        raise InputError("empty corpus text")
+        raise InputError("target.corpus has no tokens")
     symbols = sorted(set(words))
     if len(symbols) < 2:
         symbols = symbols + ["<pad>"]
@@ -316,7 +316,7 @@ def load_token_file(path) -> list[int]:
             if line:
                 tokens.append(int(line))
     if not tokens:
-        raise InputError(f"no tokens in {path}")
+        raise InputError(f"target.corpus has no tokens: {path}")
     return tokens
 
 
@@ -331,4 +331,4 @@ def load_corpus(path, tokenizer: str = "bytes") -> tuple[list[int], VocabSpec]:
         return tokenize_bytes(text), BYTE_VOCAB
     if tokenizer == "whitespace":
         return tokenize_whitespace(text)
-    raise InputError(f"unknown tokenizer {tokenizer!r}")
+    raise InputError(f"target.tokenizer must be bytes, whitespace or ints, got {tokenizer!r}")

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from specgraft.cli import main
 from specgraft.config import _RULES, check_prompt_set, load_run_config
-from specgraft.engine import DecodeConfig, DecodeReport
+from specgraft.engine import CostModel, DecodeConfig, DecodeReport
 from specgraft.errors import ConfigError
 
 BASE_DOC = {
@@ -386,20 +388,65 @@ BAD_VALUES = [
     ("calibration", "grid", {0: [0.1], 1: [], 5: [0.5]}),
     ("calibration", "grid", {0: [0.1], 5: [0.5]}),  # no candidates for checkpoint 1
     ("calibration", "grid", {0: [0.1], 1: [0.2], 3: [0.5], 5: [0.5]}),  # depth 3 is no checkpoint
+    ("prune", "thresholds", {0: 0.15, 1: 0.13, 5: 0.51, 7: 0.5}),  # nor are depths 7 and 6
+    ("prune", "stage_budgets", {0: [8, 52], 1: [24, 36], 5: [40, 20], 6: [30, 30]}),
+    # values the models and the decode policy reject
+    ("vocab", "size", 1),
+    ("target", "kind", "foo"),
+    ("target", "sparsity", 1.5),
+    ("draft", "mode", "foo"),
+    ("draft", "strength", 2),
+    ("decode", "acceptance", "fuzzy"),
+    ("matrix", "load", "missing.bin"),
 ]
+
+NGRAM_DOC = {
+    "target": {
+        "kind": "ngram",
+        "corpus": str(Path(__file__).resolve().parent.parent / "configs" / "sample_corpus.txt"),
+        "tokenizer": "bytes",
+        "order": 2,
+        "smoothing": 0.05,
+    },
+    "draft": {"mode": "uniform-mix", "strength": 0.4},
+    "method": "graft",
+    "decode": {"max_new_tokens": 40, "seed": 0, "prompt_text": "the "},
+    "warmup": {"rounds": 1, "derive": {"count": 1, "length": 8}},
+    "matrix": {"k": 10},
+    "output": {"json": "run.json", "csv": "run.csv"},
+}
+
+# the same over NGRAM_DOC, an n-gram target trained on the 4085-byte sample corpus
+NGRAM_BAD_VALUES = [
+    ("target", "tokenizer", "weird"),
+    ("target", "tokenizer", "whitespace"),  # the document's decode.prompt_text needs bytes
+    ("target", "smoothing", -1),
+    ("target", "corpus", "missing.txt"),
+    ("target", "order", 5000),  # past the corpus length
+]
+
+
+def _exits_2_naming_its_key(tmp_path, capsys, base, section, key, value):
+    doc = json.loads(json.dumps(base))
+    doc.setdefault(section, {})[key] = value
+    out = tmp_path / "out"
+    assert run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(out), "decode") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{section}.{key}" in err
+    assert not (out / "run.json").exists()
 
 
 class TestBadValues:
     @pytest.mark.parametrize("section,key,value", BAD_VALUES, ids=[f"{s}.{k}={v!r}" for s, k, v in BAD_VALUES])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, section, key, value):
-        doc = json.loads(json.dumps(BASE_DOC))
-        doc.setdefault(section, {})[key] = value
-        out = tmp_path / "out"
-        assert run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(out), "decode") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"{section}.{key}" in err
-        assert not (out / "run.json").exists()
+        _exits_2_naming_its_key(tmp_path, capsys, BASE_DOC, section, key, value)
+
+    @pytest.mark.parametrize(
+        "section,key,value", NGRAM_BAD_VALUES, ids=[f"{s}.{k}={v!r}" for s, k, v in NGRAM_BAD_VALUES]
+    )
+    def test_ngram_value_exits_2_with_one_error_line(self, tmp_path, capsys, section, key, value):
+        _exits_2_naming_its_key(tmp_path, capsys, NGRAM_DOC, section, key, value)
 
     # values a run does not read, which the report could not echo (keys sorted)
     @pytest.mark.parametrize(
@@ -698,3 +745,20 @@ class TestFlagFuzz:
         assert rc in (0, 2)
         if rc == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_readme_configuration_table_names_exactly_the_loaders_keys():
+    """The first column of the README's Configuration table names each key
+    the loader checks, plus ``method``, and nothing else; ``cost.*`` stands
+    for every ``CostModel`` field, and a bare key takes the row's section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| section.key |", 1)[1].split("\n\n", 1)[0]
+    listed = set()
+    for row in table.splitlines()[2:]:
+        section = None
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            if "." in name:
+                section, name = name.split(".")
+            keys = [f.name for f in dataclasses.fields(CostModel)] if name == "*" else [name]
+            listed |= {key if section is None else f"{section}.{key}" for key in keys}
+    assert listed == {f"{section}.{key}" for section, rules in _RULES.items() for key in rules} | {"method"}

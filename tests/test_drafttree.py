@@ -11,16 +11,14 @@ from specgraft import engine, hybrid, retrieval
 from specgraft.drafttree import (
     HybridTree,
     PruneConfig,
-    PruneDecision,
     _envelope,
-    evaluate_gate,
     expand_full,
     resolve_stage,
     select_retained,
     stage_label,
 )
 from specgraft.engine import TREE_METHODS, DecodeConfig, build_next_tree
-from specgraft.errors import ConfigError, InputError
+from specgraft.errors import ConfigError
 from specgraft.models import (
     BYTE_VOCAB,
     DraftDerivation,
@@ -64,9 +62,9 @@ def all_pass_trace(draft, context, depth, top_k, beam):
         max_depth=depth,
         beam_width=beam,
     )
-    _, decision = resolve_stage(draft, context, config)
-    assert decision.stage is None
-    return decision.confidence_trace
+    _, stage, trace = resolve_stage(draft, context, config)
+    assert stage is None
+    return trace
 
 
 class TestExpandLayer:
@@ -144,24 +142,32 @@ class TestLayerConfidence:
     def test_missing_layer(self, uni4):
         # the failed gate at checkpoint 0 stops drafting: checkpoint 1 has no layer to read
         config = PruneConfig(thresholds={0: 0.3, 1: 0.3, 5: 0.51})
-        _, decision = resolve_stage(uni4, [0], config)
-        assert decision.confidence_trace == {0: pytest.approx(0.25)}
-        assert decision.layers_drafted == 1
+        tree, _, trace = resolve_stage(uni4, [0], config)
+        assert trace == {0: pytest.approx(0.25)}
+        assert int(tree.depths[-1]) == 1
 
 
-class TestEvaluateGate:
-    def test_pass(self):
-        assert evaluate_gate(0.25, 0.14) is True
+class TestGate:
+    """A gate passes only strictly above its threshold: equality prunes."""
 
-    def test_prune(self):
-        assert evaluate_gate(0.50, 0.51) is False
+    @staticmethod
+    def stage_and_trace(draft, threshold):
+        return resolve_stage(draft, [0], PruneConfig(thresholds={0: threshold, 1: 1e-9, 5: 1e-9}))[1:]
 
-    def test_boundary_prunes(self):
-        assert evaluate_gate(0.3, 0.3) is False
+    def test_pass(self, uni4):
+        assert self.stage_and_trace(uni4, 0.14)[0] is None
+
+    def test_prune(self, uni4):
+        assert self.stage_and_trace(uni4, 0.51) == (0, {0: pytest.approx(0.25)})
+
+    def test_boundary_prunes(self, uni4):
+        conf = self.stage_and_trace(uni4, 0.14)[1][0]  # what the gate reads: 0.25 on the dyadic uni4
+        assert self.stage_and_trace(uni4, conf) == (0, {0: conf})
+        assert self.stage_and_trace(uni4, math.nextafter(conf, 0))[0] is None
 
     def test_threshold_domain(self):
-        with pytest.raises(InputError):
-            evaluate_gate(0.5, 1.0)
+        with pytest.raises(ConfigError, match=r"prune\.thresholds\[0\]"):
+            PruneConfig(thresholds={0: 1.0, 1: 0.13, 5: 0.51})
 
 
 class TestPruneConfig:
@@ -182,48 +188,48 @@ class TestPruneConfig:
             PruneConfig(checkpoints=(0, 8), thresholds={0: 0.1, 8: 0.1}, stage_budgets={0: (8, 52), 8: (40, 20)})
 
 
-def stage_cut(tree, decision, config):
+def stage_cut(tree, stage, config):
     """The rank cut of a ``resolve_stage`` tree: its stage's draft budget."""
-    return select_retained(tree, config.draft_budget(decision.stage))
+    return select_retained(tree, config.draft_budget(stage))
 
 
 class TestResolveStage:
     def test_det4_never_prunes(self, det4):
-        tree, decision = resolve_stage(det4, [0], PruneConfig())
-        assert decision.stage is None
-        assert stage_label(decision.stage) == "none"
+        tree, stage, _ = resolve_stage(det4, [0], PruneConfig())
+        assert stage is None
+        assert stage_label(stage) == "none"
         # full chain retained (8 candidates, fewer than the budget)
-        assert list(stage_cut(tree, decision, PruneConfig())) == list(range(9))
-        assert decision.layers_drafted == 8
+        assert list(stage_cut(tree, stage, PruneConfig())) == list(range(9))
+        assert int(tree.depths[-1]) == 8
 
     def test_uni4_prunes_at_root_stage(self, uni4):
         cfg = PruneConfig(thresholds={0: 0.3, 1: 0.3, 5: 0.51})
-        tree, decision = resolve_stage(uni4, [0], cfg)
-        assert decision.stage == 0
-        assert decision.confidence_trace[0] == pytest.approx(0.25)
+        tree, stage, trace = resolve_stage(uni4, [0], cfg)
+        assert stage == 0
+        assert trace[0] == pytest.approx(0.25)
         assert cfg.draft_budget(0) == 8
         # vocab 4 only offers 4 depth-1 candidates; all retained
-        assert len(stage_cut(tree, decision, cfg)) == 1 + 4
-        assert decision.layers_drafted == 1
+        assert len(stage_cut(tree, stage, cfg)) == 1 + 4
+        assert int(tree.depths[-1]) == 1
 
     def test_uni16_fills_stage_budget(self, uni16):
         cfg = PruneConfig(thresholds={0: 0.3, 1: 0.3, 5: 0.51})
-        tree, decision = resolve_stage(uni16, [0], cfg)
-        assert decision.stage == 0
-        assert len(stage_cut(tree, decision, cfg)) == 1 + 8  # root + exactly the d0 draft budget
+        tree, stage, _ = resolve_stage(uni16, [0], cfg)
+        assert stage == 0
+        assert len(stage_cut(tree, stage, cfg)) == 1 + 8  # root + exactly the d0 draft budget
 
     def test_retention_matches_iterative_oracle(self):
         draft = build_markov(VocabSpec(24), 1, seed=42)
         cfg = PruneConfig()
-        tree, decision = resolve_stage(draft, [3], cfg)
-        limit = cfg.draft_budget(decision.stage)
+        tree, stage, _ = resolve_stage(draft, [3], cfg)
+        limit = cfg.draft_budget(stage)
         expect = closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), limit)
-        assert list(stage_cut(tree, decision, cfg)) == expect
+        assert list(stage_cut(tree, stage, cfg)) == expect
 
     def test_parent_closure(self):
         draft = build_markov(VocabSpec(12), 1, seed=6, sparsity=0.2)
-        tree, decision = resolve_stage(draft, [1], PruneConfig())
-        retained = stage_cut(tree, decision, PruneConfig())
+        tree, stage, _ = resolve_stage(draft, [1], PruneConfig())
+        retained = stage_cut(tree, stage, PruneConfig())
         kept = set(retained.tolist())
         for i in retained:
             if i != 0:
@@ -232,16 +238,16 @@ class TestResolveStage:
     def test_budget_cap_and_equality(self):
         draft = build_markov(VocabSpec(24), 1, seed=9)
         cfg = PruneConfig(thresholds={0: 0.999, 1: 0.13, 5: 0.51})  # force d0 prune
-        tree, decision = resolve_stage(draft, [2], cfg)
-        assert decision.stage == 0
-        assert len(stage_cut(tree, decision, cfg)) - 1 == min(cfg.draft_budget(0), tree.n_nodes - 1)
+        tree, stage, _ = resolve_stage(draft, [2], cfg)
+        assert stage == 0
+        assert len(stage_cut(tree, stage, cfg)) - 1 == min(cfg.draft_budget(0), tree.n_nodes - 1)
 
     def test_determinism(self):
         draft = build_markov(VocabSpec(16), 1, seed=5, sparsity=0.1)
         a = resolve_stage(draft, [2, 7], PruneConfig())
         b = resolve_stage(draft, [2, 7], PruneConfig())
-        assert np.array_equal(stage_cut(*a, PruneConfig()), stage_cut(*b, PruneConfig()))
-        assert a[1].stage == b[1].stage
+        assert np.array_equal(stage_cut(*a[:2], PruneConfig()), stage_cut(*b[:2], PruneConfig()))
+        assert a[1:] == b[1:]
         assert np.array_equal(a[0].tokens, b[0].tokens)
 
 
@@ -368,15 +374,17 @@ class TestOnePassEnvelope:
         stages, masked = set(), 0
         for name, draft in _envelope_drafts().items():
             vocab = draft.vocab.size
+            matrix = new_matrix(vocab, 10)  # never read: prune_only grafts nothing
             for _ in range(20):
                 config = _random_prune(rng, vocab)
                 context = [int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 5))]
-                tree, decision = resolve_stage(draft, context, config)
+                tree, *got = resolve_stage(draft, context, config)
                 expect, stage, trace = reference_envelope(draft, context, config)
                 _same_tree(tree, expect)
-                assert (decision.stage, decision.confidence_trace) == (stage, trace), name
-                assert decision.layers_drafted == canonical_form(expect)[2][-1]  # the oracle's own depths
-                assert stage_cut(tree, decision, config).tolist() == closure_topk_iterative(
+                assert got == [stage, trace], name
+                info = build_next_tree(DecodeConfig(method="prune_only", prune=config), draft, matrix, context)[1]
+                assert info["layers_drafted"] == canonical_form(expect)[2][-1]  # the oracle's own depths
+                assert stage_cut(tree, stage, config).tolist() == closure_topk_iterative(
                     tree.scores.tolist(), tree.parents.tolist(), config.draft_budget(stage)
                 )
                 stages.add("none" if stage is None else "first" if stage == config.checkpoints[0] else "later")
@@ -408,10 +416,10 @@ class TestOnePassEnvelope:
         draft = derive_draft(target, DraftDerivation("uniform-mix", 0.4)) if kind != "bytes-unsmoothed" else target
         config = PruneConfig()
         for context in contexts:
-            tree, decision = resolve_stage(draft, context, config)
+            tree, *got = resolve_stage(draft, context, config)
             expect, stage, trace = reference_envelope(draft, context, config)
             _same_tree(tree, expect)
-            assert (decision.stage, decision.confidence_trace) == (stage, trace)
+            assert got == [stage, trace]
             _same_tree(expand_full(draft, context, config), reference_envelope(draft, context, config, gated=False)[0])
 
 
@@ -427,7 +435,7 @@ def _oracle_expand_full(draft, context, config, keep=None):
 
 def _oracle_resolve_stage(draft, context, config, keep=None):
     tree, stage, trace = reference_envelope(draft, context, config)
-    return _oracle_tree(tree), PruneDecision(stage, trace, config.max_depth if stage is None else stage + 1)
+    return _oracle_tree(tree), stage, trace
 
 
 def _bound_config(rng, method, keep, base):
@@ -538,9 +546,9 @@ class TestRankCutBound:
         for last, stage in ((0.99, 5), (1e-9, None)):
             config = PruneConfig(thresholds={0: 1e-9, 1: 1e-9, 5: last})
             for context in np.random.default_rng(4).integers(0, 64, size=(20, 3)).tolist():
-                tree, decision = resolve_stage(draft, context, config, keep=1)
-                whole, expect = resolve_stage(draft, context, config)
-                assert decision == expect and decision.stage == stage
+                tree, *got = resolve_stage(draft, context, config, keep=1)
+                whole, *expect = resolve_stage(draft, context, config)
+                assert got == expect and got[0] == stage
                 assert int(tree.depths[-1]) == 6  # stage + 1, or the first layer past the last gate
                 assert whole.n_nodes == (tree.n_nodes if stage is not None else 81)
 
@@ -552,9 +560,11 @@ def _explicit_merge(tree, retained, budget, at, parents, tokens):
     return hybrid.merge(tree, retained, budget, at, parents, tokens)
 
 
-def _explicit_rank_cut(tree, limit):
+def _explicit_draft_only(tree, retained, budget):
     """``hybrid.draft_only`` handed the explicit ``select_retained`` cut as an array."""
-    return hybrid.draft_only(tree, select_retained(tree, limit), limit)
+    if isinstance(retained, int):
+        retained = select_retained(tree, retained)
+    return hybrid.draft_only(tree, retained, budget)
 
 
 class TestIdentityCut:
@@ -600,14 +610,14 @@ class TestIdentityCut:
                         cuts.clear()
                         with monkeypatch.context() as patch:
                             patch.setattr(engine, "merge", seen(hybrid.merge))
-                            patch.setattr(engine, "rank_cut", seen(hybrid.rank_cut))
+                            patch.setattr(engine, "draft_only", seen(hybrid.draft_only))
                             got, info = build_next_tree(config, draft, matrix.copy(), context)
                         (whole,) = cuts
                         assert len(ranked) == (0 if whole else 1), method
                         covered.add((method, whole))
                         with monkeypatch.context() as patch:
                             patch.setattr(engine, "merge", _explicit_merge)
-                            patch.setattr(engine, "rank_cut", _explicit_rank_cut)
+                            patch.setattr(engine, "draft_only", _explicit_draft_only)
                             expect, expect_info = build_next_tree(config, draft, matrix.copy(), context)
                         for name in ("tokens", "parents", "scores", "child_ptr"):
                             a, b = getattr(got, name), getattr(expect, name)

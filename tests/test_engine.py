@@ -190,9 +190,9 @@ class TestBuildNextTree:
         assert info["stage"] == "d0"
         assert hy.n_candidates == 8
         # oracle: re-run the stage resolution independently
-        tree, decision = resolve_stage(draft, [0], prune)
-        assert decision.stage == 0
-        assert len(select_retained(tree, prune.draft_budget(decision.stage))) - 1 == 8
+        tree, stage, _ = resolve_stage(draft, [0], prune)
+        assert stage == 0
+        assert len(select_retained(tree, prune.draft_budget(stage))) - 1 == 8
 
     def test_fixed_split_uses_constant_split(self):
         target, draft = seeded_pair(seed=29)
@@ -283,10 +283,6 @@ class TestTemplates:
     @pytest.mark.parametrize("method", ["autoregressive", "dense", "prune_only"])
     def test_other_methods_graft_nothing(self, method):
         assert DecodeConfig(method=method, template_filter=(2, None)).templates == {}
-
-    def test_before_read_is_keyword_only(self, det4):
-        with pytest.raises(TypeError):
-            build_next_tree(DecodeConfig(method="graft"), det4, full_matrix(4, 10), [0], lambda: None)
 
 
 class TestBoundedContext:
@@ -479,9 +475,9 @@ def _traced_session(monkeypatch, cfg, target, draft, matrix, prompt, stop_at=Non
 
 
 class TestDeferredWrites:
-    """A session applies its matrix writes only right before it reads the
-    matrix and when it ends; every read, and the matrix it leaves, see what
-    writing after every step would give (``oracles.replay_matrix_writes``)."""
+    """A session applies its matrix writes before each step that may read
+    the matrix and when it ends; every read, and the matrix it leaves, see
+    what writing after every step would give (``oracles.replay_matrix_writes``)."""
 
     PROMPT = PEAKED_PROMPT
 
@@ -545,15 +541,14 @@ class TestDeferredWrites:
         if method in ("autoregressive", "dense", "prune_only"):
             assert len(writes) == len(events) == 1  # once per session, at its end
             return
-        # each write but the session's last comes right before a read, and
-        # every read follows a write, except a first step's with nothing pending
+        # one write before each step, except a first step's with nothing
+        # pending, and one at the session's end; so every read follows a write
         read_at = [i for i, e in enumerate(events) if e == "read"]
         nothing_pending = not prefill and reads[0][0] == 0
         assert writes[-1] == len(events) - 1
-        assert all(events[i + 1] == "read" for i in writes[:-1])
-        assert all(events[i - 1] != "read" for i in read_at[nothing_pending:])
-        assert len(writes) == len(read_at) - nothing_pending + 1
-        if method == "graft":  # it reads only when a gate fails
+        assert len(writes) == report.steps_count + prefill
+        assert all(events[i - 1] == "write" for i in read_at[nothing_pending:])
+        if method == "graft":  # it reads only when a gate fails, and writes all the same
             failed = sum(s["stage"] != "none" for s in report.steps)
             assert 0 < len(reads) == failed < report.steps_count
         else:

@@ -22,7 +22,6 @@ from specgraft.hybrid import (
     draft_only,
     flatten,
     merge,
-    rank_cut,
     render_tree,
     tail_anchor,
 )
@@ -62,8 +61,8 @@ def seeded_setup(vocab=64, seed=42, prefix=(3,), prune=None):
 
 def stage_retained(draft, context, prune):
     """The rank cut of the gated tree: its stage's draft budget."""
-    tree, decision = resolve_stage(draft, context, prune)
-    return select_retained(tree, prune.draft_budget(decision.stage))
+    tree, stage, _ = resolve_stage(draft, context, prune)
+    return select_retained(tree, prune.draft_budget(stage))
 
 
 SIZE_ZERO = template_prefix(builtin_templates()["d5"], 0)
@@ -116,9 +115,9 @@ class TestMerge:
             rows[(t,)] = w / w.sum()
         draft = table_model(64, 1, rows)
         prune = PruneConfig(thresholds={0: 0.999, 1: 0.13, 5: 0.51})
-        tree, decision = resolve_stage(draft, [0], prune)
+        tree, stage, _ = resolve_stage(draft, [0], prune)
         retained = stage_retained(draft, [0], prune)
-        assert decision.stage == 0 and len(retained) == 9
+        assert stage == 0 and len(retained) == 9
         matrix = full_matrix(64, 10, shift=32)
         merged = root_merge(tree, retained, prune.total_budget, matrix, builtin_templates()["d0"])
         n_draft, n_retrieved = merged.counts_by_origin()
@@ -418,13 +417,13 @@ class TestBulkAssembly:
         chain = (np.array([-1, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32))
         ranked = []
         monkeypatch.setattr(hybrid, "select_retained", lambda tree, limit: ranked.append(limit) or select_retained(tree, limit))
-        assert rank_cut(tree, n) is tree and draft_only(tree, n + 4, n + 4) is tree
+        assert draft_only(tree, n, n) is tree and draft_only(tree, n + 4, n + 4) is tree
         whole = merge(tree, n + 4, n + 2, 0, *chain)
         assert ranked == []
         expect = merge(tree, np.arange(tree.n_nodes), n + 2, 0, *chain)
         for name in ("tokens", "parents", "scores", "child_ptr"):
             assert getattr(whole, name).tobytes() == getattr(expect, name).tobytes(), name
-        cut = rank_cut(tree, n - 1)
+        cut = draft_only(tree, n - 1, n - 1)
         assert ranked == [n - 1]
         assert cut.tokens.tobytes() == draft_only(tree, select_retained(tree, n - 1), n - 1).tokens.tobytes()
 
