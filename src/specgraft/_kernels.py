@@ -1,21 +1,19 @@
 """The stochastic-verification walk, plain Python, one acceptance rule.
 
-``_try_children`` is the rule. ``stochastic_walk`` runs one walk for
-:func:`verify.verify_stochastic`, trying each node's children through it;
-``stochastic_trials`` decides a batch of walks' first tokens for the
-exactness audit in :func:`verify.first_token_frequencies`, from the root's
-thresholds, which the same rule gives. Both read node c's target row as
-``rows[row_ids[c]]``, and only for the nodes they visit (the audit visits
-the root alone), and both consume pre-drawn uniforms, so a walk is a pure
-function of its inputs. ``_draw`` is the one inverse-CDF draw; the
-autoregressive step draws its token with it too.
+``_reject`` is the rule's one step. ``stochastic_walk`` runs one walk for
+:func:`verify.verify_stochastic`; ``stochastic_trials`` decides a batch of
+walks' first tokens for the exactness audit in
+:func:`verify.first_token_frequencies`, from the root's thresholds, which
+the same step gives. Both read node c's target row as ``rows[row_ids[c]]``,
+and only for the nodes they visit (the audit visits the root alone), and
+both consume pre-drawn uniforms, so a walk is a pure function of its
+inputs. ``_draw`` is the one inverse-CDF draw; the autoregressive step
+draws its token with it too.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from itertools import repeat
 
 import numpy as np
 
@@ -23,58 +21,26 @@ from .errors import StructureError
 
 NUMBA_ENABLED = False  # there is no numba path; perfbench/run.py still records this flag
 
-# Point-mass residual scheme. State per accepted node: residual starts as
-# the node's target distribution; children are tried in stored
-# (canonical) order, child c accepted with
+# The residual rule. A node's residual starts as its target row; its
+# children are tried in stored (canonical) order, child c accepted with
 # probability residual[token_c]; a rejection zeroes that token and
 # renormalizes. With no child accepted the emitted token is drawn from the
-# final residual by inverse CDF; an accepted leaf draws from its own
-# distribution. A walk gives the accepted nodes and the emitted token.
-#
-# For a fixed tree only the uniforms vary between walks, so a node's
-# decisions are scalars fixed in advance, computed with the same IEEE
-# operations in the same order as a per-walk renormalization of the row:
-# child j's threshold is p[t_j] / rest_1 / ... / rest_{j-1}, where
-# rest_i = 1 - a_i (1.0 when that is <= 0), and the final residual is the
-# row with the children's tokens zeroed, divided by the rests in order. Its
-# left-to-right running sum (``np.cumsum``) is the inverse-CDF table, and a
-# uniform at or past its total falls back to the last positive token.
-# ``stochastic_walk`` computes them as it goes, for its path only, and keeps
-# none; ``stochastic_trials`` computes the root's once and shares them among
-# its trials, since a walk's first token is the root's accepted child or,
-# with none accepted, the root's residual draw.
+# final residual by inverse CDF over its left-to-right running sum
+# (``np.cumsum``); a draw at or past the total gives the last positive
+# token. A walk gives the accepted nodes and the emitted token.
 
 
-def _try_children(row: np.ndarray, tokens: list[int], lo: int, hi: int, draws, thresholds: list[float],
-                  rests: list[float]) -> int:
-    """Try children ``lo .. hi - 1`` of the node whose target row is ``row``,
-    in stored order, each against the next of ``draws``; the first accepted
-    child, or -1. Each child tried appends its threshold to ``thresholds``,
-    and each one rejected its rest to ``rests``. Draws of ``math.inf`` reject
-    every child, which gives the node's full lists."""
-    for c in range(lo, hi):
-        t = tokens[c]
-        a = 0.0 if t in tokens[lo:c] else row.item(t)  # an earlier sibling's rejection zeroed this token
-        for rest in rests:
-            a /= rest
-        thresholds.append(a)
-        if next(draws) < a:
-            return c
-        rest = 1.0 - a
-        rests.append(1.0 if rest <= 0.0 else rest)
-    return -1
-
-
-def _residual(row: np.ndarray, toks: list[int], rests: list[float]) -> np.ndarray:
-    """The row left once every child is rejected: the children's tokens
-    zeroed, divided by the rests in order."""
-    if not toks:
-        return row
-    residual = row.copy()
-    residual.put(toks, 0.0)
-    for rest in rests:
-        if rest != 1.0:
-            residual /= rest
+def _reject(residual: np.ndarray, row: np.ndarray, t: int, a: float) -> np.ndarray:
+    """The residual once the child with token ``t`` and threshold ``a`` is
+    rejected: ``t`` zeroed, the rest divided by ``1 - a`` (by 1.0 when that
+    is <= 0). The node's target ``row`` is never written; the residual is
+    copied from it on the node's first rejection."""
+    if residual is row:
+        residual = row.copy()
+    residual[t] = 0.0
+    rest = 1.0 - a
+    if 0.0 < rest < 1.0:  # dividing by 1.0 changes nothing
+        residual /= rest
     return residual
 
 
@@ -102,15 +68,17 @@ def stochastic_walk(
     draws = iter(uniforms)
     cur = 0
     while True:
-        row = rows[row_ids[cur]]
-        lo, hi = child_ptr[cur] + 1, child_ptr[cur + 1] + 1
-        rests: list[float] = []
-        c = _try_children(row, tokens, lo, hi, draws, [], rests)
-        if c < 0:
-            residual = _residual(row, tokens[lo:hi], rests)
+        row = residual = rows[row_ids[cur]]
+        for c in range(child_ptr[cur] + 1, child_ptr[cur + 1] + 1):
+            t = tokens[c]
+            a = residual.item(t)
+            if next(draws) < a:
+                path.append(c)
+                cur = c
+                break
+            residual = _reject(residual, row, t, a)
+        else:
             return path, _draw(residual.cumsum().tolist(), residual, next(draws))
-        path.append(c)
-        cur = c
 
 
 def stochastic_trials(
@@ -124,14 +92,15 @@ def stochastic_trials(
     arguments are those of :func:`stochastic_walk`, with one row of uniforms
     per trial. The root decides a walk's first token: root child j takes
     ``u[j]`` and the residual draw ``u[n_children]``, the positions a full
-    walk reads them at, so the counts equal those of full walks."""
-    row = rows[row_ids[0]]
-    lo, hi = child_ptr[0] + 1, child_ptr[1] + 1
-    kids = tokens[lo:hi]
+    walk reads them at, so the counts equal those of full walks. The root's
+    thresholds and final residual are computed once, rejecting every child."""
+    row = residual = rows[row_ids[0]]
+    kids = tokens[child_ptr[0] + 1:child_ptr[1] + 1]
     thresholds: list[float] = []
-    rests: list[float] = []
-    _try_children(row, tokens, lo, hi, repeat(math.inf), thresholds, rests)
-    residual = _residual(row, kids, rests)
+    for t in kids:
+        a = residual.item(t)
+        thresholds.append(a)
+        residual = _reject(residual, row, t, a)
     cdf = residual.cumsum().tolist()
     n = len(kids)
     counts = [0] * rows.shape[1]

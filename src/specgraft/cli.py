@@ -43,23 +43,6 @@ from .retrieval import (
 
 OUT_DIR_ENV = "SPECGRAFT_OUT_DIR"
 
-# a report's stage columns, ``stage_<label>`` for each prune checkpoint and
-# then ``stage_none``, go between these two
-CSV_LEAD_FIELDS = [
-    "suite",
-    "variant",
-    "method",
-    "seed",
-    "acceptance",
-    "warmup_rounds",
-    "steps",
-    "tokens",
-    "mat",
-    "cost_total",
-    "speedup_proxy",
-]
-CSV_TAIL_FIELDS = ["fill_ratio", "regret", "coverage_gain_mean"]
-
 
 def _schema() -> dict:
     with resources.files("specgraft.schemas").joinpath("report.schema.json").open("r") as fh:
@@ -133,14 +116,14 @@ def _csv_row(row: dict, stages: list[str]) -> dict:
 
 
 def _write_csv(path: str, rows: list[dict], checkpoints: tuple[int, ...]) -> None:
-    """One line per run; the stage columns are the run's ``checkpoints`` and ``none``."""
+    """One line per run, under a header of the first line's keys; the stage
+    columns are the run's ``checkpoints`` and ``none``."""
     stages = [stage_label(d) for d in checkpoints] + [stage_label(None)]
-    fields = CSV_LEAD_FIELDS + [f"stage_{stage}" for stage in stages] + CSV_TAIL_FIELDS
+    lines = [_csv_row(row, stages) for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(lines[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(_csv_row(row, stages))
+        writer.writerows(lines)
 
 
 def _overrides(args) -> dict:
@@ -304,11 +287,7 @@ def cmd_matrix(args) -> int:
         print(f"loaded vocab={matrix.vocab_size} k={matrix.k} rows_touched={matrix.touched_rows()}")
         return 0
     # stats
-    if args.path:
-        matrix = load_matrix(args.path)
-    else:
-        run = _load(args)
-        matrix = new_matrix(run.vocab.size, run.matrix_k)
+    matrix = load_matrix(args.path) if args.path else _prepared_matrix(_load(args))
     print(
         f"vocab={matrix.vocab_size} k={matrix.k} rows_touched={matrix.touched_rows()} "
         f"dense_bytes={storage_bytes(matrix)} touched_bytes={touched_bytes(matrix)}"

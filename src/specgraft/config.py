@@ -150,7 +150,6 @@ MAX_PROMPT_TOKENS = 2**20
 @dataclass
 class RunConfig:
     raw: dict
-    path: str
     vocab: VocabSpec
     target: MarkovTableModel
     draft: MarkovTableModel
@@ -346,7 +345,6 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     output_cfg = sections["output"]
     return RunConfig(
         raw=doc,
-        path=path,
         vocab=vocab,
         target=target,
         draft=draft,

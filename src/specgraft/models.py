@@ -231,7 +231,7 @@ def train_ngram(vocab: VocabSpec, corpus, order: int, smoothing: float = 0.0) ->
         raise InputError(f"target.smoothing must be >= 0, got {smoothing}")
     for t in corpus:
         if not 0 <= t < vocab.size:
-            raise InputError(f"corpus token {t} out of range for vocab {vocab.size}")
+            raise InputError(f"target.corpus token {t} out of range for vocab {vocab.size}")
 
     # each position's context code, rolled forward one token at a time as in
     # ``extend_codes``; contexts get row ids in first-seen order
@@ -307,14 +307,24 @@ def tokenize_whitespace(text: str) -> tuple[list[int], VocabSpec]:
     return [index[w] for w in words], VocabSpec(len(symbols), tuple(symbols))
 
 
+def _corpus_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"target.corpus {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def load_token_file(path) -> list[int]:
     """Newline-delimited integer token stream."""
     tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+    for n, line in enumerate(_corpus_text(path).split("\n"), 1):
+        line = line.strip()
+        if line:
+            try:
                 tokens.append(int(line))
+            except ValueError:
+                raise InputError(f"target.corpus {path} line {n} is not an integer token: {line!r}") from None
     if not tokens:
         raise InputError(f"target.corpus has no tokens: {path}")
     return tokens
@@ -325,8 +335,7 @@ def load_corpus(path, tokenizer: str = "bytes") -> tuple[list[int], VocabSpec]:
     if tokenizer == "ints":
         tokens = load_token_file(path)
         return tokens, VocabSpec(max(tokens) + 1 if max(tokens) >= 1 else 2)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _corpus_text(path)
     if tokenizer == "bytes":
         return tokenize_bytes(text), BYTE_VOCAB
     if tokenizer == "whitespace":

@@ -215,17 +215,16 @@ def _root_decision_marginal(target, prefix, tree):
     target row: root child j, tried with reach ``reach``, contributes
     ``reach * a_j`` and leaves ``reach *= 1 - a_j``; the rest is ``reach``
     times the root's residual."""
-    row = target.rows[node_row_ids(target, prefix, tree)[0]]
+    row = residual = target.rows[node_row_ids(target, prefix, tree)[0]]
     ptr, tokens = tree.child_ptr.tolist(), tree.tokens.tolist()
-    lo, hi = ptr[0] + 1, ptr[1] + 1
-    thresholds, rests = [], []
-    _kernels._try_children(row, tokens, lo, hi, itertools.repeat(math.inf), thresholds, rests)
     marginal = np.zeros_like(row)
     reach = 1.0
-    for t, a in zip(tokens[lo:hi], thresholds):
+    for t in tokens[ptr[0] + 1:ptr[1] + 1]:
+        a = residual.item(t)
         marginal[t] += reach * a
         reach *= 1.0 - a
-    return marginal + reach * _kernels._residual(row, tokens[lo:hi], rests), row
+        residual = _kernels._reject(residual, row, t, a)
+    return marginal + reach * residual, row
 
 
 def test_root_decision_exact_on_session_steps(monkeypatch):

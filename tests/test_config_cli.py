@@ -226,6 +226,14 @@ class TestOtherCommands:
         assert run_cli("--config", str(path), "matrix", "stats") == 0
         assert "rows_touched=0" in capsys.readouterr().out
 
+    def test_matrix_stats_reports_the_warmed_matrix(self, config_path, tmp_path, capsys):
+        snap = str(tmp_path / "m.bin")
+        assert run_cli("--config", config_path, "matrix", "save", "--path", snap) == 0
+        assert run_cli("matrix", "stats", "--path", snap) == 0
+        saved = capsys.readouterr().out.splitlines()[-1]
+        assert run_cli("--config", config_path, "matrix", "stats") == 0
+        assert capsys.readouterr().out.splitlines() == [saved] and "rows_touched=0 " not in saved
+
     def test_calibrate_writes_thresholds(self, config_path, tmp_path):
         out = tmp_path / "out"
         doc = json.loads(json.dumps(BASE_DOC))
@@ -312,6 +320,21 @@ class TestSnapshotMatchesConfig:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and snap in err and "vocab=16" in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_stats_reports_the_snapshot(self, tmp_path, capsys):
+        from specgraft.models import argtopk
+        from specgraft.retrieval import new_matrix, save_matrix
+
+        snap = tmp_path / "snap.bin"
+        matrix = new_matrix(24, 10)
+        matrix.rows[5] = argtopk(np.linspace(1.0, 0.1, 24), matrix.k)
+        save_matrix(snap, matrix)
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["matrix"] = {"k": 10, "load": str(snap)}
+        assert run_cli("--config", _write_doc(tmp_path, doc), "matrix", "stats") == 0
+        assert run_cli("matrix", "stats", "--path", str(snap)) == 0
+        from_config, from_path = capsys.readouterr().out.splitlines()
+        assert from_config == from_path and "rows_touched=1 " in from_path
 
     def test_ablation_starts_from_the_snapshot(self, tmp_path):
         from specgraft.cli import _ablation_fixture
@@ -437,6 +460,14 @@ def _exits_2_naming_its_key(tmp_path, capsys, base, section, key, value):
     assert not (out / "run.json").exists()
 
 
+# corpus contents that are not tokens of the tokenizer, as (tokenizer, bytes)
+NGRAM_BAD_CORPORA = [
+    ("bytes", b"the \xff cat"),  # not UTF-8
+    ("ints", b"1\nx\n2\n"),
+    ("ints", b"1\n-3\n2\n"),
+]
+
+
 class TestBadValues:
     @pytest.mark.parametrize("section,key,value", BAD_VALUES, ids=[f"{s}.{k}={v!r}" for s, k, v in BAD_VALUES])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, section, key, value):
@@ -447,6 +478,17 @@ class TestBadValues:
     )
     def test_ngram_value_exits_2_with_one_error_line(self, tmp_path, capsys, section, key, value):
         _exits_2_naming_its_key(tmp_path, capsys, NGRAM_DOC, section, key, value)
+
+    @pytest.mark.parametrize(
+        "tokenizer,contents", NGRAM_BAD_CORPORA, ids=[f"{t}:{c!r}" for t, c in NGRAM_BAD_CORPORA]
+    )
+    def test_bad_corpus_exits_2_naming_target_corpus(self, tmp_path, capsys, tokenizer, contents):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(contents)
+        base = json.loads(json.dumps(NGRAM_DOC))
+        base["target"]["tokenizer"] = tokenizer
+        base["decode"] = {"max_new_tokens": 40, "seed": 0, "prompt_tokens": [1]}
+        _exits_2_naming_its_key(tmp_path, capsys, base, "target", "corpus", str(corpus))
 
     # values a run does not read, which the report could not echo (keys sorted)
     @pytest.mark.parametrize(
