@@ -220,7 +220,15 @@ def _build_models(sections: dict) -> tuple[VocabSpec, MarkovTableModel, list[int
     raise ConfigError(f"target.kind must be markov or ngram, got {kind!r}")
 
 
+def _one_way(section: str, cfg: dict, *keys: str) -> None:
+    """Reject a value given two ways: more than one of ``keys`` set in ``cfg``."""
+    given = [f"{section}.{key}" for key in keys if key in cfg]
+    if len(given) > 1:
+        raise ConfigError(f"{' and '.join(given)} give one value two ways; set only one of them")
+
+
 def _decode_prompt(decode_cfg: dict, tokenizer: str, vocab: VocabSpec, corpus: list[int] | None) -> list[int]:
+    _one_way("decode", decode_cfg, "prompt_tokens", "prompt_text")
     if "prompt_tokens" in decode_cfg:
         return _in_vocab("decode.prompt_tokens", decode_cfg["prompt_tokens"], vocab)
     if "prompt_text" in decode_cfg:
@@ -260,6 +268,7 @@ def derive_prompts(
 
 
 def _warmup_prompts(warm: dict, tokenizer: str, vocab: VocabSpec, corpus: list[int] | None, seed: int) -> list[list[int]]:
+    _one_way("warmup", warm, "prompts_tokens", "prompts_text", "derive")
     if "prompts_tokens" in warm:
         return [_in_vocab("warmup.prompts_tokens", p, vocab) for p in warm["prompts_tokens"]]
     if "prompts_text" in warm:
@@ -332,6 +341,7 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(
             f"calibration.grid must have one key per prune checkpoint {list(prune.checkpoints)}, got {sorted(grid)}"
         )
+    _one_way("ablation", ablation_cfg, "seeds", "n_seeds")
     seeds = ablation_cfg.get("seeds")
     if seeds is None:
         seeds = range(ablation_cfg.get("n_seeds", 8))  # lazy: only ``ablation`` reads the seeds

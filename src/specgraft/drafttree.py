@@ -1,10 +1,10 @@
 """The tree class, the gated draft envelope and the rank cut.
 
-One pass, :func:`_envelope`, drafts every draft tree layer by layer and
-tests each checkpoint's gate as its layer lands: a gate passes only
-strictly above its threshold. :func:`resolve_stage` gives the decode step
-that tree, its stage and its gate confidences as they are, and
-:func:`select_retained` ranks the candidates its cut keeps.
+One pass, :func:`resolve_stage`, drafts every draft tree layer by layer,
+each layer under its own beam width, and tests each checkpoint's gate as
+its layer lands: a gate passes only strictly above its threshold. It gives
+the decode step the tree, its stage and its gate confidences, and
+:func:`select_retained` ranks the candidates the step's cut keeps.
 
 Every tree is a :class:`HybridTree` of parallel arrays in canonical order:
 breadth-first, each node's children by ascending token, drafted so from
@@ -178,15 +178,16 @@ def select_retained(tree: HybridTree, limit: int) -> np.ndarray:
     return np.concatenate(([0], ranked))
 
 
-def _envelope(
+def resolve_stage(
     draft: MarkovTableModel, context, top_k: int, beams, gates: dict[int, float], keep: int | None = None
-) -> tuple[HybridTree, int | None, dict]:
+) -> tuple[HybridTree, int | None, dict[int, float]]:
     """Draft ``len(beams)`` layers: layer d keeps the ``beams[d - 1]``
     best-scoring of its frontier's top-``top_k`` children. Checkpoint d of
     ``gates`` tests layer d+1's best path probability against ``gates[d]``;
     the first failed gate stops drafting at that stage. Only the last
     ``max(draft.order, 1)`` tokens of ``context`` are read. Returns the
-    tree, the stage and the gate confidences.
+    tree, the stage (the failed checkpoint, or ``None``) and the gate
+    confidences.
 
     ``keep``, when given, is the size of the rank cut
     (:func:`select_retained`) the tree feeds. Past the last gate, drafting
@@ -262,27 +263,3 @@ def _envelope(
     tree = HybridTree(np.array(tokens, dtype=np.int32), np.array(parents, dtype=np.int32), -np.concatenate(costs))
     return tree, stage, trace
 
-
-def expand_full(draft: MarkovTableModel, context, config: PruneConfig, keep: int | None = None) -> HybridTree:
-    """The static envelope: ``max_depth`` ungated layers under the beam,
-    reading only the last ``max(draft.order, 1)`` tokens of ``context``.
-    With ``keep``, only as deep as a rank cut to ``keep`` candidates needs."""
-    return _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, {}, keep)[0]
-
-
-def resolve_stage(
-    draft: MarkovTableModel, context, config: PruneConfig, keep: int | None = None
-) -> tuple[HybridTree, int | None, dict[int, float]]:
-    """Expand with gates per the pruning policy; returns the tree, the stage
-    (whose ``draft_budget`` is the tree's rank cut) and the gate confidences.
-
-    A checkpoint d is evaluated right after layer d+1 is drafted, on that
-    layer's confidence; it passes only strictly above its threshold, and
-    the first failed gate stops expansion, after d + 1 layers. With no
-    failed gate the tree reaches ``max_depth`` and the stage is ``None``;
-    with ``keep``, the rank cut the tree feeds then, it stops as deep as
-    that cut needs. Only the last ``max(draft.order, 1)`` tokens of
-    ``context`` are read.
-    """
-    gates = {d: config.thresholds[d] for d in config.checkpoints}
-    return _envelope(draft, context, config.top_k, (config.beam_width,) * config.max_depth, gates, keep)

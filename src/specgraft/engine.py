@@ -21,15 +21,13 @@ from .drafttree import (
     ORIGIN_DRAFT,
     HybridTree,
     PruneConfig,
-    _envelope,
-    expand_full,
     resolve_stage,
     select_retained,
     stage_label,
 )
 from .errors import AnalysisError, ConfigError, InputError
-from .hybrid import draft_only, merge, tail_anchor
-from .models import MarkovTableModel
+from .hybrid import merge, tail_anchor
+from .models import DraftDerivation, MarkovTableModel, VocabSpec, build_markov, derive_draft
 from .retrieval import (
     COLD,
     TEMPLATE_DEPTH_COUNTS,
@@ -45,6 +43,7 @@ from .retrieval import (
 )
 from .verify import verify_greedy, verify_stochastic
 
+NO_BRANCH = np.zeros(0, dtype=np.int32)  # the empty retrieved branch: ``merge`` grafts nothing
 METHODS = ("autoregressive", "dense", "prune_only", "fixed_split", "graft", "graft_root", "graft_tail")
 TREE_METHODS = METHODS[1:]
 ACCEPTANCE_MODES = ("greedy", "stochastic")
@@ -184,48 +183,51 @@ def build_next_tree(
 ) -> tuple[HybridTree, dict]:
     """Next candidate tree for the configured method, plus build metadata.
 
-    The draft tree is cut to the method's rank cut; when the config has a
-    template at the step's stage, the branch read from the matrix along it
-    is merged in: at the root, or for ``graft_tail`` below the cut's best
-    deepest leaf. That read is the step's one read of the matrix, so a
-    caller that defers its matrix writes applies them before this call.
+    One :func:`resolve_stage` call drafts the envelope, gated under
+    ``prune_only`` and ``graft``, as deep as the method's rank cut needs,
+    and one :func:`merge` call cuts it, to its stage's draft budget when a
+    gate fails. When the config has a template at the step's stage, the
+    branch read from the matrix along it is grafted: at the root, or for
+    ``graft_tail`` below the cut's best deepest leaf. That read is the
+    step's one read of the matrix, so a caller that defers its matrix
+    writes applies them before this call.
     """
     prune = config.prune
     method = config.method
-    budget = limit = prune.total_budget  # the rank cut of the draft tree
-    if method in ("prune_only", "graft"):
-        tree, stage, trace = resolve_stage(draft, committed, prune, budget)
-        info = {
-            "stage": stage_label(stage),
-            "layers_drafted": prune.max_depth if stage is None else stage + 1,
-            "confidence_trace": {str(d): c for d, c in trace.items()},
-        }
-        limit = prune.draft_budget(stage)
-    elif method in TREE_METHODS:
-        info = {"stage": stage_label(None), "layers_drafted": prune.max_depth, "confidence_trace": {}}
-        if method == "fixed_split":
-            limit = config.fixed_split[0]
-        elif method == "graft_tail":
-            limit = max(budget - config.tail_chain_len, 0)
-        tree = expand_full(draft, committed, prune, limit)
-    else:
+    if method not in TREE_METHODS:
         raise ConfigError(f"method {method!r} does not build trees")
+    budget = limit = prune.total_budget  # the rank cut of the draft tree
+    gates = {}
+    if method in ("prune_only", "graft"):
+        gates = {d: prune.thresholds[d] for d in prune.checkpoints}
+    elif method == "fixed_split":
+        limit = config.fixed_split[0]
+    elif method == "graft_tail":
+        limit = max(budget - config.tail_chain_len, 0)
+    beams = (prune.beam_width,) * prune.max_depth
+    tree, stage, trace = resolve_stage(draft, committed, prune.top_k, beams, gates, limit)
+    if stage is not None:
+        limit = prune.draft_budget(stage)
+    info = {
+        "stage": stage_label(stage),
+        "layers_drafted": prune.max_depth if stage is None else stage + 1,
+        "confidence_trace": {str(d): c for d, c in trace.items()},
+    }
 
     template = config.templates.get(info["stage"])
-    if template is None:
-        return draft_only(tree, limit, limit), info
-    at, retained = 0, limit  # ``merge`` cuts the tree to ``limit`` candidates
-    if method == "graft_tail":
-        retained = select_retained(tree, limit)
-        at = tail_anchor(tree, retained)
-    tokens = instantiate(matrix, template, int(tree.tokens[at]))
-    if method != "graft_tail":
-        realized = int(np.count_nonzero(tokens != COLD))
-        if method == "graft_root":  # the realized branch evicts draft nodes
-            retained = max(budget - realized, 0)
-        info["declared"] = template.declared_size
-        info["realized"] = realized
-    return merge(tree, retained, budget, at, template.parents, tokens), info
+    at, retained, parents, tokens = 0, limit, NO_BRANCH, NO_BRANCH  # no template: ``merge`` only cuts
+    if template is not None:
+        if method == "graft_tail":
+            retained = select_retained(tree, limit)
+            at = tail_anchor(tree, retained)
+        parents, tokens = template.parents, instantiate(matrix, template, int(tree.tokens[at]))
+        if method != "graft_tail":
+            realized = int(np.count_nonzero(tokens != COLD))
+            if method == "graft_root":  # the realized branch evicts draft nodes
+                retained = max(budget - realized, 0)
+            info["declared"] = template.declared_size
+            info["realized"] = realized
+    return merge(tree, retained, budget, at, parents, tokens), info
 
 
 def coverage_gain(root_dist: np.ndarray, draft_tokens, retrieved_tokens) -> float:
@@ -267,7 +269,8 @@ def dense_replay(config: DecodeConfig, target, draft, committed, tree: HybridTre
     if config.acceptance != "greedy":
         return {}
     prune = config.prune
-    dense = expand_full(draft, committed, prune, prune.total_budget)
+    beams = (prune.beam_width,) * prune.max_depth
+    dense = resolve_stage(draft, committed, prune.top_k, beams, {}, prune.total_budget)[0]
     budget = prune.total_budget + tree.n_candidates
     union = merge(dense, prune.total_budget, budget, 0, tree.parents[1:] - 1, tree.tokens[1:])
     return {"replay_accepted_len": verify_greedy(target, committed, union).accepted_len}
@@ -499,12 +502,10 @@ def _random_subset_tree(hy: HybridTree, rng: np.random.Generator, keep_prob: flo
     keep[0] = True
     for i in range(1, hy.n_nodes):
         keep[i] = keep[hy.parents[i]] and rng.random() < keep_prob
-    return draft_only(hy, np.flatnonzero(keep), hy.n_candidates)
+    return merge(hy, np.flatnonzero(keep), hy.n_candidates, 0, NO_BRANCH, NO_BRANCH)
 
 
 def _random_instance(rng: np.random.Generator, with_matrix: bool = False):
-    from .models import DraftDerivation, VocabSpec, build_markov, derive_draft
-
     vocab = VocabSpec(int(rng.integers(4, 13)))
     target = build_markov(vocab, 1, int(rng.integers(0, 2**31)))
     draft = derive_draft(target, DraftDerivation("uniform-mix", float(rng.uniform(0.1, 0.7))))
@@ -512,7 +513,7 @@ def _random_instance(rng: np.random.Generator, with_matrix: bool = False):
     depth = int(rng.integers(2, 5))
     top_k = int(rng.integers(2, 4))
     beams = [int(rng.integers(3, 7)) for _ in range(depth)]
-    tree = _envelope(draft, prefix, top_k, beams, {})[0]
+    tree = resolve_stage(draft, prefix, top_k, beams, {})[0]
     matrix = None
     if with_matrix:
         matrix = new_matrix(vocab.size, 4)
@@ -548,7 +549,7 @@ def theory_checks(
         target, _, prefix, tree, matrix = _random_instance(rng, with_matrix=True)
         limit = int(rng.integers(1, max(tree.n_nodes - 1, 2)))
         retained = select_retained(tree, limit)
-        pruned = draft_only(tree, retained, tree.n_nodes + 32)
+        pruned = merge(tree, retained, tree.n_nodes + 32, 0, NO_BRANCH, NO_BRANCH)
         tmpl = template_prefix(_SMALL_TEMPLATE, int(rng.integers(0, 12)))
         grafted = merge(tree, retained, tree.n_nodes + 32, 0, tmpl.parents, instantiate(matrix, tmpl, tree.root_token))
         l_pruned = verify_greedy(target, prefix, pruned).accepted_len

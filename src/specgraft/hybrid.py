@@ -1,10 +1,11 @@
-"""Merge retained draft nodes with retrieved branches into hybrid trees.
+"""Merge retained draft nodes with a retrieved branch into a hybrid tree.
 
-Retained draft nodes alone are a reindex of the draft tree; a merge builds
-from the draft tree and the retained set directly, and grafts a retrieved
-branch, a token array read along a template, below one kept node. Node
-budgets count candidates only; the root (last committed token) is index 0
-and free.
+One builder, :func:`merge`, reads the retained set of a draft tree (an
+index array or a rank-cut size), grafts a retrieved branch, a token array
+read along a template, below one kept node, and emits the tree in
+canonical order. With an empty branch it emits the kept nodes alone, and
+the draft tree itself when every node is kept. Node budgets count
+candidates only; the root (last committed token) is index 0 and free.
 """
 
 from __future__ import annotations
@@ -19,66 +20,47 @@ from .models import VocabSpec
 from .retrieval import COLD
 
 _ORIGIN_NAMES = ("draft", "retrieved")
-_OVER_BUDGET = "draft nodes exceed the hybrid budget"
-
-
-def _kept(tree: HybridTree, retained, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes ``retained`` of ``tree`` in index order, its root added, and
-    the parent of each as a position among them (-1 for the root).
-
-    ``retained`` is an array of nodes, or an int: the rank cut of ``tree``
-    to that many candidates (:func:`select_retained`). A cut that keeps
-    every candidate keeps the tree itself, which is parent-closed, so only
-    the budget is checked. Any other set raises ``StructureError`` unless it
-    names distinct nodes of ``tree``, its candidates fit ``budget`` and
-    every kept node's parent is kept."""
-    if isinstance(retained, int):
-        if retained >= tree.n_candidates:
-            if tree.n_candidates > budget:
-                raise StructureError(_OVER_BUDGET)
-            return np.arange(tree.n_nodes), tree.parents
-        retained = select_retained(tree, retained)
-    kept = np.sort(np.asarray(retained, dtype=np.intp))
-    if kept.size and (kept[0] < 0 or kept[-1] >= tree.n_nodes or np.count_nonzero(kept[1:] == kept[:-1])):
-        raise StructureError(f"retained nodes must be distinct nodes of the {tree.n_nodes}-node draft tree")
-    if not kept.size or kept[0] != 0:
-        kept = np.concatenate(([0], kept))  # the root is free and always kept
-    if kept.size - 1 > budget:
-        raise StructureError(_OVER_BUDGET)
-    # each node's parent is kept iff it sits at its sorted position among the kept
-    node_parents = tree.parents[kept]
-    parents = kept.searchsorted(node_parents).astype(np.int32)
-    parents[0] = -1
-    if np.count_nonzero(kept.take(parents[1:], mode="clip") != node_parents[1:]):
-        raise StructureError("retained draft set is not parent-closed")
-    return kept, parents
-
-
-def draft_only(tree: HybridTree, retained, budget: int) -> HybridTree:
-    """The nodes ``retained`` of ``tree`` (an array, or a rank-cut size as
-    :func:`_kept` takes it), and its root, as a tree: a parent-closed subset
-    of a canonical tree, kept in index order, is canonical, so this is a
-    reindex, and ``tree`` itself when every node is kept."""
-    kept, parents = _kept(tree, retained, budget)
-    if kept.size == tree.n_nodes:
-        return tree
-    return HybridTree(tree.tokens[kept], parents, tree.scores[kept])
 
 
 def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray, tokens: np.ndarray) -> HybridTree:
-    """The nodes ``retained`` of ``tree`` (an array, or a rank-cut size as
-    :func:`_kept` takes it), its root added, with a parent-before-child node
-    list grafted below kept node ``at``, in canonical order and with its
-    child pointers filled in.
+    """The nodes ``retained`` of ``tree``, its root added, with a
+    parent-before-child node list grafted below kept node ``at``, in
+    canonical order and with its child pointers filled in.
+
+    ``retained`` is an array of nodes, or an int: the rank cut of ``tree``
+    to that many candidates (:func:`select_retained`). A cut that keeps
+    every candidate keeps the whole tree. Any other set raises
+    ``StructureError`` unless it names distinct nodes of ``tree``, its
+    candidates fit ``budget`` and every kept node's parent is kept.
 
     The list is a retrieved branch: a template's ``parents`` and the
-    ``tokens`` read from the matrix along it below ``at``'s token. ``parents[i]`` indexes an earlier entry, -1 meaning ``at``.
-    A node whose (parent, token) pair is present already is merged into
-    that node, so its children attach there. A ``COLD`` token, a new pair
-    once the budget is full, or a dropped parent drops the node, and with
-    it its subtree. Grafted nodes score NaN.
+    ``tokens`` read from the matrix along it below ``at``'s token.
+    ``parents[i]`` indexes an earlier entry, -1 meaning ``at``. A node whose
+    (parent, token) pair is present already is merged into that node, so
+    its children attach there. A ``COLD`` token, a new pair once the budget
+    is full, or a dropped parent drops the node, and with it its subtree.
+    Grafted nodes score NaN. An empty list grafts nothing, and when every
+    node is kept too, the result is ``tree`` itself: a parent-closed subset
+    of a canonical tree, emitted breadth-first, is the same subset in index
+    order.
     """
-    kept, kept_parents = _kept(tree, retained, budget)
+    if isinstance(retained, int):  # a rank cut is sorted, distinct and rooted
+        kept = np.arange(tree.n_nodes) if retained >= tree.n_candidates else select_retained(tree, retained)
+    else:
+        kept = np.sort(np.asarray(retained, dtype=np.intp))
+        if kept.size and (kept[0] < 0 or kept[-1] >= tree.n_nodes or np.count_nonzero(kept[1:] == kept[:-1])):
+            raise StructureError(f"retained nodes must be distinct nodes of the {tree.n_nodes}-node draft tree")
+        if not kept.size or kept[0] != 0:
+            kept = np.concatenate(([0], kept))  # the root is free and always kept
+    if kept.size - 1 > budget:
+        raise StructureError("draft nodes exceed the hybrid budget")
+    if kept.size == tree.n_nodes and not tokens.size:
+        return tree
+    # each node's parent is kept iff it sits at its sorted position among the kept
+    node_parents = tree.parents[kept]
+    kept_parents = kept.searchsorted(node_parents)
+    if np.count_nonzero(kept.take(kept_parents[1:], mode="clip") != node_parents[1:]):
+        raise StructureError("retained draft set is not parent-closed")
     slot = int(np.searchsorted(kept, at))
     if slot == kept.size or kept[slot] != at:
         raise StructureError(f"graft point {at} is not a kept node")

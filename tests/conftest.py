@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from specgraft.drafttree import _envelope
+from specgraft.drafttree import resolve_stage
+from specgraft.engine import NO_BRANCH
+from specgraft.hybrid import merge
 from specgraft.models import MarkovTableModel, VocabSpec, context_code
 
 
@@ -9,7 +11,26 @@ def grow(draft, context, depth, top_k, beam=None):
     """``depth`` ungated layers below ``context``'s last token, drafted by
     the one-pass envelope with every layer under ``beam`` (default
     ``top_k``)."""
-    return _envelope(draft, context, top_k, (top_k if beam is None else beam,) * depth, {})[0]
+    return resolve_stage(draft, context, top_k, (top_k if beam is None else beam,) * depth, {})[0]
+
+
+def gated(draft, context, config, keep=None):
+    """(tree, stage, gate confidences) of the envelope under ``config``'s
+    beams and gates, as ``build_next_tree`` drafts it for ``prune_only``
+    and ``graft``."""
+    gates = {d: config.thresholds[d] for d in config.checkpoints}
+    return resolve_stage(draft, context, config.top_k, (config.beam_width,) * config.max_depth, gates, keep)
+
+
+def ungated(draft, context, config, keep=None):
+    """The envelope under ``config``'s beams with no gates, as
+    ``build_next_tree`` drafts it for the other tree methods."""
+    return resolve_stage(draft, context, config.top_k, (config.beam_width,) * config.max_depth, {}, keep)[0]
+
+
+def pruned(tree, retained, budget):
+    """``merge`` with an empty branch: the nodes ``retained`` of ``tree`` alone."""
+    return merge(tree, retained, budget, 0, NO_BRANCH, NO_BRANCH)
 
 
 def table_model(vocab_size, order, table, fallback=None):

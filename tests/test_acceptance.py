@@ -20,7 +20,7 @@ from specgraft import _kernels, engine
 from specgraft.config import derive_prompts, load_run_config
 from specgraft.drafttree import PruneConfig, select_retained
 from specgraft.engine import DecodeConfig, calibrate, decode_session, theory_checks
-from specgraft.hybrid import draft_only, flatten, merge
+from specgraft.hybrid import flatten, merge
 from specgraft.models import DraftDerivation, VocabSpec, argtopk, build_markov, derive_draft, tokenize_whitespace, train_ngram
 from specgraft.retrieval import (
     COLD,
@@ -34,7 +34,7 @@ from specgraft.retrieval import (
 )
 from specgraft.verify import first_token_frequencies, node_row_ids, verify_stochastic
 
-from .conftest import grow
+from .conftest import grow, pruned
 from .oracles import ar_greedy, context_row, enumerate_block_law, enumerate_first_token_marginal, stream_law
 from .test_report_digests import at_root
 
@@ -100,7 +100,7 @@ def tiny_instance(i):
         template = template_prefix(template_from_depth_counts((2, 1)), 3)
         hy = merge(tree, retained, 9, 0, template.parents, instantiate(matrix, template, tree.root_token))
     else:
-        hy = draft_only(tree, retained, 9)
+        hy = pruned(tree, retained, 9)
     return target, prefix, flatten(hy, len(prefix) - 1)
 
 

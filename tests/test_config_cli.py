@@ -423,6 +423,16 @@ BAD_VALUES = [
     ("matrix", "load", "missing.bin"),
 ]
 
+# one value given two ways beside BASE_DOC's decode.prompt_tokens and warmup.derive, as
+# (section, values, the keys the one error line names); every value is valid by itself
+TWO_WAYS = [
+    ("decode", {"prompt_text": "\x01"}, ("prompt_tokens", "prompt_text")),
+    ("warmup", {"prompts_tokens": [[1, 2]]}, ("prompts_tokens", "derive")),
+    ("warmup", {"prompts_text": ["\x01\x02"]}, ("prompts_text", "derive")),
+    ("warmup", {"prompts_tokens": [[1]], "prompts_text": ["\x01"]}, ("prompts_tokens", "prompts_text", "derive")),
+    ("ablation", {"seeds": [1, 2], "n_seeds": 5}, ("seeds", "n_seeds")),
+]
+
 NGRAM_DOC = {
     "target": {
         "kind": "ngram",
@@ -473,6 +483,17 @@ class TestBadValues:
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, section, key, value):
         _exits_2_naming_its_key(tmp_path, capsys, BASE_DOC, section, key, value)
 
+    @pytest.mark.parametrize("section,values,named", TWO_WAYS, ids=[f"{s}:{'+'.join(n)}" for s, _, n in TWO_WAYS])
+    def test_a_value_given_two_ways_exits_2_naming_every_key(self, tmp_path, capsys, section, values, named):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc.setdefault(section, {}).update(values)
+        out = tmp_path / "out"
+        assert run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(out), "decode") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [key for key in named if f"{section}.{key}" not in err] == []
+        assert not (out / "run.json").exists()
+
     @pytest.mark.parametrize(
         "section,key,value", NGRAM_BAD_VALUES, ids=[f"{s}.{k}={v!r}" for s, k, v in NGRAM_BAD_VALUES]
     )
@@ -495,7 +516,7 @@ class TestBadValues:
         "text",
         [
             "target: {smoothing: {0: 0, '': 0}}",  # a markov target reads no smoothing
-            "decode: {prompt_text: 2020-01-01}",  # prompt_tokens wins over prompt_text
+            "decode: {prompt_text: 2020-01-01}",  # a date, beside prompt_tokens
             "decode: {1: 2, typo: 3}",  # unknown keys of mixed types
             "method: {0: 1, a: 2}",  # --method wins over the file
         ],

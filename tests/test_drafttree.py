@@ -11,8 +11,6 @@ from specgraft import engine, hybrid, retrieval
 from specgraft.drafttree import (
     HybridTree,
     PruneConfig,
-    _envelope,
-    expand_full,
     resolve_stage,
     select_retained,
     stage_label,
@@ -31,7 +29,7 @@ from specgraft.models import (
 )
 from specgraft.retrieval import new_matrix, write_rows
 
-from .conftest import grow, table_model
+from .conftest import gated, grow, table_model, ungated
 
 from .oracles import (
     branch_tokens,
@@ -62,7 +60,7 @@ def all_pass_trace(draft, context, depth, top_k, beam):
         max_depth=depth,
         beam_width=beam,
     )
-    _, stage, trace = resolve_stage(draft, context, config)
+    _, stage, trace = gated(draft, context, config)
     assert stage is None
     return trace
 
@@ -142,7 +140,7 @@ class TestLayerConfidence:
     def test_missing_layer(self, uni4):
         # the failed gate at checkpoint 0 stops drafting: checkpoint 1 has no layer to read
         config = PruneConfig(thresholds={0: 0.3, 1: 0.3, 5: 0.51})
-        tree, _, trace = resolve_stage(uni4, [0], config)
+        tree, _, trace = gated(uni4, [0], config)
         assert trace == {0: pytest.approx(0.25)}
         assert int(tree.depths[-1]) == 1
 
@@ -152,7 +150,7 @@ class TestGate:
 
     @staticmethod
     def stage_and_trace(draft, threshold):
-        return resolve_stage(draft, [0], PruneConfig(thresholds={0: threshold, 1: 1e-9, 5: 1e-9}))[1:]
+        return gated(draft, [0], PruneConfig(thresholds={0: threshold, 1: 1e-9, 5: 1e-9}))[1:]
 
     def test_pass(self, uni4):
         assert self.stage_and_trace(uni4, 0.14)[0] is None
@@ -195,7 +193,7 @@ def stage_cut(tree, stage, config):
 
 class TestResolveStage:
     def test_det4_never_prunes(self, det4):
-        tree, stage, _ = resolve_stage(det4, [0], PruneConfig())
+        tree, stage, _ = gated(det4, [0], PruneConfig())
         assert stage is None
         assert stage_label(stage) == "none"
         # full chain retained (8 candidates, fewer than the budget)
@@ -204,7 +202,7 @@ class TestResolveStage:
 
     def test_uni4_prunes_at_root_stage(self, uni4):
         cfg = PruneConfig(thresholds={0: 0.3, 1: 0.3, 5: 0.51})
-        tree, stage, trace = resolve_stage(uni4, [0], cfg)
+        tree, stage, trace = gated(uni4, [0], cfg)
         assert stage == 0
         assert trace[0] == pytest.approx(0.25)
         assert cfg.draft_budget(0) == 8
@@ -214,21 +212,21 @@ class TestResolveStage:
 
     def test_uni16_fills_stage_budget(self, uni16):
         cfg = PruneConfig(thresholds={0: 0.3, 1: 0.3, 5: 0.51})
-        tree, stage, _ = resolve_stage(uni16, [0], cfg)
+        tree, stage, _ = gated(uni16, [0], cfg)
         assert stage == 0
         assert len(stage_cut(tree, stage, cfg)) == 1 + 8  # root + exactly the d0 draft budget
 
     def test_retention_matches_iterative_oracle(self):
         draft = build_markov(VocabSpec(24), 1, seed=42)
         cfg = PruneConfig()
-        tree, stage, _ = resolve_stage(draft, [3], cfg)
+        tree, stage, _ = gated(draft, [3], cfg)
         limit = cfg.draft_budget(stage)
         expect = closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), limit)
         assert list(stage_cut(tree, stage, cfg)) == expect
 
     def test_parent_closure(self):
         draft = build_markov(VocabSpec(12), 1, seed=6, sparsity=0.2)
-        tree, stage, _ = resolve_stage(draft, [1], PruneConfig())
+        tree, stage, _ = gated(draft, [1], PruneConfig())
         retained = stage_cut(tree, stage, PruneConfig())
         kept = set(retained.tolist())
         for i in retained:
@@ -238,14 +236,14 @@ class TestResolveStage:
     def test_budget_cap_and_equality(self):
         draft = build_markov(VocabSpec(24), 1, seed=9)
         cfg = PruneConfig(thresholds={0: 0.999, 1: 0.13, 5: 0.51})  # force d0 prune
-        tree, stage, _ = resolve_stage(draft, [2], cfg)
+        tree, stage, _ = gated(draft, [2], cfg)
         assert stage == 0
         assert len(stage_cut(tree, stage, cfg)) - 1 == min(cfg.draft_budget(0), tree.n_nodes - 1)
 
     def test_determinism(self):
         draft = build_markov(VocabSpec(16), 1, seed=5, sparsity=0.1)
-        a = resolve_stage(draft, [2, 7], PruneConfig())
-        b = resolve_stage(draft, [2, 7], PruneConfig())
+        a = gated(draft, [2, 7], PruneConfig())
+        b = gated(draft, [2, 7], PruneConfig())
         assert np.array_equal(stage_cut(*a[:2], PruneConfig()), stage_cut(*b[:2], PruneConfig()))
         assert a[1:] == b[1:]
         assert np.array_equal(a[0].tokens, b[0].tokens)
@@ -364,10 +362,10 @@ def _random_prune(rng, vocab):
 
 
 class TestOnePassEnvelope:
-    """``resolve_stage`` and ``expand_full`` build the tree the layer-by-layer
-    oracle builds, in canonical order, with the same stage and gate
-    confidences, and retain the closure oracle's set; ``_envelope`` with a
-    beam width per layer matches it too."""
+    """``resolve_stage``, gated by a prune config's checkpoints or not,
+    builds the tree the layer-by-layer oracle builds, in canonical order,
+    with the same stage and gate confidences, and retains the closure
+    oracle's set; with a beam width per layer it matches it too."""
 
     def test_matches_layer_loop(self):
         rng = np.random.default_rng(2024)
@@ -378,7 +376,7 @@ class TestOnePassEnvelope:
             for _ in range(20):
                 config = _random_prune(rng, vocab)
                 context = [int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 5))]
-                tree, *got = resolve_stage(draft, context, config)
+                tree, *got = gated(draft, context, config)
                 expect, stage, trace = reference_envelope(draft, context, config)
                 _same_tree(tree, expect)
                 assert got == [stage, trace], name
@@ -388,11 +386,11 @@ class TestOnePassEnvelope:
                     tree.scores.tolist(), tree.parents.tolist(), config.draft_budget(stage)
                 )
                 stages.add("none" if stage is None else "first" if stage == config.checkpoints[0] else "later")
-                _same_tree(expand_full(draft, context, config), reference_envelope(draft, context, config, gated=False)[0])
+                _same_tree(ungated(draft, context, config), reference_envelope(draft, context, config, gated=False)[0])
 
                 beams = [int(rng.integers(1, 12)) for _ in range(config.max_depth)]
                 gates = {d: config.thresholds[d] for d in config.checkpoints}
-                got = _envelope(draft, context, config.top_k, beams, gates)
+                got = resolve_stage(draft, context, config.top_k, beams, gates)
                 expect, stage, trace = reference_envelope(draft, context, config, beams=beams)
                 _same_tree(got[0], expect)
                 assert got[1:] == (stage, trace), name
@@ -416,11 +414,11 @@ class TestOnePassEnvelope:
         draft = derive_draft(target, DraftDerivation("uniform-mix", 0.4)) if kind != "bytes-unsmoothed" else target
         config = PruneConfig()
         for context in contexts:
-            tree, *got = resolve_stage(draft, context, config)
+            tree, *got = gated(draft, context, config)
             expect, stage, trace = reference_envelope(draft, context, config)
             _same_tree(tree, expect)
             assert got == [stage, trace]
-            _same_tree(expand_full(draft, context, config), reference_envelope(draft, context, config, gated=False)[0])
+            _same_tree(ungated(draft, context, config), reference_envelope(draft, context, config, gated=False)[0])
 
 
 def _oracle_tree(tree):
@@ -429,12 +427,14 @@ def _oracle_tree(tree):
     return HybridTree(np.array(tokens, dtype=np.int32), np.array(parents, dtype=np.int32), np.array(scores))
 
 
-def _oracle_expand_full(draft, context, config, keep=None):
+def _oracle_whole_envelope(draft, context, config):
     return _oracle_tree(reference_envelope(draft, context, config, gated=False)[0])
 
 
-def _oracle_resolve_stage(draft, context, config, keep=None):
-    tree, stage, trace = reference_envelope(draft, context, config)
+def _oracle_resolve_stage(draft, context, top_k, beams, gates, keep=None):
+    """The layer-by-layer oracle's whole envelope, in ``resolve_stage``'s signature."""
+    config = SimpleNamespace(top_k=top_k, checkpoints=tuple(gates), thresholds=gates)
+    tree, stage, trace = reference_envelope(draft, context, config, beams=beams)
     return _oracle_tree(tree), stage, trace
 
 
@@ -499,17 +499,17 @@ class TestRankCutBound:
             matrix = new_matrix(vocab, 10)
             hot = [t for t in range(vocab) if rng.random() < 0.8]
             write_rows(matrix, dict(zip(hot, draft.row_ids([draft.code_of([t]) for t in hot]))), draft)
-            for gated in (False, True):
+            for with_gates in (False, True):
                 for _ in range(4):
-                    base = _bound_base(rng, vocab, gated)
+                    base = _bound_base(rng, vocab, with_gates)
                     context = [int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 4))]
-                    full = _oracle_expand_full(draft, context, base)
+                    full = _oracle_whole_envelope(draft, context, base)
                     sizes = np.cumsum(np.bincount(full.depths)[1:])
                     layers = int(rng.integers(1, sizes.size + 1))
                     keeps = (0, int(rng.integers(1, sizes[0])) if sizes[0] > 1 else 1, int(sizes[layers - 1]), full.n_nodes + 3)
-                    whole = resolve_stage(draft, context, base)[0].n_nodes
+                    whole = gated(draft, context, base)[0].n_nodes
                     for keep in keeps:
-                        fired[gated] += resolve_stage(draft, context, base, keep)[0].n_nodes < whole
+                        fired[with_gates] += gated(draft, context, base, keep)[0].n_nodes < whole
                         for method in TREE_METHODS:
                             config = _bound_config(rng, method, keep, base)
                             before = len(reads)
@@ -517,7 +517,6 @@ class TestRankCutBound:
                             if method in ("fixed_split", "graft_root", "graft_tail"):
                                 assert len(reads) == before + 1, method
                             with monkeypatch.context() as patch:
-                                patch.setattr(engine, "expand_full", _oracle_expand_full)
                                 patch.setattr(engine, "resolve_stage", _oracle_resolve_stage)
                                 expect, expect_info = build_next_tree(config, draft, matrix.copy(), context)
                             for name in ("tokens", "parents", "scores"):
@@ -532,7 +531,7 @@ class TestRankCutBound:
         config = DecodeConfig(method="dense")
         matrix = new_matrix(64, 10)
         for context in np.random.default_rng(3).integers(0, 64, size=(40, 3)).tolist():
-            tree = expand_full(draft, context, config.prune, config.prune.total_budget)
+            tree = ungated(draft, context, config.prune, config.prune.total_budget)
             assert int(tree.depths[-1]) == 6 and tree.n_candidates == 60
             hy, info = build_next_tree(config, draft, matrix, context)
             assert hy.tokens.tobytes() == tree.tokens.tobytes() and hy.scores.tobytes() == tree.scores.tobytes()
@@ -546,8 +545,8 @@ class TestRankCutBound:
         for last, stage in ((0.99, 5), (1e-9, None)):
             config = PruneConfig(thresholds={0: 1e-9, 1: 1e-9, 5: last})
             for context in np.random.default_rng(4).integers(0, 64, size=(20, 3)).tolist():
-                tree, *got = resolve_stage(draft, context, config, keep=1)
-                whole, *expect = resolve_stage(draft, context, config)
+                tree, *got = gated(draft, context, config, keep=1)
+                whole, *expect = gated(draft, context, config)
                 assert got == expect and got[0] == stage
                 assert int(tree.depths[-1]) == 6  # stage + 1, or the first layer past the last gate
                 assert whole.n_nodes == (tree.n_nodes if stage is not None else 81)
@@ -560,20 +559,13 @@ def _explicit_merge(tree, retained, budget, at, parents, tokens):
     return hybrid.merge(tree, retained, budget, at, parents, tokens)
 
 
-def _explicit_draft_only(tree, retained, budget):
-    """``hybrid.draft_only`` handed the explicit ``select_retained`` cut as an array."""
-    if isinstance(retained, int):
-        retained = select_retained(tree, retained)
-    return hybrid.draft_only(tree, retained, budget)
-
-
 class TestIdentityCut:
     """A cut that keeps every candidate keeps the tree itself: for every tree
     method, ``build_next_tree`` gives the tree and info that the explicit
-    ``select_retained`` cut, handed to ``merge`` or ``draft_only`` as an
-    array, gives, and ``select_retained`` runs only when the cut drops
-    nodes (``graft_tail`` cuts explicitly, for ``tail_anchor``). The dense
-    replay's union is the explicit one too."""
+    ``select_retained`` cut, handed to ``merge`` as an array, gives, and
+    ``select_retained`` runs only when the cut drops nodes (``graft_tail``
+    cuts explicitly, for ``tail_anchor``). The dense replay's union is the
+    explicit one too."""
 
     def test_build_next_tree_matches_the_explicit_cut(self, monkeypatch):
         rng = np.random.default_rng(26)
@@ -602,7 +594,7 @@ class TestIdentityCut:
             for _ in range(6):
                 base = _bound_base(rng, vocab, rng.random() < 0.7)
                 context = [int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 4))]
-                n = expand_full(draft, context, base).n_candidates
+                n = ungated(draft, context, base).n_candidates
                 for keep in (0, int(rng.integers(1, n)) if n > 1 else 1, n, n + 3):
                     for method in TREE_METHODS:
                         config = _bound_config(rng, method, keep, base)
@@ -610,14 +602,12 @@ class TestIdentityCut:
                         cuts.clear()
                         with monkeypatch.context() as patch:
                             patch.setattr(engine, "merge", seen(hybrid.merge))
-                            patch.setattr(engine, "draft_only", seen(hybrid.draft_only))
                             got, info = build_next_tree(config, draft, matrix.copy(), context)
                         (whole,) = cuts
                         assert len(ranked) == (0 if whole else 1), method
                         covered.add((method, whole))
                         with monkeypatch.context() as patch:
                             patch.setattr(engine, "merge", _explicit_merge)
-                            patch.setattr(engine, "draft_only", _explicit_draft_only)
                             expect, expect_info = build_next_tree(config, draft, matrix.copy(), context)
                         for name in ("tokens", "parents", "scores", "child_ptr"):
                             a, b = getattr(got, name), getattr(expect, name)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from specgraft import engine, retrieval
-from specgraft.drafttree import PruneConfig, expand_full, resolve_stage, select_retained
+from specgraft.drafttree import PruneConfig, select_retained
 from specgraft.engine import (
     ACCEPTANCE_MODES,
     METHODS,
@@ -31,7 +31,7 @@ from specgraft.models import DraftDerivation, VocabSpec, argtopk, build_markov, 
 from specgraft.retrieval import COLD, builtin_templates, filter_template, new_matrix, warmup
 from specgraft.verify import node_row_ids, verify_greedy, verify_stochastic
 
-from .conftest import table_model
+from .conftest import gated, table_model, ungated
 from .oracles import (
     ar_greedy,
     canonical_form,
@@ -190,7 +190,7 @@ class TestBuildNextTree:
         assert info["stage"] == "d0"
         assert hy.n_candidates == 8
         # oracle: re-run the stage resolution independently
-        tree, stage, _ = resolve_stage(draft, [0], prune)
+        tree, stage, _ = gated(draft, [0], prune)
         assert stage == 0
         assert len(select_retained(tree, prune.draft_budget(stage))) - 1 == 8
 
@@ -202,6 +202,25 @@ class TestBuildNextTree:
         assert n_draft <= 24
         assert info["stage"] == "none"
         assert info["declared"] == 36
+
+    @pytest.mark.parametrize("method", TREE_METHODS)
+    @pytest.mark.parametrize("threshold", [1e-9, 0.999999])
+    def test_one_draft_call_and_one_build_call(self, monkeypatch, method, threshold):
+        # every gate passes, or the first fails; only prune_only and graft test them
+        _, draft = seeded_pair(seed=41)
+        prune = PruneConfig(thresholds=dict.fromkeys((0, 1, 5), threshold))
+        calls = []
+
+        def spy(name):
+            fn = getattr(engine, name)
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        for name in ("resolve_stage", "merge"):
+            monkeypatch.setattr(engine, name, spy(name))
+        cfg = DecodeConfig(method=method, prune=prune)
+        _, info = build_next_tree(cfg, draft, full_matrix(24, 10, shift=13), [0])
+        assert calls == ["resolve_stage", "merge"]
+        assert info["stage"] == ("d0" if threshold > 0.5 and method in ("prune_only", "graft") else "none")
 
     def test_tail_chain_past_the_budget_is_never_built(self):
         # the graft drops every chain node past the budget, so a 10**12-node
@@ -659,7 +678,7 @@ class TestMetrics:
         budget = cfg.prune.total_budget
         committed = list(prompt)
         for step, hy in zip(report.steps, trees):
-            dense = expand_full(draft, committed, cfg.prune)
+            dense = ungated(draft, committed, cfg.prune)
             retained = closure_topk_iterative(dense.scores.tolist(), dense.parents.tolist(), budget)
             builder, _ = reference_draft_builder(dense, retained, budget + hy.n_candidates)
             slots = [0]

@@ -12,14 +12,12 @@ from specgraft.drafttree import (
     ORIGIN_RETRIEVED,
     HybridTree,
     PruneConfig,
-    _envelope,
     resolve_stage,
     select_retained,
 )
-from specgraft.engine import expand_full
+from specgraft.engine import NO_BRANCH
 from specgraft.errors import ConfigError, StructureError
 from specgraft.hybrid import (
-    draft_only,
     flatten,
     merge,
     render_tree,
@@ -36,7 +34,7 @@ from specgraft.retrieval import (
     template_prefix,
 )
 
-from .conftest import grow, table_model
+from .conftest import gated, grow, pruned, table_model, ungated
 from .oracles import (
     canonical_form,
     children_of,
@@ -55,13 +53,13 @@ from .test_retrieval import full_matrix
 def seeded_setup(vocab=64, seed=42, prefix=(3,), prune=None):
     prune = prune or PruneConfig()
     target = build_markov(VocabSpec(vocab), 1, seed=seed)
-    tree = expand_full(target, list(prefix), prune)
+    tree = ungated(target, list(prefix), prune)
     return target, tree, prune
 
 
 def stage_retained(draft, context, prune):
     """The rank cut of the gated tree: its stage's draft budget."""
-    tree, stage, _ = resolve_stage(draft, context, prune)
+    tree, stage, _ = gated(draft, context, prune)
     return select_retained(tree, prune.draft_budget(stage))
 
 
@@ -96,7 +94,7 @@ class TestMerge:
     def test_size_zero_branch_is_identity(self):
         _, tree, prune = seeded_setup()
         retained = stage_retained(build_markov(VocabSpec(64), 1, seed=42), [3], prune)
-        base = draft_only(tree, retained, prune.total_budget)
+        base = pruned(tree, retained, prune.total_budget)
         merged = root_merge(tree, retained, prune.total_budget, new_matrix(64, 10), SIZE_ZERO)
         assert np.array_equal(base.tokens, merged.tokens)
         assert np.array_equal(base.parents, merged.parents)
@@ -115,7 +113,7 @@ class TestMerge:
             rows[(t,)] = w / w.sum()
         draft = table_model(64, 1, rows)
         prune = PruneConfig(thresholds={0: 0.999, 1: 0.13, 5: 0.51})
-        tree, stage, _ = resolve_stage(draft, [0], prune)
+        tree, stage, _ = gated(draft, [0], prune)
         retained = stage_retained(draft, [0], prune)
         assert stage == 0 and len(retained) == 9
         matrix = full_matrix(64, 10, shift=32)
@@ -190,7 +188,7 @@ def _branch_parents(template, tokens):
 class TestFlatten:
     def test_chain_positions(self, det4):
         tree = grow(det4, [0], 3, top_k=1)
-        hy = draft_only(tree, select_retained(tree, 60), 60)
+        hy = pruned(tree, select_retained(tree, 60), 60)
         assert flatten(hy, prefix_len=5) is hy
         assert hy.n_nodes == 4
         assert hy.depths.tolist() == [0, 1, 2, 3]
@@ -199,8 +197,8 @@ class TestFlatten:
         # same node set inserted in different orders flattens identically
         _, tree, prune = seeded_setup(seed=13)
         retained = select_retained(tree, 30)
-        a = draft_only(tree, retained, 60)
-        b = draft_only(tree, retained[::-1], 60)
+        a = pruned(tree, retained, 60)
+        b = pruned(tree, retained[::-1], 60)
         assert np.array_equal(a.tokens, b.tokens)
         assert np.array_equal(a.parents, b.parents)
 
@@ -208,7 +206,7 @@ class TestFlatten:
 class TestStaticVariants:
     def test_root_with_size_zero_branch_unchanged(self):
         _, tree, prune = seeded_setup(seed=21)
-        dense = draft_only(tree, select_retained(tree, prune.total_budget), prune.total_budget)
+        dense = pruned(tree, select_retained(tree, prune.total_budget), prune.total_budget)
         rooted = root_variant(tree, new_matrix(64, 10), SIZE_ZERO, prune.total_budget)
         assert np.array_equal(dense.tokens, rooted.tokens)
 
@@ -255,7 +253,7 @@ class TestStaticVariants:
 
     def test_subtree_escape(self):
         _, tree, prune = seeded_setup(seed=37)
-        dense = draft_only(tree, select_retained(tree, prune.total_budget), prune.total_budget)
+        dense = pruned(tree, select_retained(tree, prune.total_budget), prune.total_budget)
         matrix = full_matrix(64, 10, shift=45)
         retained = stage_retained(build_markov(VocabSpec(64), 1, seed=37), [3], prune)
         merged = root_merge(tree, retained, prune.total_budget, matrix, builtin_templates()["d0"])
@@ -358,16 +356,17 @@ def _assert_matches_reference(hy, expect):
 
 class TestBulkAssembly:
     """Draft nodes seeded in bulk give the tree the node-at-a-time
-    reference builder gives, retrieved-node dedupe and budget included."""
+    reference builder gives, with an empty branch or a retrieved one,
+    retrieved-node dedupe and budget included."""
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)
-    def test_draft_only_and_merge_match_reference(self, seed):
+    def test_kept_set_and_merge_match_reference(self, seed):
         rng = np.random.default_rng(seed)
         vocab, tree = _random_tree(rng)
         retained = _random_subset(rng, tree)
         budget = retained.size - 1 + int(rng.integers(0, 30))
-        _assert_matches_reference(draft_only(tree, retained, budget), reference_hybrid(tree, retained, budget))
+        _assert_matches_reference(pruned(tree, retained, budget), reference_hybrid(tree, retained, budget))
 
         matrix = _random_matrix(rng, vocab)
         template = _random_template(rng)
@@ -405,7 +404,7 @@ class TestBulkAssembly:
         _, tree, _ = seeded_setup()
         deep = int(np.flatnonzero(tree.depths == 2)[0])
         matrix, template = full_matrix(64, 10), builtin_templates()["d5"]
-        for build in (draft_only, lambda tree, retained, budget: root_merge(tree, retained, budget, matrix, template)):
+        for build in (pruned, lambda tree, retained, budget: root_merge(tree, retained, budget, matrix, template)):
             with pytest.raises(StructureError, match="parent-closed"):
                 build(tree, [0, deep], 60)
             with pytest.raises(StructureError, match="budget"):
@@ -417,15 +416,18 @@ class TestBulkAssembly:
         chain = (np.array([-1, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32))
         ranked = []
         monkeypatch.setattr(hybrid, "select_retained", lambda tree, limit: ranked.append(limit) or select_retained(tree, limit))
-        assert draft_only(tree, n, n) is tree and draft_only(tree, n + 4, n + 4) is tree
+        for retained in (n, n + 4, np.arange(tree.n_nodes)):  # the identity rule: nothing is built
+            assert merge(tree, retained, n, 0, NO_BRANCH, NO_BRANCH) is tree
         whole = merge(tree, n + 4, n + 2, 0, *chain)
         assert ranked == []
         expect = merge(tree, np.arange(tree.n_nodes), n + 2, 0, *chain)
         for name in ("tokens", "parents", "scores", "child_ptr"):
             assert getattr(whole, name).tobytes() == getattr(expect, name).tobytes(), name
-        cut = draft_only(tree, n - 1, n - 1)
+        cut = merge(tree, n - 1, n - 1, 0, NO_BRANCH, NO_BRANCH)
         assert ranked == [n - 1]
-        assert cut.tokens.tobytes() == draft_only(tree, select_retained(tree, n - 1), n - 1).tokens.tobytes()
+        expect = merge(tree, select_retained(tree, n - 1), n - 1, 0, NO_BRANCH, NO_BRANCH)
+        for name in ("tokens", "parents", "scores", "child_ptr"):
+            assert getattr(cut, name).tobytes() == getattr(expect, name).tobytes(), name
 
     def test_a_cut_that_keeps_every_node_still_checks_the_budget(self):
         _, tree, _ = seeded_setup()
@@ -433,7 +435,7 @@ class TestBulkAssembly:
         chain = (np.array([-1, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32))
         for limit in (n, n + 5):
             for build in (
-                lambda: draft_only(tree, limit, n - 1),
+                lambda: pruned(tree, limit, n - 1),
                 lambda: merge(tree, limit, n - 1, 0, *chain),
             ):
                 with pytest.raises(StructureError, match="budget"):
@@ -445,7 +447,7 @@ class TestBulkAssembly:
         retained = [tree.n_nodes if i == 99 else i for i in retained]  # 99: the first index past the tree
         chain = (np.array([-1, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32))
         for build in (
-            lambda: draft_only(tree, retained, 60),
+            lambda: pruned(tree, retained, 60),
             lambda: merge(tree, retained, 60, 0, *chain),
             lambda: root_merge(tree, retained, 60, full_matrix(64, 10), builtin_templates()["d5"]),
         ):
@@ -483,12 +485,18 @@ class TestCanonicalOrder:
         retained = _random_subset(rng, tree)
         budget = retained.size - 1 + int(rng.integers(0, 30))
         matrix = _random_matrix(rng, vocab)
-        merged = root_merge(tree, retained, budget, matrix, _random_template(rng))
-        tail = tail_variant(tree, matrix, int(rng.integers(0, tree.n_nodes + 20)), int(rng.integers(0, 15)))
-        for hy in (draft_only(tree, retained, budget), merged, tail):
+        template = _random_template(rng)
+        merged = root_merge(tree, retained, budget, matrix, template)
+        tail_budget, chain_len = int(rng.integers(0, tree.n_nodes + 20)), int(rng.integers(0, 15))
+        tail = tail_variant(tree, matrix, tail_budget, chain_len)
+        for hy in (pruned(tree, retained, budget), merged, tail):
             _assert_canonical(hy)
-        # the builder hands its child pointers over: the checks above read the cached ones
-        assert "child_ptr" in vars(merged) and "child_ptr" in vars(tail)
+        # a builder that keeps every node and grafts nothing returns the tree itself; any
+        # other hands its child pointers over: the checks above read the cached ones
+        assert (merged is tree) == (template.declared_size == 0 and retained.size == tree.n_nodes)
+        assert (tail is tree) == (chain_len == 0 and tail_budget >= tree.n_candidates)
+        for hy in (merged, tail):
+            assert hy is tree or "child_ptr" in vars(hy)
 
         # the drafted trees, and reindexed subsets of them
         draft = _random_draft(rng)
@@ -507,13 +515,13 @@ class TestCanonicalOrder:
         beams = [int(rng.integers(1, 12)) for _ in range(depth)]
         gates = {d: prune.thresholds[d] for d in rng.permutation(depth)[: int(rng.integers(0, depth + 1))].tolist()}
         for drafted in (
-            _envelope(draft, context, prune.top_k, beams, gates)[0],
-            resolve_stage(draft, context, prune)[0],
-            expand_full(draft, context, prune),
+            resolve_stage(draft, context, prune.top_k, beams, gates)[0],
+            gated(draft, context, prune)[0],
+            ungated(draft, context, prune),
         ):
             _assert_canonical(drafted)
             kept = _random_subset(rng, drafted, float(rng.uniform(0.2, 1.0)))
-            hy = draft_only(drafted, kept, kept.size - 1)
+            hy = pruned(drafted, kept, kept.size - 1)
             _assert_canonical(hy)
             _assert_matches_reference(hy, reference_hybrid(drafted, kept, kept.size - 1))
 
@@ -524,13 +532,20 @@ class TestCanonicalOrder:
             checkpoints=(0,), thresholds={0: 0.5}, stage_budgets={0: (1, total - 1)},
             total_budget=total, top_k=3, max_depth=4, beam_width=5,
         )
-        seen = []
-        with mock.patch.object(engine, "verify_greedy", lambda target, prefix, hy: seen.append(hy) or SimpleNamespace(accepted_len=0)):
+        seen, drafted = [], []
+        with (
+            mock.patch.object(engine, "verify_greedy", lambda target, prefix, hy: seen.append(hy) or SimpleNamespace(accepted_len=0)),
+            mock.patch.object(engine, "merge", lambda dense, *rest: drafted.append(dense) or merge(dense, *rest)),
+        ):
             config = SimpleNamespace(prune=prune, acceptance="greedy")
             engine.dense_replay(config, draft, draft, [tree.root_token], merged, None)
-        assert seen[0].n_candidates >= merged.n_candidates
-        assert "child_ptr" in vars(seen[0])
-        _assert_canonical(seen[0])
+        (union,), (dense,) = seen, drafted
+        assert union.n_candidates >= merged.n_candidates
+        if merged.n_candidates == 0 and dense.n_candidates <= total:  # nothing to graft, every node kept
+            assert union is dense
+        else:
+            assert union is not dense and "child_ptr" in vars(union)
+        _assert_canonical(union)
 
     def test_out_of_order_tree_rejected(self):
         # node 2 hangs below node 1 but node 3 below the root again
@@ -546,7 +561,7 @@ class TestCanonicalOrder:
 class TestRender:
     def test_debug_dump_lines(self, det4):
         tree = grow(det4, [0], 1, top_k=1)
-        hy = draft_only(tree, select_retained(tree, 4), 4)
+        hy = pruned(tree, select_retained(tree, 4), 4)
         text = render_tree(hy, VocabSpec(4, ("a", "b", "c", "d")))
         lines = text.splitlines()
         assert len(lines) == 2

@@ -6,11 +6,10 @@ import pytest
 
 from specgraft import _kernels as K
 from specgraft.errors import InputError, StructureError
-from specgraft.hybrid import draft_only
 from specgraft.models import VocabSpec, build_markov
 from specgraft.verify import TRIAL_CHUNK, first_token_frequencies, node_row_ids, verify_stochastic
 
-from .conftest import delta, grow, table_model
+from .conftest import delta, grow, pruned, table_model
 from .oracles import reference_walk
 from .test_verify import random_package
 
@@ -175,7 +174,7 @@ def test_exhausted_residual_raises():
     # the largest generator draw rejects all three children
     target = table_model(4, 1, {(0,): [0.01, 0.3, 0.69, 0.0]})
     tree = grow(target, [0], 1, top_k=3)
-    hy = draft_only(tree, np.arange(tree.n_nodes), tree.n_nodes)
+    hy = pruned(tree, np.arange(tree.n_nodes), tree.n_nodes)
     assert hy.tokens.tolist() == [0, 0, 1, 2]
 
     class LargestDraw:

@@ -6,7 +6,7 @@ import pytest
 
 from specgraft.drafttree import select_retained
 from specgraft.errors import StructureError
-from specgraft.hybrid import draft_only, flatten
+from specgraft.hybrid import flatten
 from specgraft.models import VocabSpec, build_markov
 from specgraft.verify import (
     first_token_frequencies,
@@ -15,21 +15,21 @@ from specgraft.verify import (
     verify_stochastic,
 )
 
-from .conftest import delta, grow, table_model
+from .conftest import delta, grow, pruned, table_model
 from .oracles import ar_greedy, children_of, context_row, enumerate_first_token_marginal, greedy_chain_walk
 from .test_drafttree import dyadic_model
 
 
 def chain_package(model, prefix, length):
     tree = grow(model, prefix, length, top_k=1)
-    hy = draft_only(tree, select_retained(tree, 60), 60)
+    hy = pruned(tree, select_retained(tree, 60), 60)
     return flatten(hy, len(prefix) - 1)
 
 
 def random_package(seed, vocab=16, depth=3, top_k=3, beam=6, keep=20, prefix=(0,)):
     draft = build_markov(VocabSpec(vocab), 1, seed=seed)
     tree = grow(draft, list(prefix), depth, top_k, beam)
-    hy = draft_only(tree, select_retained(tree, keep), 60)
+    hy = pruned(tree, select_retained(tree, keep), 60)
     return flatten(hy, len(prefix) - 1)
 
 
@@ -120,7 +120,7 @@ class TestVerifyGreedy:
         target = table_model(5, order, table)
         prefix = [int(t) for t in rng.integers(0, 5, size=order)]
         tree = grow(target, prefix, depth=4, top_k=3, beam=20)
-        hy = draft_only(tree, np.arange(tree.n_nodes), tree.n_nodes)
+        hy = pruned(tree, np.arange(tree.n_nodes), tree.n_nodes)
         assert 1 not in target._topk  # the top-1 cache starts cold
         outs = [verify_greedy(target, prefix, hy) for _ in range(2)]  # cold, then warm
         rows = target.rows[outs[0].row_ids]
