@@ -50,11 +50,17 @@ def node_depths(parents: np.ndarray, top: int) -> np.ndarray:
 
 @dataclass
 class HybridTree:
-    """A tree in canonical order rooted at the last committed token."""
+    """A tree in canonical order rooted at the last committed token.
+
+    ``context_codes`` is ``(vocab size, order, codes)``: each node's context
+    code in that code space, attached by the builder that creates the node.
+    Equality ignores it; ``dataclasses.replace`` drops it, as it drops the
+    cached child pointers."""
 
     tokens: np.ndarray  # (n,) int32, root first
     parents: np.ndarray  # (n,) int32, root parent -1
     scores: np.ndarray  # (n,) float64 path scores; NaN for retrieved nodes
+    context_codes: tuple[int, int, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def depths(self) -> np.ndarray:
@@ -92,12 +98,19 @@ class HybridTree:
 
         Breadth-first storage puts each node's children together and keeps
         ``parents[1:]`` nondecreasing, so no sort is needed and no index
-        array either. ``hybrid.merge`` fills this cache as it emits a tree.
+        array either. The builders, :func:`resolve_stage` and
+        ``hybrid.merge``, fill this cache: their trees are canonical by
+        construction, so only a tree built by hand pays the order check.
         """
         parents = self.parents[1:]
         if (parents[1:] < parents[:-1]).any():
             raise StructureError("tree is not stored breadth-first")
-        return np.searchsorted(parents, np.arange(self.n_nodes + 1)).astype(np.int32)
+        return _child_ptr(parents)
+
+
+def _child_ptr(parents: np.ndarray) -> np.ndarray:
+    """The child pointers of a breadth-first tree whose ``parents[1:]`` is ``parents``."""
+    return np.searchsorted(parents, np.arange(parents.size + 2, dtype=parents.dtype)).astype(np.int32)
 
 
 def _rank_rows(draft: MarkovTableModel, codes: list, tokens: list, parents: list, lo: int) -> np.ndarray:
@@ -205,7 +218,8 @@ def resolve_stage(
     that become the tree's arrays once, after the last layer. One loop per
     layer places its nodes: each node's parent slot, its context code
     (:func:`models.context_code`, extended from its parent's) and its row
-    id, which the next layer reads.
+    id, which the next layer reads. The tree carries those codes, in the
+    draft's code space, and its child pointers.
     """
     context = tuple(int(t) for t in context[-max(draft.order, 1):])
     if not context:
@@ -261,5 +275,7 @@ def resolve_stage(
                 stage = checkpoint
                 break
     tree = HybridTree(np.array(tokens, dtype=np.int32), np.array(parents, dtype=np.int32), -np.concatenate(costs))
+    tree.context_codes = (draft.vocab.size, draft.order, codes)
+    tree.child_ptr = _child_ptr(tree.parents[1:])
     return tree, stage, trace
 

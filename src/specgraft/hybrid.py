@@ -25,7 +25,9 @@ _ORIGIN_NAMES = ("draft", "retrieved")
 def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray, tokens: np.ndarray) -> HybridTree:
     """The nodes ``retained`` of ``tree``, its root added, with a
     parent-before-child node list grafted below kept node ``at``, in
-    canonical order and with its child pointers filled in.
+    canonical order and with its child pointers filled in. When ``tree``
+    carries its nodes' context codes, so does the result: the kept nodes'
+    codes, and each grafted node's extended from its parent's.
 
     ``retained`` is an array of nodes, or an int: the rank cut of ``tree``
     to that many candidates (:func:`select_retained`). A cut that keeps
@@ -68,6 +70,11 @@ def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray,
     kids = [{} for _ in range(kept.size)]
     for i, (parent, token) in enumerate(zip(kept_parents[1:].tolist(), tree.tokens[kept[1:]].tolist()), 1):
         kids[parent][token] = i
+    codes = None  # node i's context code, as ``kids``, when ``tree`` carries codes
+    if tree.context_codes is not None:
+        size, code_order, tree_codes = tree.context_codes
+        base, span = size + 1, (size + 1) ** code_order
+        codes = [tree_codes[i] for i in kept.tolist()]
     slots: list[int | None] = [slot]  # ``at``'s node, then each list entry's; None when dropped
     for parent, token in zip(parents.tolist(), tokens.tolist()):
         parent = slots[parent + 1]  # parent -1 reads ``at``'s
@@ -77,6 +84,8 @@ def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray,
             if slot is None and len(kids) - 1 < budget:
                 slot = kids[parent][token] = len(kids)
                 kids.append({})
+                if codes is not None:
+                    codes.append((codes[parent] * base + token + 1) % span)
         slots.append(slot)
 
     # breadth-first, each node's children by ascending token
@@ -94,6 +103,8 @@ def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray,
     scores = np.concatenate((tree.scores[kept], np.full(len(order) - kept.size, math.nan)))
     hy = HybridTree(np.array(out_tokens, dtype=np.int32), np.array(out_parents, dtype=np.int32), scores[order])
     hy.child_ptr = np.array(ptr, dtype=np.int32)  # the cached child pointers
+    if codes is not None:
+        hy.context_codes = (size, code_order, [codes[node] for node in order])
     return hy
 
 

@@ -44,6 +44,10 @@ def node_row_ids(target: MarkovTableModel, prefix, tree: HybridTree) -> list[int
     the successor of node i's token.
 
     Only the last ``max(target.order, 1)`` tokens of ``prefix`` are read.
+    The tree's carried codes are read when their code space is the target's
+    and the root's code is the prefix's. Otherwise (a draft of another
+    order, a tree built by hand) the codes are computed from the prefix, and
+    a node i >= 1 whose parent is not in ``[0, i)`` raises ``StructureError``.
     """
     if tree.n_nodes == 0 or tree.parents[0] != -1:
         raise StructureError("hybrid tree must start at its root")
@@ -51,8 +55,17 @@ def node_row_ids(target: MarkovTableModel, prefix, tree: HybridTree) -> list[int
     tail = [int(t) for t in prefix[-max(order, 1):]]
     if not tail or tail[-1] != tree.root_token:
         raise StructureError("tree root must be the last committed token")
-    codes = [target.code_of(tail)]
-    target.extend_codes(codes, tree.parents[1:].tolist(), tree.tokens[1:].tolist())
+    root = target.code_of(tail)
+    carried = tree.context_codes
+    if carried is not None and carried[:2] == (target.vocab.size, order) and carried[2][0] == root:
+        return target.row_ids(carried[2])
+    parents = tree.parents[1:]
+    bad = np.flatnonzero((parents < 0) | (parents >= np.arange(1, tree.n_nodes)))
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise StructureError(f"node {i} has parent {int(parents[i - 1])}, not an earlier node")
+    codes = [root]
+    target.extend_codes(codes, parents.tolist(), tree.tokens[1:].tolist())
     return target.row_ids(codes)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from specgraft.engine import (
     run_ablation,
     theory_checks,
     _random_instance,
+    _random_subset_tree,
 )
 from specgraft.errors import ConfigError
 from specgraft.hybrid import flatten
@@ -336,6 +338,70 @@ class TestBoundedContext:
                 path.append(int(hy_long.tokens[j]))
                 j = int(hy_long.parents[j])
             assert np.array_equal(row, target.next_distribution(long + path[::-1]))
+
+
+def _recomputed(target, prefix, tree):
+    """``node_row_ids`` of ``tree`` with its carried codes dropped, so
+    computed from ``prefix``: ``replace`` keeps neither codes nor pointers."""
+    stripped = replace(tree)
+    assert stripped.context_codes is None
+    return node_row_ids(target, prefix, stripped)
+
+
+class TestCarriedCodes:
+    """Verification reads the context codes a tree carries only where they
+    are the codes it would compute from the prefix: for every builder's
+    trees, from drafts of the target's order and of a lower one, and for a
+    tree verified against a prefix it was not drafted from."""
+
+    @pytest.mark.parametrize("order, truncate", [(0, None), (1, 1.0), (2, 0.5)])
+    @pytest.mark.parametrize("method", TREE_METHODS)
+    def test_build_next_tree(self, order, truncate, method):
+        target = build_markov(VocabSpec(12), order, seed=5, sparsity=0.3)
+        drafts = [derive_draft(target, DraftDerivation("uniform-mix", 0.4))]
+        if truncate is not None:  # a context-truncate draft one order lower
+            drafts.append(derive_draft(target, DraftDerivation("context-truncate", truncate)))
+            assert drafts[-1].order == order - 1
+        cfg = DecodeConfig(method=method, prune=PruneConfig(thresholds={0: 0.3, 1: 0.2, 5: 0.51}))
+        matrix = full_matrix(12, 10, shift=5)
+        for draft in drafts:
+            for prefix in ([3], [5, 7, 3]):  # shorter than an order-2 context, and longer
+                hy, _ = build_next_tree(cfg, draft, matrix, prefix)
+                assert hy.context_codes[:2] == (12, draft.order)
+                if method in ("fixed_split", "graft_root", "graft_tail"):
+                    assert hy.counts_by_origin()[1] > 0  # grafted nodes carry codes too
+                assert node_row_ids(target, prefix, hy) == _recomputed(target, prefix, hy)
+
+    def test_dense_replay_union(self, monkeypatch):
+        target = build_markov(VocabSpec(12), 2, seed=6, sparsity=0.3)
+        draft = derive_draft(target, DraftDerivation("uniform-mix", 0.4))
+        cfg = DecodeConfig(method="fixed_split")
+        prefix = [4, 9, 2]
+        hy, _ = build_next_tree(cfg, draft, full_matrix(12, 10, shift=3), prefix)
+        seen = []
+        monkeypatch.setattr(engine, "verify_greedy", lambda t, p, union: seen.append(union) or SimpleNamespace(accepted_len=0))
+        dense_replay(cfg, target, draft, prefix, hy, None)
+        (union,) = seen
+        assert union.n_candidates > cfg.prune.total_budget and union.context_codes is not None
+        assert node_row_ids(target, prefix, union) == _recomputed(target, prefix, union)
+
+    def test_theory_random_subsets(self):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            target, _, prefix, tree, _ = _random_instance(rng)
+            small = _random_subset_tree(tree, rng, keep_prob=float(rng.uniform(0.3, 0.9)))
+            for hy in (tree, small):
+                assert hy.context_codes is not None
+                assert node_row_ids(target, prefix, hy) == _recomputed(target, prefix, hy)
+
+    def test_another_prefix_reads_its_own_rows(self):
+        target = build_markov(VocabSpec(12), 2, seed=5)
+        draft = derive_draft(target, DraftDerivation("uniform-mix", 0.4))
+        drafted, other = [5, 7, 3], [1, 2, 3]  # the same root token after another context
+        hy, _ = build_next_tree(DecodeConfig(method="dense"), draft, full_matrix(12, 10), drafted)
+        ids = node_row_ids(target, other, hy)
+        assert ids == _recomputed(target, other, hy)
+        assert ids != node_row_ids(target, drafted, hy)
 
 
 class _RecordingTarget:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specgraft import engine, hybrid
+from specgraft.config import load_run_config
 from specgraft.drafttree import (
     ORIGIN_DRAFT,
     ORIGIN_RETRIEVED,
@@ -15,7 +18,7 @@ from specgraft.drafttree import (
     resolve_stage,
     select_retained,
 )
-from specgraft.engine import NO_BRANCH
+from specgraft.engine import NO_BRANCH, TREE_METHODS
 from specgraft.errors import ConfigError, StructureError
 from specgraft.hybrid import (
     flatten,
@@ -23,7 +26,7 @@ from specgraft.hybrid import (
     render_tree,
     tail_anchor,
 )
-from specgraft.models import DraftDerivation, VocabSpec, build_markov, derive_draft
+from specgraft.models import DraftDerivation, MarkovTableModel, VocabSpec, build_markov, derive_draft
 from specgraft.retrieval import (
     COLD,
     StageTemplate,
@@ -32,6 +35,7 @@ from specgraft.retrieval import (
     new_matrix,
     template_from_depth_counts,
     template_prefix,
+    warmup,
 )
 
 from .conftest import gated, grow, pruned, table_model, ungated
@@ -48,6 +52,8 @@ from .oracles import (
     template_walk_realized,
 )
 from .test_retrieval import full_matrix
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def seeded_setup(vocab=64, seed=42, prefix=(3,), prune=None):
@@ -455,11 +461,13 @@ class TestBulkAssembly:
                 build()
 
 
-def _assert_canonical(hy):
+def _assert_canonical(hy, cached=False):
     """Breadth-first with siblings by ascending token, and child pointers
     that agree with a scan of the parent array and with the pointers a
     fresh tree computes, so pointers a builder cached cannot hide a wrong
-    one."""
+    one. With ``cached``, the builder must have cached them. Context codes
+    the tree carries must each extend its parent's by the node's token."""
+    assert not cached or "child_ptr" in vars(hy)
     parents, tokens, depths = hy.parents, hy.tokens, hy.depths
     assert parents[0] == -1 and depths[0] == 0
     assert (np.diff(parents[1:]) >= 0).all()
@@ -471,6 +479,11 @@ def _assert_canonical(hy):
     assert ptr.dtype == fresh.dtype and np.array_equal(ptr, fresh)
     for i in range(hy.n_nodes):
         assert list(range(ptr[i] + 1, ptr[i + 1] + 1)) == children_of(hy, i).tolist()
+    if hy.context_codes is not None:
+        size, order, codes = hy.context_codes
+        base, span = size + 1, (size + 1) ** order
+        assert len(codes) == hy.n_nodes
+        assert codes[1:] == [(codes[p] * base + t + 1) % span for p, t in zip(parents[1:].tolist(), tokens[1:].tolist())]
 
 
 class TestCanonicalOrder:
@@ -519,7 +532,7 @@ class TestCanonicalOrder:
             gated(draft, context, prune)[0],
             ungated(draft, context, prune),
         ):
-            _assert_canonical(drafted)
+            _assert_canonical(drafted, cached=True)
             kept = _random_subset(rng, drafted, float(rng.uniform(0.2, 1.0)))
             hy = pruned(drafted, kept, kept.size - 1)
             _assert_canonical(hy)
@@ -546,6 +559,30 @@ class TestCanonicalOrder:
         else:
             assert union is not dense and "child_ptr" in vars(union)
         _assert_canonical(union)
+
+    @pytest.mark.parametrize("method, acceptance", [(m, "greedy") for m in TREE_METHODS] + [("dense", "stochastic")])
+    def test_decode_steps_reuse_what_the_builders_computed(self, method, acceptance):
+        """Every tree ``build_next_tree`` hands a decode step has its child
+        pointers cached, and the nodes' context codes come from the builders:
+        ``extend_codes`` runs once, for the prompt prefill."""
+        run = load_run_config(str(ROOT / "configs" / "quickstart.yaml"))
+        matrix = new_matrix(run.vocab.size, run.matrix_k)
+        warmup(matrix, run.target, run.draft, run.warmup_prompts, run.warmup_rounds, config=run.decode)
+        config = replace(run.decode, method=method, acceptance=acceptance)
+        extend, calls, trees = MarkovTableModel.extend_codes, [], []
+
+        def counted(model, codes, parents, tokens):
+            calls.append(len(codes))
+            return extend(model, codes, parents, tokens)
+
+        def observe(step, hy):
+            _assert_canonical(hy, cached=True)
+            trees.append(hy)
+
+        with mock.patch.object(MarkovTableModel, "extend_codes", counted):
+            engine.decode_session(config, run.target, run.draft, matrix, run.prompt, tree_observer=observe)
+        assert calls == [1]  # the prefill, from the empty context's code
+        assert len(trees) > 10 and all(hy.context_codes is not None for hy in trees)
 
     def test_out_of_order_tree_rejected(self):
         # node 2 hangs below node 1 but node 3 below the root again

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specgraft.drafttree import select_retained
+from specgraft.drafttree import HybridTree, select_retained
 from specgraft.errors import StructureError
 from specgraft.hybrid import flatten
 from specgraft.models import VocabSpec, build_markov
@@ -73,6 +73,25 @@ class TestNodeDistributions:
                 verify_greedy(det4, prefix, tree)
         with pytest.raises(StructureError):
             flatten(rootless, 0)
+
+
+class TestMalformedParents:
+    """A hand-built tree carries no codes, so verification computes them from
+    the prefix, and refuses a node i >= 1 whose parent is not in [0, i):
+    one pointing forward, one below -1 and a second root."""
+
+    ENTRY_POINTS = {
+        "greedy": lambda target, prefix, tree: verify_greedy(target, prefix, tree),
+        "stochastic": lambda target, prefix, tree: verify_stochastic(target, prefix, tree, np.random.default_rng(0)),
+        "first_token_frequencies": lambda target, prefix, tree: first_token_frequencies(target, prefix, tree, 8, 0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("parents", [[-1, 2, 0], [-1, -2, 1], [-1, -1, 0]])
+    def test_a_parent_outside_the_earlier_nodes_is_refused(self, uni4, entry, parents):
+        tree = HybridTree(np.array([1, 2, 3], dtype=np.int32), np.array(parents, dtype=np.int32), np.zeros(3))
+        with pytest.raises(StructureError, match=f"^node 1 has parent {parents[1]}, not an earlier node$"):
+            self.ENTRY_POINTS[entry](uni4, [0, 1], tree)
 
 
 class TestVerifyGreedy:
