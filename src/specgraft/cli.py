@@ -1,8 +1,10 @@
 """Command-line surface: decode, ablation, calibrate, theory, dump-templates, matrix.
 
 Reports are byte-for-byte reproducible for identical configs and seeds;
-timestamps only appear behind ``--timestamps``. Flag overrides win over
-file values and are echoed into every report.
+timestamps only appear behind ``--timestamps``. The overrides
+``--method`` and ``--seed`` win over file values and are echoed into
+every report; ``--matrix-out`` and ``--dump-trees`` are output paths and
+are not echoed.
 """
 
 from __future__ import annotations

@@ -113,7 +113,6 @@ def _fields(**rules):
 
 
 _text = _of_type(str, "a string")
-_flag = _of_type(bool, "true or false")
 _tokens = _list(_int(0))
 _pair = _list(_int(0), 2, tuple)
 _prompt_text = _such(_text, len, "nonempty")
@@ -130,8 +129,8 @@ _RULES = {
               "beam_width": _int()},
     "cost": dict.fromkeys((f.name for f in fields(CostModel)), _number),
     "decode": {"max_new_tokens": _int(), "acceptance": _text, "seed": _int(0), "prompt_text": _prompt_text,
-               "prompt_tokens": _prompt_tokens, "end_token": _int(0), "updates_enabled": _flag, "prefill_update": _flag,
-               "fixed_split": _pair, "root_branch_size": _int(), "tail_chain_len": _int()},
+               "prompt_tokens": _prompt_tokens, "end_token": _int(0), "fixed_split": _pair, "root_branch_size": _int(),
+               "tail_chain_len": _int()},
     "warmup": {"rounds": _int(0), "prompts_text": _such(_list(_prompt_text), len, "nonempty"),
                "prompts_tokens": _such(_list(_prompt_tokens), len, "nonempty"),
                "derive": _fields(count=_int(1), length=_int(1))},
@@ -141,6 +140,11 @@ _RULES = {
     "output": {"json": _text, "csv": _text, "dump_trees": _text},
 }
 _TOP_KEYS = set(_RULES) | {"method"}
+# the target.* keys each target kind reads
+_TARGET_KEYS = {
+    "markov": ("kind", "seed", "order", "sparsity"),
+    "ngram": ("kind", "corpus", "tokenizer", "order", "smoothing"),
+}
 
 DEFAULT_CALIBRATION_GRID = [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
 # ceiling on count x length of a derived prompt set, checked before it is built
@@ -178,7 +182,7 @@ def _checked_sections(doc: dict) -> dict[str, dict]:
             raise ConfigError(f"section {section!r} must be a mapping")
         unknown = set(values) - set(rules)
         if unknown:
-            raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown, key=str)}")
+            raise ConfigError(f"unknown keys: {', '.join(f'{section}.{k}' for k in sorted(unknown, key=str))}")
         sections[section] = {k: rules[k](f"{section}.{k}", v) for k, v in values.items() if v is not None}
     return sections
 
@@ -199,6 +203,11 @@ def _require_file(path: str, where: str) -> str:
 def _build_models(sections: dict) -> tuple[VocabSpec, MarkovTableModel, list[int] | None, str]:
     cfg = sections["target"]
     kind = cfg.get("kind", "markov")
+    if kind not in _TARGET_KEYS:
+        raise ConfigError(f"target.kind must be markov or ngram, got {kind!r}")
+    unread = [f"target.{key}" for key in cfg if key not in _TARGET_KEYS[kind]]
+    if unread:
+        raise ConfigError(f"a {kind} target does not read {', '.join(unread)}; it reads {', '.join(_TARGET_KEYS[kind])}")
     tokenizer = cfg.get("tokenizer", "bytes")
     size = sections["vocab"].get("size")
     if kind == "markov":
@@ -207,17 +216,15 @@ def _build_models(sections: dict) -> tuple[VocabSpec, MarkovTableModel, list[int
         vocab = VocabSpec(size)
         target = build_markov(vocab, cfg.get("order", 1), cfg.get("seed", 0), cfg.get("sparsity", 0.0))
         return vocab, target, None, tokenizer
-    if kind == "ngram":
-        corpus_path = cfg.get("corpus")
-        if corpus_path is None:
-            raise ConfigError("ngram targets need target.corpus")
-        _require_file(corpus_path, "target.corpus")
-        tokens, vocab = load_corpus(corpus_path, tokenizer)
-        if size is not None and size != vocab.size:
-            raise ConfigError(f"vocab.size {size} != corpus-derived vocab {vocab.size}")
-        target = train_ngram(vocab, tokens, cfg.get("order", 2), cfg.get("smoothing", 0.1))
-        return vocab, target, tokens, tokenizer
-    raise ConfigError(f"target.kind must be markov or ngram, got {kind!r}")
+    corpus_path = cfg.get("corpus")
+    if corpus_path is None:
+        raise ConfigError("ngram targets need target.corpus")
+    _require_file(corpus_path, "target.corpus")
+    tokens, vocab = load_corpus(corpus_path, tokenizer)
+    if size is not None and size != vocab.size:
+        raise ConfigError(f"vocab.size {size} != corpus-derived vocab {vocab.size}")
+    target = train_ngram(vocab, tokens, cfg.get("order", 2), cfg.get("smoothing", 0.1))
+    return vocab, target, tokens, tokenizer
 
 
 def _one_way(section: str, cfg: dict, *keys: str) -> None:
@@ -325,7 +332,7 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     if end_token is not None:
         _in_vocab("decode.end_token", [end_token], vocab)
     # a key the file leaves out takes DecodeConfig's default
-    passed = ("acceptance", "updates_enabled", "prefill_update", "fixed_split", "root_branch_size", "tail_chain_len")
+    passed = ("acceptance", "fixed_split", "root_branch_size", "tail_chain_len")
     decode = DecodeConfig(
         method=method,
         prune=prune,

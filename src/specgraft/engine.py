@@ -69,12 +69,13 @@ class CostModel:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"cost.{name} must be > 0, got {getattr(self, name)}")
 
-    def step_cost(self, layers_drafted: int, tree_candidates: int) -> float:
+    def step_cost(self, layers_drafted: int, tree_candidates: int, retrieves: bool) -> float:
+        """A tree step's cost; ``retrieval_cost`` only when it reads the matrix."""
         return (
             self.draft_layer_cost * layers_drafted
             + self.verify_base
             + self.verify_per_node * tree_candidates
-            + self.retrieval_cost
+            + (self.retrieval_cost if retrieves else 0.0)
             + self.overhead_cost
         )
 
@@ -86,8 +87,6 @@ class DecodeConfig:
     max_new_tokens: int = 64
     acceptance: str = "greedy"
     seed: int = 0
-    updates_enabled: bool = True
-    prefill_update: bool = True
     fixed_split: tuple[int, int] = (24, 36)
     root_branch_size: int = 20
     tail_chain_len: int = 8
@@ -289,16 +288,15 @@ def decode_session(
     After each tree step's verification, ``coverage_gain`` is recorded on a
     step whose tree holds a retrieved node, and each of ``config.analyses``
     adds its fields to the step's record.
-    When updates are enabled, the matrix is refreshed from every verified
-    node and from the prompt prefill; an autoregressive step verifies the
-    root-only tree. The writes are collected in one ``{token: target row
-    id}`` dict, the last writer winning, and applied by
-    :func:`retrieval.write_rows` before every tree step of a method with
-    templates, the steps that may read the matrix, and when the session
-    ends, also by an exception. So the matrix is what per-step writes would
-    leave at every read and at return. Under the other methods it lags
-    between steps, and a ``tree_observer`` that inspects it mid-session
-    sees the lag.
+    The matrix is refreshed from the prompt prefill and from every verified
+    node; an autoregressive step verifies the root-only tree. The writes
+    are collected in one ``{token: target row id}`` dict, the last writer
+    winning, and applied by :func:`retrieval.write_rows` before every tree
+    step of a method with templates, the steps that may read the matrix,
+    and when the session ends, also by an exception. So the matrix is what
+    per-step writes would leave at every read and at return. Under the
+    other methods it lags between steps, and a ``tree_observer`` that
+    inspects it mid-session sees the lag.
     """
     if target.vocab.size != draft.vocab.size or target.vocab.size != matrix.vocab_size:
         raise ConfigError("target, draft and matrix must share one vocabulary")
@@ -326,11 +324,10 @@ def decode_session(
     prompt_len = len(committed)
     stop = False
     try:
-        if config.updates_enabled and config.prefill_update:
-            # prompt token i is a node whose parent is token i - 1, below the empty context
-            codes = [0]
-            target.extend_codes(codes, range(len(committed)), committed)
-            pending.update(zip(committed, target.row_ids(codes[1:])))
+        # prompt token i is a node whose parent is token i - 1, below the empty context
+        codes = [0]
+        target.extend_codes(codes, range(len(committed)), committed)
+        pending.update(zip(committed, target.row_ids(codes[1:])))
 
         while remaining > 0 and not stop:
             if config.method == "autoregressive":
@@ -341,8 +338,7 @@ def decode_session(
                 else:
                     row = target.rows[ids[0]]
                     token = _kernels._draw(row.cumsum().tolist(), row, rng.random())
-                if config.updates_enabled:
-                    pending[committed[-1]] = ids[0]
+                pending[committed[-1]] = ids[0]
                 emitted = [token]
                 record = {
                     "stage": stage_label(None),
@@ -371,14 +367,13 @@ def decode_session(
                     n_draft=n_draft,
                     n_retrieved=n_retrieved,
                     accepted_len=outcome.accepted_len,
-                    cost=cost.step_cost(info["layers_drafted"], hy.n_candidates),
+                    cost=cost.step_cost(info["layers_drafted"], hy.n_candidates, info["stage"] in config.templates),
                 )
                 if n_retrieved > 0:
                     record["coverage_gain"] = _root_coverage_gain(hy, target.rows[outcome.row_ids[0]])
                 for analysis in config.analyses:
                     record.update(analysis(config, target, draft, committed, hy, outcome))
-                if config.updates_enabled:
-                    pending.update(zip(hy.tokens.tolist(), outcome.row_ids))
+                pending.update(zip(hy.tokens.tolist(), outcome.row_ids))
                 emitted = outcome.emitted_tokens
 
             emitted = emitted[:remaining]

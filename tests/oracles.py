@@ -411,14 +411,14 @@ def new_tree(context):
     )
 
 
-def replay_matrix_writes(matrix, target, prompt, emitted, trees=None, prefill=True):
+def replay_matrix_writes(matrix, target, prompt, emitted, trees=None):
     """The matrix's rows as per-step writes leave them, before each step and
     at the end.
 
     Replays each verified node in order on a copy of ``matrix.rows`` as
     ``rows[t] = argtopk(target.rows[id], k)`` (stable sort, ties to the lower
-    id): the prompt prefill first, when ``prefill`` (prompt token i under the
-    context ``prompt[:i + 1]``), then step s's verified nodes: ``trees[s]``
+    id): the prompt prefill first (prompt token i under the context
+    ``prompt[:i + 1]``), then step s's verified nodes: ``trees[s]``
     under the committed prefix ``prompt + emitted[0] + ... + emitted[s - 1]``,
     with their ``node_row_ids``. ``trees=None`` stands for autoregressive
     steps, which verify the root-only tree. Returns ``len(emitted) + 1``
@@ -434,8 +434,7 @@ def replay_matrix_writes(matrix, target, prompt, emitted, trees=None, prefill=Tr
             rows[int(t)] = np.argsort(-target.rows[i], kind="stable")[:k]
 
     committed = [int(t) for t in prompt]
-    if prefill:
-        write(committed, [target.row_ids([target.code_of(committed[: i + 1])])[0] for i in range(len(committed))])
+    write(committed, [target.row_ids([target.code_of(committed[: i + 1])])[0] for i in range(len(committed))])
     states = []
     for s, tokens in enumerate(emitted):
         states.append(rows.copy())

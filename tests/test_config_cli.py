@@ -51,7 +51,7 @@ class TestConfigLoading:
 
     def test_absent_decode_keys_take_the_decode_defaults(self, config_path):
         decode, default = load_run_config(config_path).decode, DecodeConfig()
-        for key in ("acceptance", "updates_enabled", "prefill_update", "fixed_split", "root_branch_size", "tail_chain_len"):
+        for key in ("acceptance", "fixed_split", "root_branch_size", "tail_chain_len"):
             assert getattr(decode, key) == getattr(default, key), key
 
     def test_unknown_top_level_key(self, tmp_path):
@@ -66,7 +66,7 @@ class TestConfigLoading:
         doc["decode"]["typo_key"] = 1
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        with pytest.raises(ConfigError, match="typo_key"):
+        with pytest.raises(ConfigError, match=r"decode\.typo_key"):
             load_run_config(str(path))
 
     def test_missing_corpus_rejected(self, tmp_path):
@@ -421,6 +421,13 @@ BAD_VALUES = [
     ("draft", "strength", 2),
     ("decode", "acceptance", "fuzzy"),
     ("matrix", "load", "missing.bin"),
+    # keys a markov target does not read
+    ("target", "corpus", "configs/sample_corpus.txt"),
+    ("target", "tokenizer", "bytes"),
+    ("target", "smoothing", 0.05),
+    # keys that are gone: every session writes the matrix
+    ("decode", "updates_enabled", True),
+    ("decode", "prefill_update", False),
 ]
 
 # one value given two ways beside BASE_DOC's decode.prompt_tokens and warmup.derive, as
@@ -456,6 +463,9 @@ NGRAM_BAD_VALUES = [
     ("target", "smoothing", -1),
     ("target", "corpus", "missing.txt"),
     ("target", "order", 5000),  # past the corpus length
+    # keys an n-gram target does not read
+    ("target", "seed", 3),
+    ("target", "sparsity", 0.9),
 ]
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from specgraft import engine, retrieval
+from specgraft.config import load_run_config
 from specgraft.drafttree import PruneConfig, select_retained
 from specgraft.engine import (
     ACCEPTANCE_MODES,
@@ -44,6 +45,7 @@ from .oracles import (
     reference_draft_builder,
     replay_matrix_writes,
 )
+from .test_report_digests import at_root
 from .test_retrieval import full_matrix
 
 
@@ -152,7 +154,25 @@ class TestDecodeSession:
         assert set(depths) == {6}
         for step in report.steps:
             assert step["layers_drafted"] == cfg.prune.max_depth
-            assert step["cost"] == cfg.cost.step_cost(cfg.prune.max_depth, step["tree_candidates"])
+            assert step["cost"] == cfg.cost.step_cost(cfg.prune.max_depth, step["tree_candidates"], False)
+
+    @pytest.mark.parametrize("method", TREE_METHODS)
+    def test_retrieval_cost_charged_on_steps_that_read_the_matrix(self, method):
+        with at_root():
+            run = load_run_config("configs/quickstart.yaml")
+        warm = new_matrix(run.vocab.size, run.matrix_k)
+        warmup(warm, run.target, run.draft, run.warmup_prompts, run.warmup_rounds, config=run.decode)
+        reports = []
+        for charge in (0.0, 0.5):
+            cfg = replace(run.decode, method=method, cost=replace(run.decode.cost, retrieval_cost=charge))
+            reports.append(decode_session(cfg, run.target, run.draft, warm.copy(), run.prompt)[1])
+        free, charged = reports
+        reads = sum(step["stage"] in cfg.templates for step in free.steps)
+        if method in ("dense", "prune_only"):  # they never read the matrix
+            assert reads == 0 and charged == free
+        else:
+            assert reads > 0
+        assert charged.cost_total == pytest.approx(free.cost_total + 0.5 * reads)
 
 
 class TestBuildNextTree:
@@ -484,43 +504,29 @@ class TestOneDecodeRule:
         assert ties > 30  # the tie rule is exercised
 
 
-class TestUpdateGates:
-    """``decode.updates_enabled`` gates every matrix write, and
-    ``decode.prefill_update`` the prompt's."""
+class TestSessionWrites:
+    """Every session writes the matrix: the prompt's rows and every
+    verified node's."""
 
     @pytest.mark.parametrize("peaked", [False, True], ids=["attractor", "peaked"])
     @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
     @pytest.mark.parametrize("method", METHODS)
-    def test_disabled_updates_leave_the_matrix_unchanged(self, method, acceptance, peaked):
+    def test_every_session_changes_the_matrix(self, method, acceptance, peaked):
         # seeded_pair(seed=5) falls into a two-token attractor where graft's
-        # gate never passes; with updates on, the peaked pair passes and fails it
+        # gate never passes; the peaked pair passes and fails it
         if peaked:
             (target, draft), prompt, length = peaked_pair(), PEAKED_PROMPT, 80
         else:
             (target, draft), prompt, length = seeded_pair(seed=5), [3, 1], 40
         warm = half_warm(target)
-        for enabled in (False, True):
-            matrix = warm.copy()
-            cfg = DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=length, updates_enabled=enabled)
-            _, report = decode_session(cfg, target, draft, matrix, prompt)
-            same_ids = matrix.rows.tobytes() == warm.rows.tobytes()
-            unchanged = same_ids and np.array_equal(matrix.rows != COLD, warm.rows != COLD)
-            assert unchanged != enabled
-            if peaked and method == "graft" and enabled:  # the session that writes has steps that read nothing
-                stages = set(report.stage_histogram)
-                assert "none" in stages and any(stage.startswith("d") for stage in stages), stages
-
-    @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
-    @pytest.mark.parametrize("method", TREE_METHODS)
-    def test_no_prefill_touches_only_tree_tokens(self, method, acceptance):
-        target, draft = seeded_pair(vocab=256, seed=21)
-        prompt = list(range(200, 256)) + [3]
-        seen: set[int] = set()
-        matrix = new_matrix(256, 10)
-        cfg = DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=16, prefill_update=False)
-        decode_session(cfg, target, draft, matrix, prompt, tree_observer=lambda _, hy: seen.update(hy.tokens.tolist()))
-        assert set(prompt) - seen  # a prefill would show in the matrix
-        assert set(np.flatnonzero((matrix.rows != COLD).any(axis=1)).tolist()) == seen
+        matrix = warm.copy()
+        cfg = DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=length)
+        _, report = decode_session(cfg, target, draft, matrix, prompt)
+        same_ids = matrix.rows.tobytes() == warm.rows.tobytes()
+        assert not (same_ids and np.array_equal(matrix.rows != COLD, warm.rows != COLD))
+        if peaked and method == "graft":  # the session that writes has steps that read nothing
+            stages = set(report.stage_histogram)
+            assert "none" in stages and any(stage.startswith("d") for stage in stages), stages
 
 
 class _Stop(Exception):
@@ -575,11 +581,8 @@ class TestDeferredWrites:
         matrix = warm.copy()
         report, trees, reads, _ = _traced_session(monkeypatch, cfg, target, draft, matrix, self.PROMPT)
         emitted = [s["emitted"] for s in report.steps]
-        if cfg.updates_enabled:
-            tree_list = None if cfg.method == "autoregressive" else trees
-            states = replay_matrix_writes(warm, target, self.PROMPT, emitted, tree_list, cfg.prefill_update)
-        else:
-            states = [warm.rows] * (len(emitted) + 1)
+        tree_list = None if cfg.method == "autoregressive" else trees
+        states = replay_matrix_writes(warm, target, self.PROMPT, emitted, tree_list)
         if stop_at is not None:
             # the same session, cut by an exception at step ``stop_at``
             assert report.steps_count > stop_at
@@ -591,14 +594,10 @@ class TestDeferredWrites:
         assert np.array_equal(matrix.rows, states[-1]) and np.array_equal(matrix.rows != COLD, states[-1] != COLD)
         return report, reads
 
-    @pytest.mark.parametrize("updates", [True, False])
-    @pytest.mark.parametrize("prefill", [True, False])
     @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
     @pytest.mark.parametrize("method", METHODS)
-    def test_reads_and_return_see_per_step_writes(self, monkeypatch, method, acceptance, prefill, updates):
-        cfg = DecodeConfig(
-            method=method, acceptance=acceptance, max_new_tokens=80, prefill_update=prefill, updates_enabled=updates
-        )
+    def test_reads_and_return_see_per_step_writes(self, monkeypatch, method, acceptance):
+        cfg = DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=80)
         _, reads = self._check(monkeypatch, cfg)
         assert bool(reads) == (method in ("fixed_split", "graft", "graft_root", "graft_tail"))
 
@@ -616,23 +615,21 @@ class TestDeferredWrites:
     def test_session_that_raises(self, monkeypatch, method, acceptance):
         self._check(monkeypatch, DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=80), stop_at=4)
 
-    @pytest.mark.parametrize("prefill", [True, False])
     @pytest.mark.parametrize("method", METHODS)
-    def test_write_counts(self, monkeypatch, method, prefill):
+    def test_write_counts(self, monkeypatch, method):
         target, draft, warm = self._inputs()
-        cfg = DecodeConfig(method=method, max_new_tokens=80, prefill_update=prefill)
+        cfg = DecodeConfig(method=method, max_new_tokens=80)
         report, _, reads, events = _traced_session(monkeypatch, cfg, target, draft, warm.copy(), self.PROMPT)
         writes = [i for i, e in enumerate(events) if e == "write"]
         if method in ("autoregressive", "dense", "prune_only"):
             assert len(writes) == len(events) == 1  # once per session, at its end
             return
-        # one write before each step, except a first step's with nothing
-        # pending, and one at the session's end; so every read follows a write
+        # one write before each step, the first applying the prefill, and
+        # one at the session's end; so every read follows a write
         read_at = [i for i, e in enumerate(events) if e == "read"]
-        nothing_pending = not prefill and reads[0][0] == 0
         assert writes[-1] == len(events) - 1
-        assert len(writes) == report.steps_count + prefill
-        assert all(events[i - 1] == "write" for i in read_at[nothing_pending:])
+        assert len(writes) == report.steps_count + 1
+        assert all(events[i - 1] == "write" for i in read_at)
         if method == "graft":  # it reads only when a gate fails, and writes all the same
             failed = sum(s["stage"] != "none" for s in report.steps)
             assert 0 < len(reads) == failed < report.steps_count
