@@ -528,6 +528,20 @@ class TestSessionWrites:
             stages = set(report.stage_histogram)
             assert "none" in stages and any(stage.startswith("d") for stage in stages), stages
 
+    @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
+    @pytest.mark.parametrize("method", TREE_METHODS)
+    def test_prefill_and_trees_touch_exactly_their_tokens(self, method, acceptance):
+        # a cold matrix and a prompt of tokens the trees rarely reach, so the
+        # prompt's rows show apart from the trees'
+        target, draft = seeded_pair(vocab=256, seed=21)
+        prompt = list(range(200, 256)) + [3]
+        seen: set[int] = set()
+        matrix = new_matrix(256, 10)
+        cfg = DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=16)
+        decode_session(cfg, target, draft, matrix, prompt, tree_observer=lambda _, hy: seen.update(hy.tokens.tolist()))
+        assert set(prompt) - seen  # these rows only the prefill writes
+        assert set(np.flatnonzero((matrix.rows != COLD).any(axis=1)).tolist()) == set(prompt) | seen
+
 
 class _Stop(Exception):
     pass
@@ -572,33 +586,41 @@ class TestDeferredWrites:
 
     PROMPT = PEAKED_PROMPT
 
-    def _inputs(self):
-        target, draft = peaked_pair()
-        return target, draft, half_warm(target)
+    # the session starts from a matrix with every other row written, or from
+    # a cold one, where every row a read finds was written by this session
+    STARTS = {"half_warm": half_warm, "cold": lambda target: new_matrix(24, 10)}
+    # a prefill of nine rows, or of the one row the first step also writes
+    PROMPTS = {"prompt9": PEAKED_PROMPT, "prompt1": PEAKED_PROMPT[-1:]}
 
-    def _check(self, monkeypatch, cfg, stop_at=None):
-        target, draft, warm = self._inputs()
+    def _inputs(self, start="half_warm"):
+        target, draft = peaked_pair()
+        return target, draft, self.STARTS[start](target)
+
+    def _check(self, monkeypatch, cfg, stop_at=None, start="half_warm", prompt=PROMPT):
+        target, draft, warm = self._inputs(start)
         matrix = warm.copy()
-        report, trees, reads, _ = _traced_session(monkeypatch, cfg, target, draft, matrix, self.PROMPT)
+        report, trees, reads, _ = _traced_session(monkeypatch, cfg, target, draft, matrix, prompt)
         emitted = [s["emitted"] for s in report.steps]
         tree_list = None if cfg.method == "autoregressive" else trees
-        states = replay_matrix_writes(warm, target, self.PROMPT, emitted, tree_list)
+        states = replay_matrix_writes(warm, target, prompt, emitted, tree_list)
         if stop_at is not None:
             # the same session, cut by an exception at step ``stop_at``
             assert report.steps_count > stop_at
             matrix = warm.copy()
-            _, _, reads, _ = _traced_session(monkeypatch, cfg, target, draft, matrix, self.PROMPT, stop_at)
+            _, _, reads, _ = _traced_session(monkeypatch, cfg, target, draft, matrix, prompt, stop_at)
             states = states[: stop_at + 1]
         for step, rows in reads:
             assert np.array_equal(rows, states[step]) and np.array_equal(rows != COLD, states[step] != COLD), step
         assert np.array_equal(matrix.rows, states[-1]) and np.array_equal(matrix.rows != COLD, states[-1] != COLD)
         return report, reads
 
+    @pytest.mark.parametrize("prompt", PROMPTS)
+    @pytest.mark.parametrize("start", STARTS)
     @pytest.mark.parametrize("acceptance", ACCEPTANCE_MODES)
     @pytest.mark.parametrize("method", METHODS)
-    def test_reads_and_return_see_per_step_writes(self, monkeypatch, method, acceptance):
+    def test_reads_and_return_see_per_step_writes(self, monkeypatch, method, acceptance, start, prompt):
         cfg = DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=80)
-        _, reads = self._check(monkeypatch, cfg)
+        _, reads = self._check(monkeypatch, cfg, start=start, prompt=self.PROMPTS[prompt])
         assert bool(reads) == (method in ("fixed_split", "graft", "graft_root", "graft_tail"))
 
     @pytest.mark.parametrize("method", METHODS)
@@ -615,9 +637,10 @@ class TestDeferredWrites:
     def test_session_that_raises(self, monkeypatch, method, acceptance):
         self._check(monkeypatch, DecodeConfig(method=method, acceptance=acceptance, max_new_tokens=80), stop_at=4)
 
+    @pytest.mark.parametrize("start", STARTS)
     @pytest.mark.parametrize("method", METHODS)
-    def test_write_counts(self, monkeypatch, method):
-        target, draft, warm = self._inputs()
+    def test_write_counts(self, monkeypatch, method, start):
+        target, draft, warm = self._inputs(start)
         cfg = DecodeConfig(method=method, max_new_tokens=80)
         report, _, reads, events = _traced_session(monkeypatch, cfg, target, draft, warm.copy(), self.PROMPT)
         writes = [i for i, e in enumerate(events) if e == "write"]
