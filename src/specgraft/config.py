@@ -129,8 +129,7 @@ _RULES = {
               "beam_width": _int()},
     "cost": dict.fromkeys((f.name for f in fields(CostModel)), _number),
     "decode": {"max_new_tokens": _int(), "acceptance": _text, "seed": _int(0), "prompt_text": _prompt_text,
-               "prompt_tokens": _prompt_tokens, "end_token": _int(0), "fixed_split": _pair, "root_branch_size": _int(),
-               "tail_chain_len": _int()},
+               "prompt_tokens": _prompt_tokens, "end_token": _int(0)},
     "warmup": {"rounds": _int(0), "prompts_text": _such(_list(_prompt_text), len, "nonempty"),
                "prompts_tokens": _such(_list(_prompt_tokens), len, "nonempty"),
                "derive": _fields(count=_int(1), length=_int(1))},
@@ -332,11 +331,10 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     if end_token is not None:
         _in_vocab("decode.end_token", [end_token], vocab)
     # a key the file leaves out takes DecodeConfig's default
-    passed = ("acceptance", "fixed_split", "root_branch_size", "tail_chain_len")
+    passed = ("acceptance", "max_new_tokens")
     decode = DecodeConfig(
         method=method,
         prune=prune,
-        max_new_tokens=decode_cfg.get("max_new_tokens", 128),
         seed=seed,
         cost=cost,
         end_token=end_token,

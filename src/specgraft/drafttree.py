@@ -98,19 +98,14 @@ class HybridTree:
 
         Breadth-first storage puts each node's children together and keeps
         ``parents[1:]`` nondecreasing, so no sort is needed and no index
-        array either. The builders, :func:`resolve_stage` and
-        ``hybrid.merge``, fill this cache: their trees are canonical by
-        construction, so only a tree built by hand pays the order check.
+        array either. ``hybrid.merge`` fills this cache for every tree it
+        emits; a tree read first here, such as a draft envelope, pays the
+        order check once.
         """
         parents = self.parents[1:]
         if (parents[1:] < parents[:-1]).any():
             raise StructureError("tree is not stored breadth-first")
-        return _child_ptr(parents)
-
-
-def _child_ptr(parents: np.ndarray) -> np.ndarray:
-    """The child pointers of a breadth-first tree whose ``parents[1:]`` is ``parents``."""
-    return np.searchsorted(parents, np.arange(parents.size + 2, dtype=parents.dtype)).astype(np.int32)
+        return np.searchsorted(parents, np.arange(parents.size + 2, dtype=parents.dtype)).astype(np.int32)
 
 
 def _rank_rows(draft: MarkovTableModel, codes: list, tokens: list, parents: list, lo: int) -> np.ndarray:
@@ -219,7 +214,7 @@ def resolve_stage(
     layer places its nodes: each node's parent slot, its context code
     (:func:`models.context_code`, extended from its parent's) and its row
     id, which the next layer reads. The tree carries those codes, in the
-    draft's code space, and its child pointers.
+    draft's code space; its child pointers are left to their first read.
     """
     context = tuple(int(t) for t in context[-max(draft.order, 1):])
     if not context:
@@ -276,6 +271,5 @@ def resolve_stage(
                 break
     tree = HybridTree(np.array(tokens, dtype=np.int32), np.array(parents, dtype=np.int32), -np.concatenate(costs))
     tree.context_codes = (draft.vocab.size, draft.order, codes)
-    tree.child_ptr = _child_ptr(tree.parents[1:])
     return tree, stage, trace
 

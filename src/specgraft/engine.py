@@ -47,6 +47,7 @@ NO_BRANCH = np.zeros(0, dtype=np.int32)  # the empty retrieved branch: ``merge``
 METHODS = ("autoregressive", "dense", "prune_only", "fixed_split", "graft", "graft_root", "graft_tail")
 TREE_METHODS = METHODS[1:]
 ACCEPTANCE_MODES = ("greedy", "stochastic")
+TAIL_CHAIN_LEN = 8  # the rank-0 chain ``graft_tail`` grafts, cut to the budget
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,6 @@ class DecodeConfig:
     max_new_tokens: int = 64
     acceptance: str = "greedy"
     seed: int = 0
-    fixed_split: tuple[int, int] = (24, 36)
-    root_branch_size: int = 20
-    tail_chain_len: int = 8
     cost: CostModel = field(default_factory=CostModel)
     end_token: int | None = None
     analyses: tuple[Callable[..., dict], ...] = ()  # opt-in step analyses, e.g. (dense_replay,)
@@ -102,16 +100,6 @@ class DecodeConfig:
             raise ConfigError(f"decode.acceptance must be greedy or stochastic, got {self.acceptance!r}")
         if self.max_new_tokens < 1:
             raise ConfigError(f"decode.max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        for name in ("root_branch_size", "tail_chain_len"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"decode.{name} must be >= 0, got {getattr(self, name)}")
-        kd, kr = self.fixed_split
-        if kd < 0 or kr < 0:
-            raise ConfigError(f"decode.fixed_split halves must be >= 0, got {kd}+{kr}")
-        if self.method == "fixed_split" and kd + kr != self.prune.total_budget:
-            raise ConfigError(
-                f"decode.fixed_split {kd}+{kr} must equal prune.total_budget {self.prune.total_budget}"
-            )
         # graft fills the slots a failed gate at checkpoint d frees from the builtin template "d<d>"
         missing = [d for d in self.prune.checkpoints if stage_label(d) not in TEMPLATE_DEPTH_COUNTS]
         if self.method == "graft" and missing:
@@ -124,28 +112,26 @@ class DecodeConfig:
     def templates(self) -> Mapping[str, StageTemplate]:
         """The template a step grafts, by the stage label it grafts at,
         chosen once per config. ``graft`` grafts the builtin template of each
-        gate's stage; ``fixed_split`` and ``graft_root`` graft at stage
-        ``none`` the builtin of their branch size, else a prefix of ``full``,
-        each restricted by ``template_filter`` first; ``graft_tail`` grafts
-        the rank-0 chain, cut to the budget; the other methods graft nothing.
+        gate's stage; the static baselines graft one fixed shape at stage
+        ``none``: ``fixed_split`` the builtin ``d1``, ``graft_root`` the
+        builtin ``d5``, each restricted by ``template_filter`` first, and
+        ``graft_tail`` the rank-0 chain of ``TAIL_CHAIN_LEN`` nodes, cut to
+        the budget. The other methods graft nothing.
         """
         if self.method == "graft_tail":
-            n = min(self.tail_chain_len, self.prune.total_budget)  # ``merge`` would drop the rest
+            n = min(TAIL_CHAIN_LEN, self.prune.total_budget)  # ``merge`` would drop the rest
             chain = StageTemplate(np.arange(-1, n - 1, dtype=np.int32), np.zeros(n, dtype=np.int32))
             return {stage_label(None): chain}
-        if self.method not in ("graft", "fixed_split", "graft_root"):
-            return {}
-        templates = builtin_templates()
-        if self.template_filter is not None:
-            max_depth, max_rank = self.template_filter
-            templates = {
-                name: filter_template(t, max_depth=max_depth, max_rank=max_rank) for name, t in templates.items()
-            }
+
+        def builtin(name):
+            template = builtin_templates()[name]
+            return template if self.template_filter is None else filter_template(template, *self.template_filter)
+
         if self.method == "graft":
-            return {label: templates[label] for label in map(stage_label, self.prune.checkpoints)}
-        size = self.fixed_split[1] if self.method == "fixed_split" else self.root_branch_size
-        sized = [t for t in templates.values() if t.declared_size == size]
-        return {stage_label(None): sized[0] if sized else template_prefix(templates["full"], size)}
+            return {label: builtin(label) for label in map(stage_label, self.prune.checkpoints)}
+        if self.method in ("fixed_split", "graft_root"):
+            return {stage_label(None): builtin("d1" if self.method == "fixed_split" else "d5")}
+        return {}
 
 
 @dataclass
@@ -184,12 +170,13 @@ def build_next_tree(
 
     One :func:`resolve_stage` call drafts the envelope, gated under
     ``prune_only`` and ``graft``, as deep as the method's rank cut needs,
-    and one :func:`merge` call cuts it, to its stage's draft budget when a
-    gate fails. When the config has a template at the step's stage, the
-    branch read from the matrix along it is grafted: at the root, or for
-    ``graft_tail`` below the cut's best deepest leaf. That read is the
-    step's one read of the matrix, so a caller that defers its matrix
-    writes applies them before this call.
+    and one :func:`merge` call cuts it: to its stage's draft budget when a
+    gate fails, under ``fixed_split`` and ``graft_tail`` to the budget
+    their template leaves, else to the whole budget. When the config has a
+    template at the step's stage, the branch read from the matrix along it
+    is grafted: at the root, or for ``graft_tail`` below the cut's best
+    deepest leaf. That read is the step's one read of the matrix, so a
+    caller that defers its matrix writes applies them before this call.
     """
     prune = config.prune
     method = config.method
@@ -199,10 +186,8 @@ def build_next_tree(
     gates = {}
     if method in ("prune_only", "graft"):
         gates = {d: prune.thresholds[d] for d in prune.checkpoints}
-    elif method == "fixed_split":
-        limit = config.fixed_split[0]
-    elif method == "graft_tail":
-        limit = max(budget - config.tail_chain_len, 0)
+    elif method in ("fixed_split", "graft_tail"):  # draft the budget the template leaves
+        limit = max(budget - config.templates[stage_label(None)].declared_size, 0)
     beams = (prune.beam_width,) * prune.max_depth
     tree, stage, trace = resolve_stage(draft, committed, prune.top_k, beams, gates, limit)
     if stage is not None:

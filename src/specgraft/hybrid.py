@@ -42,9 +42,9 @@ def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray,
     its children attach there. A ``COLD`` token, a new pair once the budget
     is full, or a dropped parent drops the node, and with it its subtree.
     Grafted nodes score NaN. An empty list grafts nothing, and when every
-    node is kept too, the result is ``tree`` itself: a parent-closed subset
-    of a canonical tree, emitted breadth-first, is the same subset in index
-    order.
+    node is kept too, the result is ``tree`` itself, with the pointers it
+    caches or none: a parent-closed subset of a canonical tree, emitted
+    breadth-first, is the same subset in index order.
     """
     if isinstance(retained, int):  # a rank cut is sorted, distinct and rooted
         kept = np.arange(tree.n_nodes) if retained >= tree.n_candidates else select_retained(tree, retained)

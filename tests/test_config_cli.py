@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from specgraft.cli import main
 from specgraft.config import _RULES, check_prompt_set, load_run_config
-from specgraft.engine import CostModel, DecodeConfig, DecodeReport
+from specgraft import engine
+from specgraft.engine import CostModel, DecodeConfig, DecodeReport, build_next_tree
 from specgraft.errors import ConfigError
 
 BASE_DOC = {
@@ -49,9 +50,11 @@ class TestConfigLoading:
         assert run.prompt == [3, 1]
         assert run.raw == BASE_DOC
 
-    def test_absent_decode_keys_take_the_decode_defaults(self, config_path):
-        decode, default = load_run_config(config_path).decode, DecodeConfig()
-        for key in ("acceptance", "fixed_split", "root_branch_size", "tail_chain_len"):
+    def test_absent_decode_keys_take_the_decode_defaults(self, tmp_path):
+        doc = json.loads(json.dumps(BASE_DOC))
+        del doc["decode"]["max_new_tokens"]
+        decode, default = load_run_config(_write_doc(tmp_path, doc)).decode, DecodeConfig()
+        for key in ("acceptance", "max_new_tokens"):
             assert getattr(decode, key) == getattr(default, key), key
 
     def test_unknown_top_level_key(self, tmp_path):
@@ -598,9 +601,8 @@ class TestBadValues:
         _rejects_before_allocating(tmp_path, capsys, {"vocab": {}, "target": target}, ["decode"], ["n-gram table"])
 
     def test_budget_ceiling_rejects_before_allocating(self, tmp_path, capsys):
-        # a graft_tail chain of 3 * 10**6 nodes peaked at 237 MB in decode (about 65 B a node)
-        decode = {**BASE_DOC["decode"], "tail_chain_len": 3_000_000}
-        sections = {"method": "graft_tail", "decode": decode, "prune": {"total_budget": 3_000_000}}
+        # 3 * 10**6 candidates is past the ceiling; a hybrid tree takes about 65 B a node
+        sections = {"method": "graft_tail", "prune": {"total_budget": 3_000_000}}
         _rejects_before_allocating(tmp_path, capsys, sections, ["decode"], ["prune.total_budget"])
 
     def test_nested_alias_value_is_shown_bounded(self, tmp_path, capsys):
@@ -702,8 +704,8 @@ class TestGraftCheckpoints:
 
 
 class TestFixedSplitBudget:
-    """Only ``fixed_split`` reads ``decode.fixed_split``'s pair, so only it
-    needs the pair to sum to the budget."""
+    """``fixed_split`` grafts the 36-node ``d1`` and drafts the rest of the
+    budget, so it runs under any budget."""
 
     def _path(self, tmp_path):
         doc = json.loads(json.dumps(BASE_DOC))
@@ -720,12 +722,19 @@ class TestFixedSplitBudget:
         assert report["runs"][0]["report"]["max_tree_candidates"] <= 40
 
     @pytest.mark.parametrize("command", [["--method", "fixed_split", "decode"], ["ablation", "--suite", "component"]])
-    def test_fixed_split_rejects_the_default_pair(self, tmp_path, capsys, command):
+    def test_fixed_split_drafts_what_d1_leaves(self, tmp_path, monkeypatch, command):
+        trees = []  # (drafted, candidates) of every fixed_split tree
+
+        def spy(config, *args):
+            hy, info = build_next_tree(config, *args)
+            if config.method == "fixed_split":
+                trees.append((hy.counts_by_origin()[0], hy.n_candidates))
+            return hy, info
+
+        monkeypatch.setattr(engine, "build_next_tree", spy)
         out = tmp_path / "out"
-        assert run_cli("--config", self._path(tmp_path), "--out-dir", str(out), *command) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "decode.fixed_split 24+36" in err and "prune.total_budget 40" in err
+        assert run_cli("--config", self._path(tmp_path), "--out-dir", str(out), *command) == 0
+        assert trees and all(drafted <= 4 and candidates <= 40 for drafted, candidates in trees)
 
 
 _CONFIG_KEYS = sorted((s, k) for s, rules in _RULES.items() for k in rules) + [(None, "method")]

@@ -440,23 +440,15 @@ def _oracle_resolve_stage(draft, context, top_k, beams, gates, keep=None):
 
 def _bound_config(rng, method, keep, base):
     """``base`` with the budgets that make ``method`` cut its draft tree at
-    ``keep``: the draft half of ``fixed_split``, or the total less the
-    ``graft_tail`` chain, or else the total budget, which is at least 1."""
-    total = max(keep, 1)
-    if method in ("fixed_split", "graft_tail"):
-        total = keep + int(rng.integers(0 if keep else 1, 4))
+    ``keep``: the total less ``fixed_split``'s 36-node ``d1`` or
+    ``graft_tail``'s 8-node chain, or else the total budget, which is at
+    least 1."""
+    total = {"fixed_split": keep + 36, "graft_tail": keep + 8}.get(method, max(keep, 1))
     splits = {}
     for d in base.checkpoints:
         kd = int(rng.integers(0, total + 1))
         splits[d] = (kd, total - kd)
-    prune = replace(base, total_budget=total, stage_budgets=splits)
-    return DecodeConfig(
-        method=method,
-        prune=prune,
-        fixed_split=(keep, total - keep),
-        tail_chain_len=total - keep,
-        root_branch_size=int(rng.integers(0, 21)),
-    )
+    return DecodeConfig(method=method, prune=replace(base, total_budget=total, stage_budgets=splits))
 
 
 def _bound_drafts():

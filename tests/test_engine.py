@@ -218,7 +218,7 @@ class TestBuildNextTree:
 
     def test_fixed_split_uses_constant_split(self):
         target, draft = seeded_pair(seed=29)
-        cfg = DecodeConfig(method="fixed_split", fixed_split=(24, 36))
+        cfg = DecodeConfig(method="fixed_split")
         hy, info = build_next_tree(cfg, draft, full_matrix(24, 10, shift=13), [0])
         n_draft, _ = hy.counts_by_origin()
         assert n_draft <= 24
@@ -245,18 +245,14 @@ class TestBuildNextTree:
         assert info["stage"] == ("d0" if threshold > 0.5 and method in ("prune_only", "graft") else "none")
 
     def test_tail_chain_past_the_budget_is_never_built(self):
-        # the graft drops every chain node past the budget, so a 10**12-node
-        # chain request decodes exactly like a budget-long one
+        # a budget of 4 cuts the 8-node chain to 4 nodes and leaves no draft slot
         target, draft = seeded_pair(seed=31)
-
-        def run(chain_len):
-            cfg = DecodeConfig(method="graft_tail", tail_chain_len=chain_len, max_new_tokens=60)
-            tokens, report = decode_session(cfg, target, draft, new_matrix(24, 10), [4, 2])
-            return tokens, report.to_dict()
-
-        long_chain = run(10**12)
-        assert long_chain == run(PruneConfig().total_budget)
-        assert max(s["n_retrieved"] for s in long_chain[1]["steps"]) > 8
+        prune = PruneConfig(total_budget=4, stage_budgets=dict.fromkeys((0, 1, 5), (2, 2)))
+        cfg = DecodeConfig(method="graft_tail", prune=prune, max_new_tokens=60)
+        assert cfg.templates["none"].declared_size == 4
+        _, report = decode_session(cfg, target, draft, new_matrix(24, 10), [4, 2])
+        assert all(s["n_draft"] == 0 and s["n_retrieved"] <= 4 for s in report.steps)
+        assert max(s["n_retrieved"] for s in report.steps) == 4
 
     def test_graft_needs_a_template_for_every_checkpoint(self):
         prune = PruneConfig(checkpoints=(2,), thresholds={2: 0.9}, stage_budgets={2: (30, 30)})
@@ -265,13 +261,6 @@ class TestBuildNextTree:
         for method in TREE_METHODS:
             if method != "graft":
                 assert DecodeConfig(method=method, prune=prune).prune.checkpoints == (2,)
-
-    @pytest.mark.parametrize("split", [(70, -10), (-10, 70)])
-    def test_negative_fixed_split_half_rejected(self, split):
-        # the halves sum to the budget, so only the sign check stands between
-        # a library caller and a negative template prefix
-        with pytest.raises(ConfigError, match=r"decode\.fixed_split"):
-            DecodeConfig(method="fixed_split", fixed_split=split)
 
 
 class TestTemplates:
@@ -292,30 +281,21 @@ class TestTemplates:
             assert t.parents.tolist() == expect.parents.tolist() and t.ranks.tolist() == expect.ranks.tolist()
             assert len(t.depth_counts()) == 2 and t.max_rank() == 2
 
-    @pytest.mark.parametrize("method,size,builtin", [("fixed_split", 36, "d1"), ("graft_root", 20, "d5")])
-    def test_a_size_that_hits_a_builtin_takes_it(self, method, size, builtin):
-        cfg = DecodeConfig(method=method, fixed_split=(60 - size, size), root_branch_size=size)
+    @pytest.mark.parametrize("method,builtin", [("fixed_split", "d1"), ("graft_root", "d5")])
+    def test_static_baselines_take_their_builtin(self, method, builtin):
+        cfg = DecodeConfig(method=method)
         assert set(cfg.templates) == {"none"} and cfg.templates["none"] is builtin_templates()[builtin]
 
-    def test_a_size_that_misses_takes_a_prefix_of_full(self):
-        template = DecodeConfig(method="fixed_split", fixed_split=(10, 50)).templates["none"]
-        full = builtin_templates()["full"]
-        assert template.parents.tolist() == full.parents[:50].tolist()
-        assert template.ranks.tolist() == full.ranks[:50].tolist()
+    def test_fixed_split_grafts_the_filtered_d1(self):
+        # depth 2 leaves d1 13 nodes (6 + 7)
+        template = DecodeConfig(method="fixed_split", template_filter=(2, None)).templates["none"]
+        expect = filter_template(builtin_templates()["d1"], max_depth=2)
+        assert template.parents.tolist() == expect.parents.tolist() and template.depth_counts() == [6, 7]
 
-    def test_fixed_split_searches_the_filtered_templates(self):
-        # depth 2 leaves full 24 nodes (8 + 16) and d1 13 (6 + 7)
-        def template(split):
-            return DecodeConfig(method="fixed_split", fixed_split=split, template_filter=(2, None)).templates["none"]
-
-        full = filter_template(builtin_templates()["full"], max_depth=2)
-        assert template((36, 24)).parents.tolist() == full.parents.tolist()
-        assert template((47, 13)).depth_counts() == [6, 7]
-        assert template((24, 36)).declared_size == 24  # a prefix longer than the filtered full is all of it
-
-    @pytest.mark.parametrize("chain_len,size", [(8, 8), (0, 0), (61, 60), (10**12, 60)])
-    def test_graft_tail_grafts_the_rank0_chain_cut_to_the_budget(self, chain_len, size):
-        templates = DecodeConfig(method="graft_tail", tail_chain_len=chain_len).templates
+    @pytest.mark.parametrize("budget,size", [(4, 4), (8, 8), (60, 8)])
+    def test_graft_tail_grafts_the_rank0_chain_cut_to_the_budget(self, budget, size):
+        prune = PruneConfig(total_budget=budget, stage_budgets=dict.fromkeys((0, 1, 5), (budget, 0)))
+        templates = DecodeConfig(method="graft_tail", prune=prune).templates
         assert set(templates) == {"none"}
         chain = templates["none"]
         assert chain.parents.tolist() == list(range(-1, size - 1))

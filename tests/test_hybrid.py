@@ -532,7 +532,8 @@ class TestCanonicalOrder:
             gated(draft, context, prune)[0],
             ungated(draft, context, prune),
         ):
-            _assert_canonical(drafted, cached=True)
+            assert "child_ptr" not in vars(drafted)  # left to the first read, which checks the order
+            _assert_canonical(drafted)
             kept = _random_subset(rng, drafted, float(rng.uniform(0.2, 1.0)))
             hy = pruned(drafted, kept, kept.size - 1)
             _assert_canonical(hy)
@@ -562,27 +563,41 @@ class TestCanonicalOrder:
 
     @pytest.mark.parametrize("method, acceptance", [(m, "greedy") for m in TREE_METHODS] + [("dense", "stochastic")])
     def test_decode_steps_reuse_what_the_builders_computed(self, method, acceptance):
-        """Every tree ``build_next_tree`` hands a decode step has its child
-        pointers cached, and the nodes' context codes come from the builders:
+        """Every tree ``merge`` builds for a decode step has its child
+        pointers cached; an envelope it returns as is computes them once, on
+        first read. The nodes' context codes come from the builders:
         ``extend_codes`` runs once, for the prompt prefill."""
         run = load_run_config(str(ROOT / "configs" / "quickstart.yaml"))
         matrix = new_matrix(run.vocab.size, run.matrix_k)
         warmup(matrix, run.target, run.draft, run.warmup_prompts, run.warmup_rounds, config=run.decode)
         config = replace(run.decode, method=method, acceptance=acceptance)
-        extend, calls, trees = MarkovTableModel.extend_codes, [], []
+        extend, calls, trees, envelopes = MarkovTableModel.extend_codes, [], [], []
 
         def counted(model, codes, parents, tokens):
             calls.append(len(codes))
             return extend(model, codes, parents, tokens)
 
-        def observe(step, hy):
-            _assert_canonical(hy, cached=True)
-            trees.append(hy)
+        def drafted(*args):
+            envelopes.append(resolve_stage(*args))
+            return envelopes[-1]
 
-        with mock.patch.object(MarkovTableModel, "extend_codes", counted):
+        def observe(step, hy):
+            envelope = hy is envelopes[-1][0]
+            if envelope:
+                assert "child_ptr" not in vars(hy)
+            _assert_canonical(hy, cached=not envelope)
+            assert "child_ptr" in vars(hy)  # the first read cached them
+            trees.append((hy, envelope))
+
+        with (
+            mock.patch.object(MarkovTableModel, "extend_codes", counted),
+            mock.patch.object(engine, "resolve_stage", drafted),
+        ):
             engine.decode_session(config, run.target, run.draft, matrix, run.prompt, tree_observer=observe)
         assert calls == [1]  # the prefill, from the empty context's code
-        assert len(trees) > 10 and all(hy.context_codes is not None for hy in trees)
+        assert len(trees) > 10 and all(hy.context_codes is not None for hy, _ in trees)
+        if method == "dense":  # the 60-node cut keeps the whole envelope
+            assert all(envelope for _, envelope in trees)
 
     def test_out_of_order_tree_rejected(self):
         # node 2 hangs below node 1 but node 3 below the root again
