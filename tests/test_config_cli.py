@@ -72,6 +72,14 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=r"decode\.typo_key"):
             load_run_config(str(path))
 
+    @pytest.mark.parametrize("key", ["fixed_split", "root_branch_size", "tail_chain_len"])
+    def test_dropped_decode_key_rejected(self, tmp_path, key):
+        # the static baselines' shapes are fixed, so a file that still sets one fails instead of being ignored
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["decode"][key] = [24, 36] if key == "fixed_split" else 8
+        with pytest.raises(ConfigError, match=rf"^unknown keys: decode\.{key}$"):
+            load_run_config(_write_doc(tmp_path, doc))
+
     def test_missing_corpus_rejected(self, tmp_path):
         doc = {
             "target": {"kind": "ngram", "corpus": str(tmp_path / "nope.txt")},

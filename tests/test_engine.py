@@ -225,6 +225,14 @@ class TestBuildNextTree:
         assert info["stage"] == "none"
         assert info["declared"] == 36
 
+    def test_fixed_split_under_a_budget_below_d1_drafts_nothing(self):
+        # 20 candidates leave d1's 36 nodes no room for a draft node, and the cut keeps the budget
+        _, draft = seeded_pair(seed=29)
+        prune = PruneConfig(total_budget=20, stage_budgets=dict.fromkeys((0, 1, 5), (10, 10)))
+        hy, info = build_next_tree(DecodeConfig(method="fixed_split", prune=prune), draft, full_matrix(24, 10), [0])
+        assert hy.counts_by_origin()[0] == 0 and 0 < hy.n_candidates <= 20
+        assert info["stage"] == "none" and info["declared"] == 36
+
     @pytest.mark.parametrize("method", TREE_METHODS)
     @pytest.mark.parametrize("threshold", [1e-9, 0.999999])
     def test_one_draft_call_and_one_build_call(self, monkeypatch, method, threshold):
