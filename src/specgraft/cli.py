@@ -187,28 +187,14 @@ def cmd_decode(args) -> int:
 
 
 def _ablation_fixture(run: RunConfig) -> AblationFixture:
-    seeds = run.ablation_seeds
-    # a range comes from ablation.n_seeds, and its stop is its length (len() overflows past 2**63)
-    key, count = ("ablation.n_seeds", seeds.stop) if isinstance(seeds, range) else ("ablation.seeds", len(seeds))
-    check_prompt_set(key, "ablation.prompt_length", count, run.ablation_prompt_length)
-    prompts = {
-        seed: prompt
-        for seed, prompt in zip(
-            seeds,
-            derive_prompts(
-                run.corpus_tokens,
-                run.vocab,
-                count=count,
-                length=run.ablation_prompt_length,
-                seed=run.decode.seed ^ 0xAB1A,
-            ),
-        )
-    }
+    count, length = run.ablation_n_seeds, run.ablation_prompt_length
+    check_prompt_set("ablation.n_seeds", "ablation.prompt_length", count, length)
+    prompts = derive_prompts(run.corpus_tokens, run.vocab, count=count, length=length, seed=run.decode.seed ^ 0xAB1A)
     return AblationFixture(
         target=run.target,
         draft=run.draft,
         warmed_matrix=_prepared_matrix(run),
-        prompts=prompts,
+        prompts=dict(enumerate(prompts)),  # seeds 0 .. n_seeds - 1
         config=run.decode,
         warmup_prompts=run.warmup_prompts,
         warmup_rounds=run.warmup_rounds,

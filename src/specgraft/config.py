@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 import reprlib
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -113,10 +112,7 @@ def _fields(**rules):
 
 
 _text = _of_type(str, "a string")
-_tokens = _list(_int(0))
 _pair = _list(_int(0), 2, tuple)
-_prompt_text = _such(_text, len, "nonempty")
-_prompt_tokens = _such(_tokens, len, "nonempty")
 _fraction = _such(_number, lambda v: 0 < v < 1, "a number in (0, 1)")
 
 _RULES = {
@@ -128,14 +124,13 @@ _RULES = {
               "stage_budgets": _by_depth(_pair), "total_budget": _int(), "top_k": _int(), "max_depth": _int(),
               "beam_width": _int()},
     "cost": dict.fromkeys((f.name for f in fields(CostModel)), _number),
-    "decode": {"max_new_tokens": _int(), "acceptance": _text, "seed": _int(0), "prompt_text": _prompt_text,
-               "prompt_tokens": _prompt_tokens, "end_token": _int(0)},
-    "warmup": {"rounds": _int(0), "prompts_text": _such(_list(_prompt_text), len, "nonempty"),
-               "prompts_tokens": _such(_list(_prompt_tokens), len, "nonempty"),
-               "derive": _fields(count=_int(1), length=_int(1))},
+    "decode": {"max_new_tokens": _int(), "acceptance": _text, "seed": _int(0),
+               "prompt_text": _such(_text, len, "nonempty"), "prompt_tokens": _such(_list(_int(0)), len, "nonempty"),
+               "end_token": _int(0)},
+    "warmup": {"rounds": _int(0), "derive": _fields(count=_int(1), length=_int(1))},
     "matrix": {"k": _int(TEMPLATE_WIDTH), "load": _text, "save": _text},
     "calibration": {"grid": _by_depth(_such(_list(_fraction), len, "nonempty"))},
-    "ablation": {"seeds": _such(_list(_int(0)), len, "nonempty"), "n_seeds": _int(1), "prompt_length": _int(1)},
+    "ablation": {"n_seeds": _int(1), "prompt_length": _int(1)},
     "output": {"json": _text, "csv": _text, "dump_trees": _text},
 }
 _TOP_KEYS = set(_RULES) | {"method"}
@@ -162,7 +157,7 @@ class RunConfig:
     warmup_rounds: int
     warmup_prompts: list[list[int]]
     calibration_grid: dict[int, list[float]]
-    ablation_seeds: Sequence[int]
+    ablation_n_seeds: int
     ablation_prompt_length: int
     matrix_k: int
     matrix_load: str | None
@@ -226,15 +221,9 @@ def _build_models(sections: dict) -> tuple[VocabSpec, MarkovTableModel, list[int
     return vocab, target, tokens, tokenizer
 
 
-def _one_way(section: str, cfg: dict, *keys: str) -> None:
-    """Reject a value given two ways: more than one of ``keys`` set in ``cfg``."""
-    given = [f"{section}.{key}" for key in keys if key in cfg]
-    if len(given) > 1:
-        raise ConfigError(f"{' and '.join(given)} give one value two ways; set only one of them")
-
-
 def _decode_prompt(decode_cfg: dict, tokenizer: str, vocab: VocabSpec, corpus: list[int] | None) -> list[int]:
-    _one_way("decode", decode_cfg, "prompt_tokens", "prompt_text")
+    if "prompt_tokens" in decode_cfg and "prompt_text" in decode_cfg:
+        raise ConfigError("decode.prompt_tokens and decode.prompt_text give one value two ways; set only one of them")
     if "prompt_tokens" in decode_cfg:
         return _in_vocab("decode.prompt_tokens", decode_cfg["prompt_tokens"], vocab)
     if "prompt_text" in decode_cfg:
@@ -273,14 +262,7 @@ def derive_prompts(
     return prompts
 
 
-def _warmup_prompts(warm: dict, tokenizer: str, vocab: VocabSpec, corpus: list[int] | None, seed: int) -> list[list[int]]:
-    _one_way("warmup", warm, "prompts_tokens", "prompts_text", "derive")
-    if "prompts_tokens" in warm:
-        return [_in_vocab("warmup.prompts_tokens", p, vocab) for p in warm["prompts_tokens"]]
-    if "prompts_text" in warm:
-        if tokenizer != "bytes":
-            raise ConfigError("warmup.prompts_text needs target.tokenizer: bytes; use warmup.prompts_tokens")
-        return [_in_vocab("warmup.prompts_text", tokenize_bytes(p), vocab) for p in warm["prompts_text"]]
+def _warmup_prompts(warm: dict, vocab: VocabSpec, corpus: list[int] | None, seed: int) -> list[list[int]]:
     derive = warm.get("derive", {})
     count = derive.get("count", max(3, warm.get("rounds", 0)))  # one fresh prompt per round
     length = derive.get("length", 64)
@@ -346,13 +328,6 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(
             f"calibration.grid must have one key per prune checkpoint {list(prune.checkpoints)}, got {sorted(grid)}"
         )
-    _one_way("ablation", ablation_cfg, "seeds", "n_seeds")
-    seeds = ablation_cfg.get("seeds")
-    if seeds is None:
-        seeds = range(ablation_cfg.get("n_seeds", 8))  # lazy: only ``ablation`` reads the seeds
-    elif len(set(seeds)) < len(seeds):
-        raise ConfigError(f"ablation.seeds must not repeat a seed, got {seeds}")
-
     matrix_load = matrix_cfg.get("load")
     if matrix_load:
         _require_file(matrix_load, "matrix.load")
@@ -367,9 +342,9 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
         corpus_tokens=corpus,
         prompt=_decode_prompt(decode_cfg, tokenizer, vocab, corpus),
         warmup_rounds=warm.get("rounds", 0),
-        warmup_prompts=_warmup_prompts(warm, tokenizer, vocab, corpus, seed),
+        warmup_prompts=_warmup_prompts(warm, vocab, corpus, seed),
         calibration_grid=grid,
-        ablation_seeds=seeds,
+        ablation_n_seeds=ablation_cfg.get("n_seeds", 8),
         ablation_prompt_length=ablation_cfg.get("prompt_length", 48),
         matrix_k=matrix_cfg.get("k", 10),
         matrix_load=matrix_load,

@@ -48,6 +48,13 @@ def node_depths(parents: np.ndarray, top: int) -> np.ndarray:
     return np.array(depths, dtype=np.int32)
 
 
+def child_pointers(parents: np.ndarray) -> np.ndarray:
+    """``HybridTree.child_ptr`` of a breadth-first parent array, unchecked:
+    ``parents[1:]`` must be nondecreasing."""
+    parents = parents[1:]
+    return np.searchsorted(parents, np.arange(parents.size + 2, dtype=parents.dtype)).astype(np.int32)
+
+
 @dataclass
 class HybridTree:
     """A tree in canonical order rooted at the last committed token.
@@ -99,13 +106,13 @@ class HybridTree:
         Breadth-first storage puts each node's children together and keeps
         ``parents[1:]`` nondecreasing, so no sort is needed and no index
         array either. ``hybrid.merge`` fills this cache for every tree it
-        emits; a tree read first here, such as a draft envelope, pays the
-        order check once.
+        returns, a draft envelope it returns as is included, without the
+        order check; a tree read first here, such as a hand-built one, pays
+        the check once.
         """
-        parents = self.parents[1:]
-        if (parents[1:] < parents[:-1]).any():
+        if (self.parents[2:] < self.parents[1:-1]).any():
             raise StructureError("tree is not stored breadth-first")
-        return np.searchsorted(parents, np.arange(parents.size + 2, dtype=parents.dtype)).astype(np.int32)
+        return child_pointers(self.parents)
 
 
 def _rank_rows(draft: MarkovTableModel, codes: list, tokens: list, parents: list, lo: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .drafttree import HybridTree, select_retained
+from .drafttree import HybridTree, child_pointers, select_retained
 from .errors import StructureError
 from .models import VocabSpec
 from .retrieval import COLD
@@ -42,9 +42,10 @@ def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray,
     its children attach there. A ``COLD`` token, a new pair once the budget
     is full, or a dropped parent drops the node, and with it its subtree.
     Grafted nodes score NaN. An empty list grafts nothing, and when every
-    node is kept too, the result is ``tree`` itself, with the pointers it
-    caches or none: a parent-closed subset of a canonical tree, emitted
-    breadth-first, is the same subset in index order.
+    node is kept too, the result is ``tree`` itself, its pointers filled
+    in unchecked, since a draft tree is canonical from birth: a
+    parent-closed subset of a canonical tree, emitted breadth-first, is the
+    same subset in index order.
     """
     if isinstance(retained, int):  # a rank cut is sorted, distinct and rooted
         kept = np.arange(tree.n_nodes) if retained >= tree.n_candidates else select_retained(tree, retained)
@@ -57,6 +58,8 @@ def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray,
     if kept.size - 1 > budget:
         raise StructureError("draft nodes exceed the hybrid budget")
     if kept.size == tree.n_nodes and not tokens.size:
+        if "child_ptr" not in vars(tree):
+            tree.child_ptr = child_pointers(tree.parents)
         return tree
     # each node's parent is kept iff it sits at its sorted position among the kept
     node_parents = tree.parents[kept]

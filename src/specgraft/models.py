@@ -23,11 +23,10 @@ import numpy as np
 from .errors import InputError
 
 DIST_ATOL = 1e-9
-TEMPERATURE_SCALE = 4.0
 MAX_TABLE_CELLS = 4_000_000  # ceiling on a built row table (32 MB of float64), checked before allocating
 _TOPK_BLOCK = 256  # rows per sort while a top-k table is built: bounds its temporaries
 
-DERIVATION_MODES = ("temperature-smooth", "uniform-mix", "context-truncate")
+DERIVATION_MODES = ("uniform-mix", "context-truncate")
 
 
 @dataclass(frozen=True)
@@ -255,14 +254,9 @@ def train_ngram(vocab: VocabSpec, corpus, order: int, smoothing: float = 0.0) ->
 
 
 def derive_draft(target: MarkovTableModel, derivation: DraftDerivation) -> MarkovTableModel:
-    """Weakened copy of ``target``; strength 0 is the identity for smooth/mix."""
+    """Weakened copy of ``target``; strength 0 is the identity."""
     size = target.vocab.size
     s = derivation.strength
-
-    if derivation.mode == "temperature-smooth":
-        rows = np.power(target.rows, 1.0 / (1.0 + s * TEMPERATURE_SCALE))
-        rows /= rows.sum(axis=1, keepdims=True)
-        return replace(target, rows=rows)
 
     if derivation.mode == "uniform-mix":
         rows = target.rows * (1.0 - s)
@@ -307,37 +301,13 @@ def tokenize_whitespace(text: str) -> tuple[list[int], VocabSpec]:
     return [index[w] for w in words], VocabSpec(len(symbols), tuple(symbols))
 
 
-def _corpus_text(path) -> str:
+def load_corpus(path, tokenizer: str = "bytes") -> tuple[list[int], VocabSpec]:
+    """Read a UTF-8 text file into a token stream + vocab."""
+    if tokenizer not in ("bytes", "whitespace"):
+        raise InputError(f"target.tokenizer must be bytes or whitespace, got {tokenizer!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"target.corpus {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-
-
-def load_token_file(path) -> list[int]:
-    """Newline-delimited integer token stream."""
-    tokens = []
-    for n, line in enumerate(_corpus_text(path).split("\n"), 1):
-        line = line.strip()
-        if line:
-            try:
-                tokens.append(int(line))
-            except ValueError:
-                raise InputError(f"target.corpus {path} line {n} is not an integer token: {line!r}") from None
-    if not tokens:
-        raise InputError(f"target.corpus has no tokens: {path}")
-    return tokens
-
-
-def load_corpus(path, tokenizer: str = "bytes") -> tuple[list[int], VocabSpec]:
-    """Read a UTF-8 text (or integer) file into a token stream + vocab."""
-    if tokenizer == "ints":
-        tokens = load_token_file(path)
-        return tokens, VocabSpec(max(tokens) + 1 if max(tokens) >= 1 else 2)
-    text = _corpus_text(path)
-    if tokenizer == "bytes":
-        return tokenize_bytes(text), BYTE_VOCAB
-    if tokenizer == "whitespace":
-        return tokenize_whitespace(text)
-    raise InputError(f"target.tokenizer must be bytes, whitespace or ints, got {tokenizer!r}")
+    return (tokenize_bytes(text), BYTE_VOCAB) if tokenizer == "bytes" else tokenize_whitespace(text)

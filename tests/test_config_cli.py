@@ -286,6 +286,18 @@ class TestOtherCommands:
         csv_text = (out / "ablation_component.csv").read_text()
         assert csv_text.count("\n") == 9  # header + 8 rows
 
+    def test_ablation_runs_seeds_zero_to_n_seeds(self, tmp_path):
+        # ablation.n_seeds is the one way to give seeds: a count, run from seed 0
+        out = tmp_path / "out"
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["decode"]["max_new_tokens"] = 8
+        doc["ablation"] = {"n_seeds": 3, "prompt_length": 4}
+        path = _write_doc(tmp_path, doc)
+        assert run_cli("--config", path, "--out-dir", str(out), "ablation", "--suite", "component") == 0
+        runs = json.loads((out / "run.ablation_component.json").read_text())["runs"]
+        variants = {row["variant"] for row in runs}
+        assert sorted(row["seed"] for row in runs) == sorted([0, 1, 2] * len(variants))
+
 
 def _write_doc(tmp_path, doc, name="run.yaml"):
     path = tmp_path / name
@@ -385,8 +397,6 @@ BAD_VALUES = [
     ("decode", "prompt_tokens", 3),
     ("prune", "thresholds", [0.1]),
     ("prune", "stage_budgets", {0: 5}),
-    ("ablation", "seeds", 3),
-    ("ablation", "seeds", [1, 1, 2]),
     ("calibration", "grid", [0.1]),
     ("warmup", "derive", [1]),
     ("prune", "beam_width", -3),
@@ -410,12 +420,7 @@ BAD_VALUES = [
     # empty prompts, rejected where the config loads
     ("decode", "prompt_tokens", []),
     ("decode", "prompt_text", ""),
-    ("warmup", "prompts_tokens", [[1], []]),
-    ("warmup", "prompts_text", ["\x01", ""]),
-    # empty prompt and seed lists, which would leave a command nothing to run
-    ("warmup", "prompts_tokens", []),
-    ("warmup", "prompts_text", []),
-    ("ablation", "seeds", []),
+    # no seeds, which would leave a command nothing to run
     ("ablation", "n_seeds", 0),
     # calibration grids, rejected where the config loads, not only under calibrate
     ("calibration", "grid", {0: [0.1], 1: [1.5], 5: [0.5]}),
@@ -439,16 +444,27 @@ BAD_VALUES = [
     # keys that are gone: every session writes the matrix
     ("decode", "updates_enabled", True),
     ("decode", "prefill_update", False),
+    # and warm-up prompts are derived and ablation seeds counted, whatever the value
+    ("warmup", "prompts_tokens", [[1], []]),
+    ("warmup", "prompts_text", ["\x01", ""]),
+    ("warmup", "prompts_tokens", []),
+    ("warmup", "prompts_text", []),
+    ("ablation", "seeds", 3),
+    ("ablation", "seeds", [1, 1, 2]),
+    ("ablation", "seeds", []),
 ]
 
-# one value given two ways beside BASE_DOC's decode.prompt_tokens and warmup.derive, as
-# (section, values, the keys the one error line names); every value is valid by itself
+# one value given two ways beside BASE_DOC's decode.prompt_tokens, as (section, values,
+# the keys the one error line names); every value is valid by itself
 TWO_WAYS = [
     ("decode", {"prompt_text": "\x01"}, ("prompt_tokens", "prompt_text")),
-    ("warmup", {"prompts_tokens": [[1, 2]]}, ("prompts_tokens", "derive")),
-    ("warmup", {"prompts_text": ["\x01\x02"]}, ("prompts_text", "derive")),
-    ("warmup", {"prompts_tokens": [[1]], "prompts_text": ["\x01"]}, ("prompts_tokens", "prompts_text", "derive")),
-    ("ablation", {"seeds": [1, 2], "n_seeds": 5}, ("seeds", "n_seeds")),
+]
+
+# keys that are gone, each set to a value its old rule accepted
+DROPPED_KEYS = [
+    ("warmup", "prompts_tokens", [[1, 2]]),
+    ("warmup", "prompts_text", ["\x01\x02"]),
+    ("ablation", "seeds", [1, 2]),
 ]
 
 NGRAM_DOC = {
@@ -494,8 +510,15 @@ def _exits_2_naming_its_key(tmp_path, capsys, base, section, key, value):
 # corpus contents that are not tokens of the tokenizer, as (tokenizer, bytes)
 NGRAM_BAD_CORPORA = [
     ("bytes", b"the \xff cat"),  # not UTF-8
-    ("ints", b"1\nx\n2\n"),
-    ("ints", b"1\n-3\n2\n"),
+]
+
+# values that are gone, as (doc, section, key, value, corpus bytes or None); the
+# draft is derived from the target, and a corpus is read as text
+DROPPED_VALUES = [
+    (BASE_DOC, "draft", "mode", "temperature-smooth", None),
+    (NGRAM_DOC, "target", "tokenizer", "ints", None),
+    (NGRAM_DOC, "target", "tokenizer", "ints", b"3\n1\n2\n"),  # an integer token file
+    (NGRAM_DOC, "target", "tokenizer", "ints", b"1\n\xff\n"),  # named before the corpus is read
 ]
 
 
@@ -514,6 +537,27 @@ class TestBadValues:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [key for key in named if f"{section}.{key}" not in err] == []
         assert not (out / "run.json").exists()
+
+    @pytest.mark.parametrize("section,key,value", DROPPED_KEYS, ids=[f"{s}.{k}" for s, k, _ in DROPPED_KEYS])
+    def test_dropped_key_exits_2_naming_it(self, tmp_path, capsys, section, key, value):
+        # a file that still sets a dropped key fails instead of being ignored
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc.setdefault(section, {})[key] = value
+        assert run_cli("--config", _write_doc(tmp_path, doc), "--out-dir", str(tmp_path / "out"), "decode") == 2
+        assert capsys.readouterr().err == f"error: unknown keys: {section}.{key}\n"
+
+    @pytest.mark.parametrize(
+        "base,section,key,value,contents", DROPPED_VALUES,
+        ids=[f"{s}.{k}={v}:{c!r}" for _, s, k, v, c in DROPPED_VALUES],
+    )
+    def test_dropped_value_exits_2_naming_its_key(self, tmp_path, capsys, base, section, key, value, contents):
+        base = json.loads(json.dumps(base))
+        if contents is not None:
+            corpus = tmp_path / "corpus.txt"
+            corpus.write_bytes(contents)
+            base["target"]["corpus"] = str(corpus)
+            base["decode"] = {"max_new_tokens": 40, "seed": 0, "prompt_tokens": [1]}
+        _exits_2_naming_its_key(tmp_path, capsys, base, section, key, value)
 
     @pytest.mark.parametrize(
         "section,key,value", NGRAM_BAD_VALUES, ids=[f"{s}.{k}={v!r}" for s, k, v in NGRAM_BAD_VALUES]
@@ -600,12 +644,12 @@ class TestBadValues:
         _rejects_before_allocating(tmp_path, capsys, {"target": target}, ["decode"], ["markov table"])
 
     def test_ngram_table_ceiling_rejects_before_allocating(self, tmp_path, capsys):
-        # one token id of 10**15 makes an ints corpus's vocab 10**15 + 1, so
-        # the order-1 table of its two contexts and the fallback would hold
-        # 3 x (10**15 + 1) float64 cells (about 21 PiB)
-        corpus = tmp_path / "ids.txt"
-        corpus.write_text("0\n1\n1000000000000000\n", encoding="utf-8")
-        target = {"kind": "ngram", "corpus": str(corpus), "tokenizer": "ints", "order": 1}
+        # 2001 distinct words, each once, give an order-1 table of 2000 seen
+        # contexts and the fallback, 2001 x 2001 cells: past the 4,000,000-cell
+        # ceiling, about 32 MB of float64
+        corpus = tmp_path / "words.txt"
+        corpus.write_text(" ".join(f"w{i}" for i in range(2001)), encoding="utf-8")
+        target = {"kind": "ngram", "corpus": str(corpus), "tokenizer": "whitespace", "order": 1}
         _rejects_before_allocating(tmp_path, capsys, {"vocab": {}, "target": target}, ["decode"], ["n-gram table"])
 
     def test_budget_ceiling_rejects_before_allocating(self, tmp_path, capsys):
@@ -638,7 +682,6 @@ PROMPT_CEILING = [
      ["warmup.derive.count", "warmup.derive.length"]),
     ({"ablation": {"prompt_length": 10**12}}, _ABLATE, ["ablation.n_seeds", "ablation.prompt_length"]),
     ({"ablation": {"n_seeds": 10**30}}, _ABLATE, ["ablation.n_seeds", "ablation.prompt_length"]),
-    ({"ablation": {"seeds": [4, 9], "prompt_length": 2**19 + 1}}, _ABLATE, ["ablation.seeds", "ablation.prompt_length"]),
 ]
 
 

@@ -555,18 +555,16 @@ class TestCanonicalOrder:
             engine.dense_replay(config, draft, draft, [tree.root_token], merged, None)
         (union,), (dense,) = seen, drafted
         assert union.n_candidates >= merged.n_candidates
-        if merged.n_candidates == 0 and dense.n_candidates <= total:  # nothing to graft, every node kept
-            assert union is dense
-        else:
-            assert union is not dense and "child_ptr" in vars(union)
-        _assert_canonical(union)
+        # nothing to graft, every node kept: the envelope itself, its pointers filled in
+        assert (union is dense) == (merged.n_candidates == 0 and dense.n_candidates <= total)
+        _assert_canonical(union, cached=True)
 
     @pytest.mark.parametrize("method, acceptance", [(m, "greedy") for m in TREE_METHODS] + [("dense", "stochastic")])
     def test_decode_steps_reuse_what_the_builders_computed(self, method, acceptance):
-        """Every tree ``merge`` builds for a decode step has its child
-        pointers cached; an envelope it returns as is computes them once, on
-        first read. The nodes' context codes come from the builders:
-        ``extend_codes`` runs once, for the prompt prefill."""
+        """Every tree ``merge`` returns for a decode step has its child
+        pointers cached, an envelope it returns as is too. The nodes'
+        context codes come from the builders: ``extend_codes`` runs once,
+        for the prompt prefill."""
         run = load_run_config(str(ROOT / "configs" / "quickstart.yaml"))
         matrix = new_matrix(run.vocab.size, run.matrix_k)
         warmup(matrix, run.target, run.draft, run.warmup_prompts, run.warmup_rounds, config=run.decode)
@@ -582,12 +580,8 @@ class TestCanonicalOrder:
             return envelopes[-1]
 
         def observe(step, hy):
-            envelope = hy is envelopes[-1][0]
-            if envelope:
-                assert "child_ptr" not in vars(hy)
-            _assert_canonical(hy, cached=not envelope)
-            assert "child_ptr" in vars(hy)  # the first read cached them
-            trees.append((hy, envelope))
+            _assert_canonical(hy, cached=True)
+            trees.append((hy, hy is envelopes[-1][0]))
 
         with (
             mock.patch.object(MarkovTableModel, "extend_codes", counted),
@@ -598,6 +592,21 @@ class TestCanonicalOrder:
         assert len(trees) > 10 and all(hy.context_codes is not None for hy, _ in trees)
         if method == "dense":  # the 60-node cut keeps the whole envelope
             assert all(envelope for _, envelope in trees)
+
+    def test_whole_envelope_gets_its_pointers_unchecked(self):
+        # the envelope ``merge`` returns as is gets the pointers the checked
+        # property computes, without reading the property
+        draft = build_markov(VocabSpec(16), 1, seed=3)
+        envelope = resolve_stage(draft, [5], 4, (4, 4, 4), {})[0]
+        class Unread:  # a descriptor without __set__, so ``merge`` may still fill the cache
+            def __get__(self, tree, owner=None):
+                pytest.fail("merge read the checked child pointers")
+
+        with mock.patch.object(HybridTree, "child_ptr", Unread()):
+            assert merge(envelope, envelope.n_candidates, envelope.n_candidates, 0, NO_BRANCH, NO_BRANCH) is envelope
+        cached = vars(envelope)["child_ptr"]
+        expect = HybridTree(envelope.tokens, envelope.parents, envelope.scores).child_ptr
+        assert cached.dtype == expect.dtype and np.array_equal(cached, expect)
 
     def test_out_of_order_tree_rejected(self):
         # node 2 hangs below node 1 but node 3 below the root again
