@@ -246,6 +246,7 @@ def resolve_stage(
             if np.count_nonzero(np.concatenate(costs)[1:] <= cand.min()) >= keep:
                 break
         order = cand.argsort(kind="stable")
+        low = cand.item(order.item(0))  # the layer's cheapest cost, read before ``best.sort()`` reorders ``order``
         best = order[:beam_width]
         cut = cand.item(best.item(-1))
         if cut == np.inf:  # +inf ranks last: drop it after the beam cut
@@ -272,7 +273,7 @@ def resolve_stage(
         costs.append(cost)
         checkpoint = depth - 1
         if checkpoint in gates:
-            trace[checkpoint] = conf = float(np.exp(-cost.min()))
+            trace[checkpoint] = conf = float(np.exp(-low))
             if not conf > gates[checkpoint]:  # equality prunes
                 stage = checkpoint
                 break

@@ -319,7 +319,7 @@ def decode_session(
                 # the root-only tree's verification: its argmax, or a draw from its row
                 ids = target.row_ids([target.code_of(committed[-width:])])
                 if config.acceptance == "greedy":
-                    token = int(target.topk(ids, 1)[0, 0])
+                    token = target.argmax(ids[0])
                 else:
                     row = target.rows[ids[0]]
                     token = _kernels._draw(row.cumsum().tolist(), row, rng.random())

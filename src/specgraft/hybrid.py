@@ -47,67 +47,92 @@ def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray,
     parent-closed subset of a canonical tree, emitted breadth-first, is the
     same subset in index order.
     """
+    n = tree.n_nodes
     if isinstance(retained, int):  # a rank cut is sorted, distinct and rooted
-        kept = np.arange(tree.n_nodes) if retained >= tree.n_candidates else select_retained(tree, retained)
+        kept = None if retained >= tree.n_candidates else select_retained(tree, retained)
     else:
         kept = np.sort(np.asarray(retained, dtype=np.intp))
-        if kept.size and (kept[0] < 0 or kept[-1] >= tree.n_nodes or np.count_nonzero(kept[1:] == kept[:-1])):
-            raise StructureError(f"retained nodes must be distinct nodes of the {tree.n_nodes}-node draft tree")
+        if kept.size and (kept[0] < 0 or kept[-1] >= n or np.count_nonzero(kept[1:] == kept[:-1])):
+            raise StructureError(f"retained nodes must be distinct nodes of the {n}-node draft tree")
         if not kept.size or kept[0] != 0:
             kept = np.concatenate(([0], kept))  # the root is free and always kept
-    if kept.size - 1 > budget:
+        if kept.size == n:  # n distinct nodes of an n-node tree are all of them
+            kept = None
+    n_kept = n if kept is None else kept.size  # ``kept`` None: the whole tree
+    if n_kept - 1 > budget:
         raise StructureError("draft nodes exceed the hybrid budget")
-    if kept.size == tree.n_nodes and not tokens.size:
+    if kept is None and not tokens.size:
         if "child_ptr" not in vars(tree):
             tree.child_ptr = child_pointers(tree.parents)
         return tree
-    # each node's parent is kept iff it sits at its sorted position among the kept
-    node_parents = tree.parents[kept]
-    kept_parents = kept.searchsorted(node_parents)
-    if np.count_nonzero(kept.take(kept_parents[1:], mode="clip") != node_parents[1:]):
-        raise StructureError("retained draft set is not parent-closed")
-    slot = int(np.searchsorted(kept, at))
-    if slot == kept.size or kept[slot] != at:
-        raise StructureError(f"graft point {at} is not a kept node")
-    # node i < kept.size is kept node kept[i], grafted nodes follow; kids[i]: {token: node}
-    kids = [{} for _ in range(kept.size)]
-    for i, (parent, token) in enumerate(zip(kept_parents[1:].tolist(), tree.tokens[kept[1:]].tolist()), 1):
-        kids[parent][token] = i
-    codes = None  # node i's context code, as ``kids``, when ``tree`` carries codes
+    # node i < n_kept is the i-th kept node, grafted nodes follow
+    if kept is None:  # the tree's own lists
+        kept_parents = tree.parents[1:].tolist()
+        if kept_parents and (min(kept_parents) < 0 or max(kept_parents) >= n):
+            raise StructureError("retained draft set is not parent-closed")
+        if at not in range(n):
+            raise StructureError(f"graft point {at} is not a kept node")
+        slot = int(at)
+        kept_tokens, scores = tree.tokens[1:].tolist(), tree.scores.tolist()
+    else:
+        # each node's parent is kept iff it sits at its sorted position among the kept
+        node_parents = tree.parents[kept[1:]]
+        found = kept.searchsorted(node_parents)
+        if np.count_nonzero(kept.take(found, mode="clip") != node_parents):
+            raise StructureError("retained draft set is not parent-closed")
+        slot = int(np.searchsorted(kept, at))
+        if slot == n_kept or kept[slot] != at:
+            raise StructureError(f"graft point {at} is not a kept node")
+        kept_parents, kept_tokens, scores = found.tolist(), tree.tokens[kept[1:]].tolist(), tree.scores[kept].tolist()
+    kids: dict[int, dict[int, int]] = {}  # {node: {token: child}}, for the nodes that have a child
+    for i, (parent, token) in enumerate(zip(kept_parents, kept_tokens), 1):
+        children = kids.get(parent)
+        if children is None:
+            kids[parent] = {token: i}
+        else:
+            children[token] = i
+    codes = None  # node i's context code when ``tree`` carries codes
     if tree.context_codes is not None:
         size, code_order, tree_codes = tree.context_codes
         base, span = size + 1, (size + 1) ** code_order
-        codes = [tree_codes[i] for i in kept.tolist()]
+        codes = list(tree_codes) if kept is None else [tree_codes[i] for i in kept.tolist()]
+    count = n_kept  # the nodes so far
     slots: list[int | None] = [slot]  # ``at``'s node, then each list entry's; None when dropped
     for parent, token in zip(parents.tolist(), tokens.tolist()):
         parent = slots[parent + 1]  # parent -1 reads ``at``'s
         slot = None
         if token != COLD and parent is not None:
-            slot = kids[parent].get(token)
-            if slot is None and len(kids) - 1 < budget:
-                slot = kids[parent][token] = len(kids)
-                kids.append({})
+            children = kids.get(parent)
+            slot = None if children is None else children.get(token)
+            if slot is None and count <= budget:
+                slot = count
+                count += 1
+                if children is None:
+                    kids[parent] = {token: slot}
+                else:
+                    children[token] = slot
                 if codes is not None:
                     codes.append((codes[parent] * base + token + 1) % span)
         slots.append(slot)
+    scores += [math.nan] * (count - n_kept)
 
     # breadth-first, each node's children by ascending token
     order, out_tokens, out_parents = [0], [tree.root_token], [-1]
-    ptr = []  # children of emitted node i are nodes ptr[i] + 1 .. ptr[i + 1]
     for i, node in enumerate(order):  # ``order`` grows as it is read
-        ptr.append(len(order) - 1)
-        children = kids[node]
-        if children:  # most nodes are leaves: skip their sort
-            for token in sorted(children):
+        children = kids.get(node)
+        if children is not None:  # one child needs no sort
+            for token in children if len(children) == 1 else sorted(children):
                 order.append(children[token])
                 out_tokens.append(token)
                 out_parents.append(i)
-    ptr.append(len(order) - 1)
-    scores = np.concatenate((tree.scores[kept], np.full(len(order) - kept.size, math.nan)))
-    hy = HybridTree(np.array(out_tokens, dtype=np.int32), np.array(out_parents, dtype=np.int32), scores[order])
-    hy.child_ptr = np.array(ptr, dtype=np.int32)  # the cached child pointers
+    hy = HybridTree(
+        np.array(out_tokens, dtype=np.int32),
+        np.array(out_parents, dtype=np.int32),
+        np.array([scores[i] for i in order], dtype=np.float64),
+    )
+    hy.child_ptr = child_pointers(hy.parents)  # breadth-first by construction: unchecked
     if codes is not None:
-        hy.context_codes = (size, code_order, [codes[node] for node in order])
+        hy.context_codes = (size, code_order, [codes[i] for i in order])
     return hy
 
 

@@ -149,12 +149,20 @@ class MarkovTableModel:
         """Row for the last ``order`` tokens of ``prefix`` (fallback if unseen)."""
         return self.rows[self.index.get(self.code_of(prefix), -1)]
 
-    def topk(self, ids, k: int) -> np.ndarray:
-        """``argtopk(self.rows[ids], k)``: each row's top-``k`` ids by rank."""
+    def _ranked(self, k: int) -> np.ndarray:
+        """The top-``k`` table by rank, built on its first read."""
         # concurrent first calls may each build the table; the first stored wins
         tables = self._topk
-        top, _ = tables.get(k) or tables.setdefault(k, _topk_table(self.rows, k, by_token=False))
-        return top.take(np.asarray(ids, dtype=np.intp), axis=0)
+        return (tables.get(k) or tables.setdefault(k, _topk_table(self.rows, k, by_token=False)))[0]
+
+    def topk(self, ids, k: int) -> np.ndarray:
+        """``argtopk(self.rows[ids], k)``: each row's top-``k`` ids by rank."""
+        return self._ranked(k).take(np.asarray(ids, dtype=np.intp), axis=0)
+
+    def argmax(self, row_id: int) -> int:
+        """``topk([row_id], 1)[0, 0]``: row ``row_id``'s most likely id, ties
+        to the lowest."""
+        return self._ranked(1).item(row_id, 0)
 
     def topk_by_token(self, ids, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The ids of :meth:`topk` in ascending token order, and their

@@ -10,7 +10,7 @@ is drawn from what remains.
 Every node's target row id is returned regardless of acceptance, so the
 caller can refresh the transition matrix from the whole verified tree.
 Neither mode gathers the nodes' target rows: greedy reads the target's
-cached argmax ids, and the stochastic walks read ``target.rows[row_id]``
+cached argmax id, and the stochastic walks read ``target.rows[row_id]``,
 only for the nodes they visit.
 """
 
@@ -72,25 +72,26 @@ def node_row_ids(target: MarkovTableModel, prefix, tree: HybridTree) -> list[int
 def verify_greedy(target: MarkovTableModel, prefix, tree: HybridTree) -> VerifyOutcome:
     """Accept the longest root chain matching the target argmax walk.
 
-    Each node's argmax comes from the target's cached top-1 ids, ties to
-    the lowest token id. The autoregressive step reads the same ids, so the
-    emitted step is bit-identical to pure target greedy decoding. Children
-    of node c are nodes ``ptr[c] + 1 .. ptr[c + 1]`` (breadth-first storage).
+    The argmax of each node the walk visits comes from the target's cached
+    top-1 ids, ties to the lowest token id. The autoregressive step reads
+    the same ids, so the emitted step is bit-identical to pure target
+    greedy decoding. Children of node c are nodes ``ptr[c] + 1 .. ptr[c +
+    1]`` (breadth-first storage).
     """
     ids = node_row_ids(target, prefix, tree)
-    want = target.topk(ids, 1)[:, 0].tolist()
     ptr = tree.child_ptr.tolist()
     tokens = tree.tokens.tolist()
     path: list[int] = []
     cur = 0
     while True:
+        want = target.argmax(ids[cur])
         for c in range(ptr[cur] + 1, ptr[cur + 1] + 1):
-            if tokens[c] == want[cur]:
+            if tokens[c] == want:
                 break
         else:
             return VerifyOutcome(
                 accepted_path=path,
-                emitted_tokens=[tokens[i] for i in path] + [want[cur]],
+                emitted_tokens=[tokens[i] for i in path] + [want],
                 row_ids=ids,
             )
         path.append(c)

@@ -349,12 +349,12 @@ def reference_draft_builder(tree, retained, budget):
     return builder, mapping
 
 
-def reference_hybrid(tree, retained, budget, parents=(), tokens=()):
+def reference_hybrid(tree, retained, budget, parents=(), tokens=(), at=0):
     """Retained draft nodes added one by one, then the realized nodes of a
     retrieved branch, its template's ``parents`` and the ``tokens`` read
-    along it, grafted at the root (origin 1, score NaN)."""
-    builder, _ = reference_draft_builder(tree, retained, budget)
-    mapping = {-1: 0}
+    along it, grafted below retained node ``at`` (origin 1, score NaN)."""
+    builder, kept = reference_draft_builder(tree, retained, budget)
+    mapping = {-1: kept[at]}
     for i, (p, token) in enumerate(zip(parents, tokens)):
         parent = mapping.get(int(p))
         if token != -1 and parent is not None:  # -1: the slot is cold

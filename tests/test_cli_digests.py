@@ -10,7 +10,9 @@ from the decode config.
 
 The tree-dump cases hash the file ``decode --dump-trees`` writes, the one
 output that prints every node's depth and origin. Their values were
-recorded while every tree still stored both.
+recorded while every tree still stored both. The ``repetitive.yaml`` cases
+run the byte vocabulary; a greedy report there never reads node order, so
+only its dumps pin the order ``hybrid.merge`` emits.
 
 The report cases hash the JSON and CSV of ``decode``, the JSON of
 ``calibrate`` on ``configs/quickstart.yaml`` and the JSON of ``theory
@@ -58,6 +60,10 @@ TREE_DUMP_DIGESTS = {
     ('quickstart.yaml', 'graft_root', 'stochastic'): 'f931f056ced096d3188c070dcc6199b8905cf3e962ab0fdf4fbe0a1e47bda33a',
     ('quickstart.yaml', 'graft_tail', 'greedy'): '415aa4b9e8d31edfefd507cf9a8f02139d06a7bc33cbc245b71691a51fbe0394',
     ('quickstart.yaml', 'graft_tail', 'stochastic'): '560ab3209ee9924a4e7e5286672514a1f15646b4a229a51c0c5a3f149d0ef39c',
+    ('repetitive.yaml', 'prune_only', 'greedy'): '1a9722e771d337fc4726af589676fedbb0ee3fa4e6214aa2f4dd0e3499ad8273',
+    ('repetitive.yaml', 'fixed_split', 'greedy'): '37b12c6ca80db91650997ca2f30f883f95f54736deff4e4ca3f623c830948f4d',
+    ('repetitive.yaml', 'graft', 'greedy'): '8761720a74c22f0780fca3aa8501b39935684622e7a5508f8ad54f66b2222ed1',
+    ('repetitive.yaml', 'graft', 'stochastic'): 'ef5baf75f5c22d4bf992d35d26b2e981ad192c4ad69dce6ebfd15c766b6bee52',
     ('repetitive.yaml', 'graft_root', 'greedy'): 'a49199ed341e5b120f29b7be7697bde6b345921fb6bbbeee2449e036d2196fc6',
     ('repetitive.yaml', 'graft_tail', 'greedy'): '4f2ef40a2e5ba75d26eebd0728f25bcf4878af673419fccf305d746451b43dfc',
 }

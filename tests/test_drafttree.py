@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from specgraft import engine, hybrid, retrieval
+from specgraft import drafttree, engine, hybrid, retrieval
 from specgraft.drafttree import (
     HybridTree,
     PruneConfig,
@@ -419,6 +419,35 @@ class TestOnePassEnvelope:
             _same_tree(tree, expect)
             assert got == [stage, trace]
             _same_tree(ungated(draft, context, config), reference_envelope(draft, context, config, gated=False)[0])
+
+
+class TestGateConfidenceBits:
+    """Each gate confidence is, bit for bit, ``exp`` of the best score in the
+    layer its gate reads, also where the beam cut splits a tie across
+    frontier rows and where it drops zero-probability candidates: the
+    layer's cheapest cost comes from the beam cut's own argsort."""
+
+    def test_trace_is_exp_of_the_layer_best(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        rank_rows, split, masked = drafttree._rank_rows, [], 0
+        monkeypatch.setattr(drafttree, "_rank_rows", lambda *args: split.append(1) or rank_rows(*args))
+        tied = derive_draft(build_markov(VocabSpec(6), 1, seed=3), DraftDerivation("uniform-mix", 1.0))
+        for draft in [tied, *_envelope_drafts().values()]:
+            vocab = draft.vocab.size
+            for _ in range(6):
+                depth = int(rng.integers(1, 7))
+                beams = [int(rng.integers(1, 12)) for _ in range(depth)]
+                top_k = int(rng.integers(1, vocab + 3))
+                gates = {d: float(rng.uniform(0.0, 0.3)) for d in range(depth) if rng.random() < 0.8}
+                context = [int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 4))]
+                tree, stage, trace = resolve_stage(draft, context, top_k, beams, gates)
+                assert list(trace) == [d for d in sorted(gates) if stage is None or d <= stage]
+                for d, conf in trace.items():
+                    assert conf.hex() == float(np.exp(tree.scores[layer(tree, d + 1)].max())).hex()
+                sizes = np.bincount(tree.depths)
+                k = min(top_k, vocab)
+                masked += sum(n < min(b, m * k) for m, n, b in zip(sizes, sizes[1:], beams))
+        assert split and masked  # both cut rules ran
 
 
 def _oracle_tree(tree):

@@ -354,6 +354,18 @@ def _random_template(rng):
     return template_prefix(template, int(rng.integers(0, template.declared_size + 1)))
 
 
+def _attach_codes(rng, tree, vocab):
+    """Give ``tree`` the context codes of a random order-0..3 code space,
+    below a random context ending in its root token, and return a model of
+    that code space."""
+    order = int(rng.integers(0, 4))
+    coder = MarkovTableModel(VocabSpec(vocab), order, {}, np.full((1, vocab), 1.0 / vocab))
+    codes = [coder.code_of([*rng.integers(0, vocab, size=order).tolist(), tree.root_token])]
+    coder.extend_codes(codes, tree.parents[1:].tolist(), tree.tokens[1:].tolist())
+    tree.context_codes = (vocab, order, codes)
+    return coder
+
+
 def _assert_matches_reference(hy, expect):
     for name, want in zip(("tokens", "parents", "depths", "origin", "scores"), expect):
         got = getattr(hy, name)
@@ -370,17 +382,31 @@ class TestBulkAssembly:
     def test_kept_set_and_merge_match_reference(self, seed):
         rng = np.random.default_rng(seed)
         vocab, tree = _random_tree(rng)
-        retained = _random_subset(rng, tree)
-        budget = retained.size - 1 + int(rng.integers(0, 30))
-        _assert_matches_reference(pruned(tree, retained, budget), reference_hybrid(tree, retained, budget))
-
+        coder = _attach_codes(rng, tree, vocab)
         matrix = _random_matrix(rng, vocab)
-        template = _random_template(rng)
-        tokens = instantiate(matrix, template, tree.root_token)
-        _assert_matches_reference(
-            merge(tree, retained, budget, 0, template.parents, tokens),
-            reference_hybrid(tree, retained, budget, template.parents, tokens),
-        )
+        n = tree.n_candidates
+        limit = int(rng.integers(0, n + 1))
+        # a random subset, a rank cut below, at and above every candidate, and the whole tree as an array
+        for retained in (_random_subset(rng, tree), limit, n, n + int(rng.integers(1, 4)), rng.permutation(tree.n_nodes)):
+            if isinstance(retained, int):
+                kept = closure_topk_iterative(tree.scores.tolist(), tree.parents.tolist(), retained)
+            else:
+                kept = sorted({0, *retained.tolist()})
+            loose = len(kept) - 1 + int(rng.integers(0, 30))
+            _assert_matches_reference(pruned(tree, retained, loose), reference_hybrid(tree, kept, loose))
+
+            template = _random_template(rng)
+            at = int(rng.choice(kept))
+            tokens = instantiate(matrix, template, int(tree.tokens[at]))
+            realized = int(np.count_nonzero(tokens != COLD))
+            # a budget that binds partway through the branch, and one that may not bind
+            for budget in (len(kept) - 1 + int(rng.integers(0, realized + 1)), loose):
+                hy = merge(tree, retained, budget, at, template.parents, tokens)
+                _assert_matches_reference(hy, reference_hybrid(tree, kept, budget, template.parents, tokens, at=at))
+                assert hy.n_candidates <= budget
+                codes = [tree.context_codes[2][0]]
+                coder.extend_codes(codes, hy.parents[1:].tolist(), hy.tokens[1:].tolist())
+                assert hy.context_codes == (vocab, coder.order, codes)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)
@@ -446,6 +472,22 @@ class TestBulkAssembly:
             ):
                 with pytest.raises(StructureError, match="budget"):
                     build()
+
+    @pytest.mark.parametrize("parents", [[-1, 0, 3], [-1, -1, 0], [-1, 0, -2]])
+    def test_a_whole_tree_with_a_foreign_parent_is_rejected(self, parents):
+        tree = HybridTree(np.array([0, 1, 2], dtype=np.int32), np.array(parents, dtype=np.int32), np.zeros(3))
+        chain = (np.array([-1, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32))
+        for retained in (2, 7, np.arange(3)):
+            with pytest.raises(StructureError, match="parent-closed"):
+                merge(tree, retained, 4, 0, *chain)
+
+    @pytest.mark.parametrize("at", [-1, 3, 1.5])
+    def test_a_whole_tree_graft_point_must_be_a_node(self, at):
+        tree = HybridTree(np.array([0, 1, 2], dtype=np.int32), np.array([-1, 0, 1], dtype=np.int32), np.zeros(3))
+        chain = (np.array([-1, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32))
+        for retained in (2, np.arange(3)):
+            with pytest.raises(StructureError, match=f"graft point {at} "):
+                merge(tree, retained, 4, at, *chain)
 
     @pytest.mark.parametrize("retained", [[0, 1, 1, 2], [2, 1, 0, 2], [0, 0, 1], [0, -1], [0, 1, 99]])
     def test_rejects_repeated_and_foreign_nodes(self, retained):
