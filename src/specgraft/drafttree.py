@@ -62,7 +62,7 @@ class HybridTree:
     ``context_codes`` is ``(vocab size, order, codes)``: each node's context
     code in that code space, attached by the builder that creates the node.
     Equality ignores it; ``dataclasses.replace`` drops it, as it drops the
-    cached child pointers."""
+    cached child pointers and retrieved count."""
 
     tokens: np.ndarray  # (n,) int32, root first
     parents: np.ndarray  # (n,) int32, root parent -1
@@ -93,10 +93,14 @@ class HybridTree:
     def root_token(self) -> int:
         return int(self.tokens[0])
 
+    @cached_property
+    def n_retrieved(self) -> int:
+        """Retrieved candidates, stored by the builders; a hand-built tree counts its origin."""
+        return int(np.count_nonzero(self.origin))
+
     def counts_by_origin(self) -> tuple[int, int]:
-        """(drafted, retrieved) candidates; origin is 0 or 1 and the root is drafted."""
-        retrieved = int(np.count_nonzero(self.origin))
-        return self.n_candidates - retrieved, retrieved
+        """(drafted, retrieved) candidates; the root is drafted."""
+        return self.n_candidates - self.n_retrieved, self.n_retrieved
 
     @cached_property
     def child_ptr(self) -> np.ndarray:
@@ -221,7 +225,9 @@ def resolve_stage(
     layer places its nodes: each node's parent slot, its context code
     (:func:`models.context_code`, extended from its parent's) and its row
     id, which the next layer reads. The tree carries those codes, in the
-    draft's code space; its child pointers are left to their first read.
+    draft's code space, and a retrieved count of 0; its child pointers are
+    left to their first read. The first layer, one frontier row at cost
+    -0.0, is read from :meth:`models.MarkovTableModel.root_layer`.
     """
     context = tuple(int(t) for t in context[-max(draft.order, 1):])
     if not context:
@@ -239,30 +245,36 @@ def resolve_stage(
     keep = math.inf if keep is None else keep
     last_gate = max(gates, default=-1)
     for depth, beam_width in enumerate(beams, 1):
-        top, logq = draft.topk_by_token(frontier, k)
-        # candidate j is token top[j // k, j % k]; zero-probability ones cost +inf
-        cand = (cost[:, None] - logq).ravel()
+        root = depth == 1  # the root's row alone, at cost -0.0: its layer is a table row
+        if root:
+            layer, cost, low = draft.root_layer(frontier[0], k, beam_width)
+            slots = range(len(layer))  # the root's candidates: j < k, so each parent is node 0
+        else:
+            top, logq = draft.topk_by_token(frontier, k)
+            # candidate j is token top[j // k, j % k]; zero-probability ones cost +inf
+            cand = (cost[:, None] - logq).ravel()
         if depth > last_gate + 1 and len(tokens) > keep:  # past the last gate, with keep candidates drafted
-            if np.count_nonzero(np.concatenate(costs)[1:] <= cand.min()) >= keep:
+            if np.count_nonzero(np.concatenate(costs)[1:] <= (low if root else cand.min())) >= keep:
                 break
-        order = cand.argsort(kind="stable")
-        low = cand.item(order.item(0))  # the layer's cheapest cost, read before ``best.sort()`` reorders ``order``
-        best = order[:beam_width]
-        cut = cand.item(best.item(-1))
-        if cut == np.inf:  # +inf ranks last: drop it after the beam cut
-            best = best[cand[best] < np.inf]
-            if best.size == 0:
-                raise StructureError("no positive-probability candidates in the new layer")
-        elif best.size < order.size and cand.item(order.item(best.size)) == cut:
-            tied = np.flatnonzero(cand == cut) // k
-            if tied[0] != tied[-1]:  # the cut splits a tie across rows: cut again, rows by path
-                rows = _rank_rows(draft, codes, tokens, parents, lo)
-                ranked = cand.reshape(-1, k)[rows].ravel().argsort(kind="stable")[:beam_width]
-                best = rows[ranked // k] * k + ranked % k
-        best.sort()  # (parent, token) order: below a canonical frontier, the layer is canonical
-        layer, cost = top.take(best).tolist(), cand.take(best)
+        if not root:
+            order = cand.argsort(kind="stable")
+            low = cand.item(order.item(0))  # the layer's cheapest cost, read before ``best.sort()`` reorders ``order``
+            best = order[:beam_width]
+            cut = cand.item(best.item(-1))
+            if cut == np.inf:  # +inf ranks last: drop it after the beam cut
+                best = best[cand[best] < np.inf]
+            elif best.size < order.size and cand.item(order.item(best.size)) == cut:
+                tied = np.flatnonzero(cand == cut) // k
+                if tied[0] != tied[-1]:  # the cut splits a tie across rows: cut again, rows by path
+                    rows = _rank_rows(draft, codes, tokens, parents, lo)
+                    ranked = cand.reshape(-1, k)[rows].ravel().argsort(kind="stable")[:beam_width]
+                    best = rows[ranked // k] * k + ranked % k
+            best.sort()  # (parent, token) order: below a canonical frontier, the layer is canonical
+            slots, layer, cost = best.tolist(), top.take(best).tolist(), cand.take(best)
+        if not layer:
+            raise StructureError("no positive-probability candidates in the new layer")
         frontier = []
-        for j, token in zip(best.tolist(), layer):
+        for j, token in zip(slots, layer):
             parent = lo + j // k
             code = (codes[parent] * base + token + 1) % span
             parents.append(parent)
@@ -279,5 +291,6 @@ def resolve_stage(
                 break
     tree = HybridTree(np.array(tokens, dtype=np.int32), np.array(parents, dtype=np.int32), -np.concatenate(costs))
     tree.context_codes = (draft.vocab.size, draft.order, codes)
+    tree.n_retrieved = 0
     return tree, stage, trace
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import _kernels
 from .drafttree import (
-    ORIGIN_DRAFT,
     HybridTree,
     PruneConfig,
     resolve_stage,
@@ -229,11 +228,11 @@ def coverage_gain(root_dist: np.ndarray, draft_tokens, retrieved_tokens) -> floa
 
 def _root_coverage_gain(tree: HybridTree, root_dist: np.ndarray) -> float:
     """``coverage_gain`` of the root's children, nodes 1 .. ``ptr[1]`` in
-    breadth-first storage."""
+    breadth-first storage; a NaN score marks a retrieved one."""
     end = int(tree.child_ptr[1]) + 1
     drafted, retrieved = [], []
-    for token, origin in zip(tree.tokens[1:end].tolist(), tree.origin[1:end].tolist()):
-        (drafted if origin == ORIGIN_DRAFT else retrieved).append(token)
+    for token, score in zip(tree.tokens[1:end].tolist(), tree.scores[1:end].tolist()):
+        (retrieved if math.isnan(score) else drafted).append(token)
     return coverage_gain(root_dist, drafted, retrieved)
 
 

@@ -25,7 +25,8 @@ _ORIGIN_NAMES = ("draft", "retrieved")
 def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray, tokens: np.ndarray) -> HybridTree:
     """The nodes ``retained`` of ``tree``, its root added, with a
     parent-before-child node list grafted below kept node ``at``, in
-    canonical order and with its child pointers filled in. When ``tree``
+    canonical order and with its child pointers and retrieved count filled
+    in, both from the breadth-first pass that orders it. When ``tree``
     carries its nodes' context codes, so does the result: the kept nodes'
     codes, and each grafted node's extended from its parent's.
 
@@ -114,10 +115,12 @@ def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray,
                 if codes is not None:
                     codes.append((codes[parent] * base + token + 1) % span)
         slots.append(slot)
+    retrieved = count - n_kept + (sum(map(math.isnan, scores)) if tree.n_retrieved else 0)  # and kept ones
     scores += [math.nan] * (count - n_kept)
 
-    # breadth-first, each node's children by ascending token
-    order, out_tokens, out_parents = [0], [tree.root_token], [-1]
+    # breadth-first, each node's children by ascending token; node i's
+    # children end at ptr[i + 1], the nodes emitted after its own
+    order, out_tokens, out_parents, ptr = [0], [tree.root_token], [-1], [0]
     for i, node in enumerate(order):  # ``order`` grows as it is read
         children = kids.get(node)
         if children is not None:  # one child needs no sort
@@ -125,12 +128,14 @@ def merge(tree: HybridTree, retained, budget: int, at: int, parents: np.ndarray,
                 order.append(children[token])
                 out_tokens.append(token)
                 out_parents.append(i)
+        ptr.append(len(order) - 1)
     hy = HybridTree(
         np.array(out_tokens, dtype=np.int32),
         np.array(out_parents, dtype=np.int32),
         np.array([scores[i] for i in order], dtype=np.float64),
     )
-    hy.child_ptr = child_pointers(hy.parents)  # breadth-first by construction: unchecked
+    hy.child_ptr = np.array(ptr, dtype=np.int32)  # breadth-first by construction: unchecked
+    hy.n_retrieved = retrieved
     if codes is not None:
         hy.context_codes = (size, code_order, [codes[i] for i in order])
     return hy

@@ -114,6 +114,8 @@ class MarkovTableModel:
     # (ids by token, their log-probabilities)
     _topk: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
     _topk_by_token: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # root_layer tables per (k, beam_width), built likewise
+    _root_layers: dict[tuple[int, int], tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -155,6 +157,11 @@ class MarkovTableModel:
         tables = self._topk
         return (tables.get(k) or tables.setdefault(k, _topk_table(self.rows, k, by_token=False)))[0]
 
+    def _by_token(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The top-``k`` table by token and its log-probabilities, built on its first read."""
+        tables = self._topk_by_token
+        return tables.get(k) or tables.setdefault(k, _topk_table(self.rows, k, by_token=True))
+
     def topk(self, ids, k: int) -> np.ndarray:
         """``argtopk(self.rows[ids], k)``: each row's top-``k`` ids by rank."""
         return self._ranked(k).take(np.asarray(ids, dtype=np.intp), axis=0)
@@ -167,10 +174,19 @@ class MarkovTableModel:
     def topk_by_token(self, ids, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The ids of :meth:`topk` in ascending token order, and their
         log-probabilities (``-inf`` where zero)."""
-        tables = self._topk_by_token
-        by_token, logq = tables.get(k) or tables.setdefault(k, _topk_table(self.rows, k, by_token=True))
+        by_token, logq = self._by_token(k)
         ids = np.asarray(ids, dtype=np.intp)
         return by_token.take(ids, axis=0), logq.take(ids, axis=0)
+
+    def root_layer(self, row_id: int, k: int, beam_width: int) -> tuple[list[int], np.ndarray, float]:
+        """The layer drafted below row ``row_id`` alone at cost -0.0: of its
+        top-``k`` candidates by token, costing ``-0.0 - logq``, the
+        ``beam_width`` cheapest (ties to the lower token) less the ``+inf``
+        ones; their tokens and costs in token order, and the cheapest cost."""
+        tables, key = self._root_layers, (k, beam_width)
+        tokens, costs, counts, low = tables.get(key) or tables.setdefault(key, _root_layer_table(*self._by_token(k), beam_width))
+        n = counts.item(row_id)
+        return tokens[row_id, :n].tolist(), costs[row_id, :n], low.item(row_id)
 
 
 def _topk_table(rows: np.ndarray, k: int, by_token: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -189,6 +205,29 @@ def _topk_table(rows: np.ndarray, k: int, by_token: bool) -> tuple[np.ndarray, n
             with np.errstate(divide="ignore"):
                 np.log(np.take_along_axis(block, ids, axis=1), out=logq[lo:lo + _TOPK_BLOCK])
     return top, logq
+
+
+def _root_layer_table(by_token: np.ndarray, logq: np.ndarray, beam_width: int) -> tuple:
+    """Every row's :meth:`MarkovTableModel.root_layer`, read-only, from the
+    by-token top-k table a block of rows at a time: the kept tokens and
+    costs left-aligned, each row's count of them, and its cheapest cost."""
+    n, k = by_token.shape
+    width = min(beam_width, k)
+    tokens, costs, counts, low = np.empty((n, width), np.int32), np.empty((n, width)), np.empty(n, np.int32), np.empty(n)
+    for lo in range(0, n, _TOPK_BLOCK):
+        rows = slice(lo, lo + _TOPK_BLOCK)
+        cand = -0.0 - logq[rows]  # each row's candidate costs as the root's frontier row
+        order = cand.argsort(axis=1, kind="stable")
+        low[rows] = np.take_along_axis(cand, order[:, :1], axis=1)[:, 0]
+        best = order[:, :width]
+        finite = np.take_along_axis(cand, best, axis=1) < np.inf  # +inf ranks last: drop it
+        counts[rows] = finite.sum(axis=1)
+        best[~finite] = k - 1  # sorts after every kept slot, and the count drops it
+        best.sort(axis=1)
+        tokens[rows], costs[rows] = np.take_along_axis(by_token[rows], best, axis=1), np.take_along_axis(cand, best, axis=1)
+    for table in (tokens, costs, counts, low):
+        table.setflags(write=False)
+    return tokens, costs, counts, low
 
 
 def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0) -> MarkovTableModel:

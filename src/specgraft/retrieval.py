@@ -237,12 +237,15 @@ def warmup(
     config=None,
 ) -> None:
     """Enrich the matrix in place with ``rounds`` full decode sessions over
-    held-out warm-up prompts, one prompt per round (cycling), discarding the
-    text and the reports.
+    held-out warm-up prompts, one prompt per round, discarding the text and
+    the reports.
 
-    Each round visits fresh held-out material, so touched-row storage grows
-    with the round count. The sessions run with ``config``, by default a
-    graft ``DecodeConfig``.
+    The prompts cycle when they are fewer than the rounds, and a repeated
+    prompt brings no new held-out material: touched rows grow with the
+    rounds while new prompts remain, and after that only where a repeated
+    prompt's trees, or under stochastic acceptance its draws, differ from
+    its earlier pass. The sessions run with ``config``, by default a graft
+    ``DecodeConfig``.
     """
     from .engine import DecodeConfig, decode_session  # cycle: engine drives sessions
 

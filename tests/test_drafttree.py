@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from dataclasses import replace
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from specgraft import drafttree, engine, hybrid, retrieval
+from specgraft import drafttree, engine, hybrid, models, retrieval
 from specgraft.drafttree import (
     HybridTree,
     PruneConfig,
@@ -644,3 +645,85 @@ class TestIdentityCut:
                         assert a.tokens.tobytes() == b.tokens.tobytes() and a.parents.tobytes() == b.parents.tobytes()
                         assert a.scores.tobytes() == b.scores.tobytes()
         assert covered >= {(m, w) for m in TREE_METHODS if m != "graft_tail" for w in (False, True)}
+
+
+def _fresh_root_cut(draft, row_id, k, beam_width):
+    """The first layer below row ``row_id`` at cost -0.0, cut afresh as the
+    envelope cuts a frontier: the stable beam cut of ``-0.0 - logq``, the
+    ``+inf`` candidates dropped, in token order; the cheapest cost; and
+    whether the cut splits a tie."""
+    top, logq = draft.topk_by_token([row_id], k)
+    cand = -0.0 - logq[0]
+    order = np.argsort(cand, kind="stable")
+    best = order[:beam_width]
+    split = beam_width < k and cand[order[beam_width]] == cand[order[beam_width - 1]] < np.inf
+    best = np.sort(best[cand[best] < np.inf])
+    return top[0, best].tolist(), cand[best], float(cand[order[0]]), split
+
+
+def _root_table_drafts():
+    """A sparse Markov draft (+inf candidates, one-hot rows), a smoothed
+    n-gram, uniform rows (every candidate tied) and a dyadic table, each
+    with more rows than one ``_TOPK_BLOCK``."""
+    corpus = np.random.default_rng(8).integers(0, 5, size=3000).tolist()
+    return {
+        "markov-sparse": build_markov(VocabSpec(6), 4, seed=4, sparsity=0.6),
+        "ngram-smooth": train_ngram(VocabSpec(5), corpus, order=4, smoothing=0.5),
+        "uniform": derive_draft(build_markov(VocabSpec(6), 4, seed=2), DraftDerivation("uniform-mix", 1.0)),
+        "dyadic": dyadic_model(5, 4, seed=3),
+    }
+
+
+class TestRootLayerTable:
+    """Each row of a draft's root-layer table is the fresh beam cut of that
+    row at cost -0.0, bit for bit, the sign of a -0.0 cheapest cost
+    included, on every row: the fallback row and both sides of each
+    ``_TOPK_BLOCK`` seam too. The envelope's first layer is that row."""
+
+    @pytest.mark.parametrize("name", ["markov-sparse", "ngram-smooth", "uniform", "dyadic"])
+    def test_rows_match_a_fresh_beam_cut(self, name):
+        draft = _root_table_drafts()[name]
+        n_rows, vocab = draft.rows.shape
+        assert n_rows > 2 * models._TOPK_BLOCK
+        seen = collections.Counter()
+        for k in (1, 3, vocab):  # k = vocab: every token is a candidate
+            for beam_width in {max(k - 1, 1), k, k + 2}:  # below, at and above k
+                for row_id in range(n_rows):
+                    tokens, costs, low = draft.root_layer(row_id, k, beam_width)
+                    expect_tokens, expect_costs, expect_low, split = _fresh_root_cut(draft, row_id, k, beam_width)
+                    assert tokens == expect_tokens, (k, beam_width, row_id)
+                    assert costs.dtype == np.float64 and costs.tobytes() == expect_costs.tobytes()
+                    assert low.hex() == expect_low.hex()  # the sign bit of -0.0 too
+                    seen["dropped"] += len(tokens) < min(beam_width, k)
+                    seen["-0.0"] += math.copysign(1.0, low) < 0
+                    seen["split tie"] += split
+        if name == "markov-sparse":
+            assert seen["dropped"] and seen["-0.0"]
+        if name in ("uniform", "dyadic"):
+            assert seen["split tie"]
+
+    def test_envelope_first_layer_is_the_table_row(self):
+        # top_k below, at and above the vocab size; a short corpus's unseen contexts read the fallback row
+        rng = np.random.default_rng(36)
+        sparse = train_ngram(VocabSpec(6), rng.integers(0, 6, size=40).tolist(), order=2)
+        fallback_read = 0
+        for draft in [*_root_table_drafts().values(), sparse]:
+            vocab, fallback = draft.vocab.size, draft.rows.shape[0] - 1
+            for _ in range(40):
+                context = [int(t) for t in rng.integers(0, vocab, size=draft.order)]
+                row_id = draft.row_ids([draft.code_of(context)])[0]
+                fallback_read += row_id == fallback
+                top_k, beam_width = int(rng.integers(1, vocab + 3)), int(rng.integers(1, vocab + 3))
+                tree = resolve_stage(draft, context, top_k, (beam_width,), {})[0]
+                tokens, costs, low = draft.root_layer(row_id, min(top_k, vocab), beam_width)
+                expect = _fresh_root_cut(draft, row_id, min(top_k, vocab), beam_width)
+                assert tokens == expect[0] and costs.tobytes() == expect[1].tobytes() and low.hex() == expect[2].hex()
+                assert tree.tokens[1:].tolist() == tokens and tree.parents[1:].tolist() == [0] * len(tokens)
+                assert tree.scores[1:].tobytes() == (-costs).tobytes()
+        assert fallback_read
+
+    def test_keep_zero_without_gates_drafts_nothing(self):
+        for draft in _root_table_drafts().values():
+            tree, stage, trace = resolve_stage(draft, [1, 2], 3, (4, 4), {}, keep=0)
+            assert (tree.n_nodes, stage, trace) == (1, None, {})
+            assert tree.scores.tobytes() == np.array([0.0]).tobytes()

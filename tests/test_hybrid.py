@@ -15,6 +15,7 @@ from specgraft.drafttree import (
     ORIGIN_RETRIEVED,
     HybridTree,
     PruneConfig,
+    child_pointers,
     resolve_stage,
     select_retained,
 )
@@ -372,6 +373,14 @@ def _assert_matches_reference(hy, expect):
         assert np.array_equal(got, np.array(want, dtype=got.dtype), equal_nan=True), name
 
 
+def _assert_merge_facts(hy, tree):
+    """The retrieved count and the child pointers ``merge`` stores, unless
+    it returns ``tree`` itself, are those its origin and parents give."""
+    assert hy is tree or {"n_retrieved", "child_ptr"} <= set(vars(hy))
+    assert hy.n_retrieved == np.count_nonzero(hy.origin)
+    assert hy.child_ptr.dtype == np.int32 and hy.child_ptr.tobytes() == child_pointers(hy.parents).tobytes()
+
+
 class TestBulkAssembly:
     """Draft nodes seeded in bulk give the tree the node-at-a-time
     reference builder gives, with an empty branch or a retrieved one,
@@ -393,7 +402,9 @@ class TestBulkAssembly:
             else:
                 kept = sorted({0, *retained.tolist()})
             loose = len(kept) - 1 + int(rng.integers(0, 30))
-            _assert_matches_reference(pruned(tree, retained, loose), reference_hybrid(tree, kept, loose))
+            cut = pruned(tree, retained, loose)
+            _assert_matches_reference(cut, reference_hybrid(tree, kept, loose))
+            _assert_merge_facts(cut, tree)
 
             template = _random_template(rng)
             at = int(rng.choice(kept))
@@ -404,6 +415,10 @@ class TestBulkAssembly:
                 hy = merge(tree, retained, budget, at, template.parents, tokens)
                 _assert_matches_reference(hy, reference_hybrid(tree, kept, budget, template.parents, tokens, at=at))
                 assert hy.n_candidates <= budget
+                _assert_merge_facts(hy, tree)
+                # a hybrid tree merged again: its kept retrieved nodes count too
+                for again in (hy.n_candidates, _random_subset(rng, hy)):
+                    _assert_merge_facts(merge(hy, again, budget + 5, 0, template.parents, tokens), hy)
                 codes = [tree.context_codes[2][0]]
                 coder.extend_codes(codes, hy.parents[1:].tolist(), hy.tokens[1:].tolist())
                 assert hy.context_codes == (vocab, coder.order, codes)
@@ -546,6 +561,7 @@ class TestCanonicalOrder:
         tail = tail_variant(tree, matrix, tail_budget, chain_len)
         for hy in (pruned(tree, retained, budget), merged, tail):
             _assert_canonical(hy)
+            _assert_merge_facts(hy, tree)
         # a builder that keeps every node and grafts nothing returns the tree itself; any
         # other hands its child pointers over: the checks above read the cached ones
         assert (merged is tree) == (template.declared_size == 0 and retained.size == tree.n_nodes)

@@ -9,12 +9,15 @@ matrix update or an RNG draw changes a digest. The pinned values were
 recorded before the decode step was made array-native; an optimization that
 keeps reports byte-identical passes unchanged. They were re-pinned once,
 when the report lost its never-filled trade-off ratio field: each new
-value is the digest of the earlier report with that key removed.
+value is the digest of the earlier report with that key removed. The
+``beam_width: 4`` cases were pinned on the code before the envelope read
+its first layer from the root-layer table.
 """
 
 import hashlib
 import json
 import os
+import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import lru_cache
@@ -78,6 +81,21 @@ TRUNCATE_DIGESTS = {
 }
 
 
+# quickstart.yaml with ``prune.beam_width: 4`` appended: the shipped configs
+# all draft with beam_width == top_k, so only these cases cut the root
+# layer's candidates at the beam.
+BEAM4_PRUNE = "prune:\n  beam_width: 4\n"
+BEAM4_METHODS = ("dense", "prune_only", "graft")
+BEAM4_DIGESTS = {
+    ('dense', 'greedy'): '2e9635d48aed84389e166ad8cd8a85297fc4a464f88e4d65080c3d19fedc7492',
+    ('dense', 'stochastic'): '16161c0308ef4badb1d714f3b546e20f34c7031feae8ad665d0ea28fb4d5550d',
+    ('prune_only', 'greedy'): '3f28f655c2b5843fb4af2e0a23dc702d27c08cda943a7392b3c48a9c09effb30',
+    ('prune_only', 'stochastic'): 'b7fba5d16b002107088b98a204fdbb8ea1aa7200e1951ec6cb973cc432f1cc79',
+    ('graft', 'greedy'): 'cfd28c6ee01cc5f7c5b8dceaa18704ec369c994ad41484cc64b91483cccdc9f4',
+    ('graft', 'stochastic'): '3ca822e0c935868d20dc397e93ae57eef577b33aa3cc67527b209ac280eadc77',
+}
+
+
 @contextmanager
 def at_root():
     """Run the block from the repository root, where configs name their corpus."""
@@ -90,10 +108,16 @@ def at_root():
 
 
 @lru_cache(maxsize=None)
-def _warmed(config: str, method: str, truncate: bool = False):
+def _warmed(config: str, method: str, truncate: bool = False, beam4: bool = False):
     # configs name their corpus relative to the repository root
-    with at_root():
-        run = load_run_config(f"configs/{config}", overrides={"method": method})
+    with at_root(), tempfile.TemporaryDirectory() as tmp:
+        path = Path("configs") / config
+        if beam4:
+            path = Path(tmp) / config
+            path.write_text((ROOT / "configs" / config).read_text(encoding="utf-8") + BEAM4_PRUNE, encoding="utf-8")
+        run = load_run_config(str(path), overrides={"method": method})
+    if beam4:
+        assert (run.decode.prune.beam_width, run.decode.prune.top_k) == (4, 10)
     if truncate:
         run = replace(run, draft=derive_draft(run.target, DraftDerivation("context-truncate", 0.5)))
         assert (run.target.order, run.draft.order) == (2, 1)
@@ -102,8 +126,8 @@ def _warmed(config: str, method: str, truncate: bool = False):
     return run, matrix
 
 
-def report_digest(config: str, method: str, acceptance: str, truncate: bool = False) -> str:
-    run, warmed = _warmed(config, method, truncate)
+def report_digest(config: str, method: str, acceptance: str, truncate: bool = False, beam4: bool = False) -> str:
+    run, warmed = _warmed(config, method, truncate, beam4)
     tokens, report = decode_session(
         replace(run.decode, acceptance=acceptance), run.target, run.draft, warmed.copy(), run.prompt
     )
@@ -123,3 +147,10 @@ def test_report_digest(config, method, acceptance):
 def test_report_digest_truncated_draft(method, acceptance):
     digest = report_digest("repetitive.yaml", method, acceptance, truncate=True)
     assert digest == TRUNCATE_DIGESTS[(method, acceptance)]
+
+
+@pytest.mark.parametrize("acceptance", ACCEPTANCE)
+@pytest.mark.parametrize("method", BEAM4_METHODS)
+def test_report_digest_beam_below_top_k(method, acceptance):
+    digest = report_digest("quickstart.yaml", method, acceptance, beam4=True)
+    assert digest == BEAM4_DIGESTS[(method, acceptance)]

@@ -283,14 +283,19 @@ class TestLookupAndUpdate:
                     assert np.array_equal(logq[i], np.log(model.rows[i, by_token[i]]))
 
     def test_a_first_session_builds_each_table_once(self, monkeypatch):
-        fills = collections.Counter()
-        fill = models._topk_table
+        fills, roots = collections.Counter(), collections.Counter()
+        fill, root_fill = models._topk_table, models._root_layer_table
 
         def counted(rows, k, by_token):
             fills[id(rows), k, by_token] += 1
             return fill(rows, k, by_token)
 
+        def counted_roots(by_token, logq, beam_width):
+            roots[id(by_token), by_token.shape[1], beam_width] += 1
+            return root_fill(by_token, logq, beam_width)
+
         monkeypatch.setattr(models, "_topk_table", counted)
+        monkeypatch.setattr(models, "_root_layer_table", counted_roots)
         target = build_markov(VocabSpec(24), 2, seed=5, sparsity=0.3)
         draft = derive_draft(target, DraftDerivation("uniform-mix", 0.4))
         cfg = DecodeConfig(method="graft", max_new_tokens=80)
@@ -303,8 +308,11 @@ class TestLookupAndUpdate:
             (id(target.rows), 8, False): 1,
             (id(draft.rows), cfg.prune.top_k, True): 1,
         }
+        # and the draft's root-layer table, read from its by-token top-k
+        (by_token, _), = draft._topk_by_token.values()
+        assert roots == {(id(by_token), cfg.prune.top_k, cfg.prune.beam_width): 1}
         decode_session(cfg, target, draft, matrix, [2])
-        assert sum(fills.values()) == 3
+        assert sum(fills.values()) == 3 and sum(roots.values()) == 1
 
     def test_first_table_build_sorts_one_block_at_a_time(self):
         model = build_markov(VocabSpec(64), 2, seed=11, sparsity=0.3)  # 4097 rows
@@ -316,6 +324,19 @@ class TestLookupAndUpdate:
             tracemalloc.stop()
         # the two tables are 4097 x 10 x 12 B = 0.49 MB; sorting every row at
         # once would add the negated rows and their argsort, 2 x 2.1 MB
+        assert peak < 1_000_000
+
+    def test_first_root_layer_build_reads_one_block_at_a_time(self):
+        model = build_markov(VocabSpec(64), 2, seed=11, sparsity=0.3)  # 4097 rows
+        model.topk_by_token([0], 10)  # the by-token table it reads, outside the trace
+        tracemalloc.start()
+        try:
+            model.root_layer(4096, 10, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the table is 4097 x 10 x 12 B + 4097 x 12 B = 0.54 MB; scoring every
+        # row at once would add the costs and their argsort, 2 x 0.33 MB
         assert peak < 1_000_000
 
     def test_draft_that_is_the_target_writes_rank_order(self):
