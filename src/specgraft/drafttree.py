@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InputError, StructureError
-from .models import MarkovTableModel
+from .models import MAX_TABLE_CELLS, MarkovTableModel
 
 ROOT_PARENT = -1
 ORIGIN_DRAFT = 0
@@ -122,11 +122,97 @@ class HybridTree:
 def _rank_rows(draft: MarkovTableModel, codes: list, tokens: list, parents: list, lo: int) -> np.ndarray:
     """The slots of a draft tree's nodes ``lo`` on, less ``lo``, by path:
     compared where the paths part, the higher draft probability first, then
-    the lower id. ``codes`` are the nodes' context codes."""
+    the lower id. ``codes`` are the nodes' context codes; the root's token
+    is not read."""
     ids, paths = draft.row_ids(codes), [()]
     for parent, token in zip(parents[1:], tokens[1:]):
         paths.append(paths[parent] + (-draft.rows[ids[parent], token], token))
     return np.array(sorted(range(len(paths) - lo), key=lambda slot: paths[lo + slot]))
+
+
+def _score(draft: MarkovTableModel, frontier, cost: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of the layer below ``frontier``, row ids at path costs
+    ``cost``: candidate j is token ``top[j // k, j % k]`` at path cost
+    ``cand[j]``; zero-probability ones cost ``+inf``."""
+    top, logq = draft.topk_by_token(frontier, k)
+    return top, (cost[:, None] - logq).ravel()
+
+
+def _cut(top: np.ndarray, cand: np.ndarray, k: int, beam_width: int, lineage: tuple) -> tuple:
+    """The beam cut of a scored layer (:func:`_score`): the ``beam_width``
+    cheapest candidates, ties by path (:func:`_rank_rows` of ``lineage``
+    when the cut splits a tie across rows), the ``+inf`` ones dropped.
+    Returns their candidate indices j (frontier row ``j // k``), tokens and
+    costs, in (row, token) order, and the layer's cheapest cost."""
+    order = cand.argsort(kind="stable")
+    low = cand.item(order.item(0))  # read before ``best.sort()`` reorders ``order``
+    best = order[:beam_width]
+    cut = cand.item(best.item(-1))
+    if cut == np.inf:  # +inf ranks last: drop it after the beam cut
+        best = best[cand[best] < np.inf]
+    elif best.size < order.size and cand.item(order.item(best.size)) == cut:
+        tied = np.flatnonzero(cand == cut) // k
+        if tied[0] != tied[-1]:  # the cut splits a tie across rows: cut again, rows by path
+            rows = _rank_rows(*lineage)
+            ranked = cand.reshape(-1, k)[rows].ravel().argsort(kind="stable")[:beam_width]
+            best = rows[ranked // k] * k + ranked % k
+    best.sort()  # (parent, token) order: below a canonical frontier, the layer is canonical
+    return best.tolist(), top.take(best).tolist(), cand.take(best), low
+
+
+def _stored_layers(draft: MarkovTableModel, code: int, row_id: int, k: int, beams) -> tuple:
+    """The layers drafted below row ``row_id`` (context code ``code``) at
+    cost -0.0, with no gate and no keep stop, each as :func:`_cut` returns
+    it: layers 1 and 2 below a known context's row, layer 1 alone below the
+    fallback row, whose children's rows depend on the context it hides.
+
+    They are read from the draft's table per ``(k, beams[0], beams[1])``:
+    an int32 and a float64 array, allocated whole on the table's first read
+    and filled a row at a time (:func:`_fill_row`). Each row holds, in
+    ``w`` columns of layer 1's most nodes then layer 2's, left-aligned per
+    layer, the tokens and candidate indices (int32) and the costs
+    (float64); then each layer's node count (0 until filled) and cheapest
+    cost. A table past ``MAX_TABLE_CELLS`` is never allocated: then ``()``,
+    and the caller drafts every layer."""
+    tables, key, w1 = draft._two_layers, (k, beams[0], beams[1]), min(beams[0], k)
+    table = tables.get(key)
+    if table is None:
+        n_rows, w = draft.rows.shape[0], w1 + min(beams[1], w1 * k)
+        if n_rows * w > MAX_TABLE_CELLS:
+            return ()
+        # concurrent first reads agree on the first stored
+        table = tables.setdefault(key, (np.zeros((n_rows, 2 * w + 2), np.int32), np.empty((n_rows, w + 2))))
+    ints, floats = table
+    if not ints.item(row_id, -2):
+        _fill_row(draft, table, code, row_id, k, beams)
+    row, cost, w = ints[row_id].tolist(), floats[row_id], floats.shape[1] - 2
+    n, m = row[-2:]
+    first = (row[w:w + n], row[:n], cost[:n], cost.item(-2))
+    if row_id == ints.shape[0] - 1:  # the fallback row
+        return (first,)
+    return first, (row[w + w1:w + w1 + m], row[w1:w1 + m], cost[w1:w1 + m], cost.item(-1))
+
+
+def _fill_row(draft: MarkovTableModel, table: tuple, code: int, row_id: int, k: int, beams) -> None:
+    """Draft row ``row_id``'s layers of :func:`_stored_layers` into
+    ``table``, each by :func:`_score` and :func:`_cut` as a step drafts it.
+    The counts are written last, so a concurrent reader sees the row either
+    empty, and fills it again with the same bytes, or whole."""
+    ints, floats = table
+    # one frontier row: no tie spans rows, so no lineage
+    layers = [_cut(*_score(draft, [row_id], np.array([-0.0]), k), k, beams[0], ())]
+    if row_id != ints.shape[0] - 1:  # a known context: its code fixes its children's rows
+        _, layer, cost, _ = layers[0]
+        base, span = draft.vocab.size + 1, (draft.vocab.size + 1) ** draft.order
+        codes = [code] + [(code * base + token + 1) % span for token in layer]
+        lineage = (draft, codes, [None, *layer], [ROOT_PARENT] + [0] * len(layer), 1)  # _rank_rows reads no root token
+        layers.append(_cut(*_score(draft, draft.row_ids(codes[1:]), cost, k), k, beams[1], lineage))
+    w = floats.shape[1] - 2
+    for i, (at, (best, layer, cost, low)) in enumerate(zip((0, min(beams[0], k)), layers)):
+        end = at + len(layer)
+        ints[row_id, at:end], ints[row_id, w + at:w + end] = layer, best
+        floats[row_id, at:end], floats[row_id, w + i] = cost, low
+    ints[row_id, 2 * w:2 * w + len(layers)] = [len(layer) for _, layer, _, _ in layers]
 
 
 @dataclass(frozen=True)
@@ -226,8 +312,12 @@ def resolve_stage(
     (:func:`models.context_code`, extended from its parent's) and its row
     id, which the next layer reads. The tree carries those codes, in the
     draft's code space, and a retrieved count of 0; its child pointers are
-    left to their first read. The first layer, one frontier row at cost
-    -0.0, is read from :meth:`models.MarkovTableModel.root_layer`.
+    left to their first read. Layers 1 and 2 hang below the root's row
+    alone, at cost -0.0, so they are read from the draft's two-layer table
+    (:func:`_stored_layers`) when there are two beams, the first alone below
+    the fallback row; each gate, the keep stop and the empty-layer check
+    still apply at their depth. Every other layer is scored and cut per
+    call (:func:`_score`, :func:`_cut`).
     """
     context = tuple(int(t) for t in context[-max(draft.order, 1):])
     if not context:
@@ -244,37 +334,22 @@ def resolve_stage(
     lo = 0  # the frontier layer's first node
     keep = math.inf if keep is None else keep
     last_gate = max(gates, default=-1)
+    stored = _stored_layers(draft, codes[0], frontier[0], k, beams) if len(beams) > 1 else ()
     for depth, beam_width in enumerate(beams, 1):
-        root = depth == 1  # the root's row alone, at cost -0.0: its layer is a table row
-        if root:
-            layer, cost, low = draft.root_layer(frontier[0], k, beam_width)
-            slots = range(len(layer))  # the root's candidates: j < k, so each parent is node 0
+        read = depth <= len(stored)  # a layer of the table
+        if read:
+            best, layer, cost, low = stored[depth - 1]
         else:
-            top, logq = draft.topk_by_token(frontier, k)
-            # candidate j is token top[j // k, j % k]; zero-probability ones cost +inf
-            cand = (cost[:, None] - logq).ravel()
+            top, cand = _score(draft, frontier, cost, k)
         if depth > last_gate + 1 and len(tokens) > keep:  # past the last gate, with keep candidates drafted
-            if np.count_nonzero(np.concatenate(costs)[1:] <= (low if root else cand.min())) >= keep:
+            if np.count_nonzero(np.concatenate(costs)[1:] <= (low if read else cand.min())) >= keep:
                 break
-        if not root:
-            order = cand.argsort(kind="stable")
-            low = cand.item(order.item(0))  # the layer's cheapest cost, read before ``best.sort()`` reorders ``order``
-            best = order[:beam_width]
-            cut = cand.item(best.item(-1))
-            if cut == np.inf:  # +inf ranks last: drop it after the beam cut
-                best = best[cand[best] < np.inf]
-            elif best.size < order.size and cand.item(order.item(best.size)) == cut:
-                tied = np.flatnonzero(cand == cut) // k
-                if tied[0] != tied[-1]:  # the cut splits a tie across rows: cut again, rows by path
-                    rows = _rank_rows(draft, codes, tokens, parents, lo)
-                    ranked = cand.reshape(-1, k)[rows].ravel().argsort(kind="stable")[:beam_width]
-                    best = rows[ranked // k] * k + ranked % k
-            best.sort()  # (parent, token) order: below a canonical frontier, the layer is canonical
-            slots, layer, cost = best.tolist(), top.take(best).tolist(), cand.take(best)
+        if not read:
+            best, layer, cost, low = _cut(top, cand, k, beam_width, (draft, codes, tokens, parents, lo))
         if not layer:
             raise StructureError("no positive-probability candidates in the new layer")
         frontier = []
-        for j, token in zip(slots, layer):
+        for j, token in zip(best, layer):
             parent = lo + j // k
             code = (codes[parent] * base + token + 1) % span
             parents.append(parent)
@@ -293,4 +368,3 @@ def resolve_stage(
     tree.context_codes = (draft.vocab.size, draft.order, codes)
     tree.n_retrieved = 0
     return tree, stage, trace
-

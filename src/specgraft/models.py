@@ -114,8 +114,9 @@ class MarkovTableModel:
     # (ids by token, their log-probabilities)
     _topk: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
     _topk_by_token: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
-    # root_layer tables per (k, beam_width), built likewise
-    _root_layers: dict[tuple[int, int], tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the envelope's two-layer tables per (k, beam widths 1 and 2), each row
+    # filled on its first read (``drafttree._stored_layers``)
+    _two_layers: dict[tuple[int, int, int], tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -178,16 +179,6 @@ class MarkovTableModel:
         ids = np.asarray(ids, dtype=np.intp)
         return by_token.take(ids, axis=0), logq.take(ids, axis=0)
 
-    def root_layer(self, row_id: int, k: int, beam_width: int) -> tuple[list[int], np.ndarray, float]:
-        """The layer drafted below row ``row_id`` alone at cost -0.0: of its
-        top-``k`` candidates by token, costing ``-0.0 - logq``, the
-        ``beam_width`` cheapest (ties to the lower token) less the ``+inf``
-        ones; their tokens and costs in token order, and the cheapest cost."""
-        tables, key = self._root_layers, (k, beam_width)
-        tokens, costs, counts, low = tables.get(key) or tables.setdefault(key, _root_layer_table(*self._by_token(k), beam_width))
-        n = counts.item(row_id)
-        return tokens[row_id, :n].tolist(), costs[row_id, :n], low.item(row_id)
-
 
 def _topk_table(rows: np.ndarray, k: int, by_token: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Every row's ``argtopk(row, k)``, built one block of rows at a time:
@@ -205,29 +196,6 @@ def _topk_table(rows: np.ndarray, k: int, by_token: bool) -> tuple[np.ndarray, n
             with np.errstate(divide="ignore"):
                 np.log(np.take_along_axis(block, ids, axis=1), out=logq[lo:lo + _TOPK_BLOCK])
     return top, logq
-
-
-def _root_layer_table(by_token: np.ndarray, logq: np.ndarray, beam_width: int) -> tuple:
-    """Every row's :meth:`MarkovTableModel.root_layer`, read-only, from the
-    by-token top-k table a block of rows at a time: the kept tokens and
-    costs left-aligned, each row's count of them, and its cheapest cost."""
-    n, k = by_token.shape
-    width = min(beam_width, k)
-    tokens, costs, counts, low = np.empty((n, width), np.int32), np.empty((n, width)), np.empty(n, np.int32), np.empty(n)
-    for lo in range(0, n, _TOPK_BLOCK):
-        rows = slice(lo, lo + _TOPK_BLOCK)
-        cand = -0.0 - logq[rows]  # each row's candidate costs as the root's frontier row
-        order = cand.argsort(axis=1, kind="stable")
-        low[rows] = np.take_along_axis(cand, order[:, :1], axis=1)[:, 0]
-        best = order[:, :width]
-        finite = np.take_along_axis(cand, best, axis=1) < np.inf  # +inf ranks last: drop it
-        counts[rows] = finite.sum(axis=1)
-        best[~finite] = k - 1  # sorts after every kept slot, and the count drops it
-        best.sort(axis=1)
-        tokens[rows], costs[rows] = np.take_along_axis(by_token[rows], best, axis=1), np.take_along_axis(cand, best, axis=1)
-    for table in (tokens, costs, counts, low):
-        table.setflags(write=False)
-    return tokens, costs, counts, low
 
 
 def build_markov(vocab: VocabSpec, order: int, seed: int, sparsity: float = 0.0) -> MarkovTableModel:

@@ -1,6 +1,8 @@
 import collections
 import itertools
 import math
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -647,20 +649,6 @@ class TestIdentityCut:
         assert covered >= {(m, w) for m in TREE_METHODS if m != "graft_tail" for w in (False, True)}
 
 
-def _fresh_root_cut(draft, row_id, k, beam_width):
-    """The first layer below row ``row_id`` at cost -0.0, cut afresh as the
-    envelope cuts a frontier: the stable beam cut of ``-0.0 - logq``, the
-    ``+inf`` candidates dropped, in token order; the cheapest cost; and
-    whether the cut splits a tie."""
-    top, logq = draft.topk_by_token([row_id], k)
-    cand = -0.0 - logq[0]
-    order = np.argsort(cand, kind="stable")
-    best = order[:beam_width]
-    split = beam_width < k and cand[order[beam_width]] == cand[order[beam_width - 1]] < np.inf
-    best = np.sort(best[cand[best] < np.inf])
-    return top[0, best].tolist(), cand[best], float(cand[order[0]]), split
-
-
 def _root_table_drafts():
     """A sparse Markov draft (+inf candidates, one-hot rows), a smoothed
     n-gram, uniform rows (every candidate tied) and a dyadic table, each
@@ -674,53 +662,158 @@ def _root_table_drafts():
     }
 
 
-class TestRootLayerTable:
-    """Each row of a draft's root-layer table is the fresh beam cut of that
-    row at cost -0.0, bit for bit, the sign of a -0.0 cheapest cost
-    included, on every row: the fallback row and both sides of each
-    ``_TOPK_BLOCK`` seam too. The envelope's first layer is that row."""
+def _context_of(code, vocab):
+    """The tokens of context code ``code``, the first most significant."""
+    tokens = []
+    while code:
+        code, digit = divmod(code, vocab + 1)
+        tokens.append(digit - 1)
+    return tokens[::-1]
+
+
+def _layers_of(tree):
+    """A two-layer envelope's layers as the table holds them: parent slots
+    in the frontier, tokens and costs; and each layer's frontier codes."""
+    n1, codes = int(np.count_nonzero(tree.parents == 0)), tree.context_codes[2]
+    return [
+        (tree.parents[1:n1 + 1].tolist(), tree.tokens[1:n1 + 1].tolist(), -tree.scores[1:n1 + 1], codes[:1]),
+        ((tree.parents[n1 + 1:] - 1).tolist(), tree.tokens[n1 + 1:].tolist(), -tree.scores[n1 + 1:], codes[1:n1 + 1]),
+    ]
+
+
+def _same_envelope(got, expect) -> bool:
+    """Two ``resolve_stage`` results agree bit for bit: the tree's arrays and
+    codes, the stage and the gate confidences."""
+    same = all(getattr(got[0], name).tobytes() == getattr(expect[0], name).tobytes() for name in ("tokens", "parents", "scores"))
+    return same and got[0].context_codes == expect[0].context_codes and got[1:] == expect[1:]
+
+
+class TestTwoLayerTable:
+    """Each row of a draft's two-layer table holds, bit for bit, the first
+    two layers a fresh envelope drafts below that row at cost -0.0 without
+    the table (the known rows), or the first alone (the fallback row): on
+    every row, both sides of each ``_TOPK_BLOCK`` seam too, and with the
+    sign of a -0.0 cheapest cost. An envelope read through the table is the
+    envelope drafted without it, under any gates and ``keep``."""
 
     @pytest.mark.parametrize("name", ["markov-sparse", "ngram-smooth", "uniform", "dyadic"])
-    def test_rows_match_a_fresh_beam_cut(self, name):
+    def test_rows_match_a_fresh_two_layer_draft(self, name, monkeypatch):
         draft = _root_table_drafts()[name]
+        plain = replace(draft)  # drafted with the ceiling at 0: no table
         n_rows, vocab = draft.rows.shape
         assert n_rows > 2 * models._TOPK_BLOCK
-        seen = collections.Counter()
+        contexts = {row_id: _context_of(code, vocab) for code, row_id in draft.index.items()}
+        contexts[n_rows - 1] = [1]  # shorter than the order: an unseen context, the fallback row
+        seen, keys = collections.Counter(), set()
         for k in (1, 3, vocab):  # k = vocab: every token is a candidate
-            for beam_width in {max(k - 1, 1), k, k + 2}:  # below, at and above k
-                for row_id in range(n_rows):
-                    tokens, costs, low = draft.root_layer(row_id, k, beam_width)
-                    expect_tokens, expect_costs, expect_low, split = _fresh_root_cut(draft, row_id, k, beam_width)
-                    assert tokens == expect_tokens, (k, beam_width, row_id)
-                    assert costs.dtype == np.float64 and costs.tobytes() == expect_costs.tobytes()
-                    assert low.hex() == expect_low.hex()  # the sign bit of -0.0 too
-                    seen["dropped"] += len(tokens) < min(beam_width, k)
-                    seen["-0.0"] += math.copysign(1.0, low) < 0
-                    seen["split tie"] += split
+            below, at, above = max(k - 1, 1), k, k + 2
+            for beams in {(below, at), (at, above), (above, below)}:  # each width below, at and above k
+                keys.add((k, *beams))
+                stored = [drafttree._stored_layers(draft, draft.code_of(contexts[row_id]), row_id, k, beams) for row_id in range(n_rows)]
+                with monkeypatch.context() as patch:
+                    patch.setattr(drafttree, "MAX_TABLE_CELLS", 0)
+                    fresh = [resolve_stage(plain, contexts[row_id], k, beams, {})[0] for row_id in range(n_rows)]
+                for row_id, (layers, tree) in enumerate(zip(stored, fresh)):
+                    known = row_id < n_rows - 1
+                    assert len(layers) == (2 if known else 1), (k, beams, row_id)
+                    cost = np.array([-0.0])
+                    for depth, ((best, tokens, costs, low), (slots, tokens_, costs_, codes)) in enumerate(zip(layers, _layers_of(tree)), 1):
+                        assert [j // k for j in best] == slots and tokens == tokens_, (k, beams, row_id, depth)
+                        assert costs.dtype == np.float64 and costs.tobytes() == costs_.tobytes()
+                        top, logq = plain.topk_by_token(plain.row_ids(codes), k)  # the layer's candidates, scored afresh
+                        assert top.ravel()[best].tolist() == tokens  # each candidate index names its token
+                        cand = (cost[:, None] - logq).ravel()
+                        assert low.hex() == float(cand.min()).hex()  # the sign of -0.0 too
+                        order = np.argsort(cand, kind="stable")
+                        width = beams[depth - 1]
+                        if width < cand.size and cand[order[width]] == cand[order[width - 1]] < np.inf:
+                            tied = np.flatnonzero(cand == cand[order[width]]) // k
+                            seen[f"split tie {depth}"] += tied[0] != tied[-1]
+                        seen[f"dropped {depth}"] += len(tokens) < min(width, cand.size)
+                        seen[f"-0.0 {depth}"] += math.copysign(1.0, low) < 0
+                        cost = costs
+        assert set(draft._two_layers) == keys and not plain._two_layers
         if name == "markov-sparse":
-            assert seen["dropped"] and seen["-0.0"]
+            assert seen["dropped 1"] and seen["dropped 2"] and seen["-0.0 1"] and seen["-0.0 2"]
         if name in ("uniform", "dyadic"):
-            assert seen["split tie"]
+            assert seen["split tie 2"]
 
-    def test_envelope_first_layer_is_the_table_row(self):
-        # top_k below, at and above the vocab size; a short corpus's unseen contexts read the fallback row
-        rng = np.random.default_rng(36)
+    def test_envelopes_match_drafting_without_the_table(self, monkeypatch):
+        # a few contexts and shapes, each read under varied gates and keep;
+        # each context's first read under each shape stops before layer 2,
+        # by keep 1 or by a failed gate 0, so its row serves later reads that
+        # draft past it; a short corpus's unseen contexts read the fallback row
+        rng = np.random.default_rng(37)
         sparse = train_ngram(VocabSpec(6), rng.integers(0, 6, size=40).tolist(), order=2)
-        fallback_read = 0
+        seen = collections.Counter()
         for draft in [*_root_table_drafts().values(), sparse]:
-            vocab, fallback = draft.vocab.size, draft.rows.shape[0] - 1
-            for _ in range(40):
-                context = [int(t) for t in rng.integers(0, vocab, size=draft.order)]
-                row_id = draft.row_ids([draft.code_of(context)])[0]
-                fallback_read += row_id == fallback
-                top_k, beam_width = int(rng.integers(1, vocab + 3)), int(rng.integers(1, vocab + 3))
-                tree = resolve_stage(draft, context, top_k, (beam_width,), {})[0]
-                tokens, costs, low = draft.root_layer(row_id, min(top_k, vocab), beam_width)
-                expect = _fresh_root_cut(draft, row_id, min(top_k, vocab), beam_width)
-                assert tokens == expect[0] and costs.tobytes() == expect[1].tobytes() and low.hex() == expect[2].hex()
-                assert tree.tokens[1:].tolist() == tokens and tree.parents[1:].tolist() == [0] * len(tokens)
-                assert tree.scores[1:].tobytes() == (-costs).tobytes()
-        assert fallback_read
+            plain, vocab, fallback = replace(draft), draft.vocab.size, draft.rows.shape[0] - 1
+            pool = [[int(t) for t in rng.integers(0, vocab, size=rng.integers(1, draft.order + 1))] for _ in range(6)]
+            shapes = [(int(rng.integers(1, vocab + 3)), tuple(int(b) for b in rng.integers(1, vocab + 3, size=3))) for _ in range(2)]
+            for i in range(300):
+                first = i < len(pool) * len(shapes)
+                context = pool[i % len(pool) if first else rng.integers(len(pool))]
+                top_k, beams = shapes[i // len(pool) if first else rng.integers(len(shapes))]
+                beams = beams[: rng.integers(2, 4)]
+                gates = {d: float(rng.uniform(0.05, 1.0)) for d in range(3) if rng.random() < 0.5}
+                keep = None if rng.random() < 0.3 else int(rng.integers(0, 3 * vocab))
+                if first:
+                    gates, keep = ({}, 1) if i % 2 else ({0: 1 - 1e-9}, None)
+                got = resolve_stage(draft, context, top_k, beams, gates, keep)
+                with monkeypatch.context() as patch:
+                    patch.setattr(drafttree, "MAX_TABLE_CELLS", 0)
+                    expect = resolve_stage(plain, context, top_k, beams, gates, keep)
+                assert _same_envelope(got, expect), (context, top_k, beams, gates, keep)
+                depth = int(got[0].depths.max())
+                seen["fallback"] += draft.row_ids([draft.code_of(context)])[0] == fallback
+                seen[f"stage {got[1]}"] += 1
+                seen["keep stop"] += got[1] is None and depth < len(beams)
+            assert not plain._two_layers
+        assert seen["fallback"] and seen["stage 0"] and seen["stage 1"] and seen["stage None"] and seen["keep stop"]
+
+    def test_a_table_past_the_ceiling_is_never_allocated(self, monkeypatch):
+        draft = _root_table_drafts()["dyadic"]
+        n_rows, vocab = draft.rows.shape
+        contexts = [_context_of(code, vocab) for code in list(draft.index)[:200]] + [[2]]
+        expect = [resolve_stage(replace(draft), context, 3, (2, 5, 4), {0: 0.2}) for context in contexts]
+        monkeypatch.setattr(drafttree, "MAX_TABLE_CELLS", n_rows * (2 + 5) - 1)  # one cell short
+        for context, want in zip(contexts, expect):
+            assert _same_envelope(resolve_stage(draft, context, 3, (2, 5, 4), {0: 0.2}), want)
+        assert not draft._two_layers
+        monkeypatch.setattr(drafttree, "MAX_TABLE_CELLS", n_rows * (2 + 5))  # at the ceiling
+        assert _same_envelope(resolve_stage(draft, contexts[0], 3, (2, 5, 4), {0: 0.2}), expect[0])
+        (table,) = draft._two_layers.values()
+        assert [a.shape for a in table] == [(n_rows, 2 * (2 + 5) + 2), (n_rows, 2 + 5 + 2)]
+
+    def test_threads_share_one_fresh_table(self):
+        draft = build_markov(VocabSpec(16), 2, seed=21, sparsity=0.3)
+        contexts = [_context_of(code, 16) for code in draft.index] + [[t] for t in range(16)]
+        beams, gates = (4, 6, 3), {1: 0.02}
+        expect = [resolve_stage(replace(draft), context, 5, beams, gates) for context in contexts]
+        wrong = []
+
+        def worker(i):
+            order = np.random.default_rng(i).permutation(len(contexts))
+            for j in order.tolist():
+                if not _same_envelope(resolve_stage(draft, contexts[j], 5, beams, gates), expect[j]):
+                    wrong.append((i, j))
+
+        assert not draft._two_layers
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        ((ints, _),) = draft._two_layers.values()
+        counts = ints[:, -2:]
+        assert counts[:, 0].all() and counts[:-1, 1].all() and counts[-1, 1] == 0
 
     def test_keep_zero_without_gates_drafts_nothing(self):
         for draft in _root_table_drafts().values():

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from specgraft import engine
 from specgraft.config import load_run_config
 from specgraft.engine import METHODS, decode_session
 from specgraft.models import DraftDerivation, derive_draft
@@ -154,3 +155,22 @@ def test_report_digest_truncated_draft(method, acceptance):
 def test_report_digest_beam_below_top_k(method, acceptance):
     digest = report_digest("quickstart.yaml", method, acceptance, beam4=True)
     assert digest == BEAM4_DIGESTS[(method, acceptance)]
+
+
+@pytest.mark.parametrize("method, below_fallback, roots", [("graft", 38, 287), ("dense", 44, 179)])
+def test_stochastic_repetitive_sessions_draft_below_the_fallback_row(method, below_fallback, roots, monkeypatch):
+    """The pinned stochastic ``repetitive.yaml`` sessions reach unseen
+    contexts: an envelope rooted at the draft's fallback row reads only its
+    first layer from the two-layer table and drafts the second per step, so
+    the digests cover that path. Roots are counted over the warm-up and the
+    session, the warm-up run afresh."""
+    resolve, fallback = engine.resolve_stage, []
+
+    def counted(draft, context, *rest):
+        fallback.append(draft.row_ids([draft.code_of(context)])[0] == draft.rows.shape[0] - 1)
+        return resolve(draft, context, *rest)
+
+    monkeypatch.setattr(engine, "resolve_stage", counted)
+    monkeypatch.setitem(globals(), "_warmed", _warmed.__wrapped__)
+    assert report_digest("repetitive.yaml", method, "stochastic") == DIGESTS[("repetitive.yaml", method, "stochastic")]
+    assert (sum(fallback), len(fallback)) == (below_fallback, roots)

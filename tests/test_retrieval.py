@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgraft import models
+from specgraft import drafttree, models
 from specgraft.engine import DecodeConfig, decode_session
 from specgraft.errors import InputError, StructureError
 from specgraft.models import DraftDerivation, VocabSpec, argtopk, build_markov, context_code, derive_draft, train_ngram
@@ -283,19 +283,19 @@ class TestLookupAndUpdate:
                     assert np.array_equal(logq[i], np.log(model.rows[i, by_token[i]]))
 
     def test_a_first_session_builds_each_table_once(self, monkeypatch):
-        fills, roots = collections.Counter(), collections.Counter()
-        fill, root_fill = models._topk_table, models._root_layer_table
+        fills, row_fills = collections.Counter(), collections.Counter()
+        fill, fill_row = models._topk_table, drafttree._fill_row
 
         def counted(rows, k, by_token):
             fills[id(rows), k, by_token] += 1
             return fill(rows, k, by_token)
 
-        def counted_roots(by_token, logq, beam_width):
-            roots[id(by_token), by_token.shape[1], beam_width] += 1
-            return root_fill(by_token, logq, beam_width)
+        def counted_rows(draft, table, code, row_id, k, beams):
+            row_fills[id(table), row_id] += 1
+            return fill_row(draft, table, code, row_id, k, beams)
 
         monkeypatch.setattr(models, "_topk_table", counted)
-        monkeypatch.setattr(models, "_root_layer_table", counted_roots)
+        monkeypatch.setattr(drafttree, "_fill_row", counted_rows)
         target = build_markov(VocabSpec(24), 2, seed=5, sparsity=0.3)
         draft = derive_draft(target, DraftDerivation("uniform-mix", 0.4))
         cfg = DecodeConfig(method="graft", max_new_tokens=80)
@@ -308,11 +308,16 @@ class TestLookupAndUpdate:
             (id(target.rows), 8, False): 1,
             (id(draft.rows), cfg.prune.top_k, True): 1,
         }
-        # and the draft's root-layer table, read from its by-token top-k
-        (by_token, _), = draft._topk_by_token.values()
-        assert roots == {(id(by_token), cfg.prune.top_k, cfg.prune.beam_width): 1}
+        # one two-layer table, for the envelope's top-k and first two beams
+        key = (cfg.prune.top_k, cfg.prune.beam_width, cfg.prune.beam_width)
+        assert list(draft._two_layers) == [key]
+        first = set(row_fills)
         decode_session(cfg, target, draft, matrix, [2])
-        assert sum(fills.values()) == 3 and sum(roots.values()) == 1
+        assert sum(fills.values()) == 3 and list(draft._two_layers) == [key]
+        # each row read is filled once over both sessions, the second reading more rows
+        assert set(row_fills.values()) == {1} and len(row_fills) > len(first)
+        ((ints, _),) = draft._two_layers.values()
+        assert {row_id for _, row_id in row_fills} == set(np.flatnonzero(ints[:, -2]).tolist())
 
     def test_first_table_build_sorts_one_block_at_a_time(self):
         model = build_markov(VocabSpec(64), 2, seed=11, sparsity=0.3)  # 4097 rows
@@ -326,18 +331,24 @@ class TestLookupAndUpdate:
         # once would add the negated rows and their argsort, 2 x 2.1 MB
         assert peak < 1_000_000
 
-    def test_first_root_layer_build_reads_one_block_at_a_time(self):
+    def test_filling_every_two_layer_row_stays_compact(self):
         model = build_markov(VocabSpec(64), 2, seed=11, sparsity=0.3)  # 4097 rows
         model.topk_by_token([0], 10)  # the by-token table it reads, outside the trace
+        rows = [*model.index.items(), (0, 4096)]  # code 0, the empty context, reads the fallback row
         tracemalloc.start()
         try:
-            model.root_layer(4096, 10, 10)
+            for code, row_id in rows:
+                drafttree._stored_layers(model, code, row_id, 10, (10, 10))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the table is 4097 x 10 x 12 B + 4097 x 12 B = 0.54 MB; scoring every
-        # row at once would add the costs and their argsort, 2 x 0.33 MB
-        assert peak < 1_000_000
+        (table,) = model._two_layers.values()
+        counts = table[0][:, -2:]
+        assert counts[:, 0].all() and counts[:-1, 1].all() and counts[-1, 1] == 0
+        # 4097 x (20 tokens + 20 candidate indices + 2 counts, int32; 20 costs +
+        # 2 cheapest costs, float64) = 1,409,368 bytes; the table is the whole peak
+        assert sum(a.nbytes for a in table) == 4097 * (42 * 4 + 22 * 8)
+        assert peak < 2_000_000
 
     def test_draft_that_is_the_target_writes_rank_order(self):
         # one model drafts and verifies at the matrix's k: drafting reads the
